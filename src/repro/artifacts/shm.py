@@ -26,7 +26,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.types import MemOp, MemoryRequest
+from repro.common.types import MemOp, MemoryRequest, new_request
 
 #: Packed little-endian layout of one raw request. ``align=False``
 #: (the default) keeps it at 23 bytes; addresses are physical (< 8GB in
@@ -42,6 +42,11 @@ REQ_DTYPE = np.dtype(
 )
 
 
+#: ``MemOp`` members by packed ``op`` value (``MemOp`` is dense from 0).
+_OPS = tuple(MemOp)
+_OP_VALUES = np.array([int(op) for op in _OPS], dtype=REQ_DTYPE["op"])
+
+
 def encode_requests(requests: Sequence[MemoryRequest]) -> np.ndarray:
     """Pack a request list into a ``REQ_DTYPE`` structured array."""
     out = np.empty(len(requests), dtype=REQ_DTYPE)
@@ -55,17 +60,36 @@ def encode_requests(requests: Sequence[MemoryRequest]) -> np.ndarray:
 
 def decode_requests(array: np.ndarray) -> List[MemoryRequest]:
     """Rebuild the request list (fresh ``req_id`` values; see module
-    docstring for why that is bit-identical)."""
+    docstring for why that is bit-identical).
+
+    The whole array is validated first, with the checks the
+    ``MemoryRequest`` constructor makes (``addr >= 0``, ``size > 0``,
+    ``op`` a :class:`MemOp` value); a bad row raises ``ValueError``
+    naming the first bad index. The requests are then built with the
+    unchecked :func:`~repro.common.types.new_request` constructor.
+    """
+    addr = array["addr"]
+    size = array["size"]
+    op = array["op"]
+    bad = (addr < 0) | (size <= 0) | ~np.isin(op, _OP_VALUES)
+    if bad.any():
+        i = int(bad.argmax())
+        if addr[i] < 0:
+            reason = f"negative physical address: {int(addr[i]):#x}"
+        elif size[i] <= 0:
+            reason = f"non-positive request size: {int(size[i])}"
+        else:
+            reason = f"{int(op[i])} is not a valid MemOp"
+        raise ValueError(f"packed request {i}: {reason}")
     # Column-wise tolist() converts to native ints at C speed; per-row
     # structured-array access would box a numpy void per request.
-    addrs = array["addr"].tolist()
-    sizes = array["size"].tolist()
-    ops = [MemOp(v) for v in array["op"].tolist()]
-    cores = array["core"].tolist()
-    cycles = array["cycle"].tolist()
+    ops = [_OPS[v] for v in op.tolist()]
     return [
-        MemoryRequest(addr=a, size=s, op=o, core_id=c, cycle=cy)
-        for a, s, o, c, cy in zip(addrs, sizes, ops, cores, cycles)
+        new_request(a, s, o, c, cy)
+        for a, s, o, c, cy in zip(
+            addr.tolist(), size.tolist(), ops, array["core"].tolist(),
+            array["cycle"].tolist(),
+        )
     ]
 
 

@@ -29,10 +29,14 @@ probe + ``move_to_end``, and per-emission ``MemoryRequest`` dataclass
   ``StatsRegistry`` objects once per :meth:`process` call — the same
   pattern :mod:`repro.core.pac_batched` established.
 
-Like the batched coalescer, this engine is incompatible with the probe
-facilities: telemetry counters and span origins observe per-emission
-state the batched loop deliberately skips. The constructor refuses
-enabled probes/spans; :class:`repro.engine.system.System` auto-demotes
+Telemetry probes see every emission the reference reports: with an
+enabled registry each emission site appends its cycle to the bounded
+columns of a :class:`~repro.telemetry.ProbeBuffer` (``raw_requests``
+plus the kind counter — demand, secondary, prefetch or write-back),
+folded into the probes whenever the raw column reaches
+:data:`~repro.telemetry.FOLD_EVENTS` and at the end of :meth:`process`.
+Span origins are still not stamped: the constructor refuses enabled
+spans, and :class:`repro.engine.system.System` auto-demotes span runs
 to the reference front-end instead of tripping that refusal.
 
 One observable difference is documented and accepted: the inherited
@@ -58,7 +62,7 @@ from repro.common import types as _ct
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES, new_request
 from repro.mem.address import line_addresses
 from repro.mem.trace import AccessTrace
-from repro.telemetry import NULL_SPANS, NULL_TELEMETRY
+from repro.telemetry import FOLD_EVENTS, NULL_SPANS, NULL_TELEMETRY, ProbeBuffer
 
 
 class BatchedCacheHierarchy(CacheHierarchy):
@@ -74,12 +78,6 @@ class BatchedCacheHierarchy(CacheHierarchy):
         probes=NULL_TELEMETRY,
         spans=NULL_SPANS,
     ) -> None:
-        if getattr(probes, "enabled", False):
-            raise ValueError(
-                "the batched front-end skips the per-emission state the "
-                "telemetry probes observe — use engine='reference' for "
-                "probe runs"
-            )
         if getattr(spans, "enabled", False):
             raise ValueError(
                 "the batched front-end does not stamp span origins — "
@@ -101,6 +99,21 @@ class BatchedCacheHierarchy(CacheHierarchy):
         #: LRU order only compares stamps within one set of one cache,
         #: so uniqueness + monotonicity is all that matters.
         self._tick = 0
+        if self._probes_on:
+            # Emission cycles for the probes CacheHierarchy registered:
+            # every emission lands in the raw column, so it bounds the
+            # four kind columns too.
+            buf = self._probe_buf = ProbeBuffer()
+            self._probe_raw = raw = buf.column()
+            cols = [buf.column() for _ in range(4)]
+            self._probe_appends = (raw.append, *(c.append for c in cols))
+            buf.feed(self._t_raw, raw)
+            for probe, col in zip(
+                (self._t_demand, self._t_secondary, self._t_prefetch,
+                 self._t_writebacks),
+                cols,
+            ):
+                buf.feed(probe, col)
 
     # ------------------------------------------------------------------ #
 
@@ -290,6 +303,12 @@ class BatchedCacheHierarchy(CacheHierarchy):
         secondary_cap = self.secondary_cap
         window = self.lookahead_window
         stride_tables = self._stride_tables
+        probes_on = self._probes_on
+        if probes_on:
+            (on_raw, on_demand, on_secondary, on_prefetch,
+             on_writeback) = self._probe_appends
+            raw_events = self._probe_raw
+            fold_probes = self._probe_buf.fold
         stride_cap = self._stride_table_cap
         region_span = PREFETCH_REGION_BYTES * (1 + config.prefetch_regions)
 
@@ -300,6 +319,10 @@ class BatchedCacheHierarchy(CacheHierarchy):
         for i, (line_addr, core, op_val) in enumerate(zip(line_addrs, cores, ops)):
             if op_val >= atomic_val:
                 cycle = cycles[i]
+                if probes_on:
+                    if len(raw_events) >= FOLD_EVENTS:
+                        fold_probes()
+                    on_raw(cycle)
                 if op_val == atomic_val:
                     # Atomics bypass the caches and invalidate the line.
                     # (The evicted slot's stale dirty bit is never read:
@@ -336,6 +359,8 @@ class BatchedCacheHierarchy(CacheHierarchy):
             is_store = op_val == store_val
             cycle = cycles[i]
             l1_miss_n[core] += 1
+            if probes_on and len(raw_events) >= FOLD_EVENTS:
+                fold_probes()
             # Demand-miss fill, inlined (the `fill` closure body over
             # this core's L1 state — the call frame is measurable at
             # this miss volume).
@@ -367,6 +392,9 @@ class BatchedCacheHierarchy(CacheHierarchy):
                 llc_wb = llc_install(victim, True)
                 if llc_wb is not None:
                     wb_n += 1
+                    if probes_on:
+                        on_raw(cycle)
+                        on_writeback(cycle)
                     r = mr_new(MR)
                     s_addr(r, llc_wb)
                     s_size(r, line)
@@ -408,6 +436,9 @@ class BatchedCacheHierarchy(CacheHierarchy):
             if llc_wb is not None:
                 llc_dev_n += 1
                 wb_n += 1
+                if probes_on:
+                    on_raw(cycle)
+                    on_writeback(cycle)
                 r = mr_new(MR)
                 s_addr(r, llc_wb)
                 s_size(r, line)
@@ -420,6 +451,9 @@ class BatchedCacheHierarchy(CacheHierarchy):
             # LLC demand miss -> primary raw request.
             op = STORE if is_store else LOAD
             raw_n += 1
+            if probes_on:
+                on_raw(cycle)
+                on_demand(cycle)
             if fine_grain:
                 out_append(_nr(addrs[i], sizes[i], op, core, cycle))
             else:
@@ -447,6 +481,9 @@ class BatchedCacheHierarchy(CacheHierarchy):
                         break
                     sec_n += 1
                     raw_n += 1
+                    if probes_on:
+                        on_raw(cycle)
+                        on_secondary(cycle)
                     if fine_grain:
                         j = core_idx_lists[core][k]
                         out_append(_nr(addrs[j], sizes[j], op, core, cycle))
@@ -554,6 +591,9 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                     llc_slots[l1_victim] = slot
                                 if llc_wb is not None:
                                     wb_n += 1
+                                    if probes_on:
+                                        on_raw(cycle)
+                                        on_writeback(cycle)
                                     out_append(_nr(llc_wb, line, STORE, core, cycle))
                             # llc.install(pf, clean): fill only — not
                             # resident by the loop guard above.
@@ -577,9 +617,15 @@ class BatchedCacheHierarchy(CacheHierarchy):
                             llc_slots[pf] = slot
                             if llc_wb is not None:
                                 wb_n += 1
+                                if probes_on:
+                                    on_raw(cycle)
+                                    on_writeback(cycle)
                                 out_append(_nr(llc_wb, line, STORE, core, cycle))
                             pf_n += 1
                             raw_n += 1
+                            if probes_on:
+                                on_raw(cycle)
+                                on_prefetch(cycle)
                             r = mr_new(MR)
                             s_addr(r, pf)
                             s_size(r, line)
@@ -615,4 +661,6 @@ class BatchedCacheHierarchy(CacheHierarchy):
         llc._c_hits.value += llc_hit_n
         llc._c_misses.value += llc_miss_n
         llc._c_dirty_evictions.value += llc_dev_n
+        if probes_on:
+            fold_probes()
         return RawStream(requests=out, n_accesses=n, stats=stats)

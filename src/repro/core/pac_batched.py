@@ -38,12 +38,19 @@ state:
   integral-float cycle samples below 2**53, for which addition is
   associative-exact, so deferred accumulation is bit-identical.
 
+* telemetry probes (when a registry is enabled) see the same events,
+  cycles and values as in the reference: each probe site appends to the
+  bounded columns of a :class:`~repro.telemetry.ProbeBuffer`, folded
+  into the probes whenever the entry or MAQ column reaches
+  :data:`~repro.telemetry.FOLD_EVENTS` and at the end of the call.
+  Every PAC probe carries integer events, so the fold order is free.
+
 The engine dispatch in :class:`repro.engine.system.System` selects this
-class when ``engine`` resolves to ``"batched"``; telemetry probes and
-span tracers observe intermediate per-cycle state that the batched sweep
-deliberately skips, so construction refuses enabled probes/spans (the
-``auto`` engine demotes to the reference path instead — see
-ARCHITECTURE.md, "Batched coalescer kernel").
+class when ``engine`` resolves to ``"batched"``. Span tracers observe
+intermediate per-request stage boundaries that the batched sweep does
+not stamp, so construction refuses enabled spans (the ``auto`` engine
+demotes to the reference path instead — see ARCHITECTURE.md, "Batched
+coalescer kernel").
 """
 
 from __future__ import annotations
@@ -64,11 +71,34 @@ from repro.core.pac import OCCUPANCY_SAMPLE_CYCLES, PagedAdaptiveCoalescer
 from repro.core.protocols import MemoryProtocol
 from repro.mshr.dmc import CoalesceOutcome, MemoryDevice
 from repro.mshr.entry import MAX_SPAN_BLOCKS
-from repro.telemetry import NULL_SPANS, NULL_TELEMETRY
+from repro.telemetry import FOLD_EVENTS, NULL_SPANS, NULL_TELEMETRY, ProbeBuffer
 
 # Stream-record slots (a plain list is ~3x cheaper than a slotted
 # dataclass to allocate, and these are born/die once per page stream).
 _TAG, _DEADLINE, _PPN, _OP, _ALLOC, _BMAP, _GREQ, _NREQ = range(8)
+
+#: Probe-buffer columns, in the order ``process`` binds their appends.
+_PROBE_COLUMNS = (
+    "entry_cycle", "entry_wait",  # controller.entry_wait
+    "enables", "disables", "direct",  # controller counters
+    "insert_cycle", "insert_occupancy",  # stage1.occupancy
+    "merged", "allocated", "forced",  # stage1 counters
+    "bypass_cycle", "bypass_requests",  # network.bypassed_requests
+    # One row per coalesced stream: network.coalesced_requests,
+    # network.stream_pipeline_cycles, stage2.sequences, stage2.cycles.
+    "stream_cycle", "stream_requests", "stream_pipeline",
+    "stream_sequences", "stream_decode",
+    # One row per block sequence: stage3.packets, stage3.cycles.
+    "sequence_cycle", "sequence_packets", "sequence_assembly",
+    "packet_bytes",  # stage3.packet_bytes
+    "maq_cycle", "maq_occupancy",  # maq.occupancy (push and pop)
+    "maq_full",  # maq.full_stalls
+    "fill_cycle", "fill_cycles",  # maq.fill_cycles
+    "mshr_merge",  # mshr.packet_merges
+    # One row per allocation: mshr.allocations, mshr.occupancy,
+    # mshr.span_blocks.
+    "alloc_cycle", "alloc_occupancy", "alloc_span",
+)
 
 
 def partition_windows(requests) -> List[list]:
@@ -109,17 +139,52 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         probes=NULL_TELEMETRY,
         spans=NULL_SPANS,
     ) -> None:
-        if getattr(probes, "enabled", False):
-            raise ValueError(
-                "the batched engine skips the per-cycle state telemetry "
-                "probes observe — use engine='reference' for probe runs"
-            )
         if getattr(spans, "enabled", False):
             raise ValueError(
                 "the batched engine does not stamp span stage "
                 "boundaries — use engine='reference' for span runs"
             )
         super().__init__(config, protocol=protocol, probes=probes, spans=spans)
+        if self._probes_on:
+            self._init_probe_buffer()
+
+    def _init_probe_buffer(self) -> None:
+        """Wire the :data:`_PROBE_COLUMNS` to the probes the reference
+        components registered in ``PagedAdaptiveCoalescer.__init__``."""
+        buf = self._probe_buf = ProbeBuffer()
+        col = self._probe_cols = {name: buf.column() for name in _PROBE_COLUMNS}
+        agg = self.aggregator
+        net = self.network
+        dec = net.decoder
+        asm = net.assembler
+        maq = self.maq
+        mshrs = self.mshrs
+        for probe, events, values in (
+            (self._t_entry_wait, "entry_cycle", "entry_wait"),
+            (self._t_enables, "enables", None),
+            (self._t_disables, "disables", None),
+            (self._t_direct, "direct", None),
+            (agg._t_occupancy, "insert_cycle", "insert_occupancy"),
+            (agg._t_merge, "merged", None),
+            (agg._t_alloc, "allocated", None),
+            (agg._t_forced, "forced", None),
+            (net._t_bypassed, "bypass_cycle", "bypass_requests"),
+            (net._t_coalesced, "stream_cycle", "stream_requests"),
+            (net._t_pipeline_cycles, "stream_cycle", "stream_pipeline"),
+            (dec._t_sequences, "stream_cycle", "stream_sequences"),
+            (dec._t_cycles, "stream_cycle", "stream_decode"),
+            (asm._t_packets, "sequence_cycle", "sequence_packets"),
+            (asm._t_cycles, "sequence_cycle", "sequence_assembly"),
+            (asm._t_packet_bytes, "packet_bytes", None),
+            (self._t_maq_occupancy, "maq_cycle", "maq_occupancy"),
+            (maq._t_full_stalls, "maq_full", None),
+            (maq._t_fill_cycles, "fill_cycle", "fill_cycles"),
+            (mshrs._t_merges, "mshr_merge", None),
+            (mshrs._t_allocations, "alloc_cycle", None),
+            (mshrs._t_occupancy, "alloc_cycle", "alloc_occupancy"),
+            (mshrs._t_span_blocks, "alloc_span", None),
+        ):
+            buf.feed(probe, col[events], col[values] if values else None)
 
     def process(
         self, raw: Iterable[MemoryRequest], memory: MemoryDevice
@@ -236,6 +301,25 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         LINE = CACHE_LINE_BYTES
         PAGE = PAGE_BYTES
         STORE_BIT = 1 << 52
+        # Probe sites append to the probe-buffer columns (bound below
+        # only when probes are on; every site tests ``probes_on`` first).
+        probes_on = self._probes_on
+        if probes_on:
+            cols = self._probe_cols
+            (on_entry_cycle, on_entry_wait, on_enable, on_disable, on_direct,
+             on_insert_cycle, on_insert_occupancy, on_merged, on_allocated,
+             on_forced, on_bypass_cycle, on_bypass_requests,
+             on_stream_cycle, on_stream_requests, on_stream_pipeline,
+             on_stream_sequences, on_stream_decode, on_sequence_cycle,
+             on_sequence_packets, on_sequence_assembly, on_packet_bytes,
+             on_maq_cycle, on_maq_occupancy, on_maq_full, on_fill_cycle,
+             on_fill_cycles, on_mshr_merge, on_alloc_cycle,
+             on_alloc_occupancy, on_alloc_span) = [
+                cols[name].append for name in _PROBE_COLUMNS
+            ]
+            entry_events = cols["entry_cycle"]
+            maq_events = cols["maq_cycle"]
+            fold_probes = self._probe_buf.fold
 
         # ---- closures (transliterated reference internals) --------------
 
@@ -310,6 +394,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             if first_block - (-packet.size // LINE) - 1 >= entry[0] + entry[1]:
                 return None
             mshr_merges += 1
+            if probes_on:
+                on_mshr_merge(packet.issue_cycle)
             return entry
 
         def issue(packet, t):
@@ -343,6 +429,10 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     else:
                         bucket.append(slot)
             mshr_allocs += 1
+            if probes_on:
+                on_alloc_cycle(t)
+                on_alloc_occupancy(len(mshr_slots))
+                on_alloc_span(span)
             completion = memory_submit(packet, t)
             entry[3] = completion
             hpush(mshr_heap, (completion, slot))
@@ -370,13 +460,16 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     svc_cycles += cycles
                     svc_served += served
 
-        def complete_merge(packet, merged, from_maq):
+        def complete_merge(packet, merged, from_maq, cycle):
             # PagedAdaptiveCoalescer._complete_merge
             nonlocal n_merged, c_merges, maq_head, maq_count
             if from_maq:
                 maq_pkt[maq_head] = None
                 maq_head = (maq_head + 1) % maq_cap
                 maq_count -= 1
+                if probes_on:
+                    on_maq_cycle(cycle)
+                    on_maq_occupancy(maq_count)
             n_merged += packet.n_raw
             release = merged[3]
             if release is not None:
@@ -400,7 +493,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 merged = mshr_try_merge(packet, bucket) if bucket else None
                 if merged is not None:
                     maq_stall_until = 0
-                    complete_merge(packet, merged, True)
+                    complete_merge(packet, merged, True, ready)
                     continue
                 if len(mshr_slots) >= n_mshrs:
                     # Full file: same release-wait dance as _drain_one.
@@ -437,18 +530,24 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     )
                     if merged is not None:
                         maq_stall_until = 0
-                        complete_merge(packet, merged, True)
+                        complete_merge(packet, merged, True, t)
                         continue
                     maq_stall_until = 0
                     maq_pkt[maq_head] = None
                     maq_head = (maq_head + 1) % maq_cap
                     maq_count -= 1
+                    if probes_on:
+                        on_maq_cycle(t)
+                        on_maq_occupancy(maq_count)
                     issue(packet, t)
                     continue
                 maq_stall_until = 0
                 maq_pkt[maq_head] = None
                 maq_head = (maq_head + 1) % maq_cap
                 maq_count -= 1
+                if probes_on:
+                    on_maq_cycle(ready)
+                    on_maq_occupancy(maq_count)
                 issue(packet, ready)
 
         def enqueue(packet):
@@ -464,6 +563,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             count = maq_count
             if count >= maq_cap:
                 c_full_stalls += 1
+                if probes_on:
+                    on_maq_full(ready)
                 head_pkt = maq_pkt[maq_head]
                 head_ready = maq_rdy[maq_head]
                 if mshr_heap and mshr_heap[0][0] <= head_ready:
@@ -475,7 +576,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 )
                 if merged is not None:
                     maq_stall_until = 0
-                    complete_merge(head_pkt, merged, True)
+                    complete_merge(head_pkt, merged, True, head_ready)
                     waited = head_ready
                 else:
                     waited = head_ready
@@ -506,12 +607,15 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         )
                     if merged is not None:
                         maq_stall_until = 0
-                        complete_merge(head_pkt, merged, True)
+                        complete_merge(head_pkt, merged, True, waited)
                     else:
                         maq_stall_until = 0
                         maq_pkt[maq_head] = None
                         maq_head = (maq_head + 1) % maq_cap
                         maq_count -= 1
+                        if probes_on:
+                            on_maq_cycle(waited)
+                            on_maq_occupancy(maq_count)
                         issue(head_pkt, waited)
                 if waited > entry_clock:
                     entry_clock = waited
@@ -532,10 +636,18 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             maq_pushed += 1
             if count > maq_peak:
                 maq_peak = count
+            if probes_on:
+                on_maq_cycle(ready)
+                on_maq_occupancy(count)
+                if len(maq_events) >= FOLD_EVENTS:
+                    fold_probes()
             if count >= maq_cap and episode_start is not None:
                 fill = ready - episode_start
                 if fill < 0:
                     fill = 0
+                if probes_on:
+                    on_fill_cycle(ready)
+                    on_fill_cycles(fill)
                 acc_fill[0] += 1
                 acc_fill[1] += fill
                 acc_fill[4] += fill * fill
@@ -567,6 +679,9 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 # C = 0: single request — bypass stages 2-3.
                 c_byp_streams += 1
                 c_byp_reqs += nreq
+                if probes_on:
+                    on_bypass_cycle(flush_cycle)
+                    on_bypass_requests(nreq)
                 if len(greq) == 1:
                     first = last = next(iter(greq))
                 else:
@@ -639,6 +754,12 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     asm_packets += 1
                 asm_sequences += 1
                 d = cycle - start
+                if probes_on:
+                    on_sequence_cycle(start)
+                    on_sequence_packets(len(layout))
+                    on_sequence_assembly(d)
+                    for _, n_grains in layout:
+                        on_packet_bytes(size_memo[n_grains])
                 acc_s3[0] += 1
                 acc_s3[1] += d
                 acc_s3[4] += d * d
@@ -669,6 +790,15 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 acc_pipe[2] = d
             if d > acc_pipe[3]:
                 acc_pipe[3] = d
+            if probes_on:
+                # A coalesced stream holds >= 2 requests, so its block
+                # map is nonzero and n_seq >= 1: the decoder's
+                # ``if n_seq`` probe guard always passes here.
+                on_stream_cycle(flush_cycle)
+                on_stream_requests(nreq)
+                on_stream_pipeline(d)
+                on_stream_sequences(n_seq)
+                on_stream_decode(2 + n_seq - 1)
 
         def sample_windows(now_, expired_deadlines):
             # PagedAdaptiveCoalescer._sample_windows
@@ -703,6 +833,11 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 arrivals[req.req_id] = now
                 stall_cycles += now - cycle
                 entry_clock = now + 1
+                if probes_on:
+                    if len(entry_events) >= FOLD_EVENTS:
+                        fold_probes()
+                    on_entry_cycle(now)
+                    on_entry_wait(now - cycle)
 
                 # -- inlined _advance(now) --
                 if agg and agg[0][1] <= now:
@@ -748,6 +883,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 ):
                     network_enabled = False
                     c_net_disables += 1
+                    if probes_on:
+                        on_disable(now)
 
                 # -- op dispatch --
                 op = req.op
@@ -756,11 +893,15 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         if len(mshr_slots) >= n_mshrs:
                             network_enabled = True
                             c_net_enables += 1
+                            if probes_on:
+                                on_enable(now)
                         else:
                             # _direct_to_mshr: straight into the MSHRs.
                             if mshr_heap and mshr_heap[0][0] <= now:
                                 mshr_advance(now)
                             c_direct += 1
+                            if probes_on:
+                                on_direct(now)
                             c_direct_cam += len(mshr_slots)
                             addr = req.addr
                             packet = new_packet(
@@ -777,7 +918,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                                 if bucket else None
                             )
                             if merged is not None:
-                                complete_merge(packet, merged, False)
+                                complete_merge(packet, merged, False, now)
                             else:
                                 issue(packet, now)
                             lat_direct += 1
@@ -786,6 +927,9 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     n_active = len(agg)
                     c_comparisons += n_active
                     occ_ins_counts[n_active] += 1
+                    if probes_on:
+                        on_insert_cycle(now)
+                        on_insert_occupancy(n_active)
                     addr = req.addr
                     page = addr // PAGE
                     tag = (STORE_BIT | page) if op is store_op else page
@@ -796,6 +940,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                             forced = agg.popleft()
                             del by_tag[forced[0]]
                             c_forced += 1
+                            if probes_on:
+                                on_forced(now)
                         rec = [
                             tag, now + timeout, page, op, now,
                             0, {}, 0,
@@ -803,8 +949,12 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         agg.append(rec)
                         by_tag[tag] = rec
                         c_alloc += 1
+                        if probes_on:
+                            on_allocated(now)
                     else:
                         c_merged += 1
+                        if probes_on:
+                            on_merged(now)
                     # -- CoalescingStream.add, inlined --
                     offset = addr % PAGE
                     first = offset // grain_bytes
@@ -962,6 +1112,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         self._maq_stall_until = maq_stall_until
         self._last_sample = last_sample
         self.network_enabled = network_enabled
+        if probes_on:
+            fold_probes()
 
         out.comparisons = aggregator.stats.count(
             "comparisons"

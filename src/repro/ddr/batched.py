@@ -18,6 +18,12 @@ are integral. Lazily-created reference
 counters are mirrored exactly: :meth:`sync` only materializes a
 counter the window actually touched, so the registry's key set matches
 a reference run's.
+
+Telemetry probes follow the HMC twin's rules: events land in the
+bounded columns of a :class:`~repro.telemetry.ProbeBuffer`, folded at
+:data:`~repro.telemetry.FOLD_EVENTS` and at every :meth:`sync`, and
+probe runs charge DRAM-ACTIVATE live too, so each packet's float
+``energy_pj`` amount matches the reference's.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import List, Optional
 
 from repro.ddr.device import DDRConfig, DDRDevice, _Bank
 from repro.hmc.power import ENERGY_PJ
+from repro.telemetry import FOLD_EVENTS, ProbeBuffer
 
 
 class BatchedDDRDevice(DDRDevice):
@@ -38,11 +45,6 @@ class BatchedDDRDevice(DDRDevice):
         probes=None,
         spans=None,
     ) -> None:
-        if probes is not None and probes.enabled:
-            raise ValueError(
-                "BatchedDDRDevice defers all accounting past the probe "
-                "windows; use DDRDevice (engine='reference') for probe runs"
-            )
         if spans is not None and spans.enabled:
             raise ValueError(
                 "BatchedDDRDevice materializes no per-packet segments; "
@@ -66,6 +68,21 @@ class BatchedDDRDevice(DDRDevice):
         # [count, total, min, max, sumsq].
         self._w: List[int] = [0, 0, 0, 0, 0]
         self._w_lat: List = [0, 0, inf, -inf, 0]
+        if self._probes_on:
+            # Event columns for the probes DDRDevice registered: submit
+            # cycles shared by the per-packet probes, plus the cycles of
+            # activations and of row conflicts.
+            buf = self._probe_buf = ProbeBuffer()
+            cycles = self._probe_cycles = buf.column()
+            lats, pjs, activations, conflicts = cols = [
+                buf.column() for _ in range(4)
+            ]
+            self._probe_appends = (cycles.append, *(c.append for c in cols))
+            buf.feed(self._t_packets, cycles)
+            buf.feed(self._t_latency, cycles, lats)
+            buf.feed(self._t_energy, cycles, pjs)
+            buf.feed(self._t_activations, activations)
+            buf.feed(self._t_conflicts, conflicts)
 
     # -- MemoryDevice protocol --------------------------------------------- #
 
@@ -83,6 +100,9 @@ class BatchedDDRDevice(DDRDevice):
             bank = self._banks[(channel, bank_id)] = _Bank()
 
         w = self._w
+        probes_on = self._probes_on
+        if probes_on:
+            pj_before = self.energy.total_pj
         busy = bank.busy_until
         start = cycle if cycle >= busy else busy
         open_row = bank.open_row
@@ -119,12 +139,34 @@ class BatchedDDRDevice(DDRDevice):
             lat[2] = latency
         if latency > lat[3]:
             lat[3] = latency
+
+        if probes_on:
+            on_cycle, on_lat, on_pj, on_activation, on_conflict = (
+                self._probe_appends
+            )
+            if access != self._hit_cycles:
+                # Live, as the reference charges it (sync skips it).
+                self._pj_store["DRAM-ACTIVATE"] += 1 * self._pj_activate
+                on_activation(cycle)
+                if access == self._conflict_cycles:
+                    on_conflict(cycle)
+            on_cycle(cycle)
+            on_lat(latency)
+            on_pj(self.energy.total_pj - pj_before)
+            if len(self._probe_cycles) >= FOLD_EVENTS:
+                self._probe_buf.fold()
         return completion
 
     def submit_window(self, packets) -> List[int]:
         """Replay ``packets`` (each carrying ``issue_cycle``) in one
         hoisted-local sweep; merge accounting once; return completions."""
         self.sync()
+        if self._probes_on:
+            # The hoisted sweep records no probe events: probe runs
+            # replay through the recording per-packet path.
+            completions = [self.submit(p, p.issue_cycle) for p in packets]
+            self.sync()
+            return completions
         completions: List[int] = []
         out = completions.append
 
@@ -218,6 +260,8 @@ class BatchedDDRDevice(DDRDevice):
         Counters are created only when the window touched them — the
         reference creates them lazily on first event, so the registry's
         key set stays identical run-for-run. Idempotent when empty.
+        Folds the buffered probe events too; probe runs charged
+        DRAM-ACTIVATE live, so it is not merged again.
         """
         w = self._w
         hits, empties, conflicts, packets, payload = w
@@ -233,9 +277,12 @@ class BatchedDDRDevice(DDRDevice):
             stats.counter("payload_bytes").value += payload
             # DDR has no packet headers: transaction bytes == payload.
             stats.counter("transaction_bytes").value += payload
-        self._pj_store["DRAM-ACTIVATE"] += (
-            (empties + conflicts) * self._pj_activate
-        )
+        if self._probes_on:
+            self._probe_buf.fold()
+        else:
+            self._pj_store["DRAM-ACTIVATE"] += (
+                (empties + conflicts) * self._pj_activate
+            )
         lat = self._w_lat
         if lat[0]:
             acc = stats.accumulator("latency_cycles")

@@ -83,9 +83,9 @@ def run_benchmark(
     batched twin): ``"reference"`` pins all three to the per-request
     object pipelines, ``"auto"`` (default) resolves each component to
     its batched engine when applicable, demoting to reference — with
-    one ``demote`` event per component — when telemetry, spans, a
-    non-PAC arm (coalescer only), or active fault injection make the
-    batched path inapplicable.
+    one ``demote`` event per component — when spans, a non-PAC arm
+    (coalescer only), or active fault injection make the batched path
+    inapplicable. Telemetry probes run on the batched engines.
     """
     with ev.installed(ev.resolve_events(events)) as log, _fault_scope(faults):
         if log.enabled:

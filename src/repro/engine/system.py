@@ -99,15 +99,11 @@ class System:
             self.spans = spans
         span_rec = self.spans if self.spans is not None else NULL_SPANS
         # Engines resolve before the device is constructed — the device
-        # build below dispatches on ``backend_engine`` — in demotion-rung
-        # order: coalescer first (the historical event), then front-end,
-        # then back-end. The resolvers read only the arm and the
-        # telemetry/span/fault blockers, never the probe scopes, so
-        # probe registration order (device, cache, coalescer) is
-        # unchanged from the historical wiring.
-        self.engine = self._resolve_engine(engine)
-        self.frontend_engine = self._resolve_frontend_engine(engine)
-        self.backend_engine = self._resolve_backend_engine(engine)
+        # build below dispatches on ``backend_engine``. The resolver
+        # reads only the arm and the span/fault blockers, never the
+        # probe scopes, so probe registration order (device, cache,
+        # coalescer) is unchanged from the historical wiring.
+        self._resolve_engines(engine)
         batched_device = self.backend_engine == "batched"
         if device == "hmc":
             if batched_device:
@@ -184,141 +180,61 @@ class System:
             return "auto"
         return engine
 
-    def _resolve_engine(self, engine: str) -> str:
-        """Resolve the requested engine to ``"reference"`` or ``"batched"``.
+    #: Engine components in demotion-rung order: the attribute holding
+    #: each component's resolved engine, its ``Demoted`` rung, and
+    #: whether a batched twin exists only for the PAC arm.
+    _ENGINE_COMPONENTS = (
+        ("engine", "engine:batched->reference", True),
+        ("frontend_engine", "engine:frontend:batched->reference", False),
+        ("backend_engine", "engine:backend:batched->reference", False),
+    )
 
-        The batched kernel exists only for the PAC arm and skips the
-        per-cycle state that telemetry probes and span tracers observe;
-        active fault injection likewise targets the reference execution
-        path. ``auto`` demotes to the reference engine in those cases
-        (emitting a ``demote`` event when the event log is active);
-        ``batched`` raises instead of silently changing behaviour.
+    def _resolve_engines(self, engine: str) -> None:
+        """Resolve ``engine`` for the coalescer kernel, the front-end
+        (trace -> raw stream) and the back-end (memory device).
+
+        The batched coalescer kernel exists only for the PAC arm; the
+        batched front-end and device serve every arm. Span tracing and
+        active fault injection still observe per-event state only the
+        reference engines build, so ``auto`` demotes every component
+        while either is on — emitting one ``demote`` event per demoted
+        component, in :attr:`_ENGINE_COMPONENTS` order, when the event
+        log is active — and ``batched`` raises instead of silently
+        changing behaviour. Telemetry probes are no blocker: every
+        batched twin feeds them.
         """
-        if engine == "reference":
-            return "reference"
-        if self.kind != CoalescerKind.PAC:
-            if engine == "batched":
-                raise ValueError(
-                    "engine='batched' implements only the PAC arm; "
-                    f"got coalescer={self.kind.value!r}"
-                )
-            return "reference"
-        from repro.faults import active as faults_active
-
+        pac = self.kind == CoalescerKind.PAC
+        if engine == "batched" and not pac:
+            raise ValueError(
+                "engine='batched' implements only the PAC arm; "
+                f"got coalescer={self.kind.value!r}"
+            )
         blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
+        if engine != "reference":
+            from repro.faults import active as faults_active
+
+            if self.spans is not None:
+                blockers.append("spans")
+            if faults_active().enabled:
+                blockers.append("faults")
+        if engine == "batched" and blockers:
             raise ValueError(
                 "engine='batched' is incompatible with "
                 f"{'+'.join(blockers)} — use engine='reference' (or "
                 "'auto' to demote automatically)"
             )
-        from repro.telemetry import events as ev
-
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
-
-    def _resolve_frontend_engine(self, engine: str) -> str:
-        """Resolve the front-end (trace -> raw stream) engine.
-
-        Unlike the coalescer kernel, the cache front-end is independent
-        of the coalescer arm, so ``auto`` resolves to the batched
-        hierarchy (:class:`repro.cache.batched.BatchedCacheHierarchy`)
-        for *every* arm. The blockers match the coalescer's — the
-        batched front-end skips the per-emission state telemetry/span
-        probes observe, and active fault injection targets the
-        reference path — and ``auto`` demotes per component, logging
-        its own ``demote`` event under the ``engine:frontend`` rung.
-        """
-        if engine == "reference":
-            return "reference"
-        from repro.faults import active as faults_active
-
-        blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
-            # Unreachable today: _resolve_engine already raised for
-            # every explicit-batched blocker combination. Kept so the
-            # front-end resolver stands on its own.
-            raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
+        batched = engine != "reference" and not blockers
+        for attr, rung, pac_only in self._ENGINE_COMPONENTS:
+            has_twin = pac or not pac_only
+            setattr(
+                self, attr, "batched" if batched and has_twin else "reference"
             )
-        from repro.telemetry import events as ev
+            if blockers and has_twin:
+                from repro.telemetry import events as ev
 
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:frontend:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
-
-    def _resolve_backend_engine(self, engine: str) -> str:
-        """Resolve the back-end (memory device) engine.
-
-        Every protocol has a batched twin
-        (:class:`repro.hmc.batched.BatchedHMCDevice` /
-        ``BatchedHBMDevice`` / :class:`repro.ddr.batched.
-        BatchedDDRDevice`), so like the front-end this resolution is
-        arm-independent. The blockers match the other two components' —
-        the batched device defers every observable side effect past the
-        per-packet probe/span windows, and active fault injection
-        targets the reference path — and ``auto`` demotes per
-        component, logging its own ``demote`` event under the
-        ``engine:backend`` rung (ordered after the front-end's).
-        """
-        if engine == "reference":
-            return "reference"
-        from repro.faults import active as faults_active
-
-        blockers = []
-        if self.telemetry is not None:
-            blockers.append("telemetry")
-        if self.spans is not None:
-            blockers.append("spans")
-        if faults_active().enabled:
-            blockers.append("faults")
-        if not blockers:
-            return "batched"
-        if engine == "batched":
-            # Unreachable today: _resolve_engine already raised for
-            # every explicit-batched blocker combination. Kept so the
-            # back-end resolver stands on its own.
-            raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
-            )
-        from repro.telemetry import events as ev
-
-        log = ev.active()
-        if log.enabled:
-            log.emit(ev.Demoted(
-                rung="engine:backend:batched->reference",
-                label="+".join(blockers),
-            ))
-        return "reference"
+                log = ev.active()
+                if log.enabled:
+                    log.emit(ev.Demoted(rung=rung, label="+".join(blockers)))
 
     @property
     def hierarchy(self) -> CacheHierarchy:

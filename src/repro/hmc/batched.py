@@ -37,9 +37,21 @@ busy horizons, bank
 access counts, the round-robin cursor) is shared live with the parent,
 so residual state matches the reference after every packet.
 
+**Telemetry probes.** With an enabled registry the twin records every
+probe event the reference records — same probes, cycles and values —
+by appending to the bounded columns of a
+:class:`~repro.telemetry.ProbeBuffer`, folded into the probes whenever
+a column reaches :data:`~repro.telemetry.FOLD_EVENTS` and at every
+:meth:`sync`. The one float probe, ``energy_pj``, is a difference of
+the running :attr:`EnergyModel.total_pj`, which sums all seven
+categories; so in probe runs every category is charged live per packet
+as the reference charges it (the window's energy quantities are then
+dropped at :meth:`sync`), and the float amounts fold one at a time in
+packet order.
+
 The engine refuses configurations it cannot uphold bit-identity for:
-enabled telemetry probes, span tracing, or a per-packet ``Telemetry``
-instance raise ``ValueError`` at construction (mirroring
+span tracing or a per-packet ``Telemetry`` instance raise
+``ValueError`` at construction (mirroring
 :class:`repro.core.pac_batched.BatchedPagedAdaptiveCoalescer`), and
 ``System`` demotes ``engine="auto"`` to the reference device in those
 cases under the ``engine:backend:batched->reference`` rung.
@@ -60,6 +72,7 @@ from repro.hmc.device import (
 from repro.hmc.hbm import hbm_config
 from repro.hmc.link import CYCLES_PER_FLIT
 from repro.hmc.vault import VAULT_CTRL_CYCLES
+from repro.telemetry import FOLD_EVENTS, ProbeBuffer
 
 #: Window-accumulator slots — all integer counts. DRAM-TRANSFER is
 #: deliberately absent: its pJ constant (1.2) is not exactly
@@ -104,11 +117,6 @@ class BatchedHMCDevice(HMCDevice):
                 "BatchedHMCDevice records no per-packet telemetry; "
                 "use HMCDevice (engine='reference') for telemetry runs"
             )
-        if probes is not None and probes.enabled:
-            raise ValueError(
-                "BatchedHMCDevice defers all accounting past the probe "
-                "windows; use HMCDevice (engine='reference') for probe runs"
-            )
         if spans is not None and spans.enabled:
             raise ValueError(
                 "BatchedHMCDevice materializes no per-packet segments; "
@@ -118,6 +126,31 @@ class BatchedHMCDevice(HMCDevice):
         self._w = _fresh_window()
         # Deferred latency accumulator: [count, total, min, max, sumsq].
         self._w_lat: List = [0, 0, inf, -inf, 0]
+        if self._probes_on:
+            self._init_probe_buffer()
+
+    def _init_probe_buffer(self) -> None:
+        """Event columns for every probe the reference ``submit`` feeds
+        (the probes themselves were registered by ``HMCDevice``): one
+        column of submit cycles shared by the per-packet probes, plus
+        the columns of the link, vault and bank event sites."""
+        buf = self._probe_buf = ProbeBuffer()
+        cycles = self._probe_cycles = buf.column()
+        (sizes, lats, pjs, req_flits, remote, rsp_cycles, rsp_flits,
+         vault_cycles, vault_waits, bank_cycles, conflict_cycles,
+         conflict_waits) = cols = [buf.column() for _ in range(12)]
+        self._probe_appends = (cycles.append, *(c.append for c in cols))
+        buf.feed(self._t_packets, cycles)
+        buf.feed(self._t_payload, cycles, sizes)
+        buf.feed(self._t_latency, cycles, lats)
+        buf.feed(self._t_energy, cycles, pjs)
+        buf.feed(self._t_remote, remote)
+        buf.feed(self._lt_req_flits, cycles, req_flits)
+        buf.feed(self._lt_rsp_flits, rsp_cycles, rsp_flits)
+        buf.feed(self._vt_queue_wait, vault_cycles, vault_waits)
+        buf.feed(self._bt_activations, bank_cycles)
+        buf.feed(self._bt_conflicts, conflict_cycles)
+        buf.feed(self._bt_conflict_wait, conflict_cycles, conflict_waits)
 
     # -- MemoryDevice protocol --------------------------------------------- #
 
@@ -157,6 +190,9 @@ class BatchedHMCDevice(HMCDevice):
             vb = self._vault_bank(addr)
             vault = vb[0]
         w = self._w
+        probes_on = self._probes_on
+        if probes_on:
+            pj_before = self.energy.total_pj
 
         # 1. Link serialization (request direction).
         if self.route_by_address:
@@ -197,6 +233,7 @@ class BatchedHMCDevice(HMCDevice):
         if wait > 0:
             w[_W_QWAIT] += wait
         w[_W_RQST_SLOT] += t - arrival_at_vault + 1
+        dram_start = t
 
         # 4. DRAM access. The multi-row fallback writes its counters
         # straight through BankArray.access — counter addition commutes,
@@ -246,6 +283,52 @@ class BatchedHMCDevice(HMCDevice):
             lat[2] = latency
         if latency > lat[3]:
             lat[3] = latency
+
+        if probes_on:
+            # Probe runs charge the six integer-pJ categories live too
+            # (sync drops their window quantities), so energy_pj sees
+            # the reference's running total after every packet.
+            pj_store = self._pj_store
+            pj_store["VAULT-RQST-SLOT"] += (
+                (dram_start - arrival_at_vault + 1) * self._pj_rqst_slot
+            )
+            pj_store["VAULT-CTRL"] += 1 * self._pj_vault_ctrl
+            pj_store["DRAM-ACTIVATE"] += n_rows * self._pj_dram_activate
+            if local:
+                pj_store["LINK-LOCAL-ROUTE"] += (
+                    (req_flits + rsp_flits) * self._pj_link_local
+                )
+            else:
+                pj_store["LINK-REMOTE-ROUTE"] += (
+                    (req_flits + rsp_flits) * self._pj_link_remote
+                )
+            pj_store["VAULT-RSP-SLOT"] += (
+                (completion - t + 1) * self._pj_rsp_slot
+            )
+            (on_cycle, on_size, on_lat, on_pj, on_req, on_remote,
+             on_rsp_cycle, on_rsp, on_vault_cycle, on_vault_wait,
+             on_bank_cycle, on_conflict_cycle,
+             on_conflict_wait) = self._probe_appends
+            on_cycle(cycle)
+            on_size(size)
+            on_lat(latency)
+            on_pj(self.energy.total_pj - pj_before)
+            on_req(req_flits)
+            if not local:
+                on_remote(cycle)
+            on_rsp_cycle(response_ready)
+            on_rsp(rsp_flits)
+            on_vault_cycle(arrival_at_vault)
+            on_vault_wait(wait)
+            # Multi-row accesses fed the bank probes inside
+            # BankArray.access; the inline single-row path feeds them here.
+            if single_row:
+                on_bank_cycle(dram_start)
+                if busy > dram_start:
+                    on_conflict_cycle(dram_start)
+                    on_conflict_wait(busy - dram_start)
+            if len(self._probe_cycles) >= FOLD_EVENTS:
+                self._probe_buf.fold()
         return completion
 
     def submit_window(self, packets) -> List[int]:
@@ -261,6 +344,12 @@ class BatchedHMCDevice(HMCDevice):
         # Flush any scalar-submit residue first so the merge below owns
         # the window exclusively.
         self.sync()
+        if self._probes_on:
+            # The hoisted sweep records no probe events: probe runs
+            # replay through the recording per-packet path.
+            completions = [self.submit(p, p.issue_cycle) for p in packets]
+            self.sync()
+            return completions
         completions: List[int] = []
         out = completions.append
 
@@ -443,7 +532,9 @@ class BatchedHMCDevice(HMCDevice):
         below 2**53); the latency accumulator merges exact-integer
         window sums. DRAM-TRANSFER never appears here — it charged
         live, per packet (see module docstring). Idempotent when the
-        window is empty.
+        window is empty. Folds the buffered probe events too; in probe
+        runs the energy was charged live, so the window's energy
+        quantities are dropped instead of merged.
         """
         w = self._w
         self._c_packets.value += w[_W_PACKETS]
@@ -459,17 +550,24 @@ class BatchedHMCDevice(HMCDevice):
         self._vc_queue_wait.value += w[_W_QWAIT]
         self._bc_conflicts.value += w[_W_CONFLICTS]
         self._bc_activations.value += w[_W_ACTIVATIONS]
-        pj_store = self._pj_store
-        pj_store["VAULT-RQST-SLOT"] += w[_W_RQST_SLOT] * self._pj_rqst_slot
-        pj_store["VAULT-RSP-SLOT"] += w[_W_RSP_SLOT] * self._pj_rsp_slot
-        pj_store["VAULT-CTRL"] += w[_W_PACKETS] * self._pj_vault_ctrl
-        pj_store["LINK-LOCAL-ROUTE"] += (
-            w[_W_LOCAL_FLITS] * self._pj_link_local
-        )
-        pj_store["LINK-REMOTE-ROUTE"] += (
-            w[_W_REMOTE_FLITS] * self._pj_link_remote
-        )
-        pj_store["DRAM-ACTIVATE"] += w[_W_ACT_ROWS] * self._pj_dram_activate
+        if self._probes_on:
+            self._probe_buf.fold()
+        else:
+            pj_store = self._pj_store
+            pj_store["VAULT-RQST-SLOT"] += (
+                w[_W_RQST_SLOT] * self._pj_rqst_slot
+            )
+            pj_store["VAULT-RSP-SLOT"] += w[_W_RSP_SLOT] * self._pj_rsp_slot
+            pj_store["VAULT-CTRL"] += w[_W_PACKETS] * self._pj_vault_ctrl
+            pj_store["LINK-LOCAL-ROUTE"] += (
+                w[_W_LOCAL_FLITS] * self._pj_link_local
+            )
+            pj_store["LINK-REMOTE-ROUTE"] += (
+                w[_W_REMOTE_FLITS] * self._pj_link_remote
+            )
+            pj_store["DRAM-ACTIVATE"] += (
+                w[_W_ACT_ROWS] * self._pj_dram_activate
+            )
         lat = self._w_lat
         if lat[0]:
             acc = self._acc_latency

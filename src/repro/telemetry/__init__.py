@@ -9,11 +9,13 @@ tracing (``repro spans``) enables with ``spans=True`` and rides on
 """
 
 from repro.telemetry.probe import (
+    FOLD_EVENTS,
     CounterProbe,
     GaugeProbe,
     HistogramProbe,
     NULL_TELEMETRY,
     NullTelemetry,
+    ProbeBuffer,
     TelemetryRegistry,
     TelemetryScope,
 )
@@ -52,6 +54,7 @@ from repro.telemetry.perfetto import (
 
 __all__ = [
     "CounterProbe",
+    "FOLD_EVENTS",
     "GaugeProbe",
     "HistogramProbe",
     "NULL_SPANS",
@@ -59,6 +62,7 @@ __all__ = [
     "NullSpanRecorder",
     "NullTelemetry",
     "PacketSpan",
+    "ProbeBuffer",
     "RequestSpan",
     "STAGES",
     "SpanRecorder",

@@ -17,6 +17,11 @@ Design constraints:
   dicts; two runs of the same seed produce ``==``-equal registries, and
   a registry survives the process-pool round-trip of
   :func:`repro.engine.parallel.run_suite_parallel` bit-identically.
+* **Bulk folds for the batched engines.** ``add_many``/``observe_many``
+  fold a whole buffer of events and equal a loop of per-event
+  ``add``/``observe`` calls. The batched engines append events to the
+  bounded columns of a :class:`ProbeBuffer` in their hot loops and fold
+  them at their merge points, instead of calling a probe per event.
 
 Probe kinds
 -----------
@@ -37,17 +42,66 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.common.stats import dist_percentile as _dist_percentile
 
 __all__ = [
     "CounterProbe",
+    "FOLD_EVENTS",
     "GaugeProbe",
     "HistogramProbe",
     "NULL_TELEMETRY",
     "NullTelemetry",
+    "ProbeBuffer",
     "TelemetryRegistry",
     "TelemetryScope",
 ]
+
+#: Events a batched engine buffers in one :class:`ProbeBuffer` column
+#: before folding the buffer into its probes. A fixed size, not an
+#: option: it bounds buffer memory however long the run is. On a 2-core
+#: VM, a 24k-access gs probe run folds 87 times in ~0.11 s at 1024;
+#: 4096 saves ~0.03 s of folding but peaks ~0.7 MB higher in RSS.
+FOLD_EVENTS = 1024
+
+#: Bulk folds take the numpy path only while every partial sum is an
+#: exactly representable integer; otherwise they replay the per-event
+#: method in event order.
+_EXACT = 1 << 53
+
+
+def _int_column(seq, summed: bool = True) -> Optional[np.ndarray]:
+    """``seq`` as an int64 array when every element is a machine int
+    (and, if ``summed``, any partial sum of it stays below 2**53), else
+    None: the caller replays its per-event method."""
+    arr = np.asarray(seq)
+    if arr.dtype.kind != "i":
+        return None
+    if summed and max(-int(arr.min()), int(arr.max())) * len(arr) >= _EXACT:
+        return None
+    return arr
+
+
+def _groups(keys: np.ndarray, *cols: np.ndarray):
+    """Group rows by key, keeping event order inside each group:
+    ``(unique keys, group starts, group sizes, cols sorted by key)``."""
+    order = np.argsort(keys, kind="stable")
+    uniq, starts, sizes = np.unique(
+        keys[order], return_index=True, return_counts=True
+    )
+    return uniq, starts, sizes, [col[order] for col in cols]
+
+
+def _accumulate(prev, total: int, group: np.ndarray):
+    """``prev`` plus a group of integer events, bit-identical to adding
+    them one at a time: int + int is exact in any order; onto a float,
+    add each event in order."""
+    if type(prev) is int:
+        return prev + total
+    for x in group.tolist():
+        prev += x
+    return prev
 
 
 class CounterProbe:
@@ -69,6 +123,43 @@ class CounterProbe:
         self.total += amount
         w = cycle // self.window_cycles
         self.windows[w] = self.windows.get(w, 0) + amount
+
+    def add_many(self, cycles, amounts=None) -> None:
+        """Fold a batch of events; equal to ``add(cycle, amount)`` for
+        each pair in order (``amounts=None`` adds 1 per cycle).
+
+        Integer events fold with numpy: their sums do not depend on
+        order. Float amounts (``device.energy_pj``), or a total that
+        already holds a float, replay :meth:`add` one event at a time in
+        event order, because float sums do depend on it.
+        """
+        n = len(cycles)
+        if not n:
+            return
+        c = _int_column(cycles, summed=False)
+        a = None if amounts is None else _int_column(amounts)
+        if c is None or (amounts is not None and a is None) or (
+            type(self.total) is not int
+        ):
+            add = self.add
+            if amounts is None:
+                for cycle in cycles:
+                    add(cycle)
+            else:
+                for cycle, amount in zip(cycles, amounts):
+                    add(cycle, amount)
+            return
+        if a is None:
+            keys, sums = np.unique(c // self.window_cycles, return_counts=True)
+            total = n
+        else:
+            keys, starts, _, (a_sorted,) = _groups(c // self.window_cycles, a)
+            sums = np.add.reduceat(a_sorted, starts)
+            total = int(a.sum())
+        windows = self.windows
+        for w, v in zip(keys.tolist(), sums.tolist()):
+            windows[w] = windows.get(w, 0) + v
+        self.total += total
 
     def window_value(self, window: int) -> int:
         return self.windows.get(window, 0)
@@ -129,6 +220,62 @@ class GaugeProbe:
                 agg[2] = value
             if value > agg[3]:
                 agg[3] = value
+
+    def observe_many(self, cycles, values) -> None:
+        """Fold a batch of samples; equal to ``observe(cycle, value)``
+        for each pair in order.
+
+        Integer samples fold with numpy (exact, order-free sums below
+        2**53). A float running sum — the whole-run ``total``, or a
+        window that already saw a float — takes its integer samples one
+        at a time in event order; non-integer samples replay
+        :meth:`observe`.
+        """
+        n = len(cycles)
+        if not n:
+            return
+        c = _int_column(cycles, summed=False)
+        v = _int_column(values)
+        if c is None or v is None:
+            observe = self.observe
+            for cycle, value in zip(cycles, values):
+                observe(cycle, value)
+            return
+        keys, starts, sizes, (v_sorted,) = _groups(c // self.window_cycles, v)
+        windows = self.windows
+        for i, (w, size, wsum, lo, hi) in enumerate(zip(
+            keys.tolist(),
+            sizes.tolist(),
+            np.add.reduceat(v_sorted, starts).tolist(),
+            np.minimum.reduceat(v_sorted, starts).tolist(),
+            np.maximum.reduceat(v_sorted, starts).tolist(),
+        )):
+            agg = windows.get(w)
+            if agg is None:
+                windows[w] = [size, wsum, lo, hi]
+                continue
+            agg[0] += size
+            start = starts[i]
+            agg[1] = _accumulate(agg[1], wsum, v_sorted[start:start + size])
+            if lo < agg[2]:
+                agg[2] = lo
+            if hi > agg[3]:
+                agg[3] = hi
+        dist = self.dist
+        uniq, counts = np.unique(v, return_counts=True)
+        for value, count in zip(uniq.tolist(), counts.tolist()):
+            dist[value] = dist.get(value, 0) + count
+        self.count += n
+        total = self.total
+        if float(total).is_integer() and (
+            abs(total) + int(np.abs(v).sum()) < _EXACT
+        ):
+            # Every partial sum is an exact integer: one add is the same.
+            self.total = total + int(v.sum())
+        else:
+            for x in v.tolist():
+                total += x
+            self.total = total
 
     @property
     def mean(self) -> float:
@@ -199,6 +346,35 @@ class HistogramProbe:
     def add(self, key: int, count: int = 1) -> None:
         self.bins[key] = self.bins.get(key, 0) + count
 
+    def add_many(self, keys, counts=None) -> None:
+        """Fold a batch of samples; equal to ``add(key, count)`` for
+        each pair in order (``counts=None`` adds 1 per key)."""
+        n = len(keys)
+        if not n:
+            return
+        k = _int_column(keys, summed=False)
+        cnt = None if counts is None else _int_column(counts)
+        if k is None or (counts is not None and cnt is None):
+            add = self.add
+            if counts is None:
+                for key in keys:
+                    add(key)
+            else:
+                for key, count in zip(keys, counts):
+                    add(key, count)
+            return
+        if cnt is None:
+            cnt = np.ones(n, dtype=np.int64)
+        uniq, starts, sizes, (cnt_sorted,) = _groups(k, cnt)
+        bins = self.bins
+        for i, (key, total) in enumerate(zip(
+            uniq.tolist(), np.add.reduceat(cnt_sorted, starts).tolist()
+        )):
+            start = starts[i]
+            bins[key] = _accumulate(
+                bins.get(key, 0), total, cnt_sorted[start:start + sizes[i]]
+            )
+
     @property
     def total(self) -> int:
         return sum(self.bins.values())
@@ -241,6 +417,50 @@ class HistogramProbe:
 
     def __repr__(self) -> str:
         return f"HistogramProbe({self.name}: {len(self.bins)} bins)"
+
+
+# --------------------------------------------------------------------------- #
+# Event buffers: how the batched engines feed the probes.
+
+
+class ProbeBuffer:
+    """Bounded event columns a batched engine fills in its hot loop and
+    folds into its probes in bulk.
+
+    :meth:`column` hands out a plain list the loop appends to — one
+    ``append`` per event instead of a probe call. Several probes may
+    share a column, e.g. one cycle column for every per-packet event.
+    :meth:`feed` wires a probe to its columns. :meth:`fold` calls each
+    probe's bulk method once, in :meth:`feed` order, then clears every
+    column in place, so ``append`` methods bound to locals stay valid.
+    An engine folds when a column reaches :data:`FOLD_EVENTS` and at its
+    merge points (the end of ``process``, ``sync``).
+    """
+
+    __slots__ = ("_columns", "_feeds")
+
+    def __init__(self) -> None:
+        self._columns: List[list] = []
+        self._feeds: List[tuple] = []
+
+    def column(self) -> list:
+        """A fresh event column owned (and cleared) by this buffer."""
+        col: list = []
+        self._columns.append(col)
+        return col
+
+    def feed(self, probe, events: list, values: Optional[list] = None) -> None:
+        """Fold ``events`` (cycles; keys for a histogram) with ``values``
+        (amounts, samples or counts; None for one each) into ``probe``."""
+        bulk = probe.observe_many if probe.kind == "gauge" else probe.add_many
+        self._feeds.append((bulk, events, values))
+
+    def fold(self) -> None:
+        for bulk, events, values in self._feeds:
+            if events:
+                bulk(events, values)
+        for col in self._columns:
+            col.clear()
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ codec: every field except ``req_id`` must round-trip exactly, and
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,6 +79,20 @@ class TestCodec:
         packed = encode_requests([])
         assert len(packed) == 0
         assert decode_requests(packed) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("addr", -64, "packed request 3: negative physical address"),
+        ("size", 0, "packed request 3: non-positive request size"),
+        ("op", 7, "packed request 3: 7 is not a valid MemOp"),
+    ])
+    def test_corrupt_row_is_rejected(self, field, value, message):
+        """Decoding keeps every check the ``MemoryRequest`` constructor
+        makes, and names the first bad row."""
+        packed = encode_requests([MemoryRequest(addr=i * 64) for i in range(8)])
+        packed[field][3] = value
+        packed[field][5] = value  # a later bad row is not the one named
+        with pytest.raises(ValueError, match=message):
+            decode_requests(packed)
 
 
 class TestSharedMemoryTransport:

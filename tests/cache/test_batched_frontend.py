@@ -152,17 +152,77 @@ class TestFrontendDispatch:
         assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     def test_probes_demote_frontend(self):
-        s = System(coalescer=CoalescerKind.NONE, engine="auto", telemetry=True)
+        # Span probes demote the front-end; telemetry probes no longer do.
+        s = System(coalescer=CoalescerKind.NONE, engine="auto", spans=True)
         assert s.frontend_engine == "reference"
         assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
+        s = System(coalescer=CoalescerKind.NONE, engine="auto", telemetry=True)
+        assert s.frontend_engine == "batched"
+        assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 
-    def test_batched_ctor_refuses_enabled_probes(self):
+    def test_batched_ctor_refuses_enabled_spans(self):
+        from repro.telemetry import SpanRecorder
+
+        with pytest.raises(ValueError, match="span"):
+            BatchedCacheHierarchy(TABLE1.cache, spans=SpanRecorder(seed=1))
+
+    def test_batched_ctor_accepts_enabled_probes(self):
+        """The twin feeds the same cache probes as the reference."""
         from repro.telemetry import TelemetryRegistry
 
-        with pytest.raises(ValueError, match="probe"):
-            BatchedCacheHierarchy(
-                TABLE1.cache, probes=TelemetryRegistry().scope("cache")
-            )
+        trace = _trace("gs", n=1500)
+        registries = []
+        for cls in (CacheHierarchy, BatchedCacheHierarchy):
+            registry = TelemetryRegistry(window_cycles=64)
+            reset_request_ids()
+            cls(TABLE1.cache, probes=registry.scope("cache")).process(trace)
+            registries.append(registry)
+        ref, bat = registries
+        assert ref.counter("cache.raw_requests").total > 0
+        assert ref == bat
+        assert ref.to_json() == bat.to_json()
+
+    def test_prefetch_path_writebacks_feed_probes(self):
+        """The two LLC write-back sites on the prefetch path — the LLC
+        fill of the prefetched line, and the LLC fill of the dirty L1
+        line it evicts — fire at the trace's last access; the twin must
+        record both, at that cycle."""
+        from repro.common.types import MemOp
+        from repro.mem.trace import AccessTrace
+        from repro.telemetry import TelemetryRegistry
+
+        line = TABLE1.cache.line_bytes
+        llc_stride = TABLE1.cache.llc_bytes // TABLE1.cache.llc_ways
+        x = 5 * line  # L1 set 5, LLC set 5
+        a = line * (3 + 32 * 100)  # misses at a, a+64 prefetch a+128
+        pf = a + 2 * line  # L1 set 5 too
+        rows = []
+
+        def access(addr, op, core):
+            rows.append((addr, 8, int(op), core, len(rows)))
+
+        access(x, MemOp.STORE, 0)  # x dirty in core 0's L1
+        for t in range(1, 9):  # core 1 evicts x from the LLC
+            access(x + t * llc_stride, MemOp.STORE, 1)
+        for t in range(1, 9):  # core 2 fills pf's LLC set with dirty lines
+            access(pf + t * llc_stride, MemOp.STORE, 2)
+        for k in range(1, 8):  # x becomes LRU in core 0's L1 set
+            access(x + 32 * k * line, MemOp.LOAD, 0)
+        access(a, MemOp.LOAD, 0)
+        access(a + line, MemOp.LOAD, 0)
+        trace = AccessTrace.from_rows(rows)
+        registries = []
+        for cls in (CacheHierarchy, BatchedCacheHierarchy):
+            registry = TelemetryRegistry(window_cycles=1)
+            reset_request_ids()
+            cls(
+                TABLE1.cache, n_cores=3, probes=registry.scope("cache")
+            ).process(trace)
+            registries.append(registry)
+        ref, bat = registries
+        last = len(rows) - 1
+        assert ref.counter("cache.writebacks").windows[last] == 2
+        assert ref == bat
 
     def test_frontend_demotion_emits_its_own_rung(self):
         log = ev.EventLog()
@@ -178,7 +238,7 @@ class TestFrontendDispatch:
     def test_pac_probe_run_logs_coalescer_rung_first(self):
         log = ev.EventLog()
         with ev.installed(log):
-            System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
+            System(coalescer=CoalescerKind.PAC, engine="auto", spans=True)
         demotes = [r for r in log.records if r["kind"] == "demote"]
         assert [d["rung"] for d in demotes] == [
             "engine:batched->reference",

@@ -30,6 +30,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.types import MemOp, reset_request_ids
 from repro.config import TABLE1
 from repro.mem.trace import AccessTrace
+from repro.telemetry import TelemetryRegistry
 
 SETTINGS = dict(
     max_examples=50,
@@ -40,6 +41,7 @@ SETTINGS = dict(
 CFG = TABLE1.cache
 LINE = CFG.line_bytes
 L1_SETS = CFG.l1_sets  # 32 with Table 1 geometry
+LLC_SETS = CFG.llc_bytes // (CFG.llc_ways * LINE)  # 16384
 
 #: Ops the generators emit (LOAD/STORE) plus the bypass/drain kinds the
 #: adversarial mixes add, weighted so most examples still miss caches.
@@ -51,23 +53,26 @@ OPS = (
 
 
 @st.composite
-def conflict_traces(draw, max_len=80, n_cores=3):
+def conflict_traces(draw, max_len=80, n_cores=3, n_cache_sets=L1_SETS,
+                    max_sets=2, max_tags=12):
     """Cycle-ordered traces over a conflict-heavy address pool.
 
-    Addresses fold ``n_tags`` distinct tags onto ``n_sets`` L1 sets
-    (default geometry: 8 ways), so pools past 8 tags per set force
-    evictions; STOREs make those evictions dirty write-backs.
+    Addresses fold ``n_tags`` distinct tags onto ``n_sets`` sets of a
+    cache with ``n_cache_sets`` sets (default: the L1's; both levels
+    are 8-way), so pools past 8 tags per set force evictions; STOREs
+    make those evictions dirty write-backs. With the LLC's set count,
+    the tags collide in the LLC as well, so LLC write-backs happen.
     """
     n = draw(st.integers(min_value=0, max_value=max_len))
-    n_sets = draw(st.integers(min_value=1, max_value=2))
-    n_tags = draw(st.integers(min_value=1, max_value=12))
+    n_sets = draw(st.integers(min_value=1, max_value=max_sets))
+    n_tags = draw(st.integers(min_value=1, max_value=max_tags))
     rows = []
     cycle = 0
     for _ in range(n):
         cycle += draw(st.integers(min_value=0, max_value=3))
         tag = draw(st.integers(min_value=0, max_value=n_tags - 1))
         set_idx = draw(st.integers(min_value=0, max_value=n_sets - 1))
-        addr = (tag * L1_SETS + set_idx) * LINE + draw(
+        addr = (tag * n_cache_sets + set_idx) * LINE + draw(
             st.integers(min_value=0, max_value=LINE - 1)
         )
         rows.append((
@@ -87,9 +92,24 @@ def _pair(**kw):
     )
 
 
-def _assert_identical(ref, bat, traces, fine_grain=False):
+def _probed_pair(**kw):
+    """Both hierarchies with enabled probes: (ref, bat, registries).
+    One-cycle windows pin every event to its exact cycle."""
+    registries = (TelemetryRegistry(window_cycles=1),
+                  TelemetryRegistry(window_cycles=1))
+    ref, bat = (
+        cls(CFG, probes=registry.scope("cache"), **kw)
+        for cls, registry in zip(
+            (CacheHierarchy, BatchedCacheHierarchy), registries
+        )
+    )
+    return ref, bat, registries
+
+
+def _assert_identical(ref, bat, traces, fine_grain=False, registries=None):
     """Process ``traces`` consecutively through both hierarchies and
-    compare every observable after each one."""
+    compare every observable after each one (probe registries too,
+    when given)."""
     for trace in traces:
         reset_request_ids()
         rs = ref.process(trace, fine_grain=fine_grain)
@@ -104,6 +124,9 @@ def _assert_identical(ref, bat, traces, fine_grain=False):
         for rl1, bl1 in zip(ref.l1s, bat.l1s):
             assert rl1.hit_rate == bl1.hit_rate
         assert ref.llc.hit_rate == bat.llc.hit_rate
+        if registries is not None:
+            assert registries[0] == registries[1]
+            assert registries[0].to_json() == registries[1].to_json()
 
 
 class TestAdversarialTraces:
@@ -132,6 +155,28 @@ class TestAdversarialTraces:
         must steer the next trace identically on both engines."""
         ref, bat = _pair(n_cores=3)
         _assert_identical(ref, bat, [first, second])
+
+    @given(
+        first=st.one_of(
+            conflict_traces(),
+            conflict_traces(
+                max_len=200, n_cache_sets=LLC_SETS, max_sets=4, max_tags=24
+            ),
+        ),
+        second=conflict_traces(max_len=40),
+        fine_grain=st.booleans(),
+    )
+    @settings(**SETTINGS)
+    def test_probe_events_identical(self, first, second, fine_grain):
+        """With enabled probes the twin's buffered emission events fold
+        into a registry equal to the reference's, trace after trace."""
+        ref, bat, registries = _probed_pair(
+            n_cores=3, prefetch_enabled=not fine_grain
+        )
+        _assert_identical(
+            ref, bat, [first, second], fine_grain=fine_grain,
+            registries=registries,
+        )
 
 
 class TestLookaheadBoundaries:

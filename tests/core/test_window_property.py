@@ -100,16 +100,26 @@ class TestPartitionLaws:
 
 
 class TestEngineEqualityOnSyntheticStreams:
-    @given(reqs=request_streams())
-    @settings(max_examples=25, deadline=None,
+    @given(reqs=request_streams(), probes=st.booleans())
+    @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_batched_matches_reference(self, reqs):
+    def test_batched_matches_reference(self, reqs, probes):
+        """With probes on, every probe must also record the same events,
+        each pinned to its cycle by one-cycle windows."""
         from repro.engine.system import CoalescerKind, System
+        from repro.telemetry import TelemetryRegistry
 
-        ref_sys = System(coalescer=CoalescerKind.PAC, engine="reference")
-        bat_sys = System(coalescer=CoalescerKind.PAC, engine="batched")
+        ref_sys, bat_sys = (
+            System(
+                coalescer=CoalescerKind.PAC, engine=engine,
+                telemetry=TelemetryRegistry(window_cycles=1) if probes else False,
+            )
+            for engine in ("reference", "batched")
+        )
         ref = ref_sys.coalescer.process(list(reqs), ref_sys.device)
         bat = bat_sys.coalescer.process(list(reqs), bat_sys.device)
+        bat_sys.device.sync()
+        assert ref_sys.telemetry == bat_sys.telemetry
         assert ref.n_issued == bat.n_issued
         assert ref.n_merged == bat.n_merged
         assert ref.last_completion_cycle == bat.last_completion_cycle

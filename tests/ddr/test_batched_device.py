@@ -195,11 +195,27 @@ class TestSyncSemantics:
 
 
 class TestConstructorRefusals:
-    def test_refuses_enabled_probes(self):
-        from repro.telemetry import TelemetryRegistry
+    def test_accepts_enabled_probes(self):
+        """Enabled probes record the reference's events bit for bit —
+        across a buffer fold, a mid-stream sync and ``submit_window``."""
+        from repro.telemetry import FOLD_EVENTS, TelemetryRegistry
 
-        with pytest.raises(ValueError, match="probe"):
-            BatchedDDRDevice(probes=TelemetryRegistry().scope("device"))
+        packets = mixed_packets(n=FOLD_EVENTS + 300)
+        ref_reg = TelemetryRegistry(window_cycles=128)
+        bat_reg = TelemetryRegistry(window_cycles=128)
+        ref = DDRDevice(probes=ref_reg.scope("device"))
+        bat = BatchedDDRDevice(probes=bat_reg.scope("device"))
+        for i, p in enumerate(packets[:-100]):
+            assert ref.submit(p, p.issue_cycle) == bat.submit(p, p.issue_cycle)
+            if i == 1000:
+                bat.sync()
+        tail = packets[-100:]
+        expected = [ref.submit(p, p.issue_cycle) for p in tail]
+        assert bat.submit_window(tail) == expected
+        assert_devices_equal(ref, bat)
+        assert ref_reg.counter("device.banks.conflicts").total > 0
+        assert ref_reg == bat_reg
+        assert ref_reg.to_json() == bat_reg.to_json()
 
     def test_refuses_enabled_spans(self):
         from repro.telemetry import SpanRecorder

@@ -99,11 +99,22 @@ class TestDispatchRules:
             System(coalescer=kind, engine="batched")
 
     @pytest.mark.parametrize(
-        "blocker_kw", [dict(telemetry=True), dict(spans=True)]
+        "blocker_kw", [dict(spans=True), dict(telemetry=True, spans=True)]
     )
     def test_probe_blockers_reject_explicit_batched(self, blocker_kw):
-        with pytest.raises(ValueError, match="incompatible"):
+        # Span tracing still blocks the batched engines; telemetry
+        # alongside it does not lift the refusal.
+        with pytest.raises(ValueError, match="incompatible with spans"):
             System(coalescer=CoalescerKind.PAC, engine="batched", **blocker_kw)
+
+    def test_telemetry_is_not_a_blocker(self):
+        for engine in ("auto", "batched"):
+            s = System(
+                coalescer=CoalescerKind.PAC, engine=engine, telemetry=True
+            )
+            assert (s.engine, s.frontend_engine, s.backend_engine) == (
+                "batched", "batched", "batched"
+            )
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -153,22 +164,28 @@ class TestGridLevelEngine:
 
 
 class TestAutoDemotion:
-    def test_telemetry_demotes_and_matches_reference(self):
-        demoted = _run("gs", "hmc", "auto", telemetry=True)
-        ref = _run("gs", "hmc", "reference", telemetry=True)
+    def test_spans_demote_and_match_reference(self):
+        demoted = _run("gs", "hmc", "auto", spans=True)
+        ref = _run("gs", "hmc", "reference", spans=True)
         assert demoted == ref
 
     def test_demotion_emits_event(self):
         log = ev.EventLog()
         with ev.installed(log):
             system = System(
-                coalescer=CoalescerKind.PAC, engine="auto", telemetry=True
+                coalescer=CoalescerKind.PAC, engine="auto", spans=True
             )
         assert system.engine == "reference"
         demotes = [r for r in log.records if r["kind"] == "demote"]
         assert demotes, "auto demotion must land in the event log"
         assert demotes[0]["rung"] == "engine:batched->reference"
-        assert "telemetry" in demotes[0]["label"]
+        assert "spans" in demotes[0]["label"]
+
+    def test_telemetry_run_does_not_demote(self):
+        log = ev.EventLog()
+        with ev.installed(log):
+            System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
+        assert not [r for r in log.records if r["kind"] == "demote"]
 
     def test_faults_demote_auto(self):
         from repro.faults import FaultInjector, installed, resolve_plan
@@ -231,7 +248,7 @@ class TestBackendEngine:
             assert type(s.device) is BatchedHMCDevice
 
     @pytest.mark.parametrize("blocker_kw", [
-        {"telemetry": True}, {"spans": True},
+        {"spans": True}, {"telemetry": True, "spans": True},
     ])
     def test_blockers_demote_auto_backend(self, blocker_kw):
         from repro.hmc.device import HMCDevice
@@ -254,7 +271,7 @@ class TestBackendEngine:
         log = ev.EventLog()
         with ev.installed(log):
             s = System(
-                coalescer=CoalescerKind.PAC, engine="auto", telemetry=True
+                coalescer=CoalescerKind.PAC, engine="auto", spans=True
             )
         assert s.backend_engine == "reference"
         demotes = [r for r in log.records if r["kind"] == "demote"]
@@ -264,15 +281,15 @@ class TestBackendEngine:
             "engine:frontend:batched->reference",
             "engine:backend:batched->reference",
         ]
-        assert "telemetry" in demotes[-1]["label"]
+        assert "spans" in demotes[-1]["label"]
 
     def test_explicit_batched_with_blocker_raises(self):
-        # The coalescer resolver raises first on the System path, but
-        # the back-end resolver must refuse on its own too.
-        s = System(coalescer=CoalescerKind.PAC, engine="reference",
-                   telemetry=True)
-        with pytest.raises(ValueError, match="incompatible"):
-            s._resolve_backend_engine("batched")
+        # One resolver serves all three components: the refusal covers
+        # the back-end too, and no device is built.
+        log = ev.EventLog()
+        with ev.installed(log), pytest.raises(ValueError, match="incompatible"):
+            System(coalescer=CoalescerKind.PAC, engine="batched", spans=True)
+        assert not [r for r in log.records if r["kind"] == "demote"]
 
     def test_run_raw_syncs_batched_device(self):
         # run_trace/run_raw must merge the deferred window before

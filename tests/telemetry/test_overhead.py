@@ -79,3 +79,28 @@ class TestDisabledPathIsAllocationFree:
         assert system.hierarchy._t_raw is _NULL_COUNTER
         assert system.device._t_packets is _NULL_COUNTER
         assert system.coalescer._t_direct is _NULL_COUNTER
+
+    @pytest.mark.parametrize("device", ["hmc", "hbm", "ddr"])
+    def test_batched_twins_hold_shared_nulls_and_no_buffers(self, device):
+        """The twins feed probes through ProbeBuffers only when a
+        registry is enabled: built without one they keep the shared
+        null probes and allocate no buffer."""
+        from repro.cache.batched import BatchedCacheHierarchy
+        from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
+
+        system = System(coalescer=CoalescerKind.PAC, device=device)
+        assert system.backend_engine == "batched"
+        pac = system.coalescer
+        hierarchy = system.hierarchy
+        assert type(pac) is BatchedPagedAdaptiveCoalescer
+        assert type(hierarchy) is BatchedCacheHierarchy
+        assert pac._t_maq_occupancy is _NULL_GAUGE
+        assert pac.mshrs._t_span_blocks is _NULL_HISTOGRAM
+        assert hierarchy._t_writebacks is _NULL_COUNTER
+        assert system.device._t_energy is _NULL_COUNTER
+        for twin in (pac, hierarchy, system.device):
+            assert twin._probes_on is False
+            assert not hasattr(twin, "_probe_buf")
+        system.run("gs", 1500, seed=SEED)
+        for twin in (pac, hierarchy, system.device):
+            assert not hasattr(twin, "_probe_buf")
