@@ -134,6 +134,18 @@ def main(argv=None) -> int:
              "(equivalent to $REPRO_LEDGER_DIR)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Per-subcommand overrides of the global --accesses/--seed. SUPPRESS
+    # keeps an omitted flag out of the namespace, so the global value
+    # (parsed before the subcommand) survives unless overridden.
+    run_overrides = argparse.ArgumentParser(add_help=False)
+    run_overrides.add_argument(
+        "--accesses", type=int, default=argparse.SUPPRESS,
+        help="trace length (overrides the global --accesses)",
+    )
+    run_overrides.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS,
+        help="RNG seed (overrides the global --seed)",
+    )
 
     p_run = sub.add_parser("run", help="run one benchmark, one arm")
     p_run.add_argument("benchmark", choices=BENCHMARK_NAMES)
@@ -216,7 +228,7 @@ def main(argv=None) -> int:
     )
 
     p_trace = sub.add_parser(
-        "trace",
+        "trace", parents=[run_overrides],
         help="per-window telemetry timeline (or .npz stream export)",
     )
     p_trace.add_argument("benchmark", choices=BENCHMARK_NAMES)
@@ -229,17 +241,6 @@ def main(argv=None) -> int:
         "--stage", choices=["cpu", "raw"], default="raw",
         help="'cpu' = translated access trace; 'raw' = LLC miss stream "
              "(.npz export mode only)",
-    )
-    # Subparser options must not share a dest with the global options:
-    # argparse applies subparser defaults after the main parse, which
-    # would clobber `repro --accesses N trace ...`.
-    p_trace.add_argument(
-        "--accesses", type=int, default=None, dest="trace_accesses",
-        help="trace length (overrides the global --accesses)",
-    )
-    p_trace.add_argument(
-        "--seed", type=int, default=None, dest="trace_seed",
-        help="RNG seed (overrides the global --seed)",
     )
     p_trace.add_argument(
         "--coalescer", choices=[k.value for k in CoalescerKind],
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
     )
 
     p_spans = sub.add_parser(
-        "spans",
+        "spans", parents=[run_overrides],
         help="per-request span tracing with latency attribution",
     )
     p_spans.add_argument(
@@ -286,15 +287,6 @@ def main(argv=None) -> int:
     p_spans.add_argument(
         "--top-k", type=int, default=0, dest="top_k", metavar="K",
         help="also print the K slowest tracked requests",
-    )
-    # Same dest-separation trick as `trace` (see comment above).
-    p_spans.add_argument(
-        "--accesses", type=int, default=None, dest="spans_accesses",
-        help="trace length (overrides the global --accesses)",
-    )
-    p_spans.add_argument(
-        "--seed", type=int, default=None, dest="spans_seed",
-        help="RNG seed (overrides the global --seed)",
     )
 
     p_bench = sub.add_parser(
@@ -345,7 +337,7 @@ def main(argv=None) -> int:
     )
 
     p_health = sub.add_parser(
-        "health",
+        "health", parents=[run_overrides],
         help="supervised suite run + execution-health report",
     )
     p_health.add_argument(
@@ -379,15 +371,6 @@ def main(argv=None) -> int:
     p_health.add_argument(
         "--json", metavar="PATH", default=None, dest="health_json",
         help="write the machine-readable health report to PATH",
-    )
-    # Same dest-separation trick as `trace` (see comment above).
-    p_health.add_argument(
-        "--accesses", type=int, default=None, dest="health_accesses",
-        help="trace length (overrides the global --accesses)",
-    )
-    p_health.add_argument(
-        "--seed", type=int, default=None, dest="health_seed",
-        help="RNG seed (overrides the global --seed)",
     )
 
     p_runs = sub.add_parser(
@@ -628,12 +611,7 @@ def main(argv=None) -> int:
         from repro.engine.system import System
         from repro.mem.trace import AccessTrace
 
-        n_accesses = (
-            args.trace_accesses
-            if args.trace_accesses is not None
-            else args.accesses
-        )
-        seed = args.trace_seed if args.trace_seed is not None else args.seed
+        n_accesses, seed = args.accesses, args.seed
 
         if args.output is None:
             # Telemetry timeline mode: run the benchmark with probes on
@@ -724,12 +702,7 @@ def main(argv=None) -> int:
             write_spans_csv,
         )
 
-        n_accesses = (
-            args.spans_accesses
-            if args.spans_accesses is not None
-            else args.accesses
-        )
-        seed = args.spans_seed if args.spans_seed is not None else args.seed
+        n_accesses, seed = args.accesses, args.seed
         if args.sample_rate <= 0:
             parser.error("--sample-rate must be positive")
         names = (
@@ -782,14 +755,7 @@ def main(argv=None) -> int:
             faults = FaultPlan.from_seed(args.fault_seed)
         plan = resolve_plan(faults)
 
-        n_accesses = (
-            args.health_accesses
-            if args.health_accesses is not None
-            else args.accesses
-        )
-        seed = (
-            args.health_seed if args.health_seed is not None else args.seed
-        )
+        n_accesses, seed = args.accesses, args.seed
         benches = (
             list(BENCHMARK_NAMES)
             if args.benchmark == "all"

@@ -36,7 +36,6 @@ from repro.artifacts.store import (
 )
 from repro.artifacts.pipeline import (
     TracePass,
-    build_suite_trace,
     compute_trace_pass,
     load_or_compute_trace_pass,
     try_load_trace_pass,
@@ -50,7 +49,6 @@ __all__ = [
     "CacheStats",
     "TracePass",
     "attach",
-    "build_suite_trace",
     "cache_enabled",
     "code_fingerprint",
     "compute_trace_pass",

@@ -13,20 +13,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.artifacts import shm as shm_codec
-from repro.artifacts.store import (
-    ArtifactStore,
-    cache_enabled,
-    get_store,
-    pass_key,
-    trace_key,
-)
-from repro.config import SimulationConfig, TABLE1
+from repro.artifacts.store import ArtifactStore, cache_enabled, get_store
 from repro.mem.trace import AccessTrace
+
+if TYPE_CHECKING:
+    from repro.engine.spec import RunSpec
 
 
 @dataclass
@@ -68,10 +64,7 @@ class TracePass:
                     return cached
             self._requests = shm_codec.decode_requests(self.raw)
             if self.key:
-                _DECODED_MEMO[self.key] = self._requests
-                _DECODED_MEMO.move_to_end(self.key)
-                while len(_DECODED_MEMO) > _DECODED_MEMO_CAP:
-                    _DECODED_MEMO.popitem(last=False)
+                _memoize(self.key, self._requests)
         return self._requests
 
     def __getstate__(self):
@@ -86,84 +79,33 @@ _DECODED_MEMO: "OrderedDict[str, list]" = OrderedDict()
 _DECODED_MEMO_CAP = 8
 
 
-def _resolve(config: SimulationConfig, seed: Optional[int]) -> int:
-    return config.seed if seed is None else seed
+def _memoize(key: str, requests: list) -> None:
+    _DECODED_MEMO[key] = requests
+    _DECODED_MEMO.move_to_end(key)
+    while len(_DECODED_MEMO) > _DECODED_MEMO_CAP:
+        _DECODED_MEMO.popitem(last=False)
 
 
-def build_suite_trace(
-    benchmark: str,
-    n_accesses: int,
-    config: SimulationConfig = TABLE1,
-    seed: Optional[int] = None,
-    scale=1.0,
-    extra_benchmarks: Sequence[str] = (),
-    device: str = "hmc",
-    fine_grain: bool = False,
-    engine: str = "auto",
-) -> AccessTrace:
-    """Generate the translated trace for one suite entry (uncached).
+def _compute(
+    spec: "RunSpec", trace: Optional[AccessTrace] = None
+) -> Tuple[AccessTrace, TracePass]:
+    """Trace generation (unless ``trace`` is given) and the cache pass,
+    on one front-end :class:`~repro.engine.system.System`."""
+    from repro.engine.system import CoalescerKind
 
-    ``engine`` selects the front-end execution path (see
-    :class:`repro.engine.system.System`): ``"reference"`` runs the
-    scalar generators and hierarchy, the default ``"auto"`` takes the
-    batched front-end. Both produce the identical trace, so artifact
-    keys deliberately ignore the knob.
-    """
-    from repro.engine.system import CoalescerKind, System
-
-    system = System(
-        config=config,
-        coalescer=CoalescerKind.NONE,
-        device=device,
-        fine_grain=fine_grain,
-        engine=System.arm_engine(CoalescerKind.NONE, engine),
-    )
-    names = [benchmark, *extra_benchmarks]
-    return system.build_trace(
-        names, n_accesses, seed=_resolve(config, seed), scale=scale
-    )
-
-
-def compute_trace_pass(
-    benchmark: str,
-    n_accesses: int,
-    config: SimulationConfig = TABLE1,
-    seed: Optional[int] = None,
-    device: str = "hmc",
-    scale=1.0,
-    extra_benchmarks: Sequence[str] = (),
-    fine_grain: bool = False,
-    trace: Optional[AccessTrace] = None,
-    engine: str = "auto",
-) -> TracePass:
-    """Run trace generation + the cache pass for one benchmark (no cache
-    lookups; pass ``trace`` to skip regeneration).
-
-    ``engine`` picks the front-end execution path; the resulting pass is
-    bit-identical either way (the batched hierarchy's contract), so the
-    artifact keys the callers derive do not include it.
-    """
-    from repro.engine.system import CoalescerKind, System
-
-    system = System(
-        config=config,
-        coalescer=CoalescerKind.NONE,
-        device=device,
-        fine_grain=fine_grain,
-        engine=System.arm_engine(CoalescerKind.NONE, engine),
-    )
-    names = [benchmark, *extra_benchmarks]
+    system = spec.for_arm(CoalescerKind.NONE).system()
     if trace is None:
         trace = system.build_trace(
-            names, n_accesses, seed=_resolve(config, seed), scale=scale
+            spec.benchmarks, spec.n_accesses, seed=spec.seed,
+            scale=spec.scale,
         )
-    if fine_grain:
+    if spec.fine_grain:
         raw = system.hierarchy.fine_grain_stream(trace)
     else:
         raw = system.hierarchy.process(trace)
     packed = shm_codec.encode_requests(raw.requests)
     tp = TracePass(
-        benchmark="+".join(names),
+        benchmark=spec.label,
         n_accesses=len(trace),
         trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
         raw=packed,
@@ -172,30 +114,28 @@ def compute_trace_pass(
     # The freshly built MemoryRequest list is the one phase 2 wants —
     # keep it so a same-process consumer never pays the decode.
     tp._requests = raw.requests
-    return tp
+    return trace, tp
+
+
+def compute_trace_pass(spec: "RunSpec") -> TracePass:
+    """Run trace generation + the cache pass for ``spec`` (no cache
+    lookups).
+
+    The front-end runs on the spec's ``engine``; the resulting pass is
+    bit-identical either way (the batched front-end's contract), so the
+    artifact keys deliberately ignore the knob.
+    """
+    return _compute(spec)[1]
 
 
 def try_load_trace_pass(
-    benchmark: str,
-    n_accesses: int,
-    config: SimulationConfig = TABLE1,
-    seed: Optional[int] = None,
-    device: str = "hmc",
-    scale=1.0,
-    extra_benchmarks: Sequence[str] = (),
-    fine_grain: bool = False,
-    store: Optional[ArtifactStore] = None,
+    spec: "RunSpec", store: Optional[ArtifactStore] = None
 ) -> Optional[TracePass]:
-    """Load a cached pass artifact, or None (never computes)."""
+    """Load ``spec``'s cached pass artifact, or None (never computes)."""
     if not cache_enabled():
         return None
-    seed = _resolve(config, seed)
-    extras = tuple(extra_benchmarks)
     store = store if store is not None else get_store()
-    pkey = pass_key(
-        benchmark, n_accesses, seed, config, device=device, scale=scale,
-        extra_benchmarks=extras, fine_grain=fine_grain,
-    )
+    pkey = spec.pass_key()
     payload = store.get("pass", pkey)
     if payload is None:
         return None
@@ -219,54 +159,27 @@ def try_load_trace_pass(
 
 
 def load_or_compute_trace_pass(
-    benchmark: str,
-    n_accesses: int,
-    config: SimulationConfig = TABLE1,
-    seed: Optional[int] = None,
-    device: str = "hmc",
-    scale=1.0,
-    extra_benchmarks: Sequence[str] = (),
-    fine_grain: bool = False,
+    spec: "RunSpec",
     use_cache: bool = True,
     store: Optional[ArtifactStore] = None,
-    engine: str = "auto",
 ) -> TracePass:
     """Cache-aware trace-pass front door.
 
     Lookup order: pass artifact (whole prefix skipped) → trace artifact
     (generation skipped, hierarchy re-run) → full compute. On a miss
-    with caching enabled, both artifacts are written back. ``engine``
-    selects the front-end path on compute; cached artifacts are
-    engine-invariant (bit-identity), so hits ignore it.
+    with caching enabled, both artifacts are written back. The spec's
+    ``engine`` selects the front-end path on compute; cached artifacts
+    are engine-invariant (bit-identity), so hits ignore it.
     """
-    seed = _resolve(config, seed)
-    extras = tuple(extra_benchmarks)
-    use_cache = use_cache and cache_enabled()
-    if not use_cache:
-        return compute_trace_pass(
-            benchmark, n_accesses, config=config, seed=seed, device=device,
-            scale=scale, extra_benchmarks=extras, fine_grain=fine_grain,
-            engine=engine,
-        )
+    if not (use_cache and cache_enabled()):
+        return compute_trace_pass(spec)
     store = store if store is not None else get_store()
-    hit = try_load_trace_pass(
-        benchmark, n_accesses, config=config, seed=seed, device=device,
-        scale=scale, extra_benchmarks=extras, fine_grain=fine_grain,
-        store=store,
-    )
+    hit = try_load_trace_pass(spec, store=store)
     if hit is not None:
         return hit
-    pkey = pass_key(
-        benchmark, n_accesses, seed, config, device=device, scale=scale,
-        extra_benchmarks=extras, fine_grain=fine_grain,
-    )
 
-    tkey = trace_key(
-        benchmark, n_accesses, seed, config, device=device, scale=scale,
-        extra_benchmarks=extras,
-    )
+    tkey = spec.trace_key()
     trace: Optional[AccessTrace] = None
-    trace_was_cached = False
     tpayload = store.get("trace", tkey)
     if tpayload is not None:
         try:
@@ -274,35 +187,20 @@ def load_or_compute_trace_pass(
                 tpayload["addrs"], tpayload["sizes"], tpayload["ops"],
                 tpayload["cores"], tpayload["cycles"],
             )
-            trace_was_cached = True
         except (KeyError, ValueError):
             store.stats.errors += 1
-            trace = None
-    if trace is None:
-        trace = build_suite_trace(
-            benchmark, n_accesses, config=config, seed=seed, scale=scale,
-            extra_benchmarks=extras, device=device, fine_grain=fine_grain,
-            engine=engine,
-        )
-    tp = compute_trace_pass(
-        benchmark, n_accesses, config=config, seed=seed, device=device,
-        scale=scale, extra_benchmarks=extras, fine_grain=fine_grain,
-        trace=trace, engine=engine,
-    )
-    tp.key = pkey
-    if tp._requests is not None:
-        _DECODED_MEMO[pkey] = tp._requests
-        _DECODED_MEMO.move_to_end(pkey)
-        while len(_DECODED_MEMO) > _DECODED_MEMO_CAP:
-            _DECODED_MEMO.popitem(last=False)
+    trace_was_cached = trace is not None
+    trace, tp = _compute(spec, trace)
+    tp.key = spec.pass_key()
+    _memoize(tp.key, tp._requests)
     ident = {
         "benchmark": tp.benchmark,
         "n_accesses": tp.n_accesses,
-        "seed": seed,
-        "config_hash": config.config_hash(),
-        "device": device,
-        "scale": repr(scale),
-        "extra_benchmarks": list(extras),
+        "seed": spec.seed,
+        "config_hash": spec.config.config_hash(),
+        "device": spec.device,
+        "scale": repr(spec.scale),
+        "extra_benchmarks": list(spec.benchmarks[1:]),
     }
     if not trace_was_cached:
         store.put(
@@ -319,10 +217,10 @@ def load_or_compute_trace_pass(
     # trace hit).
     store.put(
         "pass",
-        pkey,
+        tp.key,
         {
             **ident,
-            "fine_grain": fine_grain,
+            "fine_grain": spec.fine_grain,
             "trace_end_cycle": tp.trace_end_cycle,
             "n_raw": tp.n_raw,
             "cache_metrics": tp.cache_metrics,

@@ -10,15 +10,20 @@ This is the primary user-facing API::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
 
 from repro.config import SimulationConfig, TABLE1
 from repro.core.protocols import MemoryProtocol
 from repro.engine.results import RunResult
-from repro.engine.system import CoalescerKind, System
+from repro.engine.spec import RunSpec
+from repro.engine.system import CoalescerKind
 from repro.faults import FaultInjector, NullInjector, installed, resolve_plan
 from repro.telemetry import events as ev
+from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.workloads import BENCHMARK_NAMES
+
+if TYPE_CHECKING:
+    from repro.artifacts import TracePass
 
 #: Default trace length: long enough for steady-state coalescing
 #: behaviour, short enough for interactive runs.
@@ -38,6 +43,66 @@ def _fault_scope(faults):
     plan = resolve_plan(faults)
     return installed(
         FaultInjector(plan) if plan is not None else NullInjector()
+    )
+
+
+def _log_run(spec: RunSpec, result: Optional[RunResult] = None) -> None:
+    """Emit ``run.start`` (before ``result`` exists) or ``run.end``."""
+    log = ev.active()
+    if not log.enabled:
+        return
+    if result is None:
+        log.emit(ev.RunStarted(
+            benchmark=spec.benchmarks[0], coalescer=spec.arm.value,
+            n_accesses=spec.n_accesses, seed=spec.seed, device=spec.device,
+        ))
+    else:
+        log.emit(ev.RunCompleted(
+            benchmark=spec.benchmarks[0], coalescer=spec.arm.value,
+            n_raw=result.n_raw, n_issued=result.n_issued,
+            runtime_cycles=result.runtime_cycles,
+        ))
+
+
+def run_spec(
+    spec: RunSpec, faults=None, telemetry=None, spans=None
+) -> RunResult:
+    """Run ``spec`` end to end: trace, cache pass, coalescer, device.
+
+    ``faults`` scopes injection as on :func:`run_benchmark`; the
+    multi-run entry points pass ``False``, so each run sits under a
+    fresh :class:`~repro.faults.NullInjector` (the suite-wide plan
+    targets their pool and store sites, not the run itself).
+    ``telemetry``/``spans`` hand in a live registry/recorder to fill;
+    by default the spec's probe settings build fresh ones.
+    """
+    with _fault_scope(faults):
+        _log_run(spec)
+        system = spec.system(telemetry=telemetry, spans=spans)
+        trace = system.build_trace(
+            spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale
+        )
+        result = system.run_trace(trace, benchmark=spec.label)
+        _log_run(spec, result)
+        return result
+
+
+def run_arm(
+    spec: RunSpec, tp: "TracePass", requests: Optional[list] = None
+) -> RunResult:
+    """Run the coalescer and device of ``spec`` over a shared prefix.
+
+    ``tp`` is the trace + cache pass computed once for every arm of the
+    spec's benchmark mix; ``requests`` supplies its decoded raw stream
+    when the caller already has one (a pool worker mapping shared
+    memory), else :meth:`TracePass.requests` decodes it.
+    """
+    return spec.system().run_raw(
+        tp.requests() if requests is None else requests,
+        benchmark=tp.benchmark,
+        n_accesses=tp.n_accesses,
+        trace_end_cycle=tp.trace_end_cycle,
+        cache_metrics=tp.cache_metrics,
     )
 
 
@@ -63,11 +128,12 @@ def run_benchmark(
     ``extra_benchmarks`` adds co-running processes (the paper's
     multiprocessing mode); ``fine_grain`` enables the Figure 10b
     data-size coalescing mode; ``device`` selects ``"hmc"`` or ``"hbm"``.
-    ``telemetry=True`` (or a :class:`repro.telemetry.TelemetryRegistry`)
-    collects the windowed probe timeline onto ``result.telemetry``.
-    ``spans=True`` (or an int sample rate, or a
-    :class:`repro.telemetry.SpanRecorder`) traces sampled per-request
-    lifecycle spans onto ``result.spans``. ``faults`` activates
+    ``telemetry=True`` (or a :class:`repro.telemetry.TelemetryRegistry`,
+    which this call fills) collects the windowed probe timeline onto
+    ``result.telemetry``. ``spans=True`` (or an int sample rate, or a
+    :class:`repro.telemetry.SpanRecorder`, which this call fills)
+    traces sampled per-request lifecycle spans onto ``result.spans``.
+    ``faults`` activates
     deterministic fault injection (:mod:`repro.faults`): a plan, a spec
     string, ``None`` (consult ``$REPRO_FAULTS``), or ``False`` to
     force-disable; a single in-process run has no instrumented sites of
@@ -87,33 +153,20 @@ def run_benchmark(
     (coalescer only), or active fault injection make the batched path
     inapplicable. Telemetry probes run on the batched engines.
     """
-    with ev.installed(ev.resolve_events(events)) as log, _fault_scope(faults):
-        if log.enabled:
-            log.emit(ev.RunStarted(
-                benchmark=benchmark, coalescer=coalescer.value,
-                n_accesses=n_accesses, seed=seed, device=device,
-            ))
-        system = System(
-            config=config,
-            coalescer=coalescer,
-            protocol=protocol,
-            device=device,
-            fine_grain=fine_grain,
-            telemetry=telemetry,
-            spans=spans,
-            engine=engine,
+    spec = RunSpec(
+        (benchmark, *extra_benchmarks), n_accesses, arm=coalescer,
+        config=config, seed=seed, device=device, protocol=protocol,
+        fine_grain=fine_grain, scale=scale, engine=engine,
+        **RunSpec.probe_settings(telemetry, spans),
+    )
+    with ev.installed(ev.resolve_events(events)):
+        return run_spec(
+            spec, faults=faults,
+            telemetry=(
+                telemetry if isinstance(telemetry, TelemetryRegistry) else None
+            ),
+            spans=spans if isinstance(spans, SpanRecorder) else None,
         )
-        result = system.run(
-            benchmark, n_accesses, seed=seed,
-            extra_benchmarks=extra_benchmarks, scale=scale,
-        )
-        if log.enabled:
-            log.emit(ev.RunCompleted(
-                benchmark=benchmark, coalescer=coalescer.value,
-                n_raw=result.n_raw, n_issued=result.n_issued,
-                runtime_cycles=result.runtime_cycles,
-            ))
-        return result
 
 
 def run_comparison(
@@ -146,10 +199,12 @@ def run_comparison(
     repeated comparison reloads the prefix from disk instead of
     recomputing it (``use_artifact_cache=False`` opts out). When either
     probe facility is on, each arm runs end-to-end so its registry /
-    recorder observes its own cache pass. ``faults`` installs a
+    recorder observes its own cache pass; a registry or recorder passed
+    in is a template — each arm gets a fresh one with its window or
+    sample rate. ``faults`` installs a
     process-scoped fault injector for the duration of the comparison
     (the artifact-store sites are live on the cached path). ``engine``
-    applies per arm (:meth:`System.arm_engine`): ``"batched"`` pins the
+    applies per arm (:meth:`RunSpec.for_arm`): ``"batched"`` pins the
     PAC arms to the fast kernel while non-PAC arms resolve ``"auto"``.
     The shared trace+cache prefix resolves the same knob for its
     front-end (``"reference"`` forces the scalar generators and
@@ -158,62 +213,26 @@ def run_comparison(
     back-end resolves likewise: the default runs the batched device
     twin, bit-identical by the same contract.
     """
+    spec = RunSpec(
+        (benchmark, *extra_benchmarks), n_accesses, config=config,
+        seed=seed, device=device, engine=engine,
+        **RunSpec.probe_settings(telemetry, spans),
+    )
     out: Dict[CoalescerKind, RunResult] = {}
-    with ev.installed(ev.resolve_events(events)) as log, _fault_scope(faults):
+    with ev.installed(ev.resolve_events(events)), _fault_scope(faults):
         if telemetry or spans:
             for kind in kinds:
-                out[kind] = run_benchmark(
-                    benchmark,
-                    coalescer=kind,
-                    n_accesses=n_accesses,
-                    config=config,
-                    seed=seed,
-                    device=device,
-                    extra_benchmarks=extra_benchmarks,
-                    telemetry=bool(telemetry),
-                    spans=spans if isinstance(spans, (bool, int)) else bool(spans),
-                    faults=False,  # the comparison-wide scope is installed
-                    engine=System.arm_engine(kind, engine),
-                )
+                out[kind] = run_spec(spec.for_arm(kind), faults=False)
             return out
 
         from repro.artifacts import load_or_compute_trace_pass
 
-        tp = load_or_compute_trace_pass(
-            benchmark,
-            n_accesses,
-            config=config,
-            seed=seed,
-            device=device,
-            extra_benchmarks=tuple(extra_benchmarks),
-            use_cache=use_artifact_cache,
-            engine=engine,
-        )
-        requests = tp.requests()
+        tp = load_or_compute_trace_pass(spec, use_cache=use_artifact_cache)
         for kind in kinds:
-            if log.enabled:
-                log.emit(ev.RunStarted(
-                    benchmark=benchmark, coalescer=kind.value,
-                    n_accesses=n_accesses, seed=seed, device=device,
-                ))
-            system = System(
-                config=config, coalescer=kind, device=device,
-                engine=System.arm_engine(kind, engine),
-            )
-            result = system.run_raw(
-                requests,
-                benchmark=tp.benchmark,
-                n_accesses=tp.n_accesses,
-                trace_end_cycle=tp.trace_end_cycle,
-                cache_metrics=tp.cache_metrics,
-            )
-            out[kind] = result
-            if log.enabled:
-                log.emit(ev.RunCompleted(
-                    benchmark=benchmark, coalescer=kind.value,
-                    n_raw=result.n_raw, n_issued=result.n_issued,
-                    runtime_cycles=result.runtime_cycles,
-                ))
+            arm = spec.for_arm(kind)
+            _log_run(arm)
+            out[kind] = run_arm(arm, tp)
+            _log_run(arm, out[kind])
         return out
 
 
@@ -241,26 +260,21 @@ def run_suite(
     ``telemetry``, ``spans``, ``faults``, ``events``), so a
     whole-suite sweep can target HBM/DDR, the fine-grain mode, or
     co-running mixes without dropping down to per-benchmark calls.
+    A registry or recorder passed in is a template: each benchmark
+    gets a fresh one with its window or sample rate.
     ``faults`` installs one process-scoped injector spanning the whole
     sweep; ``events`` likewise installs one suite-wide event-log scope.
     """
+    specs = [
+        RunSpec(
+            (name, *extra_benchmarks), n_accesses, arm=coalescer,
+            config=config, seed=seed, device=device, protocol=protocol,
+            fine_grain=fine_grain, scale=scale, engine=engine,
+            **RunSpec.probe_settings(telemetry, spans),
+        )
+        for name in benchmarks
+    ]
     with ev.installed(ev.resolve_events(events)), _fault_scope(faults):
         return {
-            name: run_benchmark(
-                name,
-                coalescer=coalescer,
-                n_accesses=n_accesses,
-                config=config,
-                seed=seed,
-                device=device,
-                protocol=protocol,
-                fine_grain=fine_grain,
-                extra_benchmarks=extra_benchmarks,
-                scale=scale,
-                telemetry=telemetry,
-                spans=spans,
-                faults=False,  # the suite-wide scope is installed
-                engine=engine,
-            )
-            for name in benchmarks
+            spec.benchmarks[0]: run_spec(spec, faults=False) for spec in specs
         }

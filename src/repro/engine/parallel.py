@@ -42,11 +42,12 @@ import json
 import os
 import time
 from collections import OrderedDict
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, TABLE1
-from repro.engine.driver import DEFAULT_ACCESSES, run_benchmark
+from repro.engine.driver import DEFAULT_ACCESSES, run_arm, run_spec
 from repro.engine.health import RunHealth
 from repro.engine.results import RunResult
 from repro.engine.supervisor import (
@@ -55,6 +56,7 @@ from repro.engine.supervisor import (
     SupervisedJob,
     run_serial_with_retries,
 )
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
 from repro.faults import (
     FaultInjector,
@@ -137,34 +139,13 @@ def _job_cost(benchmark: str, kind_value: str) -> float:
 
 
 def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
-    (
-        benchmark, kind_value, n_accesses, config, seed, device, telemetry,
-        spans, protocol, fine_grain, scale, extra_benchmarks, engine,
-        fault_ctx,
-    ) = args
-    from repro.engine.system import System
-
+    spec, fault_ctx = args
     with job_scope(fault_ctx, "perjob.job"):
         # faults=False: the job-entry fault already fired above, and the
-        # driver must not resolve $REPRO_FAULTS into a second
+        # run must not resolve $REPRO_FAULTS into a second
         # (process-scoped) injector inside the worker.
-        result = run_benchmark(
-            benchmark,
-            coalescer=CoalescerKind(kind_value),
-            n_accesses=n_accesses,
-            config=config,
-            seed=seed,
-            device=device,
-            telemetry=telemetry,
-            spans=spans,
-            protocol=protocol,
-            fine_grain=fine_grain,
-            scale=scale,
-            extra_benchmarks=extra_benchmarks,
-            engine=System.arm_engine(CoalescerKind(kind_value), engine),
-            faults=False,
-        )
-    return (benchmark, kind_value), result
+        result = run_spec(spec, faults=False)
+    return (spec.benchmarks[0], spec.arm.value), result
 
 
 # --------------------------------------------------------------------- #
@@ -177,19 +158,12 @@ def _phase1_job(args: tuple):
     Artifact writes happen in the worker; the packed stream returns to
     the parent as a single contiguous buffer.
     """
-    (
-        benchmark, n_accesses, config, seed, device, scale,
-        extra_benchmarks, fine_grain, use_cache, engine, fault_ctx,
-    ) = args
+    spec, use_cache, fault_ctx = args
     from repro.artifacts import load_or_compute_trace_pass
 
     with job_scope(fault_ctx, "phase1.job"):
-        tp = load_or_compute_trace_pass(
-            benchmark, n_accesses, config=config, seed=seed, device=device,
-            scale=scale, extra_benchmarks=extra_benchmarks,
-            fine_grain=fine_grain, use_cache=use_cache, engine=engine,
-        )
-    return benchmark, tp
+        tp = load_or_compute_trace_pass(spec, use_cache=use_cache)
+    return spec.benchmarks[0], tp
 
 
 #: Worker-side decoded-stream memo, keyed by shared-memory segment name.
@@ -223,76 +197,23 @@ def _decode_shared(shm_name: str, n_items: int) -> list:
 def _phase2_job(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
     """Pool worker: one coalescer arm against a shared raw stream.
 
-    ``payload`` selects the transport rung: ``("shm", name, n_raw)``
-    maps the parent's shared pages; ``("pickle", raw_array)`` carries
-    the packed stream in the job args (the degraded per-job transport
-    used when shared memory is unavailable or faulting).
+    ``header`` is the benchmark's trace pass without its packed stream;
+    ``payload`` selects the transport rung for the stream:
+    ``("shm", name, n_raw)`` maps the parent's shared pages;
+    ``("pickle", raw_array)`` carries the packed stream in the job args
+    (the degraded per-job transport used when shared memory is
+    unavailable or faulting).
     """
-    (
-        bench_key, kind_value, payload, label, n_accesses_done,
-        trace_end_cycle, cache_metrics, config, protocol, device,
-        fine_grain, engine, fault_ctx,
-    ) = args
+    spec, header, payload, fault_ctx = args
     from repro.artifacts import shm as shm_codec
-    from repro.engine.system import System
 
     with job_scope(fault_ctx, "phase2.job"):
         if payload[0] == "shm":
             requests = _decode_shared(payload[1], payload[2])
         else:
             requests = shm_codec.decode_requests(payload[1])
-        kind = CoalescerKind(kind_value)
-        system = System(
-            config=config,
-            coalescer=kind,
-            protocol=protocol,
-            device=device,
-            fine_grain=fine_grain,
-            engine=System.arm_engine(kind, engine),
-        )
-        result = system.run_raw(
-            requests,
-            benchmark=label,
-            n_accesses=n_accesses_done,
-            trace_end_cycle=trace_end_cycle,
-            cache_metrics=cache_metrics,
-        )
-    return (bench_key, kind_value), result
-
-
-def _run_arms_serial(
-    tp,
-    bench_key: str,
-    kind_values: Sequence[str],
-    config: SimulationConfig,
-    protocol,
-    device: str,
-    fine_grain: bool,
-    engine: str = "auto",
-) -> Dict[Tuple[str, str], RunResult]:
-    """In-process phase 2: every arm shares one decoded request list."""
-    from repro.engine.system import System
-
-    requests = tp.requests()
-    out: Dict[Tuple[str, str], RunResult] = {}
-    for kind_value in kind_values:
-        kind = CoalescerKind(kind_value)
-        system = System(
-            config=config,
-            coalescer=kind,
-            protocol=protocol,
-            device=device,
-            fine_grain=fine_grain,
-            engine=System.arm_engine(kind, engine),
-        )
-        out[(bench_key, kind_value)] = system.run_raw(
-            requests,
-            benchmark=tp.benchmark,
-            n_accesses=tp.n_accesses,
-            trace_end_cycle=tp.trace_end_cycle,
-            cache_metrics=tp.cache_metrics,
-        )
-    return out
+        result = run_arm(spec, header, requests)
+    return (spec.benchmarks[0], spec.arm.value), result
 
 
 def run_suite_parallel(
@@ -349,9 +270,11 @@ def run_suite_parallel(
     ``telemetry=True`` attaches a windowed-probe registry to each result
     (registries pickle back from workers bit-identically);
     ``spans=True`` (or an int sample rate) attaches a span trace the
-    same way — each worker builds its own recorder, and sampling keys on
+    same way — each job builds its own recorder, and sampling keys on
     the raw-stream ordinal, so span sets are bit-identical to serial
-    runs. Probe runs must observe the cache pass, so they always take
+    runs. A registry or recorder passed in is a template: every job
+    gets a fresh one with its window or sample rate, at any worker
+    count. Probe runs must observe the cache pass, so they always take
     the per-job path.
 
     ``events`` installs a suite-wide structured event log
@@ -366,7 +289,7 @@ def run_suite_parallel(
     PAC arm independently resolves ``"auto"`` inside its own process, so
     a faulted worker demotes itself to the reference path (bit-identical
     by the engine contract) while clean workers keep the batched kernel.
-    The knob applies per arm (:meth:`System.arm_engine`):
+    The knob applies per arm (:meth:`RunSpec.for_arm`):
     ``engine="batched"`` pins the PAC arms to the fast path while the
     non-PAC arms — which have only their reference implementation —
     resolve ``"auto"`` instead of rejecting the whole grid. Phase 1
@@ -381,13 +304,20 @@ def run_suite_parallel(
     """
     if pipeline not in ("auto", "two-phase", "per-job"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    # Resolve the default seed HERE, not in the workers: every job must
-    # carry the same concrete seed so per-benchmark seeds derive
+    # Specs resolve the default seed HERE, not in the workers: every job
+    # carries the same concrete seed so per-benchmark seeds derive
     # identically regardless of worker count or config pickling.
-    seed = config.seed if seed is None else seed
-    extra_benchmarks = tuple(extra_benchmarks)
-    kind_values = [kind.value for kind in kinds]
-    n_jobs = len(benchmarks) * len(kind_values)
+    specs = [
+        RunSpec(
+            (bench, *extra_benchmarks), n_accesses, config=config,
+            seed=seed, device=device, protocol=protocol,
+            fine_grain=fine_grain, scale=scale, engine=engine,
+            **RunSpec.probe_settings(telemetry, spans),
+        )
+        for bench in benchmarks
+    ]
+    kinds = list(kinds)
+    n_jobs = len(specs) * len(kinds)
     workers = max_workers or min(n_jobs, os.cpu_count() or 2)
     probes_on = bool(telemetry) or bool(spans)
     two_phase = pipeline == "two-phase" or (
@@ -439,7 +369,7 @@ def run_suite_parallel(
         if elog.enabled:
             elog.emit(ev.SuiteStarted(
                 benchmarks=list(benchmarks),
-                arms=list(kind_values),
+                arms=[kind.value for kind in kinds],
                 jobs=n_jobs,
                 pipeline="two-phase" if two_phase else "per-job",
                 workers=workers,
@@ -448,17 +378,13 @@ def run_suite_parallel(
             with installed(parent_injector):
                 if two_phase:
                     out = _run_two_phase(
-                        kind_values, benchmarks, n_accesses, config, seed,
-                        device, protocol, fine_grain, scale, extra_benchmarks,
-                        use_artifact_cache, stats, supervisor, spec_text,
-                        health, max_retries, backoff_base, engine,
+                        specs, kinds, use_artifact_cache, stats, supervisor,
+                        spec_text, health,
                     )
                 else:
                     out = _run_per_job(
-                        kind_values, benchmarks, n_accesses, config, seed,
-                        device, telemetry, spans, protocol, fine_grain, scale,
-                        extra_benchmarks, stats, supervisor, spec_text,
-                        health, max_retries, backoff_base, engine,
+                        specs, kinds, supervisor, spec_text, health,
+                        max_retries, backoff_base,
                     )
         finally:
             if supervisor is not None:
@@ -480,25 +406,29 @@ def run_suite_parallel(
     return out
 
 
+def _grid(specs: Sequence[RunSpec], kinds: Sequence[CoalescerKind]):
+    """Every (benchmark, arm) spec, longest-expected first.
+
+    The grid is benchmarks × arms, stable-sorted by expected cost; the
+    resulting order fixes each job's fault-plan ordinal. Longest first
+    keeps the pool's tail short — a big job started last would otherwise
+    run alone while every other worker idles.
+    """
+    grid = [spec.for_arm(kind) for spec in specs for kind in kinds]
+    grid.sort(
+        key=lambda s: _job_cost(s.benchmarks[0], s.arm.value), reverse=True
+    )
+    return grid
+
+
 def _run_two_phase(
-    kind_values: Sequence[str],
-    benchmarks: Sequence[str],
-    n_accesses: int,
-    config: SimulationConfig,
-    seed: int,
-    device: str,
-    protocol,
-    fine_grain: bool,
-    scale,
-    extra_benchmarks: Tuple[str, ...],
+    specs: Sequence[RunSpec],
+    kinds: Sequence[CoalescerKind],
     use_artifact_cache: bool,
     stats: Optional[dict],
     supervisor: Optional[PoolSupervisor],
     spec_text: str,
     health: RunHealth,
-    max_retries: Optional[int],
-    backoff_base: Optional[float],
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     from repro.artifacts import (
         cache_enabled,
@@ -506,104 +436,97 @@ def _run_two_phase(
         try_load_trace_pass,
         load_or_compute_trace_pass,
     )
-    from repro.engine.system import System
 
     use_cache = use_artifact_cache and cache_enabled()
     elog = ev.active()
 
-    def _compute_pass_in_parent(bench: str):
-        return load_or_compute_trace_pass(
-            bench, n_accesses, config=config, seed=seed, device=device,
-            scale=scale, extra_benchmarks=extra_benchmarks,
-            fine_grain=fine_grain, use_cache=use_cache, engine=engine,
-        )
-
     # ---- phase 1: one trace+cache pass per benchmark ------------------
     t0 = time.perf_counter()
     if elog.enabled:
-        elog.emit(ev.PhaseStarted(phase="phase1", jobs=len(benchmarks)))
+        elog.emit(ev.PhaseStarted(phase="phase1", jobs=len(specs)))
     passes: Dict[str, object] = {}
-    pending: List[str] = []
-    for bench in benchmarks:
-        tp = try_load_trace_pass(
-            bench, n_accesses, config=config, seed=seed, device=device,
-            scale=scale, extra_benchmarks=extra_benchmarks,
-            fine_grain=fine_grain,
-        ) if use_cache else None
+    pending: List[RunSpec] = []
+    for spec in specs:
+        tp = try_load_trace_pass(spec) if use_cache else None
         if tp is not None:
-            passes[bench] = tp
+            passes[spec.benchmarks[0]] = tp
         else:
-            pending.append(bench)
+            pending.append(spec)
     if stats is not None:
         stats["artifact_hits"] = len(passes)
         stats["artifact_misses"] = len(pending)
 
-    if pending:
-        if supervisor is not None and len(pending) > 1:
-            ordered = sorted(
-                pending,
-                key=lambda b: _bench_weights().get(b, 2.0),
-                reverse=True,
+    if supervisor is not None and len(pending) > 1:
+        ordered = sorted(
+            pending,
+            key=lambda s: _bench_weights().get(s.benchmarks[0], 2.0),
+            reverse=True,
+        )
+
+        def _p1_build(spec: RunSpec, ordinal: int):
+            def build(attempt: int) -> tuple:
+                ctx = (spec_text, ordinal, attempt) if spec_text else None
+                return spec, use_cache, ctx
+            return build
+
+        def _p1_fallback(job: SupervisedJob):
+            spec = job.key
+            return spec.benchmarks[0], load_or_compute_trace_pass(
+                spec, use_cache=use_cache
             )
 
-            def _p1_build(bench: str, ordinal: int):
-                def build(attempt: int) -> tuple:
-                    ctx = (
-                        (spec_text, ordinal, attempt) if spec_text else None
-                    )
-                    return (
-                        bench, n_accesses, config, seed, device, scale,
-                        extra_benchmarks, fine_grain, use_cache, engine, ctx,
-                    )
-                return build
-
-            def _p1_fallback(job: SupervisedJob):
-                return job.key, _compute_pass_in_parent(job.key)
-
-            p1_jobs = [
-                SupervisedJob(
-                    key=bench,
-                    label=f"phase1:{bench}",
-                    build_args=_p1_build(bench, i),
-                )
-                for i, bench in enumerate(ordered)
-            ]
-            for bench, tp in supervisor.run(
-                _phase1_job, p1_jobs,
-                fallback=_p1_fallback, fallback_label="phase1-serial",
-            ).values():
-                passes[bench] = tp
-        else:
-            for bench in pending:
-                passes[bench] = _compute_pass_in_parent(bench)
+        p1_jobs = [
+            SupervisedJob(
+                key=spec,
+                label=f"phase1:{spec.benchmarks[0]}",
+                build_args=_p1_build(spec, i),
+            )
+            for i, spec in enumerate(ordered)
+        ]
+        for bench, tp in supervisor.run(
+            _phase1_job, p1_jobs,
+            fallback=_p1_fallback, fallback_label="phase1-serial",
+        ).values():
+            passes[bench] = tp
+    else:
+        for spec in pending:
+            passes[spec.benchmarks[0]] = load_or_compute_trace_pass(
+                spec, use_cache=use_cache
+            )
     t1 = time.perf_counter()
     health.phase1_seconds = t1 - t0
     if elog.enabled:
         elog.emit(ev.PhaseCompleted(phase="phase1", completed=len(passes)))
 
     # ---- phase 2: (benchmark × arm) coalescer+device jobs -------------
-    n_arm_jobs = len(benchmarks) * len(kind_values)
+    n_arm_jobs = len(specs) * len(kinds)
     if elog.enabled:
         elog.emit(ev.PhaseStarted(phase="phase2", jobs=n_arm_jobs))
     out: Dict[Tuple[str, str], RunResult] = {}
     shm_handles: List[object] = []
     try:
         if supervisor is None:
-            for bench in benchmarks:
-                out.update(
-                    _run_arms_serial(
-                        passes[bench], bench, kind_values, config,
-                        protocol, device, fine_grain, engine,
+            # In-process: every arm shares one decoded request list.
+            for spec in specs:
+                for kind in kinds:
+                    arm = spec.for_arm(kind)
+                    out[(spec.benchmarks[0], kind.value)] = run_arm(
+                        arm, passes[spec.benchmarks[0]]
                     )
-                )
         else:
             # Transport rung per benchmark: shared memory when the
             # publish succeeds, pickled per-job args otherwise. A
             # benchmark is demoted when its segment faults mid-flight.
             transport: Dict[str, Tuple] = {}
-            for bench in benchmarks:
+            headers: Dict[str, object] = {}
+            for spec in specs:
+                bench = spec.benchmarks[0]
+                tp = passes[bench]
+                # Jobs carry the pass without its stream; the stream
+                # travels by the transport rung.
+                headers[bench] = replace(tp, raw=tp.raw[:0], _requests=None)
                 try:
-                    handle, name = shm_codec.publish(passes[bench].raw)
+                    handle, name = shm_codec.publish(tp.raw)
                 except OSError as exc:
                     health.record_failure(f"publish:{bench}", exc)
                     health.degradations.append(f"shm->per-job:{bench}")
@@ -616,8 +539,9 @@ def _run_two_phase(
                     shm_handles.append(handle)
                     transport[bench] = ("shm", name)
 
-            def _p2_build(bench: str, kind_value: str, ordinal: int):
+            def _p2_build(spec: RunSpec, ordinal: int):
                 def build(attempt: int) -> tuple:
+                    bench = spec.benchmarks[0]
                     tp = passes[bench]
                     rung = transport[bench]
                     payload = (
@@ -628,16 +552,11 @@ def _run_two_phase(
                     ctx = (
                         (spec_text, ordinal, attempt) if spec_text else None
                     )
-                    return (
-                        bench, kind_value, payload, tp.benchmark,
-                        tp.n_accesses, tp.trace_end_cycle,
-                        tp.cache_metrics, config, protocol, device,
-                        fine_grain, engine, ctx,
-                    )
+                    return spec, headers[bench], payload, ctx
                 return build
 
             def _p2_on_failure(job: SupervisedJob, exc: BaseException):
-                bench = job.key[0]
+                bench = job.key.benchmarks[0]
                 if (
                     isinstance(exc, FileNotFoundError)
                     and transport.get(bench, ("",))[0] == "shm"
@@ -655,43 +574,19 @@ def _run_two_phase(
             def _p2_fallback(job: SupervisedJob):
                 # Last rung: run this single arm in the parent, from
                 # the same trace pass — bit-identical by construction.
-                bench, kind_value = job.key
-                tp = passes[bench]
-                kind = CoalescerKind(kind_value)
-                system = System(
-                    config=config,
-                    coalescer=kind,
-                    protocol=protocol,
-                    device=device,
-                    fine_grain=fine_grain,
-                    engine=System.arm_engine(kind, engine),
-                )
-                result = system.run_raw(
-                    tp.requests(),
-                    benchmark=tp.benchmark,
-                    n_accesses=tp.n_accesses,
-                    trace_end_cycle=tp.trace_end_cycle,
-                    cache_metrics=tp.cache_metrics,
-                )
-                return job.key, result
+                spec = job.key
+                bench = spec.benchmarks[0]
+                return (bench, spec.arm.value), run_arm(spec, passes[bench])
 
-            grid = [
-                (bench, kind_value)
-                for bench in benchmarks
-                for kind_value in kind_values
-            ]
-            # Longest-expected-first keeps the pool's tail short — a big
-            # job started last would otherwise run alone while every
-            # other worker idles. One job per cell (no chunking) so the
-            # scheduler can't batch a heavy job behind light ones.
-            grid.sort(key=lambda j: _job_cost(j[0], j[1]), reverse=True)
+            # One job per cell (no chunking) so the scheduler can't
+            # batch a heavy job behind light ones.
             p2_jobs = [
                 SupervisedJob(
-                    key=cell,
-                    label=f"{cell[0]}/{cell[1]}",
-                    build_args=_p2_build(cell[0], cell[1], i),
+                    key=spec,
+                    label=f"{spec.benchmarks[0]}/{spec.arm.value}",
+                    build_args=_p2_build(spec, i),
                 )
-                for i, cell in enumerate(grid)
+                for i, spec in enumerate(_grid(specs, kinds))
             ]
             for key, result in supervisor.run(
                 _phase2_job, p2_jobs,
@@ -712,55 +607,34 @@ def _run_two_phase(
 
 
 def _run_per_job(
-    kind_values: Sequence[str],
-    benchmarks: Sequence[str],
-    n_accesses: int,
-    config: SimulationConfig,
-    seed: int,
-    device: str,
-    telemetry,
-    spans,
-    protocol,
-    fine_grain: bool,
-    scale,
-    extra_benchmarks: Tuple[str, ...],
-    stats: Optional[dict],
+    specs: Sequence[RunSpec],
+    kinds: Sequence[CoalescerKind],
     supervisor: Optional[PoolSupervisor],
     spec_text: str,
     health: RunHealth,
     max_retries: Optional[int],
     backoff_base: Optional[float],
-    engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """The pre-artifact-cache behaviour: every job runs end-to-end."""
     t0 = time.perf_counter()
     elog = ev.active()
-    grid = [
-        (bench, kind_value)
-        for bench in benchmarks
-        for kind_value in kind_values
-    ]
-    grid.sort(key=lambda j: _job_cost(j[0], j[1]), reverse=True)
+    grid = _grid(specs, kinds)
     if elog.enabled:
         elog.emit(ev.PhaseStarted(phase="per-job", jobs=len(grid)))
 
-    def _build(bench: str, kind_value: str, ordinal: int):
+    def _build(spec: RunSpec, ordinal: int):
         def build(attempt: int) -> tuple:
             ctx = (spec_text, ordinal, attempt) if spec_text else None
-            return (
-                bench, kind_value, n_accesses, config, seed, device,
-                telemetry, spans, protocol, fine_grain, scale,
-                extra_benchmarks, engine, ctx,
-            )
+            return spec, ctx
         return build
 
     jobs = [
         SupervisedJob(
-            key=cell,
-            label=f"{cell[0]}/{cell[1]}",
-            build_args=_build(cell[0], cell[1], i),
+            key=spec,
+            label=f"{spec.benchmarks[0]}/{spec.arm.value}",
+            build_args=_build(spec, i),
         )
-        for i, cell in enumerate(grid)
+        for i, spec in enumerate(grid)
     ]
     if supervisor is None:
         results = run_serial_with_retries(
@@ -772,8 +646,7 @@ def _run_per_job(
         def _fallback(job: SupervisedJob):
             # Re-run end-to-end in the parent, with the fault context
             # stripped: the fallback rung is the recovery path.
-            args = job.build_args(job.attempt)
-            return _run_one(args[:-1] + (None,))
+            return _run_one((job.key, None))
 
         results = supervisor.run(
             _run_one, jobs, fallback=_fallback, fallback_label="serial",

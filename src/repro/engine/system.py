@@ -165,21 +165,6 @@ class System:
             _ = self.hierarchy
         self.coalescer = self._build_coalescer(probes, span_rec)
 
-    @staticmethod
-    def arm_engine(kind: "CoalescerKind", engine: str) -> str:
-        """Per-arm engine for a multi-arm grid.
-
-        ``engine="batched"`` names the PAC fast path; the other arms
-        have only their reference implementation, so a grid-level
-        request resolves to ``auto`` on non-PAC arms (where ``auto``
-        is always ``reference``, eventlessly) instead of rejecting the
-        whole grid. Single-arm entry points stay strict: naming the
-        arm *and* ``batched`` is a contradiction worth a ``ValueError``.
-        """
-        if engine == "batched" and kind is not CoalescerKind.PAC:
-            return "auto"
-        return engine
-
     #: Engine components in demotion-rung order: the attribute holding
     #: each component's resolved engine, its ``Demoted`` rung, and
     #: whether a batched twin exists only for the PAC arm.

@@ -16,7 +16,9 @@ from repro.analysis.clustering import cluster_requests
 from repro.analysis.crosspage import cross_page_stats
 from repro.analysis.space import bitonic_costs, odd_even_costs, pac_costs
 from repro.config import TABLE1, SimulationConfig
+from repro.engine.driver import run_spec
 from repro.engine.results import RunResult
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
 from repro.hmc.power import ENERGY_CATEGORIES, savings
 from repro.workloads import BENCHMARK_NAMES
@@ -38,12 +40,13 @@ MULTIPROCESS_PARTNERS: Dict[str, str] = {
 
 @dataclass
 class ResultCache:
-    """Memoizes (benchmark, arm) simulation runs for figure functions."""
+    """Memoizes (benchmark, arm) simulation runs for figure functions,
+    keyed by their :class:`~repro.engine.spec.RunSpec`."""
 
     n_accesses: int = DEFAULT_N
     seed: Optional[int] = None
     config: SimulationConfig = TABLE1
-    _store: Dict[tuple, RunResult] = field(default_factory=dict)
+    _store: Dict[RunSpec, RunResult] = field(default_factory=dict)
 
     def get(
         self,
@@ -53,16 +56,14 @@ class ResultCache:
         fine_grain: bool = False,
         device: str = "hmc",
     ) -> RunResult:
-        key = (benchmark, kind, extras, fine_grain, device)
-        if key not in self._store:
-            system = System(
-                self.config, kind, device=device, fine_grain=fine_grain
-            )
-            self._store[key] = system.run(
-                benchmark, self.n_accesses, seed=self.seed,
-                extra_benchmarks=list(extras),
-            )
-        return self._store[key]
+        spec = RunSpec(
+            (benchmark, *extras), self.n_accesses, arm=kind,
+            config=self.config, seed=self.seed, device=device,
+            fine_grain=fine_grain,
+        )
+        if spec not in self._store:
+            self._store[spec] = run_spec(spec)
+        return self._store[spec]
 
 
 def _cache(cache: Optional[ResultCache]) -> ResultCache:

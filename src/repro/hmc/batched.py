@@ -49,12 +49,11 @@ as the reference charges it (the window's energy quantities are then
 dropped at :meth:`sync`), and the float amounts fold one at a time in
 packet order.
 
-The engine refuses configurations it cannot uphold bit-identity for:
-span tracing or a per-packet ``Telemetry`` instance raise
-``ValueError`` at construction (mirroring
+The engine refuses the configuration it cannot uphold bit-identity
+for: span tracing raises ``ValueError`` at construction (mirroring
 :class:`repro.core.pac_batched.BatchedPagedAdaptiveCoalescer`), and
-``System`` demotes ``engine="auto"`` to the reference device in those
-cases under the ``engine:backend:batched->reference`` rung.
+``System`` demotes ``engine="auto"`` to the reference device in that
+case under the ``engine:backend:batched->reference`` rung.
 """
 
 from __future__ import annotations
@@ -108,21 +107,15 @@ class BatchedHMCDevice(HMCDevice):
     def __init__(
         self,
         config: Optional[HMCConfig] = None,
-        telemetry=False,
         probes=None,
         spans=None,
     ) -> None:
-        if telemetry is not False and telemetry is not None:
-            raise ValueError(
-                "BatchedHMCDevice records no per-packet telemetry; "
-                "use HMCDevice (engine='reference') for telemetry runs"
-            )
         if spans is not None and spans.enabled:
             raise ValueError(
                 "BatchedHMCDevice materializes no per-packet segments; "
                 "use HMCDevice (engine='reference') for span runs"
             )
-        super().__init__(config, telemetry=False, probes=probes, spans=spans)
+        super().__init__(config, probes=probes, spans=spans)
         self._w = _fresh_window()
         # Deferred latency accumulator: [count, total, min, max, sumsq].
         self._w_lat: List = [0, 0, inf, -inf, 0]

@@ -41,25 +41,15 @@ REMOTE_ROUTE_CYCLES = 8
 class HMCDevice:
     """Cycle-approximate Hybrid Memory Cube.
 
-    Pass ``telemetry=True`` (or a :class:`repro.hmc.telemetry.Telemetry`
-    instance) to record a per-packet latency breakdown.
+    Pass a :class:`repro.telemetry.SpanRecorder` as ``spans`` to record
+    the per-packet latency breakdown (link wait, route, vault wait,
+    DRAM, response) of packets that carry tracked requests.
     """
 
     def __init__(
-        self, config: Optional[HMCConfig] = None, telemetry=False, probes=None,
-        spans=None,
+        self, config: Optional[HMCConfig] = None, probes=None, spans=None,
     ) -> None:
         self.config = config if config is not None else HMCConfig()
-        if telemetry is True:
-            from repro.hmc.telemetry import Telemetry
-
-            self.telemetry = Telemetry(capacity=200_000)
-        elif telemetry is False or telemetry is None:
-            self.telemetry = None
-        else:
-            # A caller-supplied Telemetry instance (may be empty, which
-            # is falsy — compare by identity above, not truthiness).
-            self.telemetry = telemetry
         if probes is None:
             from repro.telemetry import NULL_TELEMETRY
 
@@ -169,10 +159,8 @@ class HMCDevice:
         self._flits_load = {}
         self._flits_store = {}
         from repro.hmc.packet import _flits_for
-        from repro.hmc.telemetry import PacketRecord
 
         self._flits_for = _flits_for
-        self._packet_record = PacketRecord
 
     def submit(self, packet: CoalescedRequest, cycle: int) -> int:
         """Process one packet; returns the response-arrival cycle."""
@@ -346,25 +334,6 @@ class HMCDevice:
                     ("dram", dram_start, dram_done),
                     ("response", dram_done, completion),
                 ),
-            )
-        if self.telemetry is not None:
-            route_cycles = (
-                LOCAL_ROUTE_CYCLES if local else REMOTE_ROUTE_CYCLES
-            )
-            self.telemetry.record(
-                self._packet_record(
-                    addr=packet.addr,
-                    size=packet.size,
-                    vault=vault,
-                    link=link,
-                    remote=not local,
-                    submit_cycle=cycle,
-                    link_wait=link_done - cycle,
-                    route=route_cycles,
-                    vault_wait=dram_start - arrival_at_vault,
-                    dram=dram_done - dram_start,
-                    response=completion - dram_done,
-                )
             )
         return completion
 

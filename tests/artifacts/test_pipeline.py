@@ -3,6 +3,8 @@ trace-hit/pass-miss fallback, and bad-payload recomputation."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,13 @@ from repro.artifacts.pipeline import (
     load_or_compute_trace_pass,
     try_load_trace_pass,
 )
-from repro.artifacts.store import ArtifactStore, pass_key, trace_key
-from repro.config import TABLE1
+from repro.artifacts.store import ArtifactStore
+from repro.engine.spec import RunSpec
 
 BENCH = "stream"
 N = 800
 SEED = 77
+SPEC = RunSpec((BENCH,), N, seed=SEED)
 
 
 @pytest.fixture
@@ -39,11 +42,9 @@ def _same_pass(a, b):
 
 class TestBitIdentity:
     def test_cold_warm_disabled_agree(self, store):
-        uncached = compute_trace_pass(BENCH, N, seed=SEED)
-        cold = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
-        warm = load_or_compute_trace_pass(
-            BENCH, N, seed=SEED, store=_fresh(store)
-        )
+        uncached = compute_trace_pass(SPEC)
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        warm = load_or_compute_trace_pass(SPEC, store=_fresh(store))
         _same_pass(cold, uncached)
         _same_pass(warm, uncached)
         assert not uncached.cached
@@ -51,36 +52,34 @@ class TestBitIdentity:
         assert warm.cached
 
     def test_cold_run_writes_both_artifacts(self, store):
-        load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        load_or_compute_trace_pass(SPEC, store=store)
         kinds = {e.kind for e in store.entries()}
         assert kinds == {"trace", "pass"}
         assert store.stats.stores == 2
 
     def test_warm_run_skips_compute(self, store):
-        load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        load_or_compute_trace_pass(SPEC, store=store)
         fresh = _fresh(store)
-        tp = try_load_trace_pass(BENCH, N, seed=SEED, store=fresh)
+        tp = try_load_trace_pass(SPEC, store=fresh)
         assert tp is not None and tp.cached
         assert fresh.stats.hits == 1
         assert fresh.stats.stores == 0
 
     def test_use_cache_false_never_touches_store(self, store):
-        tp = load_or_compute_trace_pass(
-            BENCH, N, seed=SEED, store=store, use_cache=False
-        )
+        tp = load_or_compute_trace_pass(SPEC, store=store, use_cache=False)
         assert not tp.cached
         assert store.stats.hits == store.stats.misses == store.stats.stores == 0
         assert list(store.entries()) == []
 
     def test_env_kill_switch_disables_try_load(self, store, monkeypatch):
-        load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        load_or_compute_trace_pass(SPEC, store=store)
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
-        assert try_load_trace_pass(BENCH, N, seed=SEED, store=_fresh(store)) is None
+        assert try_load_trace_pass(SPEC, store=_fresh(store)) is None
 
     def test_decoded_requests_match_raw(self, store):
         from repro.artifacts.shm import decode_requests
 
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        tp = load_or_compute_trace_pass(SPEC, store=store)
         reqs = tp.requests()
         decoded = decode_requests(tp.raw)
         assert [r.addr for r in reqs] == [r.addr for r in decoded]
@@ -90,11 +89,11 @@ class TestBitIdentity:
 
 class TestPartialHits:
     def test_trace_hit_pass_miss_recomputes_hierarchy_only(self, store):
-        cold = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
-        pkey = pass_key(BENCH, N, SEED, TABLE1)
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        pkey = SPEC.pass_key()
         store._path("pass", pkey).unlink()
         fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=fresh)
+        tp = load_or_compute_trace_pass(SPEC, store=fresh)
         _same_pass(tp, cold)
         # The trace artifact hit, so only the pass was re-stored.
         assert fresh.stats.stores == 1
@@ -102,55 +101,59 @@ class TestPartialHits:
         assert entries == {"trace", "pass"}
 
     def test_corrupt_pass_artifact_recomputes(self, store):
-        cold = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
-        pkey = pass_key(BENCH, N, SEED, TABLE1)
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        pkey = SPEC.pass_key()
         store._path("pass", pkey).write_bytes(b"torn write")
         fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=fresh)
+        tp = load_or_compute_trace_pass(SPEC, store=fresh)
         _same_pass(tp, cold)
         assert fresh.stats.errors >= 1
         # And the recomputed artifact is valid for the next reader.
-        again = try_load_trace_pass(BENCH, N, seed=SEED, store=_fresh(store))
+        again = try_load_trace_pass(SPEC, store=_fresh(store))
         assert again is not None
         _same_pass(again, cold)
 
     def test_corrupt_trace_artifact_recomputes(self, store):
-        cold = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
-        tkey = trace_key(BENCH, N, SEED, TABLE1)
-        pkey = pass_key(BENCH, N, SEED, TABLE1)
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        tkey = SPEC.trace_key()
+        pkey = SPEC.pass_key()
         store._path("trace", tkey).write_bytes(b"garbage")
         store._path("pass", pkey).unlink()
         fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=fresh)
+        tp = load_or_compute_trace_pass(SPEC, store=fresh)
         _same_pass(tp, cold)
 
     def test_wrong_shape_pass_payload_is_rejected(self, store):
         """A structurally valid npz whose contents don't match the
         TracePass schema must fall through to recompute, not crash."""
-        cold = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
-        pkey = pass_key(BENCH, N, SEED, TABLE1)
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        pkey = SPEC.pass_key()
         bogus = ArtifactStore(store.root)
         bogus.put("pass", pkey, {"benchmark": BENCH}, wrong=np.arange(4))
         fresh = _fresh(store)
-        assert try_load_trace_pass(BENCH, N, seed=SEED, store=fresh) is None
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=fresh)
+        assert try_load_trace_pass(SPEC, store=fresh) is None
+        tp = load_or_compute_trace_pass(SPEC, store=fresh)
         _same_pass(tp, cold)
 
 
 class TestKeySensitivity:
     def test_different_parameters_do_not_cross_hit(self, store):
-        load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        load_or_compute_trace_pass(SPEC, store=store)
         assert (
-            try_load_trace_pass(BENCH, N, seed=SEED + 1, store=_fresh(store))
-            is None
-        )
-        assert (
-            try_load_trace_pass(BENCH, N // 2, seed=SEED, store=_fresh(store))
+            try_load_trace_pass(
+                replace(SPEC, seed=SEED + 1), store=_fresh(store)
+            )
             is None
         )
         assert (
             try_load_trace_pass(
-                BENCH, N, seed=SEED, fine_grain=True, store=_fresh(store)
+                replace(SPEC, n_accesses=N // 2), store=_fresh(store)
+            )
+            is None
+        )
+        assert (
+            try_load_trace_pass(
+                replace(SPEC, fine_grain=True), store=_fresh(store)
             )
             is None
         )
@@ -158,7 +161,7 @@ class TestKeySensitivity:
     def test_pickled_pass_drops_decoded_list(self, store):
         import pickle
 
-        tp = load_or_compute_trace_pass(BENCH, N, seed=SEED, store=store)
+        tp = load_or_compute_trace_pass(SPEC, store=store)
         tp.requests()
         clone = pickle.loads(pickle.dumps(tp))
         assert clone._requests is None

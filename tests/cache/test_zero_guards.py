@@ -25,10 +25,7 @@ ENGINES = ("reference", "auto")
 
 
 def _system(kind: CoalescerKind, engine: str, **kw) -> System:
-    return System(
-        config=TABLE1, coalescer=kind,
-        engine=System.arm_engine(kind, engine), **kw,
-    )
+    return System(config=TABLE1, coalescer=kind, engine=engine, **kw)
 
 
 class TestRawStreamZeroGuards:

@@ -122,9 +122,14 @@ class TestDispatchRules:
 
     @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
     def test_arm_engine_maps_batched_to_auto_off_pac(self, kind):
-        assert System.arm_engine(kind, "batched") == "auto"
-        assert System.arm_engine(kind, "reference") == "reference"
-        assert System.arm_engine(CoalescerKind.PAC, "batched") == "batched"
+        from repro.engine.spec import RunSpec
+
+        def arm_engine(arm, engine):
+            return RunSpec(("gs",), 1, engine=engine).for_arm(arm).engine
+
+        assert arm_engine(kind, "batched") == "auto"
+        assert arm_engine(kind, "reference") == "reference"
+        assert arm_engine(CoalescerKind.PAC, "batched") == "batched"
 
 
 class TestGridLevelEngine:

@@ -143,9 +143,12 @@ class TestFrontendEngineThreading:
         import numpy as np
 
         from repro.artifacts.pipeline import compute_trace_pass
+        from repro.engine.spec import RunSpec
 
-        ref = compute_trace_pass("gs", N, seed=SEED, engine="reference")
-        bat = compute_trace_pass("gs", N, seed=SEED, engine="auto")
+        ref = compute_trace_pass(
+            RunSpec(("gs",), N, seed=SEED, engine="reference")
+        )
+        bat = compute_trace_pass(RunSpec(("gs",), N, seed=SEED))
         np.testing.assert_array_equal(ref.raw, bat.raw)
         assert ref.cache_metrics == bat.cache_metrics
         assert ref.trace_end_cycle == bat.trace_end_cycle

@@ -243,10 +243,6 @@ class TestConstructorRefusals:
             with pytest.raises(ValueError, match="span"):
                 cls(spans=SpanRecorder(seed=1))
 
-    def test_refuses_telemetry_instance(self):
-        with pytest.raises(ValueError, match="telemetry"):
-            BatchedHMCDevice(telemetry=True)
-
     def test_accepts_null_probes(self):
         from repro.telemetry import NULL_SPANS, NULL_TELEMETRY
 

@@ -1,112 +1,97 @@
-"""Tests for HMC telemetry (latency breakdown, vault heat)."""
+"""HMC per-packet latency breakdown, recorded as device spans.
 
-import pytest
+With a :class:`~repro.telemetry.SpanRecorder`, the device records one
+:class:`~repro.telemetry.PacketSpan` per packet that carries a tracked
+request: its vault, link, and the link_wait/route/vault_wait/dram/
+response segments between submission and completion.
+"""
 
-from repro.common.types import CoalescedRequest, MemOp
+from repro.common.types import CoalescedRequest, MemOp, MemoryRequest
 from repro.hmc.device import HMCDevice
-from repro.hmc.telemetry import PacketRecord, Telemetry
+from repro.telemetry import SpanRecorder
 
 
-def pkt(addr=0, size=64, op=MemOp.LOAD):
-    return CoalescedRequest(addr=addr, size=size, op=op, constituents=(1,))
+def traced_device(recorder=None):
+    recorder = recorder if recorder is not None else SpanRecorder(
+        sample_rate=1, seed=1
+    )
+    return HMCDevice(spans=recorder), recorder
 
 
-class TestTelemetryRecorder:
-    def _rec(self, vault=0, remote=False, dram=96):
-        return PacketRecord(
-            addr=0, size=64, vault=vault, link=0, remote=remote,
-            submit_cycle=0, link_wait=5, route=2, vault_wait=4,
-            dram=dram, response=7,
-        )
+def submit_tracked(dev, recorder, addr=0, cycle=0, size=64):
+    """Admit one request into ``recorder`` and submit it as a packet."""
+    req = MemoryRequest(addr=addr, size=size, op=MemOp.LOAD, cycle=cycle)
+    recorder.admit(len(recorder._by_req), req, cycle)
+    packet = CoalescedRequest(
+        addr=addr, size=size, op=MemOp.LOAD, constituents=(req.req_id,)
+    )
+    return dev.submit(packet, cycle)
 
-    def test_record_and_total(self):
-        t = Telemetry()
-        t.record(self._rec())
-        assert len(t) == 1
-        assert t.records[0].total == 5 + 2 + 4 + 96 + 7
 
-    def test_capacity_drops(self):
-        t = Telemetry(capacity=1)
-        t.record(self._rec())
-        t.record(self._rec())
-        assert len(t) == 1
-        assert t.dropped == 1
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Telemetry(capacity=0)
-
-    def test_component_means(self):
-        t = Telemetry()
-        t.record(self._rec(dram=90))
-        t.record(self._rec(dram=110))
-        means = t.component_means()
-        assert means["dram"] == pytest.approx(100)
-        assert means["route"] == pytest.approx(2)
-
-    def test_empty_summary(self):
-        s = Telemetry().summary()
-        assert s["p99"] == 0.0
-        assert s["n_records"] == 0.0
-
-    def test_percentiles_ordered(self):
-        t = Telemetry()
-        for d in range(100):
-            t.record(self._rec(dram=d))
-        p = t.latency_percentiles()
-        assert p["p50"] <= p["p95"] <= p["p99"] <= p["max"]
-
-    def test_vault_heat(self):
-        t = Telemetry()
-        t.record(self._rec(vault=3))
-        t.record(self._rec(vault=3))
-        t.record(self._rec(vault=7))
-        assert t.vault_heat() == {3: 2, 7: 1}
-
-    def test_remote_fraction(self):
-        t = Telemetry()
-        t.record(self._rec(remote=True))
-        t.record(self._rec(remote=False))
-        assert t.remote_fraction() == pytest.approx(0.5)
+def packet_spans(recorder):
+    """Packet spans in submission order (each carries one request)."""
+    return sorted(recorder.finalize().packets, key=lambda p: p.tracked)
 
 
 class TestDeviceIntegration:
     def test_disabled_by_default(self):
         dev = HMCDevice()
-        dev.submit(pkt(), 0)
-        assert dev.telemetry is None
+        assert not dev._spans_on
+        dev.submit(
+            CoalescedRequest(addr=0, size=64, op=MemOp.LOAD,
+                             constituents=(1,)),
+            0,
+        )
 
     def test_enabled_records_every_packet(self):
-        dev = HMCDevice(telemetry=True)
+        dev, recorder = traced_device()
         for i in range(5):
-            dev.submit(pkt(addr=i * 256), 0)
-        assert len(dev.telemetry) == 5
+            submit_tracked(dev, recorder, addr=i * 256)
+        assert len(packet_spans(recorder)) == 5
 
     def test_breakdown_sums_to_latency(self):
-        dev = HMCDevice(telemetry=True)
-        completion = dev.submit(pkt(), 0)
-        rec = dev.telemetry.records[0]
-        assert rec.total == completion - 0
+        """The segments tile [start, completion]: contiguous, in order,
+        and summing to the packet's latency."""
+        dev, recorder = traced_device()
+        completions = [
+            submit_tracked(dev, recorder, addr=i * 64, cycle=i)
+            for i in range(40)
+        ]
+        spans = packet_spans(recorder)
+        assert [s.completion for s in spans] == completions
+        for span in spans:
+            names = [name for name, _, _ in span.segments]
+            assert names == [
+                "link_wait", "route", "vault_wait", "dram", "response"
+            ]
+            cursor = span.start
+            for _, start, end in span.segments:
+                assert start == cursor and end >= start
+                cursor = end
+            assert cursor == span.completion
 
     def test_vault_heat_matches_address_map(self):
-        dev = HMCDevice(telemetry=True)
-        dev.submit(pkt(addr=0), 0)        # vault 0
-        dev.submit(pkt(addr=256), 0)      # vault 1
-        heat = dev.telemetry.vault_heat()
-        assert set(heat) == {0, 1}
+        dev, recorder = traced_device()
+        addrs = [0, 256, 4096, 1 << 20, (1 << 20) + 256]
+        for addr in addrs:
+            submit_tracked(dev, recorder, addr=addr)
+        vaults = [span.vault for span in packet_spans(recorder)]
+        assert vaults == [dev.address_map.locate(a).vault for a in addrs]
+        assert {0, 1} <= set(vaults)
 
     def test_dram_component_dominates_unloaded(self):
-        dev = HMCDevice(telemetry=True)
-        dev.submit(pkt(), 0)
-        means = dev.telemetry.component_means()
-        assert means["dram"] >= max(
-            means["link_wait"], means["route"], means["response"]
+        dev, recorder = traced_device()
+        submit_tracked(dev, recorder)
+        (span,) = packet_spans(recorder)
+        cycles = {name: end - start for name, start, end in span.segments}
+        assert cycles["dram"] >= max(
+            cycles["link_wait"], cycles["route"], cycles["response"]
         )
 
     def test_custom_recorder_instance(self):
-        recorder = Telemetry(capacity=2)
-        dev = HMCDevice(telemetry=recorder)
+        recorder = SpanRecorder(sample_rate=1, seed=5)
+        dev, same = traced_device(recorder)
+        assert same is recorder
         for i in range(4):
-            dev.submit(pkt(addr=i * 256), 0)
-        assert len(recorder) == 2
-        assert recorder.dropped == 2
+            submit_tracked(dev, recorder, addr=i * 256)
+        assert len(recorder._packets) == 4

@@ -85,6 +85,30 @@ class TestTraceCommand:
         loaded = AccessTrace.load(path)
         assert len(loaded) == 2000
 
+    def _cpu_trace(self, tmp_path, global_args, sub_args=()):
+        """``repro [global_args] trace gs PATH --stage cpu [sub_args]``."""
+        path = tmp_path / f"t{len(list(tmp_path.iterdir()))}.npz"
+        argv = [*global_args, "trace", "gs", str(path), "--stage", "cpu"]
+        assert main([*argv, *sub_args]) == 0
+        return AccessTrace.load(path)
+
+    def test_subcommand_overrides_win_over_globals(self, tmp_path):
+        both = self._cpu_trace(
+            tmp_path, ["--accesses", "900", "--seed", "3"],
+            ["--accesses", "700", "--seed", "4"],
+        )
+        same_as_global = self._cpu_trace(
+            tmp_path, ["--accesses", "700", "--seed", "4"]
+        )
+        assert len(both) == 700
+        np.testing.assert_array_equal(both.addrs, same_as_global.addrs)
+
+    def test_globals_apply_without_subcommand_overrides(self, tmp_path):
+        seed3 = self._cpu_trace(tmp_path, ["--accesses", "900", "--seed", "3"])
+        seed4 = self._cpu_trace(tmp_path, ["--accesses", "900", "--seed", "4"])
+        assert len(seed3) == len(seed4) == 900
+        assert not np.array_equal(seed3.addrs, seed4.addrs)
+
     def test_timeline_mode_without_output_path(self, capsys):
         assert main(["trace", "gs", "--accesses", "2000"]) == 0
         out = capsys.readouterr().out

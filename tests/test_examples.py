@@ -46,6 +46,12 @@ class TestExamples:
         assert "ablation: timeout" in out
         assert "ablation: address-mapping" in out
 
+    def test_latency_breakdown(self):
+        out = run_example("latency_breakdown.py", "3000")
+        assert "HMC latency breakdown on GS" in out
+        assert "vault_wait" in out
+        assert "PAC vault heat" in out
+
     def test_all_examples_exist_and_are_executable_python(self):
         names = {p.name for p in EXAMPLES.glob("*.py")}
         assert {
