@@ -18,9 +18,9 @@ Commands
               queue/stage1/network/maq/mshr/device); ``--perfetto``
               exports Chrome trace-event JSON loadable in Perfetto.
 ``bench``     Benchmark the simulator itself (wall-clock, raw requests
-              per second, per-phase split, RSS peak); writes the
-              machine-readable ``BENCH_<name>.json`` perf trajectory and
-              optionally gates against a checked-in baseline.
+              per second, per-stage engine speedups, RSS peak); writes
+              the machine-readable ``BENCH_<name>.json`` perf trajectory
+              and optionally gates against a checked-in baseline.
 ``health``    Run a supervised suite and print its execution-health
               report (retries, timeouts, pool rebuilds, degradation
               ladder, shm leak check) — optionally under an injected

@@ -2,14 +2,14 @@
 
 Where :mod:`repro.experiments` measures the *modeled hardware*,
 :mod:`repro.bench` measures the *simulator*: wall-clock seconds, raw
-requests per second, per-phase time splits, and peak RSS. The harness is
-the repo's permanent perf trajectory — ``repro bench`` emits a
-machine-readable ``BENCH_<name>.json`` at the repo root that future PRs
-compare against (CI fails when end-to-end throughput regresses more
-than 30% versus the checked-in baseline).
+requests per second, per-stage engine speedups, and peak RSS.
+``repro bench`` emits a machine-readable ``BENCH_<name>.json`` that
+CI gates against a checked-in baseline (it fails when end-to-end
+throughput or an engine-stage speedup drops more than 30%).
 
 The golden rule (see CONTRIBUTING.md): optimize only with a benchmark
-and a golden check. Every claimed speedup must show up here, and
+and a golden check. A claimed end-to-end gain must show up in the repo
+benchmark (``perf/run.py``), an engine-stage gain here, and
 ``tests/golden_results.json`` / ``tests/test_fastpath_equivalence.py``
 must prove the optimized paths are bit-identical.
 """
@@ -18,10 +18,12 @@ from repro.bench.harness import (
     BENCH_BENCHMARKS,
     BenchConfig,
     BenchReport,
-    PhaseTimes,
+    SPEEDUPS,
+    STAGES,
     StageTimes,
     Timing,
     run_bench,
+    stage_legs,
 )
 from repro.bench.profiler import (
     ProfileReport,
@@ -42,9 +44,10 @@ __all__ = [
     "BENCH_BENCHMARKS",
     "BenchConfig",
     "BenchReport",
-    "PhaseTimes",
     "ProfileReport",
     "RegressionError",
+    "SPEEDUPS",
+    "STAGES",
     "StageProfile",
     "StageTimes",
     "Timing",
@@ -55,5 +58,6 @@ __all__ = [
     "render_report",
     "run_bench",
     "run_profile",
+    "stage_legs",
     "write_report",
 ]

@@ -1,4 +1,4 @@
-"""The microbenchmark harness: warmup, min-of-N repeats, phase splits.
+"""The microbenchmark harness: warmup, min-of-N repeats, stage legs.
 
 Methodology (pyperf-style):
 
@@ -9,22 +9,15 @@ Methodology (pyperf-style):
 * end-to-end measurements drive :func:`repro.engine.driver.run_comparison`
   — the none/dmc/pac arms on one regenerated trace, i.e. exactly what a
   design-space sweep runs per (benchmark, config) point;
-* the per-phase split wraps the run in phase timers: **trace-gen**
-  (workload generation + page-table translation), **cache** (hierarchy
-  walk producing the raw stream), **device** (cycles spent inside
-  ``MemoryDevice.submit``), and **coalescer** (everything else in
-  ``Coalescer.process``, i.e. stage 1 + network + MAQ + MSHRs);
-* per-stage isolation benchmarks re-run a single stage over a
-  pre-computed input so stage costs can be compared without upstream
-  noise; the coalescer stage is measured once per execution engine
-  (``coalescer`` = the batched kernel, ``coalescer_reference`` = the
-  per-request object pipeline), and the two front-end stages likewise
-  (``trace_gen``/``cache`` on the batched front-end,
-  ``trace_gen_reference``/``cache_reference`` on the scalar reference),
-  and the device stage completes the set (``device`` = the batched
-  back-end's ``submit_window`` replay, ``device_reference`` = the
-  scalar per-packet ``submit`` loop), so all three engine speedups are
-  first-class harness outputs;
+* the engine split times each pipeline stage alone over fixed input,
+  once per execution engine: the unsuffixed leg on ``engine="auto"``
+  (the batched twin a clean PAC run resolves to) and the
+  ``_reference`` leg on ``engine="reference"``. :func:`stage_legs`
+  defines the four legs (:data:`STAGES`) once, for the harness and the
+  profiler alike, each as the one call production makes for that
+  stage; :data:`SPEEDUPS` names the three reference-over-batched
+  ratios they add up to. A per-layer split of a whole run lives in the
+  repo benchmark (``perf/run.py --trace 1``), not here;
 * peak RSS comes from ``resource.getrusage`` (kilobytes on Linux).
 
 **Best vs median.** Every :class:`Timing` retains all samples, and
@@ -48,7 +41,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import TABLE1
 from repro.engine.driver import run_comparison
@@ -68,7 +61,18 @@ BENCH_BENCHMARKS = ("gs", "hpcg", "stream", "bfs")
 #: the *work* must be identical across harness invocations.
 BENCH_SEED = 1234
 
-PHASES = ("trace_gen", "cache", "coalescer", "device")
+#: Engine-split stage legs, in report order; each is timed on
+#: ``engine="auto"`` (leg ``<stage>``) and ``engine="reference"`` (leg
+#: ``<stage>_reference``).
+STAGES = ("trace_gen", "cache", "coalescer", "device")
+
+#: Each reported engine-speedup ratio and the stage legs it sums:
+#: reference seconds over batched seconds, min-of-N each.
+SPEEDUPS = {
+    "coalescer": ("coalescer",),
+    "frontend": ("trace_gen", "cache"),
+    "device": ("device",),
+}
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -120,80 +124,38 @@ class Timing:
 
 
 @dataclass
-class PhaseTimes:
-    """Per-phase wall-clock split of one end-to-end comparison run."""
-
-    trace_gen: float = 0.0
-    cache: float = 0.0
-    coalescer: float = 0.0
-    device: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.trace_gen + self.cache + self.coalescer + self.device
-
-    def as_dict(self) -> Dict:
-        return {p: getattr(self, p) for p in PHASES}
-
-
-@dataclass
 class StageTimes:
-    """Single-stage isolation timings for one benchmark.
-
-    The coalescer stage appears once per execution engine:
-    ``coalescer`` is the batched kernel (what ``engine='auto'`` runs on
-    a clean PAC configuration) and ``coalescer_reference`` the
-    per-request object pipeline it must stay bit-identical to. The
-    front-end (``trace_gen``/``cache``) and back-end (``device``)
-    stages follow the same convention with their own ``_reference``
-    legs.
-    """
+    """Stage-leg timings of one benchmark, keyed by leg name."""
 
     timings: Dict[str, Timing] = field(default_factory=dict)
 
-    @property
-    def coalescer_speedup(self) -> float:
-        """Reference-over-batched coalescer-stage ratio (min over min,
-        per the harness selection rule); 0.0 when either is absent."""
-        bat = self.timings.get("coalescer")
-        ref = self.timings.get("coalescer_reference")
-        if bat is None or ref is None or bat.seconds <= 0:
-            return 0.0
-        return ref.seconds / bat.seconds
+    def seconds(self, stages: Sequence[str]) -> Optional[Tuple[float, float]]:
+        """Summed ``(batched, reference)`` min-of-N seconds over the
+        legs of ``stages``; None when any leg is absent."""
+        batched = reference = 0.0
+        for stage in stages:
+            fast = self.timings.get(stage)
+            ref = self.timings.get(f"{stage}_reference")
+            if fast is None or ref is None:
+                return None
+            batched += fast.seconds
+            reference += ref.seconds
+        return batched, reference
 
-    @property
-    def frontend_speedup(self) -> float:
-        """Reference-over-batched front-end ratio: summed trace-gen +
-        cache seconds (min-of-N each); 0.0 when any leg is absent."""
-        tg = self.timings.get("trace_gen")
-        tg_ref = self.timings.get("trace_gen_reference")
-        ca = self.timings.get("cache")
-        ca_ref = self.timings.get("cache_reference")
-        if None in (tg, tg_ref, ca, ca_ref):
+    def speedup(self, name: str) -> float:
+        """Reference-over-batched ratio of :data:`SPEEDUPS` entry
+        ``name``; 0.0 when a leg is absent."""
+        pair = self.seconds(SPEEDUPS[name])
+        if pair is None or pair[0] <= 0:
             return 0.0
-        fast = tg.seconds + ca.seconds
-        if fast <= 0:
-            return 0.0
-        return (tg_ref.seconds + ca_ref.seconds) / fast
-
-    @property
-    def device_speedup(self) -> float:
-        """Reference-over-batched device-stage ratio (min over min, per
-        the harness selection rule); 0.0 when either leg is absent."""
-        bat = self.timings.get("device")
-        ref = self.timings.get("device_reference")
-        if bat is None or ref is None or bat.seconds <= 0:
-            return 0.0
-        return ref.seconds / bat.seconds
+        return pair[1] / pair[0]
 
     def as_dict(self) -> Dict:
         doc = {name: t.as_dict() for name, t in self.timings.items()}
-        if self.coalescer_speedup:
-            doc["coalescer_speedup"] = self.coalescer_speedup
-        if self.frontend_speedup:
-            doc["frontend_speedup"] = self.frontend_speedup
-        if self.device_speedup:
-            doc["device_speedup"] = self.device_speedup
+        for name in SPEEDUPS:
+            ratio = self.speedup(name)
+            if ratio:
+                doc[f"{name}_speedup"] = ratio
         return doc
 
 
@@ -304,7 +266,6 @@ class BenchReport:
     name: str
     config: BenchConfig
     end_to_end: Dict[str, Timing] = field(default_factory=dict)
-    phases: Dict[str, PhaseTimes] = field(default_factory=dict)
     stages: Dict[str, StageTimes] = field(default_factory=dict)
     suite: Optional[SuiteBench] = None
     rss_peak_kb: Optional[int] = None
@@ -324,108 +285,39 @@ class BenchReport:
         secs = self.total_seconds
         return items / secs if secs > 0 else 0.0
 
-    @property
-    def phase_fractions(self) -> Dict[str, float]:
-        """Each phase's share of total instrumented end-to-end time,
-        summed over every benchmark (zeroes when no phase split ran)."""
-        sums = {p: 0.0 for p in PHASES}
-        for split in self.phases.values():
-            for p in PHASES:
-                sums[p] += getattr(split, p)
-        total = sum(sums.values())
-        if total <= 0:
-            return {p: 0.0 for p in PHASES}
-        return {p: sums[p] / total for p in PHASES}
-
-    @property
-    def coalescer_stage_speedup(self) -> float:
-        """Suite-aggregate batched-engine speedup on the isolated
-        coalescer stage: summed reference seconds over summed batched
-        seconds (min-of-N each, per the harness selection rule)."""
-        ref = bat = 0.0
+    def stage_speedup(self, name: str) -> float:
+        """Suite-aggregate engine speedup of :data:`SPEEDUPS` entry
+        ``name``: summed reference seconds over summed batched seconds
+        (min-of-N each). Same-host ratio — the machine-relative stage
+        gates compare it across runs."""
+        batched = reference = 0.0
         for stages in self.stages.values():
-            b = stages.timings.get("coalescer")
-            r = stages.timings.get("coalescer_reference")
-            if b is not None and r is not None:
-                bat += b.seconds
-                ref += r.seconds
-        return ref / bat if bat > 0 else 0.0
-
-    @property
-    def frontend_stage_speedup(self) -> float:
-        """Suite-aggregate batched front-end speedup on the isolated
-        trace-gen + cache stages: summed reference seconds over summed
-        batched seconds (min-of-N each). Same-host ratio — the
-        machine-relative stage gate compares it across runs."""
-        ref = bat = 0.0
-        for stages in self.stages.values():
-            legs = [
-                stages.timings.get(n)
-                for n in (
-                    "trace_gen", "cache",
-                    "trace_gen_reference", "cache_reference",
-                )
-            ]
-            if None in legs:
-                continue
-            bat += legs[0].seconds + legs[1].seconds
-            ref += legs[2].seconds + legs[3].seconds
-        return ref / bat if bat > 0 else 0.0
-
-    @property
-    def device_stage_speedup(self) -> float:
-        """Suite-aggregate batched back-end speedup on the isolated
-        device stage: summed reference seconds over summed batched
-        seconds (min-of-N each). Same-host ratio — the machine-relative
-        stage gate compares it across runs, like the other two."""
-        ref = bat = 0.0
-        for stages in self.stages.values():
-            b = stages.timings.get("device")
-            r = stages.timings.get("device_reference")
-            if b is not None and r is not None:
-                bat += b.seconds
-                ref += r.seconds
-        return ref / bat if bat > 0 else 0.0
+            pair = stages.seconds(SPEEDUPS[name])
+            if pair is not None:
+                batched += pair[0]
+                reference += pair[1]
+        return reference / batched if batched > 0 else 0.0
 
     def as_dict(self) -> Dict:
         return {
-            "schema": "repro-bench/3",
+            "schema": "repro-bench/4",
             "name": self.name,
             "config": self.config.as_dict(),
             "python": self.python,
             "platform": self.platform,
             "end_to_end": {b: t.as_dict() for b, t in self.end_to_end.items()},
-            "phases": {b: p.as_dict() for b, p in self.phases.items()},
             "stages": {b: s.as_dict() for b, s in self.stages.items()},
             "suite": self.suite.as_dict() if self.suite else None,
             "rss_peak_kb": self.rss_peak_kb,
             "totals": {
                 "end_to_end_seconds": self.total_seconds,
                 "requests_per_second": self.total_requests_per_second,
-                "fraction_of_end_to_end": self.phase_fractions,
-                "coalescer_stage_speedup": self.coalescer_stage_speedup,
-                "frontend_stage_speedup": self.frontend_stage_speedup,
-                "device_stage_speedup": self.device_stage_speedup,
+                **{
+                    f"{name}_stage_speedup": self.stage_speedup(name)
+                    for name in SPEEDUPS
+                },
             },
         }
-
-
-class _TimedDevice:
-    """Device proxy accumulating wall-clock spent inside ``submit`` so
-    the coalescer phase can be reported net of memory-device time."""
-
-    def __init__(self, device) -> None:
-        self._device = device
-        self.seconds = 0.0
-
-    def submit(self, packet, cycle: int) -> int:
-        t0 = time.perf_counter()
-        completion = self._device.submit(packet, cycle)
-        self.seconds += time.perf_counter() - t0
-        return completion
-
-    def __getattr__(self, name):
-        return getattr(self._device, name)
 
 
 def _min_of(
@@ -548,34 +440,81 @@ def _measure_suite(cfg: BenchConfig) -> SuiteBench:
     return suite
 
 
-def _measure_phases(bench: str, cfg: BenchConfig) -> PhaseTimes:
-    """One instrumented pass over the three comparison arms, split into
-    the four phases. Reported once (not min-of-N): the split's *shape*
-    is the signal; absolute seconds come from the end-to-end timing."""
-    phases = PhaseTimes()
-    for kind in (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC):
-        system = System(config=TABLE1, coalescer=kind)
-        t0 = time.perf_counter()
-        trace = system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-        t1 = time.perf_counter()
-        raw = system.hierarchy.process(trace)
-        t2 = time.perf_counter()
-        timed = _TimedDevice(system.device)
-        system.coalescer.process(raw.requests, timed)
-        t3 = time.perf_counter()
-        phases.trace_gen += t1 - t0
-        phases.cache += t2 - t1
-        phases.coalescer += (t3 - t2) - timed.seconds
-        phases.device += timed.seconds
-    return phases
+def stage_legs(
+    bench: str, cfg: BenchConfig,
+) -> Dict[str, Tuple[int, Callable[[str], Callable[[], object]]]]:
+    """The engine-split stage legs of one benchmark, keyed by stage.
+
+    Each value is ``(items, prepare)``: ``prepare(engine)`` builds a
+    fresh stage on ``engine`` (stages hold state) and returns the one
+    call to time or profile — the call production makes for that
+    stage. Shared inputs (the trace, the raw stream, the PAC arm's
+    issued packets) are built once here, so no leg pays for its
+    upstream or for ``System`` construction.
+    """
+    base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
+    trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
+    requests = base.hierarchy.process(trace).requests
+    issued = base.coalescer.process(requests, base.device).issued
+
+    def fresh(engine: str) -> System:
+        return System(
+            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
+        )
+
+    def trace_gen(engine: str):
+        system = fresh(engine)
+        return lambda: system.build_trace(
+            [bench], cfg.n_accesses, seed=cfg.seed
+        )
+
+    def cache(engine: str):
+        hierarchy = fresh(engine).hierarchy
+        return lambda: hierarchy.process(trace)
+
+    def coalescer(engine: str):
+        system = fresh(engine)
+        return lambda: system.coalescer.process(requests, system.device)
+
+    def device(engine: str):
+        # What run_raw does after the coalescer: per-packet submit at
+        # each packet's issue cycle, then one merge on the batched twin.
+        system = fresh(engine)
+        dev = system.device
+        batched = system.backend_engine == "batched"
+
+        def replay() -> None:
+            submit = dev.submit
+            for packet in issued:
+                submit(packet, packet.issue_cycle)
+            if batched:
+                dev.sync()
+
+        return replay
+
+    return {
+        "trace_gen": (cfg.n_accesses, trace_gen),
+        "cache": (len(requests), cache),
+        "coalescer": (len(requests), coalescer),
+        "device": (len(issued), device),
+    }
 
 
 def _interleaved_engine_pair(
-    once: Callable[[str], float], items: int, repeats: int, warmup: int,
+    prepare: Callable[[str], Callable[[], object]],
+    items: int, repeats: int, warmup: int,
 ) -> tuple:
-    """Min-of-N over a fast/reference engine pair, repeats interleaved
-    so machine-load drift hits both paths symmetrically instead of
-    biasing whichever ran second. Returns ``(fast, reference)``."""
+    """Min-of-N of one stage leg on ``auto`` and on ``reference``,
+    repeats interleaved so machine-load drift hits both engines
+    symmetrically instead of biasing whichever ran second. Stage
+    construction stays outside the timer. Returns ``(fast, reference)``."""
+
+    def once(engine: str) -> float:
+        call = prepare(engine)
+        t0 = time.perf_counter()
+        call()
+        return time.perf_counter() - t0
+
     for _ in range(warmup):
         once("auto")
         once("reference")
@@ -591,118 +530,12 @@ def _interleaved_engine_pair(
 
 
 def _measure_stages(bench: str, cfg: BenchConfig) -> StageTimes:
-    """Isolation benchmarks: each stage re-runs alone over fixed input.
-
-    The two front-end stages are measured once per engine —
-    ``trace_gen``/``cache`` on the default (batched) front-end,
-    ``trace_gen_reference``/``cache_reference`` on the scalar
-    generators and hierarchy they must stay bit-identical to — so the
-    front-end engine speedup is a first-class harness output alongside
-    the coalescer's.
-    """
+    """Time every stage leg of one benchmark on both engines."""
     out = StageTimes()
-
-    def trace_gen_once(engine: str) -> float:
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.NONE, engine=engine
+    for stage, (items, prepare) in stage_legs(bench, cfg).items():
+        out.timings[stage], out.timings[f"{stage}_reference"] = (
+            _interleaved_engine_pair(prepare, items, cfg.repeats, cfg.warmup)
         )
-        t0 = time.perf_counter()
-        system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-        return time.perf_counter() - t0
-
-    out.timings["trace_gen"], out.timings["trace_gen_reference"] = (
-        _interleaved_engine_pair(
-            trace_gen_once, cfg.n_accesses, cfg.repeats, cfg.warmup
-        )
-    )
-
-    base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-    n_raw_items = len(base.hierarchy.process(trace).requests)
-
-    def cache_once(engine: str) -> float:
-        # The hierarchy is built outside the timed region — this
-        # measures the cache pass, not per-core L1 construction.
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        hierarchy = system.hierarchy
-        t0 = time.perf_counter()
-        hierarchy.process(trace)
-        return time.perf_counter() - t0
-
-    out.timings["cache"], out.timings["cache_reference"] = (
-        _interleaved_engine_pair(
-            cache_once, n_raw_items, cfg.repeats, cfg.warmup
-        )
-    )
-
-    raw = System(
-        config=TABLE1, coalescer=CoalescerKind.PAC
-    ).hierarchy.process(trace)
-
-    def coalescer_once(engine: str) -> float:
-        # Fresh coalescer + device each iteration (they hold state),
-        # constructed OUTSIDE the timed region — this measures the
-        # stage, not object setup. Device submit time is left in: both
-        # engines pay it identically, so the ratio is conservative.
-        system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        process = system.coalescer.process
-        device = system.device
-        requests = raw.requests
-        t0 = time.perf_counter()
-        process(requests, device)
-        return time.perf_counter() - t0
-
-    # Interleave the two engines' repeats so a machine-load drift hits
-    # both paths symmetrically instead of biasing whichever ran second.
-    for _ in range(cfg.warmup):
-        coalescer_once("batched")
-        coalescer_once("reference")
-    bat_samples: List[float] = []
-    ref_samples: List[float] = []
-    for _ in range(cfg.repeats):
-        bat_samples.append(coalescer_once("batched"))
-        ref_samples.append(coalescer_once("reference"))
-    n_items = len(raw.requests)
-    out.timings["coalescer"] = Timing(
-        seconds=min(bat_samples), samples=bat_samples, items=n_items
-    )
-    out.timings["coalescer_reference"] = Timing(
-        seconds=min(ref_samples), samples=ref_samples, items=n_items
-    )
-
-    setup = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    issued = setup.coalescer.process(raw.requests, setup.device).issued
-
-    def device_once(engine: str) -> float:
-        # Replay the PAC arm's issued packets straight into a fresh
-        # device — pure memory-model cost, once per back-end engine:
-        # the batched leg drives the window-at-a-time surface
-        # (``submit_window``), the reference leg the per-packet
-        # ``submit`` loop it must stay bit-identical to. Setup (the
-        # issuing run, device construction) stays outside the timer.
-        replay_system = System(
-            config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-        )
-        dev = replay_system.device
-        if engine == "reference":
-            submit = dev.submit
-            t0 = time.perf_counter()
-            for packet in issued:
-                submit(packet, packet.issue_cycle)
-            return time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dev.submit_window(issued)
-        return time.perf_counter() - t0
-
-    out.timings["device"], out.timings["device_reference"] = (
-        _interleaved_engine_pair(
-            device_once, len(issued), cfg.repeats, cfg.warmup
-        )
-    )
     return out
 
 
@@ -725,11 +558,9 @@ def run_bench(
     for bench in cfg.benchmarks:
         say(f"[{bench}] end-to-end ({cfg.repeats} repeats)...")
         report.end_to_end[bench] = _measure_end_to_end(bench, cfg)
-        say(f"[{bench}] phase split...")
-        report.phases[bench] = _measure_phases(bench, cfg)
-        # Quick mode measures stages too: the CI coalescer-stage gate
-        # compares stage timings, so the smoke baseline must carry them.
-        say(f"[{bench}] stage isolation...")
+        # Quick mode measures stages too: the CI stage gates compare
+        # stage timings, so the smoke baseline must carry them.
+        say(f"[{bench}] stage legs...")
         report.stages[bench] = _measure_stages(bench, cfg)
     say("[suite] two-phase pipeline vs per-job baseline...")
     report.suite = _measure_suite(cfg)

@@ -1,19 +1,19 @@
 """Per-stage cProfile hotspot capture for ``repro bench --profile``.
 
 Where the harness (:mod:`repro.bench.harness`) answers *how fast*, this
-module answers *where the time goes*: each pipeline stage — both
-front-end engines of trace_gen and cache, both coalescer engines,
-both device engines — runs once under :mod:`cProfile`, and the top
-functions by
-**cumulative time** are extracted per stage. Profiling adds interpreter overhead, so these
+module answers *where the time goes*: each stage leg the harness times
+(:func:`repro.bench.harness.stage_legs` — trace_gen, cache, coalescer
+and device, each on the batched and the reference engine) runs once
+under :mod:`cProfile`, and the top functions by **cumulative time** are
+extracted per leg. Profiling adds interpreter overhead, so these
 numbers are for ranking hotspots, never for speedup claims; the
 harness's unprofiled timings remain the only quotable seconds.
 
 Output is both machine-readable (``PROFILE_<name>.json``, schema
-``repro-profile/1``) and a rendered per-stage table. Stage inputs are
-precomputed outside the profiler (the coalescer stages profile over a
-ready-made raw stream, not trace generation), so each stage's profile
-is not polluted by its upstream.
+``repro-profile/1``) and a rendered per-stage table. Stage inputs and
+stage construction stay outside the profiler (the coalescer legs
+profile over a ready-made raw stream, not trace generation), so each
+leg's profile is not polluted by its upstream.
 """
 
 from __future__ import annotations
@@ -24,25 +24,16 @@ import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.config import TABLE1
-from repro.engine.system import CoalescerKind, System
-
-from repro.bench.harness import BenchConfig
+from repro.bench.harness import STAGES, BenchConfig, stage_legs
 
 #: Functions reported per stage, ranked by cumulative time.
 TOP_N = 20
 
-#: Stage order in reports (insertion order of ``profile_benchmark``).
-#: The front-end appears once per engine, like the coalescer: the
-#: unsuffixed stages run the batched front-end (vectorized generators,
-#: array-backed hierarchy), the ``_reference`` stages the scalar twins
-#: they are bit-identical to — so a hotspot list exists for both sides
-#: of each engine-speedup ratio the harness reports.
-PROFILE_STAGES = (
-    "trace_gen", "trace_gen_reference",
-    "cache", "cache_reference",
-    "coalescer", "coalescer_reference",
-    "device", "device_reference",
+#: Profiled legs in report order: every stage on the batched engine
+#: (unsuffixed) and on the reference it is bit-identical to, so a
+#: hotspot list exists for both sides of each engine-speedup ratio.
+PROFILE_STAGES = tuple(
+    leg for stage in STAGES for leg in (stage, f"{stage}_reference")
 )
 
 
@@ -121,7 +112,7 @@ def _short_func(func) -> str:
     return f"{filename}:{lineno}({name})"
 
 
-def _profile_once(fn: Callable[[], object]) -> StageProfile:
+def _profile_once(stage: str, fn: Callable[[], object]) -> StageProfile:
     """Run ``fn`` under cProfile; rank its functions by cumtime."""
     profiler = cProfile.Profile()
     profiler.enable()
@@ -129,7 +120,7 @@ def _profile_once(fn: Callable[[], object]) -> StageProfile:
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats(pstats.SortKey.CUMULATIVE)
-    out = StageProfile(stage="")
+    out = StageProfile(stage=stage)
     out.total_seconds = stats.total_tt
     out.total_calls = stats.total_calls
     for func in stats.fcn_list[:TOP_N]:
@@ -145,70 +136,13 @@ def _profile_once(fn: Callable[[], object]) -> StageProfile:
 
 
 def profile_benchmark(bench: str, cfg: BenchConfig) -> Dict[str, StageProfile]:
-    """Profile every pipeline stage of one benchmark, in stage order."""
+    """Profile every stage leg of one benchmark, in stage order."""
     out: Dict[str, StageProfile] = {}
-
-    def trace_gen_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.NONE, engine=engine
-            )
-            return system.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-        return run
-
-    out["trace_gen"] = _profile_once(trace_gen_for("auto"))
-    out["trace_gen_reference"] = _profile_once(trace_gen_for("reference"))
-
-    base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-
-    def cache_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            return system.hierarchy.process(trace)
-        return run
-
-    out["cache"] = _profile_once(cache_for("auto"))
-    out["cache_reference"] = _profile_once(cache_for("reference"))
-
-    raw = System(
-        config=TABLE1, coalescer=CoalescerKind.PAC
-    ).hierarchy.process(trace)
-
-    def coalescer_for(engine: str) -> Callable[[], object]:
-        def run():
-            system = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            return system.coalescer.process(raw.requests, system.device)
-        return run
-
-    out["coalescer"] = _profile_once(coalescer_for("batched"))
-    out["coalescer_reference"] = _profile_once(coalescer_for("reference"))
-
-    setup = System(config=TABLE1, coalescer=CoalescerKind.PAC)
-    issued = setup.coalescer.process(raw.requests, setup.device).issued
-
-    def device_for(engine: str) -> Callable[[], object]:
-        def run():
-            replay = System(
-                config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
-            )
-            dev = replay.device
-            if engine == "reference":
-                for packet in issued:
-                    dev.submit(packet, packet.issue_cycle)
-                return None
-            return dev.submit_window(issued)
-        return run
-
-    out["device"] = _profile_once(device_for("auto"))
-    out["device_reference"] = _profile_once(device_for("reference"))
-
-    for stage, prof in out.items():
-        prof.stage = stage
+    for stage, (_items, prepare) in stage_legs(bench, cfg).items():
+        for leg, engine in (
+            (stage, "auto"), (f"{stage}_reference", "reference"),
+        ):
+            out[leg] = _profile_once(leg, prepare(engine))
     return out
 
 

@@ -3,17 +3,19 @@
 ``BENCH_<name>.json`` files at the repo root are the perf trajectory:
 each holds one :class:`repro.bench.harness.BenchReport` as JSON. The
 regression gate compares the aggregate end-to-end throughput
-(``totals.requests_per_second``) of a fresh run against a checked-in
-baseline and fails when it drops more than ``max_regression``.
+(``totals.requests_per_second``) and the three engine-stage speedups
+(:data:`repro.bench.harness.SPEEDUPS`) of a fresh run against a
+checked-in baseline and fails when one drops more than
+``max_regression``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
-from repro.bench.harness import PHASES, BenchReport
+from repro.bench.harness import SPEEDUPS, BenchReport
 
 
 class RegressionError(RuntimeError):
@@ -28,17 +30,30 @@ def write_report(report: BenchReport, path: Union[str, Path]) -> Path:
 
 
 #: Accepted report schemas. v2 added the ``suite`` section (two-phase
-#: pipeline + artifact-cache measurements); v3 added per-engine
-#: coalescer stage timings, ``totals.fraction_of_end_to_end``, and
-#: ``totals.coalescer_stage_speedup``, later extended in place with the
-#: per-engine front-end stage timings
-#: (``trace_gen_reference``/``cache_reference``) and
-#: ``totals.frontend_stage_speedup``, and again with the per-engine
-#: device stage timings (``device_reference``) and
-#: ``totals.device_stage_speedup``. The totals/end_to_end shape the
-#: throughput gate reads is unchanged, so older baselines still load
-#: (each stage gate simply skips baselines that predate its field).
-_SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3")
+#: pipeline + artifact-cache measurements); v3 added the per-engine
+#: stage legs and the ``totals.<ratio>_stage_speedup`` fields, plus a
+#: re-run per-phase split (``phases``,
+#: ``totals.fraction_of_end_to_end``); v4 drops that split and times
+#: the device legs as production runs them (per-packet ``submit``,
+#: then ``sync``) where v3 timed a bench-only window replay. The
+#: totals/end_to_end shape the throughput gate reads is unchanged, so
+#: older baselines still load; each stage gate skips baselines that
+#: predate its field, or its current leg definition
+#: (:data:`_RATIO_SINCE`).
+_SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3",
+            "repro-bench/4")
+
+#: Stage ratios whose legs changed definition, and the first schema
+#: version that times the current one.
+_RATIO_SINCE = {"device": 4}
+
+#: Per stage ratio: its ``compare_reports`` key stem and the name its
+#: gate reports (both predate the :data:`SPEEDUPS` table).
+_GATE_NAMES = {
+    "coalescer": ("stage", "coalescer-stage"),
+    "frontend": ("frontend", "front-end-stage"),
+    "device": ("device", "back-end-stage"),
+}
 
 
 def load_report_dict(path: Union[str, Path]) -> Dict:
@@ -68,23 +83,13 @@ def render_report(report: BenchReport) -> str:
         f"{cfg.n_accesses:,} accesses, min of {cfg.repeats} "
         f"(+{cfg.warmup} warmup), seed {cfg.seed}"
     )
-    header = (
-        f"  {'benchmark':<10} {'e2e (s)':>9} {'raw req/s':>10} "
-        f"{'trace':>7} {'cache':>7} {'coal':>7} {'device':>7}"
-    )
+    header = f"  {'benchmark':<10} {'e2e (s)':>9} {'raw req/s':>10}"
     lines.append(header)
     lines.append("  " + "-" * (len(header) - 2))
     for bench, timing in report.end_to_end.items():
-        phases = report.phases.get(bench)
-        split = ["", "", "", ""]
-        if phases is not None and phases.total > 0:
-            split = [
-                f"{getattr(phases, p) / phases.total:6.1%}" for p in PHASES
-            ]
         lines.append(
             f"  {bench:<10} {timing.seconds:9.3f} "
-            f"{_fmt_rate(timing.items_per_second):>10} "
-            f"{split[0]:>7} {split[1]:>7} {split[2]:>7} {split[3]:>7}"
+            f"{_fmt_rate(timing.items_per_second):>10}"
         )
     lines.append(
         f"  total: {report.total_seconds:.3f}s end-to-end, "
@@ -102,31 +107,22 @@ def render_report(report: BenchReport) -> str:
             f"{name} {t.seconds * 1e3:.0f}ms ({_fmt_rate(t.items_per_second)})"
             for name, t in stages.timings.items()
         )
-        if stages.coalescer_speedup:
-            parts += f" — engine {stages.coalescer_speedup:.2f}x"
-        if stages.frontend_speedup:
-            parts += f", frontend {stages.frontend_speedup:.2f}x"
-        if stages.device_speedup:
-            parts += f", device {stages.device_speedup:.2f}x"
+        ratios = [
+            f"{name} {stages.speedup(name):.2f}x"
+            for name in SPEEDUPS
+            if stages.speedup(name)
+        ]
+        if ratios:
+            parts += " — " + ", ".join(ratios)
         lines.append(f"  [{bench} stages] {parts}")
-    if report.coalescer_stage_speedup:
-        lines.append(
-            f"  [engine] batched coalescer kernel: "
-            f"{report.coalescer_stage_speedup:.2f}x aggregate over the "
-            f"reference pipeline (isolated stage, min-of-N)"
-        )
-    if report.frontend_stage_speedup:
-        lines.append(
-            f"  [engine] batched front-end (trace-gen + cache): "
-            f"{report.frontend_stage_speedup:.2f}x aggregate over the "
-            f"scalar reference (isolated stages, min-of-N)"
-        )
-    if report.device_stage_speedup:
-        lines.append(
-            f"  [engine] batched back-end (device): "
-            f"{report.device_stage_speedup:.2f}x aggregate over the "
-            f"scalar reference (isolated stage, min-of-N)"
-        )
+    for name, legs in SPEEDUPS.items():
+        ratio = report.stage_speedup(name)
+        if ratio:
+            lines.append(
+                f"  [engine] batched {name} ({' + '.join(legs)}): "
+                f"{ratio:.2f}x aggregate over the reference "
+                f"(isolated stage legs, min-of-N)"
+            )
     suite = report.suite
     if suite is not None and suite.legacy is not None:
         warm_s = suite.warm.seconds if suite.warm else 0.0
@@ -153,17 +149,23 @@ def render_report(report: BenchReport) -> str:
     return "\n".join(lines)
 
 
+def _schema_version(doc: Dict) -> int:
+    return int(doc.get("schema", "repro-bench/0").rsplit("/", 1)[1])
+
+
 def compare_reports(
     current: Union[BenchReport, Dict], baseline: Dict
 ) -> Dict[str, float]:
     """Throughput comparison of ``current`` vs a baseline report dict.
 
     Returns ``{"current_rps", "baseline_rps", "speedup"}`` where speedup
-    > 1 means the current code is faster. When both reports carry the
-    v3 ``totals.coalescer_stage_speedup`` field, the pair is included
-    as ``current_stage_speedup``/``baseline_stage_speedup`` — a
-    machine-relative ratio (reference over batched on the *same* host),
-    so it compares cleanly across hosts where raw req/s does not.
+    > 1 means the current code is faster. Each :data:`SPEEDUPS` ratio
+    that both reports carry, with a baseline recent enough to time its
+    current legs, adds a ``current_<stem>_speedup`` /
+    ``baseline_<stem>_speedup`` pair (stems in :data:`_GATE_NAMES`) —
+    a machine-relative ratio (reference over batched on the *same*
+    host), so it compares cleanly across hosts where raw req/s does
+    not.
     """
     if isinstance(current, BenchReport):
         current = current.as_dict()
@@ -174,21 +176,16 @@ def compare_reports(
         "baseline_rps": base,
         "speedup": (cur / base) if base else float("inf"),
     }
-    cur_stage = current["totals"].get("coalescer_stage_speedup", 0.0)
-    base_stage = baseline["totals"].get("coalescer_stage_speedup", 0.0)
-    if cur_stage and base_stage:
-        out["current_stage_speedup"] = cur_stage
-        out["baseline_stage_speedup"] = base_stage
-    cur_fe = current["totals"].get("frontend_stage_speedup", 0.0)
-    base_fe = baseline["totals"].get("frontend_stage_speedup", 0.0)
-    if cur_fe and base_fe:
-        out["current_frontend_speedup"] = cur_fe
-        out["baseline_frontend_speedup"] = base_fe
-    cur_dev = current["totals"].get("device_stage_speedup", 0.0)
-    base_dev = baseline["totals"].get("device_stage_speedup", 0.0)
-    if cur_dev and base_dev:
-        out["current_device_speedup"] = cur_dev
-        out["baseline_device_speedup"] = base_dev
+    for name in SPEEDUPS:
+        if _schema_version(baseline) < _RATIO_SINCE.get(name, 0):
+            continue
+        field = f"{name}_stage_speedup"
+        cur_ratio = current["totals"].get(field, 0.0)
+        base_ratio = baseline["totals"].get(field, 0.0)
+        if cur_ratio and base_ratio:
+            stem = _GATE_NAMES[name][0]
+            out[f"current_{stem}_speedup"] = cur_ratio
+            out[f"baseline_{stem}_speedup"] = base_ratio
     return out
 
 
@@ -200,23 +197,18 @@ def check_regression(
     """Fail (raise :class:`RegressionError`) when the current run
     regresses more than ``max_regression`` below the baseline.
 
-    Two gates run from one comparison:
+    One comparison (:func:`compare_reports`) arms up to four gates:
 
     * **end-to-end throughput** — ``totals.requests_per_second`` must
       stay above ``(1 - max_regression)`` of the baseline's;
-    * **coalescer-stage engine speedup** — when both reports carry
-      ``totals.coalescer_stage_speedup`` (schema v3), the batched
-      kernel's advantage over the reference pipeline must likewise stay
-      above ``(1 - max_regression)`` of the baseline ratio. Being a
-      same-host ratio, this gate is insensitive to absolute machine
-      speed and catches regressions that hide inside a faster host;
-    * **front-end-stage engine speedup** — the same machine-relative
-      gate over ``totals.frontend_stage_speedup`` (the batched
-      trace-gen + cache front-end vs the scalar reference), skipped for
-      baselines that predate the field;
-    * **back-end-stage engine speedup** — the same machine-relative
-      gate over ``totals.device_stage_speedup`` (the batched device
-      twin vs the scalar per-packet reference).
+    * **engine-stage speedups** — each :data:`SPEEDUPS` ratio (the
+      batched coalescer kernel, the trace-gen + cache front-end and
+      the memory-device back-end, each over its reference) must
+      likewise stay above ``(1 - max_regression)`` of the baseline
+      ratio. Being same-host ratios, these gates are insensitive to
+      absolute machine speed and catch regressions that hide inside a
+      faster host. A gate skips baselines without its field or older
+      than its leg definition.
 
     Non-positive timings are rejected **loudly** before any ratio is
     formed: ``Timing.items_per_second`` returns ``0.0`` for a
@@ -255,33 +247,15 @@ def check_regression(
             f"{cmp['baseline_rps']:,.0f} req/s "
             f"({cmp['speedup']:.2f}x, floor {floor:.2f}x of {baseline_path})"
         )
-    if "current_stage_speedup" in cmp:
-        ratio = cmp["current_stage_speedup"] / cmp["baseline_stage_speedup"]
-        if ratio < floor:
+    for stem, gate in _GATE_NAMES.values():
+        if f"current_{stem}_speedup" not in cmp:
+            continue
+        cur = cmp[f"current_{stem}_speedup"]
+        base = cmp[f"baseline_{stem}_speedup"]
+        if cur / base < floor:
             raise RegressionError(
-                f"coalescer-stage engine speedup regressed: "
-                f"{cmp['current_stage_speedup']:.2f}x vs baseline "
-                f"{cmp['baseline_stage_speedup']:.2f}x "
-                f"({ratio:.2f}x, floor {floor:.2f}x of {baseline_path})"
-            )
-    if "current_frontend_speedup" in cmp:
-        ratio = (
-            cmp["current_frontend_speedup"] / cmp["baseline_frontend_speedup"]
-        )
-        if ratio < floor:
-            raise RegressionError(
-                f"front-end-stage engine speedup regressed: "
-                f"{cmp['current_frontend_speedup']:.2f}x vs baseline "
-                f"{cmp['baseline_frontend_speedup']:.2f}x "
-                f"({ratio:.2f}x, floor {floor:.2f}x of {baseline_path})"
-            )
-    if "current_device_speedup" in cmp:
-        ratio = cmp["current_device_speedup"] / cmp["baseline_device_speedup"]
-        if ratio < floor:
-            raise RegressionError(
-                f"back-end-stage engine speedup regressed: "
-                f"{cmp['current_device_speedup']:.2f}x vs baseline "
-                f"{cmp['baseline_device_speedup']:.2f}x "
-                f"({ratio:.2f}x, floor {floor:.2f}x of {baseline_path})"
+                f"{gate} engine speedup regressed: {cur:.2f}x vs baseline "
+                f"{base:.2f}x ({cur / base:.2f}x, floor {floor:.2f}x of "
+                f"{baseline_path})"
             )
     return cmp

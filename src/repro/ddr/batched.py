@@ -157,101 +157,6 @@ class BatchedDDRDevice(DDRDevice):
                 self._probe_buf.fold()
         return completion
 
-    def submit_window(self, packets) -> List[int]:
-        """Replay ``packets`` (each carrying ``issue_cycle``) in one
-        hoisted-local sweep; merge accounting once; return completions."""
-        self.sync()
-        if self._probes_on:
-            # The hoisted sweep records no probe events: probe runs
-            # replay through the recording per-packet path.
-            completions = [self.submit(p, p.issue_cycle) for p in packets]
-            self.sync()
-            return completions
-        completions: List[int] = []
-        out = completions.append
-
-        row_bytes = self._row_bytes
-        n_channels = self._n_channels
-        banks_per_channel = self._banks_per_channel
-        burst_bytes = self._burst_bytes
-        hit_cycles = self._hit_cycles
-        empty_cycles = self._empty_cycles
-        conflict_cycles = self._conflict_cycles
-        bus_cycles = self._bus_cycles
-        pj_transfer = self._pj_transfer
-        pj_store = self._pj_store
-        banks = self._banks
-        bus = self._bus_busy_until
-
-        w_hits = w_empties = w_conflicts = 0
-        w_packets = w_payload = 0
-        lat_n = lat_total = lat_sumsq = 0
-        lat_min = inf
-        lat_max = -inf
-
-        for packet in packets:
-            cycle = packet.issue_cycle
-            size = packet.size
-            if size <= 0:
-                raise ValueError("packet must carry data")
-            row_index = packet.addr // row_bytes
-            channel = row_index % n_channels
-            key = (channel, (row_index // n_channels) % banks_per_channel)
-            row = row_index // (n_channels * banks_per_channel)
-            bank = banks.get(key)
-            if bank is None:
-                bank = banks[key] = _Bank()
-
-            busy = bank.busy_until
-            start = cycle if cycle >= busy else busy
-            open_row = bank.open_row
-            if open_row is None:
-                access = empty_cycles
-                w_empties += 1
-            elif open_row == row:
-                access = hit_cycles
-                w_hits += 1
-            else:
-                access = conflict_cycles
-                w_conflicts += 1
-            bank.open_row = row
-
-            n_bursts = -(-size // burst_bytes)
-            dram_done = start + access
-            bus_busy = bus[channel]
-            bus_start = dram_done if dram_done >= bus_busy else bus_busy
-            completion = bus_start + n_bursts * bus_cycles
-            bus[channel] = completion
-            bank.busy_until = dram_done
-
-            w_packets += 1
-            w_payload += size
-            pj_store["DRAM-TRANSFER"] += size * pj_transfer
-            latency = completion - cycle
-            lat_n += 1
-            lat_total += latency
-            lat_sumsq += latency * latency
-            if latency < lat_min:
-                lat_min = latency
-            if latency > lat_max:
-                lat_max = latency
-            out(completion)
-
-        w = self._w
-        w[0] = w_hits
-        w[1] = w_empties
-        w[2] = w_conflicts
-        w[3] = w_packets
-        w[4] = w_payload
-        lat = self._w_lat
-        lat[0] = lat_n
-        lat[1] = lat_total
-        lat[2] = lat_min
-        lat[3] = lat_max
-        lat[4] = lat_sumsq
-        self.sync()
-        return completions
-
     # -- merge point -------------------------------------------------------- #
 
     def sync(self) -> None:

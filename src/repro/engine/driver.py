@@ -149,9 +149,9 @@ def run_benchmark(
     batched twin): ``"reference"`` pins all three to the per-request
     object pipelines, ``"auto"`` (default) resolves each component to
     its batched engine when applicable, demoting to reference — with
-    one ``demote`` event per component — when spans, a non-PAC arm
-    (coalescer only), or active fault injection make the batched path
-    inapplicable. Telemetry probes run on the batched engines.
+    one ``demote`` event per component — when spans or a non-PAC arm
+    (coalescer only) make the batched path inapplicable. Telemetry
+    probes and fault plans run on the batched engines.
     """
     spec = RunSpec(
         (benchmark, *extra_benchmarks), n_accesses, arm=coalescer,

@@ -286,10 +286,10 @@ def run_suite_parallel(
 
     ``engine`` forwards the coalescer execution-path knob of
     :func:`~repro.engine.driver.run_benchmark` into every worker: each
-    PAC arm independently resolves ``"auto"`` inside its own process, so
-    a faulted worker demotes itself to the reference path (bit-identical
-    by the engine contract) while clean workers keep the batched kernel.
-    The knob applies per arm (:meth:`RunSpec.for_arm`):
+    PAC arm resolves ``"auto"`` inside its own process — batched, fault
+    plan or not, since no fault site sits inside an engine; only span
+    tracing demotes it to the reference path (bit-identical by the
+    engine contract). The knob applies per arm (:meth:`RunSpec.for_arm`):
     ``engine="batched"`` pins the PAC arms to the fast path while the
     non-PAC arms — which have only their reference implementation —
     resolve ``"auto"`` instead of rejecting the whole grid. Phase 1
@@ -299,7 +299,7 @@ def run_suite_parallel(
     front-end contract, so artifact keys and cached passes are shared
     across engines. The back-end resolves per worker too: each phase-2
     job constructs its own ``System``, so its device twin (batched by
-    default, reference under blockers) is chosen inside the worker
+    default, reference under spans) is chosen inside the worker
     process, never inherited from the parent.
     """
     if pipeline not in ("auto", "two-phase", "per-job"):

@@ -9,10 +9,11 @@ contract:
   be interrupted any other way), rebuilt, and the hung job retried while
   innocent in-flight jobs are resubmitted without penalty;
 * **crashed-worker replacement** — ``BrokenProcessPool`` (a worker died:
-  segfault, OOM-kill, ``os._exit``) triggers the same teardown/rebuild,
-  blaming the jobs that were observed running (or, if the crash landed
-  before any observation, every in-flight job — conservative but
-  bounded);
+  segfault, OOM-kill, ``os._exit``) triggers the same teardown/rebuild.
+  A crash is charged only to a job that was alone in flight; with
+  several suspects none is charged and each reruns alone, so the next
+  crash names its job (innocent jobs are never charged, and the rule
+  cannot loop: every solo rerun completes or is charged);
 * **bounded retries with deterministic backoff** — each job is retried
   at most ``max_retries`` times with delay ``backoff_base * 2**(attempt-1)``
   (no jitter: chaos runs must be reproducible);
@@ -189,6 +190,8 @@ class PoolSupervisor:
         """
         results: Dict = {}
         pending = deque(jobs)
+        solo: deque = deque()  # crash suspects, rerun one at a time
+        isolating = False  # the in-flight job is a suspect's solo rerun
         total = len(jobs)
         inflight: Dict = {}  # future -> job
         started: Dict = {}  # future -> first-observed-running monotonic
@@ -241,11 +244,13 @@ class PoolSupervisor:
                 now = time.monotonic()
                 pool = self._ensure_pool()
 
-                # Submit every pending job whose backoff has elapsed.
+                # Submit every pending job whose backoff has elapsed —
+                # or, while crash suspects remain, the next one alone.
+                queue = solo if solo else pending
                 deferred: List[SupervisedJob] = []
                 submit_failed = False
-                while pending:
-                    job = pending.popleft()
+                while queue and not (inflight and isolating):
+                    job = queue.popleft()
                     if job.ready_at > now:
                         deferred.append(job)
                         continue
@@ -257,7 +262,8 @@ class PoolSupervisor:
                         submit_failed = True
                         break
                     inflight[fut] = job
-                pending.extend(deferred)
+                    isolating = queue is solo
+                queue.extend(deferred)
                 if submit_failed:
                     self._requeue_inflight(inflight, started, pending, fail)
                     self._discard_pool()
@@ -275,51 +281,33 @@ class PoolSupervisor:
                     return_when=FIRST_COMPLETED,
                 )
 
-                pool_broken = False
-                blamed_any = False
-                unblamed: List[SupervisedJob] = []
+                suspects: List[SupervisedJob] = []
                 for fut in done:
                     job = inflight.pop(fut)
-                    was_started = started.pop(fut, None) is not None
+                    started.pop(fut, None)
                     try:
                         results[job.key] = fut.result()
                         done_event(job)
-                        continue
-                    except BrokenProcessPool as exc:
-                        pool_broken = True
-                        if was_started:
-                            blamed_any = True
-                            fail(job, exc)
-                        else:
-                            unblamed.append(job)
+                    except BrokenProcessPool:
+                        suspects.append(job)
                     except CancelledError:
                         pending.append(job)
                     except Exception as exc:
                         fail(job, exc)
 
-                if pool_broken:
-                    # Every future sharing the pool is compromised.
-                    for fut, job in list(inflight.items()):
-                        was_started = started.pop(fut, None) is not None
-                        if was_started:
-                            blamed_any = True
-                            fail(job, BrokenProcessPool(
-                                "pool broke while job was running"
-                            ))
-                        else:
-                            unblamed.append(job)
+                if suspects:
+                    # Every future sharing the pool is compromised, and
+                    # ``running()`` cannot say which job killed the
+                    # worker (the executor marks queued calls running).
+                    suspects.extend(inflight.values())
                     inflight.clear()
                     started.clear()
-                    if not blamed_any and unblamed:
-                        # Crash landed before any job was observed
-                        # running: charge everyone so a crash-at-entry
-                        # fault cannot loop forever.
-                        for job in unblamed:
-                            fail(job, BrokenProcessPool(
-                                "worker crashed before observation"
-                            ))
+                    if len(suspects) == 1:
+                        fail(suspects[0], BrokenProcessPool(
+                            "worker crashed while the job ran alone"
+                        ))
                     else:
-                        pending.extend(unblamed)
+                        solo.extend(suspects)
                     self._discard_pool()
                     continue
 

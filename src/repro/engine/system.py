@@ -100,7 +100,7 @@ class System:
         span_rec = self.spans if self.spans is not None else NULL_SPANS
         # Engines resolve before the device is constructed — the device
         # build below dispatches on ``backend_engine``. The resolver
-        # reads only the arm and the span/fault blockers, never the
+        # reads only the arm and the span blocker, never the
         # probe scopes, so probe registration order (device, cache,
         # coalescer) is unchanged from the historical wiring.
         self._resolve_engines(engine)
@@ -179,14 +179,15 @@ class System:
         (trace -> raw stream) and the back-end (memory device).
 
         The batched coalescer kernel exists only for the PAC arm; the
-        batched front-end and device serve every arm. Span tracing and
-        active fault injection still observe per-event state only the
-        reference engines build, so ``auto`` demotes every component
-        while either is on — emitting one ``demote`` event per demoted
-        component, in :attr:`_ENGINE_COMPONENTS` order, when the event
-        log is active — and ``batched`` raises instead of silently
-        changing behaviour. Telemetry probes are no blocker: every
-        batched twin feeds them.
+        batched front-end and device serve every arm. Span tracing still
+        observes per-event state only the reference engines build, so
+        ``auto`` demotes every component while it is on — emitting one
+        ``demote`` event per demoted component, in
+        :attr:`_ENGINE_COMPONENTS` order, when the event log is active —
+        and ``batched`` raises instead of silently changing behaviour.
+        Telemetry probes are no blocker (every batched twin feeds them),
+        and neither is fault injection: no fault site sits inside an
+        engine.
         """
         pac = self.kind == CoalescerKind.PAC
         if engine == "batched" and not pac:
@@ -194,32 +195,24 @@ class System:
                 "engine='batched' implements only the PAC arm; "
                 f"got coalescer={self.kind.value!r}"
             )
-        blockers = []
-        if engine != "reference":
-            from repro.faults import active as faults_active
-
-            if self.spans is not None:
-                blockers.append("spans")
-            if faults_active().enabled:
-                blockers.append("faults")
-        if engine == "batched" and blockers:
+        blocked = engine != "reference" and self.spans is not None
+        if engine == "batched" and blocked:
             raise ValueError(
-                "engine='batched' is incompatible with "
-                f"{'+'.join(blockers)} — use engine='reference' (or "
-                "'auto' to demote automatically)"
+                "engine='batched' is incompatible with spans — use "
+                "engine='reference' (or 'auto' to demote automatically)"
             )
-        batched = engine != "reference" and not blockers
+        batched = engine != "reference" and not blocked
         for attr, rung, pac_only in self._ENGINE_COMPONENTS:
             has_twin = pac or not pac_only
             setattr(
                 self, attr, "batched" if batched and has_twin else "reference"
             )
-            if blockers and has_twin:
+            if blocked and has_twin:
                 from repro.telemetry import events as ev
 
                 log = ev.active()
                 if log.enabled:
-                    log.emit(ev.Demoted(rung=rung, label="+".join(blockers)))
+                    log.emit(ev.Demoted(rung=rung, label="spans"))
 
     @property
     def hierarchy(self) -> CacheHierarchy:

@@ -8,19 +8,11 @@ release heap depends on, so each packet's completion cycle must be
 available immediately — but every observable side effect (StatsRegistry
 counters, the latency accumulator, EnergyModel charges) lands in a flat
 window accumulator and is merged into the shared registries once per
-:meth:`sync`, not once per packet.
-
-Two call surfaces share that accumulator:
-
-* :meth:`submit` — the :class:`repro.mshr.dmc.MemoryDevice` protocol
-  method, used inside coalescer runs. Identical timing maths to the
-  reference, with the per-packet counter/energy/accumulator writes
-  replaced by indexed increments on one local list.
-* :meth:`submit_window` — a window-at-a-time entry point for replaying
-  a pre-issued packet stream (the bench harness's isolated device
-  stage). The whole loop runs on hoisted locals — busy-horizon lists,
-  bank dicts, flit memos, plain-int window counters — and merges once
-  at the end.
+:meth:`sync`, not once per packet. :meth:`submit` — the
+:class:`repro.mshr.dmc.MemoryDevice` protocol method the coalescer
+drives — keeps the reference's timing maths and replaces its
+per-packet counter/energy/accumulator writes with indexed increments
+on one local list.
 
 **Bit-identity.** The merged totals equal the reference's per-packet
 accumulation bitwise: six of the seven energy categories carry
@@ -323,197 +315,6 @@ class BatchedHMCDevice(HMCDevice):
             if len(self._probe_cycles) >= FOLD_EVENTS:
                 self._probe_buf.fold()
         return completion
-
-    def submit_window(self, packets) -> List[int]:
-        """Replay ``packets`` (each carrying ``issue_cycle``) in one
-        hoisted-local sweep; merge accounting once; return completions.
-
-        This is the array-processing surface the bench harness's
-        isolated device stage drives: window counters live in plain
-        local ints, busy horizons and bank maps in pre-bound locals,
-        and the single :meth:`sync` at the end performs the only
-        registry/energy writes of the whole window.
-        """
-        # Flush any scalar-submit residue first so the merge below owns
-        # the window exclusively.
-        self.sync()
-        if self._probes_on:
-            # The hoisted sweep records no probe events: probe runs
-            # replay through the recording per-packet path.
-            completions = [self.submit(p, p.issue_cycle) for p in packets]
-            self.sync()
-            return completions
-        completions: List[int] = []
-        out = completions.append
-
-        max_packet = self._max_packet_bytes
-        flits_load = self._flits_load
-        flits_store = self._flits_store
-        flits_for = self._flits_for
-        store_op = MemOp.STORE
-        am_vault_first = self._am_vault_first
-        am_row_shift = self._am_row_shift
-        am_vault_mask = self._am_vault_mask
-        am_vault_shift = self._am_vault_shift
-        am_bank_mask = self._am_bank_mask
-        vault_bank = self._vault_bank
-        route_by_address = self.route_by_address
-        n_links = self._n_links
-        vaults_per_link = self._vaults_per_link
-        links = self.links
-        rr = links._rr
-        req_busy = self._req_busy
-        rsp_busy = self._rsp_busy
-        vault_busy = self._vault_busy
-        bank_busy = self._bank_busy_until
-        bank_counts = self._bank_counts
-        bank_cycles = self._bank_cycles
-        banks_access = self.banks.access
-        pj_store = self._pj_store
-        pj_transfer = self._pj_dram_transfer
-        local_route = LOCAL_ROUTE_CYCLES
-        remote_route = REMOTE_ROUTE_CYCLES
-        ctrl_cycles = VAULT_CTRL_CYCLES
-        per_flit = CYCLES_PER_FLIT
-
-        w_packets = w_payload = 0
-        w_req_flits = w_rsp_flits = 0
-        w_local = w_remote = 0
-        w_local_flits = w_remote_flits = 0
-        w_qwait = w_rqst_slot = w_rsp_slot = 0
-        w_conflicts = w_activations = w_act_rows = 0
-        lat_n = lat_total = lat_sumsq = 0
-        lat_min = inf
-        lat_max = -inf
-
-        for packet in packets:
-            cycle = packet.issue_cycle
-            size = packet.size
-            if size > max_packet:
-                raise ValueError(
-                    f"packet of {size}B exceeds device maximum "
-                    f"{max_packet}B"
-                )
-            is_store = packet.op == store_op
-            flit_cache = flits_store if is_store else flits_load
-            flits = flit_cache.get(size)
-            if flits is None:
-                flits = flits_for(size, is_store)
-                flit_cache[size] = flits
-            req_flits = flits.request
-            rsp_flits = flits.response
-            addr = packet.addr
-            single_row = False
-            if am_vault_first and addr >= 0:
-                row_index = addr >> am_row_shift
-                vault = row_index & am_vault_mask
-                vb = (
-                    vault,
-                    (row_index >> am_vault_shift) & am_bank_mask,
-                )
-                single_row = (addr + size - 1) >> am_row_shift == row_index
-            else:
-                vb = vault_bank(addr)
-                vault = vb[0]
-
-            if route_by_address:
-                link = vault % n_links
-            else:
-                link = rr
-                rr = (link + 1) % n_links
-            start = req_busy[link]
-            if cycle > start:
-                start = cycle
-            t = start + req_flits * per_flit
-            req_busy[link] = t
-            w_req_flits += req_flits
-
-            local = vault // vaults_per_link == link
-            if local:
-                t += local_route
-                w_local += 1
-                w_local_flits += req_flits + rsp_flits
-            else:
-                t += remote_route
-                w_remote += 1
-                w_remote_flits += req_flits + rsp_flits
-
-            arrival_at_vault = t
-            start = vault_busy[vault]
-            if t > start:
-                start = t
-            t = start + ctrl_cycles
-            vault_busy[vault] = t
-            wait = start - arrival_at_vault
-            if wait > 0:
-                w_qwait += wait
-            w_rqst_slot += t - arrival_at_vault + 1
-
-            if single_row:
-                busy = bank_busy.get(vb, 0)
-                if busy > t:
-                    w_conflicts += 1
-                    start = busy
-                else:
-                    start = t
-                end = start + bank_cycles
-                bank_busy[vb] = end
-                bank_counts[vb] = bank_counts.get(vb, 0) + 1
-                w_activations += 1
-                t = end
-                n_rows = 1
-            else:
-                t, n_rows = banks_access(addr, size, t, vb0=vb)
-            w_act_rows += n_rows
-            pj_store["DRAM-TRANSFER"] += size * pj_transfer
-
-            route_back = local_route if local else remote_route
-            response_ready = t + route_back
-            start = rsp_busy[link]
-            if response_ready > start:
-                start = response_ready
-            completion = start + rsp_flits * per_flit
-            rsp_busy[link] = completion
-            w_rsp_flits += rsp_flits
-            w_rsp_slot += completion - t + 1
-
-            w_packets += 1
-            w_payload += size
-            latency = completion - cycle
-            lat_n += 1
-            lat_total += latency
-            lat_sumsq += latency * latency
-            if latency < lat_min:
-                lat_min = latency
-            if latency > lat_max:
-                lat_max = latency
-            out(completion)
-
-        links._rr = rr
-        w = self._w
-        w[_W_PACKETS] = w_packets
-        w[_W_PAYLOAD] = w_payload
-        w[_W_REQ_FLITS] = w_req_flits
-        w[_W_RSP_FLITS] = w_rsp_flits
-        w[_W_LOCAL] = w_local
-        w[_W_REMOTE] = w_remote
-        w[_W_LOCAL_FLITS] = w_local_flits
-        w[_W_REMOTE_FLITS] = w_remote_flits
-        w[_W_ADMITTED] = w_packets
-        w[_W_QWAIT] = w_qwait
-        w[_W_RQST_SLOT] = w_rqst_slot
-        w[_W_RSP_SLOT] = w_rsp_slot
-        w[_W_CONFLICTS] = w_conflicts
-        w[_W_ACTIVATIONS] = w_activations
-        w[_W_ACT_ROWS] = w_act_rows
-        lat = self._w_lat
-        lat[0] = lat_n
-        lat[1] = lat_total
-        lat[2] = lat_min
-        lat[3] = lat_max
-        lat[4] = lat_sumsq
-        self.sync()
-        return completions
 
     # -- merge point -------------------------------------------------------- #
 

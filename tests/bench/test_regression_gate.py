@@ -15,9 +15,9 @@ import pytest
 from repro.bench.report import RegressionError, check_regression
 
 
-def _doc(rps=100_000.0, seconds=1.0, **totals):
+def _doc(rps=100_000.0, seconds=1.0, schema="repro-bench/4", **totals):
     return {
-        "schema": "repro-bench/3",
+        "schema": schema,
         "name": "t",
         "end_to_end": {
             "gs": {"seconds": seconds, "items": 100, "samples": [seconds]}
@@ -78,6 +78,20 @@ class TestStageGates:
         base = _baseline(tmp_path, _doc())
         cmp = check_regression(_doc(device_stage_speedup=1.7), base)
         assert "current_device_speedup" not in cmp
+
+    def test_device_gate_skipped_for_pre_v4_baselines(self, tmp_path):
+        # A v3 device field timed the bench-only window replay, not
+        # per-packet submit + sync: a different leg, so no gate.
+        base = _baseline(tmp_path, _doc(
+            schema="repro-bench/3", device_stage_speedup=1.7,
+            coalescer_stage_speedup=2.0,
+        ))
+        cmp = check_regression(
+            _doc(device_stage_speedup=1.0, coalescer_stage_speedup=2.0),
+            base, max_regression=0.30,
+        )
+        assert "current_device_speedup" not in cmp
+        assert cmp["current_stage_speedup"] == 2.0
 
     def test_end_to_end_regression_still_fails(self, tmp_path):
         base = _baseline(tmp_path, _doc(rps=100_000.0))

@@ -247,12 +247,13 @@ class TestFrontendDispatch:
         ]
 
     def test_faults_demote_frontend_auto(self):
+        # An active fault plan leaves the front-end batched.
         from repro.faults import FaultInjector, installed, resolve_plan
 
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.NONE, engine="auto")
-            assert s.frontend_engine == "reference"
+            assert s.frontend_engine == "batched"
 
     def test_reference_engine_pins_scalar_trace_generators(self):
         """engine='reference' must also run the retained scalar

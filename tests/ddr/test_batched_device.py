@@ -135,38 +135,6 @@ class TestResidualStateRegression:
             )
         assert_devices_equal(ref, bat)
 
-    def test_window_after_scalar_sees_residue(self):
-        packets = mixed_packets(200, seed=31)
-        ref, bat = DDRDevice(), BatchedDDRDevice()
-        for p in packets[:80]:
-            ref.submit(p, p.issue_cycle)
-            bat.submit(p, p.issue_cycle)
-        expected = [ref.submit(p, p.issue_cycle) for p in packets[80:]]
-        assert bat.submit_window(packets[80:]) == expected
-        assert_devices_equal(ref, bat)
-
-
-class TestSubmitWindow:
-    def test_window_matches_reference_loop(self):
-        packets = mixed_packets(600, seed=11)
-        ref, bat = DDRDevice(), BatchedDDRDevice()
-        expected = [ref.submit(p, p.issue_cycle) for p in packets]
-        assert bat.submit_window(packets) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_window_rejects_empty_packet(self):
-        from types import SimpleNamespace
-
-        bad = SimpleNamespace(addr=0, size=0, op=MemOp.LOAD, issue_cycle=0)
-        bat = BatchedDDRDevice()
-        with pytest.raises(ValueError, match="carry data"):
-            bat.submit_window([bad])
-
-    def test_empty_window(self):
-        bat = BatchedDDRDevice()
-        assert bat.submit_window([]) == []
-        assert "packets" not in bat.stats.as_dict()
-
 
 class TestSyncSemantics:
     def test_multi_round_sync_matches_single_reference_run(self):
@@ -193,11 +161,17 @@ class TestSyncSemantics:
         bat.sync()
         assert bat._w_lat == [0, 0, math.inf, -math.inf, 0]
 
+    def test_sync_of_fresh_device_merges_nothing(self):
+        bat = BatchedDDRDevice()
+        bat.sync()
+        assert "packets" not in bat.stats.as_dict()
+        assert_devices_equal(DDRDevice(), bat)
+
 
 class TestConstructorRefusals:
     def test_accepts_enabled_probes(self):
         """Enabled probes record the reference's events bit for bit —
-        across a buffer fold, a mid-stream sync and ``submit_window``."""
+        across a buffer fold, a mid-stream sync and the closing sync."""
         from repro.telemetry import FOLD_EVENTS, TelemetryRegistry
 
         packets = mixed_packets(n=FOLD_EVENTS + 300)
@@ -205,13 +179,10 @@ class TestConstructorRefusals:
         bat_reg = TelemetryRegistry(window_cycles=128)
         ref = DDRDevice(probes=ref_reg.scope("device"))
         bat = BatchedDDRDevice(probes=bat_reg.scope("device"))
-        for i, p in enumerate(packets[:-100]):
+        for i, p in enumerate(packets):
             assert ref.submit(p, p.issue_cycle) == bat.submit(p, p.issue_cycle)
             if i == 1000:
                 bat.sync()
-        tail = packets[-100:]
-        expected = [ref.submit(p, p.issue_cycle) for p in tail]
-        assert bat.submit_window(tail) == expected
         assert_devices_equal(ref, bat)
         assert ref_reg.counter("device.banks.conflicts").total > 0
         assert ref_reg == bat_reg

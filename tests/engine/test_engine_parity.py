@@ -193,14 +193,15 @@ class TestAutoDemotion:
         assert not [r for r in log.records if r["kind"] == "demote"]
 
     def test_faults_demote_auto(self):
+        # No fault site sits inside an engine, so an active plan no
+        # longer demotes `auto`, and engine="batched" constructs.
         from repro.faults import FaultInjector, installed, resolve_plan
 
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.PAC, engine="auto")
-            assert s.engine == "reference"
-            with pytest.raises(ValueError, match="incompatible"):
-                System(coalescer=CoalescerKind.PAC, engine="batched")
+            assert s.engine == "batched"
+            System(coalescer=CoalescerKind.PAC, engine="batched")
 
     def test_clean_run_does_not_demote(self):
         log = ev.EventLog()
@@ -263,14 +264,15 @@ class TestBackendEngine:
         assert type(s.device) is HMCDevice
 
     def test_faults_demote_auto_backend(self):
+        # An active fault plan leaves the back-end twin in place.
         from repro.faults import FaultInjector, installed, resolve_plan
-        from repro.hmc.device import HMCDevice
+        from repro.hmc.batched import BatchedHMCDevice
 
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.PAC, engine="auto")
-            assert s.backend_engine == "reference"
-            assert type(s.device) is HMCDevice
+            assert s.backend_engine == "batched"
+            assert type(s.device) is BatchedHMCDevice
 
     def test_backend_demotion_rung_is_last(self):
         log = ev.EventLog()

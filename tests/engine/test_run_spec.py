@@ -187,10 +187,10 @@ class TestProbeTemplates:
 
 
 class TestDemoteCountsUnderFaults:
-    """``demote`` events per execution path. Multi-run entry points run
-    each end-to-end run under a fresh null injector, so ``auto`` stays
-    batched there even under a suite fault plan; the two-phase path
-    builds its front-end and arm systems under the suite's injector."""
+    """``demote`` events per execution path under a suite fault plan.
+    No fault site sits inside an engine, so ``auto`` stays batched on
+    every path — including the two-phase one, which builds its
+    front-end and arm systems under the suite's injector."""
 
     PLAN = "phase2.job:transient@0"
 
@@ -214,13 +214,10 @@ class TestDemoteCountsUnderFaults:
 
     @pytest.mark.parametrize("use_cache", [False, True])
     def test_two_phase_serial(self, use_cache):
-        # Per benchmark: one front-end System (frontend + backend rungs)
-        # and the PAC arm (all three rungs). A cold cache builds the
-        # same single front-end System as an uncached run.
         assert self._demotes(
             run_suite_parallel, kinds=(CoalescerKind.PAC,), max_workers=1,
             pipeline="two-phase", use_artifact_cache=use_cache,
-        ) == 10
+        ) == 0
 
     def test_no_plan_no_demotes(self):
         log = ev.EventLog()

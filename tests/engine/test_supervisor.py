@@ -160,20 +160,32 @@ class TestCrashRecovery:
         assert any("BrokenProcessPool" in f for f in health.failures)
 
     def test_innocent_jobs_complete_despite_crash(self):
-        health = RunHealth(jobs=4)
-        sup = _supervisor(health, max_retries=1)
-        jobs = [_job("c", (), label="crasher")] + [
-            _job(i, (i,)) for i in range(3)
-        ]
-        try:
-            out = sup.run(
-                _crash_or_echo, jobs, fallback=lambda job: "survived",
-            )
-        finally:
-            sup.shutdown()
+        out, _ = _run_crasher_beside_innocents()
         assert out["c"] == "survived"
         for i in range(3):
             assert out[i] == ("ok", i)
+
+    def test_crash_is_never_charged_to_innocent_jobs(self):
+        """A crash is charged only to a job that ran alone. A dead
+        worker's job is unknowable (the executor marks queued calls
+        running), so charging every job seen running would let an
+        innocent one exhaust its retries beside a retrying crasher and
+        land on the fallback — about one run in six of this scenario."""
+        for _ in range(50):
+            out, health = _run_crasher_beside_innocents()
+            assert out == {"c": "survived", **{i: ("ok", i) for i in range(3)}}
+            assert health.degradations == ["serial:crasher"]
+
+
+def _run_crasher_beside_innocents():
+    health = RunHealth(jobs=4)
+    sup = _supervisor(health, max_retries=1)
+    jobs = [_job("c", (), label="crasher")] + [_job(i, (i,)) for i in range(3)]
+    try:
+        out = sup.run(_crash_or_echo, jobs, fallback=lambda job: "survived")
+    finally:
+        sup.shutdown()
+    return out, health
 
 
 def _crash_or_echo(args):

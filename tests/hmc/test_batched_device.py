@@ -99,45 +99,6 @@ class TestScalarSubmitParity:
         assert_devices_equal(ref, bat)
 
 
-class TestSubmitWindow:
-    @pytest.mark.parametrize(
-        "ref_cls,bat_cls",
-        [(HMCDevice, BatchedHMCDevice), (HBMDevice, BatchedHBMDevice)],
-    )
-    def test_window_matches_reference_loop(self, ref_cls, bat_cls):
-        packets = mixed_packets(600, seed=11)
-        ref, bat = ref_cls(), bat_cls()
-        expected = [ref.submit(p, p.issue_cycle) for p in packets]
-        assert bat.submit_window(packets) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_window_matches_scalar_batched(self):
-        packets = mixed_packets(300, seed=13)
-        a, b = BatchedHMCDevice(), BatchedHMCDevice()
-        scalar = [a.submit(p, p.issue_cycle) for p in packets]
-        assert b.submit_window(packets) == scalar
-        a.sync()
-        assert a.stats.as_dict() == b.stats.as_dict()
-        assert a.energy == b.energy
-
-    def test_window_flushes_scalar_residue(self):
-        """Interleaved scalar submits and windows merge to the same
-        totals a pure reference run accumulates."""
-        packets = mixed_packets(150, seed=17)
-        ref, bat = HMCDevice(), BatchedHMCDevice()
-        for p in packets[:50]:
-            ref.submit(p, p.issue_cycle)
-            bat.submit(p, p.issue_cycle)
-        expected = [ref.submit(p, p.issue_cycle) for p in packets[50:]]
-        assert bat.submit_window(packets[50:]) == expected
-        assert_devices_equal(ref, bat)
-
-    def test_empty_window(self):
-        bat = BatchedHMCDevice()
-        assert bat.submit_window([]) == []
-        assert bat.stats.count("packets") == 0
-
-
 class TestHBMRouteByAddress:
     def test_route_by_address_link_choice(self):
         """HBM parity is only meaningful if the two twins actually take
@@ -207,11 +168,17 @@ class TestSyncSemantics:
         bat.sync()
         assert bat._w_lat == [0, 0, math.inf, -math.inf, 0]
 
+    def test_sync_of_fresh_device_merges_nothing(self):
+        bat = BatchedHMCDevice()
+        bat.sync()
+        assert bat.stats.count("packets") == 0
+        assert_devices_equal(HMCDevice(), bat)
+
 
 class TestConstructorRefusals:
     def test_accepts_enabled_probes(self):
         """Enabled probes record the reference's events bit for bit —
-        across a buffer fold, a mid-stream sync and ``submit_window``."""
+        across a buffer fold, a mid-stream sync and the closing sync."""
         from repro.telemetry import FOLD_EVENTS, TelemetryRegistry
 
         packets = mixed_packets(n=FOLD_EVENTS + 300)
@@ -222,15 +189,12 @@ class TestConstructorRefusals:
             bat_reg = TelemetryRegistry(window_cycles=128)
             ref = ref_cls(probes=ref_reg.scope("device"))
             bat = bat_cls(probes=bat_reg.scope("device"))
-            for i, p in enumerate(packets[:-100]):
+            for i, p in enumerate(packets):
                 assert ref.submit(p, p.issue_cycle) == bat.submit(
                     p, p.issue_cycle
                 )
                 if i == 1000:
                     bat.sync()
-            tail = packets[-100:]
-            expected = [ref.submit(p, p.issue_cycle) for p in tail]
-            assert bat.submit_window(tail) == expected
             assert_devices_equal(ref, bat)
             assert ref_reg.counter("device.energy_pj").total > 0
             assert ref_reg == bat_reg

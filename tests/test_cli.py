@@ -66,6 +66,37 @@ class TestRunCommands:
         assert expected <= set(FIGURES)
 
 
+class TestBenchCommand:
+    ARGS = ["bench", "--benchmarks", "gs", "--accesses", "1500",
+            "--repeats", "1", "--warmup", "0"]
+
+    def test_report_gates_against_itself(self, tmp_path, capsys):
+        from repro.bench import SPEEDUPS, STAGES
+
+        out = tmp_path / "BENCH_t.json"
+        assert main(
+            [*self.ARGS, "--out", str(out), "--baseline", str(out)]
+        ) == 0
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "repro-bench/4"
+        assert "phases" not in doc
+        legs = doc["stages"]["gs"]
+        for stage in STAGES:
+            for leg in (stage, f"{stage}_reference"):
+                assert legs[leg]["seconds"] > 0, leg
+        for name in SPEEDUPS:
+            assert doc["totals"][f"{name}_stage_speedup"] > 0, name
+        assert "OK vs" in capsys.readouterr().out
+
+    def test_profile_writes_every_stage(self, tmp_path, capsys):
+        from repro.bench.profiler import PROFILE_STAGES
+
+        out = tmp_path / "PROFILE_t.json"
+        assert main([*self.ARGS, "--profile", "--out", str(out)]) == 0
+        profiles = json.loads(out.read_text())["profiles"]["gs"]
+        assert list(profiles) == list(PROFILE_STAGES)
+
+
 class TestTraceCommand:
     def test_export_raw_stream(self, tmp_path, capsys):
         path = tmp_path / "gs_raw.npz"
