@@ -1,9 +1,8 @@
 """Shared fixtures for the figure-regeneration benchmark harness.
 
-Every file under ``benchmarks/`` regenerates one table or figure of the
-paper. A session-scoped :class:`ResultCache` shares the underlying
-(benchmark x coalescer) simulation runs across figures, so the whole
-harness costs one suite sweep plus the figure-specific extras.
+One session-wide :class:`~repro.experiments.registry.Runs` memo feeds
+every registry entry, so the whole harness costs one suite sweep plus
+the entry-specific design points.
 
 Run with::
 
@@ -16,28 +15,11 @@ import os
 
 import pytest
 
-from repro.experiments.figures import ResultCache
+from repro.experiments.registry import Runs
 
 BENCH_ACCESSES = int(os.environ.get("PAC_BENCH_ACCESSES", "16000"))
 
 
 @pytest.fixture(scope="session")
-def cache():
-    return ResultCache(n_accesses=BENCH_ACCESSES)
-
-
-@pytest.fixture(scope="session")
-def emit():
-    """Print a rendered figure under the benchmark output."""
-
-    def _emit(text: str) -> None:
-        print()
-        print(text)
-
-    return _emit
-
-
-def run_once(benchmark, fn):
-    """Time one regeneration pass (simulations are seconds-long; rounds
-    beyond the first would only measure the cache)."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+def runs():
+    return Runs(n_accesses=BENCH_ACCESSES)

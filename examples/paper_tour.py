@@ -4,7 +4,9 @@ show the two figures that tell the story.
 
 Runs the shape-claim checklist (the same one behind
 ``python -m repro validate``), then prints Figure 6a (coalescing
-efficiency) and Figure 15 (performance) as ASCII bar charts.
+efficiency) and Figure 15 (performance) as ASCII bar charts. One
+``Runs`` memo feeds all three, so the figures reuse the checklist's
+simulations.
 
 Run:  python examples/paper_tour.py [n_accesses]
 """
@@ -12,29 +14,24 @@ Run:  python examples/paper_tour.py [n_accesses]
 import sys
 
 from repro.experiments import (
-    fig6a_coalescing_efficiency,
-    fig15_performance,
-    render_series,
+    REGISTRY, Runs, render_checks, render_series, validate,
 )
-from repro.experiments.figures import ResultCache
-from repro.experiments.validation import render_checks, validate
 
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 12_000
+    runs = Runs(n_accesses=n)
 
     print("=" * 70)
     print("PAC reproduction — paper claim checklist")
     print("=" * 70)
-    checks = validate(n_accesses=n)
-    print(render_checks(checks))
+    print(render_checks(validate(runs)))
 
-    cache = ResultCache(n_accesses=n)
     print()
     print("=" * 70)
     print(
         render_series(
-            fig6a_coalescing_efficiency(cache),
+            REGISTRY["6a"].rows(runs),
             x="benchmark",
             ys=["dmc_ratio", "pac_ratio"],
             title="Figure 6a: coalescing efficiency (DMC vs PAC)",
@@ -43,7 +40,7 @@ def main() -> None:
     print()
     print(
         render_series(
-            fig15_performance(cache),
+            REGISTRY["15"].rows(runs),
             x="benchmark",
             ys=["pac_gain_latency_bound"],
             title="Figure 15: PAC performance gain (latency-bound model)",

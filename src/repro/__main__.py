@@ -47,38 +47,10 @@ import time
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.system import CoalescerKind
-from repro.experiments import figures as F
-from repro.experiments.figures import ResultCache
+from repro.experiments import registry as experiments
 from repro.experiments.reporting import render_table
 from repro.experiments.tables import table1_configuration
 from repro.workloads import BENCHMARK_NAMES
-
-FIGURES = {
-    "1": ("Figure 1: Ratio of Coalesced Requests", F.fig1_coalesced_ratio),
-    "2": ("Figure 2: Cross-page Coalescing", F.fig2_cross_page),
-    "6a": ("Figure 6a: Coalescing Efficiency", F.fig6a_coalescing_efficiency),
-    "6b": ("Figure 6b: Multiprocessing", F.fig6b_multiprocessing),
-    "6c": ("Figure 6c: Bank Conflict Reductions", F.fig6c_bank_conflicts),
-    "7": ("Figure 7: Comparison Reductions", F.fig7_comparison_reductions),
-    "8": ("Figures 8/9: Request Clustering", F.fig8_9_request_clustering),
-    "10a": ("Figure 10a: Transaction Efficiency",
-            F.fig10a_transaction_efficiency),
-    "10b": ("Figure 10b: HPCG Request Sizes",
-            lambda cache: F.fig10b_request_size_distribution(cache, "hpcg")),
-    "10c": ("Figure 10c: Bandwidth Savings", F.fig10c_bandwidth_savings),
-    "11a": ("Figure 11a: Space Overhead",
-            lambda cache: F.fig11a_space_overhead()),
-    "11b": ("Figure 11b: Stream Occupancy (HPCG)",
-            lambda cache: F.fig11b_stream_occupancy(cache, "hpcg")),
-    "11c": ("Figure 11c: Stream Utilization", F.fig11c_stream_utilization),
-    "12a": ("Figure 12a: Stage Latencies", F.fig12a_stage_latencies),
-    "12b": ("Figure 12b: MAQ Fill Latency", F.fig12b_maq_fill_latency),
-    "12c": ("Figure 12c: Bypass Proportion", F.fig12c_bypass_proportion),
-    "13": ("Figure 13: Power by Operation", F.fig13_power_by_operation),
-    "14": ("Figure 14: Overall Power Saving", F.fig14_overall_power),
-    "15": ("Figure 15: Performance Improvement", F.fig15_performance),
-}
-
 
 def _print_result(result) -> None:
     for key, value in result.as_row().items():
@@ -109,8 +81,8 @@ def main(argv=None) -> int:
         prog="repro", description="PAC reproduction CLI"
     )
     parser.add_argument(
-        "--accesses", type=int, default=24_000,
-        help="trace length per run (default 24000)",
+        "--accesses", type=int, default=experiments.DEFAULT_N,
+        help=f"trace length per run (default {experiments.DEFAULT_N})",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
@@ -214,12 +186,14 @@ def main(argv=None) -> int:
     )
 
     p_fig = sub.add_parser("figure", help="regenerate one figure")
-    p_fig.add_argument("figure", choices=sorted(FIGURES))
+    p_fig.add_argument(
+        "figure", choices=sorted(e.id for e in experiments.FIGURES)
+    )
 
     p_abl = sub.add_parser("ablation", help="run a design-choice sweep")
-    from repro.experiments.ablations import ABLATIONS
-
-    p_abl.add_argument("name", choices=sorted(ABLATIONS))
+    p_abl.add_argument(
+        "name", choices=sorted(e.id for e in experiments.ABLATIONS)
+    )
 
     sub.add_parser("report", help="full EXPERIMENTS.md report to stdout")
     sub.add_parser("config", help="print the Table 1 configuration")
@@ -578,34 +552,20 @@ def main(argv=None) -> int:
         )
         return 0
 
-    if args.command == "figure":
-        title, fn = FIGURES[args.figure]
-        cache = ResultCache(n_accesses=args.accesses, seed=args.seed)
-        rows = fn(cache)
-        print(render_table(rows, title=title))
+    if args.command in ("figure", "ablation", "report", "validate"):
+        runs = experiments.Runs(args.accesses, args.seed)
+        if args.command == "report":
+            sys.stdout.write(experiments.report(runs))
+            return 0
+        if args.command == "validate":
+            checks = experiments.validate(runs)
+            print(experiments.render_checks(checks))
+            return 0 if all(c.passed for c in checks) else 1
+        entry = experiments.REGISTRY[
+            args.figure if args.command == "figure" else args.name
+        ]
+        print(render_table(entry.rows(runs), title=entry.title))
         return 0
-
-    if args.command == "report":
-        from repro.experiments.summary import generate_report
-
-        sys.stdout.write(
-            generate_report(n_accesses=args.accesses, seed=args.seed)
-        )
-        return 0
-
-    if args.command == "ablation":
-        from repro.experiments.ablations import ABLATIONS
-
-        rows = ABLATIONS[args.name](n_accesses=args.accesses)
-        print(render_table(rows, title=f"ablation: {args.name}"))
-        return 0
-
-    if args.command == "validate":
-        from repro.experiments.validation import render_checks, validate
-
-        checks = validate(n_accesses=args.accesses, seed=args.seed)
-        print(render_checks(checks))
-        return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "trace":
         from repro.engine.system import System

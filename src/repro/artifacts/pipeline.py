@@ -67,6 +67,15 @@ class TracePass:
                 _memoize(self.key, self._requests)
         return self._requests
 
+    def release(self) -> None:
+        """Drop the decoded list, here and in the memo; ``raw`` stays,
+        so a later :meth:`requests` decodes again. Long-lived holders of
+        many passes call this after each consumer to keep only the
+        packed streams resident."""
+        self._requests = None
+        if self.key:
+            _DECODED_MEMO.pop(self.key, None)
+
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_requests"] = None

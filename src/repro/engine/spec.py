@@ -10,6 +10,7 @@ figure memo — takes a spec, and the artifact keys derive from it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
@@ -50,12 +51,25 @@ class RunSpec:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if not self.benchmarks:
             raise ValueError("a run needs at least one benchmark")
+        if self.seed is None:
+            object.__setattr__(self, "seed", self.config.seed)
+        # Integers only, normalised to int: a float or str would run
+        # (truncated or parsed) under a spec that neither compares nor
+        # hashes equal to the int one, splitting memo and artifact keys.
+        for name in ("n_accesses", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise TypeError(
+                    f"{name} must be an integer, got "
+                    f"{type(value).__name__} {value!r}"
+                )
+            object.__setattr__(self, name, int(value))
         if self.n_accesses <= 0:
             raise ValueError(
                 f"n_accesses must be positive, got {self.n_accesses}"
             )
-        if self.seed is None:
-            object.__setattr__(self, "seed", self.config.seed)
 
     @staticmethod
     def probe_settings(telemetry, spans) -> dict:

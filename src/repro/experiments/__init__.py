@@ -1,56 +1,43 @@
 """Regeneration of every table and figure in the paper's evaluation.
 
-Each ``fig*`` function returns the rows/series the corresponding figure
-plots; :mod:`repro.experiments.reporting` renders them as ASCII tables.
-The benchmark harness under ``benchmarks/`` calls these functions — one
-bench per figure — and records paper-vs-measured in EXPERIMENTS.md.
+:mod:`repro.experiments.registry` declares each table, figure and
+ablation once — its rows, paper values and shape claims — and renders
+``repro figure``/``ablation``/``report``/``validate`` and the
+``benchmarks/`` harness from that one list;
+:mod:`repro.experiments.reporting` renders rows as ASCII tables.
 """
 
-from repro.experiments.figures import (
-    fig1_coalesced_ratio,
-    fig2_cross_page,
-    fig6a_coalescing_efficiency,
-    fig6b_multiprocessing,
-    fig6c_bank_conflicts,
-    fig7_comparison_reductions,
-    fig8_9_request_clustering,
-    fig10a_transaction_efficiency,
-    fig10b_request_size_distribution,
-    fig10c_bandwidth_savings,
-    fig11a_space_overhead,
-    fig11b_stream_occupancy,
-    fig11c_stream_utilization,
-    fig12a_stage_latencies,
-    fig12b_maq_fill_latency,
-    fig12c_bypass_proportion,
-    fig13_power_by_operation,
-    fig14_overall_power,
-    fig15_performance,
+from repro.experiments.registry import (
+    ABLATIONS,
+    DEFAULT_N,
+    ENTRIES,
+    FIGURES,
+    REGISTRY,
+    Check,
+    Claim,
+    Entry,
+    Runs,
+    render_checks,
+    report,
+    validate,
 )
+from repro.experiments.reporting import render_series, render_table
 from repro.experiments.tables import table1_configuration
-from repro.experiments.reporting import render_table, render_series
 
 __all__ = [
-    "fig1_coalesced_ratio",
-    "fig2_cross_page",
-    "fig6a_coalescing_efficiency",
-    "fig6b_multiprocessing",
-    "fig6c_bank_conflicts",
-    "fig7_comparison_reductions",
-    "fig8_9_request_clustering",
-    "fig10a_transaction_efficiency",
-    "fig10b_request_size_distribution",
-    "fig10c_bandwidth_savings",
-    "fig11a_space_overhead",
-    "fig11b_stream_occupancy",
-    "fig11c_stream_utilization",
-    "fig12a_stage_latencies",
-    "fig12b_maq_fill_latency",
-    "fig12c_bypass_proportion",
-    "fig13_power_by_operation",
-    "fig14_overall_power",
-    "fig15_performance",
-    "table1_configuration",
-    "render_table",
+    "ABLATIONS",
+    "DEFAULT_N",
+    "ENTRIES",
+    "FIGURES",
+    "REGISTRY",
+    "Check",
+    "Claim",
+    "Entry",
+    "Runs",
+    "render_checks",
+    "report",
+    "validate",
     "render_series",
+    "render_table",
+    "table1_configuration",
 ]

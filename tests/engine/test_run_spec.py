@@ -18,6 +18,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.artifacts import store
@@ -45,6 +46,19 @@ class TestConstruction:
     def test_rejects_non_positive_accesses(self, n):
         with pytest.raises(ValueError, match="n_accesses"):
             RunSpec(("gs",), n)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_accesses", 2000.0), ("n_accesses", True), ("n_accesses", "2000"),
+        ("seed", 1.5), ("seed", "7"), ("seed", False),
+    ])
+    def test_rejects_non_integer_sizes_and_seeds(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            RunSpec(("gs",), **{"n_accesses": N, field: value})
+
+    def test_numpy_integers_normalise_to_int(self):
+        spec = RunSpec(("gs",), np.int64(N), seed=np.int32(SEED))
+        assert spec == RunSpec(("gs",), N, seed=SEED)
+        assert type(spec.n_accesses) is int and type(spec.seed) is int
 
     def test_rejects_empty_benchmarks(self):
         with pytest.raises(ValueError, match="benchmark"):

@@ -1,73 +1,102 @@
-"""Tests for the ablation sweep library (small traces)."""
+"""Tests for the ablation entries of the experiment registry."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments.ablations import (
-    ABLATIONS,
-    address_mapping_sweep,
-    core_scaling_sweep,
-    ddr_vs_hmc_sweep,
-    prefetch_sweep,
-    protocol_sweep,
-    shared_vs_private_sweep,
-    sorting_baseline_sweep,
-    stream_count_sweep,
-    timeout_sweep,
-)
+from repro.config import TABLE1
+from repro.core.protocols import HBM, HMC1
+from repro.engine.driver import run_spec
+from repro.engine.spec import RunSpec
+from repro.engine.system import CoalescerKind, System
+from repro.experiments.registry import ABLATIONS, REGISTRY, Runs
 
-N = 3000
+
+def rows(runs, name):
+    return REGISTRY[name].rows(runs)
 
 
 class TestRegistry:
     def test_all_nine_registered(self):
         assert len(ABLATIONS) == 9
-        for name, fn in ABLATIONS.items():
-            assert callable(fn), name
+        for entry in ABLATIONS:
+            assert callable(entry.rows), entry.id
+            assert entry.claims, entry.id
+            assert entry.section is None, entry.id
 
 
 class TestSweeps:
-    def test_timeout_rows(self):
-        rows = timeout_sweep(timeouts=(4, 16), n_accesses=N)
-        assert [r["timeout_cycles"] for r in rows] == [4, 16]
-        assert all(0 <= r["coalescing_efficiency"] < 1 for r in rows)
+    def test_timeout_rows(self, runs):
+        out = rows(runs, "timeout")
+        assert [r["timeout_cycles"] for r in out] == [2, 4, 8, 16, 32, 64]
+        assert all(0 <= r["coalescing_efficiency"] < 1 for r in out)
 
-    def test_stream_count_rows(self):
-        rows = stream_count_sweep(counts=(4, 16), n_accesses=N)
-        assert rows[0]["comparators"] == 4
-        assert rows[1]["buffer_bytes"] > rows[0]["buffer_bytes"]
+    def test_stream_count_rows(self, runs):
+        out = rows(runs, "streams")
+        assert [r["comparators"] for r in out] == [2, 4, 8, 16, 32]
+        assert out[1]["buffer_bytes"] > out[0]["buffer_bytes"]
 
-    def test_protocol_rows(self):
-        rows = protocol_sweep(n_accesses=N)
-        assert [r["protocol"] for r in rows] == ["hmc1.0", "hmc2.1", "hbm"]
-        assert rows[2]["max_packet_bytes"] == 1024
+    def test_protocol_rows(self, runs):
+        out = rows(runs, "protocols")
+        assert [r["protocol"] for r in out] == ["hmc1.0", "hmc2.1", "hbm"]
+        assert out[2]["max_packet_bytes"] == 1024
 
-    def test_sorting_rows(self):
-        rows = sorting_baseline_sweep(benchmarks=("gs",), n_accesses=N)
-        assert rows[0]["pac_comparisons"] < rows[0]["sort_comparisons"]
+    def test_sorting_rows(self, runs):
+        gs = next(r for r in rows(runs, "sorting") if r["benchmark"] == "gs")
+        assert gs["pac_comparisons"] < gs["sort_comparisons"]
 
-    def test_ddr_rows(self):
-        rows = ddr_vs_hmc_sweep(benchmarks=("stream",), n_accesses=N)
-        assert 0 <= rows[0]["ddr_row_hit_rate"] <= 1
-
-    def test_prefetch_rows(self):
-        rows = prefetch_sweep(regions=(0, 1), n_accesses=N)
-        assert rows[0]["prefetch_raw"] == 0
-        assert rows[1]["prefetch_raw"] > 0
-
-    def test_shared_private_rows(self):
-        rows = shared_vs_private_sweep(benchmarks=("gs",), n_accesses=N)
-        assert {"shared_efficiency", "private_efficiency"} <= set(rows[0])
-
-    def test_core_scaling_rows(self):
-        rows = core_scaling_sweep(core_counts=(1, 4), n_accesses=N)
-        assert [r["n_cores"] for r in rows] == [1, 4]
-
-    def test_address_mapping_rows(self):
-        rows = address_mapping_sweep(
-            policies=("vault-first", "row-major"), n_accesses=N
+    def test_ddr_rows(self, runs):
+        assert all(
+            0 <= r["ddr_row_hit_rate"] <= 1 for r in rows(runs, "ddr")
         )
-        assert rows[0]["policy"] == "vault-first"
-        assert "pac_reduction" in rows[0]
+
+    def test_prefetch_rows(self, runs):
+        out = rows(runs, "prefetch")
+        assert out[0]["prefetch_raw"] == 0
+        assert out[1]["prefetch_raw"] > 0
+
+    def test_prefetch_raw_is_the_hierarchy_count(self, runs):
+        # The row derives the count from the prefix's cache metrics;
+        # it must equal what the cache hierarchy itself counted.
+        system = System(TABLE1.with_cache(prefetch_regions=1),
+                        CoalescerKind.NONE)
+        trace = system.build_trace(["stream"], runs.n_accesses)
+        system.hierarchy.process(trace)
+        assert rows(runs, "prefetch")[1]["prefetch_raw"] == (
+            system.hierarchy.stats.count("prefetch_raw")
+        )
+
+    def test_shared_private_rows(self, runs):
+        out = rows(runs, "shared-private")
+        assert {"shared_efficiency", "private_efficiency"} <= set(out[0])
+
+    def test_core_scaling_rows(self, runs):
+        assert [r["n_cores"] for r in rows(runs, "core-scaling")] == [
+            1, 2, 4, 8
+        ]
+
+    def test_address_mapping_rows(self, runs):
+        out = rows(runs, "address-mapping")
+        assert out[0]["policy"] == "vault-first"
+        assert "pac_reduction" in out[0]
+
+
+class TestSharedPrefix:
+    """Each ablation design point runs its arm over the memo's shared
+    prefix; that must equal running the spec end to end."""
+
+    @pytest.mark.parametrize("fields", [
+        {"config": TABLE1.with_pac(timeout_cycles=4)},
+        {"config": TABLE1.with_hmc(max_packet_bytes=128), "protocol": HMC1},
+        {"protocol": HBM, "device": "hbm"},
+        {"device": "ddr", "arm": CoalescerKind.NONE},
+        {"arm": CoalescerKind.SORT},
+        {"config": replace(TABLE1, n_cores=1), "arm": CoalescerKind.DMC},
+        {"config": TABLE1.with_hmc(address_policy="row-major")},
+    ], ids=["timeout", "hmc1", "hbm", "ddr", "sort", "one-core", "row-major"])
+    def test_memo_equals_end_to_end(self, fields):
+        spec = RunSpec(("stream",), 3000, **fields)
+        assert Runs(3000)[spec] == run_spec(spec)
 
 
 class TestCLIIntegration:

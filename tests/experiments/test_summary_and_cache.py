@@ -1,36 +1,42 @@
-"""Tests for the report generator, the result cache, and package API."""
+"""Tests for the report, the run memo, and package API."""
 
 import pytest
 
 from repro.engine.system import CoalescerKind
-from repro.experiments.figures import (
-    MULTIPROCESS_PARTNERS,
-    ResultCache,
-)
-from repro.experiments.summary import generate_report
+from repro.experiments.registry import MULTIPROCESS_PARTNERS, Runs, report
 from repro.workloads import BENCHMARK_NAMES
 
 
-class TestResultCache:
+class TestRuns:
     def test_memoizes_runs(self):
-        cache = ResultCache(n_accesses=2000)
-        a = cache.get("gs", CoalescerKind.PAC)
-        b = cache.get("gs", CoalescerKind.PAC)
-        assert a is b
+        runs = Runs(n_accesses=2000)
+        spec = runs.spec("gs")
+        assert runs[spec] is runs[runs.spec("gs")]
 
     def test_distinct_keys_distinct_runs(self):
-        cache = ResultCache(n_accesses=2000)
-        a = cache.get("gs", CoalescerKind.PAC)
-        b = cache.get("gs", CoalescerKind.DMC)
-        c = cache.get("gs", CoalescerKind.PAC, extras=("bfs",))
+        runs = Runs(n_accesses=2000)
+        a = runs[runs.spec("gs")]
+        b = runs[runs.spec("gs", arm=CoalescerKind.DMC)]
+        c = runs[runs.spec("gs", "bfs")]
         assert a is not b and a is not c
 
     def test_fine_grain_is_separate_key(self):
-        cache = ResultCache(n_accesses=2000)
-        a = cache.get("hpcg", CoalescerKind.PAC)
-        b = cache.get("hpcg", CoalescerKind.PAC, fine_grain=True)
+        runs = Runs(n_accesses=2000)
+        a = runs[runs.spec("hpcg")]
+        b = runs[runs.spec("hpcg", fine_grain=True)]
         assert a is not b
         assert b.mean_packet_bytes < a.mean_packet_bytes
+
+    def test_arms_share_one_packed_prefix(self):
+        runs = Runs(n_accesses=2000)
+        pac, dmc = runs.spec("gs"), runs.spec("gs", arm=CoalescerKind.DMC)
+        runs[pac], runs[dmc]
+        tp = runs.prefix(pac)
+        assert runs.prefix(dmc) is tp
+        assert tp._requests is None  # decoded list released after the arm
+
+    def test_seed_reaches_every_spec(self):
+        assert Runs(2000, seed=7).spec("gs").seed == 7
 
 
 class TestMultiprocessPartnerMap:
@@ -46,14 +52,14 @@ class TestMultiprocessPartnerMap:
 
 class TestGenerateReport:
     @pytest.fixture(scope="class")
-    def report(self):
-        return generate_report(n_accesses=3000)
+    def text(self, runs):
+        return report(runs)
 
-    def test_markdown_structure(self, report):
-        assert report.startswith("# EXPERIMENTS")
-        assert report.count("## ") >= 18  # Table 1 + every figure
+    def test_markdown_structure(self, text):
+        assert text.startswith("# EXPERIMENTS")
+        assert text.count("## ") >= 18  # Table 1 + every figure
 
-    def test_every_figure_present(self, report):
+    def test_every_figure_present(self, text):
         for marker in (
             "Figure 1 / 6a", "Figure 2", "Figure 6b", "Figure 6c",
             "Figure 7", "Figures 8/9", "Figure 10a", "Figure 10b",
@@ -61,15 +67,15 @@ class TestGenerateReport:
             "Figure 12a", "Figure 12b", "Figure 12c", "Figure 13",
             "Figure 14", "Figure 15",
         ):
-            assert marker in report, marker
+            assert marker in text, marker
 
-    def test_divergence_notes_present(self, report):
-        assert "Divergence note" in report or "Model note" in report
-        assert "Accounting note" in report
+    def test_divergence_notes_present(self, text):
+        assert "Divergence note" in text or "Model note" in text
+        assert "Accounting note" in text
 
-    def test_paper_numbers_cited(self, report):
+    def test_paper_numbers_cited(self, text):
         for number in ("56.01%", "85.16%", "73.76%", "14.35%", "20.76"):
-            assert number in report, number
+            assert number in text, number
 
 
 class TestPackageAPI:

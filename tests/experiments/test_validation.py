@@ -1,20 +1,23 @@
-"""Tests for the paper-claim validation checklist."""
+"""Tests for the paper-claim checklist of the experiment registry."""
 
 import pytest
 
-from repro.experiments.validation import Check, render_checks, validate
+from repro.experiments.registry import (
+    ENTRIES, REGISTRY, Check, render_checks, validate,
+)
 
 
 @pytest.fixture(scope="module")
-def checks():
-    # Small traces: this is a smoke-level validation; the benchmark
-    # harness runs the full-size version.
-    return validate(n_accesses=6000)
+def checks(runs):
+    # Small traces: the CLI and the benchmark harness run the full-size
+    # version; runs are deterministic, so every claim must hold here too.
+    return validate(runs)
 
 
 class TestValidation:
     def test_all_claims_evaluated(self, checks):
-        assert len(checks) >= 15
+        assert len(checks) == sum(len(e.claims) for e in ENTRIES)
+        assert {c.entry for c in checks} == {e.id for e in ENTRIES}
 
     def test_structural_claims_always_pass(self, checks):
         by_claim = {c.claim: c for c in checks}
@@ -32,16 +35,26 @@ class TestValidation:
             "PAC saves more energy than DMC, both positive"
         ].passed
 
-    def test_majority_pass(self, checks):
-        # Small traces may flip a marginal check; the bulk must hold.
-        passed = sum(c.passed for c in checks)
-        assert passed >= len(checks) - 2
+    def test_every_claim_passes(self, checks):
+        failed = [f"{c.entry}: {c.claim} (measured {c.measured})"
+                  for c in checks if not c.passed]
+        assert not failed, failed
+
+    def test_claims_fail_when_the_shape_flips(self, runs):
+        # Swap the arms: PAC now trails DMC on every suite.
+        swapped = [{**r, "pac_ratio": r["dmc_ratio"],
+                    "dmc_ratio": r["pac_ratio"]}
+                   for r in REGISTRY["6a"].rows(runs)]
+        for entry_id in ("1", "6a"):
+            checks = REGISTRY[entry_id].checks(swapped)
+            assert not checks[0].passed, checks[0]
 
     def test_render(self, checks):
         out = render_checks(checks)
         assert "shape claims reproduced" in out
         assert "paper:" in out
+        assert "6a: Figure 6a" in out
 
     def test_check_dataclass(self):
-        c = Check("x", "1", "2", True)
-        assert c.passed and c.claim == "x"
+        c = Check("6a", "x", "1", "2", True)
+        assert c.passed and c.claim == "x" and c.entry == "6a"

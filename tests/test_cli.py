@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.__main__ import FIGURES, main
+from repro.__main__ import main
+from repro.experiments.registry import FIGURES, REGISTRY, Runs
+from repro.experiments.reporting import render_table
 from repro.mem.trace import AccessTrace
 
 
@@ -63,7 +65,18 @@ class TestRunCommands:
             "1", "2", "6a", "6b", "6c", "7", "8", "10a", "10b", "10c",
             "11a", "11b", "11c", "12a", "12b", "12c", "13", "14", "15",
         }
-        assert expected <= set(FIGURES)
+        assert expected <= {e.id for e in FIGURES}
+
+    def test_ablation_honours_seed(self, capsys):
+        entry = REGISTRY["timeout"]
+        assert main(["--accesses", "2000", "--seed", "7",
+                     "ablation", "timeout"]) == 0
+        out = capsys.readouterr().out
+        seeded = render_table(entry.rows(Runs(2000, seed=7)),
+                              title=entry.title)
+        assert out == seeded + "\n"
+        assert seeded != render_table(entry.rows(Runs(2000)),
+                                      title=entry.title)
 
 
 class TestBenchCommand:
