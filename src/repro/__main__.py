@@ -242,7 +242,11 @@ def main(argv=None) -> int:
         help="benchmark to trace, or 'all' for the whole suite",
     )
     p_spans.add_argument(
-        "--coalescer", choices=[k.value for k in CoalescerKind],
+        "--coalescer",
+        # The sorting-network arm records no spans.
+        choices=[
+            k.value for k in CoalescerKind if k is not CoalescerKind.SORT
+        ],
         default="pac", help="arm to trace",
     )
     p_spans.add_argument(
@@ -520,6 +524,8 @@ def main(argv=None) -> int:
         from repro.engine.parallel import run_suite_parallel
 
         kind = CoalescerKind(args.coalescer)
+        if args.suite_spans and kind is CoalescerKind.SORT:
+            parser.error("--spans: the sortdmc arm records no spans")
         t0 = time.perf_counter()
         results = run_suite_parallel(
             kinds=(kind,),

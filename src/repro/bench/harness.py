@@ -481,7 +481,7 @@ def stage_legs(
         # each packet's issue cycle, then one merge on the batched twin.
         system = fresh(engine)
         dev = system.device
-        batched = system.backend_engine == "batched"
+        batched = system.engine == "batched"
 
         def replay() -> None:
             submit = dev.submit

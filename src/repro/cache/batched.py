@@ -35,9 +35,11 @@ columns of a :class:`~repro.telemetry.ProbeBuffer` (``raw_requests``
 plus the kind counter — demand, secondary, prefetch or write-back),
 folded into the probes whenever the raw column reaches
 :data:`~repro.telemetry.FOLD_EVENTS` and at the end of :meth:`process`.
-Span origins are still not stamped: the constructor refuses enabled
-spans, and :class:`repro.engine.system.System` auto-demotes span runs
-to the reference front-end instead of tripping that refusal.
+Span tracing stamps the same origins: each emission site calls
+:meth:`~repro.telemetry.SpanRecorder.origin` with its kind (demand,
+secondary, prefetch, write-back, atomic or fence) when the ordinal the
+request is about to take is sampled, as the reference ``emit`` does.
+With spans off each site costs one local flag test.
 
 One observable difference is documented and accepted: the inherited
 ``SetAssociativeCache`` objects serve as geometry + stats carriers only
@@ -78,11 +80,6 @@ class BatchedCacheHierarchy(CacheHierarchy):
         probes=NULL_TELEMETRY,
         spans=NULL_SPANS,
     ) -> None:
-        if getattr(spans, "enabled", False):
-            raise ValueError(
-                "the batched front-end does not stamp span origins — "
-                "use engine='reference' for span runs"
-            )
         super().__init__(
             config,
             n_cores=n_cores,
@@ -309,6 +306,13 @@ class BatchedCacheHierarchy(CacheHierarchy):
              on_writeback) = self._probe_appends
             raw_events = self._probe_raw
             fold_probes = self._probe_buf.fold
+        # Span origins: each emission site stamps its kind when the
+        # ordinal it is about to take (``len(out)``) is sampled.
+        spans_on = self._spans_on
+        if spans_on:
+            spans_origin = self._spans.origin
+            span_rate = self._spans.sample_rate
+            span_offset = self._spans.sample_offset
         stride_cap = self._stride_table_cap
         region_span = PREFETCH_REGION_BYTES * (1 + config.prefetch_regions)
 
@@ -336,10 +340,14 @@ class BatchedCacheHierarchy(CacheHierarchy):
                         llc_tags[slot] = -1
                         llc_lens[slot - slot % llc_ways] -= 1
                     atom_n += 1
+                    if spans_on and len(out) % span_rate == span_offset:
+                        spans_origin(len(out), "atomic")
                     out_append(_nr(addrs[i], sizes[i], ATOMIC, core, cycle))
                 else:
                     # Fences propagate as line-aligned drain markers.
                     fence_n += 1
+                    if spans_on and len(out) % span_rate == span_offset:
+                        spans_origin(len(out), "fence")
                     out_append(_nr(line_addr, line, FENCE, core, cycle))
                 continue
 
@@ -395,6 +403,8 @@ class BatchedCacheHierarchy(CacheHierarchy):
                     if probes_on:
                         on_raw(cycle)
                         on_writeback(cycle)
+                    if spans_on and len(out) % span_rate == span_offset:
+                        spans_origin(len(out), "writeback")
                     r = mr_new(MR)
                     s_addr(r, llc_wb)
                     s_size(r, line)
@@ -439,6 +449,8 @@ class BatchedCacheHierarchy(CacheHierarchy):
                 if probes_on:
                     on_raw(cycle)
                     on_writeback(cycle)
+                if spans_on and len(out) % span_rate == span_offset:
+                    spans_origin(len(out), "writeback")
                 r = mr_new(MR)
                 s_addr(r, llc_wb)
                 s_size(r, line)
@@ -454,6 +466,8 @@ class BatchedCacheHierarchy(CacheHierarchy):
             if probes_on:
                 on_raw(cycle)
                 on_demand(cycle)
+            if spans_on and len(out) % span_rate == span_offset:
+                spans_origin(len(out), "demand")
             if fine_grain:
                 out_append(_nr(addrs[i], sizes[i], op, core, cycle))
             else:
@@ -484,6 +498,8 @@ class BatchedCacheHierarchy(CacheHierarchy):
                     if probes_on:
                         on_raw(cycle)
                         on_secondary(cycle)
+                    if spans_on and len(out) % span_rate == span_offset:
+                        spans_origin(len(out), "secondary")
                     if fine_grain:
                         j = core_idx_lists[core][k]
                         out_append(_nr(addrs[j], sizes[j], op, core, cycle))
@@ -594,6 +610,10 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                     if probes_on:
                                         on_raw(cycle)
                                         on_writeback(cycle)
+                                    if spans_on and (
+                                        len(out) % span_rate == span_offset
+                                    ):
+                                        spans_origin(len(out), "writeback")
                                     out_append(_nr(llc_wb, line, STORE, core, cycle))
                             # llc.install(pf, clean): fill only — not
                             # resident by the loop guard above.
@@ -620,12 +640,20 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                 if probes_on:
                                     on_raw(cycle)
                                     on_writeback(cycle)
+                                if spans_on and (
+                                    len(out) % span_rate == span_offset
+                                ):
+                                    spans_origin(len(out), "writeback")
                                 out_append(_nr(llc_wb, line, STORE, core, cycle))
                             pf_n += 1
                             raw_n += 1
                             if probes_on:
                                 on_raw(cycle)
                                 on_prefetch(cycle)
+                            if spans_on and (
+                                len(out) % span_rate == span_offset
+                            ):
+                                spans_origin(len(out), "prefetch")
                             r = mr_new(MR)
                             s_addr(r, pf)
                             s_size(r, line)

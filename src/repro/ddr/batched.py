@@ -23,7 +23,9 @@ Telemetry probes follow the HMC twin's rules: events land in the
 bounded columns of a :class:`~repro.telemetry.ProbeBuffer`, folded at
 :data:`~repro.telemetry.FOLD_EVENTS` and at every :meth:`sync`, and
 probe runs charge DRAM-ACTIVATE live too, so each packet's float
-``energy_pj`` amount matches the reference's.
+``energy_pj`` amount matches the reference's. Span runs record each
+packet through the reference's ``_record_span`` (vault_wait, dram,
+response; the channel stands in for vault and link).
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class BatchedDDRDevice(DDRDevice):
         probes=None,
         spans=None,
     ) -> None:
-        if spans is not None and spans.enabled:
-            raise ValueError(
-                "BatchedDDRDevice materializes no per-packet segments; "
-                "use DDRDevice (engine='reference') for span runs"
-            )
         super().__init__(config, probes=probes, spans=spans)
         cfg = self.config
         self._row_bytes = cfg.row_bytes
@@ -155,6 +152,10 @@ class BatchedDDRDevice(DDRDevice):
             on_pj(self.energy.total_pj - pj_before)
             if len(self._probe_cycles) >= FOLD_EVENTS:
                 self._probe_buf.fold()
+        if self._spans_on:
+            self._record_span(
+                packet, channel, cycle, start, dram_done, completion
+            )
         return completion
 
     # -- merge point -------------------------------------------------------- #

@@ -164,20 +164,29 @@ class DDRDevice:
             self._t_latency.observe(cycle, completion - cycle)
             self._t_energy.add(cycle, self.energy.total_pj - pj_before)
         if self._spans_on:
-            # The channel plays the vault role in the span taxonomy.
-            self._spans.device_span(
-                packet,
-                vault=channel,
-                link=channel,
-                start=cycle,
-                completion=completion,
-                segments=(
-                    ("vault_wait", cycle, start),
-                    ("dram", start, dram_done),
-                    ("response", dram_done, completion),
-                ),
+            self._record_span(
+                packet, channel, cycle, start, dram_done, completion
             )
         return completion
+
+    def _record_span(
+        self, packet, channel, cycle, start, dram_done, completion
+    ) -> None:
+        """Hand ``packet``'s service breakdown to the span recorder: bank
+        wait, DRAM access, bus transfer. The channel plays the vault
+        (and link) role in the span taxonomy."""
+        self._spans.device_span(
+            packet,
+            vault=channel,
+            link=channel,
+            start=cycle,
+            completion=completion,
+            segments=(
+                ("vault_wait", cycle, start),
+                ("dram", start, dram_done),
+                ("response", dram_done, completion),
+            ),
+        )
 
     # -- accounting surface (mirrors HMCDevice) ----------------------------- #
 

@@ -142,16 +142,12 @@ def run_benchmark(
     structured event log (:mod:`repro.telemetry.events`): ``None``
     keeps whatever is active (including a ``$REPRO_EVENTS`` sink), a
     path or :class:`~repro.telemetry.events.EventLog` installs one for
-    the call, ``False`` force-disables. ``engine`` selects the
-    execution path per component — the coalescer kernel (``"batched"``
-    is the bit-identical array-backed kernel, PAC-only), the cache
-    front-end, and the memory-device back-end (every protocol has a
-    batched twin): ``"reference"`` pins all three to the per-request
-    object pipelines, ``"auto"`` (default) resolves each component to
-    its batched engine when applicable, demoting to reference — with
-    one ``demote`` event per component — when spans or a non-PAC arm
-    (coalescer only) make the batched path inapplicable. Telemetry
-    probes and fault plans run on the batched engines.
+    the call, ``False`` force-disables. ``engine`` is an oracle hook:
+    ``"auto"`` (default) and ``"batched"`` both run the production path
+    — the batched front-end, PAC kernel and device twins, whatever the
+    probes, spans or fault plan — and ``"reference"`` runs the scalar
+    per-request classes they are bit-identical to. NONE, DMC and SORT
+    run their one coalescer on either engine.
     """
     spec = RunSpec(
         (benchmark, *extra_benchmarks), n_accesses, arm=coalescer,
@@ -204,14 +200,11 @@ def run_comparison(
     sample rate. ``faults`` installs a
     process-scoped fault injector for the duration of the comparison
     (the artifact-store sites are live on the cached path). ``engine``
-    applies per arm (:meth:`RunSpec.for_arm`): ``"batched"`` pins the
-    PAC arms to the fast kernel while non-PAC arms resolve ``"auto"``.
-    The shared trace+cache prefix resolves the same knob for its
-    front-end (``"reference"`` forces the scalar generators and
-    hierarchy; the default takes the batched front-end — bit-identical
-    either way, so cached artifacts are engine-invariant). Each arm's
-    back-end resolves likewise: the default runs the batched device
-    twin, bit-identical by the same contract.
+    is :func:`run_benchmark`'s oracle hook, applied to every arm and to
+    the shared trace+cache prefix (``"reference"`` forces the scalar
+    generators, hierarchy, PAC kernel and device; the default runs the
+    batched twins — bit-identical either way, so cached artifacts are
+    engine-invariant).
     """
     spec = RunSpec(
         (benchmark, *extra_benchmarks), n_accesses, config=config,

@@ -284,23 +284,14 @@ def run_suite_parallel(
     from ``$REPRO_EVENTS``) and append their own lines, distinguished
     by ``pid``.
 
-    ``engine`` forwards the coalescer execution-path knob of
-    :func:`~repro.engine.driver.run_benchmark` into every worker: each
-    PAC arm resolves ``"auto"`` inside its own process — batched, fault
-    plan or not, since no fault site sits inside an engine; only span
-    tracing demotes it to the reference path (bit-identical by the
-    engine contract). The knob applies per arm (:meth:`RunSpec.for_arm`):
-    ``engine="batched"`` pins the PAC arms to the fast path while the
-    non-PAC arms — which have only their reference implementation —
-    resolve ``"auto"`` instead of rejecting the whole grid. Phase 1
-    resolves the same knob for its per-benchmark trace+cache prefix:
-    the default runs the batched front-end, ``engine="reference"``
-    forces the scalar generators and hierarchy — bit-identical by the
-    front-end contract, so artifact keys and cached passes are shared
-    across engines. The back-end resolves per worker too: each phase-2
-    job constructs its own ``System``, so its device twin (batched by
-    default, reference under spans) is chosen inside the worker
-    process, never inherited from the parent.
+    ``engine`` forwards the oracle hook of
+    :func:`~repro.engine.driver.run_benchmark` to every arm and to
+    phase 1's per-benchmark trace+cache prefix: the default (``"auto"``,
+    or its spelling ``"batched"``) runs the batched twins — with probes,
+    spans or a fault plan too — and ``engine="reference"`` the scalar
+    classes, bit-identically, so artifact keys and cached passes are
+    shared across engines. Each job constructs its own ``System``
+    inside its worker process.
     """
     if pipeline not in ("auto", "two-phase", "per-job"):
         raise ValueError(f"unknown pipeline {pipeline!r}")

@@ -101,20 +101,10 @@ class RunSpec:
         return "+".join(self.benchmarks)
 
     def for_arm(self, arm: CoalescerKind) -> "RunSpec":
-        """This spec on ``arm``, with the engine a multi-arm grid uses.
-
-        ``engine="batched"`` names the PAC fast path; the other arms
-        have only their reference implementation, so a grid-level
-        request resolves to ``"auto"`` on non-PAC arms (where ``auto``
-        is always ``reference``, eventlessly) instead of rejecting the
-        whole grid. A spec built for a single arm stays strict: a
-        non-PAC arm *and* ``batched`` is a ``ValueError`` in
-        :class:`System`.
-        """
-        engine = self.engine
-        if engine == "batched" and arm is not CoalescerKind.PAC:
-            engine = "auto"
-        return replace(self, arm=arm, engine=engine)
+        """This spec on ``arm``. The engine carries over unchanged:
+        every arm runs on either engine (NONE, DMC and SORT keep their
+        one coalescer between the engine's front-end and device)."""
+        return replace(self, arm=arm)
 
     def system(self, telemetry=None, spans=None) -> System:
         """A fresh :class:`System` for this spec. ``telemetry``/``spans``

@@ -51,7 +51,9 @@ class CoalescerKind(enum.Enum):
     SORT = "sortdmc"
 
 
-#: Valid values of the ``engine=`` knob.
+#: Spellings of the ``engine=`` knob. ``"auto"`` (the default) and
+#: ``"batched"`` both name the production path; ``"reference"`` selects
+#: the scalar classes the parity suites hold it to.
 ENGINES = ("auto", "reference", "batched")
 
 
@@ -76,7 +78,11 @@ class System:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
-        self.engine_requested = engine
+        #: The resolved engine of every component: ``"batched"`` runs
+        #: the batched front-end, PAC kernel and device twins (NONE, DMC
+        #: and SORT keep their only coalescer), ``"reference"`` the
+        #: scalar classes. Probes and spans never change it.
+        self.engine = "reference" if engine == "reference" else "batched"
         # ``telemetry`` is False (off), True (fresh registry at the
         # default window), or a caller-supplied TelemetryRegistry (e.g.
         # with a custom window_cycles).
@@ -97,16 +103,15 @@ class System:
             self.spans = SpanRecorder(sample_rate=spans, seed=config.seed)
         else:
             self.spans = spans
+        if self.spans is not None and coalescer is CoalescerKind.SORT:
+            raise ValueError(
+                f"coalescer={coalescer.value!r} records no spans; trace "
+                "the pac, dmc or none arm instead"
+            )
         span_rec = self.spans if self.spans is not None else NULL_SPANS
-        # Engines resolve before the device is constructed — the device
-        # build below dispatches on ``backend_engine``. The resolver
-        # reads only the arm and the span blocker, never the
-        # probe scopes, so probe registration order (device, cache,
-        # coalescer) is unchanged from the historical wiring.
-        self._resolve_engines(engine)
-        batched_device = self.backend_engine == "batched"
+        batched = self.engine == "batched"
         if device == "hmc":
-            if batched_device:
+            if batched:
                 from repro.hmc.batched import BatchedHMCDevice as _hmc_cls
             else:
                 _hmc_cls = HMCDevice
@@ -115,7 +120,7 @@ class System:
             )
             default_protocol = HMC2_FINE if fine_grain else HMC2
         elif device == "hbm":
-            if batched_device:
+            if batched:
                 from repro.hmc.batched import BatchedHBMDevice as _hbm_cls
             else:
                 _hbm_cls = HBMDevice
@@ -128,7 +133,7 @@ class System:
         elif device == "ddr":
             # Conventional DDR4 foil (Section 2): open-page, fixed 64B
             # bursts. Coalesced packets transfer as consecutive bursts.
-            if batched_device:
+            if batched:
                 from repro.ddr.batched import BatchedDDRDevice as _ddr_cls
             else:
                 from repro.ddr.device import DDRDevice as _ddr_cls
@@ -156,8 +161,7 @@ class System:
         # touch the caches, so they skip constructing per-core L1s + LLC
         # entirely. Probe runs build it eagerly to keep the probe
         # registration order (cache before coalescer) identical to the
-        # historical wiring; the eager build dispatches on the
-        # ``frontend_engine`` resolved above.
+        # historical wiring.
         self._probes = probes
         self._span_rec = span_rec
         self._hierarchy: Optional[CacheHierarchy] = None
@@ -165,59 +169,10 @@ class System:
             _ = self.hierarchy
         self.coalescer = self._build_coalescer(probes, span_rec)
 
-    #: Engine components in demotion-rung order: the attribute holding
-    #: each component's resolved engine, its ``Demoted`` rung, and
-    #: whether a batched twin exists only for the PAC arm.
-    _ENGINE_COMPONENTS = (
-        ("engine", "engine:batched->reference", True),
-        ("frontend_engine", "engine:frontend:batched->reference", False),
-        ("backend_engine", "engine:backend:batched->reference", False),
-    )
-
-    def _resolve_engines(self, engine: str) -> None:
-        """Resolve ``engine`` for the coalescer kernel, the front-end
-        (trace -> raw stream) and the back-end (memory device).
-
-        The batched coalescer kernel exists only for the PAC arm; the
-        batched front-end and device serve every arm. Span tracing still
-        observes per-event state only the reference engines build, so
-        ``auto`` demotes every component while it is on — emitting one
-        ``demote`` event per demoted component, in
-        :attr:`_ENGINE_COMPONENTS` order, when the event log is active —
-        and ``batched`` raises instead of silently changing behaviour.
-        Telemetry probes are no blocker (every batched twin feeds them),
-        and neither is fault injection: no fault site sits inside an
-        engine.
-        """
-        pac = self.kind == CoalescerKind.PAC
-        if engine == "batched" and not pac:
-            raise ValueError(
-                "engine='batched' implements only the PAC arm; "
-                f"got coalescer={self.kind.value!r}"
-            )
-        blocked = engine != "reference" and self.spans is not None
-        if engine == "batched" and blocked:
-            raise ValueError(
-                "engine='batched' is incompatible with spans — use "
-                "engine='reference' (or 'auto' to demote automatically)"
-            )
-        batched = engine != "reference" and not blocked
-        for attr, rung, pac_only in self._ENGINE_COMPONENTS:
-            has_twin = pac or not pac_only
-            setattr(
-                self, attr, "batched" if batched and has_twin else "reference"
-            )
-            if blocked and has_twin:
-                from repro.telemetry import events as ev
-
-                log = ev.active()
-                if log.enabled:
-                    log.emit(ev.Demoted(rung=rung, label="spans"))
-
     @property
     def hierarchy(self) -> CacheHierarchy:
         if self._hierarchy is None:
-            if self.frontend_engine == "batched":
+            if self.engine == "batched":
                 from repro.cache.batched import BatchedCacheHierarchy
 
                 hierarchy_cls = BatchedCacheHierarchy
@@ -293,14 +248,14 @@ class System:
         disjoint core subset and interleaved in time — the paper's
         multiprocessing mode (Figure 6b).
 
-        A ``"reference"`` front-end engine pins generation to the
+        The ``"reference"`` engine pins generation to the
         retained scalar generators (where one exists); the vectorized
         generators are bit-identical, so the two paths produce the same
         trace.
         """
         if not benchmarks:
             raise ValueError("need at least one benchmark")
-        if self.frontend_engine == "reference":
+        if self.engine == "reference":
             from repro.workloads.base import reference_trace_gen
 
             with reference_trace_gen():
@@ -361,7 +316,7 @@ class System:
         cache_metrics = self.hierarchy.summary_metrics(len(raw.requests))
         trace_end = int(trace.cycles[-1]) if len(trace) else 0
         outcome = self.coalescer.process(raw.requests, self.device)
-        if self.backend_engine == "batched":
+        if self.engine == "batched":
             # Merge the device's deferred window accounting before
             # build_result reads its stats/energy surfaces.
             self.device.sync()
@@ -411,7 +366,7 @@ class System:
                 "probes must observe — use run_trace/run for probe runs"
             )
         outcome = self.coalescer.process(requests, self.device)
-        if self.backend_engine == "batched":
+        if self.engine == "batched":
             self.device.sync()
         return build_result(
             benchmark=benchmark,

@@ -110,7 +110,7 @@ class Runs:
             outcome = (coalescer or system.coalescer).process(
                 requests, system.device
             )
-        if system.backend_engine == "batched":
+        if system.engine == "batched":
             system.device.sync()
         return system, outcome
 

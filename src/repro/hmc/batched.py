@@ -41,11 +41,12 @@ as the reference charges it (the window's energy quantities are then
 dropped at :meth:`sync`), and the float amounts fold one at a time in
 packet order.
 
-The engine refuses the configuration it cannot uphold bit-identity
-for: span tracing raises ``ValueError`` at construction (mirroring
-:class:`repro.core.pac_batched.BatchedPagedAdaptiveCoalescer`), and
-``System`` demotes ``engine="auto"`` to the reference device in that
-case under the ``engine:backend:batched->reference`` rung.
+**Spans.** With a live :class:`~repro.telemetry.SpanRecorder` the twin
+records each packet's five segments (link_wait, route, vault_wait,
+dram, response) through the reference's ``_record_span``, so both call
+:meth:`~repro.telemetry.SpanRecorder.device_span` with the same
+arguments; every boundary is a local of :meth:`submit`. The recorder
+keeps only packets that carry a tracked request.
 """
 
 from __future__ import annotations
@@ -102,11 +103,6 @@ class BatchedHMCDevice(HMCDevice):
         probes=None,
         spans=None,
     ) -> None:
-        if spans is not None and spans.enabled:
-            raise ValueError(
-                "BatchedHMCDevice materializes no per-packet segments; "
-                "use HMCDevice (engine='reference') for span runs"
-            )
         super().__init__(config, probes=probes, spans=spans)
         self._w = _fresh_window()
         # Deferred latency accumulator: [count, total, min, max, sumsq].
@@ -314,6 +310,13 @@ class BatchedHMCDevice(HMCDevice):
                     on_conflict_wait(busy - dram_start)
             if len(self._probe_cycles) >= FOLD_EVENTS:
                 self._probe_buf.fold()
+        if self._spans_on:
+            # The forward hop took ``route_back`` cycles too, so the
+            # link serialization ended that long before vault arrival.
+            self._record_span(
+                packet, vault, link, cycle, arrival_at_vault - route_back,
+                arrival_at_vault, dram_start, t, completion,
+            )
         return completion
 
     # -- merge point -------------------------------------------------------- #

@@ -321,21 +321,32 @@ class HMCDevice:
             if not local:
                 self._t_remote.add(cycle)
         if self._spans_on:
-            self._spans.device_span(
-                packet,
-                vault=vault,
-                link=link,
-                start=cycle,
-                completion=completion,
-                segments=(
-                    ("link_wait", cycle, link_done),
-                    ("route", link_done, arrival_at_vault),
-                    ("vault_wait", arrival_at_vault, dram_start),
-                    ("dram", dram_start, dram_done),
-                    ("response", dram_done, completion),
-                ),
+            self._record_span(
+                packet, vault, link, cycle, link_done, arrival_at_vault,
+                dram_start, dram_done, completion,
             )
         return completion
+
+    def _record_span(
+        self, packet, vault, link, cycle, link_done, arrival_at_vault,
+        dram_start, dram_done, completion,
+    ) -> None:
+        """Hand ``packet``'s service breakdown to the span recorder: link
+        wait, crossbar route, vault wait, DRAM access, response."""
+        self._spans.device_span(
+            packet,
+            vault=vault,
+            link=link,
+            start=cycle,
+            completion=completion,
+            segments=(
+                ("link_wait", cycle, link_done),
+                ("route", link_done, arrival_at_vault),
+                ("vault_wait", arrival_at_vault, dram_start),
+                ("dram", dram_start, dram_done),
+                ("response", dram_done, completion),
+            ),
+        )
 
     # -- convenience metrics -------------------------------------------------
 

@@ -185,7 +185,11 @@ class PoolRebuilt(Event):
 
 @dataclass(frozen=True)
 class Demoted(Event):
-    """A degradation-ladder transition (``rung`` names the new rung)."""
+    """A degradation-ladder transition of the suite pipeline (``rung``
+    names the new rung): a benchmark's shm transport falling back to
+    per-job arguments (``"shm->per-job"``), or a job that exhausted its
+    retries running in the parent (``"serial"``, ``"phase1-serial"``).
+    No engine demotes."""
 
     kind = "demote"
     rung: str

@@ -343,6 +343,8 @@ class SpanRecorder:
         """Record the device-side breakdown of ``packet`` if it covers at
         least one tracked request (called by the memory devices)."""
         by_req = self._by_req
+        if by_req.keys().isdisjoint(packet.constituents):
+            return  # most packets: one C-level test, nothing built
         tracked = tuple(
             sorted(
                 by_req[rid].index
@@ -350,8 +352,6 @@ class SpanRecorder:
                 if rid in by_req
             )
         )
-        if not tracked:
-            return
         self._packets.append(
             PacketSpan(
                 vault=vault,

@@ -21,7 +21,6 @@ from repro.common.types import reset_request_ids
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
-from repro.telemetry import events as ev
 
 #: The CI parity grid: the paper's most coalescable (gs), least
 #: coalescable (bfs), stride-friendly (stream), and mixed (hpcg)
@@ -143,28 +142,50 @@ class TestFrontendDispatch:
     def test_auto_builds_batched_hierarchy_for_every_arm(self):
         for kind in (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC):
             s = System(coalescer=kind, engine="auto")
-            assert s.frontend_engine == "batched"
+            assert s.engine == "batched"
             assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     def test_reference_builds_scalar_hierarchy(self):
         s = System(coalescer=CoalescerKind.PAC, engine="reference")
-        assert s.frontend_engine == "reference"
+        assert s.engine == "reference"
         assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
 
-    def test_probes_demote_frontend(self):
-        # Span probes demote the front-end; telemetry probes no longer do.
-        s = System(coalescer=CoalescerKind.NONE, engine="auto", spans=True)
-        assert s.frontend_engine == "reference"
-        assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
-        s = System(coalescer=CoalescerKind.NONE, engine="auto", telemetry=True)
-        assert s.frontend_engine == "batched"
+    @pytest.mark.parametrize(
+        "probe_kw", [dict(spans=True), dict(telemetry=True),
+                     dict(telemetry=True, spans=True)],
+    )
+    def test_probes_keep_frontend_batched(self, probe_kw):
+        s = System(coalescer=CoalescerKind.NONE, engine="auto", **probe_kw)
+        assert s.engine == "batched"
         assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 
-    def test_batched_ctor_refuses_enabled_spans(self):
+    @pytest.mark.parametrize("sample_rate", [1, 3])
+    @pytest.mark.parametrize(
+        "bench, fine_grain",
+        [("gs", False), ("bfs", False), ("gs", True), ("atomichist", False)],
+    )
+    def test_batched_ctor_accepts_enabled_spans(
+        self, bench, fine_grain, sample_rate
+    ):
+        """The twin stamps the reference's origin on every sampled
+        ordinal: demand, secondary and prefetch, plus atomic and fence
+        on atomichist (the write-back sites are pinned by
+        ``test_prefetch_path_writebacks_feed_probes`` and the
+        Hypothesis suite)."""
         from repro.telemetry import SpanRecorder
 
-        with pytest.raises(ValueError, match="span"):
-            BatchedCacheHierarchy(TABLE1.cache, spans=SpanRecorder(seed=1))
+        trace = _trace(bench, n=3000)
+        origins = []
+        for cls in (CacheHierarchy, BatchedCacheHierarchy):
+            recorder = SpanRecorder(sample_rate=sample_rate, seed=5)
+            reset_request_ids()
+            cls(
+                TABLE1.cache, prefetch_enabled=not fine_grain, spans=recorder
+            ).process(trace, fine_grain=fine_grain)
+            origins.append(recorder._origins)
+        ref, bat = origins
+        assert ref
+        assert ref == bat
 
     def test_batched_ctor_accepts_enabled_probes(self):
         """The twin feeds the same cache probes as the reference."""
@@ -189,7 +210,7 @@ class TestFrontendDispatch:
         record both, at that cycle."""
         from repro.common.types import MemOp
         from repro.mem.trace import AccessTrace
-        from repro.telemetry import TelemetryRegistry
+        from repro.telemetry import SpanRecorder, TelemetryRegistry
 
         line = TABLE1.cache.line_bytes
         llc_stride = TABLE1.cache.llc_bytes // TABLE1.cache.llc_ways
@@ -223,28 +244,15 @@ class TestFrontendDispatch:
         last = len(rows) - 1
         assert ref.counter("cache.writebacks").windows[last] == 2
         assert ref == bat
-
-    def test_frontend_demotion_emits_its_own_rung(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            System(coalescer=CoalescerKind.NONE, engine="auto", spans=True)
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert [d["rung"] for d in demotes] == [
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
-        assert "spans" in demotes[0]["label"]
-
-    def test_pac_probe_run_logs_coalescer_rung_first(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            System(coalescer=CoalescerKind.PAC, engine="auto", spans=True)
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert [d["rung"] for d in demotes] == [
-            "engine:batched->reference",
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
+        # The same two sites stamp span origins.
+        origins = []
+        for cls in (CacheHierarchy, BatchedCacheHierarchy):
+            recorder = SpanRecorder(sample_rate=1)
+            reset_request_ids()
+            cls(TABLE1.cache, n_cores=3, spans=recorder).process(trace)
+            origins.append(recorder._origins)
+        assert list(origins[0].values()).count("writeback") >= 2
+        assert origins[0] == origins[1]
 
     def test_faults_demote_frontend_auto(self):
         # An active fault plan leaves the front-end batched.
@@ -253,7 +261,7 @@ class TestFrontendDispatch:
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.NONE, engine="auto")
-            assert s.frontend_engine == "batched"
+            assert s.engine == "batched"
 
     def test_reference_engine_pins_scalar_trace_generators(self):
         """engine='reference' must also run the retained scalar

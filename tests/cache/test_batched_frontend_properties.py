@@ -30,7 +30,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.common.types import MemOp, reset_request_ids
 from repro.config import TABLE1
 from repro.mem.trace import AccessTrace
-from repro.telemetry import TelemetryRegistry
+from repro.telemetry import SpanRecorder, TelemetryRegistry
 
 SETTINGS = dict(
     max_examples=50,
@@ -93,23 +93,25 @@ def _pair(**kw):
 
 
 def _probed_pair(**kw):
-    """Both hierarchies with enabled probes: (ref, bat, registries).
-    One-cycle windows pin every event to its exact cycle."""
+    """Both hierarchies with enabled probes and span recorders:
+    (ref, bat, (registries, recorders)). One-cycle windows pin every
+    event to its exact cycle; every ordinal's span origin is sampled."""
     registries = (TelemetryRegistry(window_cycles=1),
                   TelemetryRegistry(window_cycles=1))
+    recorders = (SpanRecorder(sample_rate=1), SpanRecorder(sample_rate=1))
     ref, bat = (
-        cls(CFG, probes=registry.scope("cache"), **kw)
-        for cls, registry in zip(
-            (CacheHierarchy, BatchedCacheHierarchy), registries
+        cls(CFG, probes=registry.scope("cache"), spans=recorder, **kw)
+        for cls, registry, recorder in zip(
+            (CacheHierarchy, BatchedCacheHierarchy), registries, recorders
         )
     )
-    return ref, bat, registries
+    return ref, bat, (registries, recorders)
 
 
-def _assert_identical(ref, bat, traces, fine_grain=False, registries=None):
+def _assert_identical(ref, bat, traces, fine_grain=False, probes=None):
     """Process ``traces`` consecutively through both hierarchies and
-    compare every observable after each one (probe registries too,
-    when given)."""
+    compare every observable after each one (probe registries and span
+    origins too, when given)."""
     for trace in traces:
         reset_request_ids()
         rs = ref.process(trace, fine_grain=fine_grain)
@@ -124,9 +126,11 @@ def _assert_identical(ref, bat, traces, fine_grain=False, registries=None):
         for rl1, bl1 in zip(ref.l1s, bat.l1s):
             assert rl1.hit_rate == bl1.hit_rate
         assert ref.llc.hit_rate == bat.llc.hit_rate
-        if registries is not None:
+        if probes is not None:
+            registries, recorders = probes
             assert registries[0] == registries[1]
             assert registries[0].to_json() == registries[1].to_json()
+            assert recorders[0]._origins == recorders[1]._origins
 
 
 class TestAdversarialTraces:
@@ -169,13 +173,13 @@ class TestAdversarialTraces:
     @settings(**SETTINGS)
     def test_probe_events_identical(self, first, second, fine_grain):
         """With enabled probes the twin's buffered emission events fold
-        into a registry equal to the reference's, trace after trace."""
-        ref, bat, registries = _probed_pair(
+        into a registry equal to the reference's, and it stamps the
+        same span origins, trace after trace."""
+        ref, bat, probes = _probed_pair(
             n_cores=3, prefetch_enabled=not fine_grain
         )
         _assert_identical(
-            ref, bat, [first, second], fine_grain=fine_grain,
-            registries=registries,
+            ref, bat, [first, second], fine_grain=fine_grain, probes=probes,
         )
 
 

@@ -33,8 +33,13 @@ SETTINGS = dict(
 
 
 @st.composite
-def request_streams(draw, with_fences=True):
-    """Cycle-ordered streams over a few pages, with all four ops."""
+def request_streams(draw, with_fences=True, idle_gaps=False):
+    """Cycle-ordered streams over a few pages, with all four ops. With
+    ``idle_gaps`` some requests follow a 10,000-cycle pause, long enough
+    for the idle bypass to switch the coalescing network off."""
+    gaps = st.integers(min_value=0, max_value=12)
+    if idle_gaps:
+        gaps = gaps | st.just(10_000)
     n = draw(st.integers(min_value=0, max_value=50))
     pages = draw(
         st.lists(
@@ -48,7 +53,7 @@ def request_streams(draw, with_fences=True):
     reqs = []
     cycle = 0
     for _ in range(n):
-        cycle += draw(st.integers(min_value=0, max_value=12))
+        cycle += draw(gaps)
         reqs.append(
             MemoryRequest(
                 addr=draw(st.sampled_from(pages)) * PAGE_BYTES

@@ -188,11 +188,25 @@ class TestConstructorRefusals:
         assert ref_reg == bat_reg
         assert ref_reg.to_json() == bat_reg.to_json()
 
-    def test_refuses_enabled_spans(self):
+    def test_accepts_enabled_spans(self):
+        """A live recorder gets the reference's segments for every
+        packet that carries a tracked request, and nothing else."""
         from repro.telemetry import SpanRecorder
+        from tests.hmc.test_batched_device import tracked_packets
 
-        with pytest.raises(ValueError, match="span"):
-            BatchedDDRDevice(spans=SpanRecorder(seed=1))
+        packets, requests = tracked_packets()
+        traces = []
+        for cls in (DDRDevice, BatchedDDRDevice):
+            recorder = SpanRecorder(sample_rate=3, seed=1)
+            for i, req in enumerate(requests):
+                recorder.admit(i, req, req.cycle)
+            dev = cls(spans=recorder)
+            for p in packets:
+                dev.submit(p, p.issue_cycle)
+            traces.append(recorder.finalize())
+        ref, bat = traces
+        assert 0 < len(ref.packets) < len(packets)
+        assert ref == bat
 
     def test_accepts_none_defaults(self):
         # The None-resolve convention: no evaluated-at-import singleton

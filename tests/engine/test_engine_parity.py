@@ -90,56 +90,60 @@ class TestDispatchRules:
 
     @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
     def test_non_pac_auto_is_reference(self, kind):
+        # NONE and DMC have one coalescer, the reference class; `auto`
+        # runs it between the batched front-end and device.
+        from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
+
         s = System(coalescer=kind, engine="auto")
-        assert s.engine == "reference"
+        assert s.engine == "batched"
+        assert type(s.coalescer) is {
+            CoalescerKind.NONE: NullCoalescer,
+            CoalescerKind.DMC: MSHRBasedDMC,
+        }[kind]
 
     @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
-    def test_non_pac_explicit_batched_rejected(self, kind):
-        with pytest.raises(ValueError, match="only the PAC arm"):
-            System(coalescer=kind, engine="batched")
+    def test_non_pac_explicit_batched_accepted(self, kind):
+        # "batched" is a spelling of the production path on every arm.
+        s = System(coalescer=kind, engine="batched")
+        assert s.engine == "batched"
+        assert type(s.coalescer) is type(
+            System(coalescer=kind, engine="reference").coalescer
+        )
 
     @pytest.mark.parametrize(
-        "blocker_kw", [dict(spans=True), dict(telemetry=True, spans=True)]
+        "probe_kw", [dict(spans=True), dict(telemetry=True, spans=True)]
     )
-    def test_probe_blockers_reject_explicit_batched(self, blocker_kw):
-        # Span tracing still blocks the batched engines; telemetry
-        # alongside it does not lift the refusal.
-        with pytest.raises(ValueError, match="incompatible with spans"):
-            System(coalescer=CoalescerKind.PAC, engine="batched", **blocker_kw)
+    def test_spans_accept_explicit_batched(self, probe_kw):
+        from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
+
+        s = System(coalescer=CoalescerKind.PAC, engine="batched", **probe_kw)
+        assert s.engine == "batched"
+        assert type(s.coalescer) is BatchedPagedAdaptiveCoalescer
 
     def test_telemetry_is_not_a_blocker(self):
         for engine in ("auto", "batched"):
             s = System(
                 coalescer=CoalescerKind.PAC, engine=engine, telemetry=True
             )
-            assert (s.engine, s.frontend_engine, s.backend_engine) == (
-                "batched", "batched", "batched"
-            )
+            assert s.engine == "batched"
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             System(coalescer=CoalescerKind.PAC, engine="vectorised")
 
-    @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
-    def test_arm_engine_maps_batched_to_auto_off_pac(self, kind):
+    @pytest.mark.parametrize("kind", list(CoalescerKind))
+    def test_for_arm_keeps_the_engine(self, kind):
         from repro.engine.spec import RunSpec
 
-        def arm_engine(arm, engine):
-            return RunSpec(("gs",), 1, engine=engine).for_arm(arm).engine
-
-        assert arm_engine(kind, "batched") == "auto"
-        assert arm_engine(kind, "reference") == "reference"
-        assert arm_engine(CoalescerKind.PAC, "batched") == "batched"
+        for engine in ("auto", "batched", "reference"):
+            spec = RunSpec(("gs",), 1, engine=engine).for_arm(kind)
+            assert (spec.arm, spec.engine) == (kind, engine)
 
 
 class TestGridLevelEngine:
-    """``engine="batched"`` on multi-arm grids pins only the PAC arms.
-
-    Naming a single non-PAC System ``batched`` is a contradiction and
-    raises (``TestDispatchRules``); asking a whole comparison or suite
-    for the fast path must instead run non-PAC arms on their only
-    (reference) implementation — bit-identically to ``reference``.
-    """
+    """``engine="batched"`` on multi-arm grids: every arm takes it, and
+    NONE/DMC run their one coalescer between the batched twins —
+    bit-identically to ``reference``."""
 
     def test_run_comparison_accepts_batched(self):
         from repro.engine.driver import run_comparison
@@ -169,22 +173,17 @@ class TestGridLevelEngine:
 
 
 class TestAutoDemotion:
-    def test_spans_demote_and_match_reference(self):
-        demoted = _run("gs", "hmc", "auto", spans=True)
-        ref = _run("gs", "hmc", "reference", spans=True)
-        assert demoted == ref
+    """``auto`` never demotes: probes, spans and fault plans all run
+    on the batched engines, and no ``demote`` event is emitted."""
 
-    def test_demotion_emits_event(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            system = System(
-                coalescer=CoalescerKind.PAC, engine="auto", spans=True
-            )
-        assert system.engine == "reference"
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        assert demotes, "auto demotion must land in the event log"
-        assert demotes[0]["rung"] == "engine:batched->reference"
-        assert "spans" in demotes[0]["label"]
+    def test_spans_stay_batched_and_match_reference(self):
+        auto = _run("gs", "hmc", "auto", spans=True)
+        ref = _run("gs", "hmc", "reference", spans=True)
+        assert auto.spans is not None and len(auto.spans) > 0
+        assert auto == ref
+        assert System(coalescer=CoalescerKind.PAC, spans=True).engine == (
+            "batched"
+        )
 
     def test_telemetry_run_does_not_demote(self):
         log = ev.EventLog()
@@ -212,7 +211,7 @@ class TestAutoDemotion:
 
 
 class TestBackendEngine:
-    """Resolution rules for the memory-device back-end engine."""
+    """Device dispatch on the one resolved engine."""
 
     def test_auto_dispatches_batched_device_per_protocol(self):
         from repro.ddr.batched import BatchedDDRDevice
@@ -225,7 +224,7 @@ class TestBackendEngine:
         }
         for device, cls in expected.items():
             s = System(coalescer=CoalescerKind.PAC, device=device)
-            assert s.backend_engine == "batched"
+            assert s.engine == "batched"
             assert type(s.device) is cls
 
     def test_reference_pins_scalar_device_classes(self):
@@ -239,29 +238,28 @@ class TestBackendEngine:
                 coalescer=CoalescerKind.PAC, device=device,
                 engine="reference",
             )
-            assert s.backend_engine == "reference"
+            assert s.engine == "reference"
             assert type(s.device) is cls
 
     def test_non_pac_arms_still_get_batched_backend(self):
-        # The back-end is arm-independent: NONE/DMC demote only the
-        # coalescer kernel, never the device twin.
+        # The device is arm-independent: NONE/DMC run their one
+        # coalescer in front of the device twin.
         from repro.hmc.batched import BatchedHMCDevice
 
         for kind in (CoalescerKind.NONE, CoalescerKind.DMC):
             s = System(coalescer=kind, device="hmc")
-            assert s.engine == "reference"
-            assert s.backend_engine == "batched"
+            assert s.engine == "batched"
             assert type(s.device) is BatchedHMCDevice
 
-    @pytest.mark.parametrize("blocker_kw", [
+    @pytest.mark.parametrize("probe_kw", [
         {"spans": True}, {"telemetry": True, "spans": True},
     ])
-    def test_blockers_demote_auto_backend(self, blocker_kw):
-        from repro.hmc.device import HMCDevice
+    def test_probes_keep_auto_backend(self, probe_kw):
+        from repro.hmc.batched import BatchedHMCDevice
 
-        s = System(coalescer=CoalescerKind.PAC, engine="auto", **blocker_kw)
-        assert s.backend_engine == "reference"
-        assert type(s.device) is HMCDevice
+        s = System(coalescer=CoalescerKind.PAC, engine="auto", **probe_kw)
+        assert s.engine == "batched"
+        assert type(s.device) is BatchedHMCDevice
 
     def test_faults_demote_auto_backend(self):
         # An active fault plan leaves the back-end twin in place.
@@ -271,32 +269,8 @@ class TestBackendEngine:
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.PAC, engine="auto")
-            assert s.backend_engine == "batched"
+            assert s.engine == "batched"
             assert type(s.device) is BatchedHMCDevice
-
-    def test_backend_demotion_rung_is_last(self):
-        log = ev.EventLog()
-        with ev.installed(log):
-            s = System(
-                coalescer=CoalescerKind.PAC, engine="auto", spans=True
-            )
-        assert s.backend_engine == "reference"
-        demotes = [r for r in log.records if r["kind"] == "demote"]
-        rungs = [r["rung"] for r in demotes]
-        assert rungs == [
-            "engine:batched->reference",
-            "engine:frontend:batched->reference",
-            "engine:backend:batched->reference",
-        ]
-        assert "spans" in demotes[-1]["label"]
-
-    def test_explicit_batched_with_blocker_raises(self):
-        # One resolver serves all three components: the refusal covers
-        # the back-end too, and no device is built.
-        log = ev.EventLog()
-        with ev.installed(log), pytest.raises(ValueError, match="incompatible"):
-            System(coalescer=CoalescerKind.PAC, engine="batched", spans=True)
-        assert not [r for r in log.records if r["kind"] == "demote"]
 
     def test_run_raw_syncs_batched_device(self):
         # run_trace/run_raw must merge the deferred window before
@@ -304,6 +278,6 @@ class TestBackendEngine:
         # RunResult equality in TestBitIdentity only holds if it did,
         # but assert the mechanism directly: no residue after a run.
         s = System(coalescer=CoalescerKind.PAC)
-        assert s.backend_engine == "batched"
+        assert s.engine == "batched"
         s.run("gs", 2000, seed=SEED)
         assert s.device._w == [0] * len(s.device._w)

@@ -62,15 +62,21 @@ class TestTelemetryParity:
 
     @pytest.mark.parametrize("kind", (CoalescerKind.NONE, CoalescerKind.DMC))
     def test_reference_coalescer_between_batched_twins(self, kind):
+        from repro.cache.batched import BatchedCacheHierarchy
+        from repro.hmc.batched import BatchedHMCDevice
+
         system = System(coalescer=kind, telemetry=True)
-        assert (system.engine, system.frontend_engine,
-                system.backend_engine) == ("reference", "batched", "batched")
+        assert system.engine == "batched"
+        assert type(system.hierarchy) is BatchedCacheHierarchy
+        assert type(system.device) is BatchedHMCDevice
         _assert_identical(*_pair("gs", kind=kind))
 
     def test_probe_run_resolves_every_component_batched(self):
+        from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
+
         system = System(coalescer=CoalescerKind.PAC, telemetry=True)
-        assert (system.engine, system.frontend_engine,
-                system.backend_engine) == ("batched", "batched", "batched")
+        assert system.engine == "batched"
+        assert type(system.coalescer) is BatchedPagedAdaptiveCoalescer
 
     def test_forced_flushes_and_idle_disables(self):
         """Events the paper workloads never fire: stage-1 forced flushes

@@ -70,6 +70,28 @@ def mixed_packets(n=400, seed=7):
     return packets
 
 
+def tracked_packets(n=400):
+    """:func:`mixed_packets`, each carrying its own raw request (and
+    every seventh a second one), plus those requests in ordinal order:
+    a span recorder admits them before the packets are submitted."""
+    from dataclasses import replace
+
+    from repro.common.types import MemoryRequest
+
+    packets, requests = [], []
+    for i, p in enumerate(mixed_packets(n)):
+        reqs = [MemoryRequest(addr=p.addr, op=p.op, cycle=p.issue_cycle)]
+        if i % 7 == 0:
+            reqs.append(
+                MemoryRequest(addr=p.addr, op=p.op, cycle=p.issue_cycle)
+            )
+        requests.extend(reqs)
+        packets.append(
+            replace(p, constituents=tuple(r.req_id for r in reqs))
+        )
+    return packets, requests
+
+
 class TestScalarSubmitParity:
     @pytest.mark.parametrize(
         "ref_cls,bat_cls",
@@ -200,12 +222,30 @@ class TestConstructorRefusals:
             assert ref_reg == bat_reg
             assert ref_reg.to_json() == bat_reg.to_json()
 
-    def test_refuses_enabled_spans(self):
+    def test_accepts_enabled_spans(self):
+        """A live recorder gets the reference's five segments for every
+        packet that carries a tracked request, and nothing else."""
         from repro.telemetry import SpanRecorder
 
-        for cls in (BatchedHMCDevice, BatchedHBMDevice):
-            with pytest.raises(ValueError, match="span"):
-                cls(spans=SpanRecorder(seed=1))
+        packets, requests = tracked_packets()
+        for ref_cls, bat_cls in (
+            (HMCDevice, BatchedHMCDevice), (HBMDevice, BatchedHBMDevice),
+        ):
+            traces = []
+            for cls in (ref_cls, bat_cls):
+                recorder = SpanRecorder(sample_rate=3, seed=1)
+                for i, req in enumerate(requests):
+                    recorder.admit(i, req, req.cycle)
+                dev = cls(spans=recorder)
+                for p in packets:
+                    dev.submit(p, p.issue_cycle)
+                traces.append(recorder.finalize())
+            ref, bat = traces
+            assert 0 < len(ref.packets) < len(packets)
+            assert {s[0] for s in ref.packets[0].segments} == {
+                "link_wait", "route", "vault_wait", "dram", "response"
+            }
+            assert ref == bat
 
     def test_accepts_null_probes(self):
         from repro.telemetry import NULL_SPANS, NULL_TELEMETRY

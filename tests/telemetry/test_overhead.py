@@ -89,7 +89,7 @@ class TestDisabledPathIsAllocationFree:
         from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
 
         system = System(coalescer=CoalescerKind.PAC, device=device)
-        assert system.backend_engine == "batched"
+        assert system.engine == "batched"
         pac = system.coalescer
         hierarchy = system.hierarchy
         assert type(pac) is BatchedPagedAdaptiveCoalescer

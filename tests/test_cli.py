@@ -242,6 +242,15 @@ class TestSpansCommand:
         with pytest.raises(SystemExit):
             main(["spans", "gs", "--sample-rate", "0", "--accesses", "500"])
 
+    def test_sorting_network_arm_rejected(self, capsys):
+        # The sortdmc arm records no spans: a usage error, not a table
+        # of zeros.
+        with pytest.raises(SystemExit) as exc:
+            main(["--accesses", "500", "spans", "gs",
+                  "--coalescer", "sortdmc"])
+        assert exc.value.code == 2
+        assert "sortdmc" in capsys.readouterr().err
+
 
 class TestObservabilityCommands:
     """``--events`` / ``--ledger`` globals plus runs/diff/events."""
