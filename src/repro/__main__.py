@@ -413,6 +413,8 @@ def main(argv=None) -> int:
     )
 
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.events_path:
         # Environment, not a parameter: fork/spawn pool workers inherit
@@ -712,7 +714,6 @@ def main(argv=None) -> int:
 
         from repro.engine.parallel import run_suite_parallel
         from repro.faults import FaultPlan, resolve_plan
-        from repro.telemetry import TelemetryRegistry, record_health
 
         if args.faults is not None and args.fault_seed is not None:
             parser.error("--faults and --fault-seed are mutually exclusive")
@@ -761,12 +762,6 @@ def main(argv=None) -> int:
                 print(f"  {label}:")
                 for item in items:
                     print(f"    - {item}")
-        registry = record_health(TelemetryRegistry(), health)
-        gauge_rows = [
-            {"gauge": name, "value": f"{g.windows[0][1]:.3f}"}
-            for name, g in sorted(registry.gauges.items())
-        ]
-        print(render_table(gauge_rows, title="health gauges"))
         if args.health_json:
             report = {
                 "benchmark": args.benchmark,

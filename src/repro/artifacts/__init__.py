@@ -36,6 +36,7 @@ from repro.artifacts.store import (
 )
 from repro.artifacts.pipeline import (
     TracePass,
+    compute_and_store_trace_pass,
     compute_trace_pass,
     load_or_compute_trace_pass,
     try_load_trace_pass,
@@ -51,6 +52,7 @@ __all__ = [
     "attach",
     "cache_enabled",
     "code_fingerprint",
+    "compute_and_store_trace_pass",
     "compute_trace_pass",
     "decode_requests",
     "default_root",

@@ -174,11 +174,10 @@ def load_or_compute_trace_pass(
 ) -> TracePass:
     """Cache-aware trace-pass front door.
 
-    Lookup order: pass artifact (whole prefix skipped) → trace artifact
-    (generation skipped, hierarchy re-run) → full compute. On a miss
-    with caching enabled, both artifacts are written back. The spec's
-    ``engine`` selects the front-end path on compute; cached artifacts
-    are engine-invariant (bit-identity), so hits ignore it.
+    Lookup order: pass artifact (whole prefix skipped), then
+    :func:`compute_and_store_trace_pass`. The spec's ``engine`` selects
+    the front-end path on compute; cached artifacts are engine-invariant
+    (bit-identity), so hits ignore it.
     """
     if not (use_cache and cache_enabled()):
         return compute_trace_pass(spec)
@@ -186,7 +185,21 @@ def load_or_compute_trace_pass(
     hit = try_load_trace_pass(spec, store=store)
     if hit is not None:
         return hit
+    return compute_and_store_trace_pass(spec, store)
 
+
+def compute_and_store_trace_pass(
+    spec: "RunSpec", store: Optional[ArtifactStore] = None
+) -> TracePass:
+    """The miss half of :func:`load_or_compute_trace_pass`.
+
+    Reuses a cached trace artifact (generation skipped, hierarchy
+    re-run) or generates the trace, runs the cache pass, and writes both
+    artifacts back. It never probes the pass artifact: a caller that
+    already missed on it (phase 1 of the suite) calls this directly, so
+    each pass is looked up once.
+    """
+    store = store if store is not None else get_store()
     tkey = spec.trace_key()
     trace: Optional[AccessTrace] = None
     tpayload = store.get("trace", tkey)

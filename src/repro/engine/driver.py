@@ -1,4 +1,4 @@
-"""Run drivers: one-call benchmark execution and suite sweeps.
+"""Run drivers: one-call benchmark execution and the grid views.
 
 This is the primary user-facing API::
 
@@ -6,6 +6,13 @@ This is the primary user-facing API::
 
     result = run_benchmark("gs", coalescer=CoalescerKind.PAC)
     trio = run_comparison("gs")   # none / dmc / pac on the same trace
+
+:func:`run_comparison` (one benchmark, several arms) and
+:func:`run_suite` (one arm, several benchmarks) are serial views of
+:func:`repro.engine.parallel.run_suite_parallel`, the one grid runner.
+Below them every run goes through :func:`run_spec` (end to end) or
+:func:`run_arm` (over a shared trace + cache-pass prefix), and both
+bracket the run with ``run.start``/``run.end`` in the active event log.
 """
 
 from __future__ import annotations
@@ -69,10 +76,10 @@ def run_spec(
 ) -> RunResult:
     """Run ``spec`` end to end: trace, cache pass, coalescer, device.
 
-    ``faults`` scopes injection as on :func:`run_benchmark`; the
-    multi-run entry points pass ``False``, so each run sits under a
+    ``faults`` scopes injection as on :func:`run_benchmark`; the grid
+    runner's per-job path passes ``False``, so each run sits under a
     fresh :class:`~repro.faults.NullInjector` (the suite-wide plan
-    targets their pool and store sites, not the run itself).
+    targets its pool and store sites, not the run itself).
     ``telemetry``/``spans`` hand in a live registry/recorder to fill;
     by default the spec's probe settings build fresh ones.
     """
@@ -97,13 +104,16 @@ def run_arm(
     when the caller already has one (a pool worker mapping shared
     memory), else :meth:`TracePass.requests` decodes it.
     """
-    return spec.system().run_raw(
+    _log_run(spec)
+    result = spec.system().run_raw(
         tp.requests() if requests is None else requests,
         benchmark=tp.benchmark,
         n_accesses=tp.n_accesses,
         trace_end_cycle=tp.trace_end_cycle,
         cache_metrics=tp.cache_metrics,
     )
+    _log_run(spec, result)
+    return result
 
 
 def run_benchmark(
@@ -120,7 +130,6 @@ def run_benchmark(
     telemetry=False,
     spans=False,
     faults=None,
-    events=None,
     engine: str = "auto",
 ) -> RunResult:
     """Run one benchmark through one coalescer configuration.
@@ -138,11 +147,9 @@ def run_benchmark(
     string, ``None`` (consult ``$REPRO_FAULTS``), or ``False`` to
     force-disable; a single in-process run has no instrumented sites of
     its own, so plans only matter here through code this call reaches
-    (e.g. the artifact store in cached flows). ``events`` selects the
-    structured event log (:mod:`repro.telemetry.events`): ``None``
-    keeps whatever is active (including a ``$REPRO_EVENTS`` sink), a
-    path or :class:`~repro.telemetry.events.EventLog` installs one for
-    the call, ``False`` force-disables. ``engine`` is an oracle hook:
+    (e.g. the artifact store in cached flows). The run logs
+    ``run.start``/``run.end`` to the active event log
+    (:mod:`repro.telemetry.events`). ``engine`` is an oracle hook:
     ``"auto"`` (default) and ``"batched"`` both run the production path
     — the batched front-end, PAC kernel and device twins, whatever the
     probes, spans or fault plan — and ``"reference"`` runs the scalar
@@ -155,14 +162,13 @@ def run_benchmark(
         fine_grain=fine_grain, scale=scale, engine=engine,
         **RunSpec.probe_settings(telemetry, spans),
     )
-    with ev.installed(ev.resolve_events(events)):
-        return run_spec(
-            spec, faults=faults,
-            telemetry=(
-                telemetry if isinstance(telemetry, TelemetryRegistry) else None
-            ),
-            spans=spans if isinstance(spans, SpanRecorder) else None,
-        )
+    return run_spec(
+        spec, faults=faults,
+        telemetry=(
+            telemetry if isinstance(telemetry, TelemetryRegistry) else None
+        ),
+        spans=spans if isinstance(spans, SpanRecorder) else None,
+    )
 
 
 def run_comparison(
@@ -181,15 +187,17 @@ def run_comparison(
     spans=False,
     use_artifact_cache: bool = True,
     faults=None,
-    events=None,
     engine: str = "auto",
 ) -> Dict[CoalescerKind, RunResult]:
     """Run the same trace through several coalescer configurations.
 
-    Every arm sees the identical trace and raw request stream. With
-    telemetry and spans off (the common sweep configuration) the trace
-    and the cache-hierarchy pass — both deterministic in (seed, config)
-    and independent of the coalescer arm — are computed once via the
+    The one-benchmark view of
+    :func:`~repro.engine.parallel.run_suite_parallel` at
+    ``max_workers=1``, keyed by kind in ``kinds`` order. Every arm sees
+    the identical trace and raw request stream. With telemetry and
+    spans off (the common sweep configuration) the trace and the
+    cache-hierarchy pass — both deterministic in (seed, config) and
+    independent of the coalescer arm — are computed once via the
     content-addressed artifact cache (:mod:`repro.artifacts`) and
     shared, which is bit-identical to regenerating them per arm; a
     repeated comparison reloads the prefix from disk instead of
@@ -197,36 +205,23 @@ def run_comparison(
     probe facility is on, each arm runs end-to-end so its registry /
     recorder observes its own cache pass; a registry or recorder passed
     in is a template — each arm gets a fresh one with its window or
-    sample rate. ``faults`` installs a
-    process-scoped fault injector for the duration of the comparison
-    (the artifact-store sites are live on the cached path). ``engine``
-    is :func:`run_benchmark`'s oracle hook, applied to every arm and to
-    the shared trace+cache prefix (``"reference"`` forces the scalar
-    generators, hierarchy, PAC kernel and device; the default runs the
-    batched twins — bit-identical either way, so cached artifacts are
-    engine-invariant).
+    sample rate. ``faults`` installs a process-scoped fault injector
+    for the duration of the comparison (the artifact-store sites are
+    live on the cached path). ``engine`` is :func:`run_benchmark`'s
+    oracle hook, applied to every arm and to the shared trace+cache
+    prefix. Each result carries the grid's
+    :class:`~repro.engine.health.RunHealth` on ``.health``.
     """
-    spec = RunSpec(
-        (benchmark, *extra_benchmarks), n_accesses, config=config,
-        seed=seed, device=device, engine=engine,
-        **RunSpec.probe_settings(telemetry, spans),
+    from repro.engine.parallel import run_suite_parallel
+
+    kinds = list(kinds)
+    grid = run_suite_parallel(
+        kinds, benchmarks=(benchmark,), n_accesses=n_accesses,
+        config=config, seed=seed, device=device, max_workers=1,
+        telemetry=telemetry, spans=spans, extra_benchmarks=extra_benchmarks,
+        use_artifact_cache=use_artifact_cache, faults=faults, engine=engine,
     )
-    out: Dict[CoalescerKind, RunResult] = {}
-    with ev.installed(ev.resolve_events(events)), _fault_scope(faults):
-        if telemetry or spans:
-            for kind in kinds:
-                out[kind] = run_spec(spec.for_arm(kind), faults=False)
-            return out
-
-        from repro.artifacts import load_or_compute_trace_pass
-
-        tp = load_or_compute_trace_pass(spec, use_cache=use_artifact_cache)
-        for kind in kinds:
-            arm = spec.for_arm(kind)
-            _log_run(arm)
-            out[kind] = run_arm(arm, tp)
-            _log_run(arm, out[kind])
-        return out
+    return {kind: grid[(benchmark, kind.value)] for kind in kinds}
 
 
 def run_suite(
@@ -243,31 +238,27 @@ def run_suite(
     telemetry=False,
     spans=False,
     faults=None,
-    events=None,
     engine: str = "auto",
 ) -> Dict[str, RunResult]:
     """Run every benchmark through one coalescer configuration.
 
-    Every knob of :func:`run_benchmark` forwards (``device``,
-    ``protocol``, ``fine_grain``, ``extra_benchmarks``, ``scale``,
-    ``telemetry``, ``spans``, ``faults``, ``events``), so a
-    whole-suite sweep can target HBM/DDR, the fine-grain mode, or
-    co-running mixes without dropping down to per-benchmark calls.
-    A registry or recorder passed in is a template: each benchmark
-    gets a fresh one with its window or sample rate.
-    ``faults`` installs one process-scoped injector spanning the whole
-    sweep; ``events`` likewise installs one suite-wide event-log scope.
+    The one-arm view of :func:`~repro.engine.parallel.run_suite_parallel`
+    at ``max_workers=1``, keyed by benchmark in ``benchmarks`` order.
+    Every knob of :func:`run_benchmark` forwards, so a whole-suite sweep
+    can target HBM/DDR, the fine-grain mode, or co-running mixes without
+    dropping down to per-benchmark calls. Each benchmark's prefix goes
+    through the artifact cache, as in :func:`run_comparison`. A registry
+    or recorder passed in is a template: each benchmark gets a fresh one
+    with its window or sample rate. ``faults`` installs one
+    process-scoped injector spanning the whole sweep.
     """
-    specs = [
-        RunSpec(
-            (name, *extra_benchmarks), n_accesses, arm=coalescer,
-            config=config, seed=seed, device=device, protocol=protocol,
-            fine_grain=fine_grain, scale=scale, engine=engine,
-            **RunSpec.probe_settings(telemetry, spans),
-        )
-        for name in benchmarks
-    ]
-    with ev.installed(ev.resolve_events(events)), _fault_scope(faults):
-        return {
-            spec.benchmarks[0]: run_spec(spec, faults=False) for spec in specs
-        }
+    from repro.engine.parallel import run_suite_parallel
+
+    grid = run_suite_parallel(
+        (coalescer,), benchmarks=benchmarks, n_accesses=n_accesses,
+        config=config, seed=seed, device=device, max_workers=1,
+        telemetry=telemetry, spans=spans, protocol=protocol,
+        fine_grain=fine_grain, scale=scale,
+        extra_benchmarks=extra_benchmarks, faults=faults, engine=engine,
+    )
+    return {name: grid[(name, coalescer.value)] for name in benchmarks}

@@ -1,14 +1,15 @@
-"""Structured execution-health reporting for supervised suite runs.
+"""Structured execution-health reporting for grid runs.
 
 A :class:`RunHealth` records everything the self-healing layer did to
-get a suite to completion — retries, per-job timeouts, crashed-worker
+get a grid to completion — retries, per-job timeouts, crashed-worker
 pool rebuilds, degradation-ladder transitions, backoff, timings — and
-whether any shared-memory segment failed unlink verification. It rides
-on :attr:`repro.engine.results.RunResult.health` (excluded from ``==``:
+whether any shared-memory segment failed unlink verification. Every
+grid run makes one (:func:`repro.engine.parallel.run_suite_parallel`
+and its views ``run_comparison`` and ``run_suite``). It rides on
+:attr:`repro.engine.results.RunResult.health` (excluded from ``==``:
 recovery bookkeeping, never simulation output) and in the ``stats``
-dict of :func:`repro.engine.parallel.run_suite_parallel`, and surfaces
-through telemetry gauges (:func:`repro.telemetry.record_health`) and
-the ``repro health`` CLI.
+dict of ``run_suite_parallel``, and the ``repro health`` CLI prints
+:meth:`RunHealth.summary_rows` (``--json`` writes :meth:`RunHealth.as_dict`).
 """
 
 from __future__ import annotations

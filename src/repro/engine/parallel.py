@@ -1,21 +1,26 @@
-"""Parallel suite execution: a supervised two-phase pipeline.
+"""Grid execution: the one runner behind every multi-run entry point.
 
-A full evaluation is ~50 (benchmark, arm) simulations, but only the
-coalescer+device half differs between arms — the trace and the
+The paper's evaluation is a grid, benchmarks × coalescer arms.
+:func:`run_suite_parallel` runs it; :func:`repro.engine.driver.run_comparison`
+(one benchmark, several arms) and :func:`repro.engine.driver.run_suite`
+(one arm, several benchmarks) are views of it at ``max_workers=1``.
+Only the coalescer+device half differs between arms — the trace and the
 cache-hierarchy pass are deterministic in (seed, config) and identical
-across arms. :func:`run_suite_parallel` therefore runs in two phases:
+across arms — so the grid runs in two phases:
 
 * **Phase 1** computes each benchmark's trace + cache pass exactly once
   (per benchmark, not per arm), consulting the content-addressed
   artifact cache (:mod:`repro.artifacts`) so repeated suites skip the
-  prefix entirely.
-* **Phase 2** fans the (benchmark × arm) coalescer+device jobs over a
-  persistent process pool. Each benchmark's raw request stream is
-  packed once into an array-of-structs buffer and published through
+  prefix entirely. Each pass artifact is looked up once; a miss goes
+  straight to :func:`repro.artifacts.compute_and_store_trace_pass`.
+* **Phase 2** runs the (benchmark × arm) coalescer+device jobs: in the
+  parent over one shared request list at one worker, else over a
+  persistent process pool. There each benchmark's raw request stream
+  is packed once into an array-of-structs buffer and published through
   ``multiprocessing.shared_memory`` — workers map the parent's pages
   instead of unpickling tens of thousands of request objects per job.
 
-Both phases run under :class:`repro.engine.supervisor.PoolSupervisor`:
+Pooled phases run under :class:`repro.engine.supervisor.PoolSupervisor`:
 per-job wall-clock timeouts, bounded deterministic-backoff retries, and
 crashed-worker pool rebuilds. When the fast path faults, execution
 walks a degradation ladder —
@@ -31,19 +36,18 @@ to fault-free runs; everything supervision did is reported on the
 lives in :mod:`repro.faults` (``$REPRO_FAULTS`` / ``faults=``).
 
 Every run still derives its RNG from ``(seed, benchmark)``, and probes
-(telemetry/spans) force the legacy one-job-per-arm end-to-end path, so
-results are bit-identical across serial / pooled / cached / degraded
-execution.
+(telemetry/spans) force the one-job-per-arm end-to-end path, so results
+are bit-identical across serial / pooled / cached / degraded execution.
+Every arm, on every path, is bracketed by ``run.start``/``run.end`` in
+the active event log (:mod:`repro.telemetry.events`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, TABLE1
@@ -71,71 +75,27 @@ from repro.workloads import BENCHMARK_NAMES
 __all__ = ["run_suite_parallel", "SuiteExecutionError"]
 
 
-#: Fallback relative wall-clock weight of each (benchmark, arm) job,
-#: used when no bench baseline is available. Scheduling only (longest
-#: expected first) — results are keyed and bit-identical regardless of
-#: order.
+#: Relative host cost of each benchmark's jobs, for longest-first
+#: scheduling. Results are keyed, so order never changes them; it fixes
+#: each job's fault-plan ordinal, which is why it is a constant and not
+#: read from a measurement file. gs, bfs, stream and hpcg are end-to-end
+#: seconds from ``BENCH_baseline.json`` relative to hpcg, ssca2 is an
+#: older estimate, and the rest (and any workload registered at run
+#: time) weigh 2.0.
 _BENCH_COST = {
-    "gs": 12.0, "bfs": 4.0, "pagerank": 4.0, "ssca2": 3.0,
-    "nas-cg": 2.0, "stream": 1.5, "hpcg": 1.0,
+    "gs": 11.44, "bfs": 3.30, "ssca2": 3.0, "stream": 1.15, "hpcg": 1.0,
+    "cg": 2.0, "ep": 2.0, "fft": 2.0, "lu": 2.0, "mg": 2.0, "pr": 2.0,
+    "sort": 2.0, "sp": 2.0, "sparselu": 2.0,
 }
 _ARM_COST = {"pac": 3.0, "sortdmc": 2.0, "dmc": 1.5, "none": 1.0}
 
-#: Env override for the bench baseline the scheduler weights come from.
-ENV_BENCH_BASELINE = "REPRO_BENCH_BASELINE"
 
-_bench_weights_cache: Optional[Dict[str, float]] = None
-
-
-def _bench_weights() -> Dict[str, float]:
-    """Per-benchmark scheduling weights from the measured bench baseline.
-
-    ``BENCH_baseline.json`` (env override, cwd, then repo root) records
-    measured end-to-end seconds per benchmark; those replace the
-    hand-maintained :data:`_BENCH_COST` guesses. Unknown benchmarks and
-    missing/unparsable baselines fall back to the constants.
-    """
-    global _bench_weights_cache
-    if _bench_weights_cache is not None:
-        return _bench_weights_cache
-    weights = dict(_BENCH_COST)
-    candidates: List[Path] = []
-    env = os.environ.get(ENV_BENCH_BASELINE)
-    if env:
-        candidates.append(Path(env))
-    candidates.append(Path.cwd() / "BENCH_baseline.json")
-    candidates.append(Path(__file__).resolve().parents[3] / "BENCH_baseline.json")
-    for path in candidates:
-        try:
-            report = json.loads(path.read_text())
-            measured = {
-                name: float(entry["seconds"])
-                for name, entry in report.get("end_to_end", {}).items()
-                if float(entry.get("seconds", 0.0)) > 0.0
-            }
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        if measured:
-            # Normalize so the lightest measured benchmark sits at 1.0,
-            # keeping measured and fallback weights on the same scale.
-            floor = min(measured.values())
-            weights.update(
-                {name: secs / floor for name, secs in measured.items()}
-            )
-            break
-    _bench_weights_cache = weights
-    return weights
-
-
-def _job_cost(benchmark: str, kind_value: str) -> float:
-    # Multi-benchmark labels ("gs+bfs") cost roughly the sum of parts.
-    weights = _bench_weights()
-    bench_w = sum(weights.get(part, 2.0) for part in benchmark.split("+"))
-    return bench_w * _ARM_COST.get(kind_value, 2.0)
+def _bench_cost(spec: RunSpec) -> float:
+    return _BENCH_COST.get(spec.benchmarks[0], 2.0)
 
 
 # --------------------------------------------------------------------- #
-# legacy per-job path (probe runs, and explicit pipeline="per-job")
+# per-job path (probe runs, and explicit pipeline="per-job")
 
 
 def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
@@ -153,16 +113,16 @@ def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
 
 
 def _phase1_job(args: tuple):
-    """Pool worker: compute (or load) one benchmark's trace pass.
+    """Pool worker: compute one benchmark's missed trace pass.
 
-    Artifact writes happen in the worker; the packed stream returns to
-    the parent as a single contiguous buffer.
+    ``compute`` is :func:`~repro.artifacts.compute_and_store_trace_pass`
+    (artifact writes happen in the worker) or, with the cache off,
+    :func:`~repro.artifacts.compute_trace_pass`; the packed stream
+    returns to the parent as a single contiguous buffer.
     """
-    spec, use_cache, fault_ctx = args
-    from repro.artifacts import load_or_compute_trace_pass
-
+    spec, compute, fault_ctx = args
     with job_scope(fault_ctx, "phase1.job"):
-        tp = load_or_compute_trace_pass(spec, use_cache=use_cache)
+        tp = compute(spec)
     return spec.benchmarks[0], tp
 
 
@@ -239,14 +199,15 @@ def run_suite_parallel(
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     backoff_base: Optional[float] = None,
-    events=None,
     engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run every (benchmark, kind) pair concurrently, supervised.
 
     Returns ``{(benchmark, kind.value): RunResult}``. ``max_workers``
     defaults to the CPU count; pass 1 to force serial execution
-    (useful under debuggers and in constrained CI).
+    (useful under debuggers and in constrained CI). An empty or
+    repeating ``kinds`` or ``benchmarks``, or ``max_workers`` below 1,
+    raises :class:`ValueError`.
 
     ``pipeline`` selects the execution strategy: ``"two-phase"`` (the
     artifact-cached prefix-sharing pipeline described in the module
@@ -277,12 +238,12 @@ def run_suite_parallel(
     count. Probe runs must observe the cache pass, so they always take
     the per-job path.
 
-    ``events`` installs a suite-wide structured event log
-    (:mod:`repro.telemetry.events`): suite/phase boundaries, supervisor
-    retries/timeouts/rebuilds, and transport demotions are emitted from
-    the parent; forked pool workers inherit the sink (or auto-install
-    from ``$REPRO_EVENTS``) and append their own lines, distinguished
-    by ``pid``.
+    Suite/phase boundaries, supervisor retries/timeouts/rebuilds and
+    transport demotions go to the active event log
+    (:func:`repro.telemetry.events.active`: ``ev.installed(...)``,
+    ``$REPRO_EVENTS`` or the CLI's ``--events``); forked pool workers
+    inherit the sink and append their own ``run.*`` lines,
+    distinguished by ``pid``.
 
     ``engine`` forwards the oracle hook of
     :func:`~repro.engine.driver.run_benchmark` to every arm and to
@@ -295,6 +256,15 @@ def run_suite_parallel(
     """
     if pipeline not in ("auto", "two-phase", "per-job"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
+    kinds = list(kinds)
+    benchmarks = list(benchmarks)
+    for axis, values in (("kinds", kinds), ("benchmarks", benchmarks)):
+        if not values or len(set(values)) != len(values):
+            raise ValueError(
+                f"{axis} must be non-empty and distinct, got {values!r}"
+            )
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     # Specs resolve the default seed HERE, not in the workers: every job
     # carries the same concrete seed so per-benchmark seeds derive
     # identically regardless of worker count or config pickling.
@@ -307,7 +277,6 @@ def run_suite_parallel(
         )
         for bench in benchmarks
     ]
-    kinds = list(kinds)
     n_jobs = len(specs) * len(kinds)
     workers = max_workers or min(n_jobs, os.cpu_count() or 2)
     probes_on = bool(telemetry) or bool(spans)
@@ -356,38 +325,38 @@ def run_suite_parallel(
     )
 
     t_start = time.perf_counter()
-    with ev.installed(ev.resolve_events(events)) as elog:
-        if elog.enabled:
-            elog.emit(ev.SuiteStarted(
-                benchmarks=list(benchmarks),
-                arms=[kind.value for kind in kinds],
-                jobs=n_jobs,
-                pipeline="two-phase" if two_phase else "per-job",
-                workers=workers,
-            ))
-        try:
-            with installed(parent_injector):
-                if two_phase:
-                    out = _run_two_phase(
-                        specs, kinds, use_artifact_cache, stats, supervisor,
-                        spec_text, health,
-                    )
-                else:
-                    out = _run_per_job(
-                        specs, kinds, supervisor, spec_text, health,
-                        max_retries, backoff_base,
-                    )
-        finally:
-            if supervisor is not None:
-                supervisor.shutdown()
-        health.completed = len(out)
-        health.wall_seconds = time.perf_counter() - t_start
-        if elog.enabled:
-            elog.emit(ev.SuiteCompleted(
-                jobs=n_jobs,
-                completed=health.completed,
-                healthy=health.healthy,
-            ))
+    elog = ev.active()
+    if elog.enabled:
+        elog.emit(ev.SuiteStarted(
+            benchmarks=benchmarks,
+            arms=[kind.value for kind in kinds],
+            jobs=n_jobs,
+            pipeline="two-phase" if two_phase else "per-job",
+            workers=workers,
+        ))
+    try:
+        with installed(parent_injector):
+            if two_phase:
+                out = _run_two_phase(
+                    specs, kinds, use_artifact_cache, stats, supervisor,
+                    spec_text, health,
+                )
+            else:
+                out = _run_per_job(
+                    specs, kinds, supervisor, spec_text, health,
+                    max_retries, backoff_base,
+                )
+    finally:
+        if supervisor is not None:
+            supervisor.shutdown()
+    health.completed = len(out)
+    health.wall_seconds = time.perf_counter() - t_start
+    if elog.enabled:
+        elog.emit(ev.SuiteCompleted(
+            jobs=n_jobs,
+            completed=health.completed,
+            healthy=health.healthy,
+        ))
     if stats is not None:
         stats["phase1_seconds"] = health.phase1_seconds
         stats["phase2_seconds"] = health.phase2_seconds
@@ -407,7 +376,7 @@ def _grid(specs: Sequence[RunSpec], kinds: Sequence[CoalescerKind]):
     """
     grid = [spec.for_arm(kind) for spec in specs for kind in kinds]
     grid.sort(
-        key=lambda s: _job_cost(s.benchmarks[0], s.arm.value), reverse=True
+        key=lambda s: _bench_cost(s) * _ARM_COST[s.arm.value], reverse=True
     )
     return grid
 
@@ -423,12 +392,14 @@ def _run_two_phase(
 ) -> Dict[Tuple[str, str], RunResult]:
     from repro.artifacts import (
         cache_enabled,
+        compute_and_store_trace_pass,
+        compute_trace_pass,
         shm as shm_codec,
         try_load_trace_pass,
-        load_or_compute_trace_pass,
     )
 
     use_cache = use_artifact_cache and cache_enabled()
+    compute = compute_and_store_trace_pass if use_cache else compute_trace_pass
     elog = ev.active()
 
     # ---- phase 1: one trace+cache pass per benchmark ------------------
@@ -448,23 +419,16 @@ def _run_two_phase(
         stats["artifact_misses"] = len(pending)
 
     if supervisor is not None and len(pending) > 1:
-        ordered = sorted(
-            pending,
-            key=lambda s: _bench_weights().get(s.benchmarks[0], 2.0),
-            reverse=True,
-        )
+        ordered = sorted(pending, key=_bench_cost, reverse=True)
 
         def _p1_build(spec: RunSpec, ordinal: int):
             def build(attempt: int) -> tuple:
                 ctx = (spec_text, ordinal, attempt) if spec_text else None
-                return spec, use_cache, ctx
+                return spec, compute, ctx
             return build
 
         def _p1_fallback(job: SupervisedJob):
-            spec = job.key
-            return spec.benchmarks[0], load_or_compute_trace_pass(
-                spec, use_cache=use_cache
-            )
+            return job.key.benchmarks[0], compute(job.key)
 
         p1_jobs = [
             SupervisedJob(
@@ -481,9 +445,7 @@ def _run_two_phase(
             passes[bench] = tp
     else:
         for spec in pending:
-            passes[spec.benchmarks[0]] = load_or_compute_trace_pass(
-                spec, use_cache=use_cache
-            )
+            passes[spec.benchmarks[0]] = compute(spec)
     t1 = time.perf_counter()
     health.phase1_seconds = t1 - t0
     if elog.enabled:

@@ -42,7 +42,6 @@ from repro.telemetry.attribution import (
     stage_breakdown,
     top_k_rows,
 )
-from repro.telemetry.health import record_health
 from repro.telemetry.perfetto import (
     spans_to_csv,
     to_perfetto_json,
@@ -73,7 +72,6 @@ __all__ = [
     "critical_path",
     "csv_rows",
     "end_to_end_percentiles",
-    "record_health",
     "spans_to_csv",
     "stage_breakdown",
     "timeline_csv",

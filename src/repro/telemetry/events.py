@@ -25,6 +25,10 @@ Design constraints, mirroring :mod:`repro.telemetry.probe` and
   workers (fork/spawn), each of which appends to the same file with its
   own pid-tagged sequence; single-line ``O_APPEND`` writes keep lines
   intact, and :func:`validate_events` checks monotonicity per pid.
+* **One way in.** The log is process state, never an argument of a
+  run entry point: a block installs one with :func:`installed`, and
+  ``$REPRO_EVENTS`` (set by the CLI's ``--events``) installs one in
+  every process that reads it.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ __all__ = [
     "read_events",
     "render_event",
     "reset_active",
-    "resolve_events",
     "validate_events",
 ]
 
@@ -379,9 +382,9 @@ def active():
     """The currently installed event log (never None).
 
     When nothing is installed, ``$REPRO_EVENTS`` is consulted once per
-    process — that is how event logging reaches contexts that never
-    thread an ``events=`` parameter, and how forked pool workers inherit
-    a sink purely through the environment.
+    process — that is how the CLI's ``--events`` reaches every emission
+    site without a parameter, and how forked pool workers inherit a
+    sink purely through the environment.
     """
     global _active, _env_checked
     if _active is NULL_EVENTS and not _env_checked:
@@ -412,25 +415,6 @@ def reset_active() -> None:
         _active.close()
     _active = NULL_EVENTS
     _env_checked = False
-
-
-def resolve_events(events) -> object:
-    """Resolve an ``events=`` argument into a log for :func:`installed`.
-
-    ``None`` keeps whatever is already active (parameter absent);
-    ``False`` force-disables (a fresh null, displacing any env sink);
-    a path builds a JSONL-backed :class:`EventLog`; an
-    :class:`EventLog` (or anything with ``emit``) passes through.
-    """
-    if events is None:
-        return active()
-    if events is False:
-        return NULL_EVENTS
-    if events is True:
-        return EventLog()
-    if isinstance(events, (str, os.PathLike)):
-        return EventLog(events)
-    return events
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,16 @@
 """Tests for the parallel suite runner."""
 
+import json
+
 import pytest
 
-from repro.engine.parallel import run_suite_parallel
+from repro.engine.driver import run_comparison, run_suite
+from repro.engine.parallel import _BENCH_COST, _grid, run_suite_parallel
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
+from repro.workloads import BENCHMARK_NAMES
+
+TRIO = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
 
 
 class TestRunSuiteParallel:
@@ -53,3 +60,78 @@ class TestRunSuiteParallel:
         blob = pickle.dumps(out)
         back = pickle.loads(blob)
         assert back[("gs", "pac")].n_issued == out[("gs", "pac")].n_issued
+
+
+class TestGridInput:
+    """Bad grid input fails loudly, before anything runs."""
+
+    @pytest.mark.parametrize("axes", [
+        dict(kinds=()),
+        dict(benchmarks=()),
+        dict(kinds=(CoalescerKind.PAC, CoalescerKind.PAC)),
+        dict(benchmarks=("gs", "gs")),
+    ])
+    def test_empty_or_repeated_axis(self, axes):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            run_suite_parallel(n_accesses=500, max_workers=1, **axes)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_max_workers_below_one(self, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            run_suite_parallel(
+                benchmarks=("gs",), n_accesses=500, max_workers=workers,
+            )
+
+    def test_views_reject_empty_axes(self):
+        with pytest.raises(ValueError):
+            run_comparison("gs", kinds=(), n_accesses=500)
+        with pytest.raises(ValueError):
+            run_suite(benchmarks=(), n_accesses=500)
+
+
+class TestSchedule:
+    #: ``_grid``'s order over every benchmark x none/dmc/pac, as the
+    #: measured bench baseline weighted it from the repository root.
+    ORDER = [
+        ("gs", "pac"), ("gs", "dmc"), ("gs", "none"), ("bfs", "pac"),
+        ("ssca2", "pac"), ("cg", "pac"), ("ep", "pac"), ("fft", "pac"),
+        ("lu", "pac"), ("mg", "pac"), ("pr", "pac"), ("sort", "pac"),
+        ("sp", "pac"), ("sparselu", "pac"), ("bfs", "dmc"),
+        ("ssca2", "dmc"), ("stream", "pac"), ("bfs", "none"),
+        ("cg", "dmc"), ("ep", "dmc"), ("fft", "dmc"), ("hpcg", "pac"),
+        ("lu", "dmc"), ("mg", "dmc"), ("pr", "dmc"), ("sort", "dmc"),
+        ("sp", "dmc"), ("sparselu", "dmc"), ("ssca2", "none"),
+        ("cg", "none"), ("ep", "none"), ("fft", "none"), ("lu", "none"),
+        ("mg", "none"), ("pr", "none"), ("sort", "none"), ("sp", "none"),
+        ("sparselu", "none"), ("stream", "dmc"), ("hpcg", "dmc"),
+        ("stream", "none"), ("hpcg", "none"),
+    ]
+
+    def _order(self):
+        specs = [RunSpec((name,), 500) for name in BENCHMARK_NAMES]
+        return [(s.benchmarks[0], s.arm.value) for s in _grid(specs, TRIO)]
+
+    def test_table_covers_every_benchmark(self):
+        assert set(_BENCH_COST) == set(BENCHMARK_NAMES)
+
+    def test_order_is_pinned(self):
+        assert self._order() == self.ORDER
+
+    def test_order_ignores_files_and_environment(
+        self, tmp_path, monkeypatch
+    ):
+        """No file decides the order (and with it each job's fault
+        ordinal): not a baseline in the working directory, not the
+        variable that once pointed at one."""
+        inverted = {
+            "end_to_end": {
+                name: {"seconds": 1.0 + i}
+                for i, name in enumerate(reversed(BENCHMARK_NAMES))
+            }
+        }
+        (tmp_path / "BENCH_baseline.json").write_text(json.dumps(inverted))
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("{not json")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_BENCH_BASELINE", str(garbage))
+        assert self._order() == self.ORDER

@@ -13,9 +13,11 @@ import inspect
 
 import pytest
 
+from repro.artifacts import get_store
 from repro.engine.driver import run_benchmark, run_comparison, run_suite
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
+from repro.telemetry import events as ev
 
 KINDS = (CoalescerKind.NONE, CoalescerKind.PAC)
 BENCHES = ("gs", "stream")
@@ -115,6 +117,32 @@ class TestProbeRuns:
         for kind in KINDS:
             assert baseline[kind] == cold[kind]
             assert baseline[kind] == warm[kind]
+
+
+class TestArtifactLookups:
+    def test_cold_serial_two_phase_looks_up_each_artifact_once(self):
+        """Phase 1 probes each pass artifact once; a miss goes straight
+        to compute-and-store, which probes only the trace artifact."""
+        log = ev.EventLog()
+        with ev.installed(log):
+            _suite(max_workers=1, pipeline="two-phase")
+        misses = [
+            d["artifact"] for d in log.records if d["kind"] == "cache.miss"
+        ]
+        assert misses.count("pass") == len(BENCHES)
+        assert misses.count("trace") == len(BENCHES)
+        assert get_store().stats.misses == 2 * len(BENCHES)
+
+    def test_run_suite_fills_the_store_then_reads_it(self):
+        cold = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
+        store = get_store()
+        assert store.stats.stores == 2 * len(BENCHES)
+        assert {e.kind for e in store.entries()} == {"trace", "pass"}
+        warm = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
+        assert store.stats.hits == len(BENCHES)
+        assert list(warm) == list(cold) == list(BENCHES)
+        for bench in BENCHES:
+            assert warm[bench] == cold[bench], bench
 
 
 class TestStats:

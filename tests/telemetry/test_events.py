@@ -85,22 +85,14 @@ class TestEventLog:
         log.emit(ev.JobCompleted(label="env"))
         assert path.exists()
 
-    def test_resolve_events_conventions(self, tmp_path):
-        assert ev.resolve_events(None) is ev.active()
-        assert ev.resolve_events(False) is ev.NULL_EVENTS
-        assert ev.resolve_events(True).enabled
-        log = ev.EventLog()
-        assert ev.resolve_events(log) is log
-        path_log = ev.resolve_events(str(tmp_path / "x.jsonl"))
-        assert path_log.enabled
-
 
 class TestDriverEvents:
     N = 2000
 
     def test_run_emits_start_and_end(self):
         log = ev.EventLog()
-        run_benchmark("gs", n_accesses=self.N, events=log)
+        with ev.installed(log):
+            run_benchmark("gs", n_accesses=self.N)
         kinds = [d["kind"] for d in log.records]
         assert kinds == ["run.start", "run.end"]
         start, end = log.records
@@ -110,28 +102,37 @@ class TestDriverEvents:
 
     def test_events_have_no_observer_effect(self):
         base = run_benchmark("gs", n_accesses=self.N)
-        logged = run_benchmark("gs", n_accesses=self.N, events=ev.EventLog())
+        with ev.installed(ev.EventLog()):
+            logged = run_benchmark("gs", n_accesses=self.N)
         assert logged == base
 
     def test_comparison_emits_per_arm_and_cache_events(self):
+        """``run_comparison`` is a view of the grid runner: one suite
+        bracket around one run bracket per arm, and on a cold store one
+        lookup miss per artifact kind (pass, then trace)."""
         log = ev.EventLog()
-        run_comparison("stream", n_accesses=self.N, events=log)
+        with ev.installed(log):
+            run_comparison("stream", n_accesses=self.N)
         kinds = [d["kind"] for d in log.records]
-        assert kinds.count("run.start") == 3
-        assert kinds.count("run.end") == 3
-        assert "cache.miss" in kinds or "cache.hit" in kinds
+        assert kinds[0] == "suite.start" and kinds[-1] == "suite.end"
+        assert kinds.count("suite.start") == kinds.count("suite.end") == 1
+        assert kinds.count("run.start") == kinds.count("run.end") == 3
+        misses = [
+            d["artifact"] for d in log.records if d["kind"] == "cache.miss"
+        ]
+        assert misses == ["pass", "trace"]
         assert ev.validate_events(log.records) == []
 
 
 class TestSuiteEvents:
     def test_suite_emits_phases_and_jobs(self, tmp_path):
         path = tmp_path / "suite.jsonl"
-        results = run_suite_parallel(
-            benchmarks=("gs", "stream"),
-            n_accesses=1000,
-            max_workers=2,
-            events=str(path),
-        )
+        with ev.EventLog(path) as log, ev.installed(log):
+            results = run_suite_parallel(
+                benchmarks=("gs", "stream"),
+                n_accesses=1000,
+                max_workers=2,
+            )
         assert len(results) == 6
         docs = ev.read_events(path)
         assert ev.validate_events(docs) == []
@@ -141,16 +142,23 @@ class TestSuiteEvents:
         assert "phase.start" in kinds and "phase.end" in kinds
         # phase-1 per-benchmark passes and phase-2 arm jobs both complete
         assert kinds.count("job.done") >= 6
+        # Pool workers inherit the log and bracket each arm they run.
+        for kind in ("run.start", "run.end"):
+            arms = sorted(
+                (d["benchmark"], d["coalescer"])
+                for d in docs if d["kind"] == kind
+            )
+            assert arms == sorted(results), kind
 
     def test_suite_faults_emit_retry_events(self, tmp_path):
         path = tmp_path / "faulted.jsonl"
-        results = run_suite_parallel(
-            benchmarks=("gs",),
-            n_accesses=1000,
-            max_workers=2,
-            faults="phase2.job:transient@0",
-            events=str(path),
-        )
+        with ev.EventLog(path) as log, ev.installed(log):
+            results = run_suite_parallel(
+                benchmarks=("gs",),
+                n_accesses=1000,
+                max_workers=2,
+                faults="phase2.job:transient@0",
+            )
         assert len(results) == 3
         docs = ev.read_events(path)
         assert ev.validate_events(docs) == []

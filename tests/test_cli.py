@@ -276,6 +276,26 @@ class TestObservabilityCommands:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {"none", "dmc", "pac"}
         assert doc["pac"]["runtime_cycles"] > 0
+        # A comparison is a grid run: every arm carries its health.
+        assert doc["pac"]["health"]["jobs"] == 3
+        assert doc["pac"]["health"]["healthy"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_a_usage_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--accesses", "500", "--jobs", jobs, "suite"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_health_prints_one_table(self, capsys):
+        assert main(
+            ["--accesses", "500", "--jobs", "1", "health", "gs",
+             "--coalescer", "pac"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.count("health: gs / pac") == 1
+        assert "health gauges" not in out
+        assert "HEALTHY: 1/1 jobs" in out
 
     def test_suite_json(self, capsys):
         assert main(
