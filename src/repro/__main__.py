@@ -717,6 +717,10 @@ def main(argv=None) -> int:
 
         if args.faults is not None and args.fault_seed is not None:
             parser.error("--faults and --fault-seed are mutually exclusive")
+        if args.job_timeout is not None and not args.job_timeout > 0:
+            parser.error(f"--timeout must be > 0, got {args.job_timeout}")
+        if args.max_retries is not None and args.max_retries < 0:
+            parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
         faults = args.faults
         if args.fault_seed is not None:
             faults = FaultPlan.from_seed(args.fault_seed)

@@ -13,24 +13,28 @@ across arms — so the grid runs in two phases:
   artifact cache (:mod:`repro.artifacts`) so repeated suites skip the
   prefix entirely. Each pass artifact is looked up once; a miss goes
   straight to :func:`repro.artifacts.compute_and_store_trace_pass`.
-* **Phase 2** runs the (benchmark × arm) coalescer+device jobs: in the
-  parent over one shared request list at one worker, else over a
-  persistent process pool. There each benchmark's raw request stream
-  is packed once into an array-of-structs buffer and published through
+* **Phase 2** runs the (benchmark × arm) coalescer+device jobs. In the
+  parent (one worker) every arm reads the pass itself and shares its
+  decoded request list; on a pool each benchmark's raw stream is packed
+  once into an array-of-structs buffer and published through
   ``multiprocessing.shared_memory`` — workers map the parent's pages
   instead of unpickling tens of thousands of request objects per job.
 
-Pooled phases run under :class:`repro.engine.supervisor.PoolSupervisor`:
-per-job wall-clock timeouts, bounded deterministic-backoff retries, and
-crashed-worker pool rebuilds. When the fast path faults, execution
-walks a degradation ladder —
+Every phase hands its jobs to one
+:meth:`repro.engine.supervisor.PoolSupervisor.run` call, at any worker
+count, in one cost-sorted order, so a ``*.job`` fault ordinal names the
+same job everywhere. The supervisor gives bounded deterministic-backoff
+retries and, on a pool, per-job wall-clock timeouts and crashed-worker
+rebuilds. When the fast path faults, execution walks a degradation
+ladder —
 
     shm fan-out  →  pickled per-job transport  →  in-parent serial
 
 — per benchmark (transport demotion on segment loss or publish
-failure) and per job (serial fallback once retries exhaust). Every job
-is a pure function of its arguments, so recovered runs are bit-identical
-to fault-free runs; everything supervision did is reported on the
+failure) and per job (the same call in the parent, without its fault
+context, once retries exhaust). Every job is a pure function of its
+arguments, so recovered runs are bit-identical to fault-free runs;
+everything supervision did is reported on the
 :class:`repro.engine.health.RunHealth` attached to each result and to
 ``stats["health"]``. Deterministic fault injection for all of the above
 lives in :mod:`repro.faults` (``$REPRO_FAULTS`` / ``faults=``).
@@ -58,7 +62,6 @@ from repro.engine.supervisor import (
     PoolSupervisor,
     SuiteExecutionError,
     SupervisedJob,
-    run_serial_with_retries,
 )
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
@@ -94,18 +97,42 @@ def _bench_cost(spec: RunSpec) -> float:
     return _BENCH_COST.get(spec.benchmarks[0], 2.0)
 
 
+def _cell(spec: RunSpec) -> Tuple[str, str]:
+    """A spec's result key, and (joined by ``/``) its job label."""
+    return spec.benchmarks[0], spec.arm.value
+
+
+def _jobs(
+    specs: Sequence[RunSpec], label, args, spec_text: str
+) -> List[SupervisedJob]:
+    """One supervised job per spec, keyed by it, in ``specs`` order.
+
+    Job ``i`` carries fault ordinal ``i``; ``label(spec)`` names it, and
+    ``args(spec, ctx)`` builds its argument tuple for each attempt, with
+    ``ctx`` the job's fault context (None when no plan is active).
+    """
+
+    def job(ordinal: int, spec: RunSpec) -> SupervisedJob:
+        def build(attempt: int) -> tuple:
+            ctx = (spec_text, ordinal, attempt) if spec_text else None
+            return args(spec, ctx)
+
+        return SupervisedJob(key=spec, label=label(spec), build_args=build)
+
+    return [job(i, spec) for i, spec in enumerate(specs)]
+
+
 # --------------------------------------------------------------------- #
 # per-job path (probe runs, and explicit pipeline="per-job")
 
 
-def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
+def _run_one(args: tuple) -> RunResult:
     spec, fault_ctx = args
     with job_scope(fault_ctx, "perjob.job"):
         # faults=False: the job-entry fault already fired above, and the
         # run must not resolve $REPRO_FAULTS into a second
         # (process-scoped) injector inside the worker.
-        result = run_spec(spec, faults=False)
-    return (spec.benchmarks[0], spec.arm.value), result
+        return run_spec(spec, faults=False)
 
 
 # --------------------------------------------------------------------- #
@@ -113,17 +140,16 @@ def _run_one(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
 
 
 def _phase1_job(args: tuple):
-    """Pool worker: compute one benchmark's missed trace pass.
+    """Compute one benchmark's missed trace pass.
 
     ``compute`` is :func:`~repro.artifacts.compute_and_store_trace_pass`
-    (artifact writes happen in the worker) or, with the cache off,
-    :func:`~repro.artifacts.compute_trace_pass`; the packed stream
-    returns to the parent as a single contiguous buffer.
+    (artifact writes happen in the job) or, with the cache off,
+    :func:`~repro.artifacts.compute_trace_pass`; from a pool worker the
+    packed stream returns to the parent as a single contiguous buffer.
     """
     spec, compute, fault_ctx = args
     with job_scope(fault_ctx, "phase1.job"):
-        tp = compute(spec)
-    return spec.benchmarks[0], tp
+        return compute(spec)
 
 
 #: Worker-side decoded-stream memo, keyed by shared-memory segment name.
@@ -154,26 +180,20 @@ def _decode_shared(shm_name: str, n_items: int) -> list:
     return requests
 
 
-def _phase2_job(args: tuple) -> Tuple[Tuple[str, str], RunResult]:
-    """Pool worker: one coalescer arm against a shared raw stream.
+def _phase2_job(args: tuple) -> RunResult:
+    """One coalescer arm against a benchmark's trace pass.
 
-    ``header`` is the benchmark's trace pass without its packed stream;
-    ``payload`` selects the transport rung for the stream:
-    ``("shm", name, n_raw)`` maps the parent's shared pages;
-    ``("pickle", raw_array)`` carries the packed stream in the job args
-    (the degraded per-job transport used when shared memory is
-    unavailable or faulting).
+    ``segment`` selects the transport rung for the raw stream:
+    ``(name, n_raw)`` maps the parent's shared pages, with ``tp`` the
+    pass without its stream; ``None`` means ``tp`` is the whole pass —
+    shared by reference in the parent, or pickled into a worker (the
+    degraded per-job transport used when shared memory is unavailable
+    or faulting).
     """
-    spec, header, payload, fault_ctx = args
-    from repro.artifacts import shm as shm_codec
-
+    spec, tp, segment, fault_ctx = args
     with job_scope(fault_ctx, "phase2.job"):
-        if payload[0] == "shm":
-            requests = _decode_shared(payload[1], payload[2])
-        else:
-            requests = shm_codec.decode_requests(payload[1])
-        result = run_arm(spec, header, requests)
-    return (spec.benchmarks[0], spec.arm.value), result
+        requests = _decode_shared(*segment) if segment else None
+        return run_arm(spec, tp, requests)
 
 
 def run_suite_parallel(
@@ -204,10 +224,14 @@ def run_suite_parallel(
     """Run every (benchmark, kind) pair concurrently, supervised.
 
     Returns ``{(benchmark, kind.value): RunResult}``. ``max_workers``
-    defaults to the CPU count; pass 1 to force serial execution
-    (useful under debuggers and in constrained CI). An empty or
-    repeating ``kinds`` or ``benchmarks``, or ``max_workers`` below 1,
-    raises :class:`ValueError`.
+    defaults to the CPU count; pass 1 to run every job in the parent
+    (useful under debuggers and in constrained CI). The supervisor gets
+    ``min(max_workers, jobs)`` workers — the value ``stats["workers"]``
+    reports — so a one-job grid runs in the parent too. An empty or
+    repeating ``kinds`` or ``benchmarks``, ``max_workers`` below 1, or
+    an arm that is not a :class:`CoalescerKind` raises before anything
+    runs (:class:`ValueError`, :class:`TypeError`), and so does a bad
+    supervision setting (below).
 
     ``pipeline`` selects the execution strategy: ``"two-phase"`` (the
     artifact-cached prefix-sharing pipeline described in the module
@@ -218,11 +242,12 @@ def run_suite_parallel(
     with the phase timing split, artifact hit/miss counts, and a
     JSON-safe ``"health"`` snapshot.
 
-    Self-healing: pooled jobs run under per-job wall-clock timeouts
-    (``job_timeout``, default ``$REPRO_JOB_TIMEOUT`` or 300s), bounded
-    retries with deterministic backoff (``max_retries``/``backoff_base``,
-    env ``$REPRO_MAX_RETRIES``/``$REPRO_BACKOFF``), crashed-worker pool
-    rebuilds, and the shm → per-job → serial degradation ladder. The
+    Self-healing: every job, at any worker count, gets bounded retries
+    with deterministic backoff (``max_retries``/``backoff_base``, env
+    ``$REPRO_MAX_RETRIES``/``$REPRO_BACKOFF``) and the shm → per-job →
+    serial degradation ladder; pooled jobs also run under per-job
+    wall-clock timeouts (``job_timeout``, default ``$REPRO_JOB_TIMEOUT``
+    or 300s) and crashed-worker pool rebuilds. The
     :class:`~repro.engine.health.RunHealth` report lands on every
     result's ``.health`` (excluded from ``==``). ``faults`` accepts a
     :class:`~repro.faults.FaultPlan`, a spec string, ``None`` (consult
@@ -277,8 +302,10 @@ def run_suite_parallel(
         )
         for bench in benchmarks
     ]
-    n_jobs = len(specs) * len(kinds)
-    workers = max_workers or min(n_jobs, os.cpu_count() or 2)
+    # Built once, before anything runs: for_arm rejects a bad arm here.
+    grid = _grid(specs, kinds)
+    n_jobs = len(grid)
+    workers = min(max_workers or os.cpu_count() or 2, n_jobs)
     probes_on = bool(telemetry) or bool(spans)
     two_phase = pipeline == "two-phase" or (
         pipeline == "auto" and not probes_on
@@ -300,6 +327,13 @@ def run_suite_parallel(
     parent_injector = (
         FaultInjector(plan) if plan is not None else NullInjector()
     )
+    supervisor = PoolSupervisor(
+        workers=workers,
+        health=health,
+        job_timeout=job_timeout,
+        max_retries=max_retries,
+        backoff_base=backoff_base,
+    )
 
     if stats is not None:
         stats.update(
@@ -311,18 +345,6 @@ def run_suite_parallel(
             phase1_seconds=0.0,
             phase2_seconds=0.0,
         )
-
-    supervisor = (
-        PoolSupervisor(
-            workers=workers,
-            health=health,
-            job_timeout=job_timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-        )
-        if workers > 1 and n_jobs > 1
-        else None
-    )
 
     t_start = time.perf_counter()
     elog = ev.active()
@@ -338,17 +360,13 @@ def run_suite_parallel(
         with installed(parent_injector):
             if two_phase:
                 out = _run_two_phase(
-                    specs, kinds, use_artifact_cache, stats, supervisor,
+                    specs, grid, use_artifact_cache, stats, supervisor,
                     spec_text, health,
                 )
             else:
-                out = _run_per_job(
-                    specs, kinds, supervisor, spec_text, health,
-                    max_retries, backoff_base,
-                )
+                out = _run_per_job(grid, supervisor, spec_text, health)
     finally:
-        if supervisor is not None:
-            supervisor.shutdown()
+        supervisor.shutdown()
     health.completed = len(out)
     health.wall_seconds = time.perf_counter() - t_start
     if elog.enabled:
@@ -370,9 +388,9 @@ def _grid(specs: Sequence[RunSpec], kinds: Sequence[CoalescerKind]):
     """Every (benchmark, arm) spec, longest-expected first.
 
     The grid is benchmarks × arms, stable-sorted by expected cost; the
-    resulting order fixes each job's fault-plan ordinal. Longest first
-    keeps the pool's tail short — a big job started last would otherwise
-    run alone while every other worker idles.
+    resulting order fixes each job's fault-plan ordinal at any worker
+    count. Longest first keeps the pool's tail short — a big job started
+    last would otherwise run alone while every other worker idles.
     """
     grid = [spec.for_arm(kind) for spec in specs for kind in kinds]
     grid.sort(
@@ -383,10 +401,10 @@ def _grid(specs: Sequence[RunSpec], kinds: Sequence[CoalescerKind]):
 
 def _run_two_phase(
     specs: Sequence[RunSpec],
-    kinds: Sequence[CoalescerKind],
+    grid: Sequence[RunSpec],
     use_artifact_cache: bool,
     stats: Optional[dict],
-    supervisor: Optional[PoolSupervisor],
+    supervisor: PoolSupervisor,
     spec_text: str,
     health: RunHealth,
 ) -> Dict[Tuple[str, str], RunResult]:
@@ -407,152 +425,95 @@ def _run_two_phase(
     if elog.enabled:
         elog.emit(ev.PhaseStarted(phase="phase1", jobs=len(specs)))
     passes: Dict[str, object] = {}
-    pending: List[RunSpec] = []
+    misses: List[RunSpec] = []
     for spec in specs:
         tp = try_load_trace_pass(spec) if use_cache else None
         if tp is not None:
             passes[spec.benchmarks[0]] = tp
         else:
-            pending.append(spec)
+            misses.append(spec)
     if stats is not None:
         stats["artifact_hits"] = len(passes)
-        stats["artifact_misses"] = len(pending)
-
-    if supervisor is not None and len(pending) > 1:
-        ordered = sorted(pending, key=_bench_cost, reverse=True)
-
-        def _p1_build(spec: RunSpec, ordinal: int):
-            def build(attempt: int) -> tuple:
-                ctx = (spec_text, ordinal, attempt) if spec_text else None
-                return spec, compute, ctx
-            return build
-
-        def _p1_fallback(job: SupervisedJob):
-            return job.key.benchmarks[0], compute(job.key)
-
-        p1_jobs = [
-            SupervisedJob(
-                key=spec,
-                label=f"phase1:{spec.benchmarks[0]}",
-                build_args=_p1_build(spec, i),
-            )
-            for i, spec in enumerate(ordered)
-        ]
-        for bench, tp in supervisor.run(
-            _phase1_job, p1_jobs,
-            fallback=_p1_fallback, fallback_label="phase1-serial",
-        ).values():
-            passes[bench] = tp
-    else:
-        for spec in pending:
-            passes[spec.benchmarks[0]] = compute(spec)
+        stats["artifact_misses"] = len(misses)
+    misses.sort(key=_bench_cost, reverse=True)
+    computed = supervisor.run(
+        _phase1_job,
+        _jobs(
+            misses, lambda spec: f"phase1:{spec.benchmarks[0]}",
+            lambda spec, ctx: (spec, compute, ctx), spec_text,
+        ),
+        fallback=lambda job: compute(job.key),
+        fallback_label="phase1-serial",
+    )
+    for spec, tp in computed.items():
+        passes[spec.benchmarks[0]] = tp
     t1 = time.perf_counter()
     health.phase1_seconds = t1 - t0
     if elog.enabled:
         elog.emit(ev.PhaseCompleted(phase="phase1", completed=len(passes)))
 
     # ---- phase 2: (benchmark × arm) coalescer+device jobs -------------
-    n_arm_jobs = len(specs) * len(kinds)
     if elog.enabled:
-        elog.emit(ev.PhaseStarted(phase="phase2", jobs=n_arm_jobs))
-    out: Dict[Tuple[str, str], RunResult] = {}
+        elog.emit(ev.PhaseStarted(phase="phase2", jobs=len(grid)))
+    # Transport rung per benchmark on a pool: its shared-memory segment
+    # and the pass without its stream when the publish succeeded, else
+    # (and once demoted, when its segment faults mid-flight) the whole
+    # pass pickled into each job. In the parent every arm reads the
+    # pass itself.
+    segments: Dict[str, Tuple[str, int]] = {}
+    headers: Dict[str, object] = {}
     shm_handles: List[object] = []
+
+    def demote(bench: str) -> None:
+        health.degradations.append(f"shm->per-job:{bench}")
+        if elog.enabled:
+            elog.emit(ev.Demoted(rung="shm->per-job", label=bench))
+
+    def p2_args(spec: RunSpec, ctx) -> tuple:
+        bench = spec.benchmarks[0]
+        if bench in segments:
+            return spec, headers[bench], segments[bench], ctx
+        return spec, passes[bench], None, ctx
+
+    def on_failure(job: SupervisedJob, exc: BaseException) -> None:
+        bench = job.key.benchmarks[0]
+        if isinstance(exc, FileNotFoundError) and segments.pop(bench, None):
+            demote(bench)
+
     try:
-        if supervisor is None:
-            # In-process: every arm shares one decoded request list.
-            for spec in specs:
-                for kind in kinds:
-                    arm = spec.for_arm(kind)
-                    out[(spec.benchmarks[0], kind.value)] = run_arm(
-                        arm, passes[spec.benchmarks[0]]
-                    )
-        else:
-            # Transport rung per benchmark: shared memory when the
-            # publish succeeds, pickled per-job args otherwise. A
-            # benchmark is demoted when its segment faults mid-flight.
-            transport: Dict[str, Tuple] = {}
-            headers: Dict[str, object] = {}
-            for spec in specs:
-                bench = spec.benchmarks[0]
-                tp = passes[bench]
-                # Jobs carry the pass without its stream; the stream
-                # travels by the transport rung.
+        for spec in specs if supervisor.workers > 1 else ():
+            bench = spec.benchmarks[0]
+            tp = passes[bench]
+            try:
+                handle, name = shm_codec.publish(tp.raw)
+            except OSError as exc:
+                health.record_failure(f"publish:{bench}", exc)
+                demote(bench)
+            else:
+                shm_handles.append(handle)
+                segments[bench] = (name, tp.n_raw)
                 headers[bench] = replace(tp, raw=tp.raw[:0], _requests=None)
-                try:
-                    handle, name = shm_codec.publish(tp.raw)
-                except OSError as exc:
-                    health.record_failure(f"publish:{bench}", exc)
-                    health.degradations.append(f"shm->per-job:{bench}")
-                    if elog.enabled:
-                        elog.emit(ev.Demoted(
-                            rung="shm->per-job", label=bench,
-                        ))
-                    transport[bench] = ("pickle",)
-                else:
-                    shm_handles.append(handle)
-                    transport[bench] = ("shm", name)
-
-            def _p2_build(spec: RunSpec, ordinal: int):
-                def build(attempt: int) -> tuple:
-                    bench = spec.benchmarks[0]
-                    tp = passes[bench]
-                    rung = transport[bench]
-                    payload = (
-                        ("shm", rung[1], tp.n_raw)
-                        if rung[0] == "shm"
-                        else ("pickle", tp.raw)
-                    )
-                    ctx = (
-                        (spec_text, ordinal, attempt) if spec_text else None
-                    )
-                    return spec, headers[bench], payload, ctx
-                return build
-
-            def _p2_on_failure(job: SupervisedJob, exc: BaseException):
-                bench = job.key.benchmarks[0]
-                if (
-                    isinstance(exc, FileNotFoundError)
-                    and transport.get(bench, ("",))[0] == "shm"
-                ):
-                    # The segment is gone (or faulting) for this
-                    # benchmark: demote every remaining attempt of its
-                    # jobs to the pickled per-job transport.
-                    transport[bench] = ("pickle",)
-                    health.degradations.append(f"shm->per-job:{bench}")
-                    if elog.enabled:
-                        elog.emit(ev.Demoted(
-                            rung="shm->per-job", label=bench,
-                        ))
-
-            def _p2_fallback(job: SupervisedJob):
-                # Last rung: run this single arm in the parent, from
-                # the same trace pass — bit-identical by construction.
-                spec = job.key
-                bench = spec.benchmarks[0]
-                return (bench, spec.arm.value), run_arm(spec, passes[bench])
-
-            # One job per cell (no chunking) so the scheduler can't
-            # batch a heavy job behind light ones.
-            p2_jobs = [
-                SupervisedJob(
-                    key=spec,
-                    label=f"{spec.benchmarks[0]}/{spec.arm.value}",
-                    build_args=_p2_build(spec, i),
-                )
-                for i, spec in enumerate(_grid(specs, kinds))
-            ]
-            for key, result in supervisor.run(
-                _phase2_job, p2_jobs,
-                fallback=_p2_fallback, fallback_label="serial",
-                on_failure=_p2_on_failure,
-            ).values():
-                out[key] = result
+        # One job per cell (no chunking) so the scheduler can't batch a
+        # heavy job behind light ones. The last rung runs the arm in the
+        # parent from the same trace pass — bit-identical by
+        # construction.
+        results = supervisor.run(
+            _phase2_job,
+            _jobs(
+                grid, lambda spec: "/".join(_cell(spec)), p2_args, spec_text
+            ),
+            fallback=lambda job: run_arm(
+                job.key, passes[job.key.benchmarks[0]]
+            ),
+            on_failure=on_failure,
+        )
     finally:
         for handle in shm_handles:
             if not shm_codec.release(handle):
                 # Verified leak: record it (the conftest leak fixture
                 # and `repro health` both surface this).
                 health.shm_leaks.append(getattr(handle, "name", "?"))
+    out = {_cell(spec): result for spec, result in results.items()}
     health.phase2_seconds = time.perf_counter() - t1
     if elog.enabled:
         elog.emit(ev.PhaseCompleted(phase="phase2", completed=len(out)))
@@ -560,51 +521,27 @@ def _run_two_phase(
 
 
 def _run_per_job(
-    specs: Sequence[RunSpec],
-    kinds: Sequence[CoalescerKind],
-    supervisor: Optional[PoolSupervisor],
+    grid: Sequence[RunSpec],
+    supervisor: PoolSupervisor,
     spec_text: str,
     health: RunHealth,
-    max_retries: Optional[int],
-    backoff_base: Optional[float],
 ) -> Dict[Tuple[str, str], RunResult]:
     """The pre-artifact-cache behaviour: every job runs end-to-end."""
     t0 = time.perf_counter()
     elog = ev.active()
-    grid = _grid(specs, kinds)
     if elog.enabled:
         elog.emit(ev.PhaseStarted(phase="per-job", jobs=len(grid)))
-
-    def _build(spec: RunSpec, ordinal: int):
-        def build(attempt: int) -> tuple:
-            ctx = (spec_text, ordinal, attempt) if spec_text else None
-            return spec, ctx
-        return build
-
-    jobs = [
-        SupervisedJob(
-            key=spec,
-            label=f"{spec.benchmarks[0]}/{spec.arm.value}",
-            build_args=_build(spec, i),
-        )
-        for i, spec in enumerate(grid)
-    ]
-    if supervisor is None:
-        results = run_serial_with_retries(
-            _run_one, jobs, health,
-            max_retries=max_retries, backoff_base=backoff_base,
-        )
-    else:
-
-        def _fallback(job: SupervisedJob):
-            # Re-run end-to-end in the parent, with the fault context
-            # stripped: the fallback rung is the recovery path.
-            return _run_one((job.key, None))
-
-        results = supervisor.run(
-            _run_one, jobs, fallback=_fallback, fallback_label="serial",
-        )
-    out = {key: result for key, result in results.values()}
+    results = supervisor.run(
+        _run_one,
+        _jobs(
+            grid, lambda spec: "/".join(_cell(spec)),
+            lambda spec, ctx: (spec, ctx), spec_text,
+        ),
+        # Re-run end-to-end in the parent, with the fault context
+        # stripped: the fallback rung is the recovery path.
+        fallback=lambda job: _run_one((job.key, None)),
+    )
+    out = {_cell(spec): result for spec, result in results.items()}
     health.phase2_seconds = time.perf_counter() - t0
     if elog.enabled:
         elog.emit(ev.PhaseCompleted(phase="per-job", completed=len(out)))

@@ -51,6 +51,11 @@ class RunSpec:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if not self.benchmarks:
             raise ValueError("a run needs at least one benchmark")
+        if not isinstance(self.arm, CoalescerKind):
+            raise TypeError(
+                f"arm must be a CoalescerKind, got "
+                f"{type(self.arm).__name__} {self.arm!r}"
+            )
         if self.seed is None:
             object.__setattr__(self, "seed", self.config.seed)
         # Integers only, normalised to int: a float or str would run

@@ -1,34 +1,36 @@
-"""Supervised process-pool execution: timeouts, retries, crash recovery.
+"""Supervised job execution: timeouts, retries, crash recovery.
 
-:class:`PoolSupervisor` owns a rebuildable :class:`ProcessPoolExecutor`
-and runs batches of keyed jobs to completion under a self-healing
-contract:
+:meth:`PoolSupervisor.run` is the one loop that runs batches of keyed
+jobs to completion, at any worker count, under a self-healing contract:
 
-* **per-job wall-clock timeouts** — a worker observed running past the
-  deadline is declared hung; the pool is torn down (hung workers cannot
-  be interrupted any other way), rebuilt, and the hung job retried while
-  innocent in-flight jobs are resubmitted without penalty;
-* **crashed-worker replacement** — ``BrokenProcessPool`` (a worker died:
-  segfault, OOM-kill, ``os._exit``) triggers the same teardown/rebuild.
-  A crash is charged only to a job that was alone in flight; with
-  several suspects none is charged and each reruns alone, so the next
-  crash names its job (innocent jobs are never charged, and the rule
-  cannot loop: every solo rerun completes or is charged);
 * **bounded retries with deterministic backoff** — each job is retried
   at most ``max_retries`` times with delay ``backoff_base * 2**(attempt-1)``
   (no jitter: chaos runs must be reproducible);
-* **fallback degradation** — a job that exhausts its retries (or fails
-  with a non-retryable error) is handed to an in-parent ``fallback``
-  callable, the last rung of the degradation ladder.
+* **fallback degradation** — a job that exhausts its retries (or, on a
+  pool, fails with a non-retryable error) is handed to an in-parent
+  ``fallback`` callable, the last rung of the degradation ladder;
+* on a pool, **per-job wall-clock timeouts** — a worker observed running
+  past the deadline is declared hung; the pool is torn down (hung
+  workers cannot be interrupted any other way), rebuilt, and the hung
+  job retried while innocent in-flight jobs resubmit without penalty;
+* on a pool, **crashed-worker replacement** — ``BrokenProcessPool``
+  triggers the same teardown/rebuild. A crash is charged only to a job
+  that was alone in flight; with several suspects none is charged and
+  each reruns alone, so the next crash names its job (the rule cannot
+  loop: every solo rerun completes or is charged).
 
-Because every job is a pure function of its arguments, a retried or
-degraded job produces a bit-identical result — supervision changes how
-a result is obtained, never what it is. Everything the supervisor does
-is recorded on a :class:`repro.engine.health.RunHealth`.
+With one worker the jobs run in the parent, in order: no pool, no
+timeout (a hung parent cannot supervise itself), and a non-retryable
+(logic) error propagates as raised. Because every job is a pure
+function of its arguments, a retried or degraded job produces a
+bit-identical result — supervision changes how a result is obtained,
+never what it is. Everything the supervisor does is recorded on a
+:class:`repro.engine.health.RunHealth`.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from collections import deque
@@ -66,13 +68,24 @@ RETRYABLE_EXCEPTIONS = (
 )
 
 
-def _env_float(name: str, default: float) -> float:
-    import os
-
-    try:
-        return float(os.environ.get(name, default))
-    except (TypeError, ValueError):
-        return default
+def _setting(value, arg: str, env: str, parse, default, positive=False):
+    """The argument, else ``$env`` parsed by ``parse``, else ``default``.
+    A value below zero (or at zero, if ``positive``) raises, naming the
+    argument or variable it came from."""
+    name = arg
+    if value is None:
+        name, text = f"${env}", os.environ.get(env, "").strip()
+        try:
+            value = parse(text) if text else default
+        except ValueError:
+            need = "an integer" if parse is int else "a number"
+            raise ValueError(f"{name} must be {need}, got {text!r}") from None
+    value = parse(value)
+    if not (value > 0 if positive else value >= 0):
+        raise ValueError(
+            f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}"
+        )
+    return value
 
 
 def resolve_supervision(
@@ -80,14 +93,20 @@ def resolve_supervision(
     max_retries: Optional[int] = None,
     backoff_base: Optional[float] = None,
 ):
-    """Fill supervision knobs from arguments, then env, then defaults."""
-    if job_timeout is None:
-        job_timeout = _env_float(ENV_JOB_TIMEOUT, DEFAULT_JOB_TIMEOUT)
-    if max_retries is None:
-        max_retries = int(_env_float(ENV_MAX_RETRIES, DEFAULT_MAX_RETRIES))
-    if backoff_base is None:
-        backoff_base = _env_float(ENV_BACKOFF, DEFAULT_BACKOFF_BASE)
-    return float(job_timeout), int(max_retries), float(backoff_base)
+    """Fill supervision knobs from arguments, then env, then defaults.
+
+    A variable that does not parse (an int for retries, a float
+    otherwise), ``job_timeout <= 0``, ``max_retries < 0`` or
+    ``backoff_base < 0`` raises :class:`ValueError` naming its source.
+    """
+    return (
+        _setting(job_timeout, "job_timeout", ENV_JOB_TIMEOUT, float,
+                 DEFAULT_JOB_TIMEOUT, positive=True),
+        _setting(max_retries, "max_retries", ENV_MAX_RETRIES, int,
+                 DEFAULT_MAX_RETRIES),
+        _setting(backoff_base, "backoff_base", ENV_BACKOFF, float,
+                 DEFAULT_BACKOFF_BASE),
+    )
 
 
 class SuiteExecutionError(RuntimeError):
@@ -111,7 +130,8 @@ class SupervisedJob:
 
 
 class PoolSupervisor:
-    """Runs :class:`SupervisedJob` batches on a self-healing pool."""
+    """Runs :class:`SupervisedJob` batches on a self-healing pool, or
+    in the parent when it has one worker."""
 
     def __init__(
         self,
@@ -183,18 +203,18 @@ class PoolSupervisor:
         """Run every job; return ``{job.key: fn(args)}``.
 
         ``fn`` must be a picklable module-level callable taking the args
-        tuple. ``fallback`` runs a job in the parent when the pool path
-        is exhausted; ``on_failure`` observes every failure before the
-        retry decision (the parallel engine uses it to demote a
-        benchmark's transport down the degradation ladder).
+        tuple. ``fallback`` runs a job in the parent when its attempts
+        are exhausted; ``on_failure`` observes every failure before the
+        retry decision (the grid runner uses it to demote a benchmark's
+        transport down the degradation ladder).
+
+        With one worker the jobs run in the parent, in order, under the
+        same retries, backoff, fallback and ``job.*`` events, with no
+        pool and no timeout; a non-retryable error propagates as raised
+        (on a pool it goes to the fallback).
         """
         results: Dict = {}
         pending = deque(jobs)
-        solo: deque = deque()  # crash suspects, rerun one at a time
-        isolating = False  # the in-flight job is a suspect's solo rerun
-        total = len(jobs)
-        inflight: Dict = {}  # future -> job
-        started: Dict = {}  # future -> first-observed-running monotonic
         elog = ev.active()
 
         def done_event(job: SupervisedJob) -> None:
@@ -239,6 +259,23 @@ class PoolSupervisor:
             results[job.key] = fallback(job)
             done_event(job)
 
+        if self.workers == 1:
+            while pending:
+                job = pending.popleft()
+                time.sleep(max(0.0, job.ready_at - time.monotonic()))
+                try:
+                    results[job.key] = fn(job.build_args(job.attempt))
+                except RETRYABLE_EXCEPTIONS as exc:
+                    fail(job, exc)
+                else:
+                    done_event(job)
+            return results
+
+        solo: deque = deque()  # crash suspects, rerun one at a time
+        isolating = False  # the in-flight job is a suspect's solo rerun
+        total = len(jobs)
+        inflight: Dict = {}  # future -> job
+        started: Dict = {}  # future -> first-observed-running monotonic
         try:
             while len(results) < total:
                 now = time.monotonic()
@@ -353,49 +390,3 @@ class PoolSupervisor:
         inflight.clear()
         started.clear()
 
-
-def run_serial_with_retries(
-    fn: Callable,
-    jobs: Sequence[SupervisedJob],
-    health: RunHealth,
-    max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
-) -> Dict:
-    """In-parent analogue of :meth:`PoolSupervisor.run` for serial
-    execution: bounded retries with the same deterministic backoff (no
-    timeouts — a hung parent cannot supervise itself)."""
-    _, max_retries, backoff_base = resolve_supervision(
-        None, max_retries, backoff_base
-    )
-    results: Dict = {}
-    elog = ev.active()
-    for job in jobs:
-        while True:
-            try:
-                results[job.key] = fn(job.build_args(job.attempt))
-                if elog.enabled:
-                    elog.emit(ev.JobCompleted(label=job.label))
-                break
-            except RETRYABLE_EXCEPTIONS as exc:
-                health.record_failure(job.label, exc)
-                if elog.enabled:
-                    elog.emit(ev.JobFailed(
-                        label=job.label,
-                        error=type(exc).__name__,
-                        attempt=job.attempt,
-                    ))
-                job.attempt += 1
-                if job.attempt > max_retries:
-                    raise SuiteExecutionError(
-                        f"job {job.label} failed terminally after "
-                        f"{job.attempt} attempt(s): {exc!r}"
-                    ) from exc
-                health.retries += 1
-                delay = backoff_base * (2 ** (job.attempt - 1))
-                health.backoff_seconds += delay
-                if elog.enabled:
-                    elog.emit(ev.JobRetried(
-                        label=job.label, attempt=job.attempt, delay=delay,
-                    ))
-                time.sleep(delay)
-    return results

@@ -71,6 +71,11 @@ class System:
         spans=False,
         engine: str = "auto",
     ) -> None:
+        if not isinstance(coalescer, CoalescerKind):
+            raise TypeError(
+                f"coalescer must be a CoalescerKind, got "
+                f"{type(coalescer).__name__} {coalescer!r}"
+            )
         self.config = config
         self.kind = coalescer
         self.fine_grain = fine_grain
@@ -217,20 +222,22 @@ class System:
                 n_mshrs=self.config.pac.n_mshrs,
                 protocol=self.protocol,
             )
-        pac_cfg = self.config.pac
-        if self.fine_grain and not pac_cfg.fine_grain:
-            from dataclasses import replace
+        if self.kind == CoalescerKind.PAC:
+            pac_cfg = self.config.pac
+            if self.fine_grain and not pac_cfg.fine_grain:
+                from dataclasses import replace
 
-            pac_cfg = replace(pac_cfg, fine_grain=True)
-        cls = (
-            BatchedPagedAdaptiveCoalescer
-            if self.engine == "batched"
-            else PagedAdaptiveCoalescer
-        )
-        return cls(
-            pac_cfg, protocol=self.protocol, probes=probes.scope("pac"),
-            spans=spans,
-        )
+                pac_cfg = replace(pac_cfg, fine_grain=True)
+            cls = (
+                BatchedPagedAdaptiveCoalescer
+                if self.engine == "batched"
+                else PagedAdaptiveCoalescer
+            )
+            return cls(
+                pac_cfg, protocol=self.protocol, probes=probes.scope("pac"),
+                spans=spans,
+            )
+        raise TypeError(f"unknown coalescer {self.kind!r}")
 
     # ------------------------------------------------------------------ #
 

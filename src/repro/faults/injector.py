@@ -8,15 +8,16 @@ Two evaluation scopes (see :mod:`repro.faults.plan` for semantics):
   run so transport/store hooks outside any job consult it;
 * a **job-scoped** injector (``FaultInjector(plan, job_ordinal=i,
   attempt=a)``) fires specs whose ordinal names this job while
-  ``attempt < count`` — workers build one per job from the compact
-  ``(spec, ordinal, attempt)`` context threaded through job args, so
-  triggering is deterministic regardless of pool scheduling, and every
-  finite fault is outlasted by retries.
+  ``attempt < count`` — :func:`job_scope` builds one per job from the
+  compact ``(spec, ordinal, attempt)`` context threaded through job
+  args, in a pool worker or (at one worker) in the parent, so
+  triggering is deterministic regardless of scheduling or worker
+  count, and every finite fault is outlasted by retries.
 
 The disabled path is a null object: hooks cost one no-op method call.
 Destructive kinds (``crash``, ``hang``) only manifest inside pool
-worker processes — in the parent they are inert, so a serial run with a
-hostile plan can never take down the caller.
+worker processes — in the parent they are inert, so a one-worker run
+with a hostile plan can never take down the caller.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ FaultContext = Optional[Tuple[str, int, int]]
 
 @contextmanager
 def job_scope(ctx: FaultContext, entry_site: str):
-    """Worker-side scope for one job.
+    """Scope for one supervised job (in a pool worker or the parent).
 
     Builds the job-scoped injector from ``ctx``, installs it globally
     (so store/shm hooks hit inside the job consult it), and evaluates

@@ -8,10 +8,12 @@ faults, which is what makes chaos runs reproducible.
 
 Trigger semantics depend on scope (see :mod:`repro.faults.injector`):
 
-* **Job scope** (pool workers, per-job retries): a spec fires inside the
-  job whose deterministic *job ordinal* equals ``ordinal``, on attempts
-  ``0..count-1`` of that job. Retries therefore outlast any finite
-  fault — the recovery invariant the suite engine is built around.
+* **Job scope** (every supervised job, in a pool worker or in the
+  parent at one worker): a spec fires inside the job whose
+  deterministic *job ordinal* (its index in the phase's cost-sorted job
+  list) equals ``ordinal``, on attempts ``0..count-1`` of that job.
+  Retries therefore outlast any finite fault — the recovery invariant
+  the suite engine is built around.
 * **Process scope** (the parent, outside any job): a spec fires on
   occurrences ``ordinal..ordinal+count-1`` of the site in this process.
 

@@ -26,7 +26,7 @@ from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison, run_suite
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.spec import RunSpec
-from repro.engine.system import CoalescerKind
+from repro.engine.system import CoalescerKind, System
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.telemetry import events as ev
 
@@ -69,6 +69,32 @@ class TestConstruction:
             run_benchmark("gs", n_accesses=0)
         with pytest.raises(ValueError, match="n_accesses"):
             run_suite_parallel(benchmarks=("gs",), n_accesses=-1)
+
+    @pytest.mark.parametrize("entry", [
+        "run_benchmark", "run_comparison", "run_suite",
+        "run_suite_parallel", "System",
+    ])
+    def test_string_arm_fails_before_anything_runs(self, entry, monkeypatch):
+        """A string arm is rejected before any trace is generated."""
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("a string arm reached trace generation")
+
+        monkeypatch.setattr(System, "build_trace", no_trace)
+        call = {
+            "run_benchmark": lambda: run_benchmark(
+                "gs", coalescer="none", n_accesses=N),
+            "run_comparison": lambda: run_comparison(
+                "gs", kinds=("none",), n_accesses=N),
+            "run_suite": lambda: run_suite(
+                "none", benchmarks=("gs",), n_accesses=N),
+            "run_suite_parallel": lambda: run_suite_parallel(
+                kinds=("none",), benchmarks=("gs",), n_accesses=N,
+                max_workers=1),
+            "System": lambda: System(TABLE1, "none"),
+        }[entry]
+        with pytest.raises(TypeError, match="arm|coalescer"):
+            call()
 
     def test_hash_and_pickle_round_trip(self):
         spec = RunSpec(

@@ -8,12 +8,16 @@ import time
 import pytest
 
 from repro.engine.health import RunHealth
+from repro.engine import supervisor as supervisor_mod
+from repro.engine.driver import run_comparison
+from repro.engine.parallel import run_suite_parallel
 from repro.engine.supervisor import (
     PoolSupervisor,
     SuiteExecutionError,
     SupervisedJob,
-    run_serial_with_retries,
+    resolve_supervision,
 )
+from repro.engine.system import CoalescerKind, System
 
 
 # Worker functions must be module-level (picklable). Each takes the
@@ -213,27 +217,105 @@ class TestTimeouts:
 
 
 class TestSerialRetries:
+    """One worker: the same loop runs every job in the parent, and no
+    test here may build a pool."""
+
+    @pytest.fixture(autouse=True)
+    def _no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-worker supervisor built a pool")
+
+        monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", no_pool)
+
     def test_serial_retries_to_success(self, tmp_path):
         marker = tmp_path / "flaky"
         health = RunHealth(jobs=1)
-        out = run_serial_with_retries(
-            _flaky,
-            [_job("f", (str(marker), 1))],
-            health,
-            max_retries=2,
-            backoff_base=0.001,
-        )
+        sup = _supervisor(health, workers=1, backoff_base=0.001)
+        out = sup.run(_flaky, [_job("f", (str(marker), 1))])
         assert out == {"f": 2}
         assert health.retries == 1
 
     def test_serial_exhaustion_raises(self, tmp_path):
         marker = tmp_path / "flaky"
         health = RunHealth(jobs=1)
+        sup = _supervisor(health, workers=1, max_retries=1,
+                          backoff_base=0.001)
         with pytest.raises(SuiteExecutionError):
-            run_serial_with_retries(
-                _flaky,
-                [_job("f", (str(marker), 99))],
-                health,
-                max_retries=1,
-                backoff_base=0.001,
+            sup.run(_flaky, [_job("f", (str(marker), 99))])
+
+    def test_one_worker_builds_no_pool(self):
+        health = RunHealth(jobs=3)
+        sup = _supervisor(health, workers=1)
+        out = sup.run(_echo, [_job(i, (i,)) for i in range(3)])
+        sup.shutdown()
+        assert out == {i: ("ok", i) for i in range(3)}
+        assert health.events == 0
+
+    def test_serial_exhaustion_with_fallback_degrades(self, tmp_path):
+        marker = tmp_path / "flaky"
+        health = RunHealth(jobs=1)
+        sup = _supervisor(health, workers=1, backoff_base=0.001)
+        out = sup.run(
+            _flaky,
+            [_job("f", (str(marker), 99), label="flaky-job")],
+            fallback=lambda job: "degraded-result",
+        )
+        assert out == {"f": "degraded-result"}
+        assert health.retries == 2
+        assert health.failures == ["flaky-job:OSError"] * 3
+        assert health.degradations == ["serial:flaky-job"]
+
+    def test_serial_logic_error_propagates(self):
+        called = []
+        health = RunHealth(jobs=1)
+        sup = _supervisor(health, workers=1)
+        with pytest.raises(ValueError, match="deterministic logic bug"):
+            sup.run(
+                _raise_value_error,
+                [_job("v", (), label="logic")],
+                fallback=called.append,
+            )
+        assert called == []
+        assert health.retries == 0 and health.degradations == []
+
+
+class TestSettings:
+    """Bad supervision settings fail loudly, naming their source."""
+
+    @pytest.mark.parametrize("env,text", [
+        ("REPRO_JOB_TIMEOUT", "soon"), ("REPRO_JOB_TIMEOUT", "0"),
+        ("REPRO_MAX_RETRIES", "three"), ("REPRO_MAX_RETRIES", "2.5"),
+        ("REPRO_MAX_RETRIES", "-1"),
+        ("REPRO_BACKOFF", "fast"), ("REPRO_BACKOFF", "-0.5"),
+    ])
+    def test_bad_variable(self, monkeypatch, env, text):
+        monkeypatch.setenv(env, text)
+        with pytest.raises(ValueError, match=rf"\${env}"):
+            resolve_supervision()
+
+    @pytest.mark.parametrize("kw", [
+        dict(job_timeout=0), dict(job_timeout=-1.0),
+        dict(max_retries=-2), dict(backoff_base=-1.0),
+    ])
+    def test_bad_argument(self, monkeypatch, kw):
+        # An argument wins over a valid variable, and is what is named.
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "9")
+        (name,) = kw
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            resolve_supervision(**kw)
+
+    def test_grid_runs_resolve_settings_before_running(self, monkeypatch):
+        def no_trace(*args, **kwargs):
+            raise AssertionError("ran with bad supervision settings")
+
+        monkeypatch.setattr(System, "build_trace", no_trace)
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "three")
+        with pytest.raises(ValueError, match="REPRO_MAX_RETRIES"):
+            run_comparison("gs", n_accesses=500)
+        monkeypatch.delenv("REPRO_MAX_RETRIES")
+        with pytest.raises(ValueError, match="job_timeout"):
+            run_suite_parallel(
+                kinds=(CoalescerKind.PAC, CoalescerKind.NONE),
+                benchmarks=("gs", "stream"), n_accesses=500,
+                max_workers=2, job_timeout=0,
             )

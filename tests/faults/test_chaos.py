@@ -137,6 +137,64 @@ class TestChaosPerJob:
         assert health["retries"] <= MAX_RETRIES * health["jobs"]
 
 
+class TestChaosOneWorker:
+    """One worker runs the pooled job list in the parent: the same
+    ordinals fire, are retried, and destructive kinds stay inert."""
+
+    @pytest.mark.parametrize("spec", [
+        "phase1.job:transient@0", "phase1.job:pickle@0",
+        "phase2.job:transient@1", "phase2.job:pickle@1",
+    ])
+    def test_recovers_bit_identical(self, spec, clean_suite):
+        results, stats = _suite(spec, max_workers=1)
+        health = stats["health"]
+        assert results == clean_suite
+        assert health["healthy"] and health["faults_enabled"]
+        assert 1 <= health["retries"] <= MAX_RETRIES * health["jobs"]
+
+    @pytest.mark.parametrize(
+        "spec", ["phase1.job:crash@0", "phase2.job:crash@0"]
+    )
+    def test_crash_is_inert(self, spec, clean_suite):
+        results, stats = _suite(spec, max_workers=1)
+        assert results == clean_suite
+        assert stats["health"]["events"] == 0
+        assert stats["health"]["failures"] == []
+
+    def test_phase2_publishes_no_segment(self, monkeypatch, clean_suite):
+        from repro.artifacts import shm
+
+        def no_publish(array):
+            raise AssertionError("phase 2 published a segment in the parent")
+
+        monkeypatch.setattr(shm, "publish", no_publish)
+        results, stats = _suite(False, max_workers=1)
+        assert results == clean_suite
+        assert stats["health"]["degradations"] == []
+
+    @pytest.mark.parametrize("plan,failures", [
+        ("phase1.job:transient@0", ["phase1:gs:OSError"]),
+        ("phase2.job:transient@0", ["gs/pac:OSError"]),
+    ])
+    def test_plan_names_the_same_job_at_any_worker_count(
+        self, plan, failures
+    ):
+        kw = dict(
+            kinds=(CoalescerKind.PAC, CoalescerKind.NONE),
+            benchmarks=("gs", "stream"), n_accesses=500,
+            use_artifact_cache=False, backoff_base=0.01,
+        )
+        clean = run_suite_parallel(faults=False, max_workers=1, **kw)
+        for workers in (1, 2):
+            stats: dict = {}
+            results = run_suite_parallel(
+                faults=plan, max_workers=workers, stats=stats, **kw
+            )
+            assert stats["health"]["failures"] == failures, workers
+            assert stats["health"]["retries"] == 1, workers
+            assert results == clean
+
+
 class TestEnvActivation:
     def test_env_plan_reaches_workers(self, monkeypatch, clean_suite):
         monkeypatch.setenv("REPRO_FAULTS", "phase2.job:transient@0")

@@ -297,6 +297,35 @@ class TestObservabilityCommands:
         assert "health gauges" not in out
         assert "HEALTHY: 1/1 jobs" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--timeout", "0"), ("--timeout", "-1"), ("--max-retries", "-1"),
+    ])
+    def test_health_supervision_out_of_range_is_a_usage_error(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["--accesses", "500", "--jobs", "1", "health", "gs",
+                  "--coalescer", "pac", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_health_faults_fire_at_one_worker(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv(
+            "REPRO_FAULTS", "phase1.job:transient@0;phase2.job:transient@0"
+        )
+        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")  # restored after
+        path = tmp_path / "health.json"
+        assert main(
+            ["--no-artifact-cache", "--jobs", "1", "health", "gs",
+             "--accesses", "2000", "--json", str(path)]
+        ) == 0
+        health = json.loads(path.read_text())["health"]
+        assert health["healthy"] and health["faults_enabled"]
+        assert health["retries"] == 2
+        assert health["failures"] == ["phase1:gs:OSError", "gs/pac:OSError"]
+
     def test_suite_json(self, capsys):
         assert main(
             ["--accesses", "500", "--jobs", "2", "suite", "--json"]
