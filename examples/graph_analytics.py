@@ -16,6 +16,7 @@ Run:  python examples/graph_analytics.py
 """
 
 from repro.analysis.clustering import cluster_requests
+from repro.artifacts import decode_requests
 from repro.config import TABLE1
 from repro.engine.system import CoalescerKind, System
 
@@ -30,15 +31,15 @@ def main() -> None:
     for bench in WORKLOADS:
         system = System(TABLE1, CoalescerKind.PAC)
         trace = system.build_trace([bench], N_ACCESSES)
-        raw = system.hierarchy.process(trace)
-        outcome = system.coalescer.process(raw.requests, system.device)
+        raw = system.hierarchy.process(trace).packed
+        outcome = system.coalescer.process(raw, system.device)
 
-        summary = cluster_requests(raw.requests, window_cycles=None)
+        summary = cluster_requests(decode_requests(raw), window_cycles=None)
         pac = system.coalescer
         rows.append(
             {
                 "bench": bench,
-                "raw": len(raw.requests),
+                "raw": len(raw),
                 "efficiency": outcome.coalescing_efficiency,
                 "noise": summary.noise_fraction,
                 "clusters": summary.n_clusters,

@@ -22,8 +22,8 @@ N_ACCESSES = 30_000
 def run(protocol, device, config):
     system = System(config, CoalescerKind.PAC, protocol=protocol, device=device)
     trace = system.build_trace(["stream"], N_ACCESSES)
-    raw = system.hierarchy.process(trace)
-    outcome = system.coalescer.process(raw.requests, system.device)
+    raw = system.hierarchy.process(trace).packed
+    outcome = system.coalescer.process(raw, system.device)
     sizes = Counter(p.size for p in outcome.issued)
     return outcome, sizes, system
 

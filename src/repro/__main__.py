@@ -46,6 +46,7 @@ import time
 
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
+from repro.engine.supervisor import resolve_supervision
 from repro.engine.system import CoalescerKind
 from repro.experiments import registry as experiments
 from repro.experiments.reporting import render_table
@@ -415,6 +416,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    if args.command in ("compare", "suite", "health", "bench"):
+        # Grid commands run under the pool supervisor: a bad --timeout /
+        # --max-retries, or a $REPRO_* supervision variable that does
+        # not parse, is a usage error here, not a traceback later.
+        job_timeout = getattr(args, "job_timeout", None)
+        max_retries = getattr(args, "max_retries", None)
+        if job_timeout is not None and not job_timeout > 0:
+            parser.error(f"--timeout must be > 0, got {job_timeout}")
+        if max_retries is not None and max_retries < 0:
+            parser.error(f"--max-retries must be >= 0, got {max_retries}")
+        try:
+            resolve_supervision(job_timeout, max_retries)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if args.events_path:
         # Environment, not a parameter: fork/spawn pool workers inherit
@@ -459,13 +474,8 @@ def main(argv=None) -> int:
                     f"{desc}"
                 )
             return 0
-        n_pass = sum(1 for e in entries if e.kind == "pass")
-        n_trace = sum(1 for e in entries if e.kind == "trace")
         print(f"cache dir: {root}")
-        print(
-            f"entries:   {len(entries)} "
-            f"({n_pass} cache-pass, {n_trace} trace)"
-        )
+        print(f"entries:   {len(entries)} cache-pass")
         print(f"disk:      {store.disk_bytes() / 1024:.1f}KB")
         return 0
 
@@ -652,12 +662,13 @@ def main(argv=None) -> int:
             print(f"wrote {len(trace):,} CPU accesses to {args.output}")
         else:
             raw = system.hierarchy.process(trace)
-            AccessTrace.from_rows(
-                (r.addr, r.size, int(r.op), r.core_id, r.cycle)
-                for r in raw.requests
+            packed = raw.packed
+            AccessTrace(
+                packed["addr"], packed["size"], packed["op"],
+                packed["core"], packed["cycle"],
             ).save(args.output)
             print(
-                f"wrote {len(raw.requests):,} raw requests "
+                f"wrote {len(packed):,} raw requests "
                 f"({raw.miss_rate:.1%} of accesses) to {args.output}"
             )
         return 0
@@ -717,10 +728,6 @@ def main(argv=None) -> int:
 
         if args.faults is not None and args.fault_seed is not None:
             parser.error("--faults and --fault-seed are mutually exclusive")
-        if args.job_timeout is not None and not args.job_timeout > 0:
-            parser.error(f"--timeout must be > 0, got {args.job_timeout}")
-        if args.max_retries is not None and args.max_retries < 0:
-            parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
         faults = args.faults
         if args.fault_seed is not None:
             faults = FaultPlan.from_seed(args.fault_seed)

@@ -5,8 +5,10 @@ sweeps) repeats a deterministic prefix — trace generation and the
 cache-hierarchy pass — once per (benchmark, arm) job. This package
 computes that prefix once per benchmark, caches it content-addressed on
 disk (keyed by run parameters, a schema version, and a fingerprint of
-the producing source code), and fans the packed raw stream out to pool
-workers through ``multiprocessing.shared_memory`` instead of pickle.
+the producing source code), and fans the packed raw stream — the
+``REQ_DTYPE`` array the cache front-end emits and the coalescers read —
+out to pool workers through ``multiprocessing.shared_memory`` instead of
+pickle.
 
 See ARCHITECTURE.md ("Artifact cache") for the key spec, invalidation
 rules, and shared-memory layout.
@@ -15,6 +17,7 @@ rules, and shared-memory layout.
 from repro.artifacts.shm import (
     REQ_DTYPE,
     attach,
+    check_requests,
     decode_requests,
     detach,
     encode_requests,
@@ -32,7 +35,6 @@ from repro.artifacts.store import (
     default_root,
     get_store,
     pass_key,
-    trace_key,
 )
 from repro.artifacts.pipeline import (
     TracePass,
@@ -51,6 +53,7 @@ __all__ = [
     "TracePass",
     "attach",
     "cache_enabled",
+    "check_requests",
     "code_fingerprint",
     "compute_and_store_trace_pass",
     "compute_trace_pass",
@@ -64,6 +67,5 @@ __all__ = [
     "publish",
     "release",
     "segment_exists",
-    "trace_key",
     "try_load_trace_pass",
 ]

@@ -1,23 +1,26 @@
-"""Array-of-structs codec and shared-memory transport for raw streams.
+"""The packed raw stream, its oracle codec, and shared-memory transport.
 
 The raw request stream — the cache hierarchy's output and the
-coalescers' input — is a list of :class:`~repro.common.types.MemoryRequest`
-objects. Pickling that list into every pool worker costs a per-object
-round trip (construct, validate, allocate) for tens of thousands of
-requests per job. Instead the stream is packed once into a compact
-structured numpy array (23 bytes per request) that:
+coalescers' input — is a :data:`REQ_DTYPE` structured array (23 bytes
+per request). The batched cache front-end emits it directly, and the
+artifact store, the two-phase pipeline and the coalescers carry and read
+it as is. As one contiguous buffer it:
 
-* serializes as a single contiguous buffer (fast pickle, fast ``.npz``);
-* maps directly into :mod:`multiprocessing.shared_memory` so every
+* serializes fast (pickle, ``.npz``);
+* maps directly into :mod:`multiprocessing.shared_memory`, so every
   phase-2 worker of :func:`repro.engine.parallel.run_suite_parallel`
-  reads the same physical pages — zero copies, zero pickling.
+  reads the parent's pages instead of unpickling the stream.
 
-``req_id`` is deliberately NOT part of the layout: it is a
-process-global allocation counter, not simulation state. Decoding mints
-fresh ids; every consumer (MSHR files, PAC streams, span recorders) uses
-ids only as opaque in-flight keys, so results are bit-identical — the
-same argument that lets :func:`repro.engine.driver.run_comparison` share
-one request list across arms.
+``req_id`` is not part of the layout: a request's id is its ordinal in
+the array, the key span sampling and MSHR subentries use. Consumers use
+ids only as opaque in-flight keys, so results never depend on them.
+
+:func:`encode_requests` / :func:`decode_requests` convert between the
+array and :class:`~repro.common.types.MemoryRequest` lists. Only the
+reference oracle pays for objects: the scalar ``CacheHierarchy`` packs
+its list once, and the scalar PAC and sorting coalescers decode their
+input. :func:`check_requests` holds the row checks every array read
+from disk must pass.
 """
 
 from __future__ import annotations
@@ -43,8 +46,45 @@ REQ_DTYPE = np.dtype(
 
 
 #: ``MemOp`` members by packed ``op`` value (``MemOp`` is dense from 0).
-_OPS = tuple(MemOp)
-_OP_VALUES = np.array([int(op) for op in _OPS], dtype=REQ_DTYPE["op"])
+OPS = tuple(MemOp)
+_OP_VALUES = np.array([int(op) for op in OPS], dtype=REQ_DTYPE["op"])
+
+
+def columns(array: np.ndarray) -> Tuple[list, list, list, list, list]:
+    """The ``addr, size, op, core, cycle`` columns as native-int lists.
+
+    Column-wise ``tolist()`` converts at C speed; per-row access to a
+    structured array would box a numpy void per request.
+    """
+    return tuple(array[name].tolist() for name in REQ_DTYPE.names)
+
+
+def check_requests(array: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``array`` is a valid packed stream.
+
+    The dtype must be :data:`REQ_DTYPE`, and every row must pass the
+    checks the ``MemoryRequest`` constructor makes (``addr >= 0``,
+    ``size > 0``, ``op`` a :class:`MemOp` value); the message names the
+    first bad row.
+    """
+    if not isinstance(array, np.ndarray) or array.dtype != REQ_DTYPE:
+        raise ValueError(
+            f"packed stream must have dtype {REQ_DTYPE}, got "
+            f"{getattr(array, 'dtype', type(array).__name__)}"
+        )
+    addr = array["addr"]
+    size = array["size"]
+    op = array["op"]
+    bad = (addr < 0) | (size <= 0) | ~np.isin(op, _OP_VALUES)
+    if bad.any():
+        i = int(bad.argmax())
+        if addr[i] < 0:
+            reason = f"negative physical address: {int(addr[i]):#x}"
+        elif size[i] <= 0:
+            reason = f"non-positive request size: {int(size[i])}"
+        else:
+            reason = f"{int(op[i])} is not a valid MemOp"
+        raise ValueError(f"packed request {i}: {reason}")
 
 
 def encode_requests(requests: Sequence[MemoryRequest]) -> np.ndarray:
@@ -59,37 +99,17 @@ def encode_requests(requests: Sequence[MemoryRequest]) -> np.ndarray:
 
 
 def decode_requests(array: np.ndarray) -> List[MemoryRequest]:
-    """Rebuild the request list (fresh ``req_id`` values; see module
-    docstring for why that is bit-identical).
+    """Rebuild the request list, each ``req_id`` its ordinal.
 
-    The whole array is validated first, with the checks the
-    ``MemoryRequest`` constructor makes (``addr >= 0``, ``size > 0``,
-    ``op`` a :class:`MemOp` value); a bad row raises ``ValueError``
-    naming the first bad index. The requests are then built with the
-    unchecked :func:`~repro.common.types.new_request` constructor.
+    The array passes :func:`check_requests` first; the requests are then
+    built with the unchecked :func:`~repro.common.types.new_request`
+    constructor.
     """
-    addr = array["addr"]
-    size = array["size"]
-    op = array["op"]
-    bad = (addr < 0) | (size <= 0) | ~np.isin(op, _OP_VALUES)
-    if bad.any():
-        i = int(bad.argmax())
-        if addr[i] < 0:
-            reason = f"negative physical address: {int(addr[i]):#x}"
-        elif size[i] <= 0:
-            reason = f"non-positive request size: {int(size[i])}"
-        else:
-            reason = f"{int(op[i])} is not a valid MemOp"
-        raise ValueError(f"packed request {i}: {reason}")
-    # Column-wise tolist() converts to native ints at C speed; per-row
-    # structured-array access would box a numpy void per request.
-    ops = [_OPS[v] for v in op.tolist()]
+    check_requests(array)
+    addr, size, op, core, cycle = columns(array)
     return [
-        new_request(a, s, o, c, cy)
-        for a, s, o, c, cy in zip(
-            addr.tolist(), size.tolist(), ops, array["core"].tolist(),
-            array["cycle"].tolist(),
-        )
+        new_request(a, s, OPS[o], c, cy, i)
+        for i, (a, s, o, c, cy) in enumerate(zip(addr, size, op, core, cycle))
     ]
 
 
@@ -135,7 +155,7 @@ def attach(name: str, n_items: int, dtype: np.dtype = REQ_DTYPE):
     """Attach to a published segment from a worker process.
 
     Returns ``(shm, array_view)``. The view is only valid while ``shm``
-    stays open — decode (copy out) before calling :func:`detach`.
+    stays open — copy it out before calling :func:`detach`.
 
     CPython's resource tracker registers POSIX shm segments on *attach*
     as well as on create (fixed only in 3.13's ``track=False``).

@@ -1,12 +1,11 @@
 """Content-addressed on-disk + in-process artifact store.
 
-Artifacts are the deterministic, coalescer-independent prefix of a run:
-
-* **trace** — the translated physical-address trace for a benchmark mix
-  (columnar ``AccessTrace`` arrays);
-* **pass** — the cache-hierarchy raw stream for that trace, already
-  packed into the :data:`repro.artifacts.shm.REQ_DTYPE` layout, plus
-  the hierarchy summary metrics the final ``RunResult`` reports.
+The store keeps one artifact kind, the deterministic,
+coalescer-independent prefix of a run: the **pass** — the
+cache-hierarchy raw stream of a benchmark mix, as the
+:data:`repro.artifacts.shm.REQ_DTYPE` array, plus the hierarchy summary
+metrics the final ``RunResult`` reports. (Regenerating a trace costs
+less than compressing it, so traces are not stored.)
 
 Keys are sha256 digests over every input that can change the bytes of
 the artifact: the full run parameterization, an explicit schema version,
@@ -19,8 +18,8 @@ fingerprint, so old entries simply stop matching and are recomputed
 Writes go through a temp file + ``os.replace`` so concurrent writers
 (pool workers racing on a cold cache) each publish a complete file and
 the last one wins — both wrote identical bytes, so either is correct.
-Unreadable entries (truncated by a crash, garbage) are treated as
-misses, unlinked, and recomputed.
+Corrupt entries (truncated by a crash, garbage, or contents the reader's
+check rejects) are treated as misses, unlinked, and recomputed.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -52,7 +51,7 @@ _FALSEY = {"0", "false", "no", "off", ""}
 
 #: In-process memo capacity (entries, not bytes). A suite touches a
 #: handful of benchmarks; 16 covers bench sweeps without letting a
-#: long-lived session hoard every stream it ever decoded.
+#: long-lived session hoard every stream it ever loaded.
 _MEMO_CAP = 16
 
 
@@ -83,6 +82,7 @@ _FINGERPRINT_SOURCES = (
     "common",
     "config.py",
     "engine/system.py",
+    "artifacts/shm.py",
 )
 
 _fingerprint_cache: Optional[str] = None
@@ -114,35 +114,6 @@ def code_fingerprint() -> str:
 def _digest(kind: str, parts: tuple) -> str:
     payload = repr((kind, ARTIFACT_SCHEMA, code_fingerprint()) + parts)
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
-
-
-def trace_key(
-    benchmark: str,
-    n_accesses: int,
-    seed: int,
-    config,
-    device: str = "hmc",
-    scale=1.0,
-    extra_benchmarks: Tuple[str, ...] = (),
-) -> str:
-    """Key for a translated trace artifact.
-
-    ``device`` participates even though trace generation only reads
-    ``config.hmc.capacity_bytes`` today — if a future device grows its
-    own frame pool the keyspace is already partitioned correctly.
-    """
-    return _digest(
-        "trace",
-        (
-            benchmark,
-            int(n_accesses),
-            int(seed),
-            config.config_hash(),
-            device,
-            repr(scale),
-            tuple(extra_benchmarks),
-        ),
-    )
 
 
 def pass_key(
@@ -243,12 +214,16 @@ class ArtifactStore:
 
     # -- core get/put --------------------------------------------------
 
-    def get(self, kind: str, key: str) -> Optional[dict]:
+    def get(
+        self, kind: str, key: str,
+        check: Optional[Callable[[dict], object]] = None,
+    ) -> Optional[dict]:
         """Load ``{"meta": dict, **arrays}`` for a key, or None on miss.
 
         A file that exists but cannot be parsed (torn write, wrong
-        version) counts as a miss: it is unlinked and the caller
-        recomputes.
+        version), or whose payload ``check`` rejects by raising, counts
+        as a miss: it is unlinked and the caller recomputes. Memo
+        entries were checked (or put) when they entered the memo.
 
         Fault site ``artifact.get`` (kind ``corrupt``) garbles the
         on-disk entry (and evicts the memo) before the normal read, so
@@ -278,13 +253,20 @@ class ArtifactStore:
         try:
             with np.load(path, allow_pickle=False) as npz:
                 arrays = {name: npz[name] for name in npz.files}
+            payload = {
+                "meta": json.loads(bytes(arrays.pop("__meta__").tobytes())),
+                **arrays,
+            }
+            if check is not None:
+                check(payload)
         except FileNotFoundError:
             self.stats.misses += 1
             if elog.enabled:
                 elog.emit(ev.CacheMiss(artifact=kind, key=key))
             return None
         except Exception:
-            # Corrupt or stale-format entry: drop it, report a miss.
+            # Corrupt, stale-format or rejected entry: drop it, report a
+            # miss.
             self.stats.errors += 1
             self.stats.misses += 1
             if elog.enabled:
@@ -294,19 +276,6 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
-        try:
-            meta = json.loads(bytes(arrays.pop("__meta__").tobytes()))
-        except Exception:
-            self.stats.errors += 1
-            self.stats.misses += 1
-            if elog.enabled:
-                elog.emit(ev.CacheCorrupt(artifact=kind, key=key))
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        payload = {"meta": meta, **arrays}
         self._memo_put(key, payload)
         self.stats.hits += 1
         if elog.enabled:

@@ -454,8 +454,8 @@ def stage_legs(
     """
     base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
     trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
-    requests = base.hierarchy.process(trace).requests
-    issued = base.coalescer.process(requests, base.device).issued
+    raw = base.hierarchy.process(trace).packed
+    issued = base.coalescer.process(raw, base.device).issued
 
     def fresh(engine: str) -> System:
         return System(
@@ -474,7 +474,7 @@ def stage_legs(
 
     def coalescer(engine: str):
         system = fresh(engine)
-        return lambda: system.coalescer.process(requests, system.device)
+        return lambda: system.coalescer.process(raw, system.device)
 
     def device(engine: str):
         # What run_raw does after the coalescer: per-packet submit at
@@ -494,8 +494,8 @@ def stage_legs(
 
     return {
         "trace_gen": (cfg.n_accesses, trace_gen),
-        "cache": (len(requests), cache),
-        "coalescer": (len(requests), coalescer),
+        "cache": (len(raw), cache),
+        "coalescer": (len(raw), coalescer),
         "device": (len(issued), device),
     }
 

@@ -24,7 +24,9 @@ probe + ``move_to_end``, and per-emission ``MemoryRequest`` dataclass
   :class:`repro.cache.setassoc.FlatLRU` — a dict residency probe plus
   age-stamp arrays, shared across the L1s and the LLC via one
   monotonic tick (min-stamp victim scan ≡ ``popitem(last=False)``);
-* emits requests through the ``new_request`` fast constructor;
+* emits no request objects: each emission appends its five fields to
+  column lists, packed once into the
+  :data:`~repro.artifacts.shm.REQ_DTYPE` array the coalescers read;
 * accumulates all counters in local ints and merges them into the real
   ``StatsRegistry`` objects once per :meth:`process` call — the same
   pattern :mod:`repro.core.pac_batched` established.
@@ -54,14 +56,14 @@ from typing import List
 
 import numpy as np
 
+from repro.artifacts.shm import REQ_DTYPE
 from repro.cache.hierarchy import (
     PREFETCH_REGION_BYTES,
     CacheHierarchy,
     RawStream,
 )
 from repro.cache.setassoc import FlatLRU
-from repro.common import types as _ct
-from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES, new_request
+from repro.common.types import MemOp, PAGE_BYTES
 from repro.mem.address import line_addresses
 from repro.mem.trace import AccessTrace
 from repro.telemetry import FOLD_EVENTS, NULL_SPANS, NULL_TELEMETRY, ProbeBuffer
@@ -275,28 +277,21 @@ class BatchedCacheHierarchy(CacheHierarchy):
         l1_dev_n = [0] * n_cores
         llc_hit_n = llc_miss_n = llc_dev_n = 0
 
-        out: List[MemoryRequest] = []
-        out_append = out.append
-        _nr = new_request
-        # Hot emission sites build requests inline through the bound
-        # slot descriptors (``new_request``'s own internals) — the call
-        # frame is ~25% of the constructor at this emission volume.
-        # Cold sites (atomics, fences, fine-grain payloads) keep the
-        # readable ``_nr`` wrapper. ``req_next`` is rebound per call so
-        # ``reset_request_ids`` between calls keeps working.
-        mr_new = _ct.MemoryRequest.__new__
-        MR = _ct.MemoryRequest
-        s_addr = _ct._set_addr
-        s_size = _ct._set_size
-        s_op = _ct._set_op
-        s_core = _ct._set_core
-        s_cyc = _ct._set_cycle
-        s_rid = _ct._set_req_id
-        req_next = _ct._req_counter.__next__
-        STORE = MemOp.STORE
-        LOAD = MemOp.LOAD
-        ATOMIC = MemOp.ATOMIC
-        FENCE = MemOp.FENCE
+        # The raw stream as five columns, packed into the REQ_DTYPE
+        # array at the end. Hot emission sites inline the five appends;
+        # cold ones (atomics, fences, fine-grain payloads, prefetch-path
+        # write-backs) call ``emit``.
+        out_cols: List[list] = [[] for _ in REQ_DTYPE.names]
+        out = out_cols[0]  # the address column: its length is the ordinal
+        o_addr, o_size, o_op, o_core, o_cycle = (c.append for c in out_cols)
+
+        def emit(addr, size, op_value, core, cycle):
+            o_addr(addr)
+            o_size(size)
+            o_op(op_value)
+            o_core(core)
+            o_cycle(cycle)
+
         secondary_cap = self.secondary_cap
         window = self.lookahead_window
         stride_tables = self._stride_tables
@@ -342,13 +337,13 @@ class BatchedCacheHierarchy(CacheHierarchy):
                     atom_n += 1
                     if spans_on and len(out) % span_rate == span_offset:
                         spans_origin(len(out), "atomic")
-                    out_append(_nr(addrs[i], sizes[i], ATOMIC, core, cycle))
+                    emit(addrs[i], sizes[i], atomic_val, core, cycle)
                 else:
                     # Fences propagate as line-aligned drain markers.
                     fence_n += 1
                     if spans_on and len(out) % span_rate == span_offset:
                         spans_origin(len(out), "fence")
-                    out_append(_nr(line_addr, line, FENCE, core, cycle))
+                    emit(line_addr, line, fence_val, core, cycle)
                 continue
 
             # L1 access (inlined FlatLRU hit path). ``op_val`` is 0/1
@@ -405,14 +400,11 @@ class BatchedCacheHierarchy(CacheHierarchy):
                         on_writeback(cycle)
                     if spans_on and len(out) % span_rate == span_offset:
                         spans_origin(len(out), "writeback")
-                    r = mr_new(MR)
-                    s_addr(r, llc_wb)
-                    s_size(r, line)
-                    s_op(r, STORE)
-                    s_core(r, core)
-                    s_cyc(r, cycle)
-                    s_rid(r, req_next())
-                    out_append(r)
+                    o_addr(llc_wb)
+                    o_size(line)
+                    o_op(store_val)
+                    o_core(core)
+                    o_cycle(cycle)
 
             # LLC access (inlined).
             slot = llc_get(line_addr)
@@ -451,17 +443,14 @@ class BatchedCacheHierarchy(CacheHierarchy):
                     on_writeback(cycle)
                 if spans_on and len(out) % span_rate == span_offset:
                     spans_origin(len(out), "writeback")
-                r = mr_new(MR)
-                s_addr(r, llc_wb)
-                s_size(r, line)
-                s_op(r, STORE)
-                s_core(r, core)
-                s_cyc(r, cycle)
-                s_rid(r, req_next())
-                out_append(r)
+                o_addr(llc_wb)
+                o_size(line)
+                o_op(store_val)
+                o_core(core)
+                o_cycle(cycle)
 
-            # LLC demand miss -> primary raw request.
-            op = STORE if is_store else LOAD
+            # LLC demand miss -> primary raw request (``op_val`` is the
+            # LOAD/STORE value here).
             raw_n += 1
             if probes_on:
                 on_raw(cycle)
@@ -469,16 +458,13 @@ class BatchedCacheHierarchy(CacheHierarchy):
             if spans_on and len(out) % span_rate == span_offset:
                 spans_origin(len(out), "demand")
             if fine_grain:
-                out_append(_nr(addrs[i], sizes[i], op, core, cycle))
+                emit(addrs[i], sizes[i], op_val, core, cycle)
             else:
-                r = mr_new(MR)
-                s_addr(r, line_addr)
-                s_size(r, line)
-                s_op(r, op)
-                s_core(r, core)
-                s_cyc(r, cycle)
-                s_rid(r, req_next())
-                out_append(r)
+                o_addr(line_addr)
+                o_size(line)
+                o_op(op_val)
+                o_core(core)
+                o_cycle(cycle)
 
             # OoO lookahead: eager same-line secondaries via the
             # next-occurrence chain. ``k`` starts at this access's own
@@ -502,16 +488,13 @@ class BatchedCacheHierarchy(CacheHierarchy):
                         spans_origin(len(out), "secondary")
                     if fine_grain:
                         j = core_idx_lists[core][k]
-                        out_append(_nr(addrs[j], sizes[j], op, core, cycle))
+                        emit(addrs[j], sizes[j], op_val, core, cycle)
                     else:
-                        r = mr_new(MR)
-                        s_addr(r, line_addr)
-                        s_size(r, line)
-                        s_op(r, op)
-                        s_core(r, core)
-                        s_cyc(r, cycle)
-                        s_rid(r, req_next())
-                        out_append(r)
+                        o_addr(line_addr)
+                        o_size(line)
+                        o_op(op_val)
+                        o_core(core)
+                        o_cycle(cycle)
                     emitted += 1
                     if emitted >= secondary_cap:
                         break
@@ -614,7 +597,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                         len(out) % span_rate == span_offset
                                     ):
                                         spans_origin(len(out), "writeback")
-                                    out_append(_nr(llc_wb, line, STORE, core, cycle))
+                                    emit(llc_wb, line, store_val, core, cycle)
                             # llc.install(pf, clean): fill only — not
                             # resident by the loop guard above.
                             llc_wb = None
@@ -644,7 +627,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                     len(out) % span_rate == span_offset
                                 ):
                                     spans_origin(len(out), "writeback")
-                                out_append(_nr(llc_wb, line, STORE, core, cycle))
+                                emit(llc_wb, line, store_val, core, cycle)
                             pf_n += 1
                             raw_n += 1
                             if probes_on:
@@ -654,14 +637,11 @@ class BatchedCacheHierarchy(CacheHierarchy):
                                 len(out) % span_rate == span_offset
                             ):
                                 spans_origin(len(out), "prefetch")
-                            r = mr_new(MR)
-                            s_addr(r, pf)
-                            s_size(r, line)
-                            s_op(r, op)
-                            s_core(r, core)
-                            s_cyc(r, cycle)
-                            s_rid(r, req_next())
-                            out_append(r)
+                            o_addr(pf)
+                            o_size(line)
+                            o_op(op_val)
+                            o_core(core)
+                            o_cycle(cycle)
                         pf += line
 
         # ---- merge local counters into the real registries ---- #
@@ -691,4 +671,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
         llc._c_dirty_evictions.value += llc_dev_n
         if probes_on:
             fold_probes()
-        return RawStream(requests=out, n_accesses=n, stats=stats)
+        packed = np.empty(len(out), dtype=REQ_DTYPE)
+        for name, col in zip(REQ_DTYPE.names, out_cols):
+            packed[name] = col
+        return RawStream(packed=packed, n_accesses=n, stats=stats)

@@ -38,6 +38,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.artifacts import shm as shm_codec
 from repro.common.stats import StatsRegistry
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import CacheConfig
@@ -53,22 +54,28 @@ PREFETCH_REGION_BYTES = 256
 class RawStream:
     """The coalescer-facing output of the cache hierarchy.
 
-    ``requests`` is ordered by cycle and mixes demand misses (tagged with
+    ``packed`` is the raw request stream as a
+    :data:`~repro.artifacts.shm.REQ_DTYPE` array, each request's id its
+    ordinal. It is ordered by cycle and mixes demand misses (tagged with
     the op that triggered them), eager secondaries, prefetches, and LLC
     write-backs (always stores).
     """
 
-    requests: List[MemoryRequest]
+    packed: np.ndarray
     n_accesses: int
     stats: StatsRegistry
 
     @property
     def miss_rate(self) -> float:
-        return len(self.requests) / self.n_accesses if self.n_accesses else 0.0
+        return len(self.packed) / self.n_accesses if self.n_accesses else 0.0
 
 
 class CacheHierarchy:
-    """N private L1s over one shared LLC; produces the raw request stream."""
+    """N private L1s over one shared LLC; produces the raw request stream.
+
+    The scalar reference engine: it builds one ``MemoryRequest`` per raw
+    request and packs the list once, at the end of :meth:`process`.
+    """
 
     #: Same-line secondary raw requests emitted per demand miss.
     DEFAULT_SECONDARY_CAP = 2
@@ -296,7 +303,10 @@ class CacheHierarchy:
                     prefetch_count,
                 )
 
-        return RawStream(requests=out, n_accesses=n, stats=self.stats)
+        return RawStream(
+            packed=shm_codec.encode_requests(out), n_accesses=n,
+            stats=self.stats,
+        )
 
     def _prefetch(
         self, l1, line_addr, op, core, cycle, emit, emit_wb, prefetch_count

@@ -121,7 +121,7 @@ class CoalescedRequest:
     construction is on the simulator's hot path and the frozen-dataclass
     ``object.__setattr__`` init costs ~4x a plain one. Packets are owned
     by the arm that created them and treated as immutable by convention;
-    ``MemoryRequest`` (shared across arms and memoized) stays frozen.
+    ``MemoryRequest`` stays frozen.
     """
 
     addr: int
@@ -185,8 +185,8 @@ def new_packet(
 
     Bypasses the dataclass ``__init__``/``__post_init__`` (~2.5x
     cheaper); the caller must guarantee ``size > 0`` and a non-empty
-    ``constituents`` tuple — trivially true where the packet wraps a
-    validated :class:`MemoryRequest`.
+    ``constituents`` tuple — trivially true where the packet wraps one
+    row of a checked packed stream.
     """
     packet = CoalescedRequest.__new__(CoalescedRequest)
     packet.addr = addr
@@ -204,17 +204,15 @@ def new_request(
     op: MemOp,
     core_id: int,
     cycle: int,
+    req_id: int,
 ) -> MemoryRequest:
-    """Fast :class:`MemoryRequest` constructor for per-request hot paths
-    (the cache front-end emits one per raw-stream entry).
+    """Fast :class:`MemoryRequest` constructor for decoding a packed
+    stream (:func:`repro.artifacts.shm.decode_requests`), whose ids are
+    ordinals rather than draws from the global counter.
 
     Bypasses the frozen-dataclass ``__init__``/``__post_init__``: the
-    caller must guarantee ``addr >= 0`` and ``size > 0`` — trivially
-    true in the hierarchy, where addresses come from a validated trace
-    and sizes are the line size or a validated access size. ``req_id``
-    is drawn from the same global counter as the dataclass default, so
-    ids issued through either constructor stay globally unique and
-    ordered by emission.
+    caller must guarantee ``addr >= 0`` and ``size > 0`` — the decoder
+    checks the whole array first.
     """
     req = _mr_new(MemoryRequest)
     _set_addr(req, addr)
@@ -222,16 +220,14 @@ def new_request(
     _set_op(req, op)
     _set_core(req, core_id)
     _set_cycle(req, cycle)
-    _set_req_id(req, next(_req_counter))
+    _set_req_id(req, req_id)
     return req
 
 
 # Pre-bound slot descriptors for ``new_request``: a ``slots=True``
 # dataclass stores each field as a member_descriptor on the class, and
 # calling its ``__set__`` directly bypasses the frozen ``__setattr__``
-# without the per-call name lookup ``object.__setattr__`` pays (~30%
-# of the constructor). ``_req_counter`` stays a module-global read so
-# ``reset_request_ids`` keeps working.
+# without the per-call name lookup ``object.__setattr__`` pays.
 _mr_new = MemoryRequest.__new__
 _set_addr = MemoryRequest.__dict__["addr"].__set__
 _set_size = MemoryRequest.__dict__["size"].__set__

@@ -22,8 +22,11 @@ aggregation windows — the blocked-cache cascade (see ARCHITECTURE.md,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
+import numpy as np
+
+from repro.artifacts import shm as shm_codec
 from repro.common.types import (
     CACHE_LINE_BYTES,
     CoalescedRequest,
@@ -127,8 +130,11 @@ class PagedAdaptiveCoalescer(Coalescer):
     # main loop
 
     def process(
-        self, raw: Iterable[MemoryRequest], memory: MemoryDevice
+        self, raw: np.ndarray, memory: MemoryDevice
     ) -> CoalesceOutcome:
+        """Stream the packed ``raw`` array into ``memory``. The reference
+        engine works on request objects, so it decodes the array first
+        (each request's id is its ordinal)."""
         out = CoalesceOutcome()
         self._out = out
         self._memory = memory
@@ -155,7 +161,7 @@ class PagedAdaptiveCoalescer(Coalescer):
         n_mshrs = self._n_mshrs
         n_raw = 0
         stall_cycles = 0
-        for req in raw:
+        for req in shm_codec.decode_requests(raw):
             n_raw += 1
             cycle = req.cycle
             now = self._entry_clock
@@ -169,10 +175,12 @@ class PagedAdaptiveCoalescer(Coalescer):
             if probes_on:
                 self._t_entry_wait.observe(now, now - cycle)
             if spans_on:
-                # index = raw-stream ordinal: deterministic across
-                # serial/parallel runs, unlike the process-global req_id.
+                # index = raw-stream ordinal (== req_id): deterministic
+                # across serial/parallel runs.
                 out.n_raw = n_raw
-                spans.admit(n_raw - 1, req, now)
+                spans.admit(
+                    n_raw - 1, req.addr, req.core_id, req.op, req.cycle, now
+                )
             self._entry_clock = now + 1
             advance(now)
 

@@ -7,8 +7,9 @@ issued packets, same stats registries, same device interaction sequence)
 while replacing the reference path's per-request object churn with flat
 state:
 
-* raw requests are pre-partitioned into **quiescent windows** — the
-  fence-delimited segments of the stream (:func:`partition_windows`). A
+* the raw stream is the packed array's column lists, zipped, and split
+  into **quiescent windows** — the fence-delimited segments of the
+  stream (:func:`window_bounds`, over the op column). A
   fence drains stage 1 completely, so no request after a fence can
   aggregate with one before it: each window's stage-1 coalescing
   decisions depend only on requests inside the window, which is the
@@ -64,12 +65,15 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Iterable, List, Optional
+from itertools import islice
+from typing import List, Optional, Tuple
 
+import numpy as np
+
+from repro.artifacts.shm import OPS, columns
 from repro.common.types import (
     CACHE_LINE_BYTES,
     MemOp,
-    MemoryRequest,
     PAGE_BYTES,
     new_packet,
 )
@@ -108,32 +112,23 @@ _PROBE_COLUMNS = (
 )
 
 
-def partition_windows(requests) -> List[list]:
-    """Split a raw request stream into its quiescent windows.
+def window_bounds(op: np.ndarray) -> List[Tuple[int, int]]:
+    """Split a raw stream into its quiescent windows, given its op column.
 
-    A window is a maximal fence-free prefix: every segment ends with the
-    FENCE that closes it (the fence belongs to the window it drains),
-    except possibly the last. Invariants, property-tested in
-    ``tests/core/test_window_property.py``:
+    A window is a maximal fence-free run of ordinals ``[start, stop)``:
+    every window ends with the FENCE that closes it (the fence belongs
+    to the window it drains), except possibly the last. Invariants,
+    property-tested in ``tests/core/test_window_property.py``:
 
-    * concatenating the windows reproduces the input exactly;
-    * no window contains a FENCE anywhere but its last position;
+    * the windows tile ``[0, len(op))`` in order, none empty;
+    * no window holds a FENCE anywhere but its last ordinal;
     * stage-1 aggregation state is empty at every window boundary, so
       per-window stage-1 decisions are independent.
     """
-    fence = MemOp.FENCE
-    windows: List[list] = []
-    current: list = []
-    append = current.append
-    for req in requests:
-        append(req)
-        if req.op is fence:
-            windows.append(current)
-            current = []
-            append = current.append
-    if current:
-        windows.append(current)
-    return windows
+    stops = (np.flatnonzero(op == int(MemOp.FENCE)) + 1).tolist()
+    if len(op) and (not stops or stops[-1] != len(op)):
+        stops.append(len(op))
+    return list(zip([0] + stops[:-1], stops))
 
 
 class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
@@ -189,13 +184,13 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             buf.feed(probe, col[events], col[values] if values else None)
 
     def process(
-        self, raw: Iterable[MemoryRequest], memory: MemoryDevice
+        self, raw: np.ndarray, memory: MemoryDevice
     ) -> CoalesceOutcome:
         out = CoalesceOutcome()
         self._out = out
         self._memory = memory
-        requests = raw if isinstance(raw, list) else list(raw)
-        windows = partition_windows(requests)
+        addrs, sizes, ops, cores, cycles = columns(raw)
+        stream = zip(range(len(addrs)), addrs, sizes, ops, cycles)
 
         # ---- flat state ------------------------------------------------
         arrivals = self._arrivals = {}
@@ -225,7 +220,6 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         sample_period = OCCUPANCY_SAMPLE_CYCLES
 
         # ---- locally accumulated counters ------------------------------
-        n_raw = 0
         stall_cycles = 0
         n_issued = 0
         n_merged = 0
@@ -296,10 +290,10 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         occ_ins_counts = [0] * (n_streams + 1)
         # Sampled-occupancy histogram, also bounded by n_streams.
         occ_samp_counts = [0] * (n_streams + 1)
-        load_op = MemOp.LOAD
+        store_val = int(MemOp.STORE)
+        atomic_val = int(MemOp.ATOMIC)
+        fence_val = int(MemOp.FENCE)
         store_op = MemOp.STORE
-        atomic_op = MemOp.ATOMIC
-        fence_op = MemOp.FENCE
         LINE = CACHE_LINE_BYTES
         PAGE = PAGE_BYTES
         STORE_BIT = 1 << 52
@@ -868,14 +862,12 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                 last_sample += remaining * sample_period
 
         # ---- main sweep --------------------------------------------------
-        for window in windows:
-            for req in window:
-                n_raw += 1
-                cycle = req.cycle
+        for start, stop in window_bounds(raw["op"]):
+            for rid, addr, size, op, cycle in islice(stream, stop - start):
                 now = entry_clock
                 if cycle > now:
                     now = cycle
-                arrivals[req.req_id] = now
+                arrivals[rid] = now
                 stall_cycles += now - cycle
                 entry_clock = now + 1
                 if probes_on:
@@ -883,10 +875,10 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         fold_probes()
                     on_entry_cycle(now)
                     on_entry_wait(now - cycle)
-                if spans_on and (n_raw - 1) % span_rate == span_offset:
+                if spans_on and rid % span_rate == span_offset:
                     # index = raw-stream ordinal, as in the reference.
-                    tracked.add(req.req_id)
-                    span_admit(n_raw - 1, req, now)
+                    tracked.add(rid)
+                    span_admit(rid, addr, cores[rid], op, cycle, now)
 
                 # -- inlined _advance(now) --
                 if agg and agg[0][1] <= now:
@@ -936,8 +928,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         on_disable(now)
 
                 # -- op dispatch --
-                op = req.op
-                if op is load_op or op is store_op:
+                if op < atomic_val:  # LOAD or STORE
                     if not network_enabled:
                         if len(mshr_slots) >= n_mshrs:
                             network_enabled = True
@@ -952,12 +943,11 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                             if probes_on:
                                 on_direct(now)
                             c_direct_cam += len(mshr_slots)
-                            addr = req.addr
                             packet = new_packet(
                                 addr - (addr % grain_bytes),
                                 grain_bytes,
-                                store_op if op is store_op else load_op,
-                                (req.req_id,),
+                                OPS[op],
+                                (rid,),
                                 now,
                                 "pac-direct",
                             )
@@ -979,9 +969,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     if probes_on:
                         on_insert_cycle(now)
                         on_insert_occupancy(n_active)
-                    addr = req.addr
                     page = addr // PAGE
-                    tag = (STORE_BIT | page) if op is store_op else page
+                    tag = (STORE_BIT | page) if op == store_val else page
                     rec = by_tag.get(tag)
                     forced = None
                     if rec is None:
@@ -992,7 +981,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                             if probes_on:
                                 on_forced(now)
                         rec = [
-                            tag, now + timeout, page, op, now,
+                            tag, now + timeout, page, OPS[op], now,
                             0, {}, 0,
                         ]
                         agg.append(rec)
@@ -1007,12 +996,11 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     # -- CoalescingStream.add, inlined --
                     offset = addr % PAGE
                     first = offset // grain_bytes
-                    last_off = offset + req.size - 1
+                    last_off = offset + size - 1
                     if last_off >= PAGE:
                         last_off = PAGE - 1
                     last = last_off // grain_bytes
                     greq = rec[6]
-                    rid = req.req_id
                     if first == last:
                         rec[5] |= 1 << first
                         bucket = greq.get(first)
@@ -1033,14 +1021,13 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     rec[7] += 1
                     if forced is not None:
                         flush(forced, now)
-                elif op is atomic_op:
+                elif op == atomic_val:
                     # Atomics bypass PAC entirely (Section 3.3.1).
-                    size = req.size
                     packet = new_packet(
-                        req.addr - (req.addr % LINE),
+                        addr - (addr % LINE),
                         size if size > 16 else 16,
                         store_op,
-                        (req.req_id,),
+                        (rid,),
                         now,
                         "atomic",
                     )
@@ -1052,10 +1039,10 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     if completion > now:
                         svc_cycles += completion - now
                     svc_served += 1
-                    if spans_on and req.req_id in tracked:
-                        span_mark(req.req_id, "device", completion)
+                    if spans_on and rid in tracked:
+                        span_mark(rid, "device", completion)
                     c_atomics += 1
-                elif op is fence_op:
+                elif op == fence_val:
                     # aggregator.fence: flush everything at `now`.
                     if agg:
                         flushed = list(agg)
@@ -1070,7 +1057,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         f"non-coalescable op in aggregator: {op}"
                     )
 
-        out.n_raw = n_raw
+        out.n_raw = len(raw)
         out.stall_cycles += stall_cycles
 
         # End of stream: the deque is deadline-ordered, so draining in

@@ -13,9 +13,10 @@ traces.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
-from repro.common.types import MemoryRequest
+import numpy as np
+
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.protocols import MemoryProtocol
@@ -52,23 +53,21 @@ class PrivateCoalescerArray(Coalescer):
         ]
 
     def process(
-        self, raw: Iterable[MemoryRequest], memory: MemoryDevice
+        self, raw: np.ndarray, memory: MemoryDevice
     ) -> CoalesceOutcome:
-        # Partition the stream by core, run each private coalescer, and
-        # merge the outcomes. Each partition preserves its cycle order;
-        # the shared device sees submissions in per-coalescer order,
-        # which is the right approximation for independent pipelines.
-        by_core: List[List[MemoryRequest]] = [[] for _ in range(self.n_cores)]
-        total = 0
-        for req in raw:
-            by_core[req.core_id % self.n_cores].append(req)
-            total += 1
+        # Partition the packed stream by core, run each private
+        # coalescer, and merge the outcomes. Each partition preserves
+        # its cycle order; the shared device sees submissions in
+        # per-coalescer order, which is the right approximation for
+        # independent pipelines.
+        core = raw["core"] % self.n_cores
         merged = CoalesceOutcome()
-        merged.n_raw = total
-        for core, coalescer in enumerate(self.coalescers):
-            if not by_core[core]:
+        merged.n_raw = len(raw)
+        for c, coalescer in enumerate(self.coalescers):
+            part = raw[core == c]
+            if not len(part):
                 continue
-            out = coalescer.process(by_core[core], memory)
+            out = coalescer.process(part, memory)
             merged.n_issued += out.n_issued
             merged.n_merged += out.n_merged
             merged.issued.extend(out.issued)

@@ -94,19 +94,13 @@ def run_spec(
         return result
 
 
-def run_arm(
-    spec: RunSpec, tp: "TracePass", requests: Optional[list] = None
-) -> RunResult:
-    """Run the coalescer and device of ``spec`` over a shared prefix.
-
+def run_arm(spec: RunSpec, tp: "TracePass") -> RunResult:
+    """Run the coalescer and device of ``spec`` over a shared prefix:
     ``tp`` is the trace + cache pass computed once for every arm of the
-    spec's benchmark mix; ``requests`` supplies its decoded raw stream
-    when the caller already has one (a pool worker mapping shared
-    memory), else :meth:`TracePass.requests` decodes it.
-    """
+    spec's benchmark mix, its packed raw stream the coalescer's input."""
     _log_run(spec)
     result = spec.system().run_raw(
-        tp.requests() if requests is None else requests,
+        tp.raw,
         benchmark=tp.benchmark,
         n_accesses=tp.n_accesses,
         trace_end_cycle=tp.trace_end_cycle,

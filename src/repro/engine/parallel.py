@@ -13,12 +13,12 @@ across arms — so the grid runs in two phases:
   artifact cache (:mod:`repro.artifacts`) so repeated suites skip the
   prefix entirely. Each pass artifact is looked up once; a miss goes
   straight to :func:`repro.artifacts.compute_and_store_trace_pass`.
-* **Phase 2** runs the (benchmark × arm) coalescer+device jobs. In the
-  parent (one worker) every arm reads the pass itself and shares its
-  decoded request list; on a pool each benchmark's raw stream is packed
-  once into an array-of-structs buffer and published through
-  ``multiprocessing.shared_memory`` — workers map the parent's pages
-  instead of unpickling tens of thousands of request objects per job.
+* **Phase 2** runs the (benchmark × arm) coalescer+device jobs over
+  each benchmark's raw stream — the packed array phase 1 produced. In
+  the parent (one worker) every arm reads the pass itself; on a pool
+  each stream is published once through
+  ``multiprocessing.shared_memory``, and each job copies it out of the
+  parent's pages instead of unpickling it.
 
 Every phase hands its jobs to one
 :meth:`repro.engine.supervisor.PoolSupervisor.run` call, at any worker
@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -152,34 +151,6 @@ def _phase1_job(args: tuple):
         return compute(spec)
 
 
-#: Worker-side decoded-stream memo, keyed by shared-memory segment name.
-#: A pool worker runs several arms of the same benchmark back to back;
-#: decoding the stream once per segment (not once per job) makes the
-#: extra arms nearly free. Bounded: a suite fans out over only a handful
-#: of distinct segments at a time.
-_DECODE_MEMO: "OrderedDict[str, list]" = OrderedDict()
-_DECODE_MEMO_CAP = 4
-
-
-def _decode_shared(shm_name: str, n_items: int) -> list:
-    from repro.artifacts import shm as shm_codec
-
-    cached = _DECODE_MEMO.get(shm_name)
-    if cached is not None:
-        _DECODE_MEMO.move_to_end(shm_name)
-        return cached
-    handle, view = shm_codec.attach(shm_name, n_items)
-    try:
-        requests = shm_codec.decode_requests(view)
-    finally:
-        shm_codec.detach(handle)
-    _DECODE_MEMO[shm_name] = requests
-    _DECODE_MEMO.move_to_end(shm_name)
-    while len(_DECODE_MEMO) > _DECODE_MEMO_CAP:
-        _DECODE_MEMO.popitem(last=False)
-    return requests
-
-
 def _phase2_job(args: tuple) -> RunResult:
     """One coalescer arm against a benchmark's trace pass.
 
@@ -188,12 +159,21 @@ def _phase2_job(args: tuple) -> RunResult:
     pass without its stream; ``None`` means ``tp`` is the whole pass —
     shared by reference in the parent, or pickled into a worker (the
     degraded per-job transport used when shared memory is unavailable
-    or faulting).
+    or faulting). Either way the arm reads the packed array itself.
     """
     spec, tp, segment, fault_ctx = args
     with job_scope(fault_ctx, "phase2.job"):
-        requests = _decode_shared(*segment) if segment else None
-        return run_arm(spec, tp, requests)
+        if segment:
+            from repro.artifacts import shm as shm_codec
+
+            # Copy the stream out of the mapping before detaching: the
+            # view is only valid while the segment stays open.
+            handle, view = shm_codec.attach(*segment)
+            try:
+                tp = replace(tp, raw=view.copy())
+            finally:
+                shm_codec.detach(handle)
+        return run_arm(spec, tp)
 
 
 def run_suite_parallel(
@@ -492,7 +472,7 @@ def _run_two_phase(
             else:
                 shm_handles.append(handle)
                 segments[bench] = (name, tp.n_raw)
-                headers[bench] = replace(tp, raw=tp.raw[:0], _requests=None)
+                headers[bench] = replace(tp, raw=tp.raw[:0])
         # One job per cell (no chunking) so the scheduler can't batch a
         # heavy job behind light ones. The last rung runs the arm in the
         # parent from the same trace pass — bit-identical by

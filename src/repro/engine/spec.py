@@ -130,14 +130,6 @@ class RunSpec:
             engine=self.engine,
         )
 
-    def trace_key(self) -> str:
-        """Artifact key of this spec's translated trace."""
-        return store.trace_key(
-            self.benchmarks[0], self.n_accesses, self.seed, self.config,
-            device=self.device, scale=self.scale,
-            extra_benchmarks=self.benchmarks[1:],
-        )
-
     def pass_key(self) -> str:
         """Artifact key of this spec's cache-pass raw stream."""
         return store.pass_key(

@@ -30,6 +30,7 @@ never what it is. Everything the supervisor does is recorded on a
 
 from __future__ import annotations
 
+import numbers
 import os
 import pickle
 import time
@@ -70,17 +71,28 @@ RETRYABLE_EXCEPTIONS = (
 
 def _setting(value, arg: str, env: str, parse, default, positive=False):
     """The argument, else ``$env`` parsed by ``parse``, else ``default``.
-    A value below zero (or at zero, if ``positive``) raises, naming the
-    argument or variable it came from."""
-    name = arg
+
+    An argument of the wrong type — not an integer for ``int`` settings,
+    not a real number otherwise, or a ``bool`` — raises
+    :class:`TypeError` naming it. A variable that does not parse, or a
+    value below zero (or at zero, if ``positive``), raises
+    :class:`ValueError` naming the argument or variable it came from.
+    """
+    need = "an integer" if parse is int else "a number"
     if value is None:
         name, text = f"${env}", os.environ.get(env, "").strip()
         try:
             value = parse(text) if text else default
         except ValueError:
-            need = "an integer" if parse is int else "a number"
             raise ValueError(f"{name} must be {need}, got {text!r}") from None
-    value = parse(value)
+    else:
+        name = arg
+        kind = numbers.Integral if parse is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(
+                f"{arg} must be {need}, got {type(value).__name__} {value!r}"
+            )
+        value = parse(value)
     if not (value > 0 if positive else value >= 0):
         raise ValueError(
             f"{name} must be {'> 0' if positive else '>= 0'}, got {value!r}"
@@ -95,9 +107,12 @@ def resolve_supervision(
 ):
     """Fill supervision knobs from arguments, then env, then defaults.
 
-    A variable that does not parse (an int for retries, a float
-    otherwise), ``job_timeout <= 0``, ``max_retries < 0`` or
-    ``backoff_base < 0`` raises :class:`ValueError` naming its source.
+    ``max_retries`` must be an integer and ``job_timeout`` and
+    ``backoff_base`` real numbers, none of them a ``bool``; anything
+    else raises :class:`TypeError` naming the argument. A variable that
+    does not parse (an int for retries, a float otherwise),
+    ``job_timeout <= 0``, ``max_retries < 0`` or ``backoff_base < 0``
+    raises :class:`ValueError` naming its source.
     """
     return (
         _setting(job_timeout, "job_timeout", ENV_JOB_TIMEOUT, float,

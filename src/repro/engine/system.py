@@ -18,9 +18,11 @@ foil.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from repro.cache.hierarchy import CacheHierarchy, RawStream
+import numpy as np
+
+from repro.cache.hierarchy import CacheHierarchy
 from repro.common.rng import derive_seed
 from repro.config import SimulationConfig, TABLE1
 from repro.core.pac import PagedAdaptiveCoalescer
@@ -196,10 +198,6 @@ class System:
             )
         return self._hierarchy
 
-    @hierarchy.setter
-    def hierarchy(self, value: CacheHierarchy) -> None:
-        self._hierarchy = value
-
     def _build_coalescer(
         self, probes=NULL_TELEMETRY, spans=NULL_SPANS
     ) -> Coalescer:
@@ -303,26 +301,16 @@ class System:
         return merged.sorted_by_cycle()
 
     def run_trace(
-        self, trace: AccessTrace, benchmark: str = "custom",
-        raw: Optional[RawStream] = None,
+        self, trace: AccessTrace, benchmark: str = "custom"
     ) -> RunResult:
-        """Push a translated trace through caches, coalescer, and memory.
-
-        ``raw`` optionally supplies an already-computed raw request
-        stream for this trace (produced by this system's hierarchy, or a
-        shared one installed as ``self.hierarchy``); the cache pass is
-        then skipped. The hierarchy pass is deterministic, so reusing
-        one stream across coalescer arms is bit-identical to
-        re-processing the same trace per arm.
-        """
-        if raw is None:
-            if self.fine_grain:
-                raw = self.hierarchy.fine_grain_stream(trace)
-            else:
-                raw = self.hierarchy.process(trace)
-        cache_metrics = self.hierarchy.summary_metrics(len(raw.requests))
+        """Push a translated trace through caches, coalescer, and memory."""
+        if self.fine_grain:
+            raw = self.hierarchy.fine_grain_stream(trace).packed
+        else:
+            raw = self.hierarchy.process(trace).packed
+        cache_metrics = self.hierarchy.summary_metrics(len(raw))
         trace_end = int(trace.cycles[-1]) if len(trace) else 0
-        outcome = self.coalescer.process(raw.requests, self.device)
+        outcome = self.coalescer.process(raw, self.device)
         if self.engine == "batched":
             # Merge the device's deferred window accounting before
             # build_result reads its stats/energy surfaces.
@@ -351,14 +339,14 @@ class System:
 
     def run_raw(
         self,
-        requests,
+        raw: np.ndarray,
         benchmark: str,
         n_accesses: int,
         trace_end_cycle: int,
         cache_metrics: dict,
     ) -> RunResult:
-        """Run the coalescer+device half against a pre-computed raw
-        request stream.
+        """Run the coalescer+device half against a pre-computed packed
+        raw stream (a :data:`~repro.artifacts.shm.REQ_DTYPE` array).
 
         This is the phase-2 entry point of the artifact pipeline: the
         trace and hierarchy pass happened elsewhere (possibly in another
@@ -372,7 +360,7 @@ class System:
                 "run_raw skips the cache pass, which telemetry/spans "
                 "probes must observe — use run_trace/run for probe runs"
             )
-        outcome = self.coalescer.process(requests, self.device)
+        outcome = self.coalescer.process(raw, self.device)
         if self.engine == "batched":
             self.device.sync()
         return build_result(

@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.analysis.clustering import cluster_requests
 from repro.analysis.crosspage import cross_page_stats
 from repro.analysis.space import bitonic_costs, odd_even_costs, pac_costs
-from repro.artifacts import TracePass, load_or_compute_trace_pass
+from repro.artifacts import (
+    TracePass, decode_requests, load_or_compute_trace_pass,
+)
+from repro.common.types import MemoryRequest
 from repro.config import TABLE1
 from repro.core.private import PrivateCoalescerArray
 from repro.core.protocols import HBM, HMC1, HMC2
@@ -59,8 +61,7 @@ class Runs:
     trace + cache-pass prefix that :meth:`prefix` computes once per
     :meth:`RunSpec.pass_key` — through the artifact store, so
     ``--no-artifact-cache`` and ``$REPRO_ARTIFACT_DIR`` apply as they do
-    to ``repro compare``. Prefixes stay packed; each decoded request
-    list is released as soon as its consumer is done with it.
+    to ``repro compare``. Prefixes stay packed.
     """
 
     def __init__(
@@ -81,23 +82,14 @@ class Runs:
             self._prefixes[key] = load_or_compute_trace_pass(spec)
         return self._prefixes[key]
 
-    @contextmanager
-    def requests(self, spec: RunSpec) -> Iterator[list]:
-        """The decoded raw stream of ``spec``'s prefix, released on
-        exit. Consumers share it and must not mutate it."""
-        tp = self.prefix(spec)
-        try:
-            yield tp.requests()
-        finally:
-            tp.release()
+    def requests(self, spec: RunSpec) -> List[MemoryRequest]:
+        """The raw stream of ``spec``'s prefix as request objects, for
+        the analyses that read them."""
+        return decode_requests(self.prefix(spec).raw)
 
     def __getitem__(self, spec: RunSpec) -> RunResult:
         if spec not in self._results:
-            tp = self.prefix(spec)
-            try:
-                self._results[spec] = run_arm(spec, tp)
-            finally:
-                tp.release()
+            self._results[spec] = run_arm(spec, self.prefix(spec))
         return self._results[spec]
 
     def replay(self, spec: RunSpec, coalescer=None):
@@ -106,10 +98,9 @@ class Runs:
         the simulator state a :class:`RunResult` does not carry.
         Returns the system and the coalescer's outcome."""
         system = spec.system()
-        with self.requests(spec) as requests:
-            outcome = (coalescer or system.coalescer).process(
-                requests, system.device
-            )
+        outcome = (coalescer or system.coalescer).process(
+            self.prefix(spec).raw, system.device
+        )
         if system.engine == "batched":
             system.device.sync()
         return system, outcome
@@ -292,8 +283,7 @@ def _multiprocessing(runs: Runs) -> Rows:
 def _cross_page(runs: Runs) -> Rows:
     rows = []
     for bench in BENCHMARK_NAMES:
-        with runs.requests(runs.spec(bench)) as requests:
-            stats = cross_page_stats(requests)
+        stats = cross_page_stats(runs.requests(runs.spec(bench)))
         rows.append({
             "benchmark": bench,
             "cross_page_fraction": stats.cross_page_fraction,
@@ -305,11 +295,11 @@ def _cross_page(runs: Runs) -> Rows:
 def _clustering(runs: Runs) -> Rows:
     rows = []
     for bench in CLUSTERED:
-        with runs.requests(runs.spec(bench)) as requests:
-            mid = requests[len(requests) // 3].cycle if requests else 0
-            summary = cluster_requests(
-                requests, window_cycles=CLUSTER_WINDOW, window_start=mid
-            )
+        requests = runs.requests(runs.spec(bench))
+        mid = requests[len(requests) // 3].cycle if requests else 0
+        summary = cluster_requests(
+            requests, window_cycles=CLUSTER_WINDOW, window_start=mid
+        )
         rows.append({
             "benchmark": bench,
             "n_requests": summary.n_requests,

@@ -26,15 +26,17 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from heapq import heappush
-from typing import Iterable, List, Protocol
+from typing import List, Protocol
 
+import numpy as np
+
+from repro.artifacts.shm import OPS, columns
 from repro.common.stats import StatsRegistry
 from repro.common.types import (
     CACHE_LINE_BYTES,
     HMC_CONTROL_OVERHEAD_BYTES,
     CoalescedRequest,
     MemOp,
-    MemoryRequest,
     new_packet,
 )
 from repro.mshr.entry import new_entry
@@ -118,19 +120,20 @@ class Coalescer(abc.ABC):
 
     @abc.abstractmethod
     def process(
-        self, raw: Iterable[MemoryRequest], memory: MemoryDevice
-    ) -> CoalesceOutcome: ...
+        self, raw: np.ndarray, memory: MemoryDevice
+    ) -> CoalesceOutcome:
+        """Stream ``raw`` — a packed :data:`~repro.artifacts.shm.REQ_DTYPE`
+        array, each request's id its ordinal — into ``memory``."""
 
     def _submit_atomic(
-        self, req: MemoryRequest, now: int, memory: MemoryDevice,
-        out: CoalesceOutcome,
+        self, addr: int, size: int, req_id: int, now: int,
+        memory: MemoryDevice, out: CoalesceOutcome,
     ) -> None:
         """Route an atomic straight to the memory controller, uncoalesced
         (Section 3.3.1) — common to every miss-handling arm."""
-        base = req.addr - (req.addr % 16)
         packet = CoalescedRequest(
-            addr=base, size=max(16, req.size), op=MemOp.STORE,
-            constituents=(req.req_id,), issue_cycle=now, source="atomic",
+            addr=addr - (addr % 16), size=max(16, size), op=MemOp.STORE,
+            constituents=(req_id,), issue_cycle=now, source="atomic",
         )
         completion = memory.submit(packet, now)
         out.issued.append(packet)
@@ -138,7 +141,7 @@ class Coalescer(abc.ABC):
         out.last_completion_cycle = max(out.last_completion_cycle, completion)
         out.account_service(now, completion)
         if self._spans_on:
-            self._spans.mark(req.req_id, "device", completion)
+            self._spans.mark(req_id, "device", completion)
         self.stats.counter("atomics").add()
 
 
@@ -165,8 +168,8 @@ class NullCoalescer(Coalescer):
         probes_on = self._probes_on
         submit = memory.submit
         issued_append = out.issued.append
-        atomic_op = MemOp.ATOMIC
-        fence_op = MemOp.FENCE
+        atomic_op = int(MemOp.ATOMIC)
+        fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
         # Peek at the release heap before calling advance: a no-release
         # advance has no side effects, and most cycles have none due.
@@ -182,34 +185,31 @@ class NullCoalescer(Coalescer):
         n_entries = mshrs.n_entries
         # Outcome counters run as locals (a per-request dataclass
         # attribute update costs a dict store each); written back below.
-        n_raw = 0
         stall_cycles = 0
         n_issued = 0
         last_completion = out.last_completion_cycle
         raw_service = 0
         raw_serviced = 0
-        for req in raw:
-            n_raw += 1
-            cycle = req.cycle
+        addrs, sizes, ops, cores, cycles = columns(raw)
+        for rid, (addr, op, cycle) in enumerate(zip(addrs, ops, cycles)):
             now = cycle if cycle > entry_clock else entry_clock
-            if req.op == atomic_op:
+            if op == atomic_op:
                 if spans_on:
-                    spans.admit(n_raw - 1, req, now)
+                    spans.admit(rid, addr, cores[rid], op, cycle, now)
                 # _submit_atomic works on `out` directly: sync the local
                 # counters around it (atomics are rare).
-                out.n_raw = n_raw
                 out.n_issued = n_issued
                 out.last_completion_cycle = last_completion
                 out.raw_service_cycles = raw_service
                 out.raw_serviced = raw_serviced
-                self._submit_atomic(req, now, memory, out)
+                self._submit_atomic(addr, sizes[rid], rid, now, memory, out)
                 n_issued = out.n_issued
                 last_completion = out.last_completion_cycle
                 raw_service = out.raw_service_cycles
                 raw_serviced = out.raw_serviced
                 entry_clock = now + 1
                 continue
-            if req.op == fence_op:
+            if op == fence_op:
                 continue  # ordering only; nothing buffered to drain
             if release_heap and release_heap[0][0] <= now:
                 mshrs.advance(now)
@@ -224,10 +224,9 @@ class NullCoalescer(Coalescer):
             if spans_on:
                 # Queue span covers trace arrival through the MSHR-full
                 # wait; allocation+dispatch are same-cycle.
-                spans.admit(n_raw - 1, req, now)
-            addr = req.addr
+                spans.admit(rid, addr, cores[rid], op, cycle, now)
             line_addr = addr - addr % line_bytes
-            op = req.op
+            op = OPS[op]
             entry = new_entry(line_addr, op, 1, now)
             slot = next(next_slot)
             slots[slot] = entry
@@ -236,7 +235,7 @@ class NullCoalescer(Coalescer):
             if probes_on:
                 self._t_occupancy.observe(now, len(slots))
             packet = new_packet(
-                line_addr, line_bytes, op, (req.req_id,), now, "null"
+                line_addr, line_bytes, op, (rid,), now, "null"
             )
             completion = submit(packet, now)
             entry.release_cycle = completion
@@ -249,8 +248,8 @@ class NullCoalescer(Coalescer):
                 raw_service += completion - now
             raw_serviced += 1
             if spans_on:
-                spans.mark(req.req_id, "device", completion)
-        out.n_raw = n_raw
+                spans.mark(rid, "device", completion)
+        out.n_raw = len(raw)
         out.stall_cycles += stall_cycles
         out.n_issued = n_issued
         out.last_completion_cycle = last_completion
@@ -280,13 +279,13 @@ class MSHRBasedDMC(Coalescer):
         self._spans = spans
         self._spans_on = spans.enabled
 
-    def _try_merge(self, req: MemoryRequest, line_addr: int):
-        """Attach ``req`` to a same-line, same-op in-flight entry; returns
-        the entry merged into, or None. Goes through the file-level
-        attach so the cached subentry count stays exact."""
+    def _try_merge(self, req_id: int, op: MemOp, line_addr: int):
+        """Attach request ``req_id`` to a same-line, same-op in-flight
+        entry; returns the entry merged into, or None. Goes through the
+        file-level attach so the cached subentry count stays exact."""
         entry = self.mshrs.lookup(line_addr)
-        if entry is not None and entry.op == req.op:
-            self.mshrs.attach(entry, req.req_id, line_addr)
+        if entry is not None and entry.op == op:
+            self.mshrs.attach(entry, req_id, line_addr)
             return entry
         return None
 
@@ -301,8 +300,8 @@ class MSHRBasedDMC(Coalescer):
         submit = memory.submit
         issued_append = out.issued.append
         attach = mshrs.attach
-        atomic_op = MemOp.ATOMIC
-        fence_op = MemOp.FENCE
+        atomic_op = int(MemOp.ATOMIC)
+        fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
         # Same no-op-advance peek and inlined allocate/schedule_release
         # as the null arm; same localized outcome counters (synced
@@ -313,7 +312,6 @@ class MSHRBasedDMC(Coalescer):
         next_slot = mshrs._next_slot
         c_allocations = mshrs._c_allocations
         n_entries = mshrs.n_entries
-        n_raw = 0
         stall_cycles = 0
         n_issued = 0
         n_merged = 0
@@ -321,31 +319,29 @@ class MSHRBasedDMC(Coalescer):
         last_completion = out.last_completion_cycle
         raw_service = 0
         raw_serviced = 0
-        for req in raw:
-            n_raw += 1
-            cycle = req.cycle
+        addrs, sizes, ops, cores, cycles = columns(raw)
+        for rid, (addr, op, cycle) in enumerate(zip(addrs, ops, cycles)):
             now = cycle if cycle > entry_clock else entry_clock
-            if req.op == atomic_op:
+            if op == atomic_op:
                 if spans_on:
-                    spans.admit(n_raw - 1, req, now)
-                out.n_raw = n_raw
+                    spans.admit(rid, addr, cores[rid], op, cycle, now)
                 out.n_issued = n_issued
                 out.last_completion_cycle = last_completion
                 out.raw_service_cycles = raw_service
                 out.raw_serviced = raw_serviced
-                self._submit_atomic(req, now, memory, out)
+                self._submit_atomic(addr, sizes[rid], rid, now, memory, out)
                 n_issued = out.n_issued
                 last_completion = out.last_completion_cycle
                 raw_service = out.raw_service_cycles
                 raw_serviced = out.raw_serviced
                 entry_clock = now + 1
                 continue
-            if req.op == fence_op:
+            if op == fence_op:
                 continue  # ordering only; MSHRs are not drained
             if release_heap and release_heap[0][0] <= now:
                 mshrs.advance(now)
-            addr = req.addr
             line_addr = addr - addr % line_bytes
+            op = OPS[op]
 
             # CAM comparison against every buffered miss: entries plus
             # their subentries (the unpaged per-request comparison cost
@@ -357,8 +353,8 @@ class MSHRBasedDMC(Coalescer):
             # _try_merge inlined: same-line, same-op in-flight entry.
             slot = line_index.get(line_addr)
             entry = slots.get(slot) if slot is not None else None
-            if entry is not None and entry.op == req.op:
-                attach(entry, req.req_id, line_addr)
+            if entry is not None and entry.op == op:
+                attach(entry, rid, line_addr)
                 merged_counter.value += 1
                 if probes_on:
                     self._t_merges.add(now)
@@ -373,8 +369,8 @@ class MSHRBasedDMC(Coalescer):
                     if spans_on:
                         # Merged miss rides the in-flight entry: its wait
                         # is an MSHR span ending at the entry's release.
-                        spans.admit(n_raw - 1, req, now)
-                        spans.mark(req.req_id, "mshr", release)
+                        spans.admit(rid, addr, cores[rid], op, cycle, now)
+                        spans.mark(rid, "mshr", release)
                 continue
             if len(slots) >= n_entries:
                 release = mshrs.next_release_cycle()
@@ -382,7 +378,7 @@ class MSHRBasedDMC(Coalescer):
                 if release > now:
                     now = release
                 mshrs.advance(now)
-                entry = self._try_merge(req, line_addr)
+                entry = self._try_merge(rid, op, line_addr)
                 if entry is not None:
                     merged_counter.value += 1
                     n_merged += 1
@@ -394,21 +390,20 @@ class MSHRBasedDMC(Coalescer):
                             raw_service += release - now
                         raw_serviced += 1
                         if spans_on:
-                            spans.admit(n_raw - 1, req, now)
-                            spans.mark(req.req_id, "mshr", release)
+                            spans.admit(rid, addr, cores[rid], op, cycle, now)
+                            spans.mark(rid, "mshr", release)
                     continue
             stall_cycles += now - cycle
             entry_clock = now + 1
             if spans_on:
-                spans.admit(n_raw - 1, req, now)
-            op = req.op
+                spans.admit(rid, addr, cores[rid], op, cycle, now)
             entry = new_entry(line_addr, op, 1, now)
             slot = next(next_slot)
             slots[slot] = entry
             line_index[line_addr] = slot
             c_allocations.value += 1
             packet = new_packet(
-                line_addr, line_bytes, op, (req.req_id,), now, "dmc"
+                line_addr, line_bytes, op, (rid,), now, "dmc"
             )
             completion = submit(packet, now)
             entry.release_cycle = completion
@@ -421,8 +416,8 @@ class MSHRBasedDMC(Coalescer):
                 raw_service += completion - now
             raw_serviced += 1
             if spans_on:
-                spans.mark(req.req_id, "device", completion)
-        out.n_raw = n_raw
+                spans.mark(rid, "device", completion)
+        out.n_raw = len(raw)
         out.stall_cycles += stall_cycles
         out.n_issued = n_issued
         out.n_merged = n_merged

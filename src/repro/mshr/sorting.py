@@ -17,9 +17,12 @@ MSHRs like PAC's.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.space import bitonic_costs
+from repro.artifacts import shm as shm_codec
 from repro.common.types import (
     CACHE_LINE_BYTES,
     CoalescedRequest,
@@ -57,21 +60,25 @@ class SortingNetworkCoalescer(Coalescer):
     # ------------------------------------------------------------------ #
 
     def process(
-        self, raw: Iterable[MemoryRequest], memory: MemoryDevice
+        self, raw: np.ndarray, memory: MemoryDevice
     ) -> CoalesceOutcome:
+        """Stream the packed ``raw`` array into ``memory``, over request
+        objects decoded from it (each id its ordinal)."""
         out = CoalesceOutcome()
         self._out = out
         self._memory = memory
         self._arrivals = {}
         entry_clock = 0
-        for req in raw:
+        for req in shm_codec.decode_requests(raw):
             out.n_raw += 1
             now = max(req.cycle, entry_clock)
             out.stall_cycles += now - req.cycle
             entry_clock = now + 1
             self._expire(now)
             if req.op == MemOp.ATOMIC:
-                self._submit_atomic(req, now, memory, out)
+                self._submit_atomic(
+                    req.addr, req.size, req.req_id, now, memory, out
+                )
                 continue
             if req.op == MemOp.FENCE:
                 # A fence drains the sorting window to preserve order.

@@ -21,8 +21,9 @@ span list, not present with garbage bounds.
 Sampling is **deterministic and seed-derived**: request ``i`` of the raw
 stream is tracked iff ``i % sample_rate == offset`` where ``offset``
 derives from ``derive_seed(seed, "spans")``. Tracked requests are keyed
-by their raw-stream ordinal (never by the process-global ``req_id``), so
-serial and parallel suite runs produce bit-identical span sets.
+by their raw-stream ordinal — the id every coalescer gives a request of
+the packed stream — so serial and parallel suite runs produce
+bit-identical span sets.
 
 Disabled runs follow PR 1's null-object pattern: components fetch the
 recorder once at construction; :data:`NULL_SPANS` answers every call
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.rng import DEFAULT_SEED, derive_seed
+from repro.common.types import MemOp
 
 __all__ = [
     "NULL_SPANS",
@@ -54,6 +56,9 @@ __all__ = [
 STAGES = ("queue", "stage1", "network", "maq", "mshr", "device")
 
 _STAGE_ORDER = {name: i for i, name in enumerate(STAGES)}
+
+#: Span op labels by :class:`MemOp` value.
+_OP_NAMES = tuple(op.name.lower() for op in MemOp)
 
 #: Stages that end a request's lifecycle: device response arrival, or
 #: release of the in-flight MSHR entry the request merged into.
@@ -230,7 +235,10 @@ class NullSpanRecorder:
     def origin(self, index: int, kind: str) -> None:
         pass
 
-    def admit(self, index: int, req, now: int) -> None:
+    def admit(
+        self, index: int, addr: int, core: int, op: int, arrival: int,
+        now: int,
+    ) -> None:
         pass
 
     def mark(self, req_id: int, stage: str, cycle: int) -> None:
@@ -304,20 +312,22 @@ class SpanRecorder:
         ``index`` (the cache hierarchy calls this at emission time)."""
         self._origins[index] = kind
 
-    def admit(self, index: int, req, now: int) -> None:
-        """A raw request enters the miss path at ``now``; opens the span
-        record and closes its ``queue`` span. No-op unless sampled."""
+    def admit(
+        self, index: int, addr: int, core: int, op: int, arrival: int,
+        now: int,
+    ) -> None:
+        """Raw request ``index`` (its ordinal, which is also its id)
+        enters the miss path at ``now``, having arrived at ``arrival``;
+        opens the span record and closes its ``queue`` span. ``op`` is a
+        :class:`~repro.common.types.MemOp` value. No-op unless sampled."""
         if index % self.sample_rate != self.sample_offset:
             return
         tracked = _Tracked(
-            index=index,
-            addr=req.addr,
-            core=req.core_id,
-            op=req.op.name.lower(),
-            arrival=req.cycle,
+            index=index, addr=addr, core=core, op=_OP_NAMES[op],
+            arrival=arrival,
         )
         tracked.mark("queue", now)
-        self._by_req[req.req_id] = tracked
+        self._by_req[index] = tracked
 
     def mark(self, req_id: int, stage: str, cycle: int) -> None:
         tracked = self._by_req.get(req_id)

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.clustering import cluster_requests
 from repro.analysis.crosspage import cross_page_stats
 from repro.analysis.space import bitonic_costs, odd_even_costs, pac_costs
+from repro.artifacts.shm import decode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 
 
@@ -47,7 +48,7 @@ class TestClusterRequests:
             trace = sys_.build_trace([bench], 6000)
             raw = sys_.hierarchy.process(trace)
             return cluster_requests(
-                raw.requests, window_cycles=None
+                decode_requests(raw.packed), window_cycles=None
             ).noise_fraction
 
         assert noise_frac("bfs") > noise_frac("sparselu")

@@ -1,5 +1,5 @@
-"""Trace-pass pipeline tests: cold/warm/disabled bit-identity, the
-trace-hit/pass-miss fallback, and bad-payload recomputation."""
+"""Trace-pass pipeline tests: cold/warm/disabled bit-identity and
+bad-payload recomputation."""
 
 from __future__ import annotations
 
@@ -13,8 +13,11 @@ from repro.artifacts.pipeline import (
     load_or_compute_trace_pass,
     try_load_trace_pass,
 )
+from repro.artifacts.shm import check_requests
 from repro.artifacts.store import ArtifactStore
 from repro.engine.spec import RunSpec
+
+from .test_shm import CORRUPT_ROWS
 
 BENCH = "stream"
 N = 800
@@ -51,11 +54,10 @@ class TestBitIdentity:
         assert not cold.cached
         assert warm.cached
 
-    def test_cold_run_writes_both_artifacts(self, store):
+    def test_cold_run_writes_the_pass_artifact(self, store):
         load_or_compute_trace_pass(SPEC, store=store)
-        kinds = {e.kind for e in store.entries()}
-        assert kinds == {"trace", "pass"}
-        assert store.stats.stores == 2
+        assert [e.kind for e in store.entries()] == ["pass"]
+        assert store.stats.stores == 1
 
     def test_warm_run_skips_compute(self, store):
         load_or_compute_trace_pass(SPEC, store=store)
@@ -76,30 +78,8 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
         assert try_load_trace_pass(SPEC, store=_fresh(store)) is None
 
-    def test_decoded_requests_match_raw(self, store):
-        from repro.artifacts.shm import decode_requests
-
-        tp = load_or_compute_trace_pass(SPEC, store=store)
-        reqs = tp.requests()
-        decoded = decode_requests(tp.raw)
-        assert [r.addr for r in reqs] == [r.addr for r in decoded]
-        assert [r.cycle for r in reqs] == [r.cycle for r in decoded]
-        assert tp.n_raw == len(reqs)
-
 
 class TestPartialHits:
-    def test_trace_hit_pass_miss_recomputes_hierarchy_only(self, store):
-        cold = load_or_compute_trace_pass(SPEC, store=store)
-        pkey = SPEC.pass_key()
-        store._path("pass", pkey).unlink()
-        fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(SPEC, store=fresh)
-        _same_pass(tp, cold)
-        # The trace artifact hit, so only the pass was re-stored.
-        assert fresh.stats.stores == 1
-        entries = {e.kind for e in fresh.entries()}
-        assert entries == {"trace", "pass"}
-
     def test_corrupt_pass_artifact_recomputes(self, store):
         cold = load_or_compute_trace_pass(SPEC, store=store)
         pkey = SPEC.pass_key()
@@ -113,16 +93,6 @@ class TestPartialHits:
         assert again is not None
         _same_pass(again, cold)
 
-    def test_corrupt_trace_artifact_recomputes(self, store):
-        cold = load_or_compute_trace_pass(SPEC, store=store)
-        tkey = SPEC.trace_key()
-        pkey = SPEC.pass_key()
-        store._path("trace", tkey).write_bytes(b"garbage")
-        store._path("pass", pkey).unlink()
-        fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(SPEC, store=fresh)
-        _same_pass(tp, cold)
-
     def test_wrong_shape_pass_payload_is_rejected(self, store):
         """A structurally valid npz whose contents don't match the
         TracePass schema must fall through to recompute, not crash."""
@@ -133,6 +103,29 @@ class TestPartialHits:
         fresh = _fresh(store)
         assert try_load_trace_pass(SPEC, store=fresh) is None
         tp = load_or_compute_trace_pass(SPEC, store=fresh)
+        _same_pass(tp, cold)
+
+    @pytest.mark.parametrize("field, value, message", CORRUPT_ROWS)
+    def test_bad_row_in_pass_artifact_counts_as_corrupt(
+        self, store, field, value, message
+    ):
+        """The stream is checked where it enters from disk: a bad row
+        makes the entry corrupt (error counted, file unlinked), and the
+        front door recomputes the clean pass."""
+        cold = load_or_compute_trace_pass(SPEC, store=store)
+        pkey = SPEC.pass_key()
+        bad = cold.raw.copy()
+        bad[field][3] = value
+        with pytest.raises(ValueError, match=message):
+            check_requests(bad)
+        meta = _fresh(store).get("pass", pkey)["meta"]
+        ArtifactStore(store.root).put("pass", pkey, meta, requests=bad)
+        fresh = _fresh(store)
+        assert try_load_trace_pass(SPEC, store=fresh) is None
+        assert fresh.stats.errors == 1
+        assert not fresh._path("pass", pkey).exists()
+        tp = load_or_compute_trace_pass(SPEC, store=fresh)
+        assert not tp.cached
         _same_pass(tp, cold)
 
 
@@ -157,12 +150,3 @@ class TestKeySensitivity:
             )
             is None
         )
-
-    def test_pickled_pass_drops_decoded_list(self, store):
-        import pickle
-
-        tp = load_or_compute_trace_pass(SPEC, store=store)
-        tp.requests()
-        clone = pickle.loads(pickle.dumps(tp))
-        assert clone._requests is None
-        _same_pass(clone, tp)

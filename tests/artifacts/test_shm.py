@@ -1,8 +1,9 @@
 """Raw-stream codec and shared-memory transport tests.
 
-The bit-identity argument for the whole two-phase pipeline rests on the
-codec: every field except ``req_id`` must round-trip exactly, and
-``req_id`` is an opaque in-flight key whose values never reach results.
+The reference oracle reads the packed stream through the codec: every
+field except ``req_id`` must round-trip exactly, and ``req_id`` — the
+request's ordinal — is an opaque in-flight key whose values never reach
+results.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def _same_stream(decoded, original):
         assert got.cycle == want.cycle
 
 
+#: One bad row 3 of each kind the row checks reject, with the message.
+CORRUPT_ROWS = [
+    ("addr", -64, "packed request 3: negative physical address"),
+    ("size", 0, "packed request 3: non-positive request size"),
+    ("op", 7, "packed request 3: 7 is not a valid MemOp"),
+]
+
+
 class TestCodec:
     def test_dtype_is_packed(self):
         assert REQ_DTYPE.itemsize == 23
@@ -63,11 +72,11 @@ class TestCodec:
         reqs = [MemoryRequest(addr=i * 64) for i in range(16)]
         decoded = decode_requests(encode_requests(reqs))
         ids = [r.req_id for r in decoded]
-        assert len(set(ids)) == len(ids)
+        assert ids == list(range(len(reqs)))
 
     def test_double_decode_is_identical_payload(self):
-        """Two decodes of the same buffer agree on every simulated field
-        (the ids differ — they are allocation counters, not state)."""
+        """Two decodes of the same buffer agree on every simulated
+        field."""
         reqs = [
             MemoryRequest(addr=i * 64, op=MemOp.STORE if i % 2 else MemOp.LOAD)
             for i in range(32)
@@ -80,11 +89,7 @@ class TestCodec:
         assert len(packed) == 0
         assert decode_requests(packed) == []
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("addr", -64, "packed request 3: negative physical address"),
-        ("size", 0, "packed request 3: non-positive request size"),
-        ("op", 7, "packed request 3: 7 is not a valid MemOp"),
-    ])
+    @pytest.mark.parametrize("field, value, message", CORRUPT_ROWS)
     def test_corrupt_row_is_rejected(self, field, value, message):
         """Decoding keeps every check the ``MemoryRequest`` constructor
         makes, and names the first bad row."""

@@ -14,7 +14,6 @@ from repro.artifacts.store import (
     code_fingerprint,
     get_store,
     pass_key,
-    trace_key,
 )
 from repro.config import TABLE1
 
@@ -211,14 +210,14 @@ class TestKeysAndEnv:
         assert cache_enabled() is True
 
     def test_keys_are_stable_and_parameter_sensitive(self):
-        base = trace_key("gs", 1000, 42, TABLE1)
-        assert base == trace_key("gs", 1000, 42, TABLE1)
-        assert base != trace_key("bfs", 1000, 42, TABLE1)
-        assert base != trace_key("gs", 2000, 42, TABLE1)
-        assert base != trace_key("gs", 1000, 43, TABLE1)
-        assert base != trace_key("gs", 1000, 42, TABLE1, device="hbm")
-        assert base != trace_key("gs", 1000, 42, TABLE1, scale=2.0)
-        assert base != trace_key(
+        base = pass_key("gs", 1000, 42, TABLE1)
+        assert base == pass_key("gs", 1000, 42, TABLE1)
+        assert base != pass_key("bfs", 1000, 42, TABLE1)
+        assert base != pass_key("gs", 2000, 42, TABLE1)
+        assert base != pass_key("gs", 1000, 43, TABLE1)
+        assert base != pass_key("gs", 1000, 42, TABLE1, device="hbm")
+        assert base != pass_key("gs", 1000, 42, TABLE1, scale=2.0)
+        assert base != pass_key(
             "gs", 1000, 42, TABLE1, extra_benchmarks=("bfs",)
         )
 
@@ -226,8 +225,6 @@ class TestKeysAndEnv:
         coarse = pass_key("gs", 1000, 42, TABLE1)
         fine = pass_key("gs", 1000, 42, TABLE1, fine_grain=True)
         assert coarse != fine
-        # And pass keys never collide with trace keys.
-        assert coarse != trace_key("gs", 1000, 42, TABLE1)
 
     def test_code_fingerprint_is_cached_and_hexish(self):
         fp = code_fingerprint()

@@ -2,7 +2,8 @@
 
 :class:`repro.cache.batched.BatchedCacheHierarchy` is only allowed to
 exist because it is indistinguishable from the scalar reference: the
-same requests (including req_ids) in the same cycle order, the same
+same packed stream (each request's id its ordinal) in the same cycle
+order, the same
 eager secondaries and streamer-prefetcher decisions, the same LLC
 write-back stream, the same ``StatsRegistry`` counters, and therefore
 the same full :class:`~repro.engine.results.RunResult` through every
@@ -13,6 +14,7 @@ half of the engine contract (the coalescer half lives in
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cache.batched import BatchedCacheHierarchy
@@ -63,13 +65,13 @@ class TestRawStreamIdentity:
         trace = _trace(bench)
         ref, rs, bat, bs = _streams(trace)
         assert rs.n_accesses == bs.n_accesses
-        assert len(rs.requests) == len(bs.requests)
-        # MemoryRequest == covers addr/size/op/core/cycle/req_id, so
-        # this pins the whole stream, not aggregates.
-        assert rs.requests == bs.requests
+        assert len(rs.packed) == len(bs.packed)
+        # Every field of every row: this pins the whole stream, not
+        # aggregates.
+        np.testing.assert_array_equal(rs.packed, bs.packed)
         assert rs.stats.as_dict() == bs.stats.as_dict()
-        assert ref.summary_metrics(len(rs.requests)) == bat.summary_metrics(
-            len(bs.requests)
+        assert ref.summary_metrics(len(rs.packed)) == bat.summary_metrics(
+            len(bs.packed)
         )
         for rl1, bl1 in zip(ref.l1s, bat.l1s):
             assert rl1.hit_rate == bl1.hit_rate
@@ -79,7 +81,7 @@ class TestRawStreamIdentity:
     def test_fine_grain_stream_identical(self, bench):
         trace = _trace(bench, n=2500)
         _, rs, _, bs = _streams(trace, fine_grain=True)
-        assert rs.requests == bs.requests
+        np.testing.assert_array_equal(rs.packed, bs.packed)
         assert rs.stats.as_dict() == bs.stats.as_dict()
 
     def test_multi_process_trace_identical(self):
@@ -87,7 +89,7 @@ class TestRawStreamIdentity:
         system = System(coalescer=CoalescerKind.NONE, engine="reference")
         trace = system.build_trace(["gs", "bfs"], 3000, seed=9)
         _, rs, _, bs = _streams(trace)
-        assert rs.requests == bs.requests
+        np.testing.assert_array_equal(rs.packed, bs.packed)
         assert rs.stats.as_dict() == bs.stats.as_dict()
 
     def test_repeat_process_calls_stay_identical(self):
@@ -102,8 +104,8 @@ class TestRawStreamIdentity:
         reset_request_ids()
         b1 = bat.process(t1)
         b2 = bat.process(t2)
-        assert r1.requests == b1.requests
-        assert r2.requests == b2.requests
+        np.testing.assert_array_equal(r1.packed, b1.packed)
+        np.testing.assert_array_equal(r2.packed, b2.packed)
         assert ref.stats.as_dict() == bat.stats.as_dict()
 
 

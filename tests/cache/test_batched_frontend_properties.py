@@ -13,7 +13,7 @@ the paper's workload traces; this suite attacks it with adversarial
   degenerates, or spans the whole trace.
 
 Every example must leave the batched hierarchy indistinguishable from
-the scalar reference: same requests (req_ids included), same
+the scalar reference: same packed stream, same
 ``StatsRegistry`` counters, same summary metrics and per-cache hit
 rates — including across *consecutive* traces, so residual LRU/stride
 state is compared too.
@@ -117,11 +117,11 @@ def _assert_identical(ref, bat, traces, fine_grain=False, probes=None):
         rs = ref.process(trace, fine_grain=fine_grain)
         reset_request_ids()
         bs = bat.process(trace, fine_grain=fine_grain)
-        assert rs.requests == bs.requests
+        np.testing.assert_array_equal(rs.packed, bs.packed)
         assert rs.n_accesses == bs.n_accesses
         assert rs.stats.as_dict() == bs.stats.as_dict()
-        assert ref.summary_metrics(len(rs.requests)) == bat.summary_metrics(
-            len(bs.requests)
+        assert ref.summary_metrics(len(rs.packed)) == bat.summary_metrics(
+            len(bs.packed)
         )
         for rl1, bl1 in zip(ref.l1s, bat.l1s):
             assert rl1.hit_rate == bl1.hit_rate

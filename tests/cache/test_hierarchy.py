@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.artifacts.shm import decode_requests
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.types import MemOp
 from repro.config import CacheConfig
@@ -32,26 +33,26 @@ class TestBasics:
     def test_cold_miss_produces_raw_request(self):
         h = small_hierarchy(secondary_cap=0)
         stream = h.process(make_trace([0]))
-        assert len(stream.requests) == 1
-        assert stream.requests[0].addr == 0
-        assert stream.requests[0].size == 64
-        assert stream.requests[0].op == MemOp.LOAD
+        assert len(stream.packed) == 1
+        assert decode_requests(stream.packed)[0].addr == 0
+        assert decode_requests(stream.packed)[0].size == 64
+        assert decode_requests(stream.packed)[0].op == MemOp.LOAD
 
     def test_spatial_hit_filtered(self):
         h = small_hierarchy(secondary_cap=0)
         stream = h.process(make_trace([i * 8 for i in range(8)]))
-        assert len(stream.requests) == 1
+        assert len(stream.packed) == 1
 
     def test_store_miss_tagged_store(self):
         h = small_hierarchy(secondary_cap=0)
         stream = h.process(make_trace([0], ops=[int(MemOp.STORE)]))
-        assert stream.requests[0].op == MemOp.STORE
+        assert decode_requests(stream.packed)[0].op == MemOp.STORE
 
     def test_llc_hit_absorbed(self):
         h = small_hierarchy(secondary_cap=0)
         trace = make_trace([0, 0], cores=[0, 1])
         stream = h.process(trace)
-        assert len(stream.requests) == 1
+        assert len(stream.packed) == 1
 
     def test_miss_rate(self):
         h = small_hierarchy(secondary_cap=0)
@@ -68,20 +69,21 @@ class TestLookahead:
         h = small_hierarchy(secondary_cap=2)
         # Accesses 8 and 16 are in line 0's OoO shadow: 2 secondaries.
         stream = h.process(make_trace([0, 8, 16]))
-        assert len(stream.requests) == 3
+        assert len(stream.packed) == 3
         assert h.stats.count("secondary_raw") == 2
         # Secondaries are back-to-back with the primary (same cycle).
-        assert stream.requests[0].cycle == stream.requests[1].cycle
+        first, second = decode_requests(stream.packed)[:2]
+        assert first.cycle == second.cycle
 
     def test_cap_bounds_secondaries(self):
         h = small_hierarchy(secondary_cap=1)
         stream = h.process(make_trace([0, 8, 16, 24]))
-        assert len(stream.requests) == 2
+        assert len(stream.packed) == 2
 
     def test_zero_cap(self):
         h = small_hierarchy(secondary_cap=0)
         stream = h.process(make_trace([0, 8, 16]))
-        assert len(stream.requests) == 1
+        assert len(stream.packed) == 1
 
     def test_lookahead_is_per_core(self):
         # Core 1's access to the same line is not in core 0's load queue.
@@ -128,20 +130,22 @@ class TestPrefetcher:
         # Misses at lines 0 then 1: the streamer fills the rest of the
         # 256B region (lines 2,3) plus the next region (4..7).
         stream = h.process(make_trace([0, 64]))
-        pf_addrs = [r.addr for r in stream.requests if r.addr >= 128]
+        pf_addrs = [
+            r.addr for r in decode_requests(stream.packed) if r.addr >= 128
+        ]
         assert pf_addrs == [128, 192, 256, 320, 384, 448]
         assert h.stats.count("prefetch_raw") == 6
 
     def test_prefetch_same_cycle_as_trigger(self):
         h = self._hier()
         stream = h.process(make_trace([0, 64], cycles=[0, 10]))
-        assert all(r.cycle == 10 for r in stream.requests[1:])
+        assert all(r.cycle == 10 for r in decode_requests(stream.packed)[1:])
 
     def test_prefetched_lines_hit_later(self):
         h = self._hier()
         stream = h.process(make_trace([0, 64, 128, 192, 256]))
         # Lines 2..4 were prefetched; only 2 demand misses + prefetches.
-        demand = len(stream.requests) - h.stats.count("prefetch_raw")
+        demand = len(stream.packed) - h.stats.count("prefetch_raw")
         assert demand == 2
 
     def test_stops_at_page_boundary(self):
@@ -165,7 +169,7 @@ class TestPrefetcher:
         stream = h.process(
             make_trace([0, 64], ops=[int(MemOp.STORE)] * 2)
         )
-        assert all(r.op == MemOp.STORE for r in stream.requests)
+        assert all(r.op == MemOp.STORE for r in decode_requests(stream.packed))
 
 
 class TestWritebacks:
@@ -186,7 +190,7 @@ class TestWritebacks:
         h = self._hier()
         trace = make_trace([8, 2056, 4104], ops=[1, 1, 1])
         stream = h.process(trace)
-        for req in stream.requests:
+        for req in decode_requests(stream.packed):
             assert req.addr % 64 == 0
 
 
@@ -209,7 +213,7 @@ class TestFineGrain:
         h = small_hierarchy(secondary_cap=0)
         trace = make_trace([0], sizes=[4])
         stream = h.fine_grain_stream(trace)
-        assert stream.requests[0].size == 4
+        assert decode_requests(stream.packed)[0].size == 4
 
     def test_fine_grain_same_miss_structure(self):
         h1 = small_hierarchy(secondary_cap=0)
@@ -217,4 +221,4 @@ class TestFineGrain:
         trace = make_trace([0, 4096, 0])
         a = h1.process(trace)
         b = h2.fine_grain_stream(trace)
-        assert len(a.requests) == len(b.requests)
+        assert len(a.packed) == len(b.packed)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts.shm import decode_requests
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.types import MemOp, PAGE_BYTES
 from repro.config import CacheConfig
@@ -50,14 +51,14 @@ class TestRawStreamInvariants:
     @settings(**SETTINGS)
     def test_raw_stream_cycle_ordered(self, trace):
         raw = small_hierarchy().process(trace)
-        cycles = [r.cycle for r in raw.requests]
+        cycles = [r.cycle for r in decode_requests(raw.packed)]
         assert cycles == sorted(cycles)
 
     @given(traces())
     @settings(**SETTINGS)
     def test_raw_requests_line_aligned(self, trace):
         raw = small_hierarchy().process(trace)
-        for req in raw.requests:
+        for req in decode_requests(raw.packed):
             assert req.addr % 64 == 0
             assert req.size == 64
 
@@ -68,7 +69,7 @@ class TestRawStreamInvariants:
         # bounded by total accesses x (1 + cap); write-backs come from
         # previously-written lines, also bounded.
         raw = small_hierarchy(cap=1).process(trace)
-        assert len(raw.requests) <= 2 * len(trace) + len(trace)
+        assert len(raw.packed) <= 2 * len(trace) + len(trace)
 
     @given(traces())
     @settings(**SETTINGS)
@@ -77,7 +78,7 @@ class TestRawStreamInvariants:
         raw = h.process(trace)
         accessed_lines = {int(a) - int(a) % 64 for a in trace.addrs}
         demand = [
-            r for r in raw.requests
+            r for r in decode_requests(raw.packed)
             if r.op in (MemOp.LOAD, MemOp.STORE)
         ]
         # Without prefetching/secondaries, non-WB raws target accessed
@@ -92,24 +93,24 @@ class TestRawStreamInvariants:
         raw = h.process(trace)
         assert h.stats.count("raw_requests") + h.stats.count(
             "writebacks"
-        ) == len(raw.requests)
+        ) == len(raw.packed)
 
     @given(traces())
     @settings(**SETTINGS)
     def test_deterministic(self, trace):
         a = small_hierarchy().process(trace)
         b = small_hierarchy().process(trace)
-        assert [(r.addr, r.cycle, int(r.op)) for r in a.requests] == [
-            (r.addr, r.cycle, int(r.op)) for r in b.requests
-        ]
+        np.testing.assert_array_equal(a.packed, b.packed)
 
     @given(traces())
     @settings(**SETTINGS)
     def test_fine_grain_preserves_structure(self, trace):
         coarse = small_hierarchy(cap=0).process(trace)
         fine = small_hierarchy(cap=0).fine_grain_stream(trace)
-        assert len(coarse.requests) == len(fine.requests)
-        for c, f in zip(coarse.requests, fine.requests):
+        assert len(coarse.packed) == len(fine.packed)
+        for c, f in zip(
+            decode_requests(coarse.packed), decode_requests(fine.packed)
+        ):
             assert f.size <= c.size
             assert c.addr <= f.addr < c.addr + 64 or f.op == MemOp.STORE
 
@@ -118,4 +119,4 @@ class TestRawStreamInvariants:
     def test_more_lookahead_never_fewer_requests(self, trace, cap):
         lo = small_hierarchy(cap=cap).process(trace)
         hi = small_hierarchy(cap=cap + 1).process(trace)
-        assert len(hi.requests) >= len(lo.requests)
+        assert len(hi.packed) >= len(lo.packed)

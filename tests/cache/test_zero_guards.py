@@ -33,7 +33,7 @@ class TestRawStreamZeroGuards:
     def test_empty_trace_miss_rate_is_zero(self, engine):
         hierarchy = _system(CoalescerKind.NONE, engine).hierarchy
         raw = hierarchy.process(AccessTrace.empty())
-        assert raw.requests == []
+        assert len(raw.packed) == 0
         assert raw.n_accesses == 0
         assert raw.miss_rate == 0.0
 
@@ -52,7 +52,7 @@ class TestRawStreamZeroGuards:
     def test_fine_grain_empty_trace(self, engine):
         system = _system(CoalescerKind.PAC, engine, fine_grain=True)
         raw = system.hierarchy.fine_grain_stream(AccessTrace.empty())
-        assert raw.requests == []
+        assert len(raw.packed) == 0
         assert raw.miss_rate == 0.0
 
 
@@ -66,8 +66,8 @@ class TestZeroRawPipeline:
     def test_full_pipeline_survives_empty_trace(self, kind, engine):
         system = _system(kind, engine)
         raw = system.hierarchy.process(AccessTrace.empty())
-        cache_metrics = system.hierarchy.summary_metrics(len(raw.requests))
-        outcome = system.coalescer.process(raw.requests, system.device)
+        cache_metrics = system.hierarchy.summary_metrics(len(raw.packed))
+        outcome = system.coalescer.process(raw.packed, system.device)
         result = build_result(
             "gs", kind.value, 0, outcome, system.device,
             trace_end_cycle=0, cache_metrics=cache_metrics,
@@ -87,7 +87,7 @@ class TestZeroRawPipeline:
         def _empty_result(kind):
             system = _system(kind, "auto")
             raw = system.hierarchy.process(AccessTrace.empty())
-            outcome = system.coalescer.process(raw.requests, system.device)
+            outcome = system.coalescer.process(raw.packed, system.device)
             return build_result(
                 "gs", kind.value, 0, outcome, system.device,
                 trace_end_cycle=0,

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
@@ -82,7 +83,7 @@ class TestPACConservation:
     def test_every_request_serviced_exactly_once(self, reqs):
         memory = RecordingMemory()
         pac = fresh_pac()
-        out = pac.process(reqs, memory)
+        out = pac.process(encode_requests(reqs), memory)
         serviced = Counter()
         for packet in out.issued:
             serviced.update(packet.constituents)
@@ -94,7 +95,7 @@ class TestPACConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_issued_counts_consistent(self, reqs):
-        out = fresh_pac().process(reqs, RecordingMemory())
+        out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
         assert out.n_issued == len(out.issued)
         assert out.n_raw == len(reqs)
         assert 0 <= out.coalescing_efficiency < 1
@@ -103,7 +104,7 @@ class TestPACConservation:
     @settings(**COMMON_SETTINGS)
     def test_packets_legal_and_in_page(self, reqs):
         memory = RecordingMemory()
-        fresh_pac().process(reqs, memory)
+        fresh_pac().process(encode_requests(reqs), memory)
         for packet, _ in memory.packets:
             assert packet.size in HMC2.legal_packet_bytes
             assert packet.addr % HMC2.grain_bytes == 0
@@ -119,7 +120,7 @@ class TestPACConservation:
         # block twice *within one flush group* — and globally, any two
         # issued packets with a common constituent are impossible.
         memory = RecordingMemory()
-        fresh_pac().process(reqs, memory)
+        fresh_pac().process(encode_requests(reqs), memory)
         seen_ids = set()
         for packet, _ in memory.packets:
             for rid in packet.constituents:
@@ -129,7 +130,7 @@ class TestPACConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_transaction_efficiency_bounds(self, reqs):
-        out = fresh_pac().process(reqs, RecordingMemory())
+        out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
         if out.n_issued:
             assert 0 < out.transaction_efficiency < 1
 
@@ -137,21 +138,25 @@ class TestPACConservation:
     @settings(**COMMON_SETTINGS)
     def test_protocol_legality_portable(self, reqs, protocol):
         memory = RecordingMemory()
-        fresh_pac(protocol=protocol).process(reqs, memory)
+        fresh_pac(protocol=protocol).process(encode_requests(reqs), memory)
         for packet, _ in memory.packets:
             assert packet.size in protocol.legal_packet_bytes
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_idle_bypass_conserves_too(self, reqs):
-        out = fresh_pac(idle_bypass=True).process(reqs, RecordingMemory())
+        out = fresh_pac(idle_bypass=True).process(
+            encode_requests(reqs), RecordingMemory()
+        )
         serviced = sum(len(p.constituents) for p in out.issued)
         assert serviced + out.n_merged == len(reqs)
 
     @given(request_streams(), st.integers(min_value=1, max_value=64))
     @settings(**COMMON_SETTINGS)
     def test_timeout_invariance_of_conservation(self, reqs, timeout):
-        out = fresh_pac(timeout=timeout).process(reqs, RecordingMemory())
+        out = fresh_pac(timeout=timeout).process(
+            encode_requests(reqs), RecordingMemory()
+        )
         serviced = sum(len(p.constituents) for p in out.issued)
         assert serviced + out.n_merged == len(reqs)
 
@@ -160,29 +165,35 @@ class TestBaselineConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_null_is_identity(self, reqs):
-        out = NullCoalescer(16).process(reqs, RecordingMemory())
+        out = NullCoalescer(16).process(
+            encode_requests(reqs), RecordingMemory()
+        )
         assert out.n_issued == len(reqs)
         assert out.coalescing_efficiency == 0.0
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_dmc_conservation(self, reqs):
-        out = MSHRBasedDMC(16).process(reqs, RecordingMemory())
+        out = MSHRBasedDMC(16).process(
+            encode_requests(reqs), RecordingMemory()
+        )
         assert out.n_issued + out.n_merged == len(reqs)
         assert all(p.size == 64 for p in out.issued)
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_pac_never_issues_more_than_null(self, reqs):
-        pac_out = fresh_pac().process(list(reqs), RecordingMemory())
-        null_out = NullCoalescer(16).process(list(reqs), RecordingMemory())
+        pac_out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
+        null_out = NullCoalescer(16).process(
+            encode_requests(reqs), RecordingMemory()
+        )
         assert pac_out.n_issued <= null_out.n_issued
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_completion_cycles_monotone(self, reqs):
         memory = RecordingMemory()
-        out = fresh_pac().process(reqs, memory)
+        out = fresh_pac().process(encode_requests(reqs), memory)
         assert out.last_completion_cycle >= 0
         for packet, cycle in memory.packets:
             assert cycle >= 0

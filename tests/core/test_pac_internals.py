@@ -3,6 +3,7 @@ backpressure, occupancy sampling, and the private-coalescer variant."""
 
 import pytest
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
@@ -47,7 +48,7 @@ class TestControllerHysteresis:
         # MAQ drains, MSHRs free -> network disables again.
         stream = [req(p, cycle=p) for p in range(6)]
         stream.append(req(99, cycle=10_000_000))
-        pac.process(stream, SlowMemory(latency=50))
+        pac.process(encode_requests(stream), SlowMemory(latency=50))
         assert pac.stats.count("network_enables") >= 1
         assert pac.stats.count("network_disables") >= 1
 
@@ -55,7 +56,7 @@ class TestControllerHysteresis:
         pac = PagedAdaptiveCoalescer(PACConfig(idle_bypass=True))
         # Sparse arrivals: always direct, aggregator untouched.
         stream = [req(p, cycle=p * 10_000) for p in range(5)]
-        pac.process(stream, FastMemory())
+        pac.process(encode_requests(stream), FastMemory())
         assert pac.aggregator.stats.count("allocations") == 0
         assert pac.stats.count("direct_requests") == 5
 
@@ -67,7 +68,7 @@ class TestMAQBackpressure:
                       timeout_cycles=1)
         )
         stream = [req(p, cycle=p * 2) for p in range(8)]
-        out = pac.process(stream, SlowMemory())
+        out = pac.process(encode_requests(stream), SlowMemory())
         assert pac.stats.count("pipeline_stall_cycles") > 0
         assert out.stall_cycles > 0
 
@@ -77,7 +78,7 @@ class TestMAQBackpressure:
                       timeout_cycles=1)
         )
         stream = [req(p, cycle=p * 2) for p in range(8)]
-        out = pac.process(stream, SlowMemory())
+        out = pac.process(encode_requests(stream), SlowMemory())
         serviced = sum(len(p.constituents) for p in out.issued)
         assert serviced + out.n_merged == len(stream)
 
@@ -87,7 +88,7 @@ class TestOccupancySampling:
         pac = PagedAdaptiveCoalescer(PACConfig(idle_bypass=False))
         stream = [req(1, b, cycle=b * 4) for b in range(4)]
         stream.append(req(2, cycle=160))
-        pac.process(stream, FastMemory())
+        pac.process(encode_requests(stream), FastMemory())
         hist = pac.aggregator.stats.histogram("occupancy_samples")
         assert hist.total >= 10  # 160 cycles / 16
 
@@ -96,7 +97,7 @@ class TestOccupancySampling:
         # One short burst then a very long idle stretch of zero samples.
         stream = [req(1, b, cycle=b) for b in range(3)]
         stream.append(req(2, cycle=100_000))
-        pac.process(stream, FastMemory())
+        pac.process(encode_requests(stream), FastMemory())
         assert pac.mean_active_streams >= 1.0
 
 
@@ -113,7 +114,7 @@ class TestFlushOrdering:
             PACConfig(idle_bypass=False, timeout_cycles=8)
         )
         stream = [req(1, cycle=0), req(2, cycle=4), req(3, cycle=6)]
-        pac.process(stream, OrderMemory())
+        pac.process(encode_requests(stream), OrderMemory())
         assert issued_order == [1, 2, 3]
 
     def test_forced_flush_is_oldest_stream(self):
@@ -122,7 +123,7 @@ class TestFlushOrdering:
         )
         stream = [req(1, cycle=0), req(2, cycle=1), req(3, cycle=2)]
         memory = FastMemory()
-        pac.process(stream, memory)
+        pac.process(encode_requests(stream), memory)
         # Page 1's stream (oldest) was force-flushed first.
         assert memory.packets[0].addr // PAGE_BYTES == 1
 
@@ -144,7 +145,7 @@ class TestPrivateCoalescerArray:
             req(1, 0, cycle=0, core=0),
             req(1, 1, cycle=1, core=1),  # same page, different core
         ]
-        out = arr.process(stream, FastMemory())
+        out = arr.process(encode_requests(stream), FastMemory())
         # Private coalescers cannot merge across cores.
         assert out.n_issued == 2
 
@@ -154,7 +155,7 @@ class TestPrivateCoalescerArray:
             req(p % 3, b % 4, cycle=i, core=i % 4)
             for i, (p, b) in enumerate((i * 7 % 5, i) for i in range(40))
         ]
-        out = arr.process(stream, FastMemory())
+        out = arr.process(encode_requests(stream), FastMemory())
         serviced = sum(len(p.constituents) for p in out.issued)
         assert serviced + out.n_merged == len(stream)
 
@@ -165,7 +166,7 @@ class TestPrivateCoalescerArray:
             req(1, 0, cycle=0, core=0),
             req(1, 1, cycle=1, core=1),
         ]
-        shared_out = shared.process(list(stream), FastMemory())
-        private_out = private.process(list(stream), FastMemory())
+        shared_out = shared.process(encode_requests(stream), FastMemory())
+        private_out = private.process(encode_requests(stream), FastMemory())
         assert shared_out.n_issued == 1
         assert private_out.n_issued == 2

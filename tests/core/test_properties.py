@@ -23,6 +23,7 @@ observe the same events the outcome counts, so their totals must match.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
@@ -82,7 +83,9 @@ class TestPayloadConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_dmc_request_granular(self, reqs):
-        out = MSHRBasedDMC(16).process(reqs, FixedLatencyMemory())
+        out = MSHRBasedDMC(16).process(
+            encode_requests(reqs), FixedLatencyMemory()
+        )
         assert out.n_raw == out.n_issued + out.n_merged
         assert out.n_raw == len(reqs)
 
@@ -90,7 +93,7 @@ class TestPayloadConservation:
     @settings(**COMMON_SETTINGS)
     def test_pac_packet_granular(self, reqs):
         pac = PagedAdaptiveCoalescer(PACConfig(), protocol=HMC2)
-        out = pac.process(reqs, FixedLatencyMemory())
+        out = pac.process(encode_requests(reqs), FixedLatencyMemory())
         constituents = sum(len(p.constituents) for p in out.issued)
         assert constituents + out.n_merged == out.n_raw == len(reqs)
 
@@ -101,7 +104,7 @@ class TestPayloadConservation:
         pac = PagedAdaptiveCoalescer(
             PACConfig(), protocol=HMC2, probes=registry.scope("pac")
         )
-        out = pac.process(reqs, FixedLatencyMemory())
+        out = pac.process(encode_requests(reqs), FixedLatencyMemory())
         constituents = sum(len(p.constituents) for p in out.issued)
         assert constituents + out.n_merged == len(reqs)
         # Every packet reaching the MSHR stage arrived by exactly one of
@@ -120,19 +123,23 @@ class TestEfficiencyBounds:
     @settings(**COMMON_SETTINGS)
     def test_pac_in_unit_interval(self, reqs):
         pac = PagedAdaptiveCoalescer(PACConfig(), protocol=HMC2)
-        out = pac.process(reqs, FixedLatencyMemory())
+        out = pac.process(encode_requests(reqs), FixedLatencyMemory())
         assert 0.0 <= out.coalescing_efficiency <= 1.0
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_dmc_in_unit_interval(self, reqs):
-        out = MSHRBasedDMC(16).process(reqs, FixedLatencyMemory())
+        out = MSHRBasedDMC(16).process(
+            encode_requests(reqs), FixedLatencyMemory()
+        )
         assert 0.0 <= out.coalescing_efficiency <= 1.0
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_null_is_zero(self, reqs):
-        out = NullCoalescer(16).process(reqs, FixedLatencyMemory())
+        out = NullCoalescer(16).process(
+            encode_requests(reqs), FixedLatencyMemory()
+        )
         assert out.coalescing_efficiency == 0.0
 
 
@@ -145,7 +152,9 @@ class TestWindowMonotonicity:
             pac = PagedAdaptiveCoalescer(
                 PACConfig(timeout_cycles=timeout), protocol=HMC2
             )
-            out = pac.process(list(reqs), FixedLatencyMemory(latency=0))
+            out = pac.process(
+                encode_requests(reqs), FixedLatencyMemory(latency=0)
+            )
             issued.append(out.n_issued)
         assert issued == sorted(issued, reverse=True), (
             f"issued counts not monotone over widening windows: {issued}"

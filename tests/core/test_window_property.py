@@ -1,12 +1,12 @@
 """Properties of the batched kernel's window partitioning.
 
-``partition_windows`` is the structural foundation of the batched
-coalescer engine: it splits the raw stream into fence-delimited
+``window_bounds`` is the structural foundation of the batched coalescer
+engine: it splits the raw stream's op column into fence-delimited
 quiescent windows whose stage-1 state is provably empty at every
 boundary. Two invariant families are pinned here:
 
-1. **Partition laws** (pure, on arbitrary streams): concatenation
-   reproduces the input exactly; fences appear only as window-final
+1. **Partition laws** (pure, on arbitrary streams): the windows tile
+   the stream's ordinals in order; fences appear only as window-final
    elements; every window except possibly the last is fence-terminated.
 2. **Engine equality on synthetic streams**: the batched kernel and the
    reference pipeline produce identical coalescing outcomes over
@@ -22,8 +22,9 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
-from repro.core.pac_batched import partition_windows
+from repro.core.pac_batched import window_bounds
 
 SETTINGS = dict(
     max_examples=60,
@@ -66,42 +67,43 @@ def request_streams(draw, with_fences=True, idle_gaps=False):
     return reqs
 
 
+def _bounds(reqs):
+    return window_bounds(encode_requests(reqs)["op"])
+
+
 class TestPartitionLaws:
     @given(reqs=request_streams())
     @settings(**SETTINGS)
     def test_concatenation_is_identity(self, reqs):
-        windows = partition_windows(reqs)
-        flat = [req for window in windows for req in window]
-        assert flat == reqs
+        flat = [i for start, stop in _bounds(reqs) for i in range(start, stop)]
+        assert flat == list(range(len(reqs)))
 
     @given(reqs=request_streams())
     @settings(**SETTINGS)
     def test_fences_only_at_window_ends(self, reqs):
-        windows = partition_windows(reqs)
-        for window in windows:
-            assert window, "partition_windows must not emit empty windows"
-            for req in window[:-1]:
+        bounds = _bounds(reqs)
+        for start, stop in bounds:
+            assert stop > start, "window_bounds must not emit empty windows"
+            for req in reqs[start:stop - 1]:
                 assert req.op is not MemOp.FENCE
         # Every window but (possibly) the last is closed by its fence.
-        for window in windows[:-1]:
-            assert window[-1].op is MemOp.FENCE
+        for _, stop in bounds[:-1]:
+            assert reqs[stop - 1].op is MemOp.FENCE
 
     @given(reqs=request_streams(with_fences=False))
     @settings(**SETTINGS)
     def test_fence_free_stream_is_one_window(self, reqs):
-        windows = partition_windows(reqs)
+        bounds = _bounds(reqs)
         if not reqs:
-            assert windows == []
+            assert bounds == []
         else:
-            assert len(windows) == 1
-            assert windows[0] == reqs
+            assert bounds == [(0, len(reqs))]
 
     def test_back_to_back_fences_make_singleton_windows(self):
         fences = [
             MemoryRequest(addr=0, op=MemOp.FENCE, cycle=i) for i in range(3)
         ]
-        windows = partition_windows(fences)
-        assert [len(w) for w in windows] == [1, 1, 1]
+        assert [stop - start for start, stop in _bounds(fences)] == [1, 1, 1]
 
 
 class TestEngineEqualityOnSyntheticStreams:
@@ -121,8 +123,9 @@ class TestEngineEqualityOnSyntheticStreams:
             )
             for engine in ("reference", "batched")
         )
-        ref = ref_sys.coalescer.process(list(reqs), ref_sys.device)
-        bat = bat_sys.coalescer.process(list(reqs), bat_sys.device)
+        raw = encode_requests(reqs)
+        ref = ref_sys.coalescer.process(raw, ref_sys.device)
+        bat = bat_sys.coalescer.process(raw, bat_sys.device)
         bat_sys.device.sync()
         assert ref_sys.telemetry == bat_sys.telemetry
         assert ref.n_issued == bat.n_issued

@@ -199,7 +199,9 @@ class TestConstructorRefusals:
         for cls in (DDRDevice, BatchedDDRDevice):
             recorder = SpanRecorder(sample_rate=3, seed=1)
             for i, req in enumerate(requests):
-                recorder.admit(i, req, req.cycle)
+                recorder.admit(
+                    i, req.addr, req.core_id, req.op, req.cycle, req.cycle
+                )
             dev = cls(spans=recorder)
             for p in packets:
                 dev.submit(p, p.issue_cycle)

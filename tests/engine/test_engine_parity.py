@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts.shm import encode_requests
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
 from repro.telemetry import events as ev
+from repro.workloads import BENCHMARK_NAMES
 
 GRID_ACCESSES = 4000
 SEED = 1234
@@ -49,6 +51,22 @@ class TestBitIdentity:
         bat = _run(bench, device, "batched")
         assert ref == bat
 
+    @pytest.mark.parametrize(
+        "kind", (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
+    )
+    @pytest.mark.parametrize("bench", BENCHMARK_NAMES)
+    def test_every_workload_and_arm(self, bench, kind):
+        """Full-``RunResult`` equality on all 14 workloads and the three
+        evaluation arms, at a short trace length."""
+        ref, auto = (
+            run_benchmark(
+                bench, coalescer=kind, n_accesses=1500, seed=SEED,
+                engine=engine, faults=False,
+            )
+            for engine in ("reference", "auto")
+        )
+        assert ref == auto
+
     def test_fine_grain_equality(self):
         ref = _run("gs", "hmc", "reference", fine_grain=True)
         bat = _run("gs", "hmc", "batched", fine_grain=True)
@@ -62,17 +80,15 @@ class TestBitIdentity:
         assert auto == ref
 
     def test_issued_packets_identical(self):
-        """The packet stream itself — not just aggregates — must match.
-
-        req_ids come from a process-global counter, so both engines must
-        replay the *same* trace object to be comparable.
-        """
+        """The packet stream itself — not just aggregates — must match,
+        constituents included: every engine gives a request of the packed
+        stream its ordinal as id."""
         base = System(coalescer=CoalescerKind.PAC, engine="reference")
         trace = base.build_trace(["gs"], 3000, seed=7)
-        requests = list(trace.requests())
-        ref = base.coalescer.process(list(requests), base.device)
+        raw = encode_requests(list(trace.requests()))
+        ref = base.coalescer.process(raw, base.device)
         bat_sys = System(coalescer=CoalescerKind.PAC, engine="batched")
-        bat = bat_sys.coalescer.process(list(requests), bat_sys.device)
+        bat = bat_sys.coalescer.process(raw, bat_sys.device)
         assert len(ref.issued) == len(bat.issued)
         for a, b in zip(ref.issued, bat.issued):
             assert a == b

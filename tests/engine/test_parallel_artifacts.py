@@ -119,25 +119,65 @@ class TestProbeRuns:
             assert baseline[kind] == warm[kind]
 
 
+class _NoRequests:
+    """A request-id source that fails the run: every ``MemoryRequest``
+    constructor draws its id from ``repro.common.types._req_counter``."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("a MemoryRequest was built on the batched path")
+
+
+class TestNoRequestObjects:
+    """The batched production path hands the packed stream from the
+    cache front-end to the coalescers: it builds no request object and
+    decodes nothing, in the parent or in a pool worker."""
+
+    @pytest.fixture(autouse=True)
+    def _forbid_request_objects(self, monkeypatch):
+        from repro.artifacts import shm
+        from repro.common import types
+
+        def no_decode(array):
+            raise AssertionError("the batched path decoded the stream")
+
+        monkeypatch.setattr(types, "_req_counter", _NoRequests())
+        monkeypatch.setattr(shm, "decode_requests", no_decode)
+
+    def test_comparison(self):
+        trio = run_comparison("gs", n_accesses=2000, use_artifact_cache=False)
+        assert len(trio) == 3
+
+    def test_cold_then_warm_pooled_suite(self):
+        cold_stats: dict = {}
+        cold = _suite(stats=cold_stats)
+        warm_stats: dict = {}
+        warm = _suite(stats=warm_stats)
+        assert cold_stats["artifact_misses"] == len(BENCHES)
+        assert warm_stats["artifact_hits"] == len(BENCHES)
+        assert cold == warm
+
+
 class TestArtifactLookups:
     def test_cold_serial_two_phase_looks_up_each_artifact_once(self):
         """Phase 1 probes each pass artifact once; a miss goes straight
-        to compute-and-store, which probes only the trace artifact."""
+        to compute-and-store, which probes nothing."""
         log = ev.EventLog()
         with ev.installed(log):
             _suite(max_workers=1, pipeline="two-phase")
         misses = [
             d["artifact"] for d in log.records if d["kind"] == "cache.miss"
         ]
-        assert misses.count("pass") == len(BENCHES)
-        assert misses.count("trace") == len(BENCHES)
-        assert get_store().stats.misses == 2 * len(BENCHES)
+        assert misses == ["pass"] * len(BENCHES)
+        assert get_store().stats.misses == len(BENCHES)
 
     def test_run_suite_fills_the_store_then_reads_it(self):
         cold = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
         store = get_store()
-        assert store.stats.stores == 2 * len(BENCHES)
-        assert {e.kind for e in store.entries()} == {"trace", "pass"}
+        assert store.stats.stores == len(BENCHES)
+        assert {e.kind for e in store.entries()} == {"pass"}
         warm = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
         assert store.stats.hits == len(BENCHES)
         assert list(warm) == list(cold) == list(BENCHES)

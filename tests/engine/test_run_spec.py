@@ -4,8 +4,8 @@ build specs must preserve.
 * **Validation** — bad sizes and empty mixes fail at construction,
   before any pool work starts; a spec hashes and pickles (it is a memo
   key and a pool job's argument).
-* **Keys** — ``spec.trace_key()``/``pass_key()`` are the store's key
-  functions applied to the spec, so artifact keys stay identical.
+* **Keys** — ``spec.pass_key()`` is the store's key function applied
+  to the spec, so artifact keys stay identical.
 * **Probe templates** — a registry or recorder handed to a multi-run
   entry point is a template: every run gets a fresh one with the same
   window or sample rate, so each result equals its standalone run.
@@ -142,7 +142,6 @@ class TestKeys:
             device=spec.device, scale=spec.scale,
             extra_benchmarks=benchmarks[1:],
         )
-        assert spec.trace_key() == store.trace_key(*args, **common)
         assert spec.pass_key() == store.pass_key(
             *args, fine_grain=spec.fine_grain, **common
         )
@@ -153,10 +152,8 @@ class TestKeys:
             spec.for_arm(CoalescerKind.NONE), engine="reference",
             telemetry_window=WINDOW, span_rate=RATE,
         )
-        assert other.trace_key() == spec.trace_key()
         assert other.pass_key() == spec.pass_key()
         assert replace(spec, fine_grain=True).pass_key() != spec.pass_key()
-        assert replace(spec, fine_grain=True).trace_key() == spec.trace_key()
 
 
 def _templates():

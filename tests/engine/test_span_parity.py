@@ -19,6 +19,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import PAGE_BYTES, MemOp, MemoryRequest
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
@@ -153,7 +154,9 @@ def _kernel_traces(reqs, config=TABLE1):
             config=config, coalescer=CoalescerKind.PAC, engine=engine,
             spans=SpanRecorder(sample_rate=1, seed=SEED),
         )
-        outcome = system.coalescer.process(list(reqs), system.device)
+        outcome = system.coalescer.process(
+            encode_requests(reqs), system.device
+        )
         if engine == "batched":
             system.device.sync()
         out.append((system, outcome, system.spans.finalize()))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp
 from repro.config import TABLE1
 from repro.engine.system import CoalescerKind, System
@@ -31,7 +32,7 @@ class TestHierarchyRouting:
         system = System(TABLE1, CoalescerKind.PAC)
         trace = system.build_trace(["atomichist"], N)
         raw = system.hierarchy.process(trace)
-        n_atomic_raw = sum(1 for r in raw.requests if r.op == MemOp.ATOMIC)
+        n_atomic_raw = int(np.sum(raw.packed["op"] == int(MemOp.ATOMIC)))
         # Every atomic access reaches memory (no cache filtering).
         assert n_atomic_raw == int(np.sum(trace.ops == int(MemOp.ATOMIC)))
 
@@ -39,7 +40,7 @@ class TestHierarchyRouting:
         system = System(TABLE1, CoalescerKind.PAC)
         trace = system.build_trace(["atomichist"], N)
         raw = system.hierarchy.process(trace)
-        assert any(r.op == MemOp.FENCE for r in raw.requests)
+        assert (raw.packed["op"] == int(MemOp.FENCE)).any()
 
     def test_repeated_atomics_not_cached(self):
         # Unlike a load, a re-issued atomic to the same address still
@@ -57,7 +58,7 @@ class TestHierarchyRouting:
             cycles=np.arange(3) * 100,
         )
         raw = h.process(trace)
-        assert len(raw.requests) == 3
+        assert len(raw.packed) == 3
 
 
 @pytest.mark.parametrize(
@@ -78,8 +79,8 @@ class TestAllArmsHandleSpecialOps:
         raw = (
             system.hierarchy.process(trace)
         )
-        n_atomics = sum(1 for r in raw.requests if r.op == MemOp.ATOMIC)
-        outcome = system.coalescer.process(raw.requests, system.device)
+        n_atomics = int(np.sum(raw.packed["op"] == int(MemOp.ATOMIC)))
+        outcome = system.coalescer.process(raw.packed, system.device)
         atomic_packets = [
             p for p in outcome.issued if p.source == "atomic"
         ]
@@ -103,7 +104,7 @@ class TestFenceSemantics:
             MemoryRequest(addr=0, op=MemOp.FENCE, cycle=1),
             MemoryRequest(addr=PAGE_BYTES + 64, cycle=2),
         ]
-        out = pac.process(stream, Mem())
+        out = pac.process(encode_requests(stream), Mem())
         # Without the fence these two adjacent blocks would coalesce.
         assert out.n_issued == 2
 
@@ -121,5 +122,5 @@ class TestFenceSemantics:
             MemoryRequest(addr=0, op=MemOp.FENCE, cycle=1),
             MemoryRequest(addr=64, cycle=2),
         ]
-        out = coal.process(stream, Mem())
+        out = coal.process(encode_requests(stream), Mem())
         assert out.n_issued == 2

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import os
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.engine.health import RunHealth
@@ -303,6 +305,29 @@ class TestSettings:
         (name,) = kw
         with pytest.raises(ValueError, match=rf"^{name} must be"):
             resolve_supervision(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(max_retries=2.5), dict(max_retries=True), dict(max_retries="2"),
+        dict(job_timeout=True), dict(job_timeout="30"),
+        dict(backoff_base=False), dict(backoff_base="0.1"),
+    ])
+    def test_argument_of_wrong_type(self, kw):
+        """An argument is never coerced: ``max_retries=2.5`` would run 2
+        retries and ``job_timeout=True`` a 1 s timeout."""
+        (name,) = kw
+        with pytest.raises(TypeError, match=rf"^{name} must be"):
+            resolve_supervision(**kw)
+
+    @pytest.mark.parametrize("kw, want", [
+        (dict(max_retries=np.int64(3)), (300.0, 3, 0.05)),
+        (dict(job_timeout=2, backoff_base=Fraction(1, 4)), (2.0, 3, 0.25)),
+    ])
+    def test_integral_and_real_arguments_are_accepted(
+        self, monkeypatch, kw, want
+    ):
+        for env in ("REPRO_JOB_TIMEOUT", "REPRO_MAX_RETRIES", "REPRO_BACKOFF"):
+            monkeypatch.delenv(env, raising=False)
+        assert resolve_supervision(**kw) == want
 
     def test_grid_runs_resolve_settings_before_running(self, monkeypatch):
         def no_trace(*args, **kwargs):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts.shm import encode_requests
 from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.system import CoalescerKind, System
 from repro.telemetry import FOLD_EVENTS, ProbeBuffer, TelemetryRegistry
@@ -108,7 +109,7 @@ class TestTelemetryParity:
                 config=config, coalescer=CoalescerKind.PAC, engine=engine,
                 telemetry=TelemetryRegistry(window_cycles=1),
             )
-            system.coalescer.process(list(reqs), system.device)
+            system.coalescer.process(encode_requests(reqs), system.device)
             if engine == "batched":
                 system.device.sync()
             registries.append(system.telemetry)

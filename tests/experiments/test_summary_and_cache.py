@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.artifacts.shm import REQ_DTYPE
 from repro.engine.system import CoalescerKind
 from repro.experiments.registry import MULTIPROCESS_PARTNERS, Runs, report
 from repro.workloads import BENCHMARK_NAMES
@@ -33,7 +34,7 @@ class TestRuns:
         runs[pac], runs[dmc]
         tp = runs.prefix(pac)
         assert runs.prefix(dmc) is tp
-        assert tp._requests is None  # decoded list released after the arm
+        assert tp.raw.dtype == REQ_DTYPE  # the packed stream, no objects
 
     def test_seed_reaches_every_spec(self):
         assert Runs(2000, seed=7).spec("gs").seed == 7

@@ -73,22 +73,20 @@ def mixed_packets(n=400, seed=7):
 def tracked_packets(n=400):
     """:func:`mixed_packets`, each carrying its own raw request (and
     every seventh a second one), plus those requests in ordinal order:
-    a span recorder admits them before the packets are submitted."""
+    a span recorder admits them before the packets are submitted, and a
+    packet's constituents are its requests' ordinals."""
     from dataclasses import replace
 
     from repro.common.types import MemoryRequest
 
     packets, requests = [], []
     for i, p in enumerate(mixed_packets(n)):
-        reqs = [MemoryRequest(addr=p.addr, op=p.op, cycle=p.issue_cycle)]
-        if i % 7 == 0:
-            reqs.append(
-                MemoryRequest(addr=p.addr, op=p.op, cycle=p.issue_cycle)
-            )
-        requests.extend(reqs)
-        packets.append(
-            replace(p, constituents=tuple(r.req_id for r in reqs))
+        ids = tuple(range(len(requests), len(requests) + 1 + (i % 7 == 0)))
+        requests.extend(
+            MemoryRequest(addr=p.addr, op=p.op, cycle=p.issue_cycle)
+            for _ in ids
         )
+        packets.append(replace(p, constituents=ids))
     return packets, requests
 
 
@@ -235,7 +233,10 @@ class TestConstructorRefusals:
             for cls in (ref_cls, bat_cls):
                 recorder = SpanRecorder(sample_rate=3, seed=1)
                 for i, req in enumerate(requests):
-                    recorder.admit(i, req, req.cycle)
+                    recorder.admit(
+                        i, req.addr, req.core_id, req.op, req.cycle,
+                        req.cycle,
+                    )
                 dev = cls(spans=recorder)
                 for p in packets:
                     dev.submit(p, p.issue_cycle)

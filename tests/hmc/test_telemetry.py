@@ -6,7 +6,7 @@ request: its vault, link, and the link_wait/route/vault_wait/dram/
 response segments between submission and completion.
 """
 
-from repro.common.types import CoalescedRequest, MemOp, MemoryRequest
+from repro.common.types import CoalescedRequest, MemOp
 from repro.hmc.device import HMCDevice
 from repro.telemetry import SpanRecorder
 
@@ -20,10 +20,10 @@ def traced_device(recorder=None):
 
 def submit_tracked(dev, recorder, addr=0, cycle=0, size=64):
     """Admit one request into ``recorder`` and submit it as a packet."""
-    req = MemoryRequest(addr=addr, size=size, op=MemOp.LOAD, cycle=cycle)
-    recorder.admit(len(recorder._by_req), req, cycle)
+    index = len(recorder._by_req)
+    recorder.admit(index, addr, 0, MemOp.LOAD, cycle, cycle)
     packet = CoalescedRequest(
-        addr=addr, size=size, op=MemOp.LOAD, constituents=(req.req_id,)
+        addr=addr, size=size, op=MemOp.LOAD, constituents=(index,)
     )
     return dev.submit(packet, cycle)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.artifacts.shm import encode_requests
 from repro.analysis.space import bitonic_costs
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.mshr.sorting import SortingNetworkCoalescer
@@ -29,7 +30,9 @@ class TestConstruction:
 class TestMerging:
     def test_adjacent_lines_merge(self, fixed_memory):
         stream = [req(b * 64, cycle=b) for b in range(4)]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         assert out.n_issued == 1
         assert fixed_memory.packets[0].size == 256
 
@@ -37,7 +40,9 @@ class TestMerging:
         # The whole point of sorting: arrival order does not matter
         # inside a window.
         stream = [req(a, cycle=i) for i, a in enumerate([192, 0, 128, 64])]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         assert out.n_issued == 1
 
     def test_cross_page_contiguity_merges(self, fixed_memory):
@@ -47,24 +52,32 @@ class TestMerging:
             req(PAGE_BYTES - 64, cycle=0),
             req(PAGE_BYTES, cycle=1),
         ]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         assert out.n_issued == 1
         assert fixed_memory.packets[0].size == 128
 
     def test_ops_do_not_merge(self, fixed_memory):
         stream = [req(0, MemOp.LOAD, 0), req(64, MemOp.STORE, 1)]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         assert out.n_issued == 2
 
     def test_duplicates_fold(self, fixed_memory):
         stream = [req(0, cycle=0), req(0, cycle=1)]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         assert out.n_issued == 1
         assert len(fixed_memory.packets[0].constituents) == 2
 
     def test_run_longer_than_max_packet_splits(self, fixed_memory):
         stream = [req(b * 64, cycle=b) for b in range(6)]
-        out = SortingNetworkCoalescer().process(stream, fixed_memory)
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), fixed_memory
+        )
         sizes = sorted(p.size for p in fixed_memory.packets)
         assert sizes == [128, 256]
 
@@ -72,13 +85,13 @@ class TestMerging:
         # 16 same-cycle requests trigger an immediate window flush.
         stream = [req(i * PAGE_BYTES * 2, cycle=0) for i in range(17)]
         coal = SortingNetworkCoalescer(window=16)
-        out = coal.process(stream, fixed_memory)
+        out = coal.process(encode_requests(stream), fixed_memory)
         assert coal.stats.count("flushes") == 2
 
     def test_timeout_flush(self, fixed_memory):
         stream = [req(0, cycle=0), req(64, cycle=100)]
         out = SortingNetworkCoalescer(timeout_cycles=16).process(
-            stream, fixed_memory
+            encode_requests(stream), fixed_memory
         )
         # The second request arrives long after the first window closed.
         assert out.n_issued == 2
@@ -88,13 +101,13 @@ class TestComparatorAccounting:
     def test_fixed_cost_per_flush(self, fixed_memory):
         coal = SortingNetworkCoalescer(window=16)
         stream = [req(i * PAGE_BYTES * 2, cycle=0) for i in range(16)]
-        out = coal.process(stream, fixed_memory)
+        out = coal.process(encode_requests(stream), fixed_memory)
         assert out.comparisons == bitonic_costs(16).comparators
 
     def test_cost_scales_with_flushes(self, fixed_memory):
         coal = SortingNetworkCoalescer(window=4)
         stream = [req(i * PAGE_BYTES * 2, cycle=0) for i in range(8)]
-        out = coal.process(stream, fixed_memory)
+        out = coal.process(encode_requests(stream), fixed_memory)
         assert out.comparisons == 2 * bitonic_costs(4).comparators
 
 
@@ -120,7 +133,7 @@ class TestConservation:
             MemoryRequest(addr=block * 64, op=op, cycle=i)
             for i, (block, op) in enumerate(specs)
         ]
-        out = SortingNetworkCoalescer().process(stream, Mem())
+        out = SortingNetworkCoalescer().process(encode_requests(stream), Mem())
         serviced = sum(len(p.constituents) for p in out.issued)
         assert serviced + out.n_merged == len(stream)
 

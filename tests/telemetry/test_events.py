@@ -109,7 +109,7 @@ class TestDriverEvents:
     def test_comparison_emits_per_arm_and_cache_events(self):
         """``run_comparison`` is a view of the grid runner: one suite
         bracket around one run bracket per arm, and on a cold store one
-        lookup miss per artifact kind (pass, then trace)."""
+        lookup miss, for the pass artifact."""
         log = ev.EventLog()
         with ev.installed(log):
             run_comparison("stream", n_accesses=self.N)
@@ -120,7 +120,7 @@ class TestDriverEvents:
         misses = [
             d["artifact"] for d in log.records if d["kind"] == "cache.miss"
         ]
-        assert misses == ["pass", "trace"]
+        assert misses == ["pass"]
         assert ev.validate_events(log.records) == []
 
 

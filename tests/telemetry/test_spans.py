@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import derive_seed
-from repro.common.types import MemOp, MemoryRequest
+from repro.common.types import MemOp
 from repro.engine.driver import run_benchmark
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind, System
@@ -34,8 +34,11 @@ GOLDEN = json.loads(
 )
 
 
-def _request(addr=0x1000, cycle=0, op=MemOp.LOAD, core=0):
-    return MemoryRequest(addr=addr, size=64, op=op, core_id=core, cycle=cycle)
+def _admit(rec, index, now, cycle=0, addr=0x1000, op=MemOp.LOAD, core=0):
+    """Admit raw request ``index`` into ``rec``; returns its id (the
+    ordinal, as in every coalescer)."""
+    rec.admit(index, addr, core, op, cycle, now)
+    return index
 
 
 def assert_partition(span_trace: SpanTrace) -> None:
@@ -75,17 +78,16 @@ class TestRecorderSemantics:
     def test_unsampled_requests_are_ignored(self):
         rec = SpanRecorder(sample_rate=1000, seed=0)
         index = rec.sample_offset + 1  # off the sampling grid
-        rec.admit(index, _request(), now=5)
+        _admit(rec, index, now=5)
         assert len(rec.finalize()) == 0
 
     def test_out_of_order_marks_are_dropped_first_wins(self):
         rec = SpanRecorder(sample_rate=1, seed=0)
-        req = _request(cycle=10)
-        rec.admit(0, req, now=12)
-        rec.mark(req.req_id, "maq", 30)
-        rec.mark(req.req_id, "stage1", 20)  # earlier stage: ignored
-        rec.mark(req.req_id, "maq", 99)  # duplicate stage: ignored
-        rec.mark(req.req_id, "device", 50)
+        rid = _admit(rec, 0, now=12, cycle=10)
+        rec.mark(rid, "maq", 30)
+        rec.mark(rid, "stage1", 20)  # earlier stage: ignored
+        rec.mark(rid, "maq", 99)  # duplicate stage: ignored
+        rec.mark(rid, "device", 50)
         trace = rec.finalize()
         assert [s[0] for s in trace.requests[0].spans] == [
             "queue", "maq", "device",
@@ -94,9 +96,8 @@ class TestRecorderSemantics:
 
     def test_backward_cycles_are_clamped(self):
         rec = SpanRecorder(sample_rate=1, seed=0)
-        req = _request(cycle=10)
-        rec.admit(0, req, now=20)
-        rec.mark(req.req_id, "device", 15)  # before the queue boundary
+        rid = _admit(rec, 0, now=20, cycle=10)
+        rec.mark(rid, "device", 15)  # before the queue boundary
         trace = rec.finalize()
         (request,) = trace.requests
         assert request.spans == (("queue", 10, 20), ("device", 20, 20))
@@ -104,11 +105,10 @@ class TestRecorderSemantics:
 
     def test_unfinished_requests_dropped_at_finalize(self):
         rec = SpanRecorder(sample_rate=1, seed=0)
-        done, pending = _request(cycle=0), _request(cycle=1)
-        rec.admit(0, done, now=2)
-        rec.mark(done.req_id, "device", 9)
-        rec.admit(1, pending, now=3)
-        rec.mark(pending.req_id, "maq", 7)  # never reaches a terminal stage
+        done = _admit(rec, 0, now=2, cycle=0)
+        rec.mark(done, "device", 9)
+        pending = _admit(rec, 1, now=3, cycle=1)
+        rec.mark(pending, "maq", 7)  # never reaches a terminal stage
         trace = rec.finalize()
         assert [r.index for r in trace.requests] == [0]
 
@@ -143,10 +143,9 @@ class TestPartitionPropertyHypothesis:
         self, arrival, admit_delay, marks
     ):
         rec = SpanRecorder(sample_rate=1, seed=0)
-        req = _request(cycle=arrival)
-        rec.admit(0, req, now=arrival + admit_delay)
+        rid = _admit(rec, 0, now=arrival + admit_delay, cycle=arrival)
         for stage, cycle in marks:
-            rec.mark(req.req_id, stage, cycle)
+            rec.mark(rid, stage, cycle)
         trace = rec.finalize()
         # Either the request never reached a terminal stage (dropped) or
         # its spans partition [arrival, end] exactly.
@@ -256,7 +255,7 @@ class TestDisabledSpansStayFree:
     def test_null_recorder_is_inert(self):
         assert NULL_SPANS.enabled is False
         assert NULL_SPANS.is_sampled(0) is False
-        NULL_SPANS.admit(0, _request(), 0)
+        NULL_SPANS.admit(0, 0x1000, 0, MemOp.LOAD, 0, 0)
         NULL_SPANS.mark(1, "device", 5)
         NULL_SPANS.mark_many([1, 2], "maq", 5)
         NULL_SPANS.device_span(None, vault=0, link=0, start=0,

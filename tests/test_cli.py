@@ -55,6 +55,25 @@ class TestRunCommands:
         with pytest.raises(SystemExit):
             main(["run", "doom"])
 
+    @pytest.mark.parametrize("env, text", [
+        ("REPRO_MAX_RETRIES", "three"),
+        ("REPRO_JOB_TIMEOUT", "soon"),
+        ("REPRO_BACKOFF", "fast"),
+    ])
+    def test_bad_supervision_variable_is_a_usage_error(
+        self, monkeypatch, capsys, env, text
+    ):
+        """Like ``--jobs 0``: exit 2 with a one-line message naming the
+        variable, not a traceback."""
+        monkeypatch.setenv(env, text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--accesses", "500", "compare", "gs"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == f"repro: error: ${env} must be " + (
+            "an integer" if env == "REPRO_MAX_RETRIES" else "a number"
+        ) + f", got {text!r}"
+
     def test_figure_11a(self, capsys):
         assert main(["figure", "11a"]) == 0
         out = capsys.readouterr().out
