@@ -78,6 +78,20 @@ def _maybe_record(
 
 
 def main(argv=None) -> int:
+    """The CLI entry point. A reader that closes the pipe early
+    (``repro compare gs | head -1``) ends the command quietly: the rest
+    of its output goes to ``os.devnull``, as the Python docs' SIGPIPE
+    recipe does, and the exit status is 1."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="repro", description="PAC reproduction CLI"
     )
@@ -163,13 +177,11 @@ def main(argv=None) -> int:
     )
     p_suite.add_argument(
         "--spans", action="store_true", dest="suite_spans",
-        help="trace per-request spans (forces the per-job pipeline; "
-             "enriches ledger stage digests)",
+        help="trace per-request spans (enriches ledger stage digests)",
     )
     p_suite.add_argument(
         "--telemetry", action="store_true", dest="suite_telemetry",
-        help="collect windowed probes (forces the per-job pipeline; "
-             "enriches ledger counter digests)",
+        help="collect windowed probes (enriches ledger counter digests)",
     )
 
     p_cache = sub.add_parser(
@@ -761,7 +773,7 @@ def main(argv=None) -> int:
         health = next(iter(results.values())).health
         title = (
             f"health: {args.benchmark} / {args.coalescer} "
-            f"({stats['pipeline']}, {stats['workers']} workers)"
+            f"({stats['workers']} workers)"
         )
         print(render_table(health.summary_rows(), title=title))
         for label, items in (

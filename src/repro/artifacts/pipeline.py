@@ -27,8 +27,14 @@ if TYPE_CHECKING:
 class TracePass:
     """The per-benchmark deterministic prefix, ready for phase 2.
 
-    ``raw`` is the packed request stream. Consumers share it and must
-    not mutate it.
+    ``raw`` is the packed request stream. ``probes`` is what the cache
+    pass observed, for a spec with probe settings (None otherwise, and
+    always None on a stored pass): ``(registry, recorder)``, the
+    registry holding only the pass's ``cache.*`` probes and the recorder
+    bound to the spec seed with the span origins the pass stamped,
+    either None when its facility is off. Consumers share both and must
+    not mutate them; :func:`repro.engine.driver.run_arm` folds a copy
+    of ``probes`` into each arm.
     """
 
     benchmark: str
@@ -38,6 +44,7 @@ class TracePass:
     cache_metrics: dict
     key: str = ""
     cached: bool = False
+    probes: Optional[tuple] = None
 
     @property
     def n_raw(self) -> int:
@@ -50,7 +57,9 @@ def compute_trace_pass(spec: "RunSpec") -> TracePass:
 
     The front-end runs on the spec's ``engine``; the resulting pass is
     bit-identical either way (the batched front-end's contract), so the
-    artifact keys deliberately ignore the knob.
+    artifact keys deliberately ignore the knob. With the spec's probe
+    settings on, the front-end's registry and recorder observe the pass
+    and become :attr:`TracePass.probes`.
     """
     from repro.engine.system import CoalescerKind
 
@@ -62,12 +71,25 @@ def compute_trace_pass(spec: "RunSpec") -> TracePass:
         stream = system.hierarchy.fine_grain_stream(trace)
     else:
         stream = system.hierarchy.process(trace)
+    registry = system.telemetry
+    if registry is not None:
+        # The front-end's device and coalescer registered empty probes
+        # too; only the cache pass's may travel into the arms.
+        for probes in (
+            registry.counters, registry.gauges, registry.histograms
+        ):
+            for name in [n for n in probes if not n.startswith("cache.")]:
+                del probes[name]
     return TracePass(
         benchmark=spec.label,
         n_accesses=len(trace),
         trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
         raw=stream.packed,
         cache_metrics=system.hierarchy.summary_metrics(len(stream.packed)),
+        probes=(
+            None if registry is None and system.spans is None
+            else (registry, system.spans)
+        ),
     )
 
 

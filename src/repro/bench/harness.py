@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import TABLE1
-from repro.engine.driver import run_comparison
+from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.system import CoalescerKind, System
 from repro.telemetry import events as ev
 
@@ -195,21 +195,20 @@ class BenchConfig:
 
 @dataclass
 class SuiteBench:
-    """Suite-scale measurement: the two-phase artifact pipeline against
-    the pre-cache per-job baseline, on the same (benchmark × arm) grid.
+    """Suite-scale measurement of the grid pipeline on one
+    (benchmark × arm) grid, through the artifact store.
 
-    ``legacy`` is the PR 3 execution model (every job end-to-end, no
-    artifact reuse); ``cold`` is the first two-phase run against an
-    empty cache; ``warm`` is the min over subsequent repeats with the
-    cache populated. All three produce bit-identical ``RunResult``
-    grids — ``bit_identical`` records that the harness verified it.
+    ``cold`` is the first run against an empty store; ``warm`` is the
+    min over subsequent repeats with the store populated.
+    ``bit_identical`` records that the harness checked the cold and
+    warm grids against each other and against each cell's standalone
+    :func:`~repro.engine.driver.run_benchmark`.
     """
 
     arms: List[str] = field(default_factory=list)
     benchmarks: List[str] = field(default_factory=list)
     jobs: int = 0
     workers: int = 0
-    legacy: Optional[Timing] = None
     cold_seconds: float = 0.0
     warm: Optional[Timing] = None
     cold_stats: Dict = field(default_factory=dict)
@@ -217,29 +216,14 @@ class SuiteBench:
     artifact_cache: Dict = field(default_factory=dict)
     bit_identical: bool = False
 
-    @property
-    def speedup_cold(self) -> float:
-        if self.legacy is None or self.cold_seconds <= 0:
-            return 0.0
-        return self.legacy.seconds / self.cold_seconds
-
-    @property
-    def speedup_warm(self) -> float:
-        if self.legacy is None or self.warm is None or self.warm.seconds <= 0:
-            return 0.0
-        return self.legacy.seconds / self.warm.seconds
-
     def as_dict(self) -> Dict:
         return {
             "arms": self.arms,
             "benchmarks": self.benchmarks,
             "jobs": self.jobs,
             "workers": self.workers,
-            "legacy": self.legacy.as_dict() if self.legacy else None,
             "cold_seconds": self.cold_seconds,
             "warm": self.warm.as_dict() if self.warm else None,
-            "speedup_cold": self.speedup_cold,
-            "speedup_warm": self.speedup_warm,
             "phase_split": {
                 "cold_phase1_seconds": self.cold_stats.get(
                     "phase1_seconds", 0.0
@@ -300,7 +284,7 @@ class BenchReport:
 
     def as_dict(self) -> Dict:
         return {
-            "schema": "repro-bench/4",
+            "schema": "repro-bench/5",
             "name": self.name,
             "config": self.config.as_dict(),
             "python": self.python,
@@ -362,7 +346,7 @@ def _measure_end_to_end(bench: str, cfg: BenchConfig) -> Timing:
 
 
 def _measure_suite(cfg: BenchConfig) -> SuiteBench:
-    """Suite-scale two-phase pipeline vs the per-job baseline.
+    """The grid pipeline on a cold, then a warm artifact store.
 
     Runs inside a throwaway ``$REPRO_ARTIFACT_DIR`` so the measurement
     is independent of (and does not pollute) the developer's real
@@ -387,18 +371,6 @@ def _measure_suite(cfg: BenchConfig) -> SuiteBench:
     with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
         os.environ["REPRO_ARTIFACT_DIR"] = tmp
         try:
-            def legacy() -> int:
-                results = run_suite_parallel(
-                    pipeline="per-job", use_artifact_cache=False, **kwargs
-                )
-                legacy.results = results
-                return sum(r.n_raw for r in results.values())
-
-            legacy.results = {}
-            suite.legacy = _min_of(
-                legacy, cfg.repeats, cfg.warmup, label="suite:per-job"
-            )
-
             cold_stats: Dict = {}
             t0 = time.perf_counter()
             cold_results = run_suite_parallel(stats=cold_stats, **kwargs)
@@ -416,7 +388,7 @@ def _measure_suite(cfg: BenchConfig) -> SuiteBench:
 
             warm.results = {}
             suite.warm = _min_of(
-                warm, cfg.repeats, cfg.warmup, label="suite:two-phase-warm"
+                warm, cfg.repeats, cfg.warmup, label="suite:warm"
             )
             suite.warm_stats = dict(warm_stats)
             suite.artifact_cache = {
@@ -429,8 +401,12 @@ def _measure_suite(cfg: BenchConfig) -> SuiteBench:
                     "misses": warm_stats.get("artifact_misses", 0),
                 },
             }
-            suite.bit_identical = (
-                legacy.results == cold_results == warm.results
+            suite.bit_identical = cold_results == warm.results and all(
+                result == run_benchmark(
+                    bench, coalescer=CoalescerKind(arm),
+                    n_accesses=cfg.n_accesses, seed=cfg.seed,
+                )
+                for (bench, arm), result in cold_results.items()
             )
         finally:
             if old_dir is None:
@@ -562,7 +538,7 @@ def run_bench(
         # stage timings, so the smoke baseline must carry them.
         say(f"[{bench}] stage legs...")
         report.stages[bench] = _measure_stages(bench, cfg)
-    say("[suite] two-phase pipeline vs per-job baseline...")
+    say("[suite] grid on a cold, then a warm artifact store...")
     report.suite = _measure_suite(cfg)
     report.rss_peak_kb = _peak_rss_kb()
     return report

@@ -35,13 +35,15 @@ def write_report(report: BenchReport, path: Union[str, Path]) -> Path:
 #: re-run per-phase split (``phases``,
 #: ``totals.fraction_of_end_to_end``); v4 drops that split and times
 #: the device legs as production runs them (per-packet ``submit``,
-#: then ``sync``) where v3 timed a bench-only window replay. The
+#: then ``sync``) where v3 timed a bench-only window replay; v5 drops
+#: the suite's per-job leg and the two ratios over it, and checks
+#: ``bit_identical`` against each cell's standalone run instead. The
 #: totals/end_to_end shape the throughput gate reads is unchanged, so
 #: older baselines still load; each stage gate skips baselines that
 #: predate its field, or its current leg definition
 #: (:data:`_RATIO_SINCE`).
 _SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3",
-            "repro-bench/4")
+            "repro-bench/4", "repro-bench/5")
 
 #: Stage ratios whose legs changed definition, and the first schema
 #: version that times the current one.
@@ -124,28 +126,19 @@ def render_report(report: BenchReport) -> str:
                 f"(isolated stage legs, min-of-N)"
             )
     suite = report.suite
-    if suite is not None and suite.legacy is not None:
-        warm_s = suite.warm.seconds if suite.warm else 0.0
+    if suite is not None and suite.warm is not None:
+        cold, warm = suite.artifact_cache["cold"], suite.artifact_cache["warm"]
         lines.append(
             f"  [suite] {suite.jobs} jobs "
             f"({len(suite.benchmarks)} benchmarks x {len(suite.arms)} arms), "
             f"{suite.workers} worker(s): "
-            f"per-job {suite.legacy.seconds:.3f}s, "
-            f"two-phase cold {suite.cold_seconds:.3f}s "
-            f"({suite.speedup_cold:.2f}x), "
-            f"warm {warm_s:.3f}s ({suite.speedup_warm:.2f}x)"
+            f"cold {suite.cold_seconds:.3f}s "
+            f"({cold['hits']} hit / {cold['misses']} miss), "
+            f"warm {suite.warm.seconds:.3f}s "
+            f"({warm['hits']} hit / {warm['misses']} miss)"
+            + ("" if suite.bit_identical else
+               " — WARNING: results NOT bit-identical")
         )
-        cache = suite.artifact_cache
-        if cache:
-            lines.append(
-                "  [suite] artifact cache: "
-                f"cold {cache['cold']['hits']} hit / "
-                f"{cache['cold']['misses']} miss, "
-                f"warm {cache['warm']['hits']} hit / "
-                f"{cache['warm']['misses']} miss"
-                + ("" if suite.bit_identical else
-                   " — WARNING: results NOT bit-identical")
-            )
     return "\n".join(lines)
 
 

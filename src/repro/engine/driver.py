@@ -17,6 +17,7 @@ bracket the run with ``run.start``/``run.end`` in the active event log.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
 
 from repro.config import SimulationConfig, TABLE1
@@ -74,12 +75,12 @@ def _log_run(spec: RunSpec, result: Optional[RunResult] = None) -> None:
 def run_spec(
     spec: RunSpec, faults=None, telemetry=None, spans=None
 ) -> RunResult:
-    """Run ``spec`` end to end: trace, cache pass, coalescer, device.
+    """Run ``spec`` end to end on one system: trace, cache pass,
+    coalescer, device, with live probes on the cache pass.
 
-    ``faults`` scopes injection as on :func:`run_benchmark`; the grid
-    runner's per-job path passes ``False``, so each run sits under a
-    fresh :class:`~repro.faults.NullInjector` (the suite-wide plan
-    targets its pool and store sites, not the run itself).
+    This is the path of :func:`run_benchmark`, and the reference every
+    arm of a grid (:func:`run_arm` over a shared prefix) equals.
+    ``faults`` scopes injection as on :func:`run_benchmark`.
     ``telemetry``/``spans`` hand in a live registry/recorder to fill;
     by default the spec's probe settings build fresh ones.
     """
@@ -97,9 +98,25 @@ def run_spec(
 def run_arm(spec: RunSpec, tp: "TracePass") -> RunResult:
     """Run the coalescer and device of ``spec`` over a shared prefix:
     ``tp`` is the trace + cache pass computed once for every arm of the
-    spec's benchmark mix, its packed raw stream the coalescer's input."""
+    spec's benchmark mix, its packed raw stream the coalescer's input.
+
+    A probe spec's arm folds in what the pass observed: its system is
+    built on a copy of ``tp.probes`` — the ``cache.*`` probes and the
+    recorder, bound to the spec seed with its span origins — so every
+    arm, retried or not, starts from its own copy and its telemetry and
+    spans equal those of its standalone :func:`run_spec`. A pass that
+    did not observe the spec's probe settings raises ``ValueError``.
+    """
+    telemetry, spans = copy.deepcopy(tp.probes) if tp.probes else (None, None)
+    if RunSpec.probe_settings(telemetry, spans) != {
+        "telemetry_window": spec.telemetry_window, "span_rate": spec.span_rate,
+    }:
+        raise ValueError(
+            "the trace pass did not observe this spec's probes; compute "
+            "it with compute_trace_pass(spec)"
+        )
     _log_run(spec)
-    result = spec.system().run_raw(
+    result = spec.system(telemetry=telemetry, spans=spans).run_raw(
         tp.raw,
         benchmark=tp.benchmark,
         n_accesses=tp.n_accesses,
@@ -188,18 +205,17 @@ def run_comparison(
     The one-benchmark view of
     :func:`~repro.engine.parallel.run_suite_parallel` at
     ``max_workers=1``, keyed by kind in ``kinds`` order. Every arm sees
-    the identical trace and raw request stream. With telemetry and
-    spans off (the common sweep configuration) the trace and the
+    the identical trace and raw request stream. The trace and the
     cache-hierarchy pass — both deterministic in (seed, config) and
-    independent of the coalescer arm — are computed once via the
-    content-addressed artifact cache (:mod:`repro.artifacts`) and
-    shared, which is bit-identical to regenerating them per arm; a
-    repeated comparison reloads the prefix from disk instead of
-    recomputing it (``use_artifact_cache=False`` opts out). When either
-    probe facility is on, each arm runs end-to-end so its registry /
-    recorder observes its own cache pass; a registry or recorder passed
-    in is a template — each arm gets a fresh one with its window or
-    sample rate. ``faults`` installs a process-scoped fault injector
+    independent of the coalescer arm — are computed once and shared,
+    which is bit-identical to regenerating them per arm. Without probes
+    the prefix goes through the content-addressed artifact cache
+    (:mod:`repro.artifacts`), so a repeated comparison reloads it from
+    disk (``use_artifact_cache=False`` opts out). With telemetry or
+    spans on, the shared pass carries what its probes observed into
+    every arm and skips the store; a registry or recorder passed in is
+    a template — each arm gets a fresh one with its window or sample
+    rate. ``faults`` installs a process-scoped fault injector
     for the duration of the comparison (the artifact-store sites are
     live on the cached path). ``engine`` is :func:`run_benchmark`'s
     oracle hook, applied to every arm and to the shared trace+cache

@@ -6,19 +6,24 @@ The paper's evaluation is a grid, benchmarks × coalescer arms.
 (one arm, several benchmarks) are views of it at ``max_workers=1``.
 Only the coalescer+device half differs between arms — the trace and the
 cache-hierarchy pass are deterministic in (seed, config) and identical
-across arms — so the grid runs in two phases:
+across arms — so every grid runs in two phases:
 
 * **Phase 1** computes each benchmark's trace + cache pass exactly once
-  (per benchmark, not per arm), consulting the content-addressed
-  artifact cache (:mod:`repro.artifacts`) so repeated suites skip the
-  prefix entirely. Each pass artifact is looked up once; a miss goes
-  straight to :func:`repro.artifacts.compute_and_store_trace_pass`.
+  (per benchmark, not per arm). Without probes it consults the
+  content-addressed artifact cache (:mod:`repro.artifacts`) so repeated
+  suites skip the prefix entirely: each pass artifact is looked up
+  once, and a miss goes straight to
+  :func:`repro.artifacts.compute_and_store_trace_pass`. With telemetry
+  or spans on, the pass is computed on probed front-end systems and
+  carries what they observed (:attr:`repro.artifacts.TracePass.probes`);
+  such a pass never touches the store.
 * **Phase 2** runs the (benchmark × arm) coalescer+device jobs over
-  each benchmark's raw stream — the packed array phase 1 produced. In
-  the parent (one worker) every arm reads the pass itself; on a pool
-  each stream is published once through
-  ``multiprocessing.shared_memory``, and each job copies it out of the
-  parent's pages instead of unpickling it.
+  each benchmark's raw stream — the packed array phase 1 produced —
+  through :func:`repro.engine.driver.run_arm`, which folds a copy of
+  the pass's probe state into each arm. In the parent (one worker)
+  every arm reads the pass itself; on a pool each stream is published
+  once through ``multiprocessing.shared_memory``, and each job copies
+  it out of the parent's pages instead of unpickling it.
 
 Every phase hands its jobs to one
 :meth:`repro.engine.supervisor.PoolSupervisor.run` call, at any worker
@@ -39,11 +44,12 @@ everything supervision did is reported on the
 ``stats["health"]``. Deterministic fault injection for all of the above
 lives in :mod:`repro.faults` (``$REPRO_FAULTS`` / ``faults=``).
 
-Every run still derives its RNG from ``(seed, benchmark)``, and probes
-(telemetry/spans) force the one-job-per-arm end-to-end path, so results
-are bit-identical across serial / pooled / cached / degraded execution.
-Every arm, on every path, is bracketed by ``run.start``/``run.end`` in
-the active event log (:mod:`repro.telemetry.events`).
+Every run still derives its RNG from ``(seed, benchmark)``, so results
+— telemetry and spans included — are bit-identical across serial /
+pooled / cached / degraded execution and equal each cell's standalone
+:func:`repro.engine.driver.run_benchmark`. Every arm is bracketed by
+``run.start``/``run.end`` in the active event log
+(:mod:`repro.telemetry.events`).
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SimulationConfig, TABLE1
-from repro.engine.driver import DEFAULT_ACCESSES, run_arm, run_spec
+from repro.engine.driver import DEFAULT_ACCESSES, run_arm
 from repro.engine.health import RunHealth
 from repro.engine.results import RunResult
 from repro.engine.supervisor import (
@@ -121,30 +127,14 @@ def _jobs(
     return [job(i, spec) for i, spec in enumerate(specs)]
 
 
-# --------------------------------------------------------------------- #
-# per-job path (probe runs, and explicit pipeline="per-job")
-
-
-def _run_one(args: tuple) -> RunResult:
-    spec, fault_ctx = args
-    with job_scope(fault_ctx, "perjob.job"):
-        # faults=False: the job-entry fault already fired above, and the
-        # run must not resolve $REPRO_FAULTS into a second
-        # (process-scoped) injector inside the worker.
-        return run_spec(spec, faults=False)
-
-
-# --------------------------------------------------------------------- #
-# two-phase path
-
-
 def _phase1_job(args: tuple):
     """Compute one benchmark's missed trace pass.
 
     ``compute`` is :func:`~repro.artifacts.compute_and_store_trace_pass`
-    (artifact writes happen in the job) or, with the cache off,
-    :func:`~repro.artifacts.compute_trace_pass`; from a pool worker the
-    packed stream returns to the parent as a single contiguous buffer.
+    (artifact writes happen in the job) or, with the cache off or
+    probes on, :func:`~repro.artifacts.compute_trace_pass`; from a pool
+    worker the packed stream returns to the parent as a single
+    contiguous buffer, with the pass's probe state pickled beside it.
     """
     spec, compute, fault_ctx = args
     with job_scope(fault_ctx, "phase1.job"):
@@ -194,7 +184,6 @@ def run_suite_parallel(
     extra_benchmarks: Sequence[str] = (),
     use_artifact_cache: bool = True,
     stats: Optional[dict] = None,
-    pipeline: str = "auto",
     faults=None,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -213,14 +202,11 @@ def run_suite_parallel(
     runs (:class:`ValueError`, :class:`TypeError`), and so does a bad
     supervision setting (below).
 
-    ``pipeline`` selects the execution strategy: ``"two-phase"`` (the
-    artifact-cached prefix-sharing pipeline described in the module
-    docstring), ``"per-job"`` (every job runs end-to-end — the pre-cache
-    behaviour), or ``"auto"`` (two-phase unless probes are on).
-    ``use_artifact_cache=False`` keeps the two-phase structure but skips
-    all cache reads/writes. ``stats``, if given a dict, is populated
-    with the phase timing split, artifact hit/miss counts, and a
-    JSON-safe ``"health"`` snapshot.
+    Every grid runs the two phases of the module docstring.
+    ``use_artifact_cache=False`` skips all cache reads/writes.
+    ``stats``, if given a dict, is populated with the phase timing
+    split, artifact hit/miss counts (``artifact_misses`` counts the
+    passes phase 1 computed), and a JSON-safe ``"health"`` snapshot.
 
     Self-healing: every job, at any worker count, gets bounded retries
     with deterministic backoff (``max_retries``/``backoff_base``, env
@@ -236,12 +222,17 @@ def run_suite_parallel(
     ``telemetry=True`` attaches a windowed-probe registry to each result
     (registries pickle back from workers bit-identically);
     ``spans=True`` (or an int sample rate) attaches a span trace the
-    same way — each job builds its own recorder, and sampling keys on
-    the raw-stream ordinal, so span sets are bit-identical to serial
-    runs. A registry or recorder passed in is a template: every job
-    gets a fresh one with its window or sample rate, at any worker
-    count. Probe runs must observe the cache pass, so they always take
-    the per-job path.
+    same way — sampling keys on the raw-stream ordinal, so span sets
+    are bit-identical to serial runs. Phase 1 observes each cache pass
+    once, and every arm folds its own copy of those probes and span
+    origins into a fresh registry and recorder, so each arm equals its
+    standalone :func:`~repro.engine.driver.run_benchmark`. A probe grid
+    reads no pass from the store and writes none back — a stored pass
+    holds no probe events — so it counts every pass as a miss, as with
+    the cache off. A registry or recorder passed in is a template:
+    every arm gets a fresh one with its window or sample rate, at any
+    worker count. Spans on the sortdmc arm raise ``ValueError`` before
+    anything runs.
 
     Suite/phase boundaries, supervisor retries/timeouts/rebuilds and
     transport demotions go to the active event log
@@ -259,8 +250,6 @@ def run_suite_parallel(
     shared across engines. Each job constructs its own ``System``
     inside its worker process.
     """
-    if pipeline not in ("auto", "two-phase", "per-job"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
     kinds = list(kinds)
     benchmarks = list(benchmarks)
     for axis, values in (("kinds", kinds), ("benchmarks", benchmarks)):
@@ -282,19 +271,11 @@ def run_suite_parallel(
         )
         for bench in benchmarks
     ]
-    # Built once, before anything runs: for_arm rejects a bad arm here.
+    # Built once, before anything runs: for_arm rejects a bad arm, or
+    # spans on an arm that records none, here.
     grid = _grid(specs, kinds)
     n_jobs = len(grid)
     workers = min(max_workers or os.cpu_count() or 2, n_jobs)
-    probes_on = bool(telemetry) or bool(spans)
-    two_phase = pipeline == "two-phase" or (
-        pipeline == "auto" and not probes_on
-    )
-    if probes_on and two_phase:
-        raise ValueError(
-            "pipeline='two-phase' cannot observe the cache pass — "
-            "telemetry/spans runs need pipeline='per-job' (or 'auto')"
-        )
 
     plan = resolve_plan(faults)
     spec_text = plan.to_spec() if plan is not None else ""
@@ -317,7 +298,6 @@ def run_suite_parallel(
 
     if stats is not None:
         stats.update(
-            pipeline="two-phase" if two_phase else "per-job",
             workers=workers,
             jobs=n_jobs,
             artifact_hits=0,
@@ -333,18 +313,17 @@ def run_suite_parallel(
             benchmarks=benchmarks,
             arms=[kind.value for kind in kinds],
             jobs=n_jobs,
-            pipeline="two-phase" if two_phase else "per-job",
             workers=workers,
         ))
     try:
         with installed(parent_injector):
-            if two_phase:
-                out = _run_two_phase(
-                    specs, grid, use_artifact_cache, stats, supervisor,
-                    spec_text, health,
-                )
-            else:
-                out = _run_per_job(grid, supervisor, spec_text, health)
+            # A stored pass holds no probe events: a probe grid computes
+            # every pass on probed front-ends and leaves the store alone.
+            out = _run_two_phase(
+                specs, grid,
+                use_artifact_cache and not (telemetry or spans),
+                stats, supervisor, spec_text, health,
+            )
     finally:
         supervisor.shutdown()
     health.completed = len(out)
@@ -497,32 +476,4 @@ def _run_two_phase(
     health.phase2_seconds = time.perf_counter() - t1
     if elog.enabled:
         elog.emit(ev.PhaseCompleted(phase="phase2", completed=len(out)))
-    return out
-
-
-def _run_per_job(
-    grid: Sequence[RunSpec],
-    supervisor: PoolSupervisor,
-    spec_text: str,
-    health: RunHealth,
-) -> Dict[Tuple[str, str], RunResult]:
-    """The pre-artifact-cache behaviour: every job runs end-to-end."""
-    t0 = time.perf_counter()
-    elog = ev.active()
-    if elog.enabled:
-        elog.emit(ev.PhaseStarted(phase="per-job", jobs=len(grid)))
-    results = supervisor.run(
-        _run_one,
-        _jobs(
-            grid, lambda spec: "/".join(_cell(spec)),
-            lambda spec, ctx: (spec, ctx), spec_text,
-        ),
-        # Re-run end-to-end in the parent, with the fault context
-        # stripped: the fallback rung is the recovery path.
-        fallback=lambda job: _run_one((job.key, None)),
-    )
-    out = {_cell(spec): result for spec, result in results.items()}
-    health.phase2_seconds = time.perf_counter() - t0
-    if elog.enabled:
-        elog.emit(ev.PhaseCompleted(phase="per-job", completed=len(out)))
     return out

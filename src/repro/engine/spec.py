@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 from repro.artifacts import store
 from repro.config import SimulationConfig, TABLE1
 from repro.core.protocols import MemoryProtocol
-from repro.engine.system import CoalescerKind, System
+from repro.engine.system import CoalescerKind, System, refuse_spans
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 
 
@@ -32,6 +32,8 @@ class RunSpec:
     settings — ``telemetry_window`` (cycles) and ``span_rate`` (one
     raw request in N), ``None`` for off — never as live objects: every
     :meth:`system` built from a spec gets a fresh registry and recorder.
+    Spans on the sortdmc arm fail here, so a grid rejects them before
+    anything runs.
     """
 
     benchmarks: Tuple[str, ...]
@@ -56,6 +58,8 @@ class RunSpec:
                 f"arm must be a CoalescerKind, got "
                 f"{type(self.arm).__name__} {self.arm!r}"
             )
+        if self.span_rate is not None:
+            refuse_spans(self.arm)
         if self.seed is None:
             object.__setattr__(self, "seed", self.config.seed)
         # Integers only, normalised to int: a float or str would run

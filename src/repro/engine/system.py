@@ -59,6 +59,15 @@ class CoalescerKind(enum.Enum):
 ENGINES = ("auto", "reference", "batched")
 
 
+def refuse_spans(kind: CoalescerKind) -> None:
+    """Raise :class:`ValueError` when arm ``kind`` cannot record spans."""
+    if kind is CoalescerKind.SORT:
+        raise ValueError(
+            f"coalescer={kind.value!r} records no spans; trace the pac, "
+            "dmc or none arm instead"
+        )
+
+
 class System:
     """One simulated node: cores + caches + coalescer + 3D-stacked memory."""
 
@@ -110,11 +119,8 @@ class System:
             self.spans = SpanRecorder(sample_rate=spans, seed=config.seed)
         else:
             self.spans = spans
-        if self.spans is not None and coalescer is CoalescerKind.SORT:
-            raise ValueError(
-                f"coalescer={coalescer.value!r} records no spans; trace "
-                "the pac, dmc or none arm instead"
-            )
+        if self.spans is not None:
+            refuse_spans(coalescer)
         span_rec = self.spans if self.spans is not None else NULL_SPANS
         batched = self.engine == "batched"
         if device == "hmc":
@@ -166,14 +172,10 @@ class System:
         # The hierarchy is built lazily: phase-2 pipeline jobs
         # (:meth:`run_raw`) consume a pre-computed raw stream and never
         # touch the caches, so they skip constructing per-core L1s + LLC
-        # entirely. Probe runs build it eagerly to keep the probe
-        # registration order (cache before coalescer) identical to the
-        # historical wiring.
+        # entirely.
         self._probes = probes
         self._span_rec = span_rec
         self._hierarchy: Optional[CacheHierarchy] = None
-        if self.telemetry is not None or self.spans is not None:
-            _ = self.hierarchy
         self.coalescer = self._build_coalescer(probes, span_rec)
 
     @property
@@ -303,38 +305,18 @@ class System:
     def run_trace(
         self, trace: AccessTrace, benchmark: str = "custom"
     ) -> RunResult:
-        """Push a translated trace through caches, coalescer, and memory."""
+        """Push a translated trace through caches, coalescer, and memory:
+        the cache pass, then :meth:`run_raw` over the stream it emits."""
         if self.fine_grain:
             raw = self.hierarchy.fine_grain_stream(trace).packed
         else:
             raw = self.hierarchy.process(trace).packed
-        cache_metrics = self.hierarchy.summary_metrics(len(raw))
-        trace_end = int(trace.cycles[-1]) if len(trace) else 0
-        outcome = self.coalescer.process(raw, self.device)
-        if self.engine == "batched":
-            # Merge the device's deferred window accounting before
-            # build_result reads its stats/energy surfaces.
-            self.device.sync()
-        span_trace = None
-        if self.spans is not None:
-            span_trace = self.spans.finalize(
-                benchmark=benchmark,
-                coalescer=self.kind.value,
-                n_accesses=len(trace),
-                n_raw=outcome.n_raw,
-                config_hash=self.config.config_hash(),
-            )
-        return build_result(
+        return self.run_raw(
+            raw,
             benchmark=benchmark,
-            coalescer_name=self.kind.value,
             n_accesses=len(trace),
-            outcome=outcome,
-            device=self.device,
-            trace_end_cycle=trace_end,
-            pac_metrics=self._pac_metrics(),
-            cache_metrics=cache_metrics,
-            telemetry=self.telemetry,
-            spans=span_trace,
+            trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
+            cache_metrics=self.hierarchy.summary_metrics(len(raw)),
         )
 
     def run_raw(
@@ -351,18 +333,26 @@ class System:
         This is the phase-2 entry point of the artifact pipeline: the
         trace and hierarchy pass happened elsewhere (possibly in another
         process, possibly last week), so the caller supplies the stream,
-        the trace geometry, and the hierarchy's summary metrics.
-        Telemetry and spans observe the cache pass, which this path
-        skips — probe runs must go end-to-end instead.
+        the trace geometry, and the hierarchy's summary metrics. Probes
+        and spans record what this half observes; what the cache pass
+        observed reaches them only through the registry and recorder
+        this system was built with (:func:`repro.engine.driver.run_arm`
+        hands in copies of the pass's own).
         """
-        if self.telemetry is not None or self.spans is not None:
-            raise ValueError(
-                "run_raw skips the cache pass, which telemetry/spans "
-                "probes must observe — use run_trace/run for probe runs"
-            )
         outcome = self.coalescer.process(raw, self.device)
         if self.engine == "batched":
+            # Merge the device's deferred window accounting before
+            # build_result reads its stats/energy surfaces.
             self.device.sync()
+        span_trace = None
+        if self.spans is not None:
+            span_trace = self.spans.finalize(
+                benchmark=benchmark,
+                coalescer=self.kind.value,
+                n_accesses=n_accesses,
+                n_raw=outcome.n_raw,
+                config_hash=self.config.config_hash(),
+            )
         return build_result(
             benchmark=benchmark,
             coalescer_name=self.kind.value,
@@ -372,8 +362,8 @@ class System:
             trace_end_cycle=trace_end_cycle,
             pac_metrics=self._pac_metrics(),
             cache_metrics=cache_metrics,
-            telemetry=None,
-            spans=None,
+            telemetry=self.telemetry,
+            spans=span_trace,
         )
 
     def _pac_metrics(self) -> Optional[dict]:

@@ -22,7 +22,10 @@ Spec grammar (``$REPRO_FAULTS`` and the ``faults=`` parameters)::
     site:kind@ordinal[xcount][;site:kind@ordinal[xcount]...]
 
 e.g. ``phase2.job:crash@0`` (the first phase-2 job's worker dies once)
-or ``artifact.get:corrupt@0x2;shm.publish:enospc@1``.
+or ``artifact.get:corrupt@0x2;shm.publish:enospc@1``. Every grid runs
+the same two phases, probe grids included, so the job sites are
+``phase1.job`` (a benchmark's trace + cache pass) and ``phase2.job``
+(one arm); any other site name fails at parse.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ ENV_FAULTS = "REPRO_FAULTS"
 SITES = {
     "phase1.job": ("crash", "hang", "transient", "pickle"),
     "phase2.job": ("crash", "hang", "transient", "pickle"),
-    "perjob.job": ("crash", "hang", "transient", "pickle"),
     "shm.attach": ("lost",),
     "shm.publish": ("enospc",),
     "artifact.get": ("corrupt",),

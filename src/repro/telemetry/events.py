@@ -125,7 +125,6 @@ class SuiteStarted(Event):
     benchmarks: List[str]
     arms: List[str]
     jobs: int
-    pipeline: str
     workers: int
 
 

@@ -1,10 +1,10 @@
-"""Two-phase suite pipeline vs legacy per-job: bit-identity and the
-parameter-passthrough contract.
+"""The grid pipeline: bit-identity and the parameter-passthrough
+contract.
 
-The artifact cache and the shared-memory fan-out are pure execution
-strategies — every RunResult they produce must equal the pre-cache
-per-job path field for field (dataclass ``==``, so telemetry timelines
-and span sets participate when attached).
+The artifact cache, the shared prefix and the shared-memory fan-out are
+pure execution strategies — every RunResult they produce must equal the
+cell's standalone ``run_benchmark`` field for field (dataclass ``==``,
+so telemetry timelines and span sets participate when attached).
 """
 
 from __future__ import annotations
@@ -34,68 +34,98 @@ def _suite(**overrides):
     return run_suite_parallel(**kwargs)
 
 
+def _assert_standalone(grid, kinds=KINDS, **kw):
+    """Every cell of ``grid`` equals its standalone ``run_benchmark``."""
+    assert sorted(grid) == sorted(
+        (bench, kind.value) for bench in BENCHES for kind in kinds
+    )
+    for (bench, kind_value), result in grid.items():
+        standalone = run_benchmark(
+            bench, coalescer=CoalescerKind(kind_value), n_accesses=N,
+            seed=SEED, **kw,
+        )
+        assert result == standalone, (bench, kind_value)
+
+
 class TestBitIdentity:
-    def test_legacy_cold_warm_agree(self):
-        legacy = _suite(pipeline="per-job", use_artifact_cache=False)
+    def test_cold_warm_agree_with_standalone(self):
         cold_stats: dict = {}
-        cold = _suite(pipeline="two-phase", stats=cold_stats)
+        cold = _suite(stats=cold_stats)
         warm_stats: dict = {}
-        warm = _suite(pipeline="two-phase", stats=warm_stats)
+        warm = _suite(stats=warm_stats)
         assert cold_stats["artifact_misses"] == len(BENCHES)
         assert warm_stats["artifact_hits"] == len(BENCHES)
         assert warm_stats["artifact_misses"] == 0
-        assert set(legacy) == set(cold) == set(warm)
-        for key in legacy:
-            assert legacy[key] == cold[key], key
-            assert legacy[key] == warm[key], key
+        assert cold == warm
+        _assert_standalone(cold)
 
     def test_cache_disabled_still_identical(self):
-        legacy = _suite(pipeline="per-job", use_artifact_cache=False)
-        uncached = _suite(pipeline="two-phase", use_artifact_cache=False)
-        for key in legacy:
-            assert legacy[key] == uncached[key], key
+        _assert_standalone(_suite(use_artifact_cache=False))
 
     def test_serial_two_phase_matches_pooled(self):
-        serial = _suite(max_workers=1, pipeline="two-phase")
-        pooled = _suite(max_workers=2, pipeline="two-phase")
+        serial = _suite(max_workers=1)
+        pooled = _suite(max_workers=2)
         for key in serial:
             assert serial[key] == pooled[key], key
 
     def test_matches_run_benchmark(self):
         """The suite runner is a fan-out of run_benchmark: each cell must
         equal the equivalent standalone call."""
-        out = _suite(pipeline="two-phase")
-        for (bench, kind_value), result in out.items():
-            standalone = run_benchmark(
-                bench,
-                coalescer=CoalescerKind(kind_value),
-                n_accesses=N,
-                seed=SEED,
-            )
-            assert result == standalone, (bench, kind_value)
+        _assert_standalone(_suite())
 
 
 class TestProbeRuns:
-    def test_auto_routes_probes_per_job(self):
+    def test_probe_grid_shares_the_pass_and_skips_the_store(self):
+        """A probe grid computes each pass once, on a probed front-end,
+        and neither reads nor writes the store — a warm gs entry
+        included: every pass counts as a miss, no store event is
+        logged, and the store keeps the entries it had."""
+        _suite(kinds=(CoalescerKind.NONE,), benchmarks=("gs",))  # warm gs
+        entries = len(list(get_store().entries()))
         stats: dict = {}
-        out = _suite(
-            kinds=(CoalescerKind.PAC,), benchmarks=("gs",),
-            telemetry=True, stats=stats,
-        )
-        assert stats["pipeline"] == "per-job"
-        assert out[("gs", "pac")].telemetry is not None
+        log = ev.EventLog()
+        with ev.installed(log):
+            out = _suite(telemetry=True, spans=True, stats=stats)
+        assert stats["artifact_hits"] == 0
+        assert stats["artifact_misses"] == len(BENCHES)
+        assert not [
+            d for d in log.records
+            if d["kind"] in ("cache.hit", "cache.miss", "cache.store")
+        ]
+        assert len(list(get_store().entries())) == entries
+        assert [
+            d["phase"] for d in log.records if d["kind"] == "phase.start"
+        ] == ["phase1", "phase2"]
+        _assert_standalone(out, telemetry=True, spans=True)
 
-    def test_two_phase_with_probes_is_an_error(self):
-        with pytest.raises(ValueError, match="telemetry/spans"):
-            _suite(telemetry=True, pipeline="two-phase")
-        with pytest.raises(ValueError, match="telemetry/spans"):
-            _suite(spans=True, pipeline="two-phase")
+    @pytest.mark.parametrize("probe_kw", [
+        dict(telemetry=True), dict(spans=True),
+        dict(telemetry=True, spans=1),
+    ], ids=["telemetry", "spans", "both"])
+    def test_prefix_runs_once_per_benchmark(self, monkeypatch, probe_kw):
+        """2 benchmarks x 3 arms with probes on: the cache pass runs
+        twice, once per benchmark, and every arm still equals its
+        standalone run."""
+        from repro.cache.batched import BatchedCacheHierarchy
+
+        calls = []
+        process = BatchedCacheHierarchy.process
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return process(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedCacheHierarchy, "process", counting)
+        kinds = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
+        out = _suite(kinds=kinds, max_workers=1, **probe_kw)
+        assert len(calls) == len(BENCHES)
+        _assert_standalone(out, kinds=kinds, **probe_kw)
 
     def test_probe_results_unaffected_by_warm_cache(self):
         """Telemetry and span runs must be bit-identical whether the
-        artifact cache is hot, cold, or off — they always observe their
-        own end-to-end pass."""
-        _suite(pipeline="two-phase")  # populate the cache
+        artifact cache is hot, cold, or off — their pass never comes
+        from the store."""
+        _suite()  # populate the cache
         warm = _suite(
             kinds=(CoalescerKind.PAC,), benchmarks=("gs",),
             telemetry=True, spans=True,
@@ -166,7 +196,7 @@ class TestArtifactLookups:
         to compute-and-store, which probes nothing."""
         log = ev.EventLog()
         with ev.installed(log):
-            _suite(max_workers=1, pipeline="two-phase")
+            _suite(max_workers=1)
         misses = [
             d["artifact"] for d in log.records if d["kind"] == "cache.miss"
         ]
@@ -188,8 +218,8 @@ class TestArtifactLookups:
 class TestStats:
     def test_stats_schema(self):
         stats: dict = {}
-        _suite(pipeline="two-phase", stats=stats)
-        assert stats["pipeline"] == "two-phase"
+        _suite(stats=stats)
+        assert "pipeline" not in stats
         assert stats["jobs"] == len(KINDS) * len(BENCHES)
         assert stats["workers"] >= 1
         assert stats["artifact_hits"] + stats["artifact_misses"] == len(BENCHES)
@@ -197,8 +227,14 @@ class TestStats:
         assert stats["phase2_seconds"] >= 0.0
 
     def test_unknown_pipeline_rejected(self):
-        with pytest.raises(ValueError, match="unknown pipeline"):
-            _suite(pipeline="three-phase")
+        """One pipeline: there is no knob to select another, so every
+        ``pipeline=`` value is rejected."""
+        assert "pipeline" not in inspect.signature(
+            run_suite_parallel
+        ).parameters
+        for name in ("three-phase", "per-job", "two-phase"):
+            with pytest.raises(TypeError, match="pipeline"):
+                _suite(pipeline=name)
 
 
 class TestFrontendEngineThreading:
@@ -226,11 +262,9 @@ class TestFrontendEngineThreading:
         serial phase 1 on the reference front-end, full RunResults."""
         ref = _suite(
             engine="reference", use_artifact_cache=False, max_workers=1,
-            pipeline="two-phase",
         )
         bat = _suite(
             engine="auto", use_artifact_cache=False, max_workers=2,
-            pipeline="two-phase",
         )
         assert set(ref) == set(bat)
         for key in ref:
@@ -241,13 +275,9 @@ class TestFrontendEngineThreading:
         engine-invariant): a prefix computed by one engine must serve
         warm runs of the other."""
         cold_stats: dict = {}
-        cold = _suite(
-            pipeline="two-phase", engine="reference", stats=cold_stats,
-        )
+        cold = _suite(engine="reference", stats=cold_stats)
         warm_stats: dict = {}
-        warm = _suite(
-            pipeline="two-phase", engine="batched", stats=warm_stats,
-        )
+        warm = _suite(engine="batched", stats=warm_stats)
         assert cold_stats["artifact_misses"] == len(BENCHES)
         assert warm_stats["artifact_hits"] == len(BENCHES)
         assert warm_stats["artifact_misses"] == 0
@@ -311,7 +341,7 @@ class TestParameterParity:
         the default and match the standalone call."""
         out = _suite(
             kinds=(CoalescerKind.PAC,), benchmarks=("stream",),
-            fine_grain=True, pipeline="two-phase",
+            fine_grain=True,
         )
         standalone = run_benchmark(
             "stream", coalescer=CoalescerKind.PAC, n_accesses=N, seed=SEED,

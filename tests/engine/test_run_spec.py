@@ -8,7 +8,9 @@ build specs must preserve.
   to the spec, so artifact keys stay identical.
 * **Probe templates** — a registry or recorder handed to a multi-run
   entry point is a template: every run gets a fresh one with the same
-  window or sample rate, so each result equals its standalone run.
+  window or sample rate, so each result equals its standalone run —
+  although a grid computes each benchmark's cache pass once and folds
+  what it observed into every arm.
 * **Fault scopes** — the ``demote`` events a fault plan causes, per
   execution path.
 """
@@ -35,6 +37,7 @@ SEED = 11
 BENCHES = ("gs", "bfs")
 WINDOW = 256
 RATE = 4
+ARMS = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
 
 
 class TestConstruction:
@@ -95,6 +98,22 @@ class TestConstruction:
         }[entry]
         with pytest.raises(TypeError, match="arm|coalescer"):
             call()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spans_on_sortdmc_fail_before_anything_runs(self, workers):
+        """The rule is checked where every grid spec is built: nothing
+        is logged as started, at any worker count."""
+        log = ev.EventLog()
+        with ev.installed(log), pytest.raises(ValueError, match="sortdmc"):
+            run_suite_parallel(
+                kinds=(CoalescerKind.PAC, CoalescerKind.SORT),
+                benchmarks=("gs", "stream"), n_accesses=N, spans=True,
+                max_workers=workers,
+            )
+        kinds = {d["kind"] for d in log.records}
+        assert not kinds & {"suite.start", "phase.start", "run.start"}
+        with pytest.raises(ValueError, match="sortdmc"):
+            RunSpec(("gs",), N, arm=CoalescerKind.SORT, span_rate=RATE)
 
     def test_hash_and_pickle_round_trip(self):
         spec = RunSpec(
@@ -163,11 +182,11 @@ def _templates():
     )
 
 
-def _standalone(bench: str, kind: CoalescerKind = CoalescerKind.PAC):
+def _standalone(bench: str, kind: CoalescerKind = CoalescerKind.PAC, **kw):
     registry, recorder = _templates()
     return run_benchmark(
         bench, coalescer=kind, n_accesses=N, seed=SEED,
-        telemetry=registry, spans=recorder,
+        telemetry=registry, spans=recorder, **kw,
     )
 
 
@@ -222,12 +241,83 @@ class TestProbeTemplates:
         for kind, result in trio.items():
             _assert_same_run(result, _standalone("gs", kind))
 
+    # Every arm of a probe grid equals its standalone run: the shared
+    # cache pass folds into each arm the probes and span origins the
+    # arm's own pass would have recorded.
+
+    @pytest.fixture(scope="class")
+    def standalone(self):
+        return {
+            (bench, kind.value): _standalone(bench, kind)
+            for bench in ("gs", "stream", "bfs") for kind in ARMS
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("store", ["cold", "warm", "off"])
+    def test_every_arm_and_benchmark(self, standalone, workers, store):
+        kw = dict(
+            kinds=ARMS, benchmarks=("gs", "stream", "bfs"), n_accesses=N,
+            seed=SEED, max_workers=workers,
+            use_artifact_cache=store != "off",
+        )
+        if store == "warm":
+            run_suite_parallel(**kw)  # the same grid's passes, stored
+        registry, recorder = _templates()
+        out = run_suite_parallel(telemetry=registry, spans=recorder, **kw)
+        assert sorted(out) == sorted(standalone)
+        for cell, result in out.items():
+            _assert_same_run(result, standalone[cell])
+
+    @pytest.mark.parametrize("device", ["hmc", "hbm", "ddr"])
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
+    def test_devices_and_engines(self, device, engine):
+        registry, recorder = _templates()
+        trio = run_comparison(
+            "gs", n_accesses=N, seed=SEED, device=device, engine=engine,
+            telemetry=registry, spans=recorder,
+        )
+        for kind, result in trio.items():
+            _assert_same_run(
+                result, _standalone("gs", kind, device=device, engine=engine)
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", [
+        {"fine_grain": True}, {"extra_benchmarks": ("bfs",)},
+    ], ids=["fine-grain", "co-run"])
+    def test_fine_grain_and_co_run(self, mode, workers):
+        registry, recorder = _templates()
+        out = run_suite_parallel(
+            kinds=ARMS, benchmarks=("gs", "stream"), n_accesses=N,
+            seed=SEED, max_workers=workers, telemetry=registry,
+            spans=recorder, **mode,
+        )
+        for (bench, arm), result in out.items():
+            _assert_same_run(
+                result, _standalone(bench, CoalescerKind(arm), **mode)
+            )
+
+    def test_run_arm_refuses_a_pass_without_the_probes(self):
+        """A stored pass holds no probe events: folding it into a probe
+        arm would silently drop the cache probes, so it raises."""
+        from repro.artifacts import compute_trace_pass
+        from repro.engine.driver import run_arm
+
+        spec = RunSpec(("gs",), N, seed=SEED, span_rate=RATE)
+        with pytest.raises(ValueError, match="probes"):
+            run_arm(spec, compute_trace_pass(replace(spec, span_rate=None)))
+        with pytest.raises(ValueError, match="probes"):
+            run_arm(spec, compute_trace_pass(replace(spec, span_rate=8)))
+        assert run_arm(spec, compute_trace_pass(spec)) == run_benchmark(
+            "gs", n_accesses=N, seed=SEED, spans=RATE,
+        )
+
 
 class TestDemoteCountsUnderFaults:
-    """``demote`` events per execution path under a suite fault plan.
-    No fault site sits inside an engine, so ``auto`` stays batched on
-    every path — including the two-phase one, which builds its
-    front-end and arm systems under the suite's injector."""
+    """``demote`` events under a suite fault plan. No fault site sits
+    inside an engine, so ``auto`` stays batched on every grid — plain
+    or probed, cached or not — although it builds its front-end and arm
+    systems under the suite's injector."""
 
     PLAN = "phase2.job:transient@0"
 
@@ -240,10 +330,10 @@ class TestDemoteCountsUnderFaults:
             )
         return sum(1 for r in log.records if r["kind"] == "demote")
 
-    def test_per_job_suite_parallel(self):
+    def test_probe_suite_parallel(self):
         assert self._demotes(
             run_suite_parallel, kinds=(CoalescerKind.PAC,), max_workers=1,
-            pipeline="per-job",
+            telemetry=True, spans=True,
         ) == 0
 
     def test_run_suite(self):
@@ -253,7 +343,7 @@ class TestDemoteCountsUnderFaults:
     def test_two_phase_serial(self, use_cache):
         assert self._demotes(
             run_suite_parallel, kinds=(CoalescerKind.PAC,), max_workers=1,
-            pipeline="two-phase", use_artifact_cache=use_cache,
+            use_artifact_cache=use_cache,
         ) == 0
 
     def test_no_plan_no_demotes(self):

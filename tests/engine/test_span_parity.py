@@ -78,16 +78,25 @@ class TestSpanParity:
         assert ref.telemetry.to_json() == auto.telemetry.to_json()
 
     def test_comparison(self):
-        ref, auto = (
-            run_comparison(
-                "gs", n_accesses=2000, seed=SEED, engine=engine, spans=True,
-                use_artifact_cache=False,
+        """Every arm of a span grid folds the origins of the one shared
+        cache pass, and equals its standalone run on either engine."""
+        for bench in ("gs", "stream", "bfs"):
+            ref, auto = (
+                run_comparison(
+                    bench, n_accesses=2000, seed=SEED, engine=engine,
+                    spans=True, use_artifact_cache=False,
+                )
+                for engine in ("reference", "auto")
             )
-            for engine in ("reference", "auto")
-        )
-        assert ref == auto
-        for kind, result in ref.items():
-            assert result.spans == auto[kind].spans
+            assert ref == auto
+            for kind, result in ref.items():
+                assert result.spans == auto[kind].spans
+                alone = run_benchmark(
+                    bench, coalescer=kind, n_accesses=2000, seed=SEED,
+                    spans=True,
+                )
+                assert alone == result, (bench, kind)
+                assert alone.spans == result.spans
 
     def test_exports_are_byte_identical(self, tmp_path):
         from repro.telemetry import write_perfetto, write_spans_csv

@@ -122,16 +122,27 @@ class TestTelemetryParity:
         assert ref.to_json() == bat.to_json()
 
     def test_comparison(self):
-        ref, auto = (
-            run_comparison(
-                "stream", n_accesses=2000, seed=SEED, engine=engine,
-                telemetry=True, use_artifact_cache=False,
+        """Every arm of a probe grid folds the ``cache.*`` probes of the
+        one shared cache pass, and equals its standalone run on either
+        engine, registry JSON included."""
+        for bench in ("gs", "stream", "bfs"):
+            ref, auto = (
+                run_comparison(
+                    bench, n_accesses=2000, seed=SEED, engine=engine,
+                    telemetry=True, use_artifact_cache=False,
+                )
+                for engine in ("reference", "auto")
             )
-            for engine in ("reference", "auto")
-        )
-        assert ref == auto
-        for kind, result in ref.items():
-            assert result.telemetry.to_json() == auto[kind].telemetry.to_json()
+            assert ref == auto
+            for kind, result in ref.items():
+                json_doc = result.telemetry.to_json()
+                assert json_doc == auto[kind].telemetry.to_json()
+                alone = run_benchmark(
+                    bench, coalescer=kind, n_accesses=2000, seed=SEED,
+                    telemetry=True,
+                )
+                assert alone == result, (bench, kind)
+                assert alone.telemetry.to_json() == json_doc
 
 
 def test_probe_buffers_fold_when_full(monkeypatch):

@@ -111,30 +111,56 @@ class TestChaosTwoPhase:
         assert not health["faults_enabled"]
 
 
-class TestChaosPerJob:
+@pytest.fixture(scope="module")
+def clean_probe_suite():
+    """Fault-free probe-grid results (telemetry and spans on): a probe
+    grid never touches the store, so no cache dir is needed."""
+    results, stats = _suite(False, telemetry=True, spans=True)
+    assert stats["health"]["events"] == 0
+    return results
+
+
+class TestChaosProbeGrid:
+    """A probe grid runs the same two phases: its phase-1 jobs carry the
+    probe state of each cache pass, and a recovered grid still equals
+    the clean one, telemetry and spans included."""
+
     @pytest.mark.parametrize(
         "spec,kw",
         [
-            ("perjob.job:crash@0", {}),
-            ("perjob.job:transient@1", {}),
-            ("perjob.job:pickle@0", {}),
-            ("perjob.job:hang@0", {"job_timeout": 2.0}),
+            ("phase2.job:crash@0", {}),
+            ("phase2.job:transient@1", {}),
+            ("phase2.job:pickle@0", {}),
+            ("phase2.job:hang@0", {"job_timeout": 2.0}),
+            ("phase1.job:crash@0", {}),
+            ("phase1.job:transient@1", {}),
+            ("phase1.job:pickle@0", {}),
+            ("phase1.job:hang@0", {"job_timeout": 2.0}),
             # Serial parent path: destructive kinds are inert, transient
             # retried in-process.
-            ("perjob.job:transient@1", {"max_workers": 1}),
-            ("perjob.job:crash@0", {"max_workers": 1}),
+            ("phase2.job:transient@1", {"max_workers": 1}),
+            ("phase1.job:crash@0", {"max_workers": 1}),
         ],
         ids=[
             "crash", "transient", "pickle", "hang",
-            "serial-transient", "serial-crash-inert",
+            "phase1-crash", "phase1-transient", "phase1-pickle",
+            "phase1-hang", "serial-transient", "serial-crash-inert",
         ],
     )
-    def test_recovers_bit_identical(self, spec, kw, clean_suite):
-        results, stats = _suite(spec, pipeline="per-job", **kw)
+    def test_recovers_bit_identical(self, spec, kw, clean_probe_suite):
+        results, stats = _suite(spec, telemetry=True, spans=True, **kw)
         health = stats["health"]
-        assert results == clean_suite
+        assert results == clean_probe_suite
+        for key, result in results.items():
+            assert result.telemetry.to_json() == (
+                clean_probe_suite[key].telemetry.to_json()
+            ), key
         assert health["healthy"]
         assert health["retries"] <= MAX_RETRIES * health["jobs"]
+        # Every fault fired and was recovered from, except a crash in
+        # the parent, which is inert.
+        inert = ":crash" in spec and kw.get("max_workers") == 1
+        assert (health["events"] == 0) == inert
 
 
 class TestChaosOneWorker:

@@ -49,13 +49,18 @@ class TestGrammar:
     def test_parse_with_count_and_separators(self):
         plan = FaultPlan.parse(
             " artifact.get:corrupt@1x2 ; shm.publish:enospc@0 ,"
-            " perjob.job:hang@3 ;"
+            " phase1.job:hang@3 ;"
         )
         assert plan.specs == (
             FaultSpec("artifact.get", "corrupt", 1, 2),
             FaultSpec("shm.publish", "enospc", 0, 1),
-            FaultSpec("perjob.job", "hang", 3, 1),
+            FaultSpec("phase1.job", "hang", 3, 1),
         )
+
+    def test_per_job_site_is_gone(self):
+        """Every grid runs the two phases, so there is no per-job site."""
+        with pytest.raises(ValueError, match="unknown fault site"):
+            FaultPlan.parse("perjob.job:transient@0")
 
     def test_parse_empty_is_falsy(self):
         assert not FaultPlan.parse("")

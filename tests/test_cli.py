@@ -55,6 +55,34 @@ class TestRunCommands:
         with pytest.raises(SystemExit):
             main(["run", "doom"])
 
+    def test_reader_closing_the_pipe_is_quiet(self):
+        """``repro ... | head -1``: once the reader has gone, the rest of
+        the output is dropped, with no traceback. The output (~0.8 MB)
+        outgrows the pipe buffer, so the CLI writes after the close."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(
+            os.environ, REPRO_ARTIFACT_CACHE="0",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--accesses", "2000", "compare",
+             "gs", "--json", "--telemetry", "--spans"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert first == b"{\n"
+        assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
     @pytest.mark.parametrize("env, text", [
         ("REPRO_MAX_RETRIES", "three"),
         ("REPRO_JOB_TIMEOUT", "soon"),
@@ -110,8 +138,13 @@ class TestBenchCommand:
             [*self.ARGS, "--out", str(out), "--baseline", str(out)]
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-bench/4"
+        assert doc["schema"] == "repro-bench/5"
         assert "phases" not in doc
+        suite = doc["suite"]
+        assert suite["bit_identical"]
+        for gone in ("legacy", "speedup_cold", "speedup_warm"):
+            assert gone not in suite, gone
+        assert suite["artifact_cache"]["warm"]["hits"] == 1
         legs = doc["stages"]["gs"]
         for stage in STAGES:
             for leg in (stage, f"{stage}_reference"):
