@@ -103,7 +103,7 @@ def _run(argv) -> int:
     parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for suite-scale commands "
-             "(default: CPU count; 1 forces serial)",
+             "(default: the CPUs this process may use; 1 forces serial)",
     )
     parser.add_argument(
         "--no-artifact-cache", action="store_true", dest="no_artifact_cache",

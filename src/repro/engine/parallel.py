@@ -98,6 +98,15 @@ _BENCH_COST = {
 _ARM_COST = {"pac": 3.0, "sortdmc": 2.0, "dmc": 1.5, "none": 1.0}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (``taskset`` and cpusets shrink it below
+    ``os.cpu_count()``), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 2
+
+
 def _bench_cost(spec: RunSpec) -> float:
     return _BENCH_COST.get(spec.benchmarks[0], 2.0)
 
@@ -193,7 +202,7 @@ def run_suite_parallel(
     """Run every (benchmark, kind) pair concurrently, supervised.
 
     Returns ``{(benchmark, kind.value): RunResult}``. ``max_workers``
-    defaults to the CPU count; pass 1 to run every job in the parent
+    defaults to :func:`usable_cpus`; pass 1 to run every job in the parent
     (useful under debuggers and in constrained CI). The supervisor gets
     ``min(max_workers, jobs)`` workers — the value ``stats["workers"]``
     reports — so a one-job grid runs in the parent too. An empty or
@@ -275,7 +284,7 @@ def run_suite_parallel(
     # spans on an arm that records none, here.
     grid = _grid(specs, kinds)
     n_jobs = len(grid)
-    workers = min(max_workers or os.cpu_count() or 2, n_jobs)
+    workers = min(max_workers or usable_cpus(), n_jobs)
 
     plan = resolve_plan(faults)
     spec_text = plan.to_spec() if plan is not None else ""

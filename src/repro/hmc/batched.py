@@ -6,28 +6,38 @@ arithmetic (link serialization, crossbar routing, vault admission, bank
 busy-until) is unchanged — it is the feedback loop the coalescer's MSHR
 release heap depends on, so each packet's completion cycle must be
 available immediately — but every observable side effect (StatsRegistry
-counters, the latency accumulator, EnergyModel charges) lands in a flat
-window accumulator and is merged into the shared registries once per
-:meth:`sync`, not once per packet. :meth:`submit` — the
-:class:`repro.mshr.dmc.MemoryDevice` protocol method the coalescer
-drives — keeps the reference's timing maths and replaces its
-per-packet counter/energy/accumulator writes with indexed increments
-on one local list.
+counters, the latency accumulator, EnergyModel charges) is deferred and
+merged into the shared registries once per :meth:`sync`, not once per
+packet.
 
-**Bit-identity.** The merged totals equal the reference's per-packet
-accumulation bitwise: six of the seven energy categories carry
-integer-valued pJ constants, so summing integer quantities and
-multiplying once is exact below 2**53. DRAM-TRANSFER (1.2 pJ/byte is
-not exactly representable) is the one category that cannot defer — a
-window-merged partial sum rounds differently from the reference's
-running total once that total is nonzero — so it alone is charged live
-per packet, in packet order, exactly as the reference charges it.
-Latency samples are integral floats, covered by the same exactness
-argument ``Accumulator.add_repeat`` documents (counts and sums stay
-exact integers until the merge). Structural state (link/vault/bank
-busy horizons, bank
-access counts, the round-robin cursor) is shared live with the parent,
-so residual state matches the reference after every packet.
+**Class counts.** Most of a packet's accounting is fixed by its
+*class*: its (size, op) pair, whether its crossbar hop is local or
+remote, and whether it takes the inline single-row DRAM access. Per
+packet, :meth:`submit` therefore does only what depends on timing — the
+queue wait, the response-slot cycles, the bank conflicts and the
+latency total, sum of squares, minimum and maximum — plus one count per
+class: a per-(size, op) record of ``[request FLITs, response FLITs,
+local single-row, remote single-row, local multi-row, remote multi-row]``.
+The multi-row fallback's row count depends on the address, so it adds
+its rows live. :meth:`sync` derives the rest from the class counts:
+packets, payload, transaction bytes, FLITs, local/remote routes and
+their FLITs, admissions (one per packet), request-slot cycles (the
+queue wait plus ``VAULT_CTRL_CYCLES + 1`` per packet), activations,
+rows and the energy quantities.
+
+**Bit-identity.** Every derived quantity is an exact integer, so it
+equals the reference's per-packet sum whatever the summation order.
+Six of the seven energy categories carry integer-valued pJ constants,
+so multiplying a merged integer quantity once is exact below 2**53.
+DRAM-TRANSFER (1.2 pJ/byte is not exactly representable) is the one
+category that cannot defer — a merged partial sum rounds differently
+from the reference's running total once that total is nonzero — so it
+alone is charged live per packet, in packet order, exactly as the
+reference charges it. Latency samples are integers too, covered by the
+argument ``Accumulator.add_repeat`` documents. Structural state
+(link/vault/bank busy horizons, bank access counts, the round-robin
+cursor) is shared live with the parent, so residual state matches the
+reference after every packet.
 
 **Telemetry probes.** With an enabled registry the twin records every
 probe event the reference records — same probes, cycles and values —
@@ -37,7 +47,7 @@ a column reaches :data:`~repro.telemetry.FOLD_EVENTS` and at every
 :meth:`sync`. The one float probe, ``energy_pj``, is a difference of
 the running :attr:`EnergyModel.total_pj`, which sums all seven
 categories; so in probe runs every category is charged live per packet
-as the reference charges it (the window's energy quantities are then
+as the reference charges it (the derived energy quantities are then
 dropped at :meth:`sync`), and the float amounts fold one at a time in
 packet order.
 
@@ -52,7 +62,7 @@ keeps only packets that carry a tracked request.
 from __future__ import annotations
 
 from math import inf
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.types import HMC_CONTROL_OVERHEAD_BYTES, MemOp
 from repro.config import HMCConfig
@@ -66,36 +76,21 @@ from repro.hmc.link import CYCLES_PER_FLIT
 from repro.hmc.vault import VAULT_CTRL_CYCLES
 from repro.telemetry import FOLD_EVENTS, ProbeBuffer
 
-#: Window-accumulator slots — all integer counts. DRAM-TRANSFER is
-#: deliberately absent: its pJ constant (1.2) is not exactly
-#: representable, so it charges live per packet (see module docstring).
-(
-    _W_PACKETS,
-    _W_PAYLOAD,
-    _W_REQ_FLITS,
-    _W_RSP_FLITS,
-    _W_LOCAL,
-    _W_REMOTE,
-    _W_LOCAL_FLITS,
-    _W_REMOTE_FLITS,
-    _W_ADMITTED,
-    _W_QWAIT,
-    _W_RQST_SLOT,
-    _W_RSP_SLOT,
-    _W_CONFLICTS,
-    _W_ACTIVATIONS,
-    _W_ACT_ROWS,
-) = range(15)
+#: Class-record slots: the (size, op) pair's FLIT counts, then one count
+#: per route x DRAM-path class. A multi-row slot sits two after its
+#: single-row twin.
+_REQ_FLITS, _RSP_FLITS = 0, 1
+_LOCAL_ROW, _REMOTE_ROW, _LOCAL_ROWS, _REMOTE_ROWS = range(2, 6)
 
-_W_SLOTS = 15
-
-
-def _fresh_window() -> List[int]:
-    return [0] * _W_SLOTS
+#: Live per-packet sums: the integer quantities that depend on timing
+#: (or, for the multi-row rows, on the address).
+_W_QWAIT, _W_RSP_SLOT, _W_CONFLICTS, _W_MULTI_ROWS, _W_LAT, _W_LAT_SQ = (
+    range(6)
+)
 
 
 class BatchedHMCDevice(HMCDevice):
-    """HMCDevice with deferred window accounting (the back-end engine)."""
+    """HMCDevice with class-count accounting (the back-end engine)."""
 
     def __init__(
         self,
@@ -104,9 +99,12 @@ class BatchedHMCDevice(HMCDevice):
         spans=None,
     ) -> None:
         super().__init__(config, probes=probes, spans=spans)
-        self._w = _fresh_window()
-        # Deferred latency accumulator: [count, total, min, max, sumsq].
-        self._w_lat: List = [0, 0, inf, -inf, 0]
+        #: Class records by packet size, one table per op direction.
+        self._classes_load: Dict[int, List[int]] = {}
+        self._classes_store: Dict[int, List[int]] = {}
+        self._w = [0] * 6
+        #: The window's latency extremes.
+        self._w_lat: List = [inf, -inf]
         if self._probes_on:
             self._init_probe_buffer()
 
@@ -140,7 +138,8 @@ class BatchedHMCDevice(HMCDevice):
 
         The returned completion cycle (and all busy-horizon state) is
         bit-identical to :meth:`HMCDevice.submit`; the counter /
-        energy / latency effects sit in the window until :meth:`sync`.
+        energy / latency effects wait in the class counts and the live
+        sums until :meth:`sync`.
         """
         size = packet.size
         if size > self._max_packet_bytes:
@@ -149,13 +148,13 @@ class BatchedHMCDevice(HMCDevice):
                 f"{self._max_packet_bytes}B"
             )
         is_store = packet.op == MemOp.STORE
-        flit_cache = self._flits_store if is_store else self._flits_load
-        flits = flit_cache.get(size)
-        if flits is None:
+        classes = self._classes_store if is_store else self._classes_load
+        counts = classes.get(size)
+        if counts is None:
             flits = self._flits_for(size, is_store)
-            flit_cache[size] = flits
-        req_flits = flits.request
-        rsp_flits = flits.response
+            counts = classes[size] = [flits.request, flits.response, 0, 0, 0, 0]
+        req_flits = counts[_REQ_FLITS]
+        rsp_flits = counts[_RSP_FLITS]
         addr = packet.addr
         single_row = False
         if self._am_vault_first and addr >= 0:
@@ -188,20 +187,17 @@ class BatchedHMCDevice(HMCDevice):
             start = cycle
         t = start + req_flits * CYCLES_PER_FLIT
         req_busy[link] = t
-        w[_W_REQ_FLITS] += req_flits
 
-        # 2. Crossbar routing (energy deferred as FLIT counts).
+        # 2. Crossbar routing.
         local = vault // self._vaults_per_link == link
         if local:
             t += LOCAL_ROUTE_CYCLES
-            w[_W_LOCAL] += 1
-            w[_W_LOCAL_FLITS] += req_flits + rsp_flits
+            route_class = _LOCAL_ROW
         else:
             t += REMOTE_ROUTE_CYCLES
-            w[_W_REMOTE] += 1
-            w[_W_REMOTE_FLITS] += req_flits + rsp_flits
+            route_class = _REMOTE_ROW
 
-        # 3. Vault admission (slot cycles deferred as an int sum).
+        # 3. Vault admission.
         arrival_at_vault = t
         vault_busy = self._vault_busy
         start = vault_busy[vault]
@@ -209,16 +205,15 @@ class BatchedHMCDevice(HMCDevice):
             start = t
         t = start + VAULT_CTRL_CYCLES
         vault_busy[vault] = t
-        w[_W_ADMITTED] += 1
         wait = start - arrival_at_vault
         if wait > 0:
             w[_W_QWAIT] += wait
-        w[_W_RQST_SLOT] += t - arrival_at_vault + 1
         dram_start = t
 
-        # 4. DRAM access. The multi-row fallback writes its counters
-        # straight through BankArray.access — counter addition commutes,
-        # so the post-sync totals still match the reference exactly.
+        # 4. DRAM access. The multi-row fallback writes its conflict and
+        # activation counters straight through BankArray.access —
+        # counter addition commutes, so the post-sync totals still match
+        # the reference exactly.
         if single_row:
             busy_until = self._bank_busy_until
             busy = busy_until.get(vb, 0)
@@ -229,14 +224,15 @@ class BatchedHMCDevice(HMCDevice):
                 start = t
             end = start + self._bank_cycles
             busy_until[vb] = end
-            counts = self._bank_counts
-            counts[vb] = counts.get(vb, 0) + 1
-            w[_W_ACTIVATIONS] += 1
+            bank_counts = self._bank_counts
+            bank_counts[vb] = bank_counts.get(vb, 0) + 1
+            counts[route_class] += 1
             t = end
             n_rows = 1
         else:
             t, n_rows = self.banks.access(addr, size, t, vb0=vb)
-        w[_W_ACT_ROWS] += n_rows
+            counts[route_class + 2] += 1
+            w[_W_MULTI_ROWS] += n_rows
         # Charged live, in packet order: see the module docstring.
         self._pj_store["DRAM-TRANSFER"] += size * self._pj_dram_transfer
 
@@ -249,25 +245,20 @@ class BatchedHMCDevice(HMCDevice):
             start = response_ready
         completion = start + rsp_flits * CYCLES_PER_FLIT
         rsp_busy[link] = completion
-        w[_W_RSP_FLITS] += rsp_flits
         w[_W_RSP_SLOT] += completion - t + 1
 
-        # Accounting, deferred.
-        w[_W_PACKETS] += 1
-        w[_W_PAYLOAD] += size
         latency = completion - cycle
-        lat = self._w_lat
-        lat[0] += 1
-        lat[1] += latency
-        lat[4] += latency * latency
-        if latency < lat[2]:
-            lat[2] = latency
-        if latency > lat[3]:
-            lat[3] = latency
+        w[_W_LAT] += latency
+        w[_W_LAT_SQ] += latency * latency
+        extremes = self._w_lat
+        if latency < extremes[0]:
+            extremes[0] = latency
+        if latency > extremes[1]:
+            extremes[1] = latency
 
         if probes_on:
             # Probe runs charge the six integer-pJ categories live too
-            # (sync drops their window quantities), so energy_pj sees
+            # (sync drops their derived quantities), so energy_pj sees
             # the reference's running total after every packet.
             pj_store = self._pj_store
             pj_store["VAULT-RQST-SLOT"] += (
@@ -322,61 +313,79 @@ class BatchedHMCDevice(HMCDevice):
     # -- merge point -------------------------------------------------------- #
 
     def sync(self) -> None:
-        """Merge the window accumulator into the shared registries.
+        """Merge the class counts and live sums into the shared
+        registries, then zero them.
 
-        Counter merges are integer sums (order-free, exact); integer-pJ
-        energy categories multiply their deferred quantity once (exact
-        below 2**53); the latency accumulator merges exact-integer
-        window sums. DRAM-TRANSFER never appears here — it charged
-        live, per packet (see module docstring). Idempotent when the
-        window is empty. Folds the buffered probe events too; in probe
-        runs the energy was charged live, so the window's energy
-        quantities are dropped instead of merged.
+        Every merged quantity is an exact integer (module docstring):
+        counters add it, integer-pJ energy categories multiply it once,
+        and the latency accumulator takes the window's count (its
+        packets), sums and extremes. DRAM-TRANSFER never appears here —
+        it charged live, per packet. Idempotent when nothing was
+        submitted since the last sync. Folds the buffered probe events
+        too; in probe runs the energy was charged live, so the derived
+        energy quantities are dropped instead of merged.
         """
+        packets = payload = req_flits = rsp_flits = 0
+        local = remote = local_flits = remote_flits = one_row = 0
+        for classes in (self._classes_load, self._classes_store):
+            for size, counts in classes.items():
+                req, rsp, local_row, remote_row, local_rows, remote_rows = (
+                    counts
+                )
+                n_local = local_row + local_rows
+                n_remote = remote_row + remote_rows
+                n = n_local + n_remote
+                packets += n
+                payload += size * n
+                req_flits += req * n
+                rsp_flits += rsp * n
+                local += n_local
+                remote += n_remote
+                local_flits += (req + rsp) * n_local
+                remote_flits += (req + rsp) * n_remote
+                one_row += local_row + remote_row
+                counts[_LOCAL_ROW:] = (0, 0, 0, 0)
         w = self._w
-        self._c_packets.value += w[_W_PACKETS]
-        self._c_payload.value += w[_W_PAYLOAD]
-        self._c_txbytes.value += (
-            w[_W_PAYLOAD] + HMC_CONTROL_OVERHEAD_BYTES * w[_W_PACKETS]
-        )
-        self._c_local_routes.value += w[_W_LOCAL]
-        self._c_remote_routes.value += w[_W_REMOTE]
-        self._lc_req_flits.value += w[_W_REQ_FLITS]
-        self._lc_rsp_flits.value += w[_W_RSP_FLITS]
-        self._vc_admitted.value += w[_W_ADMITTED]
+        self._c_packets.value += packets
+        self._c_payload.value += payload
+        self._c_txbytes.value += payload + HMC_CONTROL_OVERHEAD_BYTES * packets
+        self._c_local_routes.value += local
+        self._c_remote_routes.value += remote
+        self._lc_req_flits.value += req_flits
+        self._lc_rsp_flits.value += rsp_flits
+        self._vc_admitted.value += packets
         self._vc_queue_wait.value += w[_W_QWAIT]
         self._bc_conflicts.value += w[_W_CONFLICTS]
-        self._bc_activations.value += w[_W_ACTIVATIONS]
+        self._bc_activations.value += one_row
         if self._probes_on:
             self._probe_buf.fold()
         else:
             pj_store = self._pj_store
             pj_store["VAULT-RQST-SLOT"] += (
-                w[_W_RQST_SLOT] * self._pj_rqst_slot
+                (w[_W_QWAIT] + packets * (VAULT_CTRL_CYCLES + 1))
+                * self._pj_rqst_slot
             )
             pj_store["VAULT-RSP-SLOT"] += w[_W_RSP_SLOT] * self._pj_rsp_slot
-            pj_store["VAULT-CTRL"] += w[_W_PACKETS] * self._pj_vault_ctrl
-            pj_store["LINK-LOCAL-ROUTE"] += (
-                w[_W_LOCAL_FLITS] * self._pj_link_local
-            )
+            pj_store["VAULT-CTRL"] += packets * self._pj_vault_ctrl
+            pj_store["LINK-LOCAL-ROUTE"] += local_flits * self._pj_link_local
             pj_store["LINK-REMOTE-ROUTE"] += (
-                w[_W_REMOTE_FLITS] * self._pj_link_remote
+                remote_flits * self._pj_link_remote
             )
             pj_store["DRAM-ACTIVATE"] += (
-                w[_W_ACT_ROWS] * self._pj_dram_activate
+                (one_row + w[_W_MULTI_ROWS]) * self._pj_dram_activate
             )
-        lat = self._w_lat
-        if lat[0]:
+        if packets:
             acc = self._acc_latency
-            acc.count += lat[0]
-            acc.total += lat[1]
-            acc._sumsq += lat[4]
-            if lat[2] < acc.min:
-                acc.min = lat[2]
-            if lat[3] > acc.max:
-                acc.max = lat[3]
-        self._w = _fresh_window()
-        self._w_lat = [0, 0, inf, -inf, 0]
+            acc.count += packets
+            acc.total += w[_W_LAT]
+            acc._sumsq += w[_W_LAT_SQ]
+            low, high = self._w_lat
+            if low < acc.min:
+                acc.min = low
+            if high > acc.max:
+                acc.max = high
+        self._w = [0] * 6
+        self._w_lat = [inf, -inf]
 
 
 class BatchedHBMDevice(BatchedHMCDevice):

@@ -19,14 +19,31 @@ stall clears. ``stall_cycles`` accumulates the total exposed queueing
 delay (entry time minus trace arrival time); the run's effective runtime
 is the later of the trace end and the last memory response, which is
 what the Figure 15 performance comparison uses.
+
+Flat in-flight state
+--------------------
+Neither arm builds :class:`~repro.mshr.entry.MSHREntry` objects: within a
+run nothing reads an entry's subentries, slot number or allocation
+cycle back. The null arm never merges, so its MSHR file is a heap of
+release cycles and its occupancy is the heap's size. The DMC arm keeps
+one ``[op, release, n_sub, line]`` record per in-flight entry (the
+merged misses are a count), a line -> slot index, a ``(release, slot)``
+heap and the in-flight subentry total that the CAM comparison count
+reads. The index holds a line's latest entry: a load and a store to one
+line take separate slots, and the older one drops out of the index.
+Every entry is scheduled for release once, when its packet is
+submitted, so the heaps hold no stale slots.
+:class:`~repro.mshr.file.MSHRFile` stays the reference:
+``tests/mshr/test_flat_arms.py`` holds both arms equal to a
+per-request loop over its public methods.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from heapq import heappush
-from typing import List, Protocol
+from heapq import heappop, heappush
+from typing import Dict, List, Protocol, Tuple
 
 import numpy as np
 
@@ -39,8 +56,6 @@ from repro.common.types import (
     MemOp,
     new_packet,
 )
-from repro.mshr.entry import new_entry
-from repro.mshr.file import MSHRFile
 from repro.telemetry import NULL_SPANS, NULL_TELEMETRY
 
 
@@ -153,7 +168,9 @@ class NullCoalescer(Coalescer):
         self, n_mshrs: int = 16, probes=NULL_TELEMETRY, spans=NULL_SPANS
     ) -> None:
         super().__init__("null")
-        self.mshrs = MSHRFile(n_mshrs, name="null.mshr")
+        if n_mshrs <= 0:
+            raise ValueError("need at least one MSHR")
+        self.n_mshrs = n_mshrs
         self._probes_on = probes.enabled
         self._t_occupancy = probes.scope("mshr").gauge("occupancy")
         self._spans = spans
@@ -161,101 +178,77 @@ class NullCoalescer(Coalescer):
 
     def process(self, raw, memory) -> CoalesceOutcome:
         out = CoalesceOutcome()
-        entry_clock = 0
         spans = self._spans
         spans_on = self._spans_on
-        mshrs = self.mshrs
         probes_on = self._probes_on
+        observe_occupancy = self._t_occupancy.observe
+        n_mshrs = self.n_mshrs
         submit = memory.submit
         issued_append = out.issued.append
         atomic_op = int(MemOp.ATOMIC)
         fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
-        # Peek at the release heap before calling advance: a no-release
-        # advance has no side effects, and most cycles have none due.
-        # Allocation and release scheduling are inlined below (same state
-        # transitions as MSHRFile.allocate / schedule_release, which stay
-        # canonical for direct users): the line address is aligned by
-        # construction, so the file's alignment check is redundant here.
-        release_heap = mshrs._release_heap
-        slots = mshrs._slots
-        line_index = mshrs._line_index
-        next_slot = mshrs._next_slot
-        c_allocations = mshrs._c_allocations
-        n_entries = mshrs.n_entries
-        # Outcome counters run as locals (a per-request dataclass
-        # attribute update costs a dict store each); written back below.
+        releases: List[int] = []  # the MSHR file (module docstring)
+        entry_clock = 0
+        # Outcome fields run as locals and are added to ``out`` at the
+        # end, on top of what the atomic path wrote there directly.
         stall_cycles = 0
         n_issued = 0
-        last_completion = out.last_completion_cycle
+        last_completion = 0
         raw_service = 0
-        raw_serviced = 0
         addrs, sizes, ops, cores, cycles = columns(raw)
         for rid, (addr, op, cycle) in enumerate(zip(addrs, ops, cycles)):
             now = cycle if cycle > entry_clock else entry_clock
             if op == atomic_op:
                 if spans_on:
                     spans.admit(rid, addr, cores[rid], op, cycle, now)
-                # _submit_atomic works on `out` directly: sync the local
-                # counters around it (atomics are rare).
-                out.n_issued = n_issued
-                out.last_completion_cycle = last_completion
-                out.raw_service_cycles = raw_service
-                out.raw_serviced = raw_serviced
                 self._submit_atomic(addr, sizes[rid], rid, now, memory, out)
-                n_issued = out.n_issued
-                last_completion = out.last_completion_cycle
-                raw_service = out.raw_service_cycles
-                raw_serviced = out.raw_serviced
                 entry_clock = now + 1
                 continue
             if op == fence_op:
                 continue  # ordering only; nothing buffered to drain
-            if release_heap and release_heap[0][0] <= now:
-                mshrs.advance(now)
-            if len(slots) >= n_entries:
-                release = mshrs.next_release_cycle()
-                assert release is not None, "full MSHR file with no releases"
-                if release > now:
-                    now = release
-                mshrs.advance(now)
+            while releases and releases[0] <= now:
+                heappop(releases)
+            if len(releases) >= n_mshrs:
+                # Full: admission waits for the earliest release.
+                now = heappop(releases)
+                while releases and releases[0] <= now:
+                    heappop(releases)
             stall_cycles += now - cycle
             entry_clock = now + 1  # one admission per cycle
             if spans_on:
                 # Queue span covers trace arrival through the MSHR-full
                 # wait; allocation+dispatch are same-cycle.
                 spans.admit(rid, addr, cores[rid], op, cycle, now)
-            line_addr = addr - addr % line_bytes
-            op = OPS[op]
-            entry = new_entry(line_addr, op, 1, now)
-            slot = next(next_slot)
-            slots[slot] = entry
-            line_index[line_addr] = slot
-            c_allocations.value += 1
             if probes_on:
-                self._t_occupancy.observe(now, len(slots))
+                observe_occupancy(now, len(releases) + 1)
             packet = new_packet(
-                line_addr, line_bytes, op, (rid,), now, "null"
+                addr - addr % line_bytes, line_bytes, OPS[op], (rid,), now,
+                "null",
             )
             completion = submit(packet, now)
-            entry.release_cycle = completion
-            heappush(release_heap, (completion, slot))
+            heappush(releases, completion)
             issued_append(packet)
             n_issued += 1
             if completion > last_completion:
                 last_completion = completion
             if completion > now:
                 raw_service += completion - now
-            raw_serviced += 1
             if spans_on:
                 spans.mark(rid, "device", completion)
         out.n_raw = len(raw)
-        out.stall_cycles += stall_cycles
-        out.n_issued = n_issued
-        out.last_completion_cycle = last_completion
-        out.raw_service_cycles = raw_service
-        out.raw_serviced = raw_serviced
+        out.stall_cycles = stall_cycles
+        out.n_issued += n_issued
+        out.last_completion_cycle = max(
+            out.last_completion_cycle, last_completion
+        )
+        out.raw_service_cycles += raw_service
+        out.raw_serviced += n_issued
         return out
+
+
+#: Fields of a DMC in-flight record (module docstring).
+_OP, _RELEASE, _NSUB, _LINE = range(4)
 
 
 class MSHRBasedDMC(Coalescer):
@@ -271,7 +264,9 @@ class MSHRBasedDMC(Coalescer):
         self, n_mshrs: int = 16, probes=NULL_TELEMETRY, spans=NULL_SPANS
     ) -> None:
         super().__init__("dmc")
-        self.mshrs = MSHRFile(n_mshrs, name="dmc.mshr")
+        if n_mshrs <= 0:
+            raise ValueError("need at least one MSHR")
+        self.n_mshrs = n_mshrs
         self._probes_on = probes.enabled
         mshr_probes = probes.scope("mshr")
         self._t_occupancy = mshr_probes.gauge("occupancy")
@@ -279,150 +274,117 @@ class MSHRBasedDMC(Coalescer):
         self._spans = spans
         self._spans_on = spans.enabled
 
-    def _try_merge(self, req_id: int, op: MemOp, line_addr: int):
-        """Attach request ``req_id`` to a same-line, same-op in-flight
-        entry; returns the entry merged into, or None. Goes through the
-        file-level attach so the cached subentry count stays exact."""
-        entry = self.mshrs.lookup(line_addr)
-        if entry is not None and entry.op == op:
-            self.mshrs.attach(entry, req_id, line_addr)
-            return entry
-        return None
-
     def process(self, raw, memory) -> CoalesceOutcome:
         out = CoalesceOutcome()
-        entry_clock = 0
         merged_counter = self.stats.counter("merged")
         spans = self._spans
         spans_on = self._spans_on
-        mshrs = self.mshrs
         probes_on = self._probes_on
+        observe_occupancy = self._t_occupancy.observe
+        add_merge = self._t_merges.add
+        n_mshrs = self.n_mshrs
         submit = memory.submit
         issued_append = out.issued.append
-        attach = mshrs.attach
         atomic_op = int(MemOp.ATOMIC)
         fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
-        # Same no-op-advance peek and inlined allocate/schedule_release
-        # as the null arm; same localized outcome counters (synced
-        # around the rare atomic path).
-        release_heap = mshrs._release_heap
-        slots = mshrs._slots
-        line_index = mshrs._line_index
-        next_slot = mshrs._next_slot
-        c_allocations = mshrs._c_allocations
-        n_entries = mshrs.n_entries
+        # The MSHR file (module docstring).
+        slots: Dict[int, list] = {}
+        line_slot: Dict[int, int] = {}
+        releases: List[Tuple[int, int]] = []
+        n_sub = 0
+        next_slot = 0
+        entry_clock = 0
+        # Outcome fields run as locals, as in the null arm.
         stall_cycles = 0
         n_issued = 0
         n_merged = 0
         comparisons = 0
-        last_completion = out.last_completion_cycle
+        last_completion = 0
         raw_service = 0
-        raw_serviced = 0
         addrs, sizes, ops, cores, cycles = columns(raw)
         for rid, (addr, op, cycle) in enumerate(zip(addrs, ops, cycles)):
             now = cycle if cycle > entry_clock else entry_clock
             if op == atomic_op:
                 if spans_on:
                     spans.admit(rid, addr, cores[rid], op, cycle, now)
-                out.n_issued = n_issued
-                out.last_completion_cycle = last_completion
-                out.raw_service_cycles = raw_service
-                out.raw_serviced = raw_serviced
                 self._submit_atomic(addr, sizes[rid], rid, now, memory, out)
-                n_issued = out.n_issued
-                last_completion = out.last_completion_cycle
-                raw_service = out.raw_service_cycles
-                raw_serviced = out.raw_serviced
                 entry_clock = now + 1
                 continue
             if op == fence_op:
                 continue  # ordering only; MSHRs are not drained
-            if release_heap and release_heap[0][0] <= now:
-                mshrs.advance(now)
+            while releases and releases[0][0] <= now:
+                slot = heappop(releases)[1]
+                record = slots.pop(slot)
+                n_sub -= record[_NSUB]
+                line = record[_LINE]
+                if line_slot.get(line) == slot:
+                    del line_slot[line]
             line_addr = addr - addr % line_bytes
-            op = OPS[op]
 
             # CAM comparison against every buffered miss: entries plus
             # their subentries (the unpaged per-request comparison cost
             # that the Figure 7 reduction is measured against).
-            comparisons += len(slots) + mshrs._n_sub
+            comparisons += len(slots) + n_sub
             if probes_on:
-                self._t_occupancy.observe(now, len(slots))
+                observe_occupancy(now, len(slots))
 
-            # _try_merge inlined: same-line, same-op in-flight entry.
-            slot = line_index.get(line_addr)
-            entry = slots.get(slot) if slot is not None else None
-            if entry is not None and entry.op == op:
-                attach(entry, rid, line_addr)
-                merged_counter.value += 1
-                if probes_on:
-                    self._t_merges.add(now)
-                n_merged += 1
-                stall_cycles += now - cycle
-                entry_clock = now + 1
-                release = entry.release_cycle
-                if release is not None:
+            slot = line_slot.get(line_addr)
+            if slot is not None:
+                record = slots[slot]
+                if record[_OP] == op:
+                    # Same-line, same-op in-flight entry: ride it.
+                    record[_NSUB] += 1
+                    n_sub += 1
+                    if probes_on:
+                        add_merge(now)
+                    n_merged += 1
+                    stall_cycles += now - cycle
+                    entry_clock = now + 1
+                    release = record[_RELEASE]
                     if release > now:
                         raw_service += release - now
-                    raw_serviced += 1
                     if spans_on:
                         # Merged miss rides the in-flight entry: its wait
                         # is an MSHR span ending at the entry's release.
                         spans.admit(rid, addr, cores[rid], op, cycle, now)
                         spans.mark(rid, "mshr", release)
-                continue
-            if len(slots) >= n_entries:
-                release = mshrs.next_release_cycle()
-                assert release is not None, "full MSHR file with no releases"
-                if release > now:
-                    now = release
-                mshrs.advance(now)
-                entry = self._try_merge(rid, op, line_addr)
-                if entry is not None:
-                    merged_counter.value += 1
-                    n_merged += 1
-                    stall_cycles += now - cycle
-                    entry_clock = now + 1
-                    release = entry.release_cycle
-                    if release is not None:
-                        if release > now:
-                            raw_service += release - now
-                        raw_serviced += 1
-                        if spans_on:
-                            spans.admit(rid, addr, cores[rid], op, cycle, now)
-                            spans.mark(rid, "mshr", release)
                     continue
+            if len(slots) >= n_mshrs:
+                # Full: admission waits for the earliest release. That
+                # can never open a merge (a release only drops index
+                # entries), and nothing reads the file again before the
+                # next request's release pass frees the entries due.
+                now = releases[0][0]
             stall_cycles += now - cycle
             entry_clock = now + 1
             if spans_on:
                 spans.admit(rid, addr, cores[rid], op, cycle, now)
-            entry = new_entry(line_addr, op, 1, now)
-            slot = next(next_slot)
-            slots[slot] = entry
-            line_index[line_addr] = slot
-            c_allocations.value += 1
             packet = new_packet(
-                line_addr, line_bytes, op, (rid,), now, "dmc"
+                line_addr, line_bytes, OPS[op], (rid,), now, "dmc"
             )
             completion = submit(packet, now)
-            entry.release_cycle = completion
-            heappush(release_heap, (completion, slot))
+            slots[next_slot] = [op, completion, 0, line_addr]
+            line_slot[line_addr] = next_slot
+            heappush(releases, (completion, next_slot))
+            next_slot += 1
             issued_append(packet)
             n_issued += 1
             if completion > last_completion:
                 last_completion = completion
             if completion > now:
                 raw_service += completion - now
-            raw_serviced += 1
             if spans_on:
                 spans.mark(rid, "device", completion)
+        merged_counter.value += n_merged
         out.n_raw = len(raw)
-        out.stall_cycles += stall_cycles
-        out.n_issued = n_issued
+        out.stall_cycles = stall_cycles
+        out.n_issued += n_issued
         out.n_merged = n_merged
         out.comparisons = comparisons
-        out.last_completion_cycle = last_completion
-        out.raw_service_cycles = raw_service
-        out.raw_serviced = raw_serviced
+        out.last_completion_cycle = max(
+            out.last_completion_cycle, last_completion
+        )
+        out.raw_service_cycles += raw_service
+        out.raw_serviced += n_issued + n_merged
         return out

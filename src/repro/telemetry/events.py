@@ -62,6 +62,7 @@ __all__ = [
     "PoolRebuilt",
     "RunCompleted",
     "RunStarted",
+    "SCHEMA_VERSION",
     "ShmAttached",
     "ShmPublished",
     "ShmReleased",
@@ -279,7 +280,12 @@ EVENT_TYPES: Dict[str, type] = {
 }
 
 #: Envelope keys every serialized event carries beyond its payload.
-ENVELOPE_KEYS = ("seq", "pid", "ts", "kind")
+ENVELOPE_KEYS = ("seq", "pid", "ts", "kind", "v")
+
+#: Payload schema of the events :class:`EventLog` writes, stamped as the
+#: envelope's ``v``; bump it whenever an event type's fields change.
+#: Logs written before the stamp existed carry no ``v``.
+SCHEMA_VERSION = 1
 
 
 # --------------------------------------------------------------------- #
@@ -340,6 +346,7 @@ class EventLog:
             "pid": os.getpid(),
             "ts": time.time(),
             "kind": event.kind,
+            "v": SCHEMA_VERSION,
             **event.payload(),
         }
         self._seq += 1
@@ -437,13 +444,19 @@ def validate_events(events: Iterable[Dict]) -> List[str]:
     Returns a list of problems (empty == valid): every event must carry
     the envelope keys, name a known kind, match that kind's payload
     fields exactly, and sequence numbers must increase monotonically
-    per pid.
+    per pid. Events written under another schema version (or none) are
+    not checked against this one's payloads: each such version is one
+    problem naming it and :data:`SCHEMA_VERSION`.
     """
     problems: List[str] = []
     last_seq: Dict[int, int] = {}
+    foreign: Dict[object, List[int]] = {}
     for i, doc in enumerate(events):
         if not isinstance(doc, dict):
             problems.append(f"event {i}: not an object")
+            continue
+        if doc.get("v") != SCHEMA_VERSION:
+            foreign.setdefault(doc.get("v"), []).append(i)
             continue
         missing = [k for k in ENVELOPE_KEYS if k not in doc]
         if missing:
@@ -473,6 +486,13 @@ def validate_events(events: Iterable[Dict]) -> List[str]:
                 f"pid {pid} (previous {prev})"
             )
         last_seq[pid] = seq
+    for version, indices in foreign.items():
+        label = "none" if version is None else repr(version)
+        problems.append(
+            f"{len(indices)} event(s) from event {indices[0]} on carry "
+            f"schema version {label}; this reader checks version "
+            f"{SCHEMA_VERSION}"
+        )
     return problems
 
 

@@ -10,6 +10,7 @@ so telemetry timelines and span sets participate when attached).
 from __future__ import annotations
 
 import inspect
+import os
 
 import pytest
 
@@ -225,6 +226,18 @@ class TestStats:
         assert stats["artifact_hits"] + stats["artifact_misses"] == len(BENCHES)
         assert stats["phase1_seconds"] >= 0.0
         assert stats["phase2_seconds"] >= 0.0
+
+    def test_default_workers_follow_cpu_affinity(self, monkeypatch):
+        """Under ``taskset -c 0`` a two-CPU host lets the process run on
+        one CPU: the default pool has one worker, not ``cpu_count()``."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        stats: dict = {}
+        grid = _suite(stats=stats, max_workers=None)
+        assert stats["workers"] == 1
+        assert len(grid) == stats["jobs"] == len(KINDS) * len(BENCHES)
 
     def test_unknown_pipeline_rejected(self):
         """One pipeline: there is no knob to select another, so every

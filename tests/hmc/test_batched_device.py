@@ -186,7 +186,13 @@ class TestSyncSemantics:
         bat = BatchedHMCDevice()
         bat.submit(pkt(), 0)
         bat.sync()
-        assert bat._w_lat == [0, 0, math.inf, -math.inf, 0]
+        assert bat._w == [0] * len(bat._w)
+        assert bat._w_lat == [math.inf, -math.inf]
+        assert all(
+            counts[2:] == [0, 0, 0, 0]
+            for classes in (bat._classes_load, bat._classes_store)
+            for counts in classes.values()
+        )
 
     def test_sync_of_fresh_device_merges_nothing(self):
         bat = BatchedHMCDevice()

@@ -69,6 +69,31 @@ class TestEventLog:
         other["seq"] = doc["seq"]  # duplicate, not increasing
         assert ev.validate_events([doc, other])
 
+    def test_envelope_carries_the_schema_version(self):
+        log = ev.EventLog()
+        log.emit(ev.JobCompleted(label="x"))
+        assert log.records[0]["v"] == ev.SCHEMA_VERSION
+
+    def test_older_log_is_reported_by_version_not_as_corrupt(self):
+        """A log written before the version stamp (here a ``suite.start``
+        that still carried the dropped ``pipeline`` field) is one
+        version problem naming both versions, not a payload mismatch per
+        event; an event stamped with another version likewise."""
+        older = [
+            {"seq": 0, "pid": 7, "ts": 1.0, "kind": "suite.start",
+             "benchmarks": ["stream"], "arms": ["none", "dmc", "pac"],
+             "jobs": 3, "workers": 1, "pipeline": "two-phase"},
+            {"seq": 1, "pid": 7, "ts": 2.0, "kind": "suite.end",
+             "jobs": 3, "completed": 3, "healthy": True},
+        ]
+        (problem,) = ev.validate_events(older)
+        assert "payload mismatch" not in problem
+        assert "schema version none" in problem
+        assert f"checks version {ev.SCHEMA_VERSION}" in problem
+        newer = [{**doc, "v": ev.SCHEMA_VERSION + 1} for doc in older]
+        (problem,) = ev.validate_events(newer)
+        assert f"schema version {ev.SCHEMA_VERSION + 1}" in problem
+
     def test_installed_scopes_and_restores(self):
         log = ev.EventLog()
         with ev.installed(log) as active_log:
