@@ -454,17 +454,14 @@ def stage_legs(
 
     def device(engine: str):
         # What run_raw does after the coalescer: per-packet submit at
-        # each packet's issue cycle, then one merge on the batched twin.
-        system = fresh(engine)
-        dev = system.device
-        batched = system.engine == "batched"
+        # each packet's issue cycle, then the device's one merge.
+        dev = fresh(engine).device
 
         def replay() -> None:
             submit = dev.submit
             for packet in issued:
                 submit(packet, packet.issue_cycle)
-            if batched:
-                dev.sync()
+            dev.sync()
 
         return replay
 

@@ -57,10 +57,6 @@ class CacheConfig:
     def l1_sets(self) -> int:
         return self.l1_bytes // (self.line_bytes * self.l1_ways)
 
-    @property
-    def llc_sets(self) -> int:
-        return self.llc_bytes // (self.line_bytes * self.llc_ways)
-
 
 @dataclass(frozen=True)
 class PACConfig:
@@ -137,9 +133,6 @@ class SimulationConfig:
     @property
     def ns_per_cycle(self) -> float:
         return 1.0 / self.cpu_ghz
-
-    def cycles_to_ns(self, cycles: float) -> float:
-        return cycles * self.ns_per_cycle
 
     def config_hash(self) -> str:
         """Short stable digest of the full configuration, stamped into

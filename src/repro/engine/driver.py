@@ -29,6 +29,7 @@ from repro.faults import FaultInjector, NullInjector, installed, resolve_plan
 from repro.telemetry import events as ev
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.workloads import BENCHMARK_NAMES
+from repro.workloads.base import workload_key
 
 if TYPE_CHECKING:
     from repro.artifacts import TracePass
@@ -162,10 +163,11 @@ def run_benchmark(
     ``run.start``/``run.end`` to the active event log
     (:mod:`repro.telemetry.events`). ``engine`` is an oracle hook:
     ``"auto"`` (default) and ``"batched"`` both run the production path
-    — the batched front-end, PAC kernel and device twins, whatever the
-    probes, spans or fault plan — and ``"reference"`` runs the scalar
-    per-request classes they are bit-identical to. NONE, DMC and SORT
-    run their one coalescer on either engine.
+    — the batched front-end, PAC kernel and HMC/HBM device twins,
+    whatever the probes, spans or fault plan — and ``"reference"`` runs
+    the scalar per-request classes they are bit-identical to. NONE, DMC
+    and SORT run their one coalescer, and DDR its one device class, on
+    either engine.
     """
     spec = RunSpec(
         (benchmark, *extra_benchmarks), n_accesses, arm=coalescer,
@@ -231,7 +233,8 @@ def run_comparison(
         telemetry=telemetry, spans=spans, extra_benchmarks=extra_benchmarks,
         use_artifact_cache=use_artifact_cache, faults=faults, engine=engine,
     )
-    return {kind: grid[(benchmark, kind.value)] for kind in kinds}
+    name = workload_key(benchmark)
+    return {kind: grid[(name, kind.value)] for kind in kinds}
 
 
 def run_suite(
@@ -253,7 +256,8 @@ def run_suite(
     """Run every benchmark through one coalescer configuration.
 
     The one-arm view of :func:`~repro.engine.parallel.run_suite_parallel`
-    at ``max_workers=1``, keyed by benchmark in ``benchmarks`` order.
+    at ``max_workers=1``, keyed by lowercase benchmark name in
+    ``benchmarks`` order.
     Every knob of :func:`run_benchmark` forwards, so a whole-suite sweep
     can target HBM/DDR, the fine-grain mode, or co-running mixes without
     dropping down to per-benchmark calls. Each benchmark's prefix goes
@@ -271,4 +275,7 @@ def run_suite(
         fine_grain=fine_grain, scale=scale,
         extra_benchmarks=extra_benchmarks, faults=faults, engine=engine,
     )
-    return {name: grid[(name, coalescer.value)] for name in benchmarks}
+    return {
+        name: grid[(name, coalescer.value)]
+        for name in map(workload_key, benchmarks)
+    }

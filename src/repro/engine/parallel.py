@@ -196,20 +196,21 @@ def run_suite_parallel(
     faults=None,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
     engine: str = "auto",
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run every (benchmark, kind) pair concurrently, supervised.
 
-    Returns ``{(benchmark, kind.value): RunResult}``. ``max_workers``
+    Returns ``{(benchmark, kind.value): RunResult}``, with benchmark
+    names lowercase as their specs hold them. ``max_workers``
     defaults to :func:`usable_cpus`; pass 1 to run every job in the parent
     (useful under debuggers and in constrained CI). The supervisor gets
     ``min(max_workers, jobs)`` workers — the value ``stats["workers"]``
     reports — so a one-job grid runs in the parent too. An empty or
-    repeating ``kinds`` or ``benchmarks``, ``max_workers`` below 1, or
-    an arm that is not a :class:`CoalescerKind` raises before anything
-    runs (:class:`ValueError`, :class:`TypeError`), and so does a bad
-    supervision setting (below).
+    repeating ``kinds`` or ``benchmarks`` (names compare in any case),
+    ``max_workers`` below 1, an arm that is not a :class:`CoalescerKind`
+    or a field :class:`~repro.engine.spec.RunSpec` rejects raises before
+    anything runs (:class:`ValueError`, :class:`TypeError`), and so does
+    a bad supervision setting (below).
 
     Every grid runs the two phases of the module docstring.
     ``use_artifact_cache=False`` skips all cache reads/writes.
@@ -218,11 +219,11 @@ def run_suite_parallel(
     passes phase 1 computed), and a JSON-safe ``"health"`` snapshot.
 
     Self-healing: every job, at any worker count, gets bounded retries
-    with deterministic backoff (``max_retries``/``backoff_base``, env
-    ``$REPRO_MAX_RETRIES``/``$REPRO_BACKOFF``) and the shm → per-job →
-    serial degradation ladder; pooled jobs also run under per-job
-    wall-clock timeouts (``job_timeout``, default ``$REPRO_JOB_TIMEOUT``
-    or 300s) and crashed-worker pool rebuilds. The
+    with deterministic backoff (``max_retries``, env
+    ``$REPRO_MAX_RETRIES``) and the shm → per-job → serial degradation
+    ladder; pooled jobs also run under per-job wall-clock timeouts
+    (``job_timeout``, default ``$REPRO_JOB_TIMEOUT`` or 300s) and
+    crashed-worker pool rebuilds. The
     :class:`~repro.engine.health.RunHealth` report lands on every
     result's ``.health`` (excluded from ``==``). ``faults`` accepts a
     :class:`~repro.faults.FaultPlan`, a spec string, ``None`` (consult
@@ -256,21 +257,16 @@ def run_suite_parallel(
     or its spelling ``"batched"``) runs the batched twins — with probes,
     spans or a fault plan too — and ``engine="reference"`` the scalar
     classes, bit-identically, so artifact keys and cached passes are
-    shared across engines. Each job constructs its own ``System``
-    inside its worker process.
+    shared across engines. DDR has one device class on both. Each job
+    constructs its own ``System`` inside its worker process.
     """
     kinds = list(kinds)
-    benchmarks = list(benchmarks)
-    for axis, values in (("kinds", kinds), ("benchmarks", benchmarks)):
-        if not values or len(set(values)) != len(values):
-            raise ValueError(
-                f"{axis} must be non-empty and distinct, got {values!r}"
-            )
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     # Specs resolve the default seed HERE, not in the workers: every job
     # carries the same concrete seed so per-benchmark seeds derive
-    # identically regardless of worker count or config pickling.
+    # identically regardless of worker count or config pickling. They
+    # also reject bad fields and normalise names before anything runs.
     specs = [
         RunSpec(
             (bench, *extra_benchmarks), n_accesses, config=config,
@@ -280,6 +276,12 @@ def run_suite_parallel(
         )
         for bench in benchmarks
     ]
+    benchmarks = [spec.benchmarks[0] for spec in specs]
+    for axis, values in (("kinds", kinds), ("benchmarks", benchmarks)):
+        if not values or len(set(values)) != len(values):
+            raise ValueError(
+                f"{axis} must be non-empty and distinct, got {values!r}"
+            )
     # Built once, before anything runs: for_arm rejects a bad arm, or
     # spans on an arm that records none, here.
     grid = _grid(specs, kinds)
@@ -302,7 +304,6 @@ def run_suite_parallel(
         health=health,
         job_timeout=job_timeout,
         max_retries=max_retries,
-        backoff_base=backoff_base,
     )
 
     if stats is not None:

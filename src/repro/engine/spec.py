@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.artifacts import store
 from repro.config import SimulationConfig, TABLE1
 from repro.core.protocols import MemoryProtocol
-from repro.engine.system import CoalescerKind, System, refuse_spans
+from repro.engine.system import (
+    DEVICES,
+    ENGINES,
+    CoalescerKind,
+    System,
+    check_choice,
+    refuse_spans,
+)
 from repro.telemetry import SpanRecorder, TelemetryRegistry
+from repro.workloads.base import size_factor, workload_key
 
 
 @dataclass(frozen=True)
@@ -33,7 +41,10 @@ class RunSpec:
     raw request in N), ``None`` for off — never as live objects: every
     :meth:`system` built from a spec gets a fresh registry and recorder.
     Spans on the sortdmc arm fail here, so a grid rejects them before
-    anything runs.
+    anything runs; so do an unknown benchmark, device or engine, and a
+    scale that is neither a positive number nor a size class letter
+    (:class:`ValueError` naming the field). ``scale`` may be given as
+    either and is stored as its factor.
     """
 
     benchmarks: Tuple[str, ...]
@@ -44,7 +55,7 @@ class RunSpec:
     device: str = "hmc"
     protocol: Optional[MemoryProtocol] = None
     fine_grain: bool = False
-    scale: Union[float, str] = 1.0
+    scale: float = 1.0
     engine: str = "auto"
     telemetry_window: Optional[int] = None
     span_rate: Optional[int] = None
@@ -53,6 +64,21 @@ class RunSpec:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
         if not self.benchmarks:
             raise ValueError("a run needs at least one benchmark")
+        # One simulation, one spec: names lowercase and a scale becomes
+        # its factor, so "GS" and "gs", or "A", "a" and 1.0, compare and
+        # hash equal and share one pass_key().
+        try:
+            benchmarks = tuple(map(workload_key, self.benchmarks))
+        except KeyError as err:
+            raise ValueError(f"benchmarks: {err.args[0]}") from None
+        try:
+            scale = size_factor(self.scale)
+        except KeyError as err:
+            raise ValueError(f"scale: {err.args[0]}") from None
+        object.__setattr__(self, "benchmarks", benchmarks)
+        object.__setattr__(self, "scale", scale)
+        check_choice("device", self.device, DEVICES)
+        check_choice("engine", self.engine, ENGINES)
         if not isinstance(self.arm, CoalescerKind):
             raise TypeError(
                 f"arm must be a CoalescerKind, got "

@@ -4,7 +4,7 @@
 jobs to completion, at any worker count, under a self-healing contract:
 
 * **bounded retries with deterministic backoff** — each job is retried
-  at most ``max_retries`` times with delay ``backoff_base * 2**(attempt-1)``
+  at most ``max_retries`` times with delay ``BACKOFF_BASE * 2**(attempt-1)``
   (no jitter: chaos runs must be reproducible);
 * **fallback degradation** — a job that exhausts its retries (or, on a
   pool, fails with a non-retryable error) is handed to an in-parent
@@ -51,10 +51,12 @@ from repro.telemetry import events as ev
 #: Defaults, overridable per call and via the environment.
 ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
 ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
-ENV_BACKOFF = "REPRO_BACKOFF"
 DEFAULT_JOB_TIMEOUT = 300.0
 DEFAULT_MAX_RETRIES = 3
-DEFAULT_BACKOFF_BASE = 0.05
+
+#: Retry ``n`` of a job waits ``BACKOFF_BASE * 2**(n-1)`` seconds. A
+#: constant, read at each retry: tests monkeypatch it to run faster.
+BACKOFF_BASE = 0.05
 
 #: Failures worth retrying: environment/transport trouble (vanished
 #: files or segments, transport pickling, dead workers, OOM), as
@@ -103,24 +105,20 @@ def _setting(value, arg: str, env: str, parse, default, positive=False):
 def resolve_supervision(
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    backoff_base: Optional[float] = None,
 ):
     """Fill supervision knobs from arguments, then env, then defaults.
 
-    ``max_retries`` must be an integer and ``job_timeout`` and
-    ``backoff_base`` real numbers, none of them a ``bool``; anything
-    else raises :class:`TypeError` naming the argument. A variable that
-    does not parse (an int for retries, a float otherwise),
-    ``job_timeout <= 0``, ``max_retries < 0`` or ``backoff_base < 0``
-    raises :class:`ValueError` naming its source.
+    ``max_retries`` must be an integer and ``job_timeout`` a real
+    number, neither a ``bool``; anything else raises :class:`TypeError`
+    naming the argument. A variable that does not parse (an int for
+    retries, a float for the timeout), ``job_timeout <= 0`` or
+    ``max_retries < 0`` raises :class:`ValueError` naming its source.
     """
     return (
         _setting(job_timeout, "job_timeout", ENV_JOB_TIMEOUT, float,
                  DEFAULT_JOB_TIMEOUT, positive=True),
         _setting(max_retries, "max_retries", ENV_MAX_RETRIES, int,
                  DEFAULT_MAX_RETRIES),
-        _setting(backoff_base, "backoff_base", ENV_BACKOFF, float,
-                 DEFAULT_BACKOFF_BASE),
     )
 
 
@@ -154,16 +152,13 @@ class PoolSupervisor:
         health: RunHealth,
         job_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
-        backoff_base: Optional[float] = None,
         tick: float = 0.05,
     ) -> None:
         self.workers = max(1, workers)
         self.health = health
-        (
-            self.job_timeout,
-            self.max_retries,
-            self.backoff_base,
-        ) = resolve_supervision(job_timeout, max_retries, backoff_base)
+        self.job_timeout, self.max_retries = resolve_supervision(
+            job_timeout, max_retries
+        )
         self.tick = tick
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pools_built = 0
@@ -250,7 +245,7 @@ class PoolSupervisor:
             retryable = isinstance(exc, RETRYABLE_EXCEPTIONS)
             if retryable and job.attempt <= self.max_retries:
                 self.health.retries += 1
-                delay = self.backoff_base * (2 ** (job.attempt - 1))
+                delay = BACKOFF_BASE * (2 ** (job.attempt - 1))
                 self.health.backoff_seconds += delay
                 job.ready_at = time.monotonic() + delay
                 if elog.enabled:

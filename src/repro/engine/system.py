@@ -58,6 +58,18 @@ class CoalescerKind(enum.Enum):
 #: the scalar classes the parity suites hold it to.
 ENGINES = ("auto", "reference", "batched")
 
+#: The ``device=`` choices.
+DEVICES = ("hmc", "hbm", "ddr")
+
+
+def check_choice(field: str, value, choices: tuple) -> None:
+    """Raise :class:`ValueError` naming ``field`` when ``value`` is not
+    one of ``choices``."""
+    if value not in choices:
+        raise ValueError(
+            f"unknown {field} {value!r}; expected one of {choices}"
+        )
+
 
 def refuse_spans(kind: CoalescerKind) -> None:
     """Raise :class:`ValueError` when arm ``kind`` cannot record spans."""
@@ -90,14 +102,13 @@ class System:
         self.config = config
         self.kind = coalescer
         self.fine_grain = fine_grain
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+        check_choice("engine", engine, ENGINES)
+        check_choice("device", device, DEVICES)
         #: The resolved engine of every component: ``"batched"`` runs
-        #: the batched front-end, PAC kernel and device twins (NONE, DMC
-        #: and SORT keep their only coalescer), ``"reference"`` the
-        #: scalar classes. Probes and spans never change it.
+        #: the batched front-end, PAC kernel and HMC/HBM device twins
+        #: (NONE, DMC and SORT keep their only coalescer, DDR its only
+        #: device class), ``"reference"`` the scalar classes. Probes and
+        #: spans never change it.
         self.engine = "reference" if engine == "reference" else "batched"
         # ``telemetry`` is False (off), True (fresh registry at the
         # default window), or a caller-supplied TelemetryRegistry (e.g.
@@ -143,20 +154,16 @@ class System:
             from repro.core.protocols import HBM as HBM_PROTO
 
             default_protocol = HBM_PROTO
-        elif device == "ddr":
+        else:
             # Conventional DDR4 foil (Section 2): open-page, fixed 64B
             # bursts. Coalesced packets transfer as consecutive bursts.
-            if batched:
-                from repro.ddr.batched import BatchedDDRDevice as _ddr_cls
-            else:
-                from repro.ddr.device import DDRDevice as _ddr_cls
+            # One class on both engines.
+            from repro.ddr.device import DDRDevice
 
-            self.device = _ddr_cls(
+            self.device = DDRDevice(
                 probes=probes.scope("device"), spans=span_rec
             )
             default_protocol = HMC2_FINE if fine_grain else HMC2
-        else:
-            raise ValueError(f"unknown device {device!r}")
         self.protocol = protocol if protocol is not None else default_protocol
         device_max = getattr(
             self.device, "config", None
@@ -340,10 +347,9 @@ class System:
         hands in copies of the pass's own).
         """
         outcome = self.coalescer.process(raw, self.device)
-        if self.engine == "batched":
-            # Merge the device's deferred window accounting before
-            # build_result reads its stats/energy surfaces.
-            self.device.sync()
+        # Merge the device's deferred accounting before build_result
+        # reads its stats/energy surfaces.
+        self.device.sync()
         span_trace = None
         if self.spans is not None:
             span_trace = self.spans.finalize(

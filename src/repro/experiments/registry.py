@@ -101,8 +101,7 @@ class Runs:
         outcome = (coalescer or system.coalescer).process(
             self.prefix(spec).raw, system.device
         )
-        if system.engine == "batched":
-            system.device.sync()
+        system.device.sync()
         return system, outcome
 
 

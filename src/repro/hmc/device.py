@@ -327,6 +327,15 @@ class HMCDevice:
             )
         return completion
 
+    def sync(self) -> None:
+        """Merge deferred accounting into ``stats`` and ``energy``.
+
+        Every device has this merge point, and callers invoke it after
+        the last ``submit`` of a run. It is a no-op here: this class
+        charges every packet live. :class:`repro.hmc.batched.
+        BatchedHMCDevice` defers its accounting and overrides it.
+        """
+
     def _record_span(
         self, packet, vault, link, cycle, link_done, arrival_at_vault,
         dram_start, dram_done, completion,

@@ -52,27 +52,6 @@ class EnergyModel:
             raise ValueError("energy quantities are non-negative")
         self.picojoules[category] += quantity * ENERGY_PJ[category]
 
-    def charger(self, category: str):
-        """Pre-resolved charge handle for hot loops.
-
-        Validates the category once; each call of the returned function
-        performs the same ``+= quantity * pj`` arithmetic as
-        :meth:`charge` (bit-identical accumulation, no per-call string
-        lookup or validation).
-        """
-        if category not in self.picojoules:
-            raise KeyError(f"unknown energy category: {category}")
-
-        def _charge(
-            quantity: float,
-            _store: Dict[str, float] = self.picojoules,
-            _cat: str = category,
-            _pj: float = ENERGY_PJ[category],
-        ) -> None:
-            _store[_cat] += quantity * _pj
-
-        return _charge
-
     @property
     def total_pj(self) -> float:
         return sum(self.picojoules.values())

@@ -13,7 +13,7 @@ pages land in disjoint frames.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -136,6 +136,3 @@ class PageTable:
     @property
     def resident_pages(self) -> int:
         return len(self._map)
-
-    def frame_of(self, vpn: int) -> Optional[int]:
-        return self._map.get(vpn)

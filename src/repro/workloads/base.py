@@ -14,6 +14,7 @@ Generators are registered by name; :func:`get_workload` and
 from __future__ import annotations
 
 import abc
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
@@ -128,10 +129,8 @@ class WorkloadGenerator(abc.ABC):
     spec: WorkloadSpec
 
     def __init__(self, seed: int = 0, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive")
         self.seed = seed
-        self.scale = float(scale)
+        self.scale = size_factor(scale)
 
     def _s(self, value: int, minimum: int = 1) -> int:
         """Scale a footprint quantity by the size class."""
@@ -218,6 +217,41 @@ def register(cls):
     return cls
 
 
+def workload_key(name: str) -> str:
+    """The registry key of workload ``name``, in any case. An unknown
+    name raises :class:`KeyError` listing the known ones."""
+    _ensure_loaded()
+    key = name.lower() if isinstance(name, str) else None
+    if key not in _REGISTRY:
+        raise KeyError(
+            f"unknown workload {name!r}; known: {sorted(_REGISTRY)}"
+        )
+    return key
+
+
+def size_factor(scale) -> float:
+    """The footprint multiplier ``scale`` names: a positive number, or a
+    class letter of :data:`SIZE_CLASSES` in any case. An unknown letter
+    raises :class:`KeyError`, any other bad value :class:`ValueError`."""
+    if isinstance(scale, str):
+        try:
+            return SIZE_CLASSES[scale.upper()]
+        except KeyError:
+            raise KeyError(
+                f"unknown size class {scale!r}; known: {sorted(SIZE_CLASSES)}"
+            ) from None
+    if (
+        isinstance(scale, bool)
+        or not isinstance(scale, numbers.Real)
+        or not scale > 0
+    ):
+        raise ValueError(
+            "scale must be a positive number or a size class letter, "
+            f"got {scale!r}"
+        )
+    return float(scale)
+
+
 def get_workload(
     name: str, seed: int = 0, scale: float = 1.0
 ) -> WorkloadGenerator:
@@ -226,21 +260,7 @@ def get_workload(
     ``scale`` may be a number or a NAS-style class letter from
     :data:`SIZE_CLASSES` (``"S"``, ``"W"``, ``"A"``, ``"B"``, ``"C"``).
     """
-    _ensure_loaded()
-    try:
-        cls = _REGISTRY[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    if isinstance(scale, str):
-        try:
-            scale = SIZE_CLASSES[scale.upper()]
-        except KeyError:
-            raise KeyError(
-                f"unknown size class {scale!r}; known: {sorted(SIZE_CLASSES)}"
-            ) from None
-    return cls(seed=seed, scale=scale)
+    return _REGISTRY[workload_key(name)](seed=seed, scale=scale)
 
 
 def all_workloads() -> List[str]:

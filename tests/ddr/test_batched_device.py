@@ -1,20 +1,41 @@
-"""Parity tests for the batched DDR back-end twin.
+"""DDRDevice's batched accounting, by example.
 
-:class:`repro.ddr.batched.BatchedDDRDevice` must be bit-identical to
-:class:`repro.ddr.device.DDRDevice`: same completion cycles, same
-residual open-row / busy-until / bus state, and — after :meth:`sync` —
-the same stats registry (including its lazily-created key set), latency
-accumulator, and energy store.
+:class:`repro.ddr.device.DDRDevice` runs its open-page timing live but
+batches the packet counters, latency samples and DRAM-ACTIVATE energy
+into a window that :meth:`~repro.ddr.device.DDRDevice.sync` merges.
+Synced only where a test says, it must be bit-identical to the
+per-packet schedule, :class:`PerPacketDDR` (the same class synced after
+every ``submit``): same completion cycles, same residual open-row /
+busy-until / bus state, and — after :meth:`sync` — the same stats
+registry (including its lazily-created key set), latency accumulator,
+energy store, probes and spans. ``tests/test_sync_cadence.py`` states
+the same law as a Hypothesis property.
 """
 
 import math
 import random
 
-import pytest
-
 from repro.common.types import CoalescedRequest, MemOp
-from repro.ddr.batched import BatchedDDRDevice
 from repro.ddr.device import DDRConfig, DDRDevice
+
+
+class PerPacketDDR(DDRDevice):
+    """The reference schedule: every ``submit`` is followed by ``sync``.
+
+    It also logs each packet's size and latency, so
+    :func:`assert_devices_equal` can check the counts and the latency
+    accumulator against the stream itself — an error that both schedules
+    share fails there."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def submit(self, packet, cycle):
+        done = super().submit(packet, cycle)
+        self.sync()
+        self.log.append((packet.size, done - cycle))
+        return done
 
 
 def pkt(addr=0, size=64, op=MemOp.LOAD, cycle=0):
@@ -26,6 +47,16 @@ def pkt(addr=0, size=64, op=MemOp.LOAD, cycle=0):
 def assert_devices_equal(ref, bat):
     """Full observable-surface equality after the batched sync."""
     bat.sync()
+    sizes = [size for size, _ in ref.log]
+    lats = [lat for _, lat in ref.log]
+    assert ref.stats.count("packets") == len(ref.log)
+    assert ref.stats.count("payload_bytes") == sum(sizes)
+    acc = ref.stats.accumulator("latency_cycles")
+    assert (acc.count, acc.total, acc._sumsq) == (
+        len(lats), sum(lats), sum(lat * lat for lat in lats)
+    )
+    if lats:
+        assert (acc.min, acc.max) == (min(lats), max(lats))
     assert ref.stats.as_dict() == bat.stats.as_dict()
     assert ref.energy == bat.energy
     acc_r = ref.stats.accumulator("latency_cycles")
@@ -37,7 +68,7 @@ def assert_devices_equal(ref, bat):
     assert acc_r._sumsq == acc_b._sumsq
     assert ref.row_hit_rate == bat.row_hit_rate
     assert ref.bank_conflicts == bat.bank_conflicts
-    # Residual structural state (shared live with the parent class).
+    # Residual structural state, updated live by both schedules.
     assert set(ref._banks) == set(bat._banks)
     for key, bank_r in ref._banks.items():
         bank_b = bat._banks[key]
@@ -75,44 +106,21 @@ def mixed_packets(n=400, seed=7, cfg=None):
 
 class TestScalarSubmitParity:
     def test_per_packet_completions_and_state(self):
-        ref, bat = DDRDevice(), BatchedDDRDevice()
+        ref, bat = PerPacketDDR(), DDRDevice()
         for p in mixed_packets():
             assert ref.submit(p, p.issue_cycle) == bat.submit(
                 p, p.issue_cycle
             )
         assert_devices_equal(ref, bat)
 
-    def test_empty_packet_rejected_identically(self):
-        # CoalescedRequest rejects size<=0 at construction, so a
-        # duck-typed stub is needed to reach the device's own guard.
-        from types import SimpleNamespace
-
-        bad = SimpleNamespace(addr=0, size=0, op=MemOp.LOAD, issue_cycle=0)
-        for dev in (DDRDevice(), BatchedDDRDevice()):
-            with pytest.raises(ValueError, match="carry data"):
-                dev.submit(bad, 0)
-
     def test_custom_config_parity(self):
         cfg = DDRConfig(n_channels=2, banks_per_channel=4, row_bytes=2048)
-        ref, bat = DDRDevice(cfg), BatchedDDRDevice(cfg)
+        ref, bat = PerPacketDDR(cfg), DDRDevice(cfg)
         for p in mixed_packets(200, seed=3, cfg=cfg):
             assert ref.submit(p, p.issue_cycle) == bat.submit(
                 p, p.issue_cycle
             )
         assert_devices_equal(ref, bat)
-
-    def test_lazy_counter_key_set_matches(self):
-        """A hit-free run must not materialize ``row_hits`` — the
-        reference creates counters lazily and the sync mirrors that."""
-        cfg = DDRConfig()
-        bank_stride = cfg.row_bytes * cfg.n_channels * cfg.banks_per_channel
-        ref, bat = DDRDevice(), BatchedDDRDevice()
-        for i in range(8):  # all conflicts/empties, never a hit
-            p = pkt(addr=i * bank_stride, cycle=i * 50)
-            ref.submit(p, p.issue_cycle)
-            bat.submit(p, p.issue_cycle)
-        assert_devices_equal(ref, bat)
-        assert "row_hits" not in bat.stats.as_dict()
 
 
 class TestResidualStateRegression:
@@ -123,7 +131,7 @@ class TestResidualStateRegression:
         sequence one's residue."""
         first = mixed_packets(120, seed=19)
         second = mixed_packets(120, seed=29)
-        ref, bat = DDRDevice(), BatchedDDRDevice()
+        ref, bat = PerPacketDDR(), DDRDevice()
         for p in first:
             ref.submit(p, p.issue_cycle)
             bat.submit(p, p.issue_cycle)
@@ -139,7 +147,7 @@ class TestResidualStateRegression:
 class TestSyncSemantics:
     def test_multi_round_sync_matches_single_reference_run(self):
         packets = mixed_packets(300, seed=23)
-        ref, bat = DDRDevice(), BatchedDDRDevice()
+        ref, bat = PerPacketDDR(), DDRDevice()
         for i, p in enumerate(packets):
             ref.submit(p, p.issue_cycle)
             bat.submit(p, p.issue_cycle)
@@ -148,7 +156,7 @@ class TestSyncSemantics:
         assert_devices_equal(ref, bat)
 
     def test_sync_is_idempotent(self):
-        bat = BatchedDDRDevice()
+        bat = DDRDevice()
         bat.submit(pkt(), 0)
         bat.sync()
         snapshot = (bat.stats.as_dict(), bat.energy.by_category())
@@ -156,16 +164,11 @@ class TestSyncSemantics:
         assert (bat.stats.as_dict(), bat.energy.by_category()) == snapshot
 
     def test_latency_window_resets(self):
-        bat = BatchedDDRDevice()
+        bat = DDRDevice()
         bat.submit(pkt(), 0)
         bat.sync()
+        assert bat._w == [0, 0, 0, 0, 0]
         assert bat._w_lat == [0, 0, math.inf, -math.inf, 0]
-
-    def test_sync_of_fresh_device_merges_nothing(self):
-        bat = BatchedDDRDevice()
-        bat.sync()
-        assert "packets" not in bat.stats.as_dict()
-        assert_devices_equal(DDRDevice(), bat)
 
 
 class TestConstructorRefusals:
@@ -177,8 +180,8 @@ class TestConstructorRefusals:
         packets = mixed_packets(n=FOLD_EVENTS + 300)
         ref_reg = TelemetryRegistry(window_cycles=128)
         bat_reg = TelemetryRegistry(window_cycles=128)
-        ref = DDRDevice(probes=ref_reg.scope("device"))
-        bat = BatchedDDRDevice(probes=bat_reg.scope("device"))
+        ref = PerPacketDDR(probes=ref_reg.scope("device"))
+        bat = DDRDevice(probes=bat_reg.scope("device"))
         for i, p in enumerate(packets):
             assert ref.submit(p, p.issue_cycle) == bat.submit(p, p.issue_cycle)
             if i == 1000:
@@ -196,7 +199,7 @@ class TestConstructorRefusals:
 
         packets, requests = tracked_packets()
         traces = []
-        for cls in (DDRDevice, BatchedDDRDevice):
+        for cls in (PerPacketDDR, DDRDevice):
             recorder = SpanRecorder(sample_rate=3, seed=1)
             for i, req in enumerate(requests):
                 recorder.admit(
@@ -205,15 +208,8 @@ class TestConstructorRefusals:
             dev = cls(spans=recorder)
             for p in packets:
                 dev.submit(p, p.issue_cycle)
+            dev.sync()
             traces.append(recorder.finalize())
         ref, bat = traces
         assert 0 < len(ref.packets) < len(packets)
         assert ref == bat
-
-    def test_accepts_none_defaults(self):
-        # The None-resolve convention: no evaluated-at-import singleton
-        # defaults in the signature, NULL objects resolved in the body.
-        dev = BatchedDDRDevice()
-        dev.submit(pkt(), 0)
-        dev.sync()
-        assert dev.stats.count("packets") == 1

@@ -1,4 +1,10 @@
-"""Tests for the DDR4 open-page device model."""
+"""Tests for the DDR4 open-page device model.
+
+The device defers its counters, latency and activation energy to
+``sync()``; each test that reads them syncs first.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +37,7 @@ class TestOpenPagePolicy:
     def test_first_access_is_row_empty(self):
         dev = DDRDevice()
         dev.submit(pkt(0), 0)
+        dev.sync()
         assert dev.stats.count("row_empties") == 1
 
     def test_same_row_reaccess_is_hit(self):
@@ -38,6 +45,7 @@ class TestOpenPagePolicy:
         dev = DDRDevice()
         dev.submit(pkt(0), 0)
         dev.submit(pkt(64), 200)
+        dev.sync()
         assert dev.stats.count("row_hits") == 1
         assert dev.row_hit_rate == pytest.approx(0.5)
 
@@ -47,6 +55,7 @@ class TestOpenPagePolicy:
         stride = cfg.row_bytes * cfg.n_channels * cfg.banks_per_channel
         dev.submit(pkt(0), 0)
         dev.submit(pkt(stride), 500)  # same bank, next row
+        dev.sync()
         assert dev.bank_conflicts == 1
 
     def test_hit_faster_than_conflict(self):
@@ -84,17 +93,20 @@ class TestBusAndAccounting:
     def test_no_packet_header_overhead(self):
         dev = DDRDevice()
         dev.submit(pkt(size=64), 0)
+        dev.sync()
         assert dev.total_transaction_bytes == dev.total_payload_bytes == 64
 
     def test_banks_facade(self):
         dev = DDRDevice()
         dev.submit(pkt(0), 0)
+        dev.sync()
         assert dev.banks.total_activations == 1
         assert dev.banks.total_conflicts == 0
 
     def test_energy_charged(self):
         dev = DDRDevice()
         dev.submit(pkt(0), 0)
+        dev.sync()
         assert dev.energy.picojoules["DRAM-ACTIVATE"] > 0
         assert dev.energy.picojoules["LINK-LOCAL-ROUTE"] == 0
 
@@ -105,6 +117,13 @@ class TestBusAndAccounting:
                                  constituents=(1,)), 0
             )
 
+    def test_empty_packet_reaches_the_device_guard(self):
+        # CoalescedRequest rejects size <= 0 itself, so a duck-typed
+        # stub reaches the device's own guard.
+        bad = SimpleNamespace(addr=0, size=0, op=MemOp.LOAD, issue_cycle=0)
+        with pytest.raises(ValueError, match="carry data"):
+            DDRDevice().submit(bad, 0)
+
 
 class TestPaperContrast:
     def test_dense_scan_harvests_row_hits(self):
@@ -113,6 +132,7 @@ class TestPaperContrast:
         dev = DDRDevice()
         for i in range(64):
             dev.submit(pkt(i * 64), i * 100)
+        dev.sync()
         assert dev.row_hit_rate > 0.9
 
     def test_irregular_traffic_thrashes_rows(self):
@@ -123,4 +143,6 @@ class TestPaperContrast:
         stride = cfg.row_bytes * cfg.n_channels * cfg.banks_per_channel
         for i in range(16):
             dev.submit(pkt((i % 4) * stride), i * 500)
+        dev.sync()
+        assert dev.bank_conflicts > 0
         assert dev.row_hit_rate < 0.1

@@ -230,13 +230,14 @@ class TestBackendEngine:
     """Device dispatch on the one resolved engine."""
 
     def test_auto_dispatches_batched_device_per_protocol(self):
-        from repro.ddr.batched import BatchedDDRDevice
+        # DDR has one class on both engines.
+        from repro.ddr.device import DDRDevice
         from repro.hmc.batched import BatchedHBMDevice, BatchedHMCDevice
 
         expected = {
             "hmc": BatchedHMCDevice,
             "hbm": BatchedHBMDevice,
-            "ddr": BatchedDDRDevice,
+            "ddr": DDRDevice,
         }
         for device, cls in expected.items():
             s = System(coalescer=CoalescerKind.PAC, device=device)

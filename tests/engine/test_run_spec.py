@@ -1,9 +1,10 @@
 """RunSpec: construction, artifact keys, and what the entry points that
 build specs must preserve.
 
-* **Validation** — bad sizes and empty mixes fail at construction,
-  before any pool work starts; a spec hashes and pickles (it is a memo
-  key and a pool job's argument).
+* **Validation** — bad sizes, empty mixes, unknown names and bad
+  scales fail at construction, before any pool work starts; spellings
+  of one simulation give one spec; a spec hashes and pickles (it is a
+  memo key and a pool job's argument).
 * **Keys** — ``spec.pass_key()`` is the store's key function applied
   to the spec, so artifact keys stay identical.
 * **Probe templates** — a registry or recorder handed to a multi-run
@@ -38,6 +39,16 @@ BENCHES = ("gs", "bfs")
 WINDOW = 256
 RATE = 4
 ARMS = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
+#: One bad value per validated field; a grid's other benchmark is good.
+BAD_FIELDS = [
+    ("benchmarks", ("gs", "nope")),
+    ("device", "dram"),
+    ("engine", "fast"),
+    ("scale", "Q"),
+    ("scale", 0),
+    ("scale", -1.5),
+    ("scale", None),
+]
 
 
 class TestConstruction:
@@ -114,6 +125,53 @@ class TestConstruction:
         assert not kinds & {"suite.start", "phase.start", "run.start"}
         with pytest.raises(ValueError, match="sortdmc"):
             RunSpec(("gs",), N, arm=CoalescerKind.SORT, span_rate=RATE)
+
+    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunSpec(**{"benchmarks": ("gs",), "n_accesses": N, field: value})
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("field, value", BAD_FIELDS)
+    def test_bad_field_fails_before_anything_runs(self, field, value, workers):
+        """A grid with one bad field logs nothing and stores nothing —
+        not even the passes of its good benchmarks — at any worker
+        count."""
+        kw = dict(
+            kinds=(CoalescerKind.PAC,), benchmarks=("gs",), n_accesses=500,
+            max_workers=workers,
+        )
+        kw[field] = value
+        log = ev.EventLog()
+        with ev.installed(log), pytest.raises(ValueError, match=field):
+            run_suite_parallel(**kw)
+        assert log.records == []
+        assert list(store.get_store().entries()) == []
+
+    @pytest.mark.parametrize("spellings", [
+        [dict(scale="A"), dict(scale="a"), dict(scale=1.0), dict(scale=1)],
+        [dict(benchmarks=("GS",)), dict(benchmarks=("gs",))],
+        [dict(benchmarks=("Gs", "BFS")), dict(benchmarks=("gs", "bfs"))],
+    ])
+    def test_one_simulation_has_one_spec(self, spellings):
+        specs = [
+            RunSpec(**{"benchmarks": ("gs",), "n_accesses": N, **kw})
+            for kw in spellings
+        ]
+        assert len(set(specs)) == 1
+        assert len({spec.pass_key() for spec in specs}) == 1
+
+    def test_views_key_results_by_lowercase_name(self):
+        kw = dict(kinds=(CoalescerKind.PAC,), n_accesses=500, seed=SEED)
+        assert run_comparison("GS", **kw) == run_comparison("gs", **kw)
+        suite = run_suite(benchmarks=("BFS", "gs"), n_accesses=500, seed=SEED)
+        assert list(suite) == ["bfs", "gs"]
+
+    def test_case_variants_repeat_a_grid_axis(self):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            run_suite_parallel(
+                benchmarks=("GS", "gs"), n_accesses=500, max_workers=1
+            )
 
     def test_hash_and_pickle_round_trip(self):
         spec = RunSpec(

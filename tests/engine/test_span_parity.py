@@ -119,7 +119,7 @@ class TestSpanRunsStayBatched:
     def test_every_component_is_a_twin(self, device, probe_kw):
         from repro.cache.batched import BatchedCacheHierarchy
         from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
-        from repro.ddr.batched import BatchedDDRDevice
+        from repro.ddr.device import DDRDevice
         from repro.hmc.batched import BatchedHBMDevice, BatchedHMCDevice
 
         log = ev.EventLog()
@@ -131,7 +131,7 @@ class TestSpanRunsStayBatched:
         assert type(s.device) is {
             "hmc": BatchedHMCDevice,
             "hbm": BatchedHBMDevice,
-            "ddr": BatchedDDRDevice,
+            "ddr": DDRDevice,  # one class on both engines
         }[device]
         assert not [r for r in log.records if r["kind"] == "demote"]
 
@@ -166,8 +166,7 @@ def _kernel_traces(reqs, config=TABLE1):
         outcome = system.coalescer.process(
             encode_requests(reqs), system.device
         )
-        if engine == "batched":
-            system.device.sync()
+        system.device.sync()
         out.append((system, outcome, system.spans.finalize()))
     return out
 

@@ -61,11 +61,15 @@ def _job(key, fn_args, label=None):
     )
 
 
+@pytest.fixture(autouse=True)
+def _fast_backoff(monkeypatch):
+    monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.01)
+
+
 def _supervisor(health, **kw):
     kw.setdefault("workers", 2)
     kw.setdefault("job_timeout", 5.0)
     kw.setdefault("max_retries", 2)
-    kw.setdefault("backoff_base", 0.01)
     return PoolSupervisor(health=health, **kw)
 
 
@@ -229,19 +233,20 @@ class TestSerialRetries:
 
         monkeypatch.setattr(supervisor_mod, "ProcessPoolExecutor", no_pool)
 
-    def test_serial_retries_to_success(self, tmp_path):
+    def test_serial_retries_to_success(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.001)
         marker = tmp_path / "flaky"
         health = RunHealth(jobs=1)
-        sup = _supervisor(health, workers=1, backoff_base=0.001)
+        sup = _supervisor(health, workers=1)
         out = sup.run(_flaky, [_job("f", (str(marker), 1))])
         assert out == {"f": 2}
         assert health.retries == 1
 
-    def test_serial_exhaustion_raises(self, tmp_path):
+    def test_serial_exhaustion_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.001)
         marker = tmp_path / "flaky"
         health = RunHealth(jobs=1)
-        sup = _supervisor(health, workers=1, max_retries=1,
-                          backoff_base=0.001)
+        sup = _supervisor(health, workers=1, max_retries=1)
         with pytest.raises(SuiteExecutionError):
             sup.run(_flaky, [_job("f", (str(marker), 99))])
 
@@ -253,10 +258,13 @@ class TestSerialRetries:
         assert out == {i: ("ok", i) for i in range(3)}
         assert health.events == 0
 
-    def test_serial_exhaustion_with_fallback_degrades(self, tmp_path):
+    def test_serial_exhaustion_with_fallback_degrades(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(supervisor_mod, "BACKOFF_BASE", 0.001)
         marker = tmp_path / "flaky"
         health = RunHealth(jobs=1)
-        sup = _supervisor(health, workers=1, backoff_base=0.001)
+        sup = _supervisor(health, workers=1)
         out = sup.run(
             _flaky,
             [_job("f", (str(marker), 99), label="flaky-job")],
@@ -288,7 +296,6 @@ class TestSettings:
         ("REPRO_JOB_TIMEOUT", "soon"), ("REPRO_JOB_TIMEOUT", "0"),
         ("REPRO_MAX_RETRIES", "three"), ("REPRO_MAX_RETRIES", "2.5"),
         ("REPRO_MAX_RETRIES", "-1"),
-        ("REPRO_BACKOFF", "fast"), ("REPRO_BACKOFF", "-0.5"),
     ])
     def test_bad_variable(self, monkeypatch, env, text):
         monkeypatch.setenv(env, text)
@@ -297,7 +304,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("kw", [
         dict(job_timeout=0), dict(job_timeout=-1.0),
-        dict(max_retries=-2), dict(backoff_base=-1.0),
+        dict(max_retries=-2),
     ])
     def test_bad_argument(self, monkeypatch, kw):
         # An argument wins over a valid variable, and is what is named.
@@ -309,7 +316,6 @@ class TestSettings:
     @pytest.mark.parametrize("kw", [
         dict(max_retries=2.5), dict(max_retries=True), dict(max_retries="2"),
         dict(job_timeout=True), dict(job_timeout="30"),
-        dict(backoff_base=False), dict(backoff_base="0.1"),
     ])
     def test_argument_of_wrong_type(self, kw):
         """An argument is never coerced: ``max_retries=2.5`` would run 2
@@ -319,13 +325,13 @@ class TestSettings:
             resolve_supervision(**kw)
 
     @pytest.mark.parametrize("kw, want", [
-        (dict(max_retries=np.int64(3)), (300.0, 3, 0.05)),
-        (dict(job_timeout=2, backoff_base=Fraction(1, 4)), (2.0, 3, 0.25)),
+        (dict(max_retries=np.int64(3)), (300.0, 3)),
+        (dict(job_timeout=Fraction(1, 4)), (0.25, 3)),
     ])
     def test_integral_and_real_arguments_are_accepted(
         self, monkeypatch, kw, want
     ):
-        for env in ("REPRO_JOB_TIMEOUT", "REPRO_MAX_RETRIES", "REPRO_BACKOFF"):
+        for env in ("REPRO_JOB_TIMEOUT", "REPRO_MAX_RETRIES"):
             monkeypatch.delenv(env, raising=False)
         assert resolve_supervision(**kw) == want
 

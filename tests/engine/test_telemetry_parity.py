@@ -110,8 +110,7 @@ class TestTelemetryParity:
                 telemetry=TelemetryRegistry(window_cycles=1),
             )
             system.coalescer.process(encode_requests(reqs), system.device)
-            if engine == "batched":
-                system.device.sync()
+            system.device.sync()
             registries.append(system.telemetry)
         ref, bat = registries
         for name in ("pac.stage1.forced_flushes",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import supervisor
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
 
@@ -14,6 +15,14 @@ BENCHES = ["gs", "bfs"]
 N_ACCESSES = 800
 WORKERS = 3
 MAX_RETRIES = 3
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fast_backoff():
+    """Retries back off from 10 ms instead of the production 50 ms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supervisor, "BACKOFF_BASE", 0.01)
+        yield
 
 
 def _suite(faults, monkeypatch=None, cache_dir=None, **kw):
@@ -26,7 +35,6 @@ def _suite(faults, monkeypatch=None, cache_dir=None, **kw):
         n_accesses=N_ACCESSES,
         max_workers=kw.pop("max_workers", WORKERS),
         max_retries=kw.pop("max_retries", MAX_RETRIES),
-        backoff_base=kw.pop("backoff_base", 0.01),
         stats=stats,
         faults=faults,
         **kw,
@@ -208,7 +216,7 @@ class TestChaosOneWorker:
         kw = dict(
             kinds=(CoalescerKind.PAC, CoalescerKind.NONE),
             benchmarks=("gs", "stream"), n_accesses=500,
-            use_artifact_cache=False, backoff_base=0.01,
+            use_artifact_cache=False,
         )
         clean = run_suite_parallel(faults=False, max_workers=1, **kw)
         for workers in (1, 2):

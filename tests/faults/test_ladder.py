@@ -8,12 +8,21 @@ import dataclasses
 
 import pytest
 
+from repro.engine import supervisor
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
 
 KINDS = (CoalescerKind.NONE, CoalescerKind.PAC)
 BENCHES = ["gs", "bfs"]
 N_ACCESSES = 800
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _fast_backoff():
+    """Retries back off from 10 ms instead of the production 50 ms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supervisor, "BACKOFF_BASE", 0.01)
+        yield
 
 
 def _suite(faults, **kw):
@@ -23,7 +32,6 @@ def _suite(faults, **kw):
         benchmarks=BENCHES,
         n_accesses=N_ACCESSES,
         max_workers=kw.pop("max_workers", 3),
-        backoff_base=0.01,
         stats=stats,
         faults=faults,
         **kw,

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine import supervisor
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
 from repro.faults import FaultPlan
@@ -38,6 +40,14 @@ def _plan_from_seed(seed: int) -> FaultPlan:
     )
 
 
+@pytest.fixture(scope="module", autouse=True)
+def _fast_backoff():
+    """Retries back off from 10 ms instead of the production 50 ms."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(supervisor, "BACKOFF_BASE", 0.01)
+        yield
+
+
 def _suite(faults):
     stats: dict = {}
     results = run_suite_parallel(
@@ -45,7 +55,6 @@ def _suite(faults):
         benchmarks=BENCHES,
         n_accesses=N_ACCESSES,
         max_workers=2,
-        backoff_base=0.01,
         stats=stats,
         faults=faults,
     )

@@ -13,6 +13,9 @@ plausibly diverge:
   multi-row fallback and flit-count memoization are most stressed;
 * **bank-conflict storms** — floods of same-bank traffic, where the
   busy-horizon recurrences and conflict/queue-wait accounting dominate.
+
+DDR has one class: :class:`~repro.ddr.device.DDRDevice` synced once is
+held to itself synced after every packet (``PerPacketDDR``).
 """
 
 from hypothesis import given, settings
@@ -20,11 +23,11 @@ from hypothesis import strategies as st
 
 from repro.common.types import CoalescedRequest, MemOp
 from repro.config import HMCConfig
-from repro.ddr.batched import BatchedDDRDevice
 from repro.ddr.device import DDRConfig, DDRDevice
 from repro.hmc.batched import BatchedHBMDevice, BatchedHMCDevice
 from repro.hmc.device import HMCDevice
 from repro.hmc.hbm import HBMDevice
+from tests.ddr.test_batched_device import PerPacketDDR
 
 _CFG = HMCConfig()
 _ROW = _CFG.row_bytes
@@ -169,7 +172,7 @@ class TestDDRProperties:
         )
     )
     def test_arbitrary_stream_parity(self, stream):
-        ref, bat = DDRDevice(), BatchedDDRDevice()
+        ref, bat = PerPacketDDR(), DDRDevice()
         _run_pair(ref, bat, stream)
         assert ref._bus_busy_until == bat._bus_busy_until
         for key, bank_r in ref._banks.items():

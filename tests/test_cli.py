@@ -86,7 +86,6 @@ class TestRunCommands:
     @pytest.mark.parametrize("env, text", [
         ("REPRO_MAX_RETRIES", "three"),
         ("REPRO_JOB_TIMEOUT", "soon"),
-        ("REPRO_BACKOFF", "fast"),
     ])
     def test_bad_supervision_variable_is_a_usage_error(
         self, monkeypatch, capsys, env, text
