@@ -52,6 +52,7 @@ from repro.experiments import registry as experiments
 from repro.experiments.reporting import render_table
 from repro.experiments.tables import table1_configuration
 from repro.workloads import BENCHMARK_NAMES
+from repro.workloads.base import size_factor
 
 def _print_result(result) -> None:
     for key, value in result.as_row().items():
@@ -500,6 +501,10 @@ def _run(argv) -> int:
             scale = float(args.scale)
         except ValueError:
             scale = args.scale
+        try:
+            scale = size_factor(scale)
+        except (KeyError, ValueError) as exc:
+            parser.error(f"--scale: {exc.args[0]}")
         t0 = time.perf_counter()
         result = run_benchmark(
             args.benchmark,

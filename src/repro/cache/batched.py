@@ -45,7 +45,8 @@ With spans off each site costs one local flag test.
 
 One observable difference is documented and accepted: the inherited
 ``SetAssociativeCache`` objects serve as geometry + stats carriers only
-— their ``OrderedDict`` sets stay empty, so ``occupancy`` reads zero.
+— they never build their ``OrderedDict`` sets (a cache builds them on
+first use), so ``occupancy`` reads zero.
 Hit rates, ``summary_metrics`` and every engine-facing consumer go
 through the merged stats, which are identical.
 """

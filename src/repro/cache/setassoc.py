@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 from repro.common.stats import StatsRegistry
@@ -53,8 +54,6 @@ class SetAssociativeCache:
         self.ways = ways
         self.n_sets = total_bytes // (ways * line_bytes)
         self.name = name
-        # sets[i]: OrderedDict line_addr -> dirty flag, LRU first.
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(self.n_sets)]
         self.stats = StatsRegistry(name)
         self._c_hits = self.stats.counter("hits")
         self._c_misses = self.stats.counter("misses")
@@ -67,6 +66,14 @@ class SetAssociativeCache:
         )
         self._line_shift = self.line_bytes.bit_length() - 1 if pow2 else None
         self._set_mask = self.n_sets - 1
+
+    @cached_property
+    def _sets(self) -> List[OrderedDict]:
+        """sets[i]: OrderedDict line_addr -> dirty flag, LRU first.
+
+        Built on first use: a cache that only carries geometry and stats
+        (each cache of the batched hierarchy) never builds them."""
+        return [OrderedDict() for _ in range(self.n_sets)]
 
     def _set_index(self, line_addr: int) -> int:
         if self._line_shift is not None:

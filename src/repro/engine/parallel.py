@@ -86,14 +86,15 @@ __all__ = ["run_suite_parallel", "SuiteExecutionError"]
 #: Relative host cost of each benchmark's jobs, for longest-first
 #: scheduling. Results are keyed, so order never changes them; it fixes
 #: each job's fault-plan ordinal, which is why it is a constant and not
-#: read from a measurement file. gs, bfs, stream and hpcg are end-to-end
-#: seconds from ``BENCH_baseline.json`` relative to hpcg, ssca2 is an
-#: older estimate, and the rest (and any workload registered at run
-#: time) weigh 2.0.
+#: read from a measurement file. Each weight is the benchmark's PAC-arm
+#: seconds (``run_arm`` over one shared 24k-access pass, default
+#: config, batched engine; min of 12 rounds in two processes on one
+#: 2-core host) over hpcg's 0.018 s, to two significant figures. A
+#: workload registered at run time weighs 2.0.
 _BENCH_COST = {
-    "gs": 11.44, "bfs": 3.30, "ssca2": 3.0, "stream": 1.15, "hpcg": 1.0,
-    "cg": 2.0, "ep": 2.0, "fft": 2.0, "lu": 2.0, "mg": 2.0, "pr": 2.0,
-    "sort": 2.0, "sp": 2.0, "sparselu": 2.0,
+    "gs": 21.0, "sp": 13.0, "ssca2": 9.7, "cg": 6.1, "bfs": 4.4,
+    "sort": 1.6, "fft": 1.3, "stream": 1.2, "hpcg": 1.0, "lu": 1.0,
+    "sparselu": 0.92, "pr": 0.81, "ep": 0.59, "mg": 0.56,
 }
 _ARM_COST = {"pac": 3.0, "sortdmc": 2.0, "dmc": 1.5, "none": 1.0}
 

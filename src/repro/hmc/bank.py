@@ -7,11 +7,22 @@ arriving while its bank is busy is a *bank conflict* and waits; a
 256B-aligned coalesced packet touches its row exactly once, which is how
 PAC removes the four-activations-per-row pathology of raw 64B requests
 (Section 2.1.1).
+
+**Flat bank ids.** Busy horizons and activation counts live in two flat
+lists indexed by the bank id ``bank * n_vaults + vault``, so the packet
+path builds no ``(vault, bank)`` tuple and hashes no key. Under the
+power-of-two vault-first map the bank id is the device row index under
+one mask, ``(bank_mask << vault_shift) | vault_mask``; the devices
+inline that. Every other policy, and negative addresses (which must
+keep raising), go through :meth:`AddressMap.vault_bank` and the same
+formula (:meth:`BankArray.bank_id`). The ``(vault, bank)`` views —
+:meth:`busy_until`, :meth:`bank_heat`, :meth:`busiest_banks` — are
+built from the lists on demand.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.stats import StatsRegistry
 from repro.mem.address import AddressMap
@@ -31,8 +42,11 @@ class BankArray:
             raise ValueError("bank busy time must be positive")
         self.address_map = address_map
         self.busy_cycles = busy_cycles
-        self._busy_until: Dict[Tuple[int, int], int] = {}
-        self._access_counts: Dict[Tuple[int, int], int] = {}
+        self.n_vaults = address_map.n_vaults
+        n_banks = address_map.total_banks
+        #: Busy horizon and activation count per bank id.
+        self._busy_until: List[int] = [0] * n_banks
+        self._access_counts: List[int] = [0] * n_banks
         self.stats = StatsRegistry("banks")
         self._probes_on = probes.enabled
         self._t_conflicts = probes.counter("conflicts")
@@ -41,23 +55,27 @@ class BankArray:
         self._c_conflicts = self.stats.counter("conflicts")
         self._c_activations = self.stats.counter("activations")
 
-    def access(
-        self, addr: int, size: int, cycle: int,
-        vb0: Optional[Tuple[int, int]] = None,
-    ) -> Tuple[int, int]:
+    def bank_id(self, addr: int) -> int:
+        """Flat id ``bank * n_vaults + vault`` of the bank ``addr`` maps to."""
+        vault, bank = self.address_map.vault_bank(addr)
+        return bank * self.n_vaults + vault
+
+    def access(self, addr: int, size: int, cycle: int) -> Tuple[int, int]:
         """Perform a (possibly multi-row) access beginning at ``cycle``.
 
         Returns ``(finish_cycle, n_activations)``. Each spanned row is a
         separate closed-page activation on its own bank; conflicts are
         counted whenever the target bank is still busy on arrival.
-        ``vb0`` optionally carries the caller's already-computed
-        (vault, bank) of ``addr`` — every address within a row maps to the
-        same pair, so the dominant single-row access skips re-locating.
         """
         n_rows = self.address_map.rows_spanned(addr, size)
-        if n_rows == 1:
-            key = vb0 if vb0 is not None else self.address_map.vault_bank(addr)
-            busy = self._busy_until.get(key, 0)
+        row_bytes = self.address_map.row_bytes
+        first_row_addr = addr - (addr % row_bytes)
+        busy_until = self._busy_until
+        access_counts = self._access_counts
+        finish = cycle
+        for r in range(n_rows):
+            bank = self.bank_id(first_row_addr + r * row_bytes)
+            busy = busy_until[bank]
             if busy > cycle:
                 self._c_conflicts.value += 1
                 if self._probes_on:
@@ -67,42 +85,21 @@ class BankArray:
             else:
                 start = cycle
             end = start + self.busy_cycles
-            self._busy_until[key] = end
-            self._access_counts[key] = self._access_counts.get(key, 0) + 1
+            busy_until[bank] = end
+            access_counts[bank] += 1
             self._c_activations.value += 1
             if self._probes_on:
                 self._t_activations.add(cycle)
-            return end, 1
-        row_bytes = self.address_map.row_bytes
-        finish = cycle
-        conflicts = self._c_conflicts
-        activations = self._c_activations
-        vault_bank = self.address_map.vault_bank
-        busy_until = self._busy_until
-        access_counts = self._access_counts
-        first_row_addr = addr - (addr % row_bytes)
-        for r in range(n_rows):
-            key = vault_bank(first_row_addr + r * row_bytes)
-            busy = busy_until.get(key, 0)
-            if busy > cycle:
-                conflicts.value += 1
-                if self._probes_on:
-                    self._t_conflicts.add(cycle)
-                    self._t_conflict_wait.observe(cycle, busy - cycle)
-                start = busy
-            else:
-                start = cycle
-            end = start + self.busy_cycles
-            busy_until[key] = end
-            access_counts[key] = access_counts.get(key, 0) + 1
-            activations.value += 1
-            if self._probes_on:
-                self._t_activations.add(cycle)
-            finish = max(finish, end)
+            if end > finish:
+                finish = end
         return finish, n_rows
 
     def busy_until(self, vault: int, bank: int) -> int:
-        return self._busy_until.get((vault, bank), 0)
+        # A pair outside the device would alias another bank's id.
+        if not (0 <= vault < self.n_vaults
+                and 0 <= bank < self.address_map.banks_per_vault):
+            raise ValueError(f"no bank ({vault}, {bank}) in this device")
+        return self._busy_until[bank * self.n_vaults + vault]
 
     @property
     def total_conflicts(self) -> int:
@@ -113,11 +110,18 @@ class BankArray:
         return self.stats.count("activations")
 
     def bank_heat(self) -> Dict[Tuple[int, int], int]:
-        """Activations per (vault, bank) — load-balance analysis."""
-        return dict(self._access_counts)
+        """Activations per (vault, bank) of every bank activated at least
+        once, in ascending (vault, bank) order — load-balance analysis."""
+        n_vaults = self.n_vaults
+        heat = {
+            (bank % n_vaults, bank // n_vaults): n
+            for bank, n in enumerate(self._access_counts) if n
+        }
+        return dict(sorted(heat.items()))
 
     def busiest_banks(self, top: int = 8) -> list:
-        """The ``top`` most-activated (vault, bank) pairs with counts."""
+        """The ``top`` most-activated (vault, bank) pairs with counts;
+        equal counts rank in ascending (vault, bank) order."""
         return sorted(
-            self._access_counts.items(), key=lambda kv: -kv[1]
+            self.bank_heat().items(), key=lambda kv: (-kv[1], kv[0])
         )[:top]

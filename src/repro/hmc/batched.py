@@ -17,7 +17,10 @@ packet, :meth:`submit` therefore does only what depends on timing — the
 queue wait, the response-slot cycles, the bank conflicts and the
 latency total, sum of squares, minimum and maximum — plus one count per
 class: a per-(size, op) record of ``[request FLITs, response FLITs,
-local single-row, remote single-row, local multi-row, remote multi-row]``.
+DRAM-TRANSFER pJ, local single-row, remote single-row, local multi-row,
+remote multi-row]``. The record is built when its class is first seen,
+and that is when the packet size is checked against the device maximum;
+an oversized size never gets a record, so every packet of it raises.
 The multi-row fallback's row count depends on the address, so it adds
 its rows live. :meth:`sync` derives the rest from the class counts:
 packets, payload, transaction bytes, FLITs, local/remote routes and
@@ -32,12 +35,19 @@ so multiplying a merged integer quantity once is exact below 2**53.
 DRAM-TRANSFER (1.2 pJ/byte is not exactly representable) is the one
 category that cannot defer — a merged partial sum rounds differently
 from the reference's running total once that total is nonzero — so it
-alone is charged live per packet, in packet order, exactly as the
-reference charges it. Latency samples are integers too, covered by the
-argument ``Accumulator.add_repeat`` documents. Structural state
-(link/vault/bank busy horizons, bank access counts, the round-robin
-cursor) is shared live with the parent, so residual state matches the
-reference after every packet.
+is charged live per packet, in packet order. Its per-packet amount is
+the class record's ``size * pJ/byte``: the same float product the
+reference computes for every packet, computed once per class, so each
+addition and the running total are the reference's. Latency samples are
+integers too, covered by the argument ``Accumulator.add_repeat``
+documents. Structural state (link/vault busy horizons, the flat bank
+lists of :class:`~repro.hmc.bank.BankArray` indexed by the bank id
+``bank * n_vaults + vault``, the round-robin cursor) is shared live
+with the parent, so residual state matches the reference after every
+packet. The twin's :meth:`submit` finds the bank id as the parent's
+does: the row index under one mask on the power-of-two vault-first
+map, else ``AddressMap.vault_bank`` and the same formula inside the
+``BankArray.access`` fallback.
 
 **Telemetry probes.** With an enabled registry the twin records every
 probe event the reference records — same probes, cycles and values —
@@ -64,9 +74,10 @@ from __future__ import annotations
 from math import inf
 from typing import Dict, List, Optional
 
-from repro.common.types import HMC_CONTROL_OVERHEAD_BYTES, MemOp
+from repro.common.types import HMC_CONTROL_OVERHEAD_BYTES
 from repro.config import HMCConfig
 from repro.hmc.device import (
+    _STORE,
     LOCAL_ROUTE_CYCLES,
     REMOTE_ROUTE_CYCLES,
     HMCDevice,
@@ -76,11 +87,11 @@ from repro.hmc.link import CYCLES_PER_FLIT
 from repro.hmc.vault import VAULT_CTRL_CYCLES
 from repro.telemetry import FOLD_EVENTS, ProbeBuffer
 
-#: Class-record slots: the (size, op) pair's FLIT counts, then one count
-#: per route x DRAM-path class. A multi-row slot sits two after its
-#: single-row twin.
-_REQ_FLITS, _RSP_FLITS = 0, 1
-_LOCAL_ROW, _REMOTE_ROW, _LOCAL_ROWS, _REMOTE_ROWS = range(2, 6)
+#: Class-record slots: the (size, op) pair's FLIT counts and its
+#: DRAM-TRANSFER charge ``size * pJ/byte``, then one count per route x
+#: DRAM-path class. A multi-row slot sits two after its single-row twin.
+_REQ_FLITS, _RSP_FLITS, _TRANSFER_PJ = 0, 1, 2
+_LOCAL_ROW, _REMOTE_ROW, _LOCAL_ROWS, _REMOTE_ROWS = range(3, 7)
 
 #: Live per-packet sums: the integer quantities that depend on timing
 #: (or, for the multi-row rows, on the address).
@@ -142,17 +153,22 @@ class BatchedHMCDevice(HMCDevice):
         sums until :meth:`sync`.
         """
         size = packet.size
-        if size > self._max_packet_bytes:
-            raise ValueError(
-                f"packet of {size}B exceeds device maximum "
-                f"{self._max_packet_bytes}B"
-            )
-        is_store = packet.op == MemOp.STORE
+        is_store = packet.op == _STORE
         classes = self._classes_store if is_store else self._classes_load
         counts = classes.get(size)
         if counts is None:
+            # A class is created once a size passed the check, so later
+            # packets of the class skip it.
+            if size > self._max_packet_bytes:
+                raise ValueError(
+                    f"packet of {size}B exceeds device maximum "
+                    f"{self._max_packet_bytes}B"
+                )
             flits = self._flits_for(size, is_store)
-            counts = classes[size] = [flits.request, flits.response, 0, 0, 0, 0]
+            counts = classes[size] = [
+                flits.request, flits.response,
+                size * self._pj_dram_transfer, 0, 0, 0, 0,
+            ]
         req_flits = counts[_REQ_FLITS]
         rsp_flits = counts[_RSP_FLITS]
         addr = packet.addr
@@ -161,14 +177,10 @@ class BatchedHMCDevice(HMCDevice):
             row_shift = self._am_row_shift
             row_index = addr >> row_shift
             vault = row_index & self._am_vault_mask
-            vb = (
-                vault,
-                (row_index >> self._am_vault_shift) & self._am_bank_mask,
-            )
+            bank = row_index & self._am_bank_id_mask
             single_row = (addr + size - 1) >> row_shift == row_index
         else:
-            vb = self._vault_bank(addr)
-            vault = vb[0]
+            vault = self._vault_bank(addr)[0]
         w = self._w
         probes_on = self._probes_on
         if probes_on:
@@ -216,25 +228,24 @@ class BatchedHMCDevice(HMCDevice):
         # the reference exactly.
         if single_row:
             busy_until = self._bank_busy_until
-            busy = busy_until.get(vb, 0)
+            busy = busy_until[bank]
             if busy > t:
                 w[_W_CONFLICTS] += 1
                 start = busy
             else:
                 start = t
             end = start + self._bank_cycles
-            busy_until[vb] = end
-            bank_counts = self._bank_counts
-            bank_counts[vb] = bank_counts.get(vb, 0) + 1
+            busy_until[bank] = end
+            self._bank_counts[bank] += 1
             counts[route_class] += 1
             t = end
             n_rows = 1
         else:
-            t, n_rows = self.banks.access(addr, size, t, vb0=vb)
+            t, n_rows = self.banks.access(addr, size, t)
             counts[route_class + 2] += 1
             w[_W_MULTI_ROWS] += n_rows
         # Charged live, in packet order: see the module docstring.
-        self._pj_store["DRAM-TRANSFER"] += size * self._pj_dram_transfer
+        self._pj_store["DRAM-TRANSFER"] += counts[_TRANSFER_PJ]
 
         # 5. Response route + serialization.
         route_back = LOCAL_ROUTE_CYCLES if local else REMOTE_ROUTE_CYCLES
@@ -329,9 +340,8 @@ class BatchedHMCDevice(HMCDevice):
         local = remote = local_flits = remote_flits = one_row = 0
         for classes in (self._classes_load, self._classes_store):
             for size, counts in classes.items():
-                req, rsp, local_row, remote_row, local_rows, remote_rows = (
-                    counts
-                )
+                (req, rsp, _, local_row, remote_row, local_rows,
+                 remote_rows) = counts
                 n_local = local_row + local_rows
                 n_remote = remote_row + remote_rows
                 n = n_local + n_remote

@@ -37,6 +37,10 @@ from repro.mem.address import AddressMap
 LOCAL_ROUTE_CYCLES = 2
 REMOTE_ROUTE_CYCLES = 8
 
+#: ``MemOp.STORE``, bound once: per packet, the enum's class-attribute
+#: lookup costs several times the comparison itself.
+_STORE = MemOp.STORE
+
 
 class HMCDevice:
     """Cycle-approximate Hybrid Memory Cube.
@@ -106,19 +110,21 @@ class HMCDevice:
         self._c_payload = stats.counter("payload_bytes")
         self._c_txbytes = stats.counter("transaction_bytes")
         self._acc_latency = stats.accumulator("latency_cycles")
-        self._locate = self.address_map.locate
         self._vault_bank = self.address_map.vault_bank
         self._max_packet_bytes = cfg.max_packet_bytes
-        # Inline (vault, bank) decomposition for the dominant power-of-two
-        # vault-first mapping (same shift/mask arithmetic as
-        # AddressMap.vault_bank); other modes — and negative addresses,
-        # which must keep raising — fall back to the bound method.
+        # Inline vault and bank-id decomposition for the dominant
+        # power-of-two vault-first mapping (same shift/mask arithmetic as
+        # AddressMap.vault_bank): the bank id ``bank * n_vaults + vault``
+        # is the row index under one mask. Other modes — and negative
+        # addresses, which must keep raising — fall back to the bound
+        # method and BankArray.access.
         amap = self.address_map
         self._am_vault_first = amap._mode == AddressMap._MODE_VAULT_FIRST
         self._am_row_shift = amap._row_shift
         self._am_vault_mask = amap._vault_mask
-        self._am_vault_shift = amap._vault_shift
-        self._am_bank_mask = amap._bank_mask
+        self._am_bank_id_mask = (
+            (amap._bank_mask << amap._vault_shift) | amap._vault_mask
+        )
         # Link/vault busy-horizon state, bound once. ``submit`` performs
         # the serialization/admission arithmetic inline (identical to
         # LinkSet.serialize_* / VaultSet.admit, which stay the canonical
@@ -170,7 +176,7 @@ class HMCDevice:
                 f"packet of {size}B exceeds device maximum "
                 f"{self._max_packet_bytes}B"
             )
-        is_store = packet.op == MemOp.STORE
+        is_store = packet.op == _STORE
         flit_cache = self._flits_store if is_store else self._flits_load
         flits = flit_cache.get(size)
         if flits is None:
@@ -184,14 +190,10 @@ class HMCDevice:
             row_shift = self._am_row_shift
             row_index = addr >> row_shift
             vault = row_index & self._am_vault_mask
-            vb = (
-                vault,
-                (row_index >> self._am_vault_shift) & self._am_bank_mask,
-            )
+            bank = row_index & self._am_bank_id_mask
             single_row = (addr + size - 1) >> row_shift == row_index
         else:
-            vb = self._vault_bank(addr)
-            vault = vb[0]
+            vault = self._vault_bank(addr)[0]
         pj_before = self.energy.total_pj if self._probes_on else 0.0
 
         # 1. Link serialization (request direction) — round-robin pick
@@ -253,7 +255,7 @@ class HMCDevice:
         # case runs inline (same side effects as BankArray.access).
         if single_row:
             busy_until = self._bank_busy_until
-            busy = busy_until.get(vb, 0)
+            busy = busy_until[bank]
             if busy > t:
                 self._bc_conflicts.value += 1
                 if self._banks_probes_on:
@@ -263,16 +265,15 @@ class HMCDevice:
             else:
                 start = t
             end = start + self._bank_cycles
-            busy_until[vb] = end
-            counts = self._bank_counts
-            counts[vb] = counts.get(vb, 0) + 1
+            busy_until[bank] = end
+            self._bank_counts[bank] += 1
             self._bc_activations.value += 1
             if self._banks_probes_on:
                 self._bt_activations.add(t)
             t = end
             n_rows = 1
         else:
-            t, n_rows = self.banks.access(addr, size, t, vb0=vb)
+            t, n_rows = self.banks.access(addr, size, t)
         dram_done = t
         pj_store["DRAM-ACTIVATE"] += n_rows * self._pj_dram_activate
         pj_store["DRAM-TRANSFER"] += size * self._pj_dram_transfer

@@ -14,6 +14,7 @@ Generators are registered by name; :func:`get_workload` and
 from __future__ import annotations
 
 import abc
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -230,9 +231,10 @@ def workload_key(name: str) -> str:
 
 
 def size_factor(scale) -> float:
-    """The footprint multiplier ``scale`` names: a positive number, or a
-    class letter of :data:`SIZE_CLASSES` in any case. An unknown letter
-    raises :class:`KeyError`, any other bad value :class:`ValueError`."""
+    """The footprint multiplier ``scale`` names: a positive finite
+    number, or a class letter of :data:`SIZE_CLASSES` in any case. An
+    unknown letter raises :class:`KeyError`, any other bad value
+    (``0``, ``-1``, ``inf``, ``nan``, a bool) :class:`ValueError`."""
     if isinstance(scale, str):
         try:
             return SIZE_CLASSES[scale.upper()]
@@ -240,16 +242,17 @@ def size_factor(scale) -> float:
             raise KeyError(
                 f"unknown size class {scale!r}; known: {sorted(SIZE_CLASSES)}"
             ) from None
-    if (
-        isinstance(scale, bool)
-        or not isinstance(scale, numbers.Real)
-        or not scale > 0
-    ):
-        raise ValueError(
-            "scale must be a positive number or a size class letter, "
-            f"got {scale!r}"
-        )
-    return float(scale)
+    if not isinstance(scale, bool) and isinstance(scale, numbers.Real):
+        try:
+            factor = float(scale)
+        except OverflowError:  # an int beyond the float range
+            factor = math.inf
+        if 0 < factor < math.inf:
+            return factor
+    raise ValueError(
+        "scale must be a positive finite number or a size class letter, "
+        f"got {scale!r}"
+    )
 
 
 def get_workload(

@@ -108,6 +108,17 @@ class TestRawStreamIdentity:
         np.testing.assert_array_equal(r2.packed, b2.packed)
         assert ref.stats.as_dict() == bat.stats.as_dict()
 
+    def test_inherited_caches_never_build_their_sets(self):
+        """The batched hierarchy's inherited caches carry geometry and
+        stats only: a whole pass builds none of their ``OrderedDict``
+        sets, and their occupancy reads 0 where the reference's does
+        not."""
+        ref, rs, bat, bs = _streams(_trace("gs", n=1500))
+        caches = [*bat.l1s, bat.llc]
+        assert not any("_sets" in vars(cache) for cache in caches)
+        assert [cache.occupancy for cache in caches] == [0] * len(caches)
+        assert ref.llc.occupancy > 0
+
 
 class TestRunResultIdentity:
     """Full-``RunResult`` equality, every engine arm — the acceptance

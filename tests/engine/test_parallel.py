@@ -91,20 +91,20 @@ class TestGridInput:
 
 class TestSchedule:
     #: ``_grid``'s order over every benchmark x none/dmc/pac, as the
-    #: measured bench baseline weighted it from the repository root.
+    #: measured PAC-arm weights of ``_BENCH_COST`` rank it.
     ORDER = [
-        ("gs", "pac"), ("gs", "dmc"), ("gs", "none"), ("bfs", "pac"),
-        ("ssca2", "pac"), ("cg", "pac"), ("ep", "pac"), ("fft", "pac"),
-        ("lu", "pac"), ("mg", "pac"), ("pr", "pac"), ("sort", "pac"),
-        ("sp", "pac"), ("sparselu", "pac"), ("bfs", "dmc"),
-        ("ssca2", "dmc"), ("stream", "pac"), ("bfs", "none"),
-        ("cg", "dmc"), ("ep", "dmc"), ("fft", "dmc"), ("hpcg", "pac"),
-        ("lu", "dmc"), ("mg", "dmc"), ("pr", "dmc"), ("sort", "dmc"),
-        ("sp", "dmc"), ("sparselu", "dmc"), ("ssca2", "none"),
-        ("cg", "none"), ("ep", "none"), ("fft", "none"), ("lu", "none"),
-        ("mg", "none"), ("pr", "none"), ("sort", "none"), ("sp", "none"),
-        ("sparselu", "none"), ("stream", "dmc"), ("hpcg", "dmc"),
-        ("stream", "none"), ("hpcg", "none"),
+        ("gs", "pac"), ("sp", "pac"), ("gs", "dmc"), ("ssca2", "pac"),
+        ("gs", "none"), ("sp", "dmc"), ("cg", "pac"), ("ssca2", "dmc"),
+        ("bfs", "pac"), ("sp", "none"), ("ssca2", "none"), ("cg", "dmc"),
+        ("bfs", "dmc"), ("cg", "none"), ("sort", "pac"), ("bfs", "none"),
+        ("fft", "pac"), ("stream", "pac"), ("hpcg", "pac"), ("lu", "pac"),
+        ("sparselu", "pac"), ("pr", "pac"), ("sort", "dmc"),
+        ("fft", "dmc"), ("stream", "dmc"), ("ep", "pac"), ("mg", "pac"),
+        ("sort", "none"), ("hpcg", "dmc"), ("lu", "dmc"),
+        ("sparselu", "dmc"), ("fft", "none"), ("pr", "dmc"),
+        ("stream", "none"), ("hpcg", "none"), ("lu", "none"),
+        ("sparselu", "none"), ("ep", "dmc"), ("mg", "dmc"), ("pr", "none"),
+        ("ep", "none"), ("mg", "none"),
     ]
 
     def _order(self):

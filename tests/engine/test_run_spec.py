@@ -47,6 +47,8 @@ BAD_FIELDS = [
     ("scale", "Q"),
     ("scale", 0),
     ("scale", -1.5),
+    ("scale", float("inf")),
+    ("scale", float("nan")),
     ("scale", None),
 ]
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.common.types import CoalescedRequest, MemOp
 from repro.config import HMCConfig
-from repro.hmc.batched import BatchedHBMDevice, BatchedHMCDevice
+from repro.hmc.batched import _LOCAL_ROW, BatchedHBMDevice, BatchedHMCDevice
 from repro.hmc.device import HMCDevice
 from repro.hmc.hbm import HBMDevice, hbm_config
 
@@ -189,7 +189,7 @@ class TestSyncSemantics:
         assert bat._w == [0] * len(bat._w)
         assert bat._w_lat == [math.inf, -math.inf]
         assert all(
-            counts[2:] == [0, 0, 0, 0]
+            counts[_LOCAL_ROW:] == [0, 0, 0, 0]
             for classes in (bat._classes_load, bat._classes_store)
             for counts in classes.values()
         )

@@ -45,6 +45,16 @@ class TestRunCommands:
             ["--accesses", "2000", "run", "gs", "--scale", "S"]
         ) == 0
 
+    @pytest.mark.parametrize("scale", ["Q", "-1", "inf", "nan"])
+    def test_bad_scale_is_a_usage_error(self, scale, capsys):
+        """Like ``--jobs 0``: exit 2 with a message naming the flag,
+        before anything runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--accesses", "500", "run", "gs", f"--scale={scale}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--scale" in err and "Traceback" not in err
+
     def test_compare(self, capsys):
         assert main(["--accesses", "2000", "compare", "bfs"]) == 0
         out = capsys.readouterr().out

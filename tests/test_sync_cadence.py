@@ -106,7 +106,7 @@ def _residual(dev):
     return (
         list(dev.links.req_busy_until), list(dev.links.rsp_busy_until),
         dev.links._rr, list(dev.vaults._busy_until),
-        dict(dev.banks._busy_until), dict(dev.banks._access_counts),
+        list(dev.banks._busy_until), list(dev.banks._access_counts),
         dev.links.stats.as_dict(), dev.vaults.stats.as_dict(),
         dev.banks.stats.as_dict(),
     )

@@ -21,10 +21,9 @@ class TestSizeClasses:
         assert get_workload("gs", scale=2.0).scale == 2.0
 
     def test_invalid_scale(self):
-        with pytest.raises(ValueError):
-            get_workload("gs", scale=0)
-        with pytest.raises(ValueError):
-            get_workload("gs", scale=-1)
+        for scale in (0, -1, float("inf"), float("nan"), 10**400, True):
+            with pytest.raises(ValueError, match="positive finite"):
+                get_workload("gs", scale=scale)
 
     def test_default_is_class_a(self):
         assert get_workload("gs").scale == 1.0
