@@ -15,6 +15,7 @@ from collections import Counter
 from repro.config import TABLE1
 from repro.core.protocols import HBM, HMC1, HMC2
 from repro.engine.system import CoalescerKind, System
+from repro.mshr.dmc import RecordingDevice
 
 N_ACCESSES = 30_000
 
@@ -23,8 +24,11 @@ def run(protocol, device, config):
     system = System(config, CoalescerKind.PAC, protocol=protocol, device=device)
     trace = system.build_trace(["stream"], N_ACCESSES)
     raw = system.hierarchy.process(trace).packed
-    outcome = system.coalescer.process(raw, system.device)
-    sizes = Counter(p.size for p in outcome.issued)
+    # The outcome keeps totals; the packets are read where they end, at
+    # the device.
+    device = RecordingDevice(system.device)
+    outcome = system.coalescer.process(raw, device)
+    sizes = Counter(packet.size for packet, _ in device.submits)
     return outcome, sizes, system
 
 

@@ -46,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.system import CoalescerKind, System
+from repro.mshr.dmc import RecordingDevice
 from repro.telemetry import events as ev
 
 #: Coalescer arms the suite-scale measurement fans out.
@@ -424,14 +425,16 @@ def stage_legs(
     Each value is ``(items, prepare)``: ``prepare(engine)`` builds a
     fresh stage on ``engine`` (stages hold state) and returns the one
     call to time or profile — the call production makes for that
-    stage. Shared inputs (the trace, the raw stream, the PAC arm's
-    issued packets) are built once here, so no leg pays for its
-    upstream or for ``System`` construction.
+    stage. Shared inputs (the trace, the raw stream, the packets the
+    PAC arm submits, recorded at its device) are built once here, so
+    no leg pays for its upstream or for ``System`` construction.
     """
     base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
     trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
     raw = base.hierarchy.process(trace).packed
-    issued = base.coalescer.process(raw, base.device).issued
+    recorded = RecordingDevice(base.device)
+    base.coalescer.process(raw, recorded)
+    issued = [packet for packet, _ in recorded.submits]
 
     def fresh(engine: str) -> System:
         return System(

@@ -2,12 +2,10 @@
 
 from repro.cache.setassoc import AccessResult, SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, RawStream
-from repro.cache.queues import RequestQueues
 
 __all__ = [
     "AccessResult",
     "SetAssociativeCache",
     "CacheHierarchy",
     "RawStream",
-    "RequestQueues",
 ]

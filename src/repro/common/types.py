@@ -114,8 +114,10 @@ class CoalescedRequest:
 
     ``addr`` is block-aligned; ``size`` is a protocol-legal packet size
     (e.g. 64/128/256B for HMC 2.1). ``constituents`` holds the ``req_id``
-    values of every raw request satisfied by this packet — the metrics in
-    :mod:`repro.engine.results` are derived from it.
+    values of every raw request satisfied by this packet; the service
+    accounting and span stamps walk it. The result metrics come from the
+    totals the arm keeps (:class:`~repro.mshr.dmc.CoalesceOutcome`), not
+    from kept packets: a packet ends at the device.
 
     Not frozen: coalescers create one packet per issued transaction, so
     construction is on the simulator's hot path and the frozen-dataclass

@@ -193,8 +193,8 @@ class PagedAdaptiveCoalescer(Coalescer):
                     source="atomic",
                 )
                 completion = memory.submit(packet, now)
-                out.issued.append(packet)
                 out.n_issued += 1
+                out.payload_bytes += packet.size
                 out.last_completion_cycle = max(
                     out.last_completion_cycle, completion
                 )
@@ -436,8 +436,8 @@ class PagedAdaptiveCoalescer(Coalescer):
         slot, _ = self.mshrs.allocate_packet(packet, t)
         completion = self._memory.submit(packet, t)
         self.mshrs.schedule_release(slot, completion)
-        out.issued.append(packet)
         out.n_issued += 1
+        out.payload_bytes += packet.size
         if completion > out.last_completion_cycle:
             out.last_completion_cycle = completion
         self._account_packet(packet, completion)

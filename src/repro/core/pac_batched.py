@@ -3,9 +3,9 @@
 :class:`BatchedPagedAdaptiveCoalescer` is a drop-in replacement for
 :class:`repro.core.pac.PagedAdaptiveCoalescer` that produces **bit-
 identical** results (same :class:`~repro.mshr.dmc.CoalesceOutcome`, same
-issued packets, same stats registries, same device interaction sequence)
-while replacing the reference path's per-request object churn with flat
-state:
+stats registries, same device interaction sequence: the same packets
+submitted at the same cycles) while replacing the reference path's
+per-request object churn with flat state:
 
 * the raw stream is the packed array's column lists, zipped, and split
   into **quiescent windows** — the fence-delimited segments of the
@@ -23,12 +23,11 @@ state:
   the force-flush victim is the head, and the end-of-run drain is the
   deque in order (the reference's stable sort by deadline is the
   identity on an already-deadline-ordered list).
-* the MAQ runs on a preallocated ring — the structure
-  :class:`repro.common.ringbuf.RingBuffer` implements and the property
-  suite pins against :class:`repro.common.fifo.BoundedFIFO` — inlined
-  into kernel locals (slot array + head/count cursors), so push/pop are
-  index stores; fill-episode accounting is reproduced inline and the
-  FIFO's occupancy counters are merged back at the end.
+* the MAQ runs on a preallocated ring inlined into kernel locals (slot
+  arrays + head/count cursors), so push/pop are index stores;
+  fill-episode accounting is reproduced inline and the occupancy
+  counters of the MAQ's :class:`repro.common.fifo.BoundedFIFO` are
+  merged back at the end.
 * stages 2–3 (block-map decode + packet assembly) are inlined over the
   flat records: same chunk walk, same table lookups, same per-packet
   cycle arithmetic — packets enqueue as they assemble, which is
@@ -199,10 +198,9 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         #: Allocation-ordered (== deadline-ordered) stage-1 records.
         agg: deque = deque()
         by_tag: dict = {}
-        # The MAQ ring (the structure RingBuffer implements and the
-        # property suite pins against BoundedFIFO), inlined into kernel
-        # locals: a preallocated slot array plus head/count cursors, so
-        # push/pop are index stores instead of method calls.
+        # The MAQ ring, inlined into kernel locals: a preallocated slot
+        # array plus head/count cursors, so push/pop are index stores
+        # instead of method calls.
         maq_cap = self.config.maq_entries
         # Parallel slot arrays (packet / ready-cycle) instead of one
         # array of tuples: enqueue skips a tuple allocation per packet
@@ -222,6 +220,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         # ---- locally accumulated counters ------------------------------
         stall_cycles = 0
         n_issued = 0
+        payload = 0
         n_merged = 0
         last_completion = out.last_completion_cycle
         svc_cycles = 0
@@ -260,7 +259,6 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
         mshr_allocs = 0
         mshr_merges = 0
         memory_submit = memory.submit
-        issued_append = out.issued.append
         proto = self.protocol
         grain_bytes = proto.grain_bytes
         chunk_width = proto.chunk_width
@@ -412,7 +410,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             # PagedAdaptiveCoalescer._issue_packet with the MSHR
             # allocation (AdaptiveMSHRFile.allocate_packet) and the
             # service accounting (_account_packet) inlined.
-            nonlocal n_issued, last_completion, mshr_next_slot, mshr_allocs
+            nonlocal n_issued, payload, last_completion, mshr_next_slot
+            nonlocal mshr_allocs
             nonlocal svc_cycles, svc_served
             addr = packet.addr
             b0 = addr // LINE
@@ -446,8 +445,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
             completion = memory_submit(packet, t)
             entry[3] = completion
             hpush(mshr_heap, (completion, slot))
-            issued_append(packet)
             n_issued += 1
+            payload += packet.size
             if completion > last_completion:
                 last_completion = completion
             cons = packet.constituents
@@ -1032,8 +1031,8 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                         "atomic",
                     )
                     completion = memory_submit(packet, now)
-                    issued_append(packet)
                     n_issued += 1
+                    payload += packet.size
                     if completion > last_completion:
                         last_completion = completion
                     if completion > now:
@@ -1071,6 +1070,7 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
 
         # ---- merge local accumulation into the shared registries --------
         out.n_issued += n_issued
+        out.payload_bytes += payload
         out.n_merged += n_merged
         if last_completion > out.last_completion_cycle:
             out.last_completion_cycle = last_completion

@@ -70,9 +70,11 @@ class PrivateCoalescerArray(Coalescer):
             out = coalescer.process(part, memory)
             merged.n_issued += out.n_issued
             merged.n_merged += out.n_merged
-            merged.issued.extend(out.issued)
+            merged.payload_bytes += out.payload_bytes
             merged.stall_cycles += out.stall_cycles
             merged.comparisons += out.comparisons
+            merged.raw_service_cycles += out.raw_service_cycles
+            merged.raw_serviced += out.raw_serviced
             merged.last_completion_cycle = max(
                 merged.last_completion_cycle, out.last_completion_cycle
             )

@@ -25,7 +25,6 @@ from repro.core.protocols import MemoryProtocol
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
-from repro.faults import FaultInjector, NullInjector, installed, resolve_plan
 from repro.telemetry import events as ev
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.workloads import BENCHMARK_NAMES
@@ -37,22 +36,6 @@ if TYPE_CHECKING:
 #: Default trace length: long enough for steady-state coalescing
 #: behaviour, short enough for interactive runs.
 DEFAULT_ACCESSES = 60_000
-
-
-def _fault_scope(faults):
-    """Resolve a ``faults=`` argument into an installed-injector scope.
-
-    A resolved plan installs a process-scoped
-    :class:`~repro.faults.FaultInjector` for the duration of the call;
-    no plan installs a *fresh* :class:`~repro.faults.NullInjector`,
-    which both disables injection and (by displacing the pristine
-    singleton) stops ``$REPRO_FAULTS`` from auto-installing underneath
-    an explicit ``faults=False``.
-    """
-    plan = resolve_plan(faults)
-    return installed(
-        FaultInjector(plan) if plan is not None else NullInjector()
-    )
 
 
 def _log_run(spec: RunSpec, result: Optional[RunResult] = None) -> None:
@@ -73,27 +56,25 @@ def _log_run(spec: RunSpec, result: Optional[RunResult] = None) -> None:
         ))
 
 
-def run_spec(
-    spec: RunSpec, faults=None, telemetry=None, spans=None
-) -> RunResult:
+def run_spec(spec: RunSpec, telemetry=None, spans=None) -> RunResult:
     """Run ``spec`` end to end on one system: trace, cache pass,
     coalescer, device, with live probes on the cache pass.
 
     This is the path of :func:`run_benchmark`, and the reference every
     arm of a grid (:func:`run_arm` over a shared prefix) equals.
-    ``faults`` scopes injection as on :func:`run_benchmark`.
     ``telemetry``/``spans`` hand in a live registry/recorder to fill;
-    by default the spec's probe settings build fresh ones.
+    by default the spec's probe settings build fresh ones. No fault
+    site lies on this path: they sit on pool jobs, shared memory and
+    the artifact store, which only the grids reach.
     """
-    with _fault_scope(faults):
-        _log_run(spec)
-        system = spec.system(telemetry=telemetry, spans=spans)
-        trace = system.build_trace(
-            spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale
-        )
-        result = system.run_trace(trace, benchmark=spec.label)
-        _log_run(spec, result)
-        return result
+    _log_run(spec)
+    system = spec.system(telemetry=telemetry, spans=spans)
+    trace = system.build_trace(
+        spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale
+    )
+    result = system.run_trace(trace, benchmark=spec.label)
+    _log_run(spec, result)
+    return result
 
 
 def run_arm(spec: RunSpec, tp: "TracePass") -> RunResult:
@@ -141,7 +122,6 @@ def run_benchmark(
     scale=1.0,
     telemetry=False,
     spans=False,
-    faults=None,
     engine: str = "auto",
 ) -> RunResult:
     """Run one benchmark through one coalescer configuration.
@@ -154,20 +134,13 @@ def run_benchmark(
     ``result.telemetry``. ``spans=True`` (or an int sample rate, or a
     :class:`repro.telemetry.SpanRecorder`, which this call fills)
     traces sampled per-request lifecycle spans onto ``result.spans``.
-    ``faults`` activates
-    deterministic fault injection (:mod:`repro.faults`): a plan, a spec
-    string, ``None`` (consult ``$REPRO_FAULTS``), or ``False`` to
-    force-disable; a single in-process run has no instrumented sites of
-    its own, so plans only matter here through code this call reaches
-    (e.g. the artifact store in cached flows). The run logs
-    ``run.start``/``run.end`` to the active event log
+    The run logs ``run.start``/``run.end`` to the active event log
     (:mod:`repro.telemetry.events`). ``engine`` is an oracle hook:
-    ``"auto"`` (default) and ``"batched"`` both run the production path
-    — the batched front-end, PAC kernel and HMC/HBM device twins,
-    whatever the probes, spans or fault plan — and ``"reference"`` runs
-    the scalar per-request classes they are bit-identical to. NONE, DMC
-    and SORT run their one coalescer, and DDR its one device class, on
-    either engine.
+    ``"auto"`` (default) runs the production path — the batched
+    front-end, PAC kernel and HMC/HBM device twins, whatever the probes
+    or spans — and ``"reference"`` runs the scalar per-request classes
+    they are bit-identical to. NONE, DMC and SORT run their one
+    coalescer, and DDR its one device class, on either engine.
     """
     spec = RunSpec(
         (benchmark, *extra_benchmarks), n_accesses, arm=coalescer,
@@ -176,7 +149,7 @@ def run_benchmark(
         **RunSpec.probe_settings(telemetry, spans),
     )
     return run_spec(
-        spec, faults=faults,
+        spec,
         telemetry=(
             telemetry if isinstance(telemetry, TelemetryRegistry) else None
         ),

@@ -254,9 +254,9 @@ def run_suite_parallel(
 
     ``engine`` forwards the oracle hook of
     :func:`~repro.engine.driver.run_benchmark` to every arm and to
-    phase 1's per-benchmark trace+cache prefix: the default (``"auto"``,
-    or its spelling ``"batched"``) runs the batched twins — with probes,
-    spans or a fault plan too — and ``engine="reference"`` the scalar
+    phase 1's per-benchmark trace+cache prefix: the default ``"auto"``
+    runs the batched twins — with probes, spans or a fault plan too —
+    and ``engine="reference"`` the scalar
     classes, bit-identically, so artifact keys and cached passes are
     shared across engines. DDR has one device class on both. Each job
     constructs its own ``System`` inside its worker process.

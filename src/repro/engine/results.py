@@ -211,13 +211,6 @@ def build_result(
     coalescer_latency = (
         pac_metrics.get("mean_request_latency", 0.0) if pac_metrics else 0.0
     )
-    # payload/transaction totals are O(n_issued) property walks — take
-    # each once and derive the efficiency from the same pair.
-    payload_bytes = outcome.payload_bytes
-    transaction_bytes = outcome.transaction_bytes
-    transaction_efficiency = (
-        payload_bytes / transaction_bytes if transaction_bytes else 0.0
-    )
     return RunResult(
         trace_end_cycle=trace_end_cycle,
         coalescer_latency_cycles=coalescer_latency,
@@ -229,9 +222,9 @@ def build_result(
         n_issued=outcome.n_issued,
         n_merged=outcome.n_merged,
         coalescing_efficiency=outcome.coalescing_efficiency,
-        transaction_efficiency=transaction_efficiency,
-        payload_bytes=payload_bytes,
-        transaction_bytes=transaction_bytes,
+        transaction_efficiency=outcome.transaction_efficiency,
+        payload_bytes=outcome.payload_bytes,
+        transaction_bytes=outcome.transaction_bytes,
         bank_conflicts=device.bank_conflicts,
         bank_activations=device.banks.total_activations,
         comparisons=outcome.comparisons,

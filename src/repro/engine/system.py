@@ -53,10 +53,10 @@ class CoalescerKind(enum.Enum):
     SORT = "sortdmc"
 
 
-#: Spellings of the ``engine=`` knob. ``"auto"`` (the default) and
-#: ``"batched"`` both name the production path; ``"reference"`` selects
-#: the scalar classes the parity suites hold it to.
-ENGINES = ("auto", "reference", "batched")
+#: Values of the ``engine=`` knob. ``"auto"`` (the default) names the
+#: production path; ``"reference"`` selects the scalar classes the
+#: parity suites hold it to.
+ENGINES = ("auto", "reference")
 
 #: The ``device=`` choices.
 DEVICES = ("hmc", "hbm", "ddr")
@@ -104,11 +104,11 @@ class System:
         self.fine_grain = fine_grain
         check_choice("engine", engine, ENGINES)
         check_choice("device", device, DEVICES)
-        #: The resolved engine of every component: ``"batched"`` runs
-        #: the batched front-end, PAC kernel and HMC/HBM device twins
-        #: (NONE, DMC and SORT keep their only coalescer, DDR its only
-        #: device class), ``"reference"`` the scalar classes. Probes and
-        #: spans never change it.
+        #: The resolved engine of every component: ``"auto"`` resolves
+        #: to ``"batched"``, the batched front-end, PAC kernel and
+        #: HMC/HBM device twins (NONE, DMC and SORT keep their only
+        #: coalescer, DDR its only device class); ``"reference"`` to the
+        #: scalar classes. Probes and spans never change it.
         self.engine = "reference" if engine == "reference" else "batched"
         # ``telemetry`` is False (off), True (fresh registry at the
         # default window), or a caller-supplied TelemetryRegistry (e.g.

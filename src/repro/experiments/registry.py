@@ -36,6 +36,7 @@ from repro.engine.system import CoalescerKind
 from repro.experiments.reporting import mean_of
 from repro.experiments.tables import table1_configuration
 from repro.hmc.power import ENERGY_CATEGORIES, savings
+from repro.mshr.dmc import RecordingDevice
 from repro.workloads import BENCHMARK_NAMES
 
 NONE, DMC, PAC, SORT = (
@@ -311,9 +312,12 @@ def _clustering(runs: Runs) -> Rows:
 
 def _request_sizes(runs: Runs) -> Rows:
     """Issued packets by size and op, PAC coalescing at the CPU's data
-    size (fine-grain mode)."""
-    _, outcome = runs.replay(runs.spec(INTERNALS_BENCH, fine_grain=True))
-    counter = Counter((p.size, int(p.op)) for p in outcome.issued)
+    size (fine-grain mode), as the device receives them."""
+    spec = runs.spec(INTERNALS_BENCH, fine_grain=True)
+    system = spec.system()
+    device = RecordingDevice(system.device)
+    system.coalescer.process(runs.prefix(spec).raw, device)
+    counter = Counter((p.size, int(p.op)) for p, _ in device.submits)
     total = sum(counter.values())
     return [
         {

@@ -41,7 +41,7 @@ per-request loop over its public methods.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Protocol, Tuple
 
@@ -66,15 +66,38 @@ class MemoryDevice(Protocol):
     def submit(self, packet: CoalescedRequest, cycle: int) -> int: ...
 
 
+class RecordingDevice:
+    """A memory device that keeps the packets crossing it: ``submits``
+    lists every ``(packet, cycle)`` in submission order. An arm's
+    outcome keeps totals only, so a reader that needs the packets
+    themselves wraps the device in this. Every other attribute (``sync``,
+    ``stats``, ``energy``, ...) reads through to the wrapped device."""
+
+    def __init__(self, device: MemoryDevice) -> None:
+        self.device = device
+        self.submits: List[Tuple[CoalescedRequest, int]] = []
+
+    def submit(self, packet: CoalescedRequest, cycle: int) -> int:
+        self.submits.append((packet, cycle))
+        return self.device.submit(packet, cycle)
+
+    def __getattr__(self, name: str):
+        # ``vars`` keeps a wrapper without a device (a half-built copy)
+        # from recursing here.
+        return getattr(vars(self).get("device"), name)
+
+
 @dataclass
 class CoalesceOutcome:
     """Aggregate result of streaming one raw request stream through a
-    coalescer into a memory device."""
+    coalescer into a memory device: totals only. The packets end at the
+    device (:class:`RecordingDevice` keeps them)."""
 
     n_raw: int = 0
     n_issued: int = 0
     n_merged: int = 0
-    issued: List[CoalescedRequest] = field(default_factory=list)
+    #: Sum of the issued packets' sizes (Equation 2's numerator).
+    payload_bytes: int = 0
     last_completion_cycle: int = 0
     stall_cycles: int = 0
     comparisons: int = 0
@@ -93,17 +116,11 @@ class CoalesceOutcome:
         return (self.n_raw - self.n_issued) / self.n_raw
 
     @property
-    def payload_bytes(self) -> int:
-        return sum(p.size for p in self.issued)
-
-    @property
     def transaction_bytes(self) -> int:
         # Every transaction moves its payload plus the fixed 32B of
         # request+response control headers, so the per-packet
         # ``transaction_bytes()`` sum collapses to one multiply.
-        return self.payload_bytes + HMC_CONTROL_OVERHEAD_BYTES * len(
-            self.issued
-        )
+        return self.payload_bytes + HMC_CONTROL_OVERHEAD_BYTES * self.n_issued
 
     @property
     def transaction_efficiency(self) -> float:
@@ -151,8 +168,8 @@ class Coalescer(abc.ABC):
             constituents=(req_id,), issue_cycle=now, source="atomic",
         )
         completion = memory.submit(packet, now)
-        out.issued.append(packet)
         out.n_issued += 1
+        out.payload_bytes += packet.size
         out.last_completion_cycle = max(out.last_completion_cycle, completion)
         out.account_service(now, completion)
         if self._spans_on:
@@ -184,7 +201,6 @@ class NullCoalescer(Coalescer):
         observe_occupancy = self._t_occupancy.observe
         n_mshrs = self.n_mshrs
         submit = memory.submit
-        issued_append = out.issued.append
         atomic_op = int(MemOp.ATOMIC)
         fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
@@ -228,7 +244,6 @@ class NullCoalescer(Coalescer):
             )
             completion = submit(packet, now)
             heappush(releases, completion)
-            issued_append(packet)
             n_issued += 1
             if completion > last_completion:
                 last_completion = completion
@@ -239,6 +254,7 @@ class NullCoalescer(Coalescer):
         out.n_raw = len(raw)
         out.stall_cycles = stall_cycles
         out.n_issued += n_issued
+        out.payload_bytes += line_bytes * n_issued
         out.last_completion_cycle = max(
             out.last_completion_cycle, last_completion
         )
@@ -284,7 +300,6 @@ class MSHRBasedDMC(Coalescer):
         add_merge = self._t_merges.add
         n_mshrs = self.n_mshrs
         submit = memory.submit
-        issued_append = out.issued.append
         atomic_op = int(MemOp.ATOMIC)
         fence_op = int(MemOp.FENCE)
         line_bytes = CACHE_LINE_BYTES
@@ -368,7 +383,6 @@ class MSHRBasedDMC(Coalescer):
             line_slot[line_addr] = next_slot
             heappush(releases, (completion, next_slot))
             next_slot += 1
-            issued_append(packet)
             n_issued += 1
             if completion > last_completion:
                 last_completion = completion
@@ -380,6 +394,7 @@ class MSHRBasedDMC(Coalescer):
         out.n_raw = len(raw)
         out.stall_cycles = stall_cycles
         out.n_issued += n_issued
+        out.payload_bytes += line_bytes * n_issued
         out.n_merged = n_merged
         out.comparisons = comparisons
         out.last_completion_cycle = max(

@@ -200,8 +200,8 @@ class SortingNetworkCoalescer(Coalescer):
         slot, _ = self.mshrs.allocate_packet(packet, t)
         completion = self._memory.submit(packet, t)
         self.mshrs.schedule_release(slot, completion)
-        self._out.issued.append(packet)
         self._out.n_issued += 1
+        self._out.payload_bytes += packet.size
         self._out.last_completion_cycle = max(
             self._out.last_completion_cycle, completion
         )

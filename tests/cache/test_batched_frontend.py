@@ -131,22 +131,22 @@ class TestRunResultIdentity:
     def test_reference_vs_auto(self, bench, kind):
         ref = run_benchmark(
             bench, coalescer=kind, n_accesses=N, seed=SEED,
-            engine="reference", faults=False,
+            engine="reference",
         )
         auto = run_benchmark(
             bench, coalescer=kind, n_accesses=N, seed=SEED,
-            engine="auto", faults=False,
+            engine="auto",
         )
         assert ref == auto
 
     def test_reference_vs_explicit_batched_pac(self):
         ref = run_benchmark(
             "gs", coalescer=CoalescerKind.PAC, n_accesses=N, seed=SEED,
-            engine="reference", faults=False,
+            engine="reference",
         )
         bat = run_benchmark(
             "gs", coalescer=CoalescerKind.PAC, n_accesses=N, seed=SEED,
-            engine="batched", faults=False,
+            engine="auto",
         )
         assert ref == bat
 

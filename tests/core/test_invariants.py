@@ -23,17 +23,23 @@ from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.protocols import HBM, HMC1, HMC2
-from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
+from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer, RecordingDevice
+from tests.conftest import FixedLatencyMemory
 
 
-class RecordingMemory:
-    def __init__(self, latency=50):
-        self.latency = latency
-        self.packets = []
+def recording_memory(latency=50):
+    """A fixed-latency stub whose ``submits`` keep every packet."""
+    return RecordingDevice(FixedLatencyMemory(latency))
 
-    def submit(self, packet, cycle):
-        self.packets.append((packet, cycle))
-        return cycle + self.latency
+
+def packets(memory):
+    return [packet for packet, _ in memory.submits]
+
+
+def assert_totals_match(out, memory):
+    """The outcome's totals count what the device received."""
+    assert out.n_issued == len(memory.submits)
+    assert out.payload_bytes == sum(p.size for p in packets(memory))
 
 
 @st.composite
@@ -81,11 +87,11 @@ class TestPACConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_every_request_serviced_exactly_once(self, reqs):
-        memory = RecordingMemory()
+        memory = recording_memory()
         pac = fresh_pac()
         out = pac.process(encode_requests(reqs), memory)
         serviced = Counter()
-        for packet in out.issued:
+        for packet in packets(memory):
             serviced.update(packet.constituents)
         # Merged requests are satisfied by an in-flight packet; they do
         # not appear in issued constituents.
@@ -95,17 +101,18 @@ class TestPACConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_issued_counts_consistent(self, reqs):
-        out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
-        assert out.n_issued == len(out.issued)
+        memory = recording_memory()
+        out = fresh_pac().process(encode_requests(reqs), memory)
+        assert_totals_match(out, memory)
         assert out.n_raw == len(reqs)
         assert 0 <= out.coalescing_efficiency < 1
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_packets_legal_and_in_page(self, reqs):
-        memory = RecordingMemory()
+        memory = recording_memory()
         fresh_pac().process(encode_requests(reqs), memory)
-        for packet, _ in memory.packets:
+        for packet, _ in memory.submits:
             assert packet.size in HMC2.legal_packet_bytes
             assert packet.addr % HMC2.grain_bytes == 0
             # Never crosses a page boundary.
@@ -119,10 +126,10 @@ class TestPACConservation:
         # Two in-flight packets of the same op never cover the same
         # block twice *within one flush group* — and globally, any two
         # issued packets with a common constituent are impossible.
-        memory = RecordingMemory()
+        memory = recording_memory()
         fresh_pac().process(encode_requests(reqs), memory)
         seen_ids = set()
-        for packet, _ in memory.packets:
+        for packet, _ in memory.submits:
             for rid in packet.constituents:
                 assert rid not in seen_ids
                 seen_ids.add(rid)
@@ -130,70 +137,76 @@ class TestPACConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_transaction_efficiency_bounds(self, reqs):
-        out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
+        out = fresh_pac().process(encode_requests(reqs), recording_memory())
         if out.n_issued:
             assert 0 < out.transaction_efficiency < 1
 
     @given(request_streams(), st.sampled_from([HMC1, HMC2, HBM]))
     @settings(**COMMON_SETTINGS)
     def test_protocol_legality_portable(self, reqs, protocol):
-        memory = RecordingMemory()
+        memory = recording_memory()
         fresh_pac(protocol=protocol).process(encode_requests(reqs), memory)
-        for packet, _ in memory.packets:
+        for packet, _ in memory.submits:
             assert packet.size in protocol.legal_packet_bytes
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_idle_bypass_conserves_too(self, reqs):
+        memory = recording_memory()
         out = fresh_pac(idle_bypass=True).process(
-            encode_requests(reqs), RecordingMemory()
+            encode_requests(reqs), memory
         )
-        serviced = sum(len(p.constituents) for p in out.issued)
+        serviced = sum(len(p.constituents) for p in packets(memory))
         assert serviced + out.n_merged == len(reqs)
+        assert_totals_match(out, memory)
 
     @given(request_streams(), st.integers(min_value=1, max_value=64))
     @settings(**COMMON_SETTINGS)
     def test_timeout_invariance_of_conservation(self, reqs, timeout):
+        memory = recording_memory()
         out = fresh_pac(timeout=timeout).process(
-            encode_requests(reqs), RecordingMemory()
+            encode_requests(reqs), memory
         )
-        serviced = sum(len(p.constituents) for p in out.issued)
+        serviced = sum(len(p.constituents) for p in packets(memory))
         assert serviced + out.n_merged == len(reqs)
+        assert_totals_match(out, memory)
 
 
 class TestBaselineConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_null_is_identity(self, reqs):
-        out = NullCoalescer(16).process(
-            encode_requests(reqs), RecordingMemory()
-        )
+        memory = recording_memory()
+        out = NullCoalescer(16).process(encode_requests(reqs), memory)
         assert out.n_issued == len(reqs)
         assert out.coalescing_efficiency == 0.0
+        assert_totals_match(out, memory)
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_dmc_conservation(self, reqs):
-        out = MSHRBasedDMC(16).process(
-            encode_requests(reqs), RecordingMemory()
-        )
+        memory = recording_memory()
+        out = MSHRBasedDMC(16).process(encode_requests(reqs), memory)
         assert out.n_issued + out.n_merged == len(reqs)
-        assert all(p.size == 64 for p in out.issued)
+        assert all(p.size == 64 for p in packets(memory))
+        assert_totals_match(out, memory)
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_pac_never_issues_more_than_null(self, reqs):
-        pac_out = fresh_pac().process(encode_requests(reqs), RecordingMemory())
+        pac_out = fresh_pac().process(
+            encode_requests(reqs), recording_memory()
+        )
         null_out = NullCoalescer(16).process(
-            encode_requests(reqs), RecordingMemory()
+            encode_requests(reqs), recording_memory()
         )
         assert pac_out.n_issued <= null_out.n_issued
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_completion_cycles_monotone(self, reqs):
-        memory = RecordingMemory()
+        memory = recording_memory()
         out = fresh_pac().process(encode_requests(reqs), memory)
         assert out.last_completion_cycle >= 0
-        for packet, cycle in memory.packets:
+        for packet, cycle in memory.submits:
             assert cycle >= 0

@@ -1,6 +1,8 @@
 """White-box tests for PAC internals: controller hysteresis, MAQ
 backpressure, occupancy sampling, and the private-coalescer variant."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.artifacts.shm import encode_requests
@@ -8,6 +10,8 @@ from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.private import PrivateCoalescerArray
+from repro.hmc.device import HMCDevice
+from repro.mshr.dmc import CoalesceOutcome, RecordingDevice
 
 
 class SlowMemory:
@@ -78,8 +82,9 @@ class TestMAQBackpressure:
                       timeout_cycles=1)
         )
         stream = [req(p, cycle=p * 2) for p in range(8)]
-        out = pac.process(encode_requests(stream), SlowMemory())
-        serviced = sum(len(p.constituents) for p in out.issued)
+        memory = RecordingDevice(SlowMemory())
+        out = pac.process(encode_requests(stream), memory)
+        serviced = sum(len(p.constituents) for p, _ in memory.submits)
         assert serviced + out.n_merged == len(stream)
 
 
@@ -155,9 +160,42 @@ class TestPrivateCoalescerArray:
             req(p % 3, b % 4, cycle=i, core=i % 4)
             for i, (p, b) in enumerate((i * 7 % 5, i) for i in range(40))
         ]
-        out = arr.process(encode_requests(stream), FastMemory())
-        serviced = sum(len(p.constituents) for p in out.issued)
+        memory = RecordingDevice(FastMemory())
+        out = arr.process(encode_requests(stream), memory)
+        serviced = sum(len(p.constituents) for p, _ in memory.submits)
         assert serviced + out.n_merged == len(stream)
+        assert out.n_issued == len(memory.submits)
+        assert out.payload_bytes == sum(p.size for p, _ in memory.submits)
+
+    def test_merged_outcome_sums_its_parts(self):
+        """The merged outcome's totals (service accounting and payload
+        included) are the sums of the per-core outcomes, and its last
+        completion is their latest."""
+        arr = PrivateCoalescerArray(n_cores=4, config=PACConfig())
+        parts = []
+        for pac in arr.coalescers:
+            def process(raw, memory, _process=pac.process):
+                parts.append(_process(raw, memory))
+                return parts[-1]
+
+            pac.process = process
+        stream = [
+            req(p % 3, b % 4, cycle=i * 3, core=i % 4)
+            for i, (p, b) in enumerate((i * 7 % 5, i) for i in range(40))
+        ]
+        merged = arr.process(encode_requests(stream), HMCDevice())
+        assert len(parts) == 4
+        expected = CoalesceOutcome(last_completion_cycle=max(
+            part.last_completion_cycle for part in parts
+        ))
+        for f in fields(CoalesceOutcome):
+            if f.name != "last_completion_cycle":
+                setattr(expected, f.name, sum(
+                    getattr(part, f.name) for part in parts
+                ))
+        assert merged == expected
+        assert merged.raw_serviced > 0
+        assert merged.mean_raw_service_cycles > 0
 
     def test_shared_merges_what_private_cannot(self):
         shared = PagedAdaptiveCoalescer(PACConfig(idle_bypass=False))

@@ -6,7 +6,9 @@ bounds / monotonicity trio stated for the telemetry harness:
 1. **Payload conservation** — no request is lost or duplicated:
    DMC satisfies ``n_raw == n_issued + n_merged`` (one packet per
    non-merged request); PAC satisfies the packet-granular form
-   ``sum(constituents per issued packet) + n_merged == n_raw``.
+   ``sum(constituents per submitted packet) + n_merged == n_raw``;
+   ``n_issued`` and ``payload_bytes`` count the packets the device
+   received and their sizes.
 2. **Efficiency bounds** — ``coalescing_efficiency`` in ``[0, 1]`` for
    every arm on every stream.
 3. **Window monotonicity** — against a zero-latency memory (no
@@ -28,7 +30,7 @@ from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.protocols import HMC2
-from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
+from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer, RecordingDevice
 from repro.telemetry import TelemetryRegistry
 
 
@@ -83,19 +85,23 @@ class TestPayloadConservation:
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_dmc_request_granular(self, reqs):
-        out = MSHRBasedDMC(16).process(
-            encode_requests(reqs), FixedLatencyMemory()
-        )
+        memory = RecordingDevice(FixedLatencyMemory())
+        out = MSHRBasedDMC(16).process(encode_requests(reqs), memory)
         assert out.n_raw == out.n_issued + out.n_merged
         assert out.n_raw == len(reqs)
+        assert out.n_issued == len(memory.submits)
+        assert out.payload_bytes == sum(p.size for p, _ in memory.submits)
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
     def test_pac_packet_granular(self, reqs):
         pac = PagedAdaptiveCoalescer(PACConfig(), protocol=HMC2)
-        out = pac.process(encode_requests(reqs), FixedLatencyMemory())
-        constituents = sum(len(p.constituents) for p in out.issued)
+        memory = RecordingDevice(FixedLatencyMemory())
+        out = pac.process(encode_requests(reqs), memory)
+        constituents = sum(len(p.constituents) for p, _ in memory.submits)
         assert constituents + out.n_merged == out.n_raw == len(reqs)
+        assert out.n_issued == len(memory.submits)
+        assert out.payload_bytes == sum(p.size for p, _ in memory.submits)
 
     @given(request_streams())
     @settings(**COMMON_SETTINGS)
@@ -104,8 +110,9 @@ class TestPayloadConservation:
         pac = PagedAdaptiveCoalescer(
             PACConfig(), protocol=HMC2, probes=registry.scope("pac")
         )
-        out = pac.process(encode_requests(reqs), FixedLatencyMemory())
-        constituents = sum(len(p.constituents) for p in out.issued)
+        memory = RecordingDevice(FixedLatencyMemory())
+        out = pac.process(encode_requests(reqs), memory)
+        constituents = sum(len(p.constituents) for p, _ in memory.submits)
         assert constituents + out.n_merged == len(reqs)
         # Every packet reaching the MSHR stage arrived by exactly one of
         # three routes — the assembler (coalesced path), the C-bit

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.core.pac_batched import window_bounds
+from repro.mshr.dmc import RecordingDevice
 
 SETTINGS = dict(
     max_examples=60,
@@ -121,17 +122,20 @@ class TestEngineEqualityOnSyntheticStreams:
                 coalescer=CoalescerKind.PAC, engine=engine,
                 telemetry=TelemetryRegistry(window_cycles=1) if probes else False,
             )
-            for engine in ("reference", "batched")
+            for engine in ("reference", "auto")
         )
         raw = encode_requests(reqs)
-        ref = ref_sys.coalescer.process(raw, ref_sys.device)
-        bat = bat_sys.coalescer.process(raw, bat_sys.device)
+        ref_dev = RecordingDevice(ref_sys.device)
+        bat_dev = RecordingDevice(bat_sys.device)
+        ref = ref_sys.coalescer.process(raw, ref_dev)
+        bat = bat_sys.coalescer.process(raw, bat_dev)
         bat_sys.device.sync()
         assert ref_sys.telemetry == bat_sys.telemetry
         assert ref.n_issued == bat.n_issued
         assert ref.n_merged == bat.n_merged
         assert ref.last_completion_cycle == bat.last_completion_cycle
-        assert ref.issued == bat.issued
+        assert ref_dev.submits == bat_dev.submits
+        assert ref == bat
         assert (
             ref_sys.coalescer.stats.as_dict()
             == bat_sys.coalescer.stats.as_dict()

@@ -20,6 +20,7 @@ import pytest
 from repro.artifacts.shm import encode_requests
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
+from repro.mshr.dmc import RecordingDevice
 from repro.telemetry import events as ev
 from repro.workloads import BENCHMARK_NAMES
 
@@ -38,7 +39,6 @@ def _run(bench, device, engine, **kw):
         seed=SEED,
         device=device,
         engine=engine,
-        faults=False,
         **kw,
     )
 
@@ -48,7 +48,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("bench", BENCHMARKS)
     def test_full_runresult_equality(self, bench, device):
         ref = _run(bench, device, "reference")
-        bat = _run(bench, device, "batched")
+        bat = _run(bench, device, "auto")
         assert ref == bat
 
     @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ class TestBitIdentity:
         ref, auto = (
             run_benchmark(
                 bench, coalescer=kind, n_accesses=1500, seed=SEED,
-                engine=engine, faults=False,
+                engine=engine,
             )
             for engine in ("reference", "auto")
         )
@@ -69,7 +69,7 @@ class TestBitIdentity:
 
     def test_fine_grain_equality(self):
         ref = _run("gs", "hmc", "reference", fine_grain=True)
-        bat = _run("gs", "hmc", "batched", fine_grain=True)
+        bat = _run("gs", "hmc", "auto", fine_grain=True)
         assert ref == bat
 
     def test_auto_resolves_to_batched_and_matches(self):
@@ -81,16 +81,19 @@ class TestBitIdentity:
 
     def test_issued_packets_identical(self):
         """The packet stream itself — not just aggregates — must match,
-        constituents included: every engine gives a request of the packed
-        stream its ordinal as id."""
+        constituents and submit cycles included: every engine gives a
+        request of the packed stream its ordinal as id."""
         base = System(coalescer=CoalescerKind.PAC, engine="reference")
         trace = base.build_trace(["gs"], 3000, seed=7)
         raw = encode_requests(list(trace.requests()))
-        ref = base.coalescer.process(raw, base.device)
-        bat_sys = System(coalescer=CoalescerKind.PAC, engine="batched")
-        bat = bat_sys.coalescer.process(raw, bat_sys.device)
-        assert len(ref.issued) == len(bat.issued)
-        for a, b in zip(ref.issued, bat.issued):
+        ref_dev = RecordingDevice(base.device)
+        ref = base.coalescer.process(raw, ref_dev)
+        bat_sys = System(coalescer=CoalescerKind.PAC, engine="auto")
+        bat_dev = RecordingDevice(bat_sys.device)
+        bat = bat_sys.coalescer.process(raw, bat_dev)
+        assert ref == bat
+        assert len(ref_dev.submits) == len(bat_dev.submits) == ref.n_issued
+        for a, b in zip(ref_dev.submits, bat_dev.submits):
             assert a == b
         for reg_name in ("stats",):
             assert (
@@ -119,8 +122,9 @@ class TestDispatchRules:
 
     @pytest.mark.parametrize("kind", [CoalescerKind.NONE, CoalescerKind.DMC])
     def test_non_pac_explicit_batched_accepted(self, kind):
-        # "batched" is a spelling of the production path on every arm.
-        s = System(coalescer=kind, engine="batched")
+        # The production path ("auto") runs the one coalescer of every
+        # non-PAC arm, the class "reference" runs.
+        s = System(coalescer=kind, engine="auto")
         assert s.engine == "batched"
         assert type(s.coalescer) is type(
             System(coalescer=kind, engine="reference").coalescer
@@ -132,32 +136,31 @@ class TestDispatchRules:
     def test_spans_accept_explicit_batched(self, probe_kw):
         from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
 
-        s = System(coalescer=CoalescerKind.PAC, engine="batched", **probe_kw)
+        s = System(coalescer=CoalescerKind.PAC, engine="auto", **probe_kw)
         assert s.engine == "batched"
         assert type(s.coalescer) is BatchedPagedAdaptiveCoalescer
 
     def test_telemetry_is_not_a_blocker(self):
-        for engine in ("auto", "batched"):
-            s = System(
-                coalescer=CoalescerKind.PAC, engine=engine, telemetry=True
-            )
-            assert s.engine == "batched"
+        s = System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
+        assert s.engine == "batched"
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            System(coalescer=CoalescerKind.PAC, engine="vectorised")
+        # "batched" is what "auto" resolves to, not a value of the knob.
+        for engine in ("vectorised", "batched"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                System(coalescer=CoalescerKind.PAC, engine=engine)
 
     @pytest.mark.parametrize("kind", list(CoalescerKind))
     def test_for_arm_keeps_the_engine(self, kind):
         from repro.engine.spec import RunSpec
 
-        for engine in ("auto", "batched", "reference"):
+        for engine in ("auto", "reference"):
             spec = RunSpec(("gs",), 1, engine=engine).for_arm(kind)
             assert (spec.arm, spec.engine) == (kind, engine)
 
 
 class TestGridLevelEngine:
-    """``engine="batched"`` on multi-arm grids: every arm takes it, and
+    """``engine="auto"`` on multi-arm grids: every arm takes it, and
     NONE/DMC run their one coalescer between the batched twins —
     bit-identically to ``reference``."""
 
@@ -169,7 +172,7 @@ class TestGridLevelEngine:
             use_artifact_cache=False,
         )
         bat = run_comparison(
-            "stream", n_accesses=2000, seed=11, engine="batched",
+            "stream", n_accesses=2000, seed=11, engine="auto",
             use_artifact_cache=False,
         )
         assert ref == bat
@@ -183,7 +186,7 @@ class TestGridLevelEngine:
         )
         bat = run_suite_parallel(
             n_accesses=1500, seed=9, benchmarks=["gs", "stream"],
-            max_workers=2, engine="batched",
+            max_workers=2, engine="auto",
         )
         assert ref == bat
 
@@ -209,14 +212,13 @@ class TestAutoDemotion:
 
     def test_faults_demote_auto(self):
         # No fault site sits inside an engine, so an active plan no
-        # longer demotes `auto`, and engine="batched" constructs.
+        # longer demotes `auto`.
         from repro.faults import FaultInjector, installed, resolve_plan
 
         plan = resolve_plan("artifact.get:corrupt@0")
         with installed(FaultInjector(plan)):
             s = System(coalescer=CoalescerKind.PAC, engine="auto")
             assert s.engine == "batched"
-            System(coalescer=CoalescerKind.PAC, engine="batched")
 
     def test_clean_run_does_not_demote(self):
         log = ev.EventLog()

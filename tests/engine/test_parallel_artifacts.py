@@ -290,7 +290,7 @@ class TestFrontendEngineThreading:
         cold_stats: dict = {}
         cold = _suite(engine="reference", stats=cold_stats)
         warm_stats: dict = {}
-        warm = _suite(engine="batched", stats=warm_stats)
+        warm = _suite(engine="auto", stats=warm_stats)
         assert cold_stats["artifact_misses"] == len(BENCHES)
         assert warm_stats["artifact_hits"] == len(BENCHES)
         assert warm_stats["artifact_misses"] == 0

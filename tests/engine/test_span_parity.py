@@ -24,6 +24,7 @@ from repro.common.types import PAGE_BYTES, MemOp, MemoryRequest
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.system import CoalescerKind, System
+from repro.mshr.dmc import RecordingDevice
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.telemetry import events as ev
 from tests.core.test_window_property import request_streams
@@ -38,7 +39,7 @@ def _pair(bench="gs", device="hmc", kind=CoalescerKind.PAC, spans=True,
     return [
         run_benchmark(
             bench, coalescer=kind, n_accesses=n_accesses, seed=SEED,
-            device=device, engine=engine, faults=False, spans=spans, **kw,
+            device=device, engine=engine, spans=spans, **kw,
         )
         for engine in ("reference", "auto")
     ]
@@ -156,26 +157,29 @@ class TestSpanRunsStayBatched:
 
 def _kernel_traces(reqs, config=TABLE1):
     """Both PAC kernels over ``reqs`` with every request tracked:
-    (reference, batched) as (system, outcome, SpanTrace) triples."""
+    (reference, batched) as (system, outcome, SpanTrace, submits)
+    tuples, ``submits`` the ``(packet, cycle)`` pairs the device got."""
     out = []
-    for engine in ("reference", "batched"):
+    for engine in ("reference", "auto"):
         system = System(
             config=config, coalescer=CoalescerKind.PAC, engine=engine,
             spans=SpanRecorder(sample_rate=1, seed=SEED),
         )
-        outcome = system.coalescer.process(
-            encode_requests(reqs), system.device
-        )
+        device = RecordingDevice(system.device)
+        outcome = system.coalescer.process(encode_requests(reqs), device)
         system.device.sync()
-        out.append((system, outcome, system.spans.finalize()))
+        out.append(
+            (system, outcome, system.spans.finalize(), device.submits)
+        )
     return out
 
 
 def _assert_kernels_identical(reqs, config=TABLE1):
-    (ref_sys, ref, ref_spans), (bat_sys, bat, bat_spans) = _kernel_traces(
-        reqs, config
-    )
-    assert ref.issued == bat.issued
+    (ref_sys, ref, ref_spans, ref_submits), (
+        bat_sys, bat, bat_spans, bat_submits
+    ) = _kernel_traces(reqs, config)
+    assert ref_submits == bat_submits
+    assert ref == bat
     assert ref.n_merged == bat.n_merged
     assert (
         ref_sys.coalescer.stats.as_dict() == bat_sys.coalescer.stats.as_dict()

@@ -7,6 +7,7 @@ from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp
 from repro.config import TABLE1
 from repro.engine.system import CoalescerKind, System
+from repro.mshr.dmc import RecordingDevice
 from repro.workloads import get_workload
 
 N = 4000
@@ -80,9 +81,11 @@ class TestAllArmsHandleSpecialOps:
             system.hierarchy.process(trace)
         )
         n_atomics = int(np.sum(raw.packed["op"] == int(MemOp.ATOMIC)))
-        outcome = system.coalescer.process(raw.packed, system.device)
+        device = RecordingDevice(system.device)
+        outcome = system.coalescer.process(raw.packed, device)
+        assert outcome.n_issued == len(device.submits)
         atomic_packets = [
-            p for p in outcome.issued if p.source == "atomic"
+            p for p, _ in device.submits if p.source == "atomic"
         ]
         assert len(atomic_packets) == n_atomics
         assert all(len(p.constituents) == 1 for p in atomic_packets)

@@ -30,8 +30,7 @@ def _pair(bench="gs", device="hmc", kind=CoalescerKind.PAC, window=None,
     return [
         run_benchmark(
             bench, coalescer=kind, n_accesses=n_accesses, seed=SEED,
-            device=device,
-            engine=engine, faults=False,
+            device=device, engine=engine,
             telemetry=TelemetryRegistry(window_cycles=window) if window else True,
             **kw,
         )
@@ -104,7 +103,7 @@ class TestTelemetryParity:
                 ))
         config = replace(TABLE1, pac=replace(TABLE1.pac, n_streams=2))
         registries = []
-        for engine in ("reference", "batched"):
+        for engine in ("reference", "auto"):
             system = System(
                 config=config, coalescer=CoalescerKind.PAC, engine=engine,
                 telemetry=TelemetryRegistry(window_cycles=1),

@@ -6,8 +6,8 @@ entry object per miss and a subentry per merge. The property below
 holds both flat arms equal to it on packed raw streams that carry
 atomics, fences, same-line load/store pairs and MSHR-full stalls, on a
 fixed-latency stub and on the reference :class:`HMCDevice`: the same
-outcome, issued packets, coalescer counters, ``*.mshr.*`` probes and
-spans.
+outcome totals, packets submitted to the device (with their cycles),
+coalescer counters, ``*.mshr.*`` probes and spans.
 """
 
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from repro.mshr.dmc import (
     CoalesceOutcome,
     MSHRBasedDMC,
     NullCoalescer,
+    RecordingDevice,
 )
 from repro.mshr.file import MSHRFile
 from repro.telemetry import (
@@ -128,8 +129,8 @@ class ReferenceArm(Coalescer):
             )
             completion = memory.submit(packet, now)
             mshrs.schedule_release(slot, completion)
-            out.issued.append(packet)
             out.n_issued += 1
+            out.payload_bytes += packet.size
             out.last_completion_cycle = max(
                 out.last_completion_cycle, completion
             )
@@ -174,12 +175,18 @@ def _run(arm_cls, raw, device, n_mshrs, merging):
         arm = ReferenceArm(merging, n_mshrs, probes=scope, spans=recorder)
     else:
         arm = arm_cls(n_mshrs, probes=scope, spans=recorder)
-    out = arm.process(raw, device(recorder))
+    memory = RecordingDevice(device(recorder))
+    out = arm.process(raw, memory)
+    assert out.n_issued == len(memory.submits)
+    assert out.payload_bytes == sum(p.size for p, _ in memory.submits)
     mshr_probes = {
         name: probe for name, probe in registry.as_dict()["probes"].items()
         if ".mshr." in name
     }
-    return out, arm.stats.as_dict(), mshr_probes, recorder.finalize()
+    return (
+        out, memory.submits, arm.stats.as_dict(), mshr_probes,
+        recorder.finalize(),
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,5 +204,6 @@ def test_flat_arm_equals_reference_loop(raw, n_mshrs, merging, latency):
     flat_cls = MSHRBasedDMC if merging else NullCoalescer
     flat = _run(flat_cls, raw, device, n_mshrs, merging)
     ref = _run(ReferenceArm, raw, device, n_mshrs, merging)
-    assert flat[0] == ref[0]  # outcome fields and issued packets
-    assert flat[1:] == ref[1:]  # counters, mshr probes, spans
+    assert flat[0] == ref[0]  # outcome totals
+    assert flat[1] == ref[1]  # submitted packets and their cycles
+    assert flat[2:] == ref[2:]  # counters, mshr probes, spans

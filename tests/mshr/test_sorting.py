@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from repro.artifacts.shm import encode_requests
 from repro.analysis.space import bitonic_costs
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
+from repro.mshr.dmc import RecordingDevice
 from repro.mshr.sorting import SortingNetworkCoalescer
+from tests.conftest import FixedLatencyMemory
 
 
 def req(addr, op=MemOp.LOAD, cycle=0):
@@ -125,17 +127,18 @@ class TestConservation:
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_every_request_serviced(self, specs):
-        class Mem:
-            def submit(self, packet, cycle):
-                return cycle + 30
-
         stream = [
             MemoryRequest(addr=block * 64, op=op, cycle=i)
             for i, (block, op) in enumerate(specs)
         ]
-        out = SortingNetworkCoalescer().process(encode_requests(stream), Mem())
-        serviced = sum(len(p.constituents) for p in out.issued)
+        memory = RecordingDevice(FixedLatencyMemory(30))
+        out = SortingNetworkCoalescer().process(
+            encode_requests(stream), memory
+        )
+        serviced = sum(len(p.constituents) for p, _ in memory.submits)
         assert serviced + out.n_merged == len(stream)
+        assert out.n_issued == len(memory.submits)
+        assert out.payload_bytes == sum(p.size for p, _ in memory.submits)
 
 
 class TestEngineIntegration:

@@ -1,7 +1,7 @@
 """Smoke tests: the shipped examples must run end to end.
 
-Only the examples with adjustable problem sizes run here (kept small);
-the fixed-size ones are exercised implicitly through the same APIs.
+The examples with adjustable problem sizes run small; the fixed-size
+ones run as shipped (each takes a second or two).
 """
 
 import subprocess
@@ -51,6 +51,27 @@ class TestExamples:
         assert "HMC latency breakdown on GS" in out
         assert "vault_wait" in out
         assert "PAC vault heat" in out
+
+    def test_hbm_portability(self):
+        out = run_example("hbm_portability.py")
+        for protocol in ("hmc1.0", "hmc2.1", "hbm"):
+            assert protocol in out
+        assert "packets: 64B x" in out
+        assert "remote crossbar routes" in out
+
+    def test_graph_analytics(self):
+        out = run_example("graph_analytics.py")
+        for bench in ("bfs", "pr", "sparselu"):
+            assert bench in out
+        assert "DBSCAN noise" in out
+
+    def test_custom_workload(self):
+        out = run_example("custom_workload.py")
+        assert "Custom workload 'hashjoin'" in out
+        arms = [line.split()[0] for line in out.splitlines()
+                if "issued=" in line]
+        assert arms == ["none", "dmc", "pac"]
+        assert "PAC on your kernel" in out
 
     def test_all_examples_exist_and_are_executable_python(self):
         names = {p.name for p in EXAMPLES.glob("*.py")}
