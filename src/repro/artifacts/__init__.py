@@ -1,14 +1,15 @@
 """Content-addressed artifact cache + shared-memory raw-stream transport.
 
-Suite-scale execution (``run_suite_parallel``, ``repro bench``, figure
-sweeps) repeats a deterministic prefix — trace generation and the
-cache-hierarchy pass — once per (benchmark, arm) job. This package
+Every grid (``run_suite_parallel`` and its views, the experiment
+registry's sweeps) shares a deterministic prefix — trace generation and
+the cache-hierarchy pass — across the arms of a benchmark. This package
 computes that prefix once per benchmark, caches it content-addressed on
 disk (keyed by run parameters, a schema version, and a fingerprint of
 the producing source code), and fans the packed raw stream — the
 ``REQ_DTYPE`` array the cache front-end emits and the coalescers read —
 out to pool workers through ``multiprocessing.shared_memory`` instead of
-pickle.
+pickle. The store keeps no in-process state: store traffic shows in the
+``cache.*`` events and a grid's hit and miss counts.
 
 See ARCHITECTURE.md ("Artifact cache") for the key spec, invalidation
 rules, and shared-memory layout.
@@ -29,7 +30,6 @@ from repro.artifacts.store import (
     ARTIFACT_SCHEMA,
     ArtifactEntry,
     ArtifactStore,
-    CacheStats,
     cache_enabled,
     code_fingerprint,
     default_root,
@@ -49,7 +49,6 @@ __all__ = [
     "REQ_DTYPE",
     "ArtifactEntry",
     "ArtifactStore",
-    "CacheStats",
     "TracePass",
     "attach",
     "cache_enabled",

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk + in-process artifact store.
+"""Content-addressed on-disk artifact store.
 
 The store keeps one artifact kind, the deterministic,
 coalescer-independent prefix of a run: the **pass** — the
@@ -19,7 +19,9 @@ Writes go through a temp file + ``os.replace`` so concurrent writers
 (pool workers racing on a cold cache) each publish a complete file and
 the last one wins — both wrote identical bytes, so either is correct.
 Corrupt entries (truncated by a crash, garbage, or contents the reader's
-check rejects) are treated as misses, unlinked, and recomputed.
+check rejects) are treated as misses, unlinked, and recomputed. Every
+``get`` reads the file; store traffic shows in the ``cache.*`` events
+and in a grid's ``stats["artifact_hits"]``/``["artifact_misses"]``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import io
 import json
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -48,11 +49,6 @@ ENV_DIR = "REPRO_ARTIFACT_DIR"
 ENV_ENABLED = "REPRO_ARTIFACT_CACHE"
 
 _FALSEY = {"0", "false", "no", "off", ""}
-
-#: In-process memo capacity (entries, not bytes). A suite touches a
-#: handful of benchmarks; 16 covers bench sweeps without letting a
-#: long-lived session hoard every stream it ever loaded.
-_MEMO_CAP = 16
 
 
 def cache_enabled() -> bool:
@@ -148,30 +144,6 @@ def pass_key(
 
 
 @dataclass
-class CacheStats:
-    """Hit/miss accounting for one store handle (this process only)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    errors: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "errors": self.errors,
-        }
-
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.errors += other.errors
-
-
-@dataclass
 class ArtifactEntry:
     """One on-disk artifact, as listed by ``repro cache ls``."""
 
@@ -183,34 +155,15 @@ class ArtifactEntry:
 
 
 class ArtifactStore:
-    """Content-addressed store: disk npz files + bounded memo dict."""
+    """Content-addressed store: one npz file per artifact under ``root``."""
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
-        self.stats = CacheStats()
-        self._memo: "OrderedDict[str, dict]" = OrderedDict()
-        self._lock = threading.Lock()
 
     # -- paths ---------------------------------------------------------
 
     def _path(self, kind: str, key: str) -> Path:
         return self.root / f"{kind}-{key}.npz"
-
-    # -- memo ----------------------------------------------------------
-
-    def _memo_get(self, key: str) -> Optional[dict]:
-        with self._lock:
-            payload = self._memo.get(key)
-            if payload is not None:
-                self._memo.move_to_end(key)
-            return payload
-
-    def _memo_put(self, key: str, payload: dict) -> None:
-        with self._lock:
-            self._memo[key] = payload
-            self._memo.move_to_end(key)
-            while len(self._memo) > _MEMO_CAP:
-                self._memo.popitem(last=False)
 
     # -- core get/put --------------------------------------------------
 
@@ -222,34 +175,23 @@ class ArtifactStore:
 
         A file that exists but cannot be parsed (torn write, wrong
         version), or whose payload ``check`` rejects by raising, counts
-        as a miss: it is unlinked and the caller recomputes. Memo
-        entries were checked (or put) when they entered the memo.
+        as a miss: it is unlinked and the caller recomputes.
 
         Fault site ``artifact.get`` (kind ``corrupt``) garbles the
-        on-disk entry (and evicts the memo) before the normal read, so
-        injection exercises the real unlink-and-recompute path rather
-        than simulating it.
+        on-disk entry before the normal read, so injection exercises the
+        real unlink-and-recompute path rather than simulating it.
         """
         from repro.faults.injector import active
         from repro.telemetry import events as ev
 
         elog = ev.active()
+        path = self._path(kind, key)
         if active().site_fault("artifact.get") == "corrupt":
-            with self._lock:
-                self._memo.pop(key, None)
-            path = self._path(kind, key)
             try:
                 if path.is_file():
                     path.write_bytes(b"repro-injected-corruption")
             except OSError:  # pragma: no cover - unwritable cache dir
                 pass
-        payload = self._memo_get(key)
-        if payload is not None:
-            self.stats.hits += 1
-            if elog.enabled:
-                elog.emit(ev.CacheHit(artifact=kind, key=key))
-            return payload
-        path = self._path(kind, key)
         try:
             with np.load(path, allow_pickle=False) as npz:
                 arrays = {name: npz[name] for name in npz.files}
@@ -260,15 +202,12 @@ class ArtifactStore:
             if check is not None:
                 check(payload)
         except FileNotFoundError:
-            self.stats.misses += 1
             if elog.enabled:
                 elog.emit(ev.CacheMiss(artifact=kind, key=key))
             return None
         except Exception:
             # Corrupt, stale-format or rejected entry: drop it, report a
             # miss.
-            self.stats.errors += 1
-            self.stats.misses += 1
             if elog.enabled:
                 elog.emit(ev.CacheCorrupt(artifact=kind, key=key))
             try:
@@ -276,27 +215,23 @@ class ArtifactStore:
             except OSError:
                 pass
             return None
-        self._memo_put(key, payload)
-        self.stats.hits += 1
         if elog.enabled:
             elog.emit(ev.CacheHit(artifact=kind, key=key))
         return payload
 
     def put(self, kind: str, key: str, meta: Dict, **arrays) -> None:
-        """Persist arrays + JSON meta atomically and memoize in-process.
+        """Persist arrays + JSON meta atomically.
 
         Fault site ``artifact.put`` (kind ``enospc``) injects a full
-        disk before anything is written: the entry is skipped entirely
-        (not even memoized) and the run continues uncached — the same
-        graceful degradation a real ``OSError`` below takes.
+        disk before anything is written: the entry is skipped and the
+        run continues uncached — the same graceful degradation a real
+        ``OSError`` below takes.
         """
         from repro.faults.injector import active
         from repro.telemetry import events as ev
 
         if active().site_fault("artifact.put") == "enospc":
-            self.stats.errors += 1
             return
-        self._memo_put(key, {"meta": dict(meta), **arrays})
         path = self._path(kind, key)
         try:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -310,13 +245,12 @@ class ArtifactStore:
             )
             tmp.write_bytes(blob.getvalue())
             os.replace(tmp, path)
-            self.stats.stores += 1
             elog = ev.active()
             if elog.enabled:
                 elog.emit(ev.CacheStored(artifact=kind, key=key))
         except OSError:
             # Read-only or full cache dir: run uncached rather than fail.
-            self.stats.errors += 1
+            pass
 
     # -- maintenance / introspection ----------------------------------
 
@@ -348,8 +282,6 @@ class ArtifactStore:
     def clear(self) -> int:
         """Delete every artifact file; returns the number removed."""
         removed = 0
-        with self._lock:
-            self._memo.clear()
         if not self.root.is_dir():
             return 0
         for path in self.root.glob("*-*.npz"):
@@ -361,18 +293,7 @@ class ArtifactStore:
         return removed
 
 
-# One store handle per resolved root, so repeated get_store() calls in
-# a process share the in-process memo, while tests that repoint
-# $REPRO_ARTIFACT_DIR get a fresh isolated store.
-_STORES: Dict[Path, ArtifactStore] = {}
-_STORES_LOCK = threading.Lock()
-
-
 def get_store(root: Optional[Path] = None) -> ArtifactStore:
-    resolved = Path(root) if root is not None else default_root()
-    with _STORES_LOCK:
-        store = _STORES.get(resolved)
-        if store is None:
-            store = ArtifactStore(resolved)
-            _STORES[resolved] = store
-        return store
+    """A store on ``root``, else on :func:`default_root` as the
+    environment names it now."""
+    return ArtifactStore(root or default_root())

@@ -2,10 +2,15 @@
 
 Where :mod:`repro.experiments` measures the *modeled hardware*,
 :mod:`repro.bench` measures the *simulator*: wall-clock seconds, raw
-requests per second, per-stage engine speedups, and peak RSS.
-``repro bench`` emits a machine-readable ``BENCH_<name>.json`` that
-CI gates against a checked-in baseline (it fails when end-to-end
-throughput or an engine-stage speedup drops more than 30%).
+requests per second, per-stage engine speedups, and peak RSS. It
+answers one question: does each batched engine still beat its
+reference? ``repro bench`` emits a machine-readable
+``BENCH_<name>.json`` that CI gates against a checked-in baseline (it
+fails when end-to-end throughput or an engine-stage speedup drops more
+than 30%). The grid pipeline is measured elsewhere: the repo
+benchmark's ``suite-cold-warm`` workload times a cold and a warm
+store, and CI's ``cache-determinism`` job checks both against each
+cell's standalone run.
 
 The golden rule (see CONTRIBUTING.md): optimize only with a benchmark
 and a golden check. A claimed end-to-end gain must show up in the repo

@@ -36,21 +36,16 @@ the only variable is the simulator's own speed.
 
 from __future__ import annotations
 
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import TABLE1
-from repro.engine.driver import run_benchmark, run_comparison
+from repro.engine.driver import run_comparison
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import RecordingDevice
 from repro.telemetry import events as ev
-
-#: Coalescer arms the suite-scale measurement fans out.
-SUITE_ARMS = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
 
 #: Representative workloads: a page-local burst pattern (gs), a stencil
 #: SpMV (hpcg), a unit-stride streamer (stream), and the least-coalescable
@@ -195,56 +190,6 @@ class BenchConfig:
 
 
 @dataclass
-class SuiteBench:
-    """Suite-scale measurement of the grid pipeline on one
-    (benchmark × arm) grid, through the artifact store.
-
-    ``cold`` is the first run against an empty store; ``warm`` is the
-    min over subsequent repeats with the store populated.
-    ``bit_identical`` records that the harness checked the cold and
-    warm grids against each other and against each cell's standalone
-    :func:`~repro.engine.driver.run_benchmark`.
-    """
-
-    arms: List[str] = field(default_factory=list)
-    benchmarks: List[str] = field(default_factory=list)
-    jobs: int = 0
-    workers: int = 0
-    cold_seconds: float = 0.0
-    warm: Optional[Timing] = None
-    cold_stats: Dict = field(default_factory=dict)
-    warm_stats: Dict = field(default_factory=dict)
-    artifact_cache: Dict = field(default_factory=dict)
-    bit_identical: bool = False
-
-    def as_dict(self) -> Dict:
-        return {
-            "arms": self.arms,
-            "benchmarks": self.benchmarks,
-            "jobs": self.jobs,
-            "workers": self.workers,
-            "cold_seconds": self.cold_seconds,
-            "warm": self.warm.as_dict() if self.warm else None,
-            "phase_split": {
-                "cold_phase1_seconds": self.cold_stats.get(
-                    "phase1_seconds", 0.0
-                ),
-                "cold_phase2_seconds": self.cold_stats.get(
-                    "phase2_seconds", 0.0
-                ),
-                "warm_phase1_seconds": self.warm_stats.get(
-                    "phase1_seconds", 0.0
-                ),
-                "warm_phase2_seconds": self.warm_stats.get(
-                    "phase2_seconds", 0.0
-                ),
-            },
-            "artifact_cache": self.artifact_cache,
-            "bit_identical": self.bit_identical,
-        }
-
-
-@dataclass
 class BenchReport:
     """Everything one ``repro bench`` invocation measured."""
 
@@ -252,7 +197,6 @@ class BenchReport:
     config: BenchConfig
     end_to_end: Dict[str, Timing] = field(default_factory=dict)
     stages: Dict[str, StageTimes] = field(default_factory=dict)
-    suite: Optional[SuiteBench] = None
     rss_peak_kb: Optional[int] = None
     python: str = ""
     platform: str = ""
@@ -285,14 +229,13 @@ class BenchReport:
 
     def as_dict(self) -> Dict:
         return {
-            "schema": "repro-bench/5",
+            "schema": "repro-bench/6",
             "name": self.name,
             "config": self.config.as_dict(),
             "python": self.python,
             "platform": self.platform,
             "end_to_end": {b: t.as_dict() for b, t in self.end_to_end.items()},
             "stages": {b: s.as_dict() for b, s in self.stages.items()},
-            "suite": self.suite.as_dict() if self.suite else None,
             "rss_peak_kb": self.rss_peak_kb,
             "totals": {
                 "end_to_end_seconds": self.total_seconds,
@@ -344,77 +287,6 @@ def _measure_end_to_end(bench: str, cfg: BenchConfig) -> Timing:
     return _min_of(
         once, cfg.repeats, cfg.warmup, label=f"{bench}:end_to_end"
     )
-
-
-def _measure_suite(cfg: BenchConfig) -> SuiteBench:
-    """The grid pipeline on a cold, then a warm artifact store.
-
-    Runs inside a throwaway ``$REPRO_ARTIFACT_DIR`` so the measurement
-    is independent of (and does not pollute) the developer's real
-    cache: the cold number genuinely starts empty, and the warm number
-    reflects a fully-populated cache.
-    """
-    from repro.engine.parallel import run_suite_parallel
-
-    arms = list(SUITE_ARMS)
-    suite = SuiteBench(
-        arms=[k.value for k in arms],
-        benchmarks=list(cfg.benchmarks),
-        jobs=len(arms) * len(cfg.benchmarks),
-    )
-    kwargs = dict(
-        kinds=tuple(arms),
-        benchmarks=tuple(cfg.benchmarks),
-        n_accesses=cfg.n_accesses,
-        seed=cfg.seed,
-    )
-    old_dir = os.environ.get("REPRO_ARTIFACT_DIR")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        os.environ["REPRO_ARTIFACT_DIR"] = tmp
-        try:
-            cold_stats: Dict = {}
-            t0 = time.perf_counter()
-            cold_results = run_suite_parallel(stats=cold_stats, **kwargs)
-            suite.cold_seconds = time.perf_counter() - t0
-            suite.cold_stats = cold_stats
-            suite.workers = cold_stats.get("workers", 0)
-
-            warm_stats: Dict = {}
-
-            def warm() -> int:
-                warm_stats.clear()
-                results = run_suite_parallel(stats=warm_stats, **kwargs)
-                warm.results = results
-                return sum(r.n_raw for r in results.values())
-
-            warm.results = {}
-            suite.warm = _min_of(
-                warm, cfg.repeats, cfg.warmup, label="suite:warm"
-            )
-            suite.warm_stats = dict(warm_stats)
-            suite.artifact_cache = {
-                "cold": {
-                    "hits": cold_stats.get("artifact_hits", 0),
-                    "misses": cold_stats.get("artifact_misses", 0),
-                },
-                "warm": {
-                    "hits": warm_stats.get("artifact_hits", 0),
-                    "misses": warm_stats.get("artifact_misses", 0),
-                },
-            }
-            suite.bit_identical = cold_results == warm.results and all(
-                result == run_benchmark(
-                    bench, coalescer=CoalescerKind(arm),
-                    n_accesses=cfg.n_accesses, seed=cfg.seed,
-                )
-                for (bench, arm), result in cold_results.items()
-            )
-        finally:
-            if old_dir is None:
-                os.environ.pop("REPRO_ARTIFACT_DIR", None)
-            else:
-                os.environ["REPRO_ARTIFACT_DIR"] = old_dir
-    return suite
 
 
 def stage_legs(
@@ -538,7 +410,5 @@ def run_bench(
         # stage timings, so the smoke baseline must carry them.
         say(f"[{bench}] stage legs...")
         report.stages[bench] = _measure_stages(bench, cfg)
-    say("[suite] grid on a cold, then a warm artifact store...")
-    report.suite = _measure_suite(cfg)
     report.rss_peak_kb = _peak_rss_kb()
     return report

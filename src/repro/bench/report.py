@@ -37,13 +37,15 @@ def write_report(report: BenchReport, path: Union[str, Path]) -> Path:
 #: the device legs as production runs them (per-packet ``submit``,
 #: then ``sync``) where v3 timed a bench-only window replay; v5 drops
 #: the suite's per-job leg and the two ratios over it, and checks
-#: ``bit_identical`` against each cell's standalone run instead. The
-#: totals/end_to_end shape the throughput gate reads is unchanged, so
-#: older baselines still load; each stage gate skips baselines that
-#: predate its field, or its current leg definition
-#: (:data:`_RATIO_SINCE`).
+#: ``bit_identical`` against each cell's standalone run instead; v6
+#: drops the ``suite`` section (CI's ``cache-determinism`` job checks
+#: cold/warm bit-identity, and perf's ``suite-cold-warm`` workload
+#: times it), so v2–v5 files carry it as history. The totals/end_to_end
+#: shape the gates read is unchanged, so older baselines still load;
+#: each stage gate skips baselines that predate its field, or its
+#: current leg definition (:data:`_RATIO_SINCE`).
 _SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3",
-            "repro-bench/4", "repro-bench/5")
+            "repro-bench/4", "repro-bench/5", "repro-bench/6")
 
 #: Stage ratios whose legs changed definition, and the first schema
 #: version that times the current one.
@@ -125,20 +127,6 @@ def render_report(report: BenchReport) -> str:
                 f"{ratio:.2f}x aggregate over the reference "
                 f"(isolated stage legs, min-of-N)"
             )
-    suite = report.suite
-    if suite is not None and suite.warm is not None:
-        cold, warm = suite.artifact_cache["cold"], suite.artifact_cache["warm"]
-        lines.append(
-            f"  [suite] {suite.jobs} jobs "
-            f"({len(suite.benchmarks)} benchmarks x {len(suite.arms)} arms), "
-            f"{suite.workers} worker(s): "
-            f"cold {suite.cold_seconds:.3f}s "
-            f"({cold['hits']} hit / {cold['misses']} miss), "
-            f"warm {suite.warm.seconds:.3f}s "
-            f"({warm['hits']} hit / {warm['misses']} miss)"
-            + ("" if suite.bit_identical else
-               " — WARNING: results NOT bit-identical")
-        )
     return "\n".join(lines)
 
 

@@ -186,9 +186,11 @@ class PagedAdaptiveCoalescer(Coalescer):
 
             if req.op == atomic_op:
                 # Atomics go straight to the memory controller,
-                # uncoalesced, not even via the MSHRs (Section 3.3.1).
+                # uncoalesced, not even via the MSHRs (Section 3.3.1),
+                # addressing their own 16B word as every arm does.
                 packet = CoalescedRequest(
-                    addr=req.line_addr, size=max(req.size, 16), op=MemOp.STORE,
+                    addr=req.addr - req.addr % 16, size=max(req.size, 16),
+                    op=MemOp.STORE,
                     constituents=(req.req_id,), issue_cycle=now,
                     source="atomic",
                 )

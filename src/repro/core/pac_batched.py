@@ -1021,9 +1021,10 @@ class BatchedPagedAdaptiveCoalescer(PagedAdaptiveCoalescer):
                     if forced is not None:
                         flush(forced, now)
                 elif op == atomic_val:
-                    # Atomics bypass PAC entirely (Section 3.3.1).
+                    # Atomics bypass PAC entirely (Section 3.3.1), as
+                    # one packet on their own 16B word.
                     packet = new_packet(
-                        addr - (addr % LINE),
+                        addr - (addr % 16),
                         size if size > 16 else 16,
                         store_op,
                         (rid,),

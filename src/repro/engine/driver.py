@@ -172,7 +172,6 @@ def run_comparison(
     telemetry=False,
     spans=False,
     use_artifact_cache: bool = True,
-    faults=None,
     engine: str = "auto",
 ) -> Dict[CoalescerKind, RunResult]:
     """Run the same trace through several coalescer configurations.
@@ -190,12 +189,13 @@ def run_comparison(
     spans on, the shared pass carries what its probes observed into
     every arm and skips the store; a registry or recorder passed in is
     a template — each arm gets a fresh one with its window or sample
-    rate. ``faults`` installs a process-scoped fault injector
-    for the duration of the comparison (the artifact-store sites are
-    live on the cached path). ``engine`` is :func:`run_benchmark`'s
-    oracle hook, applied to every arm and to the shared trace+cache
-    prefix. Each result carries the grid's
-    :class:`~repro.engine.health.RunHealth` on ``.health``.
+    rate. A fault plan reaches the comparison through
+    ``$REPRO_FAULTS`` (the artifact-store sites are live on the cached
+    path); :func:`~repro.engine.parallel.run_suite_parallel` takes one
+    as ``faults=``. ``engine`` is :func:`run_benchmark`'s oracle hook,
+    applied to every arm and to the shared trace+cache prefix. Each
+    result carries the grid's :class:`~repro.engine.health.RunHealth`
+    on ``.health``.
     """
     from repro.engine.parallel import run_suite_parallel
 
@@ -204,7 +204,7 @@ def run_comparison(
         kinds, benchmarks=(benchmark,), n_accesses=n_accesses,
         config=config, seed=seed, device=device, max_workers=1,
         telemetry=telemetry, spans=spans, extra_benchmarks=extra_benchmarks,
-        use_artifact_cache=use_artifact_cache, faults=faults, engine=engine,
+        use_artifact_cache=use_artifact_cache, engine=engine,
     )
     name = workload_key(benchmark)
     return {kind: grid[(name, kind.value)] for kind in kinds}
@@ -223,7 +223,6 @@ def run_suite(
     scale=1.0,
     telemetry=False,
     spans=False,
-    faults=None,
     engine: str = "auto",
 ) -> Dict[str, RunResult]:
     """Run every benchmark through one coalescer configuration.
@@ -236,8 +235,8 @@ def run_suite(
     dropping down to per-benchmark calls. Each benchmark's prefix goes
     through the artifact cache, as in :func:`run_comparison`. A registry
     or recorder passed in is a template: each benchmark gets a fresh one
-    with its window or sample rate. ``faults`` installs one
-    process-scoped injector spanning the whole sweep.
+    with its window or sample rate. A fault plan reaches the sweep
+    through ``$REPRO_FAULTS``, as in :func:`run_comparison`.
     """
     from repro.engine.parallel import run_suite_parallel
 
@@ -246,7 +245,7 @@ def run_suite(
         config=config, seed=seed, device=device, max_workers=1,
         telemetry=telemetry, spans=spans, protocol=protocol,
         fine_grain=fine_grain, scale=scale,
-        extra_benchmarks=extra_benchmarks, faults=faults, engine=engine,
+        extra_benchmarks=extra_benchmarks, engine=engine,
     )
     return {
         name: grid[(name, coalescer.value)]

@@ -42,7 +42,7 @@ arguments, so recovered runs are bit-identical to fault-free runs;
 everything supervision did is reported on the
 :class:`repro.engine.health.RunHealth` attached to each result and to
 ``stats["health"]``. Deterministic fault injection for all of the above
-lives in :mod:`repro.faults` (``$REPRO_FAULTS`` / ``faults=``).
+lives in :mod:`repro.faults` (``$REPRO_FAULTS``, or ``faults=`` here).
 
 Every run still derives its RNG from ``(seed, benchmark)``, so results
 — telemetry and spans included — are bit-identical across serial /
@@ -215,9 +215,10 @@ def run_suite_parallel(
 
     Every grid runs the two phases of the module docstring.
     ``use_artifact_cache=False`` skips all cache reads/writes.
-    ``stats``, if given a dict, is populated with the phase timing
-    split, artifact hit/miss counts (``artifact_misses`` counts the
-    passes phase 1 computed), and a JSON-safe ``"health"`` snapshot.
+    ``stats``, if given a dict, gets exactly ``workers``, ``jobs``, the
+    artifact hit/miss counts (``artifact_misses`` counts the passes
+    phase 1 computed) and a JSON-safe ``"health"`` snapshot, which
+    carries the phase times (``phase1_seconds``, ``phase2_seconds``).
 
     Self-healing: every job, at any worker count, gets bounded retries
     with deterministic backoff (``max_retries``, env
@@ -313,8 +314,6 @@ def run_suite_parallel(
             jobs=n_jobs,
             artifact_hits=0,
             artifact_misses=0,
-            phase1_seconds=0.0,
-            phase2_seconds=0.0,
         )
 
     t_start = time.perf_counter()
@@ -346,8 +345,6 @@ def run_suite_parallel(
             healthy=health.healthy,
         ))
     if stats is not None:
-        stats["phase1_seconds"] = health.phase1_seconds
-        stats["phase2_seconds"] = health.phase2_seconds
         stats["health"] = health.as_dict()
     for result in out.values():
         result.health = health

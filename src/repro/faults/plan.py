@@ -17,7 +17,7 @@ Trigger semantics depend on scope (see :mod:`repro.faults.injector`):
 * **Process scope** (the parent, outside any job): a spec fires on
   occurrences ``ordinal..ordinal+count-1`` of the site in this process.
 
-Spec grammar (``$REPRO_FAULTS`` and the ``faults=`` parameters)::
+Spec grammar (``$REPRO_FAULTS`` and ``run_suite_parallel(faults=...)``)::
 
     site:kind@ordinal[xcount][;site:kind@ordinal[xcount]...]
 

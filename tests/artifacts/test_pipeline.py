@@ -1,5 +1,6 @@
 """Trace-pass pipeline tests: cold/warm/disabled bit-identity and
-bad-payload recomputation."""
+bad-payload recomputation. Store traffic is read from the ``cache.*``
+events it emits."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from repro.artifacts.store import ArtifactStore
 from repro.engine.spec import RunSpec
 
 from .test_shm import CORRUPT_ROWS
+from .test_store import _traffic
 
 BENCH = "stream"
 N = 800
@@ -28,11 +30,6 @@ SPEC = RunSpec((BENCH,), N, seed=SEED)
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "pipeline-cache")
-
-
-def _fresh(store):
-    """Same root, empty memo — forces the disk read path."""
-    return ArtifactStore(store.root)
 
 
 def _same_pass(a, b):
@@ -47,7 +44,7 @@ class TestBitIdentity:
     def test_cold_warm_disabled_agree(self, store):
         uncached = compute_trace_pass(SPEC)
         cold = load_or_compute_trace_pass(SPEC, store=store)
-        warm = load_or_compute_trace_pass(SPEC, store=_fresh(store))
+        warm = load_or_compute_trace_pass(SPEC, store=store)
         _same_pass(cold, uncached)
         _same_pass(warm, uncached)
         assert not uncached.cached
@@ -55,28 +52,32 @@ class TestBitIdentity:
         assert warm.cached
 
     def test_cold_run_writes_the_pass_artifact(self, store):
-        load_or_compute_trace_pass(SPEC, store=store)
+        _, seen = _traffic(
+            lambda: load_or_compute_trace_pass(SPEC, store=store)
+        )
         assert [e.kind for e in store.entries()] == ["pass"]
-        assert store.stats.stores == 1
+        assert seen == {"cache.miss": 1, "cache.store": 1}
 
     def test_warm_run_skips_compute(self, store):
         load_or_compute_trace_pass(SPEC, store=store)
-        fresh = _fresh(store)
-        tp = try_load_trace_pass(SPEC, store=fresh)
+        tp, seen = _traffic(lambda: try_load_trace_pass(SPEC, store=store))
         assert tp is not None and tp.cached
-        assert fresh.stats.hits == 1
-        assert fresh.stats.stores == 0
+        assert seen == {"cache.hit": 1}
 
     def test_use_cache_false_never_touches_store(self, store):
-        tp = load_or_compute_trace_pass(SPEC, store=store, use_cache=False)
+        tp, seen = _traffic(
+            lambda: load_or_compute_trace_pass(
+                SPEC, store=store, use_cache=False
+            )
+        )
         assert not tp.cached
-        assert store.stats.hits == store.stats.misses == store.stats.stores == 0
+        assert seen == {}
         assert list(store.entries()) == []
 
     def test_env_kill_switch_disables_try_load(self, store, monkeypatch):
         load_or_compute_trace_pass(SPEC, store=store)
         monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
-        assert try_load_trace_pass(SPEC, store=_fresh(store)) is None
+        assert try_load_trace_pass(SPEC, store=store) is None
 
 
 class TestPartialHits:
@@ -84,12 +85,13 @@ class TestPartialHits:
         cold = load_or_compute_trace_pass(SPEC, store=store)
         pkey = SPEC.pass_key()
         store._path("pass", pkey).write_bytes(b"torn write")
-        fresh = _fresh(store)
-        tp = load_or_compute_trace_pass(SPEC, store=fresh)
+        tp, seen = _traffic(
+            lambda: load_or_compute_trace_pass(SPEC, store=store)
+        )
         _same_pass(tp, cold)
-        assert fresh.stats.errors >= 1
+        assert seen == {"cache.corrupt": 1, "cache.store": 1}
         # And the recomputed artifact is valid for the next reader.
-        again = try_load_trace_pass(SPEC, store=_fresh(store))
+        again = try_load_trace_pass(SPEC, store=store)
         assert again is not None
         _same_pass(again, cold)
 
@@ -98,11 +100,9 @@ class TestPartialHits:
         TracePass schema must fall through to recompute, not crash."""
         cold = load_or_compute_trace_pass(SPEC, store=store)
         pkey = SPEC.pass_key()
-        bogus = ArtifactStore(store.root)
-        bogus.put("pass", pkey, {"benchmark": BENCH}, wrong=np.arange(4))
-        fresh = _fresh(store)
-        assert try_load_trace_pass(SPEC, store=fresh) is None
-        tp = load_or_compute_trace_pass(SPEC, store=fresh)
+        store.put("pass", pkey, {"benchmark": BENCH}, wrong=np.arange(4))
+        assert try_load_trace_pass(SPEC, store=store) is None
+        tp = load_or_compute_trace_pass(SPEC, store=store)
         _same_pass(tp, cold)
 
     @pytest.mark.parametrize("field, value, message", CORRUPT_ROWS)
@@ -118,13 +118,13 @@ class TestPartialHits:
         bad[field][3] = value
         with pytest.raises(ValueError, match=message):
             check_requests(bad)
-        meta = _fresh(store).get("pass", pkey)["meta"]
-        ArtifactStore(store.root).put("pass", pkey, meta, requests=bad)
-        fresh = _fresh(store)
-        assert try_load_trace_pass(SPEC, store=fresh) is None
-        assert fresh.stats.errors == 1
-        assert not fresh._path("pass", pkey).exists()
-        tp = load_or_compute_trace_pass(SPEC, store=fresh)
+        meta = store.get("pass", pkey)["meta"]
+        store.put("pass", pkey, meta, requests=bad)
+        tp, seen = _traffic(lambda: try_load_trace_pass(SPEC, store=store))
+        assert tp is None
+        assert seen == {"cache.corrupt": 1}
+        assert not store._path("pass", pkey).exists()
+        tp = load_or_compute_trace_pass(SPEC, store=store)
         assert not tp.cached
         _same_pass(tp, cold)
 
@@ -133,20 +133,14 @@ class TestKeySensitivity:
     def test_different_parameters_do_not_cross_hit(self, store):
         load_or_compute_trace_pass(SPEC, store=store)
         assert (
-            try_load_trace_pass(
-                replace(SPEC, seed=SEED + 1), store=_fresh(store)
-            )
+            try_load_trace_pass(replace(SPEC, seed=SEED + 1), store=store)
             is None
         )
         assert (
-            try_load_trace_pass(
-                replace(SPEC, n_accesses=N // 2), store=_fresh(store)
-            )
+            try_load_trace_pass(replace(SPEC, n_accesses=N // 2), store=store)
             is None
         )
         assert (
-            try_load_trace_pass(
-                replace(SPEC, fine_grain=True), store=_fresh(store)
-            )
+            try_load_trace_pass(replace(SPEC, fine_grain=True), store=store)
             is None
         )

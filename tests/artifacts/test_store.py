@@ -1,9 +1,13 @@
 """ArtifactStore unit tests: round-trips, corruption recovery, atomic
-concurrent writes, memo behaviour, and the env-knob surface."""
+concurrent writes, and the env-knob surface.
+
+The store keeps no counters: its traffic is the ``cache.*`` events it
+emits, which these tests read back from an in-memory event log."""
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,11 +20,23 @@ from repro.artifacts.store import (
     pass_key,
 )
 from repro.config import TABLE1
+from repro.telemetry import events as ev
 
 
 @pytest.fixture
 def store(tmp_path):
     return ArtifactStore(tmp_path / "artifacts")
+
+
+def _traffic(call):
+    """``call()``'s result and the store events it emitted, counted by
+    kind (``cache.hit``/``miss``/``store``/``corrupt``)."""
+    log = ev.EventLog()
+    with ev.installed(log):
+        out = call()
+    return out, Counter(
+        r["kind"] for r in log.records if r["kind"].startswith("cache.")
+    )
 
 
 def _arrays():
@@ -32,17 +48,19 @@ def _arrays():
 
 class TestRoundTrip:
     def test_put_get_round_trip(self, store):
-        store.put("trace", "k1", {"benchmark": "gs", "n": 3}, **_arrays())
-        payload = store.get("trace", "k1")
+        def round_trip():
+            store.put("trace", "k1", {"benchmark": "gs", "n": 3}, **_arrays())
+            return store.get("trace", "k1")
+
+        payload, seen = _traffic(round_trip)
         assert payload is not None
         assert payload["meta"] == {"benchmark": "gs", "n": 3}
         np.testing.assert_array_equal(payload["a"], np.arange(10))
-        assert store.stats.stores == 1
-        assert store.stats.hits == 1
+        assert seen == {"cache.store": 1, "cache.hit": 1}
 
     def test_round_trip_survives_process_memo_loss(self, store, tmp_path):
-        """A second store handle on the same root (fresh memo) must read
-        the bytes back from disk identically."""
+        """A second store handle on the same root must read the bytes
+        back from disk identically."""
         store.put("pass", "k2", {"x": 1}, **_arrays())
         fresh = ArtifactStore(store.root)
         payload = fresh.get("pass", "k2")
@@ -51,13 +69,13 @@ class TestRoundTrip:
         np.testing.assert_array_equal(payload["b"], np.linspace(0.0, 1.0, 5))
 
     def test_missing_key_is_miss(self, store):
-        assert store.get("trace", "nope") is None
-        assert store.stats.misses == 1
-        assert store.stats.errors == 0
+        payload, seen = _traffic(lambda: store.get("trace", "nope"))
+        assert payload is None
+        assert seen == {"cache.miss": 1}
 
     def test_kinds_partition_the_namespace(self, store):
         store.put("trace", "k", {"kind": "trace"}, **_arrays())
-        store2 = ArtifactStore(store.root)  # bypass the shared memo
+        store2 = ArtifactStore(store.root)
         assert store2.get("pass", "k") is None
         assert store2.get("trace", "k")["meta"] == {"kind": "trace"}
 
@@ -69,17 +87,18 @@ class TestCorruptionRecovery:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         fresh = ArtifactStore(store.root)
-        assert fresh.get("pass", "k") is None
-        assert fresh.stats.errors == 1
-        assert fresh.stats.misses == 1
+        payload, seen = _traffic(lambda: fresh.get("pass", "k"))
+        assert payload is None
+        assert seen == {"cache.corrupt": 1}
         assert not path.exists(), "corrupt entry must be unlinked"
 
     def test_garbage_file_is_unlinked_and_missed(self, store):
         store.root.mkdir(parents=True, exist_ok=True)
         path = store._path("trace", "junk")
         path.write_bytes(b"this is not an npz file")
-        assert store.get("trace", "junk") is None
-        assert store.stats.errors == 1
+        payload, seen = _traffic(lambda: store.get("trace", "junk"))
+        assert payload is None
+        assert seen == {"cache.corrupt": 1}
         assert not path.exists()
 
     def test_missing_meta_is_unlinked_and_missed(self, store):
@@ -90,8 +109,9 @@ class TestCorruptionRecovery:
         blob = io.BytesIO()
         np.savez_compressed(blob, a=np.arange(3))  # no __meta__ array
         path.write_bytes(blob.getvalue())
-        assert store.get("pass", "nometa") is None
-        assert store.stats.errors == 1
+        payload, seen = _traffic(lambda: store.get("pass", "nometa"))
+        assert payload is None
+        assert seen == {"cache.corrupt": 1}
         assert not path.exists()
 
     def test_recovery_after_corruption(self, store):
@@ -142,33 +162,26 @@ class TestConcurrentWriters:
         root = tmp_path / "blocked"
         root.write_bytes(b"not a directory")
         store = ArtifactStore(root)
-        store.put("trace", "k", {"x": 1}, **_arrays())
-        assert store.stats.errors == 1
-        assert store.stats.stores == 0
-        # The memo still serves the value in-process.
-        assert store.get("trace", "k")["meta"] == {"x": 1}
+        _, seen = _traffic(
+            lambda: store.put("trace", "k", {"x": 1}, **_arrays())
+        )
+        assert seen == {}
+        # Nothing landed: the squatting file is intact, no temp litter.
+        assert root.read_bytes() == b"not a directory"
+        assert list(tmp_path.rglob("*.npz*")) == []
+        assert list(store.entries()) == []
+        assert store.get("trace", "k") is None
 
 
 class TestMemoAndRegistry:
-    def test_memo_serves_without_disk(self, store):
-        store.put("trace", "k", {"x": 1}, **_arrays())
-        store._path("trace", "k").unlink()
-        assert store.get("trace", "k")["meta"] == {"x": 1}
-
-    def test_memo_is_bounded(self, store):
-        from repro.artifacts.store import _MEMO_CAP
-
-        for i in range(_MEMO_CAP + 4):
-            store.put("trace", f"k{i}", {"i": i}, a=np.arange(2))
-        assert len(store._memo) == _MEMO_CAP
-
     def test_get_store_is_per_root(self, tmp_path, monkeypatch):
+        """``get_store()`` keeps no handle: its root follows
+        ``$REPRO_ARTIFACT_DIR`` as it is at each call."""
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "one"))
-        s1 = get_store()
+        assert get_store().root == tmp_path / "one"
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "two"))
-        s2 = get_store()
-        assert s1 is not s2
-        assert get_store() is s2
+        assert get_store().root == tmp_path / "two"
+        assert get_store(tmp_path / "three").root == tmp_path / "three"
 
     def test_entries_and_clear(self, store):
         store.put("trace", "k1", {"x": 1}, **_arrays())
@@ -183,7 +196,6 @@ class TestMemoAndRegistry:
         assert store.clear() == 2
         assert store.disk_bytes() == 0
         assert list(store.entries()) == []
-        # The memo is cleared too: no ghost hits after clear().
         assert store.get("trace", "k1") is None
 
 

@@ -19,6 +19,7 @@ from repro.engine.driver import run_benchmark, run_comparison, run_suite
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
 from repro.telemetry import events as ev
+from tests.artifacts.test_store import _traffic
 
 KINDS = (CoalescerKind.NONE, CoalescerKind.PAC)
 BENCHES = ("gs", "stream")
@@ -202,15 +203,23 @@ class TestArtifactLookups:
             d["artifact"] for d in log.records if d["kind"] == "cache.miss"
         ]
         assert misses == ["pass"] * len(BENCHES)
-        assert get_store().stats.misses == len(BENCHES)
+        assert [e.kind for e in get_store().entries()] == (
+            ["pass"] * len(BENCHES)
+        )
 
     def test_run_suite_fills_the_store_then_reads_it(self):
-        cold = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
-        store = get_store()
-        assert store.stats.stores == len(BENCHES)
-        assert {e.kind for e in store.entries()} == {"pass"}
-        warm = run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
-        assert store.stats.hits == len(BENCHES)
+        def suite():
+            return run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
+
+        cold, seen = _traffic(suite)
+        assert seen == {
+            "cache.miss": len(BENCHES), "cache.store": len(BENCHES),
+        }
+        assert [e.kind for e in get_store().entries()] == (
+            ["pass"] * len(BENCHES)
+        )
+        warm, seen = _traffic(suite)
+        assert seen == {"cache.hit": len(BENCHES)}
         assert list(warm) == list(cold) == list(BENCHES)
         for bench in BENCHES:
             assert warm[bench] == cold[bench], bench
@@ -224,8 +233,13 @@ class TestStats:
         assert stats["jobs"] == len(KINDS) * len(BENCHES)
         assert stats["workers"] >= 1
         assert stats["artifact_hits"] + stats["artifact_misses"] == len(BENCHES)
-        assert stats["phase1_seconds"] >= 0.0
-        assert stats["phase2_seconds"] >= 0.0
+        # The phase times have one surface, the health snapshot, so
+        # ``phase1_seconds``/``phase2_seconds`` are not top-level keys.
+        assert set(stats) == {
+            "workers", "jobs", "artifact_hits", "artifact_misses", "health",
+        }
+        assert stats["health"]["phase1_seconds"] >= 0.0
+        assert stats["health"]["phase2_seconds"] >= 0.0
 
     def test_default_workers_follow_cpu_affinity(self, monkeypatch):
         """Under ``taskset -c 0`` a two-CPU host lets the process run on

@@ -19,6 +19,7 @@ build specs must preserve.
 from __future__ import annotations
 
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -381,14 +382,14 @@ class TestDemoteCountsUnderFaults:
 
     PLAN = "phase2.job:transient@0"
 
-    def _demotes(self, fn, **kw) -> int:
+    def _kinds(self, fn, **kw) -> Counter:
         log = ev.EventLog()
         with ev.installed(log):
-            fn(
-                benchmarks=BENCHES, n_accesses=N, seed=SEED,
-                faults=self.PLAN, **kw,
-            )
-        return sum(1 for r in log.records if r["kind"] == "demote")
+            fn(benchmarks=BENCHES, n_accesses=N, seed=SEED, **kw)
+        return Counter(r["kind"] for r in log.records)
+
+    def _demotes(self, fn, **kw) -> int:
+        return self._kinds(fn, faults=self.PLAN, **kw)["demote"]
 
     def test_probe_suite_parallel(self):
         assert self._demotes(
@@ -396,8 +397,13 @@ class TestDemoteCountsUnderFaults:
             telemetry=True, spans=True,
         ) == 0
 
-    def test_run_suite(self):
-        assert self._demotes(run_suite) == 0
+    def test_run_suite(self, monkeypatch):
+        """``run_suite`` takes no ``faults=``: the plan reaches it
+        through ``$REPRO_FAULTS``, and fires there."""
+        monkeypatch.setenv("REPRO_FAULTS", self.PLAN)
+        kinds = self._kinds(run_suite)
+        assert kinds["job.retry"] == 1
+        assert kinds["demote"] == 0
 
     @pytest.mark.parametrize("use_cache", [False, True])
     def test_two_phase_serial(self, use_cache):

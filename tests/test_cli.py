@@ -147,13 +147,9 @@ class TestBenchCommand:
             [*self.ARGS, "--out", str(out), "--baseline", str(out)]
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-bench/5"
-        assert "phases" not in doc
-        suite = doc["suite"]
-        assert suite["bit_identical"]
-        for gone in ("legacy", "speedup_cold", "speedup_warm"):
-            assert gone not in suite, gone
-        assert suite["artifact_cache"]["warm"]["hits"] == 1
+        assert doc["schema"] == "repro-bench/6"
+        for gone in ("phases", "suite"):
+            assert gone not in doc, gone
         legs = doc["stages"]["gs"]
         for stage in STAGES:
             for leg in (stage, f"{stage}_reference"):
