@@ -18,9 +18,10 @@ Commands
               queue/stage1/network/maq/mshr/device); ``--perfetto``
               exports Chrome trace-event JSON loadable in Perfetto.
 ``bench``     Benchmark the simulator itself (wall-clock, raw requests
-              per second, per-stage engine speedups, RSS peak); writes
-              the machine-readable ``BENCH_<name>.json`` perf trajectory
-              and optionally gates against a checked-in baseline.
+              per second, end-to-end and per-stage engine speedups,
+              RSS peak); writes the machine-readable
+              ``BENCH_<name>.json`` perf trajectory and optionally
+              gates against a checked-in baseline.
 ``health``    Run a supervised suite and print its execution-health
               report (retries, timeouts, pool rebuilds, degradation
               ladder, shm leak check) — optionally under an injected
@@ -321,11 +322,6 @@ def _run(argv) -> int:
     p_bench.add_argument(
         "--max-regression", type=float, default=0.30, dest="max_regression",
         help="allowed fractional throughput drop vs baseline (default 0.30)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="cProfile each pipeline stage instead of timing: top-20 "
-             "cumulative hotspots per stage, PROFILE_<name>.json + table",
     )
 
     p_health = sub.add_parser(
@@ -848,20 +844,6 @@ def _run(argv) -> int:
             overrides["seed"] = args.seed
         if overrides:
             cfg = replace(cfg, **overrides)
-        if args.profile:
-            import json as _json
-
-            from repro.bench import render_profile, run_profile
-
-            name = args.name or "profile"
-            profile = run_profile(cfg, name=name, progress=print)
-            print(render_profile(profile))
-            out = args.out or f"PROFILE_{name}.json"
-            with open(out, "w") as fh:
-                _json.dump(profile.as_dict(), fh, indent=2)
-                fh.write("\n")
-            print(f"wrote {out}")
-            return 0
         name = args.name or ("quick" if args.quick else "main")
         report = run_bench(cfg, name=name, progress=print)
         print(render_report(report))

@@ -19,9 +19,13 @@ Writes go through a temp file + ``os.replace`` so concurrent writers
 (pool workers racing on a cold cache) each publish a complete file and
 the last one wins — both wrote identical bytes, so either is correct.
 Corrupt entries (truncated by a crash, garbage, or contents the reader's
-check rejects) are treated as misses, unlinked, and recomputed. Every
+check rejects) are treated as misses, unlinked, and recomputed; an entry
+that cannot be read at all (absent, unreadable, a root that is not a
+directory) is a plain miss and nothing is unlinked. A write that fails
+(read-only or full disk) is skipped and the run goes on uncached. Every
 ``get`` reads the file; store traffic shows in the ``cache.*`` events
-and in a grid's ``stats["artifact_hits"]``/``["artifact_misses"]``.
+(``hit``, ``miss``, ``corrupt``, ``store``, ``skip``) and in a grid's
+``stats["artifact_hits"]``/``["artifact_misses"]``.
 """
 
 from __future__ import annotations
@@ -174,8 +178,11 @@ class ArtifactStore:
         """Load ``{"meta": dict, **arrays}`` for a key, or None on miss.
 
         A file that exists but cannot be parsed (torn write, wrong
-        version), or whose payload ``check`` rejects by raising, counts
-        as a miss: it is unlinked and the caller recomputes.
+        version), or whose payload ``check`` rejects by raising, is
+        corrupt (``cache.corrupt``): it is unlinked and the caller
+        recomputes. One that cannot be read at all (absent, no
+        permission, a root that is not a directory) is a plain
+        ``cache.miss``, and nothing is unlinked.
 
         Fault site ``artifact.get`` (kind ``corrupt``) garbles the
         on-disk entry before the normal read, so injection exercises the
@@ -201,13 +208,16 @@ class ArtifactStore:
             }
             if check is not None:
                 check(payload)
-        except FileNotFoundError:
+        except OSError:
+            # Absent, or unreadable (a root that is a plain file, no
+            # permission, an I/O error): nothing to drop, a plain miss.
             if elog.enabled:
                 elog.emit(ev.CacheMiss(artifact=kind, key=key))
             return None
         except Exception:
-            # Corrupt, stale-format or rejected entry: drop it, report a
-            # miss.
+            # Corrupt, stale-format or rejected entry (``np.load`` raises
+            # ValueError or BadZipFile, neither an OSError): drop it,
+            # report a miss.
             if elog.enabled:
                 elog.emit(ev.CacheCorrupt(artifact=kind, key=key))
             try:
@@ -222,35 +232,42 @@ class ArtifactStore:
     def put(self, kind: str, key: str, meta: Dict, **arrays) -> None:
         """Persist arrays + JSON meta atomically.
 
-        Fault site ``artifact.put`` (kind ``enospc``) injects a full
-        disk before anything is written: the entry is skipped and the
-        run continues uncached — the same graceful degradation a real
-        ``OSError`` below takes.
+        A write that fails with an ``OSError`` (read-only or full cache
+        dir) is skipped: its temp file is removed, a ``cache.skip``
+        event names the error, and the run continues uncached. Fault
+        site ``artifact.put`` (kind ``enospc``) injects a full disk
+        before anything is written and takes the same path.
         """
         from repro.faults.injector import active
         from repro.telemetry import events as ev
 
-        if active().site_fault("artifact.put") == "enospc":
-            return
+        elog = ev.active()
         path = self._path(kind, key)
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
         try:
+            active().raise_site("artifact.put")
             self.root.mkdir(parents=True, exist_ok=True)
             blob = io.BytesIO()
             meta_arr = np.frombuffer(
                 json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
             )
             np.savez_compressed(blob, __meta__=meta_arr, **arrays)
-            tmp = path.with_name(
-                f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
             tmp.write_bytes(blob.getvalue())
             os.replace(tmp, path)
-            elog = ev.active()
+        except OSError as exc:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
             if elog.enabled:
-                elog.emit(ev.CacheStored(artifact=kind, key=key))
-        except OSError:
-            # Read-only or full cache dir: run uncached rather than fail.
-            pass
+                elog.emit(ev.CacheSkipped(
+                    artifact=kind, key=key, error=type(exc).__name__,
+                ))
+            return
+        if elog.enabled:
+            elog.emit(ev.CacheStored(artifact=kind, key=key))
 
     # -- maintenance / introspection ----------------------------------
 

@@ -2,19 +2,23 @@
 
 Where :mod:`repro.experiments` measures the *modeled hardware*,
 :mod:`repro.bench` measures the *simulator*: wall-clock seconds, raw
-requests per second, per-stage engine speedups, and peak RSS. It
-answers one question: does each batched engine still beat its
-reference? ``repro bench`` emits a machine-readable
-``BENCH_<name>.json`` that CI gates against a checked-in baseline (it
-fails when end-to-end throughput or an engine-stage speedup drops more
-than 30%). The grid pipeline is measured elsewhere: the repo
-benchmark's ``suite-cold-warm`` workload times a cold and a warm
-store, and CI's ``cache-determinism`` job checks both against each
-cell's standalone run.
+requests per second, engine speedups, and peak RSS. It answers one
+question: does the production engine still beat its reference, on
+the whole none/dmc/pac comparison first and then on each stage? One
+loop times every leg on both engines, and ``repro bench`` emits a
+machine-readable ``BENCH_<name>.json`` that CI gates against a
+checked-in baseline (it fails when end-to-end throughput or an engine
+speedup drops more than 30%). Where host time goes is answered
+elsewhere: the repo benchmark's ``perf/run.py --trace 1`` splits a run
+by layer, and ``python -m cProfile`` ranks functions on the path
+production runs. The grid pipeline is measured there too: the
+``suite-cold-warm`` workload times a cold and a warm store, and CI's
+``cache-determinism`` job checks both against each cell's standalone
+run.
 
 The golden rule (see CONTRIBUTING.md): optimize only with a benchmark
 and a golden check. A claimed end-to-end gain must show up in the repo
-benchmark (``perf/run.py``), an engine-stage gain here, and
+benchmark (``perf/run.py``), an engine gain here, and
 ``tests/golden_results.json`` / ``tests/test_fastpath_equivalence.py``
 must prove the optimized paths are bit-identical.
 """
@@ -30,13 +34,6 @@ from repro.bench.harness import (
     run_bench,
     stage_legs,
 )
-from repro.bench.profiler import (
-    ProfileReport,
-    StageProfile,
-    profile_benchmark,
-    render_profile,
-    run_profile,
-)
 from repro.bench.report import (
     RegressionError,
     check_regression,
@@ -49,20 +46,15 @@ __all__ = [
     "BENCH_BENCHMARKS",
     "BenchConfig",
     "BenchReport",
-    "ProfileReport",
     "RegressionError",
     "SPEEDUPS",
     "STAGES",
-    "StageProfile",
     "StageTimes",
     "Timing",
     "check_regression",
     "compare_reports",
-    "profile_benchmark",
-    "render_profile",
     "render_report",
     "run_bench",
-    "run_profile",
     "stage_legs",
     "write_report",
 ]

@@ -1,23 +1,23 @@
-"""The microbenchmark harness: warmup, min-of-N repeats, stage legs.
+"""The microbenchmark harness: warmup, min-of-N repeats, engine legs.
 
 Methodology (pyperf-style):
 
-* every measurement runs ``warmup`` untimed iterations first, then
-  ``repeats`` timed iterations; the reported number is the **minimum**
-  (the least-noise estimate of the true cost on an otherwise idle
-  machine), with all samples retained in the JSON for scrutiny;
-* end-to-end measurements drive :func:`repro.engine.driver.run_comparison`
-  — the none/dmc/pac arms on one regenerated trace, i.e. exactly what a
-  design-space sweep runs per (benchmark, config) point;
-* the engine split times each pipeline stage alone over fixed input,
-  once per execution engine: the unsuffixed leg on ``engine="auto"``
-  (the batched twin a clean PAC run resolves to) and the
+* every leg runs ``warmup`` untimed iterations first, then ``repeats``
+  timed iterations; the reported number is the **minimum** (the
+  least-noise estimate of the true cost on an otherwise idle machine),
+  with all samples retained in the JSON for scrutiny;
+* every leg is timed once per execution engine, repeats interleaved:
+  the unsuffixed leg on ``engine="auto"`` (the production path) and the
   ``_reference`` leg on ``engine="reference"``. :func:`stage_legs`
-  defines the four legs (:data:`STAGES`) once, for the harness and the
-  profiler alike, each as the one call production makes for that
-  stage; :data:`SPEEDUPS` names the three reference-over-batched
-  ratios they add up to. A per-layer split of a whole run lives in the
-  repo benchmark (``perf/run.py --trace 1``), not here;
+  defines the legs (:data:`STAGES`) once. The first, ``end_to_end``,
+  is :func:`repro.engine.driver.run_comparison` — the none/dmc/pac
+  arms on one regenerated trace, i.e. exactly what a design-space
+  sweep runs per (benchmark, config) point; the others time one
+  pipeline stage alone over fixed input, each as the one call
+  production makes for that stage. :data:`SPEEDUPS` names the
+  reference-over-auto ratios they add up to, the whole run first. A
+  per-layer split of a whole run lives in the repo benchmark
+  (``perf/run.py --trace 1``), not here;
 * peak RSS comes from ``resource.getrusage`` (kilobytes on Linux).
 
 **Best vs median.** Every :class:`Timing` retains all samples, and
@@ -44,8 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.config import TABLE1
 from repro.engine.driver import run_comparison
 from repro.engine.system import CoalescerKind, System
-from repro.mshr.dmc import RecordingDevice
-from repro.telemetry import events as ev
 
 #: Representative workloads: a page-local burst pattern (gs), a stencil
 #: SpMV (hpcg), a unit-stride streamer (stream), and the least-coalescable
@@ -57,17 +55,18 @@ BENCH_BENCHMARKS = ("gs", "hpcg", "stream", "bfs")
 #: the *work* must be identical across harness invocations.
 BENCH_SEED = 1234
 
-#: Engine-split stage legs, in report order; each is timed on
-#: ``engine="auto"`` (leg ``<stage>``) and ``engine="reference"`` (leg
+#: Engine legs, in report order; each is timed on ``engine="auto"``
+#: (leg ``<stage>``) and ``engine="reference"`` (leg
 #: ``<stage>_reference``).
-STAGES = ("trace_gen", "cache", "coalescer", "device")
+STAGES = ("end_to_end", "trace_gen", "cache", "coalescer")
 
-#: Each reported engine-speedup ratio and the stage legs it sums:
-#: reference seconds over batched seconds, min-of-N each.
+#: Each reported engine-speedup ratio and the legs it sums: reference
+#: seconds over auto seconds, min-of-N each. The whole run leads; the
+#: stage ratios follow it.
 SPEEDUPS = {
+    "end_to_end": ("end_to_end",),
     "coalescer": ("coalescer",),
     "frontend": ("trace_gen", "cache"),
-    "device": ("device",),
 }
 
 
@@ -195,11 +194,20 @@ class BenchReport:
 
     name: str
     config: BenchConfig
-    end_to_end: Dict[str, Timing] = field(default_factory=dict)
     stages: Dict[str, StageTimes] = field(default_factory=dict)
     rss_peak_kb: Optional[int] = None
     python: str = ""
     platform: str = ""
+
+    @property
+    def end_to_end(self) -> Dict[str, Timing]:
+        """Per benchmark, the ``end_to_end`` leg's ``auto`` timing: the
+        comparison production runs, as the throughput gate reads it."""
+        return {
+            bench: stages.timings["end_to_end"]
+            for bench, stages in self.stages.items()
+            if "end_to_end" in stages.timings
+        }
 
     @property
     def total_seconds(self) -> float:
@@ -216,9 +224,9 @@ class BenchReport:
 
     def stage_speedup(self, name: str) -> float:
         """Suite-aggregate engine speedup of :data:`SPEEDUPS` entry
-        ``name``: summed reference seconds over summed batched seconds
-        (min-of-N each). Same-host ratio — the machine-relative stage
-        gates compare it across runs."""
+        ``name``: summed reference seconds over summed auto seconds
+        (min-of-N each). Same-host ratio — the machine-relative gates
+        compare it across runs."""
         batched = reference = 0.0
         for stages in self.stages.values():
             pair = stages.seconds(SPEEDUPS[name])
@@ -229,7 +237,7 @@ class BenchReport:
 
     def as_dict(self) -> Dict:
         return {
-            "schema": "repro-bench/6",
+            "schema": "repro-bench/7",
             "name": self.name,
             "config": self.config.as_dict(),
             "python": self.python,
@@ -248,69 +256,38 @@ class BenchReport:
         }
 
 
-def _min_of(
-    fn: Callable[[], int], repeats: int, warmup: int,
-    label: Optional[str] = None,
-) -> Timing:
-    """Run ``fn`` (returns its work-item count) warmup+repeats times;
-    keep the min wall-clock. ``label`` names the measurement in the
-    structured event log (one ``bench.measure`` event per timing)."""
-    items = 0
-    for _ in range(warmup):
-        items = fn()
-    samples: List[float] = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        items = fn()
-        samples.append(time.perf_counter() - t0)
-    timing = Timing(seconds=min(samples), samples=samples, items=items)
-    if label is not None:
-        elog = ev.active()
-        if elog.enabled:
-            elog.emit(ev.BenchMeasured(
-                name=label, items=timing.items, seconds=timing.seconds,
-            ))
-    return timing
-
-
-def _measure_end_to_end(bench: str, cfg: BenchConfig) -> Timing:
-    def once() -> int:
-        # The artifact cache would turn warm iterations into pure
-        # coalescer runs; the end-to-end gate tracks full-compute
-        # throughput across releases, so it opts out.
-        results = run_comparison(
-            bench, n_accesses=cfg.n_accesses, seed=cfg.seed,
-            use_artifact_cache=False,
-        )
-        return sum(r.n_raw for r in results.values())
-
-    return _min_of(
-        once, cfg.repeats, cfg.warmup, label=f"{bench}:end_to_end"
-    )
-
-
 def stage_legs(
     bench: str, cfg: BenchConfig,
 ) -> Dict[str, Tuple[int, Callable[[str], Callable[[], object]]]]:
-    """The engine-split stage legs of one benchmark, keyed by stage.
+    """The engine legs of one benchmark, keyed by stage.
 
     Each value is ``(items, prepare)``: ``prepare(engine)`` builds a
     fresh stage on ``engine`` (stages hold state) and returns the one
-    call to time or profile — the call production makes for that
-    stage. Shared inputs (the trace, the raw stream, the packets the
-    PAC arm submits, recorded at its device) are built once here, so
-    no leg pays for its upstream or for ``System`` construction.
+    call to time — the call production makes for that stage. The
+    ``end_to_end`` leg is the whole none/dmc/pac comparison with no
+    artifact cache, so it pays for everything, ``System`` construction
+    included; its items are the raw requests its three arms process.
+    The stage legs share inputs built once here (the trace and the raw
+    stream), so no stage leg pays for its upstream or for ``System``
+    construction.
     """
     base = System(config=TABLE1, coalescer=CoalescerKind.PAC)
     trace = base.build_trace([bench], cfg.n_accesses, seed=cfg.seed)
     raw = base.hierarchy.process(trace).packed
-    recorded = RecordingDevice(base.device)
-    base.coalescer.process(raw, recorded)
-    issued = [packet for packet, _ in recorded.submits]
+    arms = (CoalescerKind.NONE, CoalescerKind.DMC, CoalescerKind.PAC)
 
     def fresh(engine: str) -> System:
         return System(
             config=TABLE1, coalescer=CoalescerKind.PAC, engine=engine
+        )
+
+    def end_to_end(engine: str):
+        # The artifact cache would turn warm iterations into pure
+        # coalescer runs; this leg tracks full-compute throughput
+        # across releases, so it opts out.
+        return lambda: run_comparison(
+            bench, arms, n_accesses=cfg.n_accesses, seed=cfg.seed,
+            use_artifact_cache=False, engine=engine,
         )
 
     def trace_gen(engine: str):
@@ -327,24 +304,11 @@ def stage_legs(
         system = fresh(engine)
         return lambda: system.coalescer.process(raw, system.device)
 
-    def device(engine: str):
-        # What run_raw does after the coalescer: per-packet submit at
-        # each packet's issue cycle, then the device's one merge.
-        dev = fresh(engine).device
-
-        def replay() -> None:
-            submit = dev.submit
-            for packet in issued:
-                submit(packet, packet.issue_cycle)
-            dev.sync()
-
-        return replay
-
     return {
+        "end_to_end": (len(arms) * len(raw), end_to_end),
         "trace_gen": (cfg.n_accesses, trace_gen),
         "cache": (len(raw), cache),
         "coalescer": (len(raw), coalescer),
-        "device": (len(issued), device),
     }
 
 
@@ -352,10 +316,11 @@ def _interleaved_engine_pair(
     prepare: Callable[[str], Callable[[], object]],
     items: int, repeats: int, warmup: int,
 ) -> tuple:
-    """Min-of-N of one stage leg on ``auto`` and on ``reference``,
+    """Min-of-N of one leg on ``auto`` and on ``reference``,
     repeats interleaved so machine-load drift hits both engines
-    symmetrically instead of biasing whichever ran second. Stage
-    construction stays outside the timer. Returns ``(fast, reference)``."""
+    symmetrically instead of biasing whichever ran second. What
+    ``prepare`` builds stays outside the timer. Returns
+    ``(fast, reference)``."""
 
     def once(engine: str) -> float:
         call = prepare(engine)
@@ -378,7 +343,7 @@ def _interleaved_engine_pair(
 
 
 def _measure_stages(bench: str, cfg: BenchConfig) -> StageTimes:
-    """Time every stage leg of one benchmark on both engines."""
+    """Time every leg of one benchmark on both engines."""
     out = StageTimes()
     for stage, (items, prepare) in stage_legs(bench, cfg).items():
         out.timings[stage], out.timings[f"{stage}_reference"] = (
@@ -404,11 +369,8 @@ def run_bench(
     )
     say = progress if progress is not None else (lambda msg: None)
     for bench in cfg.benchmarks:
-        say(f"[{bench}] end-to-end ({cfg.repeats} repeats)...")
-        report.end_to_end[bench] = _measure_end_to_end(bench, cfg)
-        # Quick mode measures stages too: the CI stage gates compare
-        # stage timings, so the smoke baseline must carry them.
-        say(f"[{bench}] stage legs...")
+        say(f"[{bench}] end-to-end and stage legs "
+            f"({cfg.repeats} repeats per engine)...")
         report.stages[bench] = _measure_stages(bench, cfg)
     report.rss_peak_kb = _peak_rss_kb()
     return report

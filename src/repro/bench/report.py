@@ -3,10 +3,10 @@
 ``BENCH_<name>.json`` files at the repo root are the perf trajectory:
 each holds one :class:`repro.bench.harness.BenchReport` as JSON. The
 regression gate compares the aggregate end-to-end throughput
-(``totals.requests_per_second``) and the three engine-stage speedups
-(:data:`repro.bench.harness.SPEEDUPS`) of a fresh run against a
-checked-in baseline and fails when one drops more than
-``max_regression``.
+(``totals.requests_per_second``) and the three engine speedups
+(:data:`repro.bench.harness.SPEEDUPS`: end-to-end, coalescer and
+front-end) of a fresh run against a checked-in baseline and fails
+when one drops more than ``max_regression``.
 """
 
 from __future__ import annotations
@@ -40,23 +40,24 @@ def write_report(report: BenchReport, path: Union[str, Path]) -> Path:
 #: ``bit_identical`` against each cell's standalone run instead; v6
 #: drops the ``suite`` section (CI's ``cache-determinism`` job checks
 #: cold/warm bit-identity, and perf's ``suite-cold-warm`` workload
-#: times it), so v2–v5 files carry it as history. The totals/end_to_end
-#: shape the gates read is unchanged, so older baselines still load;
-#: each stage gate skips baselines that predate its field, or its
-#: current leg definition (:data:`_RATIO_SINCE`).
+#: times it), so v2–v5 files carry it as history; v7 times the whole
+#: comparison as the first engine leg (``end_to_end``, on both
+#: engines, with ``totals.end_to_end_stage_speedup``) and drops the
+#: device legs, so v3–v6 files carry ``device_stage_speedup`` as
+#: history that no gate reads. The totals/end_to_end shape the gates
+#: read is unchanged, so older baselines still load; each ratio gate
+#: skips baselines without its field.
 _SCHEMAS = ("repro-bench/1", "repro-bench/2", "repro-bench/3",
-            "repro-bench/4", "repro-bench/5", "repro-bench/6")
+            "repro-bench/4", "repro-bench/5", "repro-bench/6",
+            "repro-bench/7")
 
-#: Stage ratios whose legs changed definition, and the first schema
-#: version that times the current one.
-_RATIO_SINCE = {"device": 4}
-
-#: Per stage ratio: its ``compare_reports`` key stem and the name its
-#: gate reports (both predate the :data:`SPEEDUPS` table).
+#: Per engine ratio: its ``compare_reports`` key stem and the name its
+#: gate reports (the coalescer and front-end stems predate the
+#: :data:`SPEEDUPS` table).
 _GATE_NAMES = {
+    "end_to_end": ("end_to_end", "end-to-end"),
     "coalescer": ("stage", "coalescer-stage"),
     "frontend": ("frontend", "front-end-stage"),
-    "device": ("device", "back-end-stage"),
 }
 
 
@@ -123,15 +124,10 @@ def render_report(report: BenchReport) -> str:
         ratio = report.stage_speedup(name)
         if ratio:
             lines.append(
-                f"  [engine] batched {name} ({' + '.join(legs)}): "
-                f"{ratio:.2f}x aggregate over the reference "
-                f"(isolated stage legs, min-of-N)"
+                f"  [engine] auto {name} ({' + '.join(legs)}): "
+                f"{ratio:.2f}x aggregate over the reference (min-of-N)"
             )
     return "\n".join(lines)
-
-
-def _schema_version(doc: Dict) -> int:
-    return int(doc.get("schema", "repro-bench/0").rsplit("/", 1)[1])
 
 
 def compare_reports(
@@ -141,12 +137,10 @@ def compare_reports(
 
     Returns ``{"current_rps", "baseline_rps", "speedup"}`` where speedup
     > 1 means the current code is faster. Each :data:`SPEEDUPS` ratio
-    that both reports carry, with a baseline recent enough to time its
-    current legs, adds a ``current_<stem>_speedup`` /
+    that both reports carry adds a ``current_<stem>_speedup`` /
     ``baseline_<stem>_speedup`` pair (stems in :data:`_GATE_NAMES`) —
-    a machine-relative ratio (reference over batched on the *same*
-    host), so it compares cleanly across hosts where raw req/s does
-    not.
+    a machine-relative ratio (reference over auto on the *same* host),
+    so it compares cleanly across hosts where raw req/s does not.
     """
     if isinstance(current, BenchReport):
         current = current.as_dict()
@@ -158,8 +152,6 @@ def compare_reports(
         "speedup": (cur / base) if base else float("inf"),
     }
     for name in SPEEDUPS:
-        if _schema_version(baseline) < _RATIO_SINCE.get(name, 0):
-            continue
         field = f"{name}_stage_speedup"
         cur_ratio = current["totals"].get(field, 0.0)
         base_ratio = baseline["totals"].get(field, 0.0)
@@ -182,14 +174,14 @@ def check_regression(
 
     * **end-to-end throughput** — ``totals.requests_per_second`` must
       stay above ``(1 - max_regression)`` of the baseline's;
-    * **engine-stage speedups** — each :data:`SPEEDUPS` ratio (the
-      batched coalescer kernel, the trace-gen + cache front-end and
-      the memory-device back-end, each over its reference) must
-      likewise stay above ``(1 - max_regression)`` of the baseline
-      ratio. Being same-host ratios, these gates are insensitive to
-      absolute machine speed and catch regressions that hide inside a
-      faster host. A gate skips baselines without its field or older
-      than its leg definition.
+    * **engine speedups** — each :data:`SPEEDUPS` ratio (the whole
+      none/dmc/pac comparison, the batched coalescer kernel and the
+      trace-gen + cache front-end, each ``reference`` over ``auto``)
+      must likewise stay above ``(1 - max_regression)`` of the
+      baseline ratio. Being same-host ratios, these gates are
+      insensitive to absolute machine speed and catch regressions that
+      hide inside a faster host. A gate skips baselines without its
+      field.
 
     Non-positive timings are rejected **loudly** before any ratio is
     formed: ``Timing.items_per_second`` returns ``0.0`` for a

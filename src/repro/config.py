@@ -70,9 +70,6 @@ class PACConfig:
     #: MSHRs are free, raw requests skip the coalescing network entirely
     #: (Section 3.2).
     idle_bypass: bool = True
-    #: Coalesce on actual CPU data sizes instead of cache lines — the
-    #: Figure 10b fine-grain experiment.
-    fine_grain: bool = False
 
     def __post_init__(self) -> None:
         if self.n_streams <= 0:

@@ -37,7 +37,7 @@ from repro.config import PACConfig
 from repro.core.aggregator import PagedRequestAggregator
 from repro.core.maq import MemoryAccessQueue
 from repro.core.network import CoalescingNetwork
-from repro.core.protocols import HMC2, HMC2_FINE, MemoryProtocol
+from repro.core.protocols import HMC2, MemoryProtocol
 from repro.mshr.adaptive import AdaptiveMSHRFile
 from repro.mshr.dmc import Coalescer, CoalesceOutcome, MemoryDevice
 from repro.telemetry import NULL_SPANS, NULL_TELEMETRY
@@ -60,7 +60,7 @@ class PagedAdaptiveCoalescer(Coalescer):
         super().__init__("pac")
         self.config = config if config is not None else PACConfig()
         if protocol is None:
-            protocol = HMC2_FINE if self.config.fine_grain else HMC2
+            protocol = HMC2
         self.protocol = protocol
         self.aggregator = PagedRequestAggregator(
             protocol,

@@ -44,7 +44,6 @@ class PrivateCoalescerArray(Coalescer):
             maq_entries=max(1, base.maq_entries // n_cores),
             n_mshrs=max(1, base.n_mshrs // n_cores),
             idle_bypass=base.idle_bypass,
-            fine_grain=base.fine_grain,
         )
         self.n_cores = n_cores
         self.coalescers: List[PagedAdaptiveCoalescer] = [

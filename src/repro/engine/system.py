@@ -230,19 +230,14 @@ class System:
                 protocol=self.protocol,
             )
         if self.kind == CoalescerKind.PAC:
-            pac_cfg = self.config.pac
-            if self.fine_grain and not pac_cfg.fine_grain:
-                from dataclasses import replace
-
-                pac_cfg = replace(pac_cfg, fine_grain=True)
             cls = (
                 BatchedPagedAdaptiveCoalescer
                 if self.engine == "batched"
                 else PagedAdaptiveCoalescer
             )
             return cls(
-                pac_cfg, protocol=self.protocol, probes=probes.scope("pac"),
-                spans=spans,
+                self.config.pac, protocol=self.protocol,
+                probes=probes.scope("pac"), spans=spans,
             )
         raise TypeError(f"unknown coalescer {self.kind!r}")
 

@@ -40,10 +40,10 @@ from dataclasses import dataclass, fields
 from typing import Dict, Iterable, List, Optional, Union
 
 __all__ = [
-    "BenchMeasured",
     "CacheCorrupt",
     "CacheHit",
     "CacheMiss",
+    "CacheSkipped",
     "CacheStored",
     "Demoted",
     "ENV_EVENTS",
@@ -230,6 +230,17 @@ class CacheCorrupt(Event):
 
 
 @dataclass(frozen=True)
+class CacheSkipped(Event):
+    """A store write failed (``error`` is the exception's class name),
+    so the artifact was not persisted and the run went on uncached."""
+
+    kind = "cache.skip"
+    artifact: str
+    key: str
+    error: str
+
+
+@dataclass(frozen=True)
 class ShmPublished(Event):
     kind = "shm.publish"
     name: str
@@ -250,17 +261,6 @@ class ShmReleased(Event):
 
 
 @dataclass(frozen=True)
-class BenchMeasured(Event):
-    """One perf-harness measurement completed (``seconds`` is wall
-    clock and therefore excluded from determinism comparisons)."""
-
-    kind = "bench.measure"
-    name: str
-    items: int
-    seconds: float
-
-
-@dataclass(frozen=True)
 class LedgerRecorded(Event):
     kind = "ledger.record"
     run_id: str
@@ -274,8 +274,8 @@ EVENT_TYPES: Dict[str, type] = {
         RunStarted, RunCompleted, SuiteStarted, SuiteCompleted,
         PhaseStarted, PhaseCompleted, JobCompleted, JobFailed, JobRetried,
         JobTimedOut, PoolRebuilt, Demoted, CacheHit, CacheMiss,
-        CacheStored, CacheCorrupt, ShmPublished, ShmAttached, ShmReleased,
-        BenchMeasured, LedgerRecorded,
+        CacheStored, CacheCorrupt, CacheSkipped, ShmPublished, ShmAttached,
+        ShmReleased, LedgerRecorded,
     )
 }
 
@@ -284,8 +284,9 @@ ENVELOPE_KEYS = ("seq", "pid", "ts", "kind", "v")
 
 #: Payload schema of the events :class:`EventLog` writes, stamped as the
 #: envelope's ``v``; bump it whenever an event type's fields change.
-#: Logs written before the stamp existed carry no ``v``.
-SCHEMA_VERSION = 1
+#: Logs written before the stamp existed carry no ``v``. Version 2
+#: added ``cache.skip`` and dropped the perf harness's per-timing event.
+SCHEMA_VERSION = 2
 
 
 # --------------------------------------------------------------------- #

@@ -30,13 +30,17 @@ def store(tmp_path):
 
 def _traffic(call):
     """``call()``'s result and the store events it emitted, counted by
-    kind (``cache.hit``/``miss``/``store``/``corrupt``)."""
+    kind (``cache.hit``/``miss``/``store``/``corrupt``/``skip``)."""
+    out, records = _records(call)
+    return out, Counter(r["kind"] for r in records)
+
+
+def _records(call):
+    """``call()``'s result and the ``cache.*`` event records it emitted."""
     log = ev.EventLog()
     with ev.installed(log):
         out = call()
-    return out, Counter(
-        r["kind"] for r in log.records if r["kind"].startswith("cache.")
-    )
+    return out, [r for r in log.records if r["kind"].startswith("cache.")]
 
 
 def _arrays():
@@ -114,6 +118,22 @@ class TestCorruptionRecovery:
         assert seen == {"cache.corrupt": 1}
         assert not path.exists()
 
+    def test_unreadable_entry_is_a_miss_and_kept(self, store, monkeypatch):
+        """A read that fails with an ``OSError`` (here a permission
+        error) is a plain miss: the entry is not called corrupt and not
+        unlinked."""
+        store.put("pass", "k", {"x": 1}, **_arrays())
+        path = store._path("pass", "k")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(np, "load", denied)
+        payload, seen = _traffic(lambda: store.get("pass", "k"))
+        assert payload is None
+        assert seen == {"cache.miss": 1}
+        assert path.exists()
+
     def test_recovery_after_corruption(self, store):
         """The canonical crash story: corrupt entry → miss → recompute
         (re-put) → subsequent hits."""
@@ -162,15 +182,40 @@ class TestConcurrentWriters:
         root = tmp_path / "blocked"
         root.write_bytes(b"not a directory")
         store = ArtifactStore(root)
-        _, seen = _traffic(
+        _, records = _records(
             lambda: store.put("trace", "k", {"x": 1}, **_arrays())
         )
-        assert seen == {}
+        assert [r["kind"] for r in records] == ["cache.skip"]
+        assert records[0]["error"] == "FileExistsError"
         # Nothing landed: the squatting file is intact, no temp litter.
         assert root.read_bytes() == b"not a directory"
         assert list(tmp_path.rglob("*.npz*")) == []
         assert list(store.entries()) == []
-        assert store.get("trace", "k") is None
+        # Reading under a root that is not a directory is a miss, not
+        # a corrupt entry.
+        payload, records = _records(lambda: store.get("trace", "k"))
+        assert payload is None
+        assert [r["kind"] for r in records] == ["cache.miss"]
+        assert root.read_bytes() == b"not a directory"
+
+    def test_injected_full_disk_is_a_skipped_write(self, store):
+        from repro.faults import FaultInjector, FaultPlan, installed
+
+        plan = FaultPlan.parse("artifact.put:enospc@0")
+        with installed(FaultInjector(plan)):
+            _, records = _records(
+                lambda: store.put("pass", "k", {"x": 1}, **_arrays())
+            )
+            assert [r["kind"] for r in records] == ["cache.skip"]
+            assert records[0]["error"] == "OSError"
+            assert list(store.entries()) == []
+            # The plan fires once; the next write persists.
+            _, seen = _traffic(
+                lambda: store.put("pass", "k", {"x": 1}, **_arrays())
+            )
+        assert seen == {"cache.store": 1}
+        assert store.get("pass", "k")["meta"] == {"x": 1}
+        assert list(store.root.glob("*.tmp")) == []
 
 
 class TestMemoAndRegistry:

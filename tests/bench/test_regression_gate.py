@@ -5,7 +5,7 @@ a rendering safety; if that ever reached :func:`check_regression`, the
 throughput gate would divide by (or compare against) a zero and either
 pass vacuously or crash with an unrelated error. These tests pin the
 explicit :class:`RegressionError` rejections, plus the three
-machine-relative stage gates (coalescer / front-end / back-end).
+machine-relative engine gates (end-to-end / coalescer / front-end).
 """
 
 import json
@@ -57,41 +57,53 @@ class TestLoudRejection:
 class TestStageGates:
     def test_matching_reports_pass(self, tmp_path):
         doc = _doc(
+            schema="repro-bench/7",
+            end_to_end_stage_speedup=1.9,
             coalescer_stage_speedup=2.0,
             frontend_stage_speedup=1.8,
-            device_stage_speedup=1.7,
         )
         cmp = check_regression(doc, _baseline(tmp_path, doc))
         assert cmp["speedup"] == 1.0
-        assert cmp["current_device_speedup"] == 1.7
+        assert cmp["current_end_to_end_speedup"] == 1.9
 
-    def test_device_speedup_regression_fails(self, tmp_path):
-        base = _baseline(tmp_path, _doc(device_stage_speedup=1.7))
-        with pytest.raises(RegressionError, match="back-end-stage"):
+    def test_end_to_end_speedup_regression_fails(self, tmp_path):
+        base = _baseline(tmp_path, _doc(end_to_end_stage_speedup=1.9))
+        with pytest.raises(
+            RegressionError, match="end-to-end engine speedup regressed"
+        ):
             check_regression(
-                _doc(device_stage_speedup=1.0), base, max_regression=0.30
+                _doc(end_to_end_stage_speedup=1.0), base,
+                max_regression=0.30,
             )
 
-    def test_device_gate_skipped_for_old_baselines(self, tmp_path):
-        # A schema-v3 baseline from before the back-end engine carries
-        # no device_stage_speedup: the gate must skip, not crash.
+    def test_end_to_end_gate_skipped_for_old_baselines(self, tmp_path):
+        # A baseline from before the end-to-end leg carries no
+        # end_to_end_stage_speedup: the gate must skip, not crash.
         base = _baseline(tmp_path, _doc())
-        cmp = check_regression(_doc(device_stage_speedup=1.7), base)
-        assert "current_device_speedup" not in cmp
+        cmp = check_regression(_doc(end_to_end_stage_speedup=1.9), base)
+        assert "current_end_to_end_speedup" not in cmp
 
-    def test_device_gate_skipped_for_pre_v4_baselines(self, tmp_path):
-        # A v3 device field timed the bench-only window replay, not
-        # per-packet submit + sync: a different leg, so no gate.
+    def test_v6_device_ratio_is_history(self, tmp_path):
+        # A v6 baseline still carries device_stage_speedup: it loads,
+        # the other ratios gate, and no gate or key reads the device.
         base = _baseline(tmp_path, _doc(
-            schema="repro-bench/3", device_stage_speedup=1.7,
-            coalescer_stage_speedup=2.0,
+            schema="repro-bench/6", device_stage_speedup=1.7,
+            coalescer_stage_speedup=2.0, frontend_stage_speedup=1.8,
         ))
         cmp = check_regression(
-            _doc(device_stage_speedup=1.0, coalescer_stage_speedup=2.0),
+            _doc(schema="repro-bench/7", device_stage_speedup=0.5,
+                 coalescer_stage_speedup=2.0, frontend_stage_speedup=1.8),
             base, max_regression=0.30,
         )
-        assert "current_device_speedup" not in cmp
         assert cmp["current_stage_speedup"] == 2.0
+        assert cmp["current_frontend_speedup"] == 1.8
+        assert not any("device" in key for key in cmp)
+        with pytest.raises(RegressionError, match="front-end-stage"):
+            check_regression(
+                _doc(schema="repro-bench/7", coalescer_stage_speedup=2.0,
+                     frontend_stage_speedup=1.0),
+                base, max_regression=0.30,
+            )
 
     def test_end_to_end_regression_still_fails(self, tmp_path):
         base = _baseline(tmp_path, _doc(rps=100_000.0))

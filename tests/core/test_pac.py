@@ -6,7 +6,7 @@ from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
-from repro.core.protocols import HBM, HMC2
+from repro.core.protocols import HBM, HMC2, HMC2_FINE
 from repro.mshr.dmc import MSHRBasedDMC
 
 
@@ -205,7 +205,7 @@ class TestProtocolPortability:
 
     def test_fine_grain_small_packets(self, fixed_memory):
         # Figure 10b mode: 8B raw requests -> 16B packets.
-        p = PagedAdaptiveCoalescer(PACConfig(fine_grain=True, idle_bypass=False))
+        p = pac(protocol=HMC2_FINE)
         stream = [
             MemoryRequest(addr=PAGE_BYTES, size=8, cycle=0),
             MemoryRequest(addr=PAGE_BYTES + 512, size=8, cycle=1),
@@ -215,7 +215,7 @@ class TestProtocolPortability:
         assert all(pk.size == 16 for pk in fixed_memory.packets)
 
     def test_fine_grain_adjacent_flits_merge(self, fixed_memory):
-        p = PagedAdaptiveCoalescer(PACConfig(fine_grain=True, idle_bypass=False))
+        p = pac(protocol=HMC2_FINE)
         stream = [
             MemoryRequest(addr=PAGE_BYTES + i * 16, size=8, cycle=i)
             for i in range(4)

@@ -147,24 +147,29 @@ class TestBenchCommand:
             [*self.ARGS, "--out", str(out), "--baseline", str(out)]
         ) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro-bench/6"
+        assert doc["schema"] == "repro-bench/7"
+        assert STAGES[0] == "end_to_end"
         for gone in ("phases", "suite"):
             assert gone not in doc, gone
         legs = doc["stages"]["gs"]
+        assert list(legs)[:2] == ["end_to_end", "end_to_end_reference"]
+        assert not any(leg.startswith("device") for leg in legs)
         for stage in STAGES:
             for leg in (stage, f"{stage}_reference"):
                 assert legs[leg]["seconds"] > 0, leg
+        # The throughput gate's end_to_end section is the leg's auto
+        # timing, not a second measurement.
+        assert doc["end_to_end"]["gs"] == legs["end_to_end"]
         for name in SPEEDUPS:
             assert doc["totals"][f"{name}_stage_speedup"] > 0, name
+        assert "device_stage_speedup" not in doc["totals"]
         assert "OK vs" in capsys.readouterr().out
 
-    def test_profile_writes_every_stage(self, tmp_path, capsys):
-        from repro.bench.profiler import PROFILE_STAGES
-
-        out = tmp_path / "PROFILE_t.json"
-        assert main([*self.ARGS, "--profile", "--out", str(out)]) == 0
-        profiles = json.loads(out.read_text())["profiles"]["gs"]
-        assert list(profiles) == list(PROFILE_STAGES)
+    def test_profile_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGS, "--profile"])
+        assert exc.value.code == 2
+        assert "--profile" in capsys.readouterr().err
 
 
 class TestTraceCommand:
