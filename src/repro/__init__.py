@@ -43,7 +43,6 @@ __all__ = [
     "MemoryRequest",
     "CoalescedRequest",
     "run_benchmark",
-    "run_suite",
     "CoalescerKind",
     "__version__",
 ]
@@ -51,7 +50,7 @@ __all__ = [
 
 def __getattr__(name):
     # Lazy imports to keep `import repro` light and avoid circular imports.
-    if name in ("run_benchmark", "run_suite", "CoalescerKind"):
+    if name in ("run_benchmark", "CoalescerKind"):
         from repro.engine import driver
 
         return getattr(driver, name)

@@ -613,18 +613,18 @@ def _run(argv) -> int:
                 write_csv,
             )
 
-            registry = (
-                TelemetryRegistry(window_cycles=args.window)
-                if args.window
-                else TelemetryRegistry()
-            )
             result = run_benchmark(
                 args.benchmark,
                 coalescer=CoalescerKind(args.coalescer),
                 n_accesses=n_accesses,
                 seed=seed,
-                telemetry=registry,
+                telemetry=(
+                    TelemetryRegistry(window_cycles=args.window)
+                    if args.window
+                    else True
+                ),
             )
+            registry = result.telemetry
             rows = timeline_rows(registry)
             title = (
                 f"{args.benchmark} / {args.coalescer} — "

@@ -96,7 +96,6 @@ class HMCConfig:
     #: Closed-page bank busy time per activation (tRC-equivalent), cycles
     #: at the 2GHz core clock.
     bank_busy_cycles: int = 96
-    link_bandwidth_gbps: float = 120.0  # half-duplex per-direction 15 GB/s/link
     #: Device address-interleaving policy: "vault-first" (HMC default),
     #: "bank-first", or "row-major" (ablation worst case).
     address_policy: str = "vault-first"

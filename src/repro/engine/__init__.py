@@ -8,7 +8,6 @@ from repro.engine.driver import (
     DEFAULT_ACCESSES,
     run_benchmark,
     run_comparison,
-    run_suite,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "DEFAULT_ACCESSES",
     "run_benchmark",
     "run_comparison",
-    "run_suite",
 ]

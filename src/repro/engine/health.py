@@ -5,7 +5,7 @@ get a grid to completion — retries, per-job timeouts, crashed-worker
 pool rebuilds, degradation-ladder transitions, backoff, timings — and
 whether any shared-memory segment failed unlink verification. Every
 grid run makes one (:func:`repro.engine.parallel.run_suite_parallel`
-and its views ``run_comparison`` and ``run_suite``). It rides on
+and its view ``run_comparison``). It rides on
 :attr:`repro.engine.results.RunResult.health` (excluded from ``==``:
 recovery bookkeeping, never simulation output) and in the ``stats``
 dict of ``run_suite_parallel``, and the ``repro health`` CLI prints

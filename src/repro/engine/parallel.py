@@ -1,9 +1,10 @@
 """Grid execution: the one runner behind every multi-run entry point.
 
 The paper's evaluation is a grid, benchmarks × coalescer arms.
-:func:`run_suite_parallel` runs it; :func:`repro.engine.driver.run_comparison`
-(one benchmark, several arms) and :func:`repro.engine.driver.run_suite`
-(one arm, several benchmarks) are views of it at ``max_workers=1``.
+:func:`run_suite_parallel` runs it, one
+:class:`~repro.engine.spec.RunSpec` per cell;
+:func:`repro.engine.driver.run_comparison` (one benchmark, several
+arms) is its view at ``max_workers=1``.
 Only the coalescer+device half differs between arms — the trace and the
 cache-hierarchy pass are deterministic in (seed, config) and identical
 across arms — so every grid runs in two phases:
@@ -59,7 +60,6 @@ import time
 from dataclasses import replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.config import SimulationConfig, TABLE1
 from repro.engine.driver import DEFAULT_ACCESSES, run_arm
 from repro.engine.health import RunHealth
 from repro.engine.results import RunResult
@@ -182,36 +182,36 @@ def run_suite_parallel(
     ),
     benchmarks: Sequence[str] = BENCHMARK_NAMES,
     n_accesses: int = DEFAULT_ACCESSES,
-    config: SimulationConfig = TABLE1,
-    seed: Optional[int] = None,
-    device: str = "hmc",
+    *,
     max_workers: Optional[int] = None,
-    telemetry: bool = False,
-    spans=False,
-    protocol=None,
-    fine_grain: bool = False,
-    scale=1.0,
     extra_benchmarks: Sequence[str] = (),
+    telemetry=False,
+    spans=False,
     use_artifact_cache: bool = True,
     stats: Optional[dict] = None,
     faults=None,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    engine: str = "auto",
+    **fields,
 ) -> Dict[Tuple[str, str], RunResult]:
     """Run every (benchmark, kind) pair concurrently, supervised.
 
     Returns ``{(benchmark, kind.value): RunResult}``, with benchmark
-    names lowercase as their specs hold them. ``max_workers``
-    defaults to :func:`usable_cpus`; pass 1 to run every job in the parent
-    (useful under debuggers and in constrained CI). The supervisor gets
-    ``min(max_workers, jobs)`` workers — the value ``stats["workers"]``
-    reports — so a one-job grid runs in the parent too. An empty or
-    repeating ``kinds`` or ``benchmarks`` (names compare in any case),
-    ``max_workers`` below 1, an arm that is not a :class:`CoalescerKind`
-    or a field :class:`~repro.engine.spec.RunSpec` rejects raises before
-    anything runs (:class:`ValueError`, :class:`TypeError`), and so does
-    a bad supervision setting (below).
+    names lowercase as their specs hold them. Each cell is one
+    :class:`~repro.engine.spec.RunSpec`: ``extra_benchmarks`` co-run
+    with every benchmark (the paper's multiprocessing mode), and
+    ``fields`` are the other spec fields, passed unchanged to every
+    cell. ``max_workers`` defaults to :func:`usable_cpus`; pass 1 to
+    run every job in the parent (useful under debuggers and in
+    constrained CI). The supervisor gets ``min(max_workers, jobs)``
+    workers — the value ``stats["workers"]`` reports — so a one-job
+    grid runs in the parent too. An empty or repeating ``kinds`` or
+    ``benchmarks`` (names compare in any case), ``max_workers`` below
+    1, an arm that is not a :class:`CoalescerKind`, a field the grid
+    sets itself (``benchmarks``, ``arm``, ``telemetry_window``,
+    ``span_rate``) or one :class:`~repro.engine.spec.RunSpec` rejects
+    raises before anything runs (:class:`ValueError`,
+    :class:`TypeError`), and so does a bad supervision setting (below).
 
     Every grid runs the two phases of the module docstring.
     ``use_artifact_cache=False`` skips all cache reads/writes.
@@ -231,20 +231,19 @@ def run_suite_parallel(
     :class:`~repro.faults.FaultPlan`, a spec string, ``None`` (consult
     ``$REPRO_FAULTS``), or ``False`` (force-disable injection).
 
-    ``telemetry=True`` attaches a windowed-probe registry to each result
-    (registries pickle back from workers bit-identically);
-    ``spans=True`` (or an int sample rate) attaches a span trace the
-    same way — sampling keys on the raw-stream ordinal, so span sets
-    are bit-identical to serial runs. Phase 1 observes each cache pass
-    once, and every arm folds its own copy of those probes and span
-    origins into a fresh registry and recorder, so each arm equals its
-    standalone :func:`~repro.engine.driver.run_benchmark`. A probe grid
-    reads no pass from the store and writes none back — a stored pass
-    holds no probe events — so it counts every pass as a miss, as with
-    the cache off. A registry or recorder passed in is a template:
-    every arm gets a fresh one with its window or sample rate, at any
-    worker count. Spans on the sortdmc arm raise ``ValueError`` before
-    anything runs.
+    ``telemetry`` and ``spans`` take the spellings of
+    :func:`~repro.engine.driver.run_benchmark`, and a registry or
+    recorder passed in is a template there too: every arm gets a fresh
+    one with its window or sample rate, at any worker count
+    (registries and span traces pickle back from workers
+    bit-identically; sampling keys on the raw-stream ordinal). Phase 1
+    observes each cache pass once, and every arm folds its own copy of
+    those probes and span origins in, so each arm equals its standalone
+    :func:`~repro.engine.driver.run_benchmark`. A probe grid reads no
+    pass from the store and writes none back — a stored pass holds no
+    probe events — so it counts every pass as a miss, as with the cache
+    off. Spans on the sortdmc arm raise ``ValueError`` before anything
+    runs.
 
     Suite/phase boundaries, supervisor retries/timeouts/rebuilds and
     transport demotions go to the active event log
@@ -253,13 +252,9 @@ def run_suite_parallel(
     inherit the sink and append their own ``run.*`` lines,
     distinguished by ``pid``.
 
-    ``engine`` forwards the oracle hook of
-    :func:`~repro.engine.driver.run_benchmark` to every arm and to
-    phase 1's per-benchmark trace+cache prefix: the default ``"auto"``
-    runs the batched twins — with probes, spans or a fault plan too —
-    and ``engine="reference"`` the scalar
-    classes, bit-identically, so artifact keys and cached passes are
-    shared across engines. DDR has one device class on both. Each job
+    The ``engine`` field reaches every arm and phase 1's per-benchmark
+    trace+cache prefix; the two engines' passes are bit-identical, so
+    artifact keys and cached passes are shared across engines. Each job
     constructs its own ``System`` inside its worker process.
     """
     kinds = list(kinds)
@@ -270,11 +265,8 @@ def run_suite_parallel(
     # identically regardless of worker count or config pickling. They
     # also reject bad fields and normalise names before anything runs.
     specs = [
-        RunSpec(
-            (bench, *extra_benchmarks), n_accesses, config=config,
-            seed=seed, device=device, protocol=protocol,
-            fine_grain=fine_grain, scale=scale, engine=engine,
-            **RunSpec.probe_settings(telemetry, spans),
+        RunSpec.entry(
+            (bench, *extra_benchmarks), n_accesses, telemetry, spans, fields
         )
         for bench in benchmarks
     ]
@@ -329,9 +321,11 @@ def run_suite_parallel(
         with installed(parent_injector):
             # A stored pass holds no probe events: a probe grid computes
             # every pass on probed front-ends and leaves the store alone.
+            probed = (specs[0].telemetry_window, specs[0].span_rate) != (
+                None, None
+            )
             out = _run_two_phase(
-                specs, grid,
-                use_artifact_cache and not (telemetry or spans),
+                specs, grid, use_artifact_cache and not probed,
                 stats, supervisor, spec_text, health,
             )
     finally:

@@ -53,11 +53,11 @@ class RunResult:
     mean_raw_service_cycles: float = 0.0
     #: Windowed telemetry collected during the run
     #: (:class:`repro.telemetry.TelemetryRegistry`); None unless the
-    #: system was built with ``telemetry=True``. Participates in ``==``,
+    #: system was built with a registry. Participates in ``==``,
     #: so the determinism harness compares full timelines.
     telemetry: Optional[object] = None
     #: Per-request span trace (:class:`repro.telemetry.SpanTrace`); None
-    #: unless the system was built with ``spans=True``. A frozen
+    #: unless the system was built with a recorder. A frozen
     #: dataclass of plain data, so it participates in ``==`` and the
     #: determinism harness compares full span sets.
     spans: Optional[object] = None

@@ -3,9 +3,11 @@
 The paper's evaluation is a grid — benchmarks × coalescer arms, on
 HMC/HBM/DDR, in fine-grain and co-run modes. A :class:`RunSpec` is one
 cell of it. The public entry points (:mod:`repro.engine.driver`,
-:mod:`repro.engine.parallel`) build specs from their keyword arguments
-once; everything below them — pool jobs, the artifact pipeline, the
-figure memo — takes a spec, and the artifact keys derive from it.
+:mod:`repro.engine.parallel`) set the benchmarks, the arm and the probe
+settings from their own arguments and pass every other field through
+unchanged (:meth:`RunSpec.entry`); everything below them — pool jobs,
+the artifact pipeline, the figure memo — takes a spec, and the artifact
+keys derive from it.
 """
 
 from __future__ import annotations
@@ -28,23 +30,51 @@ from repro.engine.system import (
 from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.workloads.base import size_factor, workload_key
 
+#: The fields an entry point sets from its own arguments: the benchmark
+#: names, the coalescer kind(s), and ``telemetry``/``spans``.
+ENTRY_SET = ("benchmarks", "arm", "telemetry_window", "span_rate")
+
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One run's inputs: frozen, hashable and picklable.
+    """One run's inputs: frozen, hashable and picklable. The entry
+    points take these fields as ``**fields`` and document them here
+    only.
 
-    ``benchmarks`` lists the primary benchmark first, then its
-    co-runners (the paper's multiprocessing mode). ``seed`` resolves to
-    ``config.seed`` at construction, so every process that receives the
-    spec derives the same per-benchmark seeds. Probes are carried as
-    settings — ``telemetry_window`` (cycles) and ``span_rate`` (one
-    raw request in N), ``None`` for off — never as live objects: every
+    * ``benchmarks`` — the primary benchmark first, then its
+      co-runners (the paper's multiprocessing mode, Figure 6b).
+    * ``n_accesses`` — CPU accesses of the whole mix, a positive int.
+    * ``arm`` — the :class:`CoalescerKind` between caches and memory.
+    * ``config`` — the :class:`~repro.config.SimulationConfig`
+      (Table 1 by default).
+    * ``seed`` — the run seed. ``None`` resolves to ``config.seed``
+      here, so every process that receives the spec derives the same
+      per-benchmark seeds.
+    * ``device`` — ``"hmc"``, ``"hbm"`` or the conventional ``"ddr"``
+      foil.
+    * ``protocol`` — the packet protocol
+      (:mod:`repro.core.protocols`); ``None`` picks the device's own.
+    * ``fine_grain`` — the Figure 10b data-size coalescing mode: demand
+      accesses travel at their CPU data size, the prefetcher is off.
+    * ``scale`` — the NAS-style size class, a positive finite factor or
+      a letter (``"A"`` is 1.0); stored as its factor.
+    * ``engine`` — an oracle hook. ``"auto"`` runs the production
+      path: the batched front-end, PAC kernel and HMC/HBM device twins,
+      with probes, spans or a fault plan too. ``"reference"`` runs the
+      scalar classes they are bit-identical to. NONE, DMC and SORT run
+      their one coalescer, and DDR its one device class, on either.
+    * ``telemetry_window`` — windowed probes at this many cycles per
+      window onto ``result.telemetry``; ``None`` is off.
+    * ``span_rate`` — per-request lifecycle spans, sampling one raw
+      request in N, onto ``result.spans``; ``None`` is off.
+
+    Probes are carried as settings, never as live objects: every
     :meth:`system` built from a spec gets a fresh registry and recorder.
-    Spans on the sortdmc arm fail here, so a grid rejects them before
-    anything runs; so do an unknown benchmark, device or engine, and a
-    scale that is neither a positive number nor a size class letter
-    (:class:`ValueError` naming the field). ``scale`` may be given as
-    either and is stored as its factor.
+    Spans on the sortdmc arm (it records none) fail here, so a grid
+    rejects them before anything runs; so do an unknown benchmark,
+    device or engine, and a bad scale (:class:`ValueError` naming the
+    field). Names lowercase and a scale becomes its factor, so every
+    spelling of one simulation gives one spec.
     """
 
     benchmarks: Tuple[str, ...]
@@ -108,11 +138,15 @@ class RunSpec:
 
     @staticmethod
     def probe_settings(telemetry, spans) -> dict:
-        """Spec fields for the entry points' probe arguments.
+        """``telemetry_window`` and ``span_rate`` for the entry points'
+        ``telemetry`` and ``spans`` arguments: the one place their
+        spellings resolve.
 
-        ``telemetry`` is a bool or a :class:`TelemetryRegistry` (its
-        window is kept); ``spans`` is a bool, an int sample rate or a
-        :class:`SpanRecorder` (its rate is kept). A falsy value is off.
+        ``telemetry`` is a bool or a :class:`TelemetryRegistry`;
+        ``spans`` is a bool, an int sample rate or a
+        :class:`SpanRecorder`. A registry or recorder is a template:
+        only its window or rate is read, and it stays empty. A falsy
+        value is off.
         """
         if not telemetry:
             window = None
@@ -130,6 +164,28 @@ class RunSpec:
             rate = spans.sample_rate
         return {"telemetry_window": window, "span_rate": rate}
 
+    @classmethod
+    def entry(
+        cls, benchmarks, n_accesses, telemetry, spans, fields: dict,
+        arm: CoalescerKind = CoalescerKind.PAC,
+    ) -> "RunSpec":
+        """The spec an entry point builds: ``benchmarks``, ``arm`` and
+        the probe settings (:meth:`probe_settings`) from its own
+        arguments, every other field from its ``**fields`` unchanged.
+        A field in ``fields`` that the entry point sets itself raises
+        :class:`TypeError` naming it.
+        """
+        own = [name for name in ENTRY_SET if name in fields]
+        if own:
+            raise TypeError(
+                f"{', '.join(own)}: set from the entry point's own "
+                "arguments, not as a field"
+            )
+        return cls(
+            benchmarks, n_accesses, arm=arm,
+            **cls.probe_settings(telemetry, spans), **fields,
+        )
+
     @property
     def label(self) -> str:
         """Result label: the benchmark mix, ``"gs+bfs"`` for co-runs."""
@@ -142,13 +198,17 @@ class RunSpec:
         return replace(self, arm=arm)
 
     def system(self, telemetry=None, spans=None) -> System:
-        """A fresh :class:`System` for this spec. ``telemetry``/``spans``
-        hand in a live registry/recorder to fill instead of the fresh
-        ones the probe settings call for."""
+        """A fresh :class:`System` for this spec, with a fresh registry
+        and recorder where the probe settings call for them.
+        :func:`~repro.engine.driver.run_arm` hands in ``telemetry`` and
+        ``spans`` instead: copies of what the shared cache pass
+        observed, for the arm to fill."""
         if telemetry is None and self.telemetry_window is not None:
             telemetry = TelemetryRegistry(window_cycles=self.telemetry_window)
-        if spans is None:
-            spans = self.span_rate
+        if spans is None and self.span_rate is not None:
+            spans = SpanRecorder(
+                sample_rate=self.span_rate, seed=self.config.seed
+            )
         return System(
             config=self.config,
             coalescer=self.arm,

@@ -90,8 +90,8 @@ class System:
         protocol: Optional[MemoryProtocol] = None,
         device: str = "hmc",
         fine_grain: bool = False,
-        telemetry=False,
-        spans=False,
+        telemetry: Optional[TelemetryRegistry] = None,
+        spans: Optional[SpanRecorder] = None,
         engine: str = "auto",
     ) -> None:
         if not isinstance(coalescer, CoalescerKind):
@@ -99,6 +99,15 @@ class System:
                 f"coalescer must be a CoalescerKind, got "
                 f"{type(coalescer).__name__} {coalescer!r}"
             )
+        for name, probe, cls in (
+            ("telemetry", telemetry, TelemetryRegistry),
+            ("spans", spans, SpanRecorder),
+        ):
+            if probe is not None and not isinstance(probe, cls):
+                raise TypeError(
+                    f"{name} must be a {cls.__name__} or None, got "
+                    f"{type(probe).__name__} {probe!r}"
+                )
         self.config = config
         self.kind = coalescer
         self.fine_grain = fine_grain
@@ -110,29 +119,15 @@ class System:
         #: coalescer, DDR its only device class); ``"reference"`` to the
         #: scalar classes. Probes and spans never change it.
         self.engine = "reference" if engine == "reference" else "batched"
-        # ``telemetry`` is False (off), True (fresh registry at the
-        # default window), or a caller-supplied TelemetryRegistry (e.g.
-        # with a custom window_cycles).
-        if telemetry is True:
-            self.telemetry = TelemetryRegistry()
-        elif telemetry is False or telemetry is None:
-            self.telemetry = None
-        else:
-            self.telemetry = telemetry
-        probes = self.telemetry if self.telemetry is not None else NULL_TELEMETRY
-        # ``spans`` is False (off), True (default 1-in-16 sampling), an
-        # int sample rate, or a caller-supplied SpanRecorder.
-        if spans is True:
-            self.spans = SpanRecorder(seed=config.seed)
-        elif spans is False or spans is None:
-            self.spans = None
-        elif isinstance(spans, int):
-            self.spans = SpanRecorder(sample_rate=spans, seed=config.seed)
-        else:
-            self.spans = spans
-        if self.spans is not None:
+        #: The registry and recorder this system fills, or None (off).
+        #: :meth:`repro.engine.spec.RunSpec.system` builds them from a
+        #: spec's probe settings.
+        self.telemetry = telemetry
+        self.spans = spans
+        probes = telemetry if telemetry is not None else NULL_TELEMETRY
+        if spans is not None:
             refuse_spans(coalescer)
-        span_rec = self.spans if self.spans is not None else NULL_SPANS
+        span_rec = spans if spans is not None else NULL_SPANS
         batched = self.engine == "batched"
         if device == "hmc":
             if batched:
@@ -380,18 +375,3 @@ class System:
             "mean_stage3_cycles": pac.mean_stage3_cycles,
             "direct_requests": float(pac.stats.count("direct_requests")),
         }
-
-    def run(
-        self,
-        benchmark: str,
-        n_accesses: int,
-        seed: Optional[int] = None,
-        extra_benchmarks: Sequence[str] = (),
-        scale=1.0,
-    ) -> RunResult:
-        """Generate + run in one step. ``scale`` selects the NAS-style
-        size class (number or letter; see repro.workloads.SIZE_CLASSES)."""
-        names = [benchmark, *extra_benchmarks]
-        trace = self.build_trace(names, n_accesses, seed=seed, scale=scale)
-        label = "+".join(names)
-        return self.run_trace(trace, benchmark=label)

@@ -1,9 +1,8 @@
 """Deterministic, seed-derived fault injection for the suite engine.
 
 Activate with ``$REPRO_FAULTS`` or the ``faults=`` parameter of
-:func:`repro.engine.parallel.run_suite_parallel`; its one-worker views
-:func:`repro.engine.driver.run_comparison` and
-:func:`repro.engine.driver.run_suite` read the variable. A
+:func:`repro.engine.parallel.run_suite_parallel`; its one-worker view
+:func:`repro.engine.driver.run_comparison` reads the variable. A
 :class:`FaultPlan` names *sites* (worker-job entry, shared-memory
 publish/attach, artifact-store get/put), fault *kinds* (crash, hang,
 transient/pickle errors, segment loss, corruption, ENOSPC), and

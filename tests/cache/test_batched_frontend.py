@@ -23,6 +23,7 @@ from repro.common.types import reset_request_ids
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
+from repro.telemetry import SpanRecorder, TelemetryRegistry
 
 #: The CI parity grid: the paper's most coalescable (gs), least
 #: coalescable (bfs), stride-friendly (stream), and mixed (hpcg)
@@ -164,11 +165,16 @@ class TestFrontendDispatch:
         assert not isinstance(s.hierarchy, BatchedCacheHierarchy)
 
     @pytest.mark.parametrize(
-        "probe_kw", [dict(spans=True), dict(telemetry=True),
-                     dict(telemetry=True, spans=True)],
+        "probe_kw", [
+            dict(spans=SpanRecorder), dict(telemetry=TelemetryRegistry),
+            dict(telemetry=TelemetryRegistry, spans=SpanRecorder),
+        ],
     )
     def test_probes_keep_frontend_batched(self, probe_kw):
-        s = System(coalescer=CoalescerKind.NONE, engine="auto", **probe_kw)
+        s = System(
+            coalescer=CoalescerKind.NONE, engine="auto",
+            **{name: make() for name, make in probe_kw.items()},
+        )
         assert s.engine == "batched"
         assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 

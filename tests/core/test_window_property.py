@@ -120,7 +120,7 @@ class TestEngineEqualityOnSyntheticStreams:
         ref_sys, bat_sys = (
             System(
                 coalescer=CoalescerKind.PAC, engine=engine,
-                telemetry=TelemetryRegistry(window_cycles=1) if probes else False,
+                telemetry=TelemetryRegistry(window_cycles=1) if probes else None,
             )
             for engine in ("reference", "auto")
         )

@@ -7,7 +7,8 @@ evaluation on small traces.
 
 import pytest
 
-from repro.engine.driver import run_benchmark, run_comparison, run_suite
+from repro.engine.driver import run_benchmark, run_comparison
+from repro.engine.parallel import run_suite_parallel
 from repro.engine.system import CoalescerKind
 
 N = 8000  # small but steady-state trace
@@ -105,10 +106,11 @@ class TestMultiprocessing:
 
 class TestDriverAPI:
     def test_run_suite_subset(self):
-        results = run_suite(
-            CoalescerKind.PAC, benchmarks=["gs", "bfs"], n_accesses=2000
+        results = run_suite_parallel(
+            kinds=(CoalescerKind.PAC,), benchmarks=["gs", "bfs"],
+            n_accesses=2000, max_workers=1,
         )
-        assert set(results) == {"gs", "bfs"}
+        assert set(results) == {("gs", "pac"), ("bfs", "pac")}
 
     def test_fine_grain_mode_produces_small_packets(self):
         res = run_benchmark(

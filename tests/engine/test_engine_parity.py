@@ -21,6 +21,7 @@ from repro.artifacts.shm import encode_requests
 from repro.engine.driver import run_benchmark
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import RecordingDevice
+from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.telemetry import events as ev
 from repro.workloads import BENCHMARK_NAMES
 
@@ -130,18 +131,25 @@ class TestDispatchRules:
             System(coalescer=kind, engine="reference").coalescer
         )
 
-    @pytest.mark.parametrize(
-        "probe_kw", [dict(spans=True), dict(telemetry=True, spans=True)]
-    )
+    @pytest.mark.parametrize("probe_kw", [
+        dict(spans=SpanRecorder),
+        dict(telemetry=TelemetryRegistry, spans=SpanRecorder),
+    ])
     def test_spans_accept_explicit_batched(self, probe_kw):
         from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
 
-        s = System(coalescer=CoalescerKind.PAC, engine="auto", **probe_kw)
+        s = System(
+            coalescer=CoalescerKind.PAC, engine="auto",
+            **{name: make() for name, make in probe_kw.items()},
+        )
         assert s.engine == "batched"
         assert type(s.coalescer) is BatchedPagedAdaptiveCoalescer
 
     def test_telemetry_is_not_a_blocker(self):
-        s = System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
+        s = System(
+            coalescer=CoalescerKind.PAC, engine="auto",
+            telemetry=TelemetryRegistry(),
+        )
         assert s.engine == "batched"
 
     def test_unknown_engine_rejected(self):
@@ -200,14 +208,17 @@ class TestAutoDemotion:
         ref = _run("gs", "hmc", "reference", spans=True)
         assert auto.spans is not None and len(auto.spans) > 0
         assert auto == ref
-        assert System(coalescer=CoalescerKind.PAC, spans=True).engine == (
-            "batched"
-        )
+        assert System(
+            coalescer=CoalescerKind.PAC, spans=SpanRecorder()
+        ).engine == "batched"
 
     def test_telemetry_run_does_not_demote(self):
         log = ev.EventLog()
         with ev.installed(log):
-            System(coalescer=CoalescerKind.PAC, engine="auto", telemetry=True)
+            System(
+                coalescer=CoalescerKind.PAC, engine="auto",
+                telemetry=TelemetryRegistry(),
+            )
         assert not [r for r in log.records if r["kind"] == "demote"]
 
     def test_faults_demote_auto(self):
@@ -271,12 +282,16 @@ class TestBackendEngine:
             assert type(s.device) is BatchedHMCDevice
 
     @pytest.mark.parametrize("probe_kw", [
-        {"spans": True}, {"telemetry": True, "spans": True},
+        {"spans": SpanRecorder},
+        {"telemetry": TelemetryRegistry, "spans": SpanRecorder},
     ])
     def test_probes_keep_auto_backend(self, probe_kw):
         from repro.hmc.batched import BatchedHMCDevice
 
-        s = System(coalescer=CoalescerKind.PAC, engine="auto", **probe_kw)
+        s = System(
+            coalescer=CoalescerKind.PAC, engine="auto",
+            **{name: make() for name, make in probe_kw.items()},
+        )
         assert s.engine == "batched"
         assert type(s.device) is BatchedHMCDevice
 
@@ -298,5 +313,5 @@ class TestBackendEngine:
         # but assert the mechanism directly: no residue after a run.
         s = System(coalescer=CoalescerKind.PAC)
         assert s.engine == "batched"
-        s.run("gs", 2000, seed=SEED)
+        s.run_trace(s.build_trace(["gs"], 2000, seed=SEED))
         assert s.device._w == [0] * len(s.device._w)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine.driver import run_comparison, run_suite
+from repro.engine.driver import run_comparison
 from repro.engine.parallel import _BENCH_COST, _grid, run_suite_parallel
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
@@ -86,7 +86,10 @@ class TestGridInput:
         with pytest.raises(ValueError):
             run_comparison("gs", kinds=(), n_accesses=500)
         with pytest.raises(ValueError):
-            run_suite(benchmarks=(), n_accesses=500)
+            run_suite_parallel(
+                kinds=(CoalescerKind.PAC,), benchmarks=(), n_accesses=500,
+                max_workers=1,
+            )
 
 
 class TestSchedule:

@@ -9,14 +9,19 @@ so telemetry timelines and span sets participate when attached).
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import os
 
 import pytest
 
 from repro.artifacts import get_store
-from repro.engine.driver import run_benchmark, run_comparison, run_suite
+from repro.config import TABLE1
+from repro.core.protocols import HBM
+from repro.engine import driver, parallel
+from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.parallel import run_suite_parallel
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
 from repro.telemetry import events as ev
 from tests.artifacts.test_store import _traffic
@@ -209,7 +214,10 @@ class TestArtifactLookups:
 
     def test_run_suite_fills_the_store_then_reads_it(self):
         def suite():
-            return run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
+            return run_suite_parallel(
+                kinds=(CoalescerKind.PAC,), benchmarks=BENCHES, n_accesses=N,
+                seed=SEED, max_workers=1,
+            )
 
         cold, seen = _traffic(suite)
         assert seen == {
@@ -220,9 +228,10 @@ class TestArtifactLookups:
         )
         warm, seen = _traffic(suite)
         assert seen == {"cache.hit": len(BENCHES)}
-        assert list(warm) == list(cold) == list(BENCHES)
-        for bench in BENCHES:
-            assert warm[bench] == cold[bench], bench
+        assert list(warm) == list(cold)
+        assert set(cold) == {(bench, "pac") for bench in BENCHES}
+        for cell in cold:
+            assert warm[cell] == cold[cell], cell
 
 
 class TestStats:
@@ -325,42 +334,62 @@ class TestFrontendEngineThreading:
 
 
 class TestParameterParity:
-    """run_suite / run_suite_parallel must forward every run_benchmark
-    knob (enumerated by inspection, so a knob added to run_benchmark
-    without suite plumbing fails here)."""
+    """Every entry point passes every RunSpec field it does not set
+    itself through to the specs it runs: a spy on ``run_spec`` and
+    ``run_arm``, the functions below the entry points, sees them."""
 
-    #: run_benchmark parameters that the suite runners rename rather
-    #: than forward verbatim.
-    RENAMED = {"benchmark", "coalescer"}
+    ENTRIES = ["run_benchmark", "run_comparison", "run_suite_parallel"]
+    #: Fields an entry point sets from its own arguments.
+    OWN = {"benchmarks", "n_accesses", "arm", "telemetry_window", "span_rate"}
+    #: A non-default value of every other field.
+    FIELDS = dict(
+        config=TABLE1.with_pac(n_streams=8),
+        seed=SEED + 1,
+        device="hbm",
+        protocol=HBM,
+        fine_grain=True,
+        scale=2.0,
+        engine="reference",
+    )
 
-    def _params(self, fn):
-        return inspect.signature(fn).parameters
+    def _specs(self, entry, monkeypatch, **fields):
+        """The specs one small gs run of ``entry`` hands to
+        ``run_spec``/``run_arm``."""
+        seen = []
 
-    @pytest.mark.parametrize("suite_fn", [run_suite, run_suite_parallel])
-    def test_suite_forwards_every_benchmark_knob(self, suite_fn):
-        bench_params = self._params(run_benchmark)
-        suite_params = self._params(suite_fn)
-        missing = [
-            name
-            for name in bench_params
-            if name not in self.RENAMED and name not in suite_params
-        ]
-        assert not missing, (
-            f"{suite_fn.__name__} does not forward run_benchmark "
-            f"parameter(s): {missing}"
-        )
+        def spy(real):
+            def record(spec, *args):
+                seen.append(spec)
+                return real(spec, *args)
+            return record
 
-    @pytest.mark.parametrize("suite_fn", [run_suite, run_suite_parallel])
-    def test_shared_defaults_agree(self, suite_fn):
-        bench_params = self._params(run_benchmark)
-        suite_params = self._params(suite_fn)
-        for name, param in bench_params.items():
-            if name in self.RENAMED or param.default is inspect.Parameter.empty:
-                continue
-            assert suite_params[name].default == param.default, (
-                f"{suite_fn.__name__}.{name} default diverged from "
-                f"run_benchmark"
-            )
+        monkeypatch.setattr(driver, "run_spec", spy(driver.run_spec))
+        monkeypatch.setattr(parallel, "run_arm", spy(parallel.run_arm))
+        small = dict(n_accesses=600, **fields)
+        {
+            "run_benchmark": lambda: run_benchmark("gs", **small),
+            "run_comparison": lambda: run_comparison("gs", **small),
+            "run_suite_parallel": lambda: run_suite_parallel(
+                kinds=KINDS, benchmarks=("gs",), max_workers=1, **small
+            ),
+        }[entry]()
+        assert seen, f"{entry} ran no spec"
+        return seen
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_suite_forwards_every_benchmark_knob(self, entry, monkeypatch):
+        assert set(self.FIELDS) == {
+            f.name for f in dataclasses.fields(RunSpec)
+        } - self.OWN
+        for spec in self._specs(entry, monkeypatch, **self.FIELDS):
+            for name, value in self.FIELDS.items():
+                assert getattr(spec, name) == value, (entry, name)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_shared_defaults_agree(self, entry, monkeypatch):
+        """Given no fields, every entry point runs RunSpec's defaults."""
+        for spec in self._specs(entry, monkeypatch):
+            assert spec == RunSpec(("gs",), 600, arm=spec.arm), entry
 
     def test_forwarded_knob_reaches_the_workers(self):
         """Spot-check an end-to-end passthrough: fine_grain selects a

@@ -7,11 +7,14 @@ build specs must preserve.
   memo key and a pool job's argument).
 * **Keys** — ``spec.pass_key()`` is the store's key function applied
   to the spec, so artifact keys stay identical.
-* **Probe templates** — a registry or recorder handed to a multi-run
-  entry point is a template: every run gets a fresh one with the same
-  window or sample rate, so each result equals its standalone run —
-  although a grid computes each benchmark's cache pass once and folds
-  what it observed into every arm.
+* **Fields** — an entry point passes the spec fields it does not set
+  itself through unchanged, and rejects one it does set.
+* **Probe templates** — a registry or recorder handed to any entry
+  point is a template: every run gets a fresh one with the same window
+  or sample rate and the one handed in stays empty, so each result
+  equals its standalone run — although a grid computes each
+  benchmark's cache pass once and folds what it observed into every
+  arm.
 * **Fault scopes** — the ``demote`` events a fault plan causes, per
   execution path.
 """
@@ -27,7 +30,7 @@ import pytest
 
 from repro.artifacts import store
 from repro.config import TABLE1
-from repro.engine.driver import run_benchmark, run_comparison, run_suite
+from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.parallel import run_suite_parallel
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
@@ -88,8 +91,7 @@ class TestConstruction:
             run_suite_parallel(benchmarks=("gs",), n_accesses=-1)
 
     @pytest.mark.parametrize("entry", [
-        "run_benchmark", "run_comparison", "run_suite",
-        "run_suite_parallel", "System",
+        "run_benchmark", "run_comparison", "run_suite_parallel", "System",
     ])
     def test_string_arm_fails_before_anything_runs(self, entry, monkeypatch):
         """A string arm is rejected before any trace is generated."""
@@ -103,14 +105,44 @@ class TestConstruction:
                 "gs", coalescer="none", n_accesses=N),
             "run_comparison": lambda: run_comparison(
                 "gs", kinds=("none",), n_accesses=N),
-            "run_suite": lambda: run_suite(
-                "none", benchmarks=("gs",), n_accesses=N),
             "run_suite_parallel": lambda: run_suite_parallel(
                 kinds=("none",), benchmarks=("gs",), n_accesses=N,
                 max_workers=1),
             "System": lambda: System(TABLE1, "none"),
         }[entry]
         with pytest.raises(TypeError, match="arm|coalescer"):
+            call()
+
+    @pytest.mark.parametrize("entry, field, value", [
+        (entry, field, value)
+        for entry in ("run_benchmark", "run_comparison", "run_suite_parallel")
+        for field, value in (
+            ("benchmarks", ("bfs",)), ("arm", CoalescerKind.DMC),
+            ("telemetry_window", WINDOW), ("span_rate", RATE),
+        )
+        # The grid's benchmarks are its own argument, not a field.
+        if (entry, field) != ("run_suite_parallel", "benchmarks")
+    ])
+    def test_a_field_the_entry_point_sets_fails_before_anything_runs(
+        self, entry, field, value, monkeypatch
+    ):
+        """An entry point sets the benchmarks, the arm and the probe
+        settings from its own arguments; the same field passed through
+        ``**fields`` is a TypeError naming it, before any trace."""
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError(f"{field}= reached trace generation")
+
+        monkeypatch.setattr(System, "build_trace", no_trace)
+        kw = {field: value}
+        call = {
+            "run_benchmark": lambda: run_benchmark("gs", n_accesses=N, **kw),
+            "run_comparison": lambda: run_comparison(
+                "gs", n_accesses=N, **kw),
+            "run_suite_parallel": lambda: run_suite_parallel(
+                benchmarks=("gs",), n_accesses=N, max_workers=1, **kw),
+        }[entry]
+        with pytest.raises(TypeError, match=field):
             call()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -167,8 +199,11 @@ class TestConstruction:
     def test_views_key_results_by_lowercase_name(self):
         kw = dict(kinds=(CoalescerKind.PAC,), n_accesses=500, seed=SEED)
         assert run_comparison("GS", **kw) == run_comparison("gs", **kw)
-        suite = run_suite(benchmarks=("BFS", "gs"), n_accesses=500, seed=SEED)
-        assert list(suite) == ["bfs", "gs"]
+        suite = run_suite_parallel(
+            kinds=(CoalescerKind.PAC,), benchmarks=("BFS", "gs"),
+            n_accesses=500, seed=SEED, max_workers=1,
+        )
+        assert set(suite) == {("bfs", "pac"), ("gs", "pac")}
 
     def test_case_variants_repeat_a_grid_axis(self):
         with pytest.raises(ValueError, match="non-empty and distinct"):
@@ -260,24 +295,29 @@ def _assert_same_run(result, ref):
 
 
 class TestProbeTemplates:
-    def test_run_benchmark_fills_the_instances_it_is_handed(self):
+    def test_run_benchmark_reads_the_templates_it_is_handed(self):
         registry, recorder = _templates()
         result = run_benchmark(
             "gs", n_accesses=N, seed=SEED, telemetry=registry,
             spans=recorder,
         )
-        assert result.telemetry is registry
-        assert registry.probe_names()
+        assert result.telemetry is not registry
+        assert result.telemetry.window_cycles == WINDOW
+        assert result.telemetry.probe_names()
         assert result.spans.sample_rate == RATE
+        assert len(result.spans) > 0
+        # Templates are read, never filled.
+        assert registry.probe_names() == []
+        assert len(recorder.finalize()) == 0
 
     def test_run_suite(self):
         registry, recorder = _templates()
-        out = run_suite(
-            benchmarks=BENCHES, n_accesses=N, seed=SEED,
-            telemetry=registry, spans=recorder,
+        out = run_suite_parallel(
+            kinds=(CoalescerKind.PAC,), benchmarks=BENCHES, n_accesses=N,
+            seed=SEED, max_workers=1, telemetry=registry, spans=recorder,
         )
         for bench in BENCHES:
-            _assert_same_run(out[bench], _standalone(bench))
+            _assert_same_run(out[(bench, "pac")], _standalone(bench))
         # Templates are read, never filled.
         assert registry.probe_names() == []
 
@@ -398,10 +438,12 @@ class TestDemoteCountsUnderFaults:
         ) == 0
 
     def test_run_suite(self, monkeypatch):
-        """``run_suite`` takes no ``faults=``: the plan reaches it
-        through ``$REPRO_FAULTS``, and fires there."""
+        """Without ``faults=`` the plan reaches a one-arm grid through
+        ``$REPRO_FAULTS``, and fires there."""
         monkeypatch.setenv("REPRO_FAULTS", self.PLAN)
-        kinds = self._kinds(run_suite)
+        kinds = self._kinds(
+            run_suite_parallel, kinds=(CoalescerKind.PAC,), max_workers=1
+        )
         assert kinds["job.retry"] == 1
         assert kinds["demote"] == 0
 
@@ -415,7 +457,7 @@ class TestDemoteCountsUnderFaults:
     def test_no_plan_no_demotes(self):
         log = ev.EventLog()
         with ev.installed(log):
-            run_suite(benchmarks=BENCHES, n_accesses=N, seed=SEED)
+            run_comparison("gs", n_accesses=N, seed=SEED)
             run_suite_parallel(
                 kinds=(CoalescerKind.PAC,), benchmarks=BENCHES,
                 n_accesses=N, seed=SEED, max_workers=1,

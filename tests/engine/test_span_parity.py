@@ -113,9 +113,10 @@ class TestSpanParity:
 
 
 class TestSpanRunsStayBatched:
-    @pytest.mark.parametrize(
-        "probe_kw", [dict(spans=True), dict(spans=True, telemetry=True)]
-    )
+    @pytest.mark.parametrize("probe_kw", [
+        dict(spans=SpanRecorder),
+        dict(spans=SpanRecorder, telemetry=TelemetryRegistry),
+    ])
     @pytest.mark.parametrize("device", ("hmc", "hbm", "ddr"))
     def test_every_component_is_a_twin(self, device, probe_kw):
         from repro.cache.batched import BatchedCacheHierarchy
@@ -125,7 +126,10 @@ class TestSpanRunsStayBatched:
 
         log = ev.EventLog()
         with ev.installed(log):
-            s = System(coalescer=CoalescerKind.PAC, device=device, **probe_kw)
+            s = System(
+                coalescer=CoalescerKind.PAC, device=device,
+                **{name: make() for name, make in probe_kw.items()},
+            )
         assert s.engine == "batched"
         assert type(s.hierarchy) is BatchedCacheHierarchy
         assert type(s.coalescer) is BatchedPagedAdaptiveCoalescer
@@ -147,7 +151,7 @@ class TestSpanRunsStayBatched:
 
     def test_sorting_network_arm_refuses_spans(self):
         with pytest.raises(ValueError, match="sortdmc"):
-            System(coalescer=CoalescerKind.SORT, spans=True)
+            System(coalescer=CoalescerKind.SORT, spans=SpanRecorder())
         System(coalescer=CoalescerKind.SORT)
 
 

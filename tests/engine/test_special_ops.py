@@ -6,6 +6,8 @@ import pytest
 from repro.artifacts.shm import encode_requests
 from repro.common.types import MemOp
 from repro.config import TABLE1
+from repro.engine.driver import run_spec
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import RecordingDevice
 from repro.workloads import get_workload
@@ -68,8 +70,7 @@ class TestHierarchyRouting:
 )
 class TestAllArmsHandleSpecialOps:
     def test_run_completes_and_conserves(self, kind):
-        system = System(TABLE1, kind)
-        result = system.run("atomichist", N)
+        result = run_spec(RunSpec(("atomichist",), N, arm=kind))
         assert result.n_issued > 0
         assert result.n_issued + result.n_merged <= result.n_raw
         assert result.runtime_cycles > 0

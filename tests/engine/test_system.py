@@ -5,11 +5,25 @@ import pytest
 
 from repro.config import TABLE1
 from repro.core.pac import PagedAdaptiveCoalescer
+from repro.engine.driver import run_spec
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
+from repro.telemetry import TelemetryRegistry
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("probe", [
+        dict(telemetry=True), dict(telemetry=False), dict(telemetry=256),
+        dict(spans=True), dict(spans=16), dict(spans=TelemetryRegistry()),
+    ])
+    def test_probes_are_live_objects_or_none(self, probe):
+        """A system takes a registry and a recorder or None; spellings
+        such as ``True`` or a sample rate resolve in ``RunSpec``."""
+        (name,) = probe
+        with pytest.raises(TypeError, match=name):
+            System(TABLE1, CoalescerKind.PAC, **probe)
+
     def test_coalescer_kinds(self):
         assert isinstance(
             System(TABLE1, CoalescerKind.NONE).coalescer, NullCoalescer
@@ -83,7 +97,7 @@ class TestBuildTrace:
 
 class TestRun:
     def test_run_produces_result(self):
-        res = System(TABLE1, CoalescerKind.PAC).run("gs", 4000)
+        res = run_spec(RunSpec(("gs",), 4000, arm=CoalescerKind.PAC))
         assert res.benchmark == "gs"
         assert res.coalescer == "pac"
         assert res.n_accesses == 4000
@@ -93,11 +107,11 @@ class TestRun:
         assert res.pac_metrics is not None
 
     def test_baseline_has_no_pac_metrics(self):
-        res = System(TABLE1, CoalescerKind.NONE).run("gs", 2000)
+        res = run_spec(RunSpec(("gs",), 2000, arm=CoalescerKind.NONE))
         assert res.pac_metrics is None
         assert res.coalescing_efficiency == 0.0
 
     def test_runtime_positive(self):
-        res = System(TABLE1, CoalescerKind.DMC).run("stream", 2000)
+        res = run_spec(RunSpec(("stream",), 2000, arm=CoalescerKind.DMC))
         assert res.runtime_cycles > 0
         assert res.mean_memory_latency_cycles > 0

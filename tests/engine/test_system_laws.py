@@ -8,7 +8,8 @@ into the real HMC, HBM or DDR device, on both engines, with the device
 wrapped in a :class:`~repro.mshr.dmc.RecordingDevice` that keeps every
 submitted packet. The grid covers the none/dmc/pac/sortdmc arms on gs,
 bfs, stream and ``atomichist`` (atomics and fences). Every cell must
-obey five laws:
+obey laws 1–5 and 7; law 6 runs the none/dmc/pac arms on gs and
+``atomichist`` with telemetry and spans on, at half the accesses:
 
 1. **Conservation** — every raw request that is not a fence appears in
    exactly one submitted packet's constituents or is counted in
@@ -27,10 +28,19 @@ obey five laws:
    grain for a 64B line request (``_direct_to_mshr`` and its batched
    twin), an under-fetch whose fix changes HBM PAC results and so
    belongs to a change of its own.
+6. **Sync cadence** — a device synced after every k-th submit (k = 1
+   and 37) gives a ``RunResult`` equal to the plain :func:`run_arm`'s,
+   telemetry JSON byte for byte. ``tests/test_sync_cadence.py`` holds
+   each device to the same law on synthetic packet streams.
+7. **Per-packet energy** — ``VAULT-CTRL`` is 12 pJ per submit on HMC
+   and HBM and 0 on DDR; ``DRAM-TRANSFER`` is 1.2 pJ per payload byte
+   (to 1e-9 relative: 1.2 is not exactly representable).
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from collections import Counter
 
 import pytest
@@ -40,9 +50,13 @@ from repro.common.types import HMC_CONTROL_OVERHEAD_BYTES, MemOp, PAGE_BYTES
 from repro.engine.driver import run_arm
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
+from repro.hmc.power import ENERGY_PJ
 from repro.mshr.dmc import RecordingDevice
 
 N = 3000
+#: Law 6's size: at k = 1 a batched HMC/HBM device merges its deferred
+#: accounting once per packet, which costs far more than the packet.
+N_CADENCE = 1500
 SEED = 21
 
 BENCHES = ("gs", "bfs", "stream", "atomichist")
@@ -65,6 +79,20 @@ class CompletionTap(RecordingDevice):
         return done
 
 
+class SyncEvery(CompletionTap):
+    """Also syncs the wrapped device after every ``k``-th submit."""
+
+    def __init__(self, device, k: int) -> None:
+        super().__init__(device)
+        self.k = k
+
+    def submit(self, packet, cycle: int) -> int:
+        done = super().submit(packet, cycle)
+        if len(self.submits) % self.k == 0:
+            self.device.sync()
+        return done
+
+
 @pytest.fixture(scope="module")
 def prefixes():
     """Trace + cache passes by arm-free spec: each is computed once and
@@ -79,12 +107,14 @@ def _prefix(spec: RunSpec, prefixes: dict):
     return prefixes[key]
 
 
-def _recorded_run(spec: RunSpec, prefixes: dict):
-    """``spec``'s arm over its shared prefix, device recorded:
-    (raw stream, RunResult, tap)."""
+def _recorded_run(spec: RunSpec, prefixes: dict, tap=CompletionTap):
+    """``spec``'s arm over its shared prefix, folding in a copy of what
+    the prefix's probes observed as :func:`run_arm` does, with the
+    device wrapped in ``tap``: (raw stream, RunResult, tap)."""
     tp = _prefix(spec, prefixes)
-    system = spec.system()
-    tap = system.device = CompletionTap(system.device)
+    telemetry, spans = copy.deepcopy(tp.probes) if tp.probes else (None, None)
+    system = spec.system(telemetry=telemetry, spans=spans)
+    tap = system.device = tap(system.device)
     result = system.run_raw(
         tp.raw,
         benchmark=tp.benchmark,
@@ -142,6 +172,35 @@ def test_whole_system_laws(device, engine, arm, bench, prefixes):
             f"{len(uncovered)} constituents outside their packet, "
             f"first raw request {uncovered[0]}"
         )
+
+    # 7. Per-packet energy.
+    pj = result.energy.picojoules
+    assert pj["VAULT-CTRL"] == (
+        0.0 if device == "ddr" else ENERGY_PJ["VAULT-CTRL"] * len(packets)
+    )
+    assert pj["DRAM-TRANSFER"] == pytest.approx(
+        ENERGY_PJ["DRAM-TRANSFER"] * result.payload_bytes, rel=1e-9
+    )
+
+
+@pytest.mark.parametrize("bench", ("gs", "atomichist"))
+@pytest.mark.parametrize("arm", ARMS[:3], ids=lambda kind: kind.value)
+@pytest.mark.parametrize("engine", ("auto", "reference"))
+@pytest.mark.parametrize("device", ("hmc", "hbm", "ddr"))
+def test_sync_cadence_changes_nothing(device, engine, arm, bench, prefixes):
+    """6. Sync cadence, with telemetry and spans on."""
+    spec = RunSpec(
+        (bench,), N_CADENCE, arm=arm, seed=SEED, device=device,
+        engine=engine, **RunSpec.probe_settings(True, True),
+    )
+    plain = run_arm(spec, _prefix(spec, prefixes))
+    for k in (1, 37):
+        _, result, tap = _recorded_run(
+            spec, prefixes, functools.partial(SyncEvery, k=k)
+        )
+        assert len(tap.submits) > k
+        assert result == plain, k
+        assert result.telemetry.to_json() == plain.telemetry.to_json(), k
 
 
 @pytest.mark.parametrize("device", ("hmc", "hbm", "ddr"))

@@ -65,7 +65,7 @@ class TestTelemetryParity:
         from repro.cache.batched import BatchedCacheHierarchy
         from repro.hmc.batched import BatchedHMCDevice
 
-        system = System(coalescer=kind, telemetry=True)
+        system = System(coalescer=kind, telemetry=TelemetryRegistry())
         assert system.engine == "batched"
         assert type(system.hierarchy) is BatchedCacheHierarchy
         assert type(system.device) is BatchedHMCDevice
@@ -74,7 +74,9 @@ class TestTelemetryParity:
     def test_probe_run_resolves_every_component_batched(self):
         from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
 
-        system = System(coalescer=CoalescerKind.PAC, telemetry=True)
+        system = System(
+            coalescer=CoalescerKind.PAC, telemetry=TelemetryRegistry()
+        )
         assert system.engine == "batched"
         assert type(system.coalescer) is BatchedPagedAdaptiveCoalescer
 

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 from repro.artifacts.shm import encode_requests
 from repro.analysis.space import bitonic_costs
 from repro.common.types import MemOp, MemoryRequest, PAGE_BYTES
+from repro.engine.driver import run_spec
+from repro.engine.spec import RunSpec
+from repro.engine.system import CoalescerKind
 from repro.mshr.dmc import RecordingDevice
 from repro.mshr.sorting import SortingNetworkCoalescer
 from tests.conftest import FixedLatencyMemory
@@ -143,18 +146,12 @@ class TestConservation:
 
 class TestEngineIntegration:
     def test_sort_arm_runs(self):
-        from repro.config import TABLE1
-        from repro.engine.system import CoalescerKind, System
-
-        result = System(TABLE1, CoalescerKind.SORT).run("gs", 4000)
+        result = run_spec(RunSpec(("gs",), 4000, arm=CoalescerKind.SORT))
         assert result.coalescer == "sortdmc"
         assert 0 < result.coalescing_efficiency < 1
 
     def test_pac_comparator_work_below_sorter(self):
         # The Figure 11a scalability claim, observed dynamically.
-        from repro.config import TABLE1
-        from repro.engine.system import CoalescerKind, System
-
-        sort_res = System(TABLE1, CoalescerKind.SORT).run("gs", 4000)
-        pac_res = System(TABLE1, CoalescerKind.PAC).run("gs", 4000)
+        sort_res = run_spec(RunSpec(("gs",), 4000, arm=CoalescerKind.SORT))
+        pac_res = run_spec(RunSpec(("gs",), 4000, arm=CoalescerKind.PAC))
         assert pac_res.comparisons < sort_res.comparisons

@@ -101,6 +101,6 @@ class TestDisabledPathIsAllocationFree:
         for twin in (pac, hierarchy, system.device):
             assert twin._probes_on is False
             assert not hasattr(twin, "_probe_buf")
-        system.run("gs", 1500, seed=SEED)
+        system.run_trace(system.build_trace(["gs"], 1500, seed=SEED))
         for twin in (pac, hierarchy, system.device):
             assert not hasattr(twin, "_probe_buf")

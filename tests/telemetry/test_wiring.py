@@ -122,13 +122,20 @@ class TestEnabledVsDisabled:
         assert on.energy == off.energy
 
     def test_custom_registry_and_window(self):
+        """A registry handed in is a template: the run records into a
+        fresh one with its window, and the one handed in stays empty."""
         registry = TelemetryRegistry(window_cycles=256)
         result = run_benchmark(
             "gs", coalescer=CoalescerKind.PAC, n_accesses=2000, seed=3,
             telemetry=registry,
         )
-        assert result.telemetry is registry
-        assert registry.counters["device.packets"].total == result.n_issued
+        assert result.telemetry is not registry
+        assert result.telemetry.window_cycles == 256
+        assert (
+            result.telemetry.counters["device.packets"].total
+            == result.n_issued
+        )
+        assert registry.probe_names() == []
 
     def test_to_dict_includes_telemetry_only_when_enabled(self):
         on = run_benchmark(
