@@ -3,9 +3,10 @@
 
 Section 4.1 argues PAC ports across 3D-stacked device generations by
 swapping the protocol descriptor — block-sequence width and coalescing
-table size — with no change to the coalescing logic. This example runs
-STREAM against all three protocols and shows packet sizes scaling with
-each device's maximum while the pipeline stays identical.
+table size — with no change to the coalescing logic. The device fixes
+the descriptor: an HMC device whose packets stop at 128B speaks HMC 1.0.
+This example runs STREAM on all three and shows packet sizes scaling
+with each device's maximum while the pipeline stays identical.
 
 Run:  python examples/hbm_portability.py
 """
@@ -13,15 +14,14 @@ Run:  python examples/hbm_portability.py
 from collections import Counter
 
 from repro.config import TABLE1
-from repro.core.protocols import HBM, HMC1, HMC2
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import RecordingDevice
 
 N_ACCESSES = 30_000
 
 
-def run(protocol, device, config):
-    system = System(config, CoalescerKind.PAC, protocol=protocol, device=device)
+def run(device, config):
+    system = System(config, CoalescerKind.PAC, device=device)
     trace = system.build_trace(["stream"], N_ACCESSES)
     raw = system.hierarchy.process(trace).packed
     # The outcome keeps totals; the packets are read where they end, at
@@ -35,12 +35,13 @@ def run(protocol, device, config):
 def main() -> None:
     print("PAC protocol portability (STREAM workload)\n")
     configs = (
-        (HMC1, "hmc", TABLE1.with_hmc(max_packet_bytes=128)),
-        (HMC2, "hmc", TABLE1),
-        (HBM, "hbm", TABLE1),
+        ("hmc", TABLE1.with_hmc(max_packet_bytes=128)),
+        ("hmc", TABLE1),
+        ("hbm", TABLE1),
     )
-    for protocol, device, config in configs:
-        outcome, sizes, system = run(protocol, device, config)
+    for device, config in configs:
+        outcome, sizes, system = run(device, config)
+        protocol = system.protocol
         dist = ", ".join(
             f"{size}B x {count}" for size, count in sorted(sizes.items())
         )

@@ -425,7 +425,7 @@ def _run(argv) -> int:
     args = parser.parse_args(argv)
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.command in ("compare", "suite", "health", "bench"):
+    if args.command in ("compare", "suite", "spans", "health", "bench"):
         # Grid commands run under the pool supervisor: a bad --timeout /
         # --max-retries, or a $REPRO_* supervision variable that does
         # not parse, is a usage error here, not a traceback later.
@@ -603,26 +603,20 @@ def _run(argv) -> int:
         from repro.mem.trace import AccessTrace
 
         n_accesses, seed = args.accesses, args.seed
+        if args.window is not None and args.window <= 0:
+            parser.error("--window must be positive")
 
         if args.output is None:
             # Telemetry timeline mode: run the benchmark with probes on
             # and print the merged per-window table.
-            from repro.telemetry import (
-                TelemetryRegistry,
-                timeline_rows,
-                write_csv,
-            )
+            from repro.telemetry import timeline_rows, write_csv
 
             result = run_benchmark(
                 args.benchmark,
                 coalescer=CoalescerKind(args.coalescer),
                 n_accesses=n_accesses,
                 seed=seed,
-                telemetry=(
-                    TelemetryRegistry(window_cycles=args.window)
-                    if args.window
-                    else True
-                ),
+                telemetry=True if args.window is None else args.window,
             )
             registry = result.telemetry
             rows = timeline_rows(registry)
@@ -687,6 +681,7 @@ def _run(argv) -> int:
         return 0
 
     if args.command == "spans":
+        from repro.engine.parallel import run_suite_parallel
         from repro.telemetry import (
             attribution_rows,
             top_k_rows,
@@ -705,14 +700,13 @@ def _run(argv) -> int:
         if len(names) > 1 and (args.perfetto or args.spans_csv):
             parser.error("--perfetto/--csv export a single benchmark's "
                          "trace; pick one benchmark")
+        results = run_suite_parallel(
+            kinds=(CoalescerKind(args.coalescer),), benchmarks=names,
+            n_accesses=n_accesses, seed=seed, spans=args.sample_rate,
+            max_workers=args.jobs,
+        )
         for name in names:
-            result = run_benchmark(
-                name,
-                coalescer=CoalescerKind(args.coalescer),
-                n_accesses=n_accesses,
-                seed=seed,
-                spans=args.sample_rate,
-            )
+            result = results[(name, args.coalescer)]
             span_trace = result.spans
             title = (
                 f"{name} / {args.coalescer} — {len(span_trace)} of "

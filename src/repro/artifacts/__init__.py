@@ -38,6 +38,7 @@ from repro.artifacts.store import (
 )
 from repro.artifacts.pipeline import (
     TracePass,
+    build_trace_pass,
     compute_and_store_trace_pass,
     compute_trace_pass,
     load_or_compute_trace_pass,
@@ -51,6 +52,7 @@ __all__ = [
     "ArtifactStore",
     "TracePass",
     "attach",
+    "build_trace_pass",
     "cache_enabled",
     "check_requests",
     "code_fingerprint",

@@ -21,6 +21,7 @@ from repro.artifacts.store import ArtifactStore, cache_enabled, get_store
 
 if TYPE_CHECKING:
     from repro.engine.spec import RunSpec
+    from repro.engine.system import System
 
 
 @dataclass
@@ -51,6 +52,28 @@ class TracePass:
         return int(len(self.raw))
 
 
+def build_trace_pass(spec: "RunSpec", system: "System") -> TracePass:
+    """Generate ``spec``'s trace and run it through ``system``'s cache
+    hierarchy: the one place a :class:`TracePass` is built from a trace.
+
+    The hierarchy's mode (fine-grain or not) was fixed when ``system``
+    built it, from the spec. :func:`compute_trace_pass` runs this on a
+    front-end system; :func:`repro.engine.driver.run_spec` on the
+    system that then runs the arm.
+    """
+    trace = system.build_trace(
+        spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale,
+    )
+    raw = system.hierarchy.process(trace).packed
+    return TracePass(
+        benchmark=spec.label,
+        n_accesses=len(trace),
+        trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
+        raw=raw,
+        cache_metrics=system.hierarchy.summary_metrics(len(raw)),
+    )
+
+
 def compute_trace_pass(spec: "RunSpec") -> TracePass:
     """Run trace generation + the cache pass for ``spec`` on one
     front-end :class:`~repro.engine.system.System` (no cache lookups).
@@ -64,13 +87,7 @@ def compute_trace_pass(spec: "RunSpec") -> TracePass:
     from repro.engine.system import CoalescerKind
 
     system = spec.for_arm(CoalescerKind.NONE).system()
-    trace = system.build_trace(
-        spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale,
-    )
-    if spec.fine_grain:
-        stream = system.hierarchy.fine_grain_stream(trace)
-    else:
-        stream = system.hierarchy.process(trace)
+    tp = build_trace_pass(spec, system)
     registry = system.telemetry
     if registry is not None:
         # The front-end's device and coalescer registered empty probes
@@ -80,17 +97,9 @@ def compute_trace_pass(spec: "RunSpec") -> TracePass:
         ):
             for name in [n for n in probes if not n.startswith("cache.")]:
                 del probes[name]
-    return TracePass(
-        benchmark=spec.label,
-        n_accesses=len(trace),
-        trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
-        raw=stream.packed,
-        cache_metrics=system.hierarchy.summary_metrics(len(stream.packed)),
-        probes=(
-            None if registry is None and system.spans is None
-            else (registry, system.spans)
-        ),
-    )
+    if registry is not None or system.spans is not None:
+        tp.probes = (registry, system.spans)
+    return tp
 
 
 def _from_payload(payload: dict, key: str = "") -> TracePass:

@@ -79,7 +79,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
         n_cores: int = 8,
         secondary_cap: int = CacheHierarchy.DEFAULT_SECONDARY_CAP,
         lookahead_window: int = CacheHierarchy.DEFAULT_LOOKAHEAD,
-        prefetch_enabled: bool = True,
+        fine_grain: bool = False,
         probes=NULL_TELEMETRY,
         spans=NULL_SPANS,
     ) -> None:
@@ -88,7 +88,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
             n_cores=n_cores,
             secondary_cap=secondary_cap,
             lookahead_window=lookahead_window,
-            prefetch_enabled=prefetch_enabled,
+            fine_grain=fine_grain,
             probes=probes,
             spans=spans,
         )
@@ -117,7 +117,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
 
     # ------------------------------------------------------------------ #
 
-    def process(self, trace: AccessTrace, fine_grain: bool = False) -> RawStream:
+    def process(self, trace: AccessTrace) -> RawStream:
         """Single-pass batched replay of the reference ``process`` loop.
 
         The control flow below is a line-for-line mirror of
@@ -130,6 +130,7 @@ class BatchedCacheHierarchy(CacheHierarchy):
         config = self.config
         line = config.line_bytes
         n_cores = self.n_cores
+        fine_grain = self.fine_grain
         n = len(trace)
 
         # ---- vectorized trace decomposition (one pass per column) ---- #

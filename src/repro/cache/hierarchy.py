@@ -75,6 +75,13 @@ class CacheHierarchy:
 
     The scalar reference engine: it builds one ``MemoryRequest`` per raw
     request and packs the list once, at the end of :meth:`process`.
+
+    ``fine_grain`` fixes the Figure 10b mode for every :meth:`process`
+    call: demand and secondary raw requests carry the triggering
+    access's exact address and size (1-8B) instead of whole cache lines,
+    and the prefetcher is off (line-granular prefetch traffic would
+    drown the size distribution). ``config.prefetch_regions=0`` is the
+    other way to turn the prefetcher off.
     """
 
     #: Same-line secondary raw requests emitted per demand miss.
@@ -88,7 +95,7 @@ class CacheHierarchy:
         n_cores: int = 8,
         secondary_cap: int = DEFAULT_SECONDARY_CAP,
         lookahead_window: int = DEFAULT_LOOKAHEAD,
-        prefetch_enabled: bool = True,
+        fine_grain: bool = False,
         probes=NULL_TELEMETRY,
         spans=NULL_SPANS,
     ) -> None:
@@ -102,7 +109,8 @@ class CacheHierarchy:
         self.n_cores = n_cores
         self.secondary_cap = secondary_cap
         self.lookahead_window = lookahead_window
-        self.prefetch_enabled = prefetch_enabled and config.prefetch_regions > 0
+        self.fine_grain = fine_grain
+        self.prefetch_enabled = not fine_grain and config.prefetch_regions > 0
         #: Per-core stride detector: last demand-missed line per page
         #: (bounded table — real streamers track a handful of concurrent
         #: streams per core).
@@ -137,19 +145,16 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------------ #
 
-    def process(self, trace: AccessTrace, fine_grain: bool = False) -> RawStream:
+    def process(self, trace: AccessTrace) -> RawStream:
         """Run the whole trace through the hierarchy.
 
         Returns the ordered raw request stream for the coalescer. The
         trace must already be in cycle order (as produced by
-        :meth:`WorkloadGenerator.generate`).
-
-        With ``fine_grain=True`` (the Figure 10b experiment) demand and
-        secondary raw requests carry the triggering access's exact
-        address and size (1-8B) instead of whole cache lines; the
-        miss/hit structure is unchanged. Write-backs always flush whole
-        dirty lines.
+        :meth:`WorkloadGenerator.generate`). In fine-grain mode the
+        miss/hit structure is unchanged and write-backs still flush
+        whole dirty lines.
         """
+        fine_grain = self.fine_grain
         line = self.config.line_bytes
         out: List[MemoryRequest] = []
         raw_count = self.stats.counter("raw_requests")
@@ -348,12 +353,6 @@ class CacheHierarchy:
             pf += line
 
     # ------------------------------------------------------------------ #
-
-    def fine_grain_stream(self, trace: AccessTrace) -> RawStream:
-        """Figure 10b mode: raw requests carry the CPU's actual address
-        and data size (1–8B) instead of whole cache lines — see
-        :meth:`process`. (The engine disables the prefetcher here.)"""
-        return self.process(trace, fine_grain=True)
 
     def summary_metrics(self, n_raw_total: int) -> Dict[str, float]:
         """Hit rates and raw-stream composition for ``RunResult``.

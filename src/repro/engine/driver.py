@@ -8,9 +8,9 @@ This is the primary user-facing API::
     trio = run_comparison("gs")   # none / dmc / pac on the same trace
 
 A run is its :class:`~repro.engine.spec.RunSpec`. The entry points set
-its benchmarks, arm and probe settings from their own arguments and
-pass every other field (``config``, ``seed``, ``device``, ``protocol``,
-``fine_grain``, ``scale``, ``engine``) through ``**fields`` unchanged;
+its benchmarks and arm from their own arguments and pass every other
+field (``config``, ``seed``, ``device``, ``fine_grain``, ``scale``,
+``engine``, ``telemetry``, ``spans``) through ``**fields`` unchanged;
 ``RunSpec`` documents them. :func:`run_comparison` (one benchmark,
 several arms) is a serial view of
 :func:`repro.engine.parallel.run_suite_parallel`, the one grid runner.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence
 
+from repro.artifacts import build_trace_pass
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
@@ -68,10 +69,7 @@ def run_spec(spec: RunSpec) -> RunResult:
     """
     _log_run(spec)
     system = spec.system()
-    trace = system.build_trace(
-        spec.benchmarks, spec.n_accesses, seed=spec.seed, scale=spec.scale
-    )
-    result = system.run_trace(trace, benchmark=spec.label)
+    result = system.run_raw(build_trace_pass(spec, system))
     _log_run(spec, result)
     return result
 
@@ -89,21 +87,17 @@ def run_arm(spec: RunSpec, tp: "TracePass") -> RunResult:
     did not observe the spec's probe settings raises ``ValueError``.
     """
     telemetry, spans = copy.deepcopy(tp.probes) if tp.probes else (None, None)
-    if RunSpec.probe_settings(telemetry, spans) != {
-        "telemetry_window": spec.telemetry_window, "span_rate": spec.span_rate,
-    }:
+    observed = (
+        None if telemetry is None else telemetry.window_cycles,
+        None if spans is None else spans.sample_rate,
+    )
+    if observed != (spec.telemetry, spec.spans):
         raise ValueError(
             "the trace pass did not observe this spec's probes; compute "
             "it with compute_trace_pass(spec)"
         )
     _log_run(spec)
-    result = spec.system(telemetry=telemetry, spans=spans).run_raw(
-        tp.raw,
-        benchmark=tp.benchmark,
-        n_accesses=tp.n_accesses,
-        trace_end_cycle=tp.trace_end_cycle,
-        cache_metrics=tp.cache_metrics,
-    )
+    result = spec.system(telemetry=telemetry, spans=spans).run_raw(tp)
     _log_run(spec, result)
     return result
 
@@ -114,29 +108,23 @@ def run_benchmark(
     n_accesses: int = DEFAULT_ACCESSES,
     *,
     extra_benchmarks: Sequence[str] = (),
-    telemetry=False,
-    spans=False,
     **fields,
 ) -> RunResult:
     """Run one benchmark through one coalescer configuration.
 
     ``extra_benchmarks`` adds co-running processes (the paper's
-    multiprocessing mode). ``telemetry=True`` collects the windowed
-    probe timeline onto ``result.telemetry``; ``spans=True`` (or an int
-    sample rate) traces sampled per-request lifecycle spans onto
-    ``result.spans``. A :class:`~repro.telemetry.TelemetryRegistry` or
-    :class:`~repro.telemetry.SpanRecorder` passed instead is a
-    template: the result carries a fresh one with its window or sample
-    rate, and the one passed stays empty. ``fields`` are the other
-    :class:`~repro.engine.spec.RunSpec` fields, passed unchanged; one
-    this call sets itself (``benchmarks``, ``arm``,
-    ``telemetry_window``, ``span_rate``) raises :class:`TypeError`
-    before anything runs. The run logs ``run.start``/``run.end`` to the
-    active event log (:mod:`repro.telemetry.events`).
+    multiprocessing mode). ``fields`` are the other
+    :class:`~repro.engine.spec.RunSpec` fields, passed unchanged:
+    ``telemetry=True`` collects the windowed probe timeline onto
+    ``result.telemetry`` and ``spans=True`` (or an int sample rate)
+    traces sampled per-request lifecycle spans onto ``result.spans``.
+    A field this call sets itself (``benchmarks``, ``arm``) raises
+    :class:`TypeError` before anything runs. The run logs
+    ``run.start``/``run.end`` to the active event log
+    (:mod:`repro.telemetry.events`).
     """
     return run_spec(RunSpec.entry(
-        (benchmark, *extra_benchmarks), n_accesses, telemetry, spans,
-        fields, arm=coalescer,
+        (benchmark, *extra_benchmarks), n_accesses, fields, arm=coalescer,
     ))
 
 
@@ -150,8 +138,6 @@ def run_comparison(
     n_accesses: int = DEFAULT_ACCESSES,
     *,
     extra_benchmarks: Sequence[str] = (),
-    telemetry=False,
-    spans=False,
     use_artifact_cache: bool = True,
     **fields,
 ) -> Dict[CoalescerKind, RunResult]:
@@ -172,8 +158,8 @@ def run_comparison(
     kinds = list(kinds)
     grid = run_suite_parallel(
         kinds, (benchmark,), n_accesses, max_workers=1,
-        extra_benchmarks=extra_benchmarks, telemetry=telemetry,
-        spans=spans, use_artifact_cache=use_artifact_cache, **fields,
+        extra_benchmarks=extra_benchmarks,
+        use_artifact_cache=use_artifact_cache, **fields,
     )
     name = workload_key(benchmark)
     return {kind: grid[(name, kind.value)] for kind in kinds}

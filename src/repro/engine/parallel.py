@@ -185,8 +185,6 @@ def run_suite_parallel(
     *,
     max_workers: Optional[int] = None,
     extra_benchmarks: Sequence[str] = (),
-    telemetry=False,
-    spans=False,
     use_artifact_cache: bool = True,
     stats: Optional[dict] = None,
     faults=None,
@@ -208,10 +206,10 @@ def run_suite_parallel(
     grid runs in the parent too. An empty or repeating ``kinds`` or
     ``benchmarks`` (names compare in any case), ``max_workers`` below
     1, an arm that is not a :class:`CoalescerKind`, a field the grid
-    sets itself (``benchmarks``, ``arm``, ``telemetry_window``,
-    ``span_rate``) or one :class:`~repro.engine.spec.RunSpec` rejects
-    raises before anything runs (:class:`ValueError`,
-    :class:`TypeError`), and so does a bad supervision setting (below).
+    sets itself (``benchmarks``, ``arm``) or one
+    :class:`~repro.engine.spec.RunSpec` rejects raises before anything
+    runs or is logged (:class:`ValueError`, :class:`TypeError`), and so
+    does a bad supervision setting (below).
 
     Every grid runs the two phases of the module docstring.
     ``use_artifact_cache=False`` skips all cache reads/writes.
@@ -231,11 +229,9 @@ def run_suite_parallel(
     :class:`~repro.faults.FaultPlan`, a spec string, ``None`` (consult
     ``$REPRO_FAULTS``), or ``False`` (force-disable injection).
 
-    ``telemetry`` and ``spans`` take the spellings of
-    :func:`~repro.engine.driver.run_benchmark`, and a registry or
-    recorder passed in is a template there too: every arm gets a fresh
-    one with its window or sample rate, at any worker count
-    (registries and span traces pickle back from workers
+    With the ``telemetry`` or ``spans`` field on, every arm gets a fresh
+    registry or recorder at the spec's window or sample rate, at any
+    worker count (registries and span traces pickle back from workers
     bit-identically; sampling keys on the raw-stream ordinal). Phase 1
     observes each cache pass once, and every arm folds its own copy of
     those probes and span origins in, so each arm equals its standalone
@@ -265,9 +261,7 @@ def run_suite_parallel(
     # identically regardless of worker count or config pickling. They
     # also reject bad fields and normalise names before anything runs.
     specs = [
-        RunSpec.entry(
-            (bench, *extra_benchmarks), n_accesses, telemetry, spans, fields
-        )
+        RunSpec.entry((bench, *extra_benchmarks), n_accesses, fields)
         for bench in benchmarks
     ]
     benchmarks = [spec.benchmarks[0] for spec in specs]
@@ -321,9 +315,7 @@ def run_suite_parallel(
         with installed(parent_injector):
             # A stored pass holds no probe events: a probe grid computes
             # every pass on probed front-ends and leaves the store alone.
-            probed = (specs[0].telemetry_window, specs[0].span_rate) != (
-                None, None
-            )
+            probed = (specs[0].telemetry, specs[0].spans) != (None, None)
             out = _run_two_phase(
                 specs, grid, use_artifact_cache and not probed,
                 stats, supervisor, spec_text, health,

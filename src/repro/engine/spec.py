@@ -3,9 +3,9 @@
 The paper's evaluation is a grid — benchmarks × coalescer arms, on
 HMC/HBM/DDR, in fine-grain and co-run modes. A :class:`RunSpec` is one
 cell of it. The public entry points (:mod:`repro.engine.driver`,
-:mod:`repro.engine.parallel`) set the benchmarks, the arm and the probe
-settings from their own arguments and pass every other field through
-unchanged (:meth:`RunSpec.entry`); everything below them — pool jobs,
+:mod:`repro.engine.parallel`) set the benchmarks and the arm from their
+own arguments and pass every other field through unchanged
+(:meth:`RunSpec.entry`); everything below them — pool jobs,
 the artifact pipeline, the figure memo — takes a spec, and the artifact
 keys derive from it.
 """
@@ -18,7 +18,6 @@ from typing import Optional, Tuple
 
 from repro.artifacts import store
 from repro.config import SimulationConfig, TABLE1
-from repro.core.protocols import MemoryProtocol
 from repro.engine.system import (
     DEVICES,
     ENGINES,
@@ -31,8 +30,25 @@ from repro.telemetry import SpanRecorder, TelemetryRegistry
 from repro.workloads.base import size_factor, workload_key
 
 #: The fields an entry point sets from its own arguments: the benchmark
-#: names, the coalescer kind(s), and ``telemetry``/``spans``.
-ENTRY_SET = ("benchmarks", "arm", "telemetry_window", "span_rate")
+#: names and the coalescer kind(s).
+ENTRY_SET = ("benchmarks", "arm")
+
+
+def _probe_setting(name: str, value, default: int) -> Optional[int]:
+    """``telemetry``'s window or ``spans``' sample rate: ``None`` or
+    ``False`` is off, ``True`` the default, a positive int as given."""
+    if value is None or value is False:
+        return None
+    if value is True:
+        return default
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(
+            f"{name} must be a bool, a positive int or None, got "
+            f"{type(value).__name__} {value!r}"
+        )
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -51,9 +67,8 @@ class RunSpec:
       here, so every process that receives the spec derives the same
       per-benchmark seeds.
     * ``device`` — ``"hmc"``, ``"hbm"`` or the conventional ``"ddr"``
-      foil.
-    * ``protocol`` — the packet protocol
-      (:mod:`repro.core.protocols`); ``None`` picks the device's own.
+      foil. The packet protocol follows from it
+      (:func:`~repro.engine.system.device_protocol`).
     * ``fine_grain`` — the Figure 10b data-size coalescing mode: demand
       accesses travel at their CPU data size, the prefetcher is off.
     * ``scale`` — the NAS-style size class, a positive finite factor or
@@ -63,18 +78,23 @@ class RunSpec:
       with probes, spans or a fault plan too. ``"reference"`` runs the
       scalar classes they are bit-identical to. NONE, DMC and SORT run
       their one coalescer, and DDR its one device class, on either.
-    * ``telemetry_window`` — windowed probes at this many cycles per
-      window onto ``result.telemetry``; ``None`` is off.
-    * ``span_rate`` — per-request lifecycle spans, sampling one raw
-      request in N, onto ``result.spans``; ``None`` is off.
+    * ``telemetry`` — windowed probes onto ``result.telemetry``, at
+      this many cycles per window; ``True`` is
+      :attr:`TelemetryRegistry.DEFAULT_WINDOW_CYCLES`.
+    * ``spans`` — per-request lifecycle spans onto ``result.spans``,
+      sampling one raw request in this many; ``True`` is
+      :attr:`SpanRecorder.DEFAULT_SAMPLE_RATE`.
 
-    Probes are carried as settings, never as live objects: every
-    :meth:`system` built from a spec gets a fresh registry and recorder.
-    Spans on the sortdmc arm (it records none) fail here, so a grid
-    rejects them before anything runs; so do an unknown benchmark,
-    device or engine, and a bad scale (:class:`ValueError` naming the
-    field). Names lowercase and a scale becomes its factor, so every
-    spelling of one simulation gives one spec.
+    ``telemetry`` and ``spans`` are off at ``None`` or ``False`` and are
+    stored as the int they resolve to. They are settings, never live
+    objects: every :meth:`system` built from a spec gets a fresh
+    registry and recorder. Spans on the sortdmc arm (it records none)
+    fail here, so a grid rejects them before anything runs; so do an
+    unknown benchmark, device or engine, a bad scale and a non-positive
+    probe setting (:class:`ValueError` naming the field), and a probe
+    setting that is neither a bool nor an int (:class:`TypeError`).
+    Names lowercase, a scale becomes its factor and ``True`` its
+    default, so every spelling of one simulation gives one spec.
     """
 
     benchmarks: Tuple[str, ...]
@@ -83,12 +103,11 @@ class RunSpec:
     config: SimulationConfig = TABLE1
     seed: Optional[int] = None
     device: str = "hmc"
-    protocol: Optional[MemoryProtocol] = None
     fine_grain: bool = False
     scale: float = 1.0
     engine: str = "auto"
-    telemetry_window: Optional[int] = None
-    span_rate: Optional[int] = None
+    telemetry: Optional[int] = None
+    spans: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "benchmarks", tuple(self.benchmarks))
@@ -114,7 +133,14 @@ class RunSpec:
                 f"arm must be a CoalescerKind, got "
                 f"{type(self.arm).__name__} {self.arm!r}"
             )
-        if self.span_rate is not None:
+        for name, default in (
+            ("telemetry", TelemetryRegistry.DEFAULT_WINDOW_CYCLES),
+            ("spans", SpanRecorder.DEFAULT_SAMPLE_RATE),
+        ):
+            object.__setattr__(
+                self, name, _probe_setting(name, getattr(self, name), default)
+            )
+        if self.spans is not None:
             refuse_spans(self.arm)
         if self.seed is None:
             object.__setattr__(self, "seed", self.config.seed)
@@ -136,44 +162,15 @@ class RunSpec:
                 f"n_accesses must be positive, got {self.n_accesses}"
             )
 
-    @staticmethod
-    def probe_settings(telemetry, spans) -> dict:
-        """``telemetry_window`` and ``span_rate`` for the entry points'
-        ``telemetry`` and ``spans`` arguments: the one place their
-        spellings resolve.
-
-        ``telemetry`` is a bool or a :class:`TelemetryRegistry`;
-        ``spans`` is a bool, an int sample rate or a
-        :class:`SpanRecorder`. A registry or recorder is a template:
-        only its window or rate is read, and it stays empty. A falsy
-        value is off.
-        """
-        if not telemetry:
-            window = None
-        elif telemetry is True:
-            window = TelemetryRegistry.DEFAULT_WINDOW_CYCLES
-        else:
-            window = telemetry.window_cycles
-        if not spans:
-            rate = None
-        elif spans is True:
-            rate = SpanRecorder.DEFAULT_SAMPLE_RATE
-        elif isinstance(spans, int):
-            rate = spans
-        else:
-            rate = spans.sample_rate
-        return {"telemetry_window": window, "span_rate": rate}
-
     @classmethod
     def entry(
-        cls, benchmarks, n_accesses, telemetry, spans, fields: dict,
+        cls, benchmarks, n_accesses, fields: dict,
         arm: CoalescerKind = CoalescerKind.PAC,
     ) -> "RunSpec":
-        """The spec an entry point builds: ``benchmarks``, ``arm`` and
-        the probe settings (:meth:`probe_settings`) from its own
-        arguments, every other field from its ``**fields`` unchanged.
-        A field in ``fields`` that the entry point sets itself raises
-        :class:`TypeError` naming it.
+        """The spec an entry point builds: ``benchmarks`` and ``arm``
+        from its own arguments, every other field from its ``**fields``
+        unchanged. A field in ``fields`` that the entry point sets
+        itself raises :class:`TypeError` naming it.
         """
         own = [name for name in ENTRY_SET if name in fields]
         if own:
@@ -181,10 +178,7 @@ class RunSpec:
                 f"{', '.join(own)}: set from the entry point's own "
                 "arguments, not as a field"
             )
-        return cls(
-            benchmarks, n_accesses, arm=arm,
-            **cls.probe_settings(telemetry, spans), **fields,
-        )
+        return cls(benchmarks, n_accesses, arm=arm, **fields)
 
     @property
     def label(self) -> str:
@@ -203,16 +197,13 @@ class RunSpec:
         :func:`~repro.engine.driver.run_arm` hands in ``telemetry`` and
         ``spans`` instead: copies of what the shared cache pass
         observed, for the arm to fill."""
-        if telemetry is None and self.telemetry_window is not None:
-            telemetry = TelemetryRegistry(window_cycles=self.telemetry_window)
-        if spans is None and self.span_rate is not None:
-            spans = SpanRecorder(
-                sample_rate=self.span_rate, seed=self.config.seed
-            )
+        if telemetry is None and self.telemetry is not None:
+            telemetry = TelemetryRegistry(window_cycles=self.telemetry)
+        if spans is None and self.spans is not None:
+            spans = SpanRecorder(sample_rate=self.spans, seed=self.config.seed)
         return System(
             config=self.config,
             coalescer=self.arm,
-            protocol=self.protocol,
             device=self.device,
             fine_grain=self.fine_grain,
             telemetry=telemetry,

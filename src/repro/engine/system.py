@@ -12,22 +12,20 @@ sorting-network design:
   al. [32] (the Figure 11a comparison, run live).
 
 Devices: ``"hmc"`` (default), ``"hbm"``, and the conventional ``"ddr"``
-foil.
+foil. Each fixes the packet protocol (:func:`device_protocol`).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.common.rng import derive_seed
 from repro.config import SimulationConfig, TABLE1
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.pac_batched import BatchedPagedAdaptiveCoalescer
-from repro.core.protocols import HMC2, HMC2_FINE, MemoryProtocol
+from repro.core.protocols import HBM, HMC1, HMC2, HMC2_FINE, MemoryProtocol
 from repro.engine.results import RunResult, build_result
 from repro.hmc.device import HMCDevice
 from repro.hmc.hbm import HBMDevice, hbm_config
@@ -41,6 +39,9 @@ from repro.telemetry import (
     TelemetryRegistry,
 )
 from repro.workloads import get_workload
+
+if TYPE_CHECKING:
+    from repro.artifacts import TracePass
 
 
 class CoalescerKind(enum.Enum):
@@ -71,6 +72,33 @@ def check_choice(field: str, value, choices: tuple) -> None:
         )
 
 
+def device_protocol(
+    device: str, config: SimulationConfig = TABLE1, fine_grain: bool = False
+) -> MemoryProtocol:
+    """The packet protocol ``device`` implements (Section 4.1: porting
+    PAC is swapping this descriptor). HBM speaks :data:`HBM`. The DDR
+    foil takes HMC 2.1's packets. An HMC device speaks the widest of
+    HMC 2.1 and HMC 1.0 whose packets fit ``config.hmc.max_packet_bytes``
+    (a 128B device is HMC 1.0). Fine-grain mode (Figure 10b) coalesces
+    HMC 2.1 packets over 16B FLITs on HMC and DDR. An HMC device that no
+    candidate fits raises :class:`ValueError`.
+    """
+    check_choice("device", device, DEVICES)
+    if device == "hbm":
+        return HBM
+    candidates = (HMC2_FINE,) if fine_grain else (HMC2, HMC1)
+    if device == "ddr":
+        return candidates[0]
+    max_bytes = config.hmc.max_packet_bytes
+    for protocol in candidates:
+        if protocol.max_packet_bytes <= max_bytes:
+            return protocol
+    raise ValueError(
+        f"no HMC protocol fits config.hmc.max_packet_bytes={max_bytes}B; "
+        f"the narrowest takes {candidates[-1].max_packet_bytes}B packets"
+    )
+
+
 def refuse_spans(kind: CoalescerKind) -> None:
     """Raise :class:`ValueError` when arm ``kind`` cannot record spans."""
     if kind is CoalescerKind.SORT:
@@ -87,7 +115,6 @@ class System:
         self,
         config: SimulationConfig = TABLE1,
         coalescer: CoalescerKind = CoalescerKind.PAC,
-        protocol: Optional[MemoryProtocol] = None,
         device: str = "hmc",
         fine_grain: bool = False,
         telemetry: Optional[TelemetryRegistry] = None,
@@ -112,7 +139,9 @@ class System:
         self.kind = coalescer
         self.fine_grain = fine_grain
         check_choice("engine", engine, ENGINES)
-        check_choice("device", device, DEVICES)
+        #: The packet protocol, fixed by the device (a ``ValueError`` for
+        #: an HMC config no protocol fits, before anything is built).
+        self.protocol = device_protocol(device, config, fine_grain)
         #: The resolved engine of every component: ``"auto"`` resolves
         #: to ``"batched"``, the batched front-end, PAC kernel and
         #: HMC/HBM device twins (NONE, DMC and SORT keep their only
@@ -137,7 +166,6 @@ class System:
             self.device = _hmc_cls(
                 config.hmc, probes=probes.scope("device"), spans=span_rec
             )
-            default_protocol = HMC2_FINE if fine_grain else HMC2
         elif device == "hbm":
             if batched:
                 from repro.hmc.batched import BatchedHBMDevice as _hbm_cls
@@ -146,9 +174,6 @@ class System:
             self.device = _hbm_cls(
                 hbm_config(), probes=probes.scope("device"), spans=span_rec
             )
-            from repro.core.protocols import HBM as HBM_PROTO
-
-            default_protocol = HBM_PROTO
         else:
             # Conventional DDR4 foil (Section 2): open-page, fixed 64B
             # bursts. Coalesced packets transfer as consecutive bursts.
@@ -158,19 +183,6 @@ class System:
             self.device = DDRDevice(
                 probes=probes.scope("device"), spans=span_rec
             )
-            default_protocol = HMC2_FINE if fine_grain else HMC2
-        self.protocol = protocol if protocol is not None else default_protocol
-        device_max = getattr(
-            self.device, "config", None
-        )
-        if device_max is not None and hasattr(device_max, "max_packet_bytes"):
-            if self.protocol.max_packet_bytes > device_max.max_packet_bytes:
-                raise ValueError(
-                    f"protocol {self.protocol.name!r} emits packets up to "
-                    f"{self.protocol.max_packet_bytes}B but the device "
-                    f"accepts at most {device_max.max_packet_bytes}B — "
-                    "pass a matching protocol/device pair"
-                )
         # The hierarchy is built lazily: phase-2 pipeline jobs
         # (:meth:`run_raw`) consume a pre-computed raw stream and never
         # touch the caches, so they skip constructing per-core L1s + LLC
@@ -189,14 +201,10 @@ class System:
                 hierarchy_cls = BatchedCacheHierarchy
             else:
                 hierarchy_cls = CacheHierarchy
-            # Fine-grain mode traces demand accesses at their CPU data
-            # size; line-granular prefetch traffic would drown the
-            # Figure 10b size distribution, so the prefetcher is off
-            # there.
             self._hierarchy = hierarchy_cls(
                 self.config.cache,
                 n_cores=self.config.n_cores,
-                prefetch_enabled=not self.fine_grain,
+                fine_grain=self.fine_grain,
                 probes=self._probes.scope("cache"),
                 spans=self._span_rec,
             )
@@ -299,65 +307,42 @@ class System:
             merged = trace if merged is None else merged.concat(trace)
         return merged.sorted_by_cycle()
 
-    def run_trace(
-        self, trace: AccessTrace, benchmark: str = "custom"
-    ) -> RunResult:
-        """Push a translated trace through caches, coalescer, and memory:
-        the cache pass, then :meth:`run_raw` over the stream it emits."""
-        if self.fine_grain:
-            raw = self.hierarchy.fine_grain_stream(trace).packed
-        else:
-            raw = self.hierarchy.process(trace).packed
-        return self.run_raw(
-            raw,
-            benchmark=benchmark,
-            n_accesses=len(trace),
-            trace_end_cycle=int(trace.cycles[-1]) if len(trace) else 0,
-            cache_metrics=self.hierarchy.summary_metrics(len(raw)),
-        )
+    def run_raw(self, tp: "TracePass") -> RunResult:
+        """Run the coalescer+device half over ``tp``, a trace + cache
+        pass (:func:`repro.artifacts.pipeline.build_trace_pass`): its
+        packed raw stream, trace geometry and cache metrics.
 
-    def run_raw(
-        self,
-        raw: np.ndarray,
-        benchmark: str,
-        n_accesses: int,
-        trace_end_cycle: int,
-        cache_metrics: dict,
-    ) -> RunResult:
-        """Run the coalescer+device half against a pre-computed packed
-        raw stream (a :data:`~repro.artifacts.shm.REQ_DTYPE` array).
-
-        This is the phase-2 entry point of the artifact pipeline: the
-        trace and hierarchy pass happened elsewhere (possibly in another
-        process, possibly last week), so the caller supplies the stream,
-        the trace geometry, and the hierarchy's summary metrics. Probes
-        and spans record what this half observes; what the cache pass
-        observed reaches them only through the registry and recorder
-        this system was built with (:func:`repro.engine.driver.run_arm`
-        hands in copies of the pass's own).
+        The pass may have run on this system
+        (:func:`repro.engine.driver.run_spec`), on another one in
+        another process, or last week (the artifact pipeline's phase 2).
+        Probes and spans record what this half observes; what the cache
+        pass observed reaches them only through the registry and
+        recorder this system was built with
+        (:func:`repro.engine.driver.run_arm` hands in copies of the
+        pass's own).
         """
-        outcome = self.coalescer.process(raw, self.device)
+        outcome = self.coalescer.process(tp.raw, self.device)
         # Merge the device's deferred accounting before build_result
         # reads its stats/energy surfaces.
         self.device.sync()
         span_trace = None
         if self.spans is not None:
             span_trace = self.spans.finalize(
-                benchmark=benchmark,
+                benchmark=tp.benchmark,
                 coalescer=self.kind.value,
-                n_accesses=n_accesses,
+                n_accesses=tp.n_accesses,
                 n_raw=outcome.n_raw,
                 config_hash=self.config.config_hash(),
             )
         return build_result(
-            benchmark=benchmark,
+            benchmark=tp.benchmark,
             coalescer_name=self.kind.value,
-            n_accesses=n_accesses,
+            n_accesses=tp.n_accesses,
             outcome=outcome,
             device=self.device,
-            trace_end_cycle=trace_end_cycle,
+            trace_end_cycle=tp.trace_end_cycle,
             pac_metrics=self._pac_metrics(),
-            cache_metrics=cache_metrics,
+            cache_metrics=tp.cache_metrics,
             telemetry=self.telemetry,
             spans=span_trace,
         )

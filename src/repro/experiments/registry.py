@@ -28,11 +28,10 @@ from repro.artifacts import (
 from repro.common.types import MemoryRequest
 from repro.config import TABLE1
 from repro.core.private import PrivateCoalescerArray
-from repro.core.protocols import HBM, HMC1, HMC2
 from repro.engine.driver import run_arm
 from repro.engine.results import RunResult
 from repro.engine.spec import RunSpec
-from repro.engine.system import CoalescerKind
+from repro.engine.system import CoalescerKind, device_protocol
 from repro.experiments.reporting import mean_of
 from repro.experiments.tables import table1_configuration
 from repro.hmc.power import ENERGY_CATEGORIES, savings
@@ -937,7 +936,12 @@ FIGURES: Tuple[Entry, ...] = (
 
 TIMEOUTS = (2, 4, 8, 16, 32, 64)
 STREAM_COUNTS = (2, 4, 8, 16, 32)
-PROTOCOLS = ((HMC1, "hmc"), (HMC2, "hmc"), (HBM, "hbm"))
+#: (device, config) per protocol: a 128B HMC device speaks HMC 1.0.
+PROTOCOLS = (
+    ("hmc", TABLE1.with_hmc(max_packet_bytes=128)),
+    ("hmc", TABLE1),
+    ("hbm", TABLE1),
+)
 PREFETCH_REGIONS = (0, 1, 2)
 CORE_COUNTS = (1, 2, 4, 8)
 POLICIES = ("vault-first", "bank-first", "row-major")
@@ -975,12 +979,9 @@ def _stream_count(runs: Runs) -> Rows:
 
 def _protocols(runs: Runs) -> Rows:
     rows = []
-    for protocol, device in PROTOCOLS:
-        config = TABLE1
-        if protocol is HMC1:
-            config = TABLE1.with_hmc(max_packet_bytes=128)
-        result = runs[runs.spec(
-            "stream", config=config, protocol=protocol, device=device)]
+    for device, config in PROTOCOLS:
+        protocol = device_protocol(device, config)
+        result = runs[runs.spec("stream", config=config, device=device)]
         rows.append({
             "protocol": protocol.name,
             "max_packet_bytes": protocol.max_packet_bytes,

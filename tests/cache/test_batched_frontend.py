@@ -41,10 +41,7 @@ def _trace(bench, n=N, seed=SEED):
 
 def _pair(fine_grain=False):
     cfg = TABLE1
-    kw = dict(
-        n_cores=cfg.n_cores,
-        prefetch_enabled=not fine_grain,
-    )
+    kw = dict(n_cores=cfg.n_cores, fine_grain=fine_grain)
     return (
         CacheHierarchy(cfg.cache, **kw),
         BatchedCacheHierarchy(cfg.cache, **kw),
@@ -54,9 +51,9 @@ def _pair(fine_grain=False):
 def _streams(trace, fine_grain=False):
     ref, bat = _pair(fine_grain)
     reset_request_ids()
-    rs = ref.fine_grain_stream(trace) if fine_grain else ref.process(trace)
+    rs = ref.process(trace)
     reset_request_ids()
-    bs = bat.fine_grain_stream(trace) if fine_grain else bat.process(trace)
+    bs = bat.process(trace)
     return ref, rs, bat, bs
 
 
@@ -159,6 +156,20 @@ class TestFrontendDispatch:
             assert s.engine == "batched"
             assert isinstance(s.hierarchy, BatchedCacheHierarchy)
 
+    @pytest.mark.parametrize("cls", [CacheHierarchy, BatchedCacheHierarchy])
+    def test_fine_grain_is_fixed_at_construction(self, cls):
+        """Fine-grain mode is a constructor switch that also turns the
+        prefetcher off, as ``prefetch_regions=0`` does; ``process``
+        takes only the trace."""
+        assert cls(TABLE1.cache).prefetch_enabled
+        assert not cls(TABLE1.cache, fine_grain=True).prefetch_enabled
+        no_prefetch = TABLE1.with_cache(prefetch_regions=0).cache
+        assert not cls(no_prefetch).prefetch_enabled
+        with pytest.raises(TypeError, match="prefetch_enabled"):
+            cls(TABLE1.cache, prefetch_enabled=False)
+        with pytest.raises(TypeError, match="fine_grain"):
+            cls(TABLE1.cache).process(_trace("gs", n=100), fine_grain=True)
+
     def test_reference_builds_scalar_hierarchy(self):
         s = System(coalescer=CoalescerKind.PAC, engine="reference")
         assert s.engine == "reference"
@@ -199,8 +210,8 @@ class TestFrontendDispatch:
             recorder = SpanRecorder(sample_rate=sample_rate, seed=5)
             reset_request_ids()
             cls(
-                TABLE1.cache, prefetch_enabled=not fine_grain, spans=recorder
-            ).process(trace, fine_grain=fine_grain)
+                TABLE1.cache, fine_grain=fine_grain, spans=recorder
+            ).process(trace)
             origins.append(recorder._origins)
         ref, bat = origins
         assert ref

@@ -21,6 +21,8 @@ state is compared too.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -85,10 +87,10 @@ def conflict_traces(draw, max_len=80, n_cores=3, n_cache_sets=L1_SETS,
     return AccessTrace.from_rows(rows)
 
 
-def _pair(**kw):
+def _pair(cfg=CFG, **kw):
     return (
-        CacheHierarchy(CFG, **kw),
-        BatchedCacheHierarchy(CFG, **kw),
+        CacheHierarchy(cfg, **kw),
+        BatchedCacheHierarchy(cfg, **kw),
     )
 
 
@@ -108,15 +110,15 @@ def _probed_pair(**kw):
     return ref, bat, (registries, recorders)
 
 
-def _assert_identical(ref, bat, traces, fine_grain=False, probes=None):
+def _assert_identical(ref, bat, traces, probes=None):
     """Process ``traces`` consecutively through both hierarchies and
     compare every observable after each one (probe registries and span
     origins too, when given)."""
     for trace in traces:
         reset_request_ids()
-        rs = ref.process(trace, fine_grain=fine_grain)
+        rs = ref.process(trace)
         reset_request_ids()
-        bs = bat.process(trace, fine_grain=fine_grain)
+        bs = bat.process(trace)
         np.testing.assert_array_equal(rs.packed, bs.packed)
         assert rs.n_accesses == bs.n_accesses
         assert rs.stats.as_dict() == bs.stats.as_dict()
@@ -143,14 +145,14 @@ class TestAdversarialTraces:
     @given(trace=conflict_traces())
     @settings(**SETTINGS)
     def test_prefetcher_disabled_identical(self, trace):
-        ref, bat = _pair(n_cores=3, prefetch_enabled=False)
+        ref, bat = _pair(replace(CFG, prefetch_regions=0), n_cores=3)
         _assert_identical(ref, bat, [trace])
 
     @given(trace=conflict_traces(max_len=60))
     @settings(**SETTINGS)
     def test_fine_grain_identical(self, trace):
-        ref, bat = _pair(n_cores=3, prefetch_enabled=False)
-        _assert_identical(ref, bat, [trace], fine_grain=True)
+        ref, bat = _pair(n_cores=3, fine_grain=True)
+        _assert_identical(ref, bat, [trace])
 
     @given(first=conflict_traces(max_len=40), second=conflict_traces(max_len=40))
     @settings(**SETTINGS)
@@ -175,12 +177,8 @@ class TestAdversarialTraces:
         """With enabled probes the twin's buffered emission events fold
         into a registry equal to the reference's, and it stamps the
         same span origins, trace after trace."""
-        ref, bat, probes = _probed_pair(
-            n_cores=3, prefetch_enabled=not fine_grain
-        )
-        _assert_identical(
-            ref, bat, [first, second], fine_grain=fine_grain, probes=probes,
-        )
+        ref, bat, probes = _probed_pair(n_cores=3, fine_grain=fine_grain)
+        _assert_identical(ref, bat, [first, second], probes=probes)
 
 
 class TestLookaheadBoundaries:

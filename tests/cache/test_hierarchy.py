@@ -210,15 +210,15 @@ class TestMultiCore:
 
 class TestFineGrain:
     def test_fine_grain_sizes_shrink(self):
-        h = small_hierarchy(secondary_cap=0)
+        h = small_hierarchy(secondary_cap=0, fine_grain=True)
         trace = make_trace([0], sizes=[4])
-        stream = h.fine_grain_stream(trace)
+        stream = h.process(trace)
         assert decode_requests(stream.packed)[0].size == 4
 
     def test_fine_grain_same_miss_structure(self):
         h1 = small_hierarchy(secondary_cap=0)
-        h2 = small_hierarchy(secondary_cap=0)
+        h2 = small_hierarchy(secondary_cap=0, fine_grain=True)
         trace = make_trace([0, 4096, 0])
         a = h1.process(trace)
-        b = h2.fine_grain_stream(trace)
+        b = h2.process(trace)
         assert len(a.packed) == len(b.packed)

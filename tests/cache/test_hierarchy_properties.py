@@ -38,12 +38,14 @@ def traces(draw):
     )
 
 
-def small_hierarchy(prefetch=0, cap=2):
+def small_hierarchy(prefetch=0, cap=2, fine_grain=False):
     cfg = CacheConfig(
         l1_bytes=1024, l1_ways=2, llc_bytes=4096, llc_ways=2,
         prefetch_regions=prefetch,
     )
-    return CacheHierarchy(cfg, n_cores=2, secondary_cap=cap)
+    return CacheHierarchy(
+        cfg, n_cores=2, secondary_cap=cap, fine_grain=fine_grain
+    )
 
 
 class TestRawStreamInvariants:
@@ -106,7 +108,7 @@ class TestRawStreamInvariants:
     @settings(**SETTINGS)
     def test_fine_grain_preserves_structure(self, trace):
         coarse = small_hierarchy(cap=0).process(trace)
-        fine = small_hierarchy(cap=0).fine_grain_stream(trace)
+        fine = small_hierarchy(cap=0, fine_grain=True).process(trace)
         assert len(coarse.packed) == len(fine.packed)
         for c, f in zip(
             decode_requests(coarse.packed), decode_requests(fine.packed)

@@ -51,7 +51,7 @@ class TestRawStreamZeroGuards:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_fine_grain_empty_trace(self, engine):
         system = _system(CoalescerKind.PAC, engine, fine_grain=True)
-        raw = system.hierarchy.fine_grain_stream(AccessTrace.empty())
+        raw = system.hierarchy.process(AccessTrace.empty())
         assert len(raw.packed) == 0
         assert raw.miss_rate == 0.0
 

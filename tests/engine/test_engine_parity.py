@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.artifacts import build_trace_pass
 from repro.artifacts.shm import encode_requests
 from repro.engine.driver import run_benchmark
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
 from repro.mshr.dmc import RecordingDevice
 from repro.telemetry import SpanRecorder, TelemetryRegistry
@@ -307,11 +309,11 @@ class TestBackendEngine:
             assert type(s.device) is BatchedHMCDevice
 
     def test_run_raw_syncs_batched_device(self):
-        # run_trace/run_raw must merge the deferred window before
-        # build_result reads the device's stats/energy surfaces — the
-        # RunResult equality in TestBitIdentity only holds if it did,
-        # but assert the mechanism directly: no residue after a run.
+        # run_raw must merge the deferred window before build_result
+        # reads the device's stats/energy surfaces — the RunResult
+        # equality in TestBitIdentity only holds if it did, but assert
+        # the mechanism directly: no residue after a run.
         s = System(coalescer=CoalescerKind.PAC)
         assert s.engine == "batched"
-        s.run_trace(s.build_trace(["gs"], 2000, seed=SEED))
+        s.run_raw(build_trace_pass(RunSpec(("gs",), 2000, seed=SEED), s))
         assert s.device._w == [0] * len(s.device._w)

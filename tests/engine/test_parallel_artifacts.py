@@ -17,7 +17,6 @@ import pytest
 
 from repro.artifacts import get_store
 from repro.config import TABLE1
-from repro.core.protocols import HBM
 from repro.engine import driver, parallel
 from repro.engine.driver import run_benchmark, run_comparison
 from repro.engine.parallel import run_suite_parallel
@@ -340,16 +339,17 @@ class TestParameterParity:
 
     ENTRIES = ["run_benchmark", "run_comparison", "run_suite_parallel"]
     #: Fields an entry point sets from its own arguments.
-    OWN = {"benchmarks", "n_accesses", "arm", "telemetry_window", "span_rate"}
+    OWN = {"benchmarks", "n_accesses", "arm"}
     #: A non-default value of every other field.
     FIELDS = dict(
         config=TABLE1.with_pac(n_streams=8),
         seed=SEED + 1,
         device="hbm",
-        protocol=HBM,
         fine_grain=True,
         scale=2.0,
         engine="reference",
+        telemetry=512,
+        spans=8,
     )
 
     def _specs(self, entry, monkeypatch, **fields):

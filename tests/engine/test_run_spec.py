@@ -1,20 +1,21 @@
 """RunSpec: construction, artifact keys, and what the entry points that
 build specs must preserve.
 
-* **Validation** — bad sizes, empty mixes, unknown names and bad
-  scales fail at construction, before any pool work starts; spellings
+* **Validation** — bad sizes, empty mixes, unknown names, bad scales
+  and bad probe settings fail at construction, before any pool work
+  starts; spellings
   of one simulation give one spec; a spec hashes and pickles (it is a
   memo key and a pool job's argument).
 * **Keys** — ``spec.pass_key()`` is the store's key function applied
   to the spec, so artifact keys stay identical.
 * **Fields** — an entry point passes the spec fields it does not set
   itself through unchanged, and rejects one it does set.
-* **Probe templates** — a registry or recorder handed to any entry
-  point is a template: every run gets a fresh one with the same window
-  or sample rate and the one handed in stays empty, so each result
-  equals its standalone run — although a grid computes each
-  benchmark's cache pass once and folds what it observed into every
-  arm.
+* **Probe settings** — ``telemetry`` and ``spans`` are spec fields:
+  ``True`` or a positive int, checked where the spec is built. Every
+  run gets a fresh registry and recorder at the spec's window and
+  sample rate, so each result equals its standalone run — although a
+  grid computes each benchmark's cache pass once and folds what it
+  observed into every arm.
 * **Fault scopes** — the ``demote`` events a fault plan causes, per
   execution path.
 """
@@ -54,6 +55,16 @@ BAD_FIELDS = [
     ("scale", float("inf")),
     ("scale", float("nan")),
     ("scale", None),
+    ("telemetry", 0),
+    ("spans", -3),
+]
+#: One wrong-typed probe setting per case: TypeError naming the field.
+BAD_PROBES = [
+    ("spans", 2.5),
+    ("spans", "8"),
+    ("spans", SpanRecorder()),
+    ("telemetry", TelemetryRegistry()),
+    ("telemetry", 512.0),
 ]
 
 
@@ -118,7 +129,6 @@ class TestConstruction:
         for entry in ("run_benchmark", "run_comparison", "run_suite_parallel")
         for field, value in (
             ("benchmarks", ("bfs",)), ("arm", CoalescerKind.DMC),
-            ("telemetry_window", WINDOW), ("span_rate", RATE),
         )
         # The grid's benchmarks are its own argument, not a field.
         if (entry, field) != ("run_suite_parallel", "benchmarks")
@@ -126,9 +136,9 @@ class TestConstruction:
     def test_a_field_the_entry_point_sets_fails_before_anything_runs(
         self, entry, field, value, monkeypatch
     ):
-        """An entry point sets the benchmarks, the arm and the probe
-        settings from its own arguments; the same field passed through
-        ``**fields`` is a TypeError naming it, before any trace."""
+        """An entry point sets the benchmarks and the arm from its own
+        arguments; the same field passed through ``**fields`` is a
+        TypeError naming it, before any trace."""
 
         def no_trace(*args, **kwargs):
             raise AssertionError(f"{field}= reached trace generation")
@@ -159,7 +169,7 @@ class TestConstruction:
         kinds = {d["kind"] for d in log.records}
         assert not kinds & {"suite.start", "phase.start", "run.start"}
         with pytest.raises(ValueError, match="sortdmc"):
-            RunSpec(("gs",), N, arm=CoalescerKind.SORT, span_rate=RATE)
+            RunSpec(("gs",), N, arm=CoalescerKind.SORT, spans=RATE)
 
     @pytest.mark.parametrize("field, value", BAD_FIELDS)
     def test_rejects_bad_field(self, field, value):
@@ -183,8 +193,35 @@ class TestConstruction:
         assert log.records == []
         assert list(store.get_store().entries()) == []
 
+    @pytest.mark.parametrize("entry", [
+        "run_benchmark", "run_comparison", "run_suite_parallel",
+    ])
+    @pytest.mark.parametrize("field, value", BAD_PROBES)
+    def test_wrong_typed_probe_fails_before_anything_runs(
+        self, entry, field, value
+    ):
+        """A probe setting is a bool or an int: a float, a string or a
+        live registry or recorder is a TypeError naming the field, and
+        nothing is logged."""
+        kw = {"n_accesses": 500, field: value}
+        call = {
+            "run_benchmark": lambda: run_benchmark("gs", **kw),
+            "run_comparison": lambda: run_comparison("gs", **kw),
+            "run_suite_parallel": lambda: run_suite_parallel(
+                benchmarks=("gs",), max_workers=1, **kw),
+        }[entry]
+        log = ev.EventLog()
+        with ev.installed(log), pytest.raises(TypeError, match=field):
+            call()
+        assert log.records == []
+
     @pytest.mark.parametrize("spellings", [
         [dict(scale="A"), dict(scale="a"), dict(scale=1.0), dict(scale=1)],
+        [dict(telemetry=True),
+         dict(telemetry=TelemetryRegistry.DEFAULT_WINDOW_CYCLES)],
+        [dict(spans=True), dict(spans=SpanRecorder.DEFAULT_SAMPLE_RATE),
+         dict(spans=np.int64(SpanRecorder.DEFAULT_SAMPLE_RATE))],
+        [dict(telemetry=False, spans=None), dict()],
         [dict(benchmarks=("GS",)), dict(benchmarks=("gs",))],
         [dict(benchmarks=("Gs", "BFS")), dict(benchmarks=("gs", "bfs"))],
     ])
@@ -214,8 +251,8 @@ class TestConstruction:
     def test_hash_and_pickle_round_trip(self):
         spec = RunSpec(
             ["gs", "bfs"], N, arm=CoalescerKind.DMC, seed=SEED,
-            device="hbm", fine_grain=True, scale="B",
-            **RunSpec.probe_settings(TelemetryRegistry(WINDOW), RATE),
+            device="hbm", fine_grain=True, scale="B", telemetry=WINDOW,
+            spans=RATE,
         )
         assert spec.benchmarks == ("gs", "bfs")
         clone = pickle.loads(pickle.dumps(spec))
@@ -226,16 +263,14 @@ class TestConstruction:
     def test_label_and_probe_settings(self):
         spec = RunSpec(("gs", "bfs"), N)
         assert spec.label == "gs+bfs"
-        assert RunSpec.probe_settings(True, True) == {
-            "telemetry_window": TelemetryRegistry.DEFAULT_WINDOW_CYCLES,
-            "span_rate": SpanRecorder.DEFAULT_SAMPLE_RATE,
-        }
-        assert RunSpec.probe_settings(
-            TelemetryRegistry(WINDOW), SpanRecorder(sample_rate=RATE)
-        ) == {"telemetry_window": WINDOW, "span_rate": RATE}
-        assert RunSpec.probe_settings(False, None) == {
-            "telemetry_window": None, "span_rate": None,
-        }
+        assert (spec.telemetry, spec.spans) == (None, None)
+        on = RunSpec(("gs",), N, telemetry=True, spans=True)
+        assert (on.telemetry, on.spans) == (
+            TelemetryRegistry.DEFAULT_WINDOW_CYCLES,
+            SpanRecorder.DEFAULT_SAMPLE_RATE,
+        )
+        given = RunSpec(("gs",), N, telemetry=WINDOW, spans=RATE)
+        assert (given.telemetry, given.spans) == (WINDOW, RATE)
 
 
 class TestKeys:
@@ -265,24 +300,16 @@ class TestKeys:
         spec = RunSpec(("gs",), N, seed=SEED)
         other = replace(
             spec.for_arm(CoalescerKind.NONE), engine="reference",
-            telemetry_window=WINDOW, span_rate=RATE,
+            telemetry=WINDOW, spans=RATE,
         )
         assert other.pass_key() == spec.pass_key()
         assert replace(spec, fine_grain=True).pass_key() != spec.pass_key()
 
 
-def _templates():
-    return (
-        TelemetryRegistry(window_cycles=WINDOW),
-        SpanRecorder(sample_rate=RATE),
-    )
-
-
 def _standalone(bench: str, kind: CoalescerKind = CoalescerKind.PAC, **kw):
-    registry, recorder = _templates()
     return run_benchmark(
-        bench, coalescer=kind, n_accesses=N, seed=SEED,
-        telemetry=registry, spans=recorder, **kw,
+        bench, coalescer=kind, n_accesses=N, seed=SEED, telemetry=WINDOW,
+        spans=RATE, **kw,
     )
 
 
@@ -294,50 +321,34 @@ def _assert_same_run(result, ref):
     assert result.spans == ref.spans
 
 
-class TestProbeTemplates:
-    def test_run_benchmark_reads_the_templates_it_is_handed(self):
-        registry, recorder = _templates()
+class TestProbeSettings:
+    def test_run_benchmark_takes_the_settings(self):
         result = run_benchmark(
-            "gs", n_accesses=N, seed=SEED, telemetry=registry,
-            spans=recorder,
+            "gs", n_accesses=N, seed=SEED, telemetry=WINDOW, spans=RATE,
         )
-        assert result.telemetry is not registry
         assert result.telemetry.window_cycles == WINDOW
         assert result.telemetry.probe_names()
         assert result.spans.sample_rate == RATE
         assert len(result.spans) > 0
-        # Templates are read, never filled.
-        assert registry.probe_names() == []
-        assert len(recorder.finalize()) == 0
 
-    def test_run_suite(self):
-        registry, recorder = _templates()
-        out = run_suite_parallel(
-            kinds=(CoalescerKind.PAC,), benchmarks=BENCHES, n_accesses=N,
-            seed=SEED, max_workers=1, telemetry=registry, spans=recorder,
-        )
-        for bench in BENCHES:
-            _assert_same_run(out[(bench, "pac")], _standalone(bench))
-        # Templates are read, never filled.
-        assert registry.probe_names() == []
+    def test_a_five_cycle_window(self):
+        result = run_benchmark("gs", n_accesses=500, seed=SEED, telemetry=5)
+        assert result.telemetry.window_cycles == 5
+        assert result.telemetry.probe_names()
+        assert result.spans is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_suite_parallel(self, workers):
-        registry, recorder = _templates()
         out = run_suite_parallel(
             kinds=(CoalescerKind.PAC,), benchmarks=BENCHES, n_accesses=N,
-            seed=SEED, max_workers=workers, telemetry=registry,
-            spans=recorder,
+            seed=SEED, max_workers=workers, telemetry=WINDOW, spans=RATE,
         )
         for bench in BENCHES:
             _assert_same_run(out[(bench, "pac")], _standalone(bench))
-        assert registry.probe_names() == []
 
     def test_run_comparison_arms_keep_the_settings(self):
-        registry, recorder = _templates()
         trio = run_comparison(
-            "gs", n_accesses=N, seed=SEED, telemetry=registry,
-            spans=recorder,
+            "gs", n_accesses=N, seed=SEED, telemetry=WINDOW, spans=RATE,
         )
         for kind, result in trio.items():
             _assert_same_run(result, _standalone("gs", kind))
@@ -363,8 +374,7 @@ class TestProbeTemplates:
         )
         if store == "warm":
             run_suite_parallel(**kw)  # the same grid's passes, stored
-        registry, recorder = _templates()
-        out = run_suite_parallel(telemetry=registry, spans=recorder, **kw)
+        out = run_suite_parallel(telemetry=WINDOW, spans=RATE, **kw)
         assert sorted(out) == sorted(standalone)
         for cell, result in out.items():
             _assert_same_run(result, standalone[cell])
@@ -372,10 +382,9 @@ class TestProbeTemplates:
     @pytest.mark.parametrize("device", ["hmc", "hbm", "ddr"])
     @pytest.mark.parametrize("engine", ["auto", "reference"])
     def test_devices_and_engines(self, device, engine):
-        registry, recorder = _templates()
         trio = run_comparison(
             "gs", n_accesses=N, seed=SEED, device=device, engine=engine,
-            telemetry=registry, spans=recorder,
+            telemetry=WINDOW, spans=RATE,
         )
         for kind, result in trio.items():
             _assert_same_run(
@@ -387,11 +396,10 @@ class TestProbeTemplates:
         {"fine_grain": True}, {"extra_benchmarks": ("bfs",)},
     ], ids=["fine-grain", "co-run"])
     def test_fine_grain_and_co_run(self, mode, workers):
-        registry, recorder = _templates()
         out = run_suite_parallel(
             kinds=ARMS, benchmarks=("gs", "stream"), n_accesses=N,
-            seed=SEED, max_workers=workers, telemetry=registry,
-            spans=recorder, **mode,
+            seed=SEED, max_workers=workers, telemetry=WINDOW, spans=RATE,
+            **mode,
         )
         for (bench, arm), result in out.items():
             _assert_same_run(
@@ -404,11 +412,11 @@ class TestProbeTemplates:
         from repro.artifacts import compute_trace_pass
         from repro.engine.driver import run_arm
 
-        spec = RunSpec(("gs",), N, seed=SEED, span_rate=RATE)
+        spec = RunSpec(("gs",), N, seed=SEED, spans=RATE)
         with pytest.raises(ValueError, match="probes"):
-            run_arm(spec, compute_trace_pass(replace(spec, span_rate=None)))
+            run_arm(spec, compute_trace_pass(replace(spec, spans=None)))
         with pytest.raises(ValueError, match="probes"):
-            run_arm(spec, compute_trace_pass(replace(spec, span_rate=8)))
+            run_arm(spec, compute_trace_pass(replace(spec, spans=8)))
         assert run_arm(spec, compute_trace_pass(spec)) == run_benchmark(
             "gs", n_accesses=N, seed=SEED, spans=RATE,
         )

@@ -72,9 +72,7 @@ class TestSpanParity:
         _assert_identical(*_pair("gs", fine_grain=True))
 
     def test_with_telemetry(self):
-        ref, auto = _pair(
-            "bfs", telemetry=TelemetryRegistry(window_cycles=256)
-        )
+        ref, auto = _pair("bfs", telemetry=256)
         _assert_identical(ref, auto)
         assert ref.telemetry.to_json() == auto.telemetry.to_json()
 

@@ -5,9 +5,10 @@ import pytest
 
 from repro.config import TABLE1
 from repro.core.pac import PagedAdaptiveCoalescer
+from repro.core.protocols import HBM, HMC1, HMC2, HMC2_FINE
 from repro.engine.driver import run_spec
 from repro.engine.spec import RunSpec
-from repro.engine.system import CoalescerKind, System
+from repro.engine.system import CoalescerKind, System, device_protocol
 from repro.mshr.dmc import MSHRBasedDMC, NullCoalescer
 from repro.telemetry import TelemetryRegistry
 
@@ -44,16 +45,37 @@ class TestConstruction:
         assert sys_.device.route_by_address
         assert sys_.protocol.name == "hbm"
 
-    def test_incompatible_protocol_device_rejected(self):
-        from repro.core.protocols import HBM
+    @pytest.mark.parametrize("device, config, fine_grain, protocol", [
+        ("hmc", TABLE1, False, HMC2),
+        ("hmc", TABLE1.with_hmc(max_packet_bytes=128), False, HMC1),
+        ("hmc", TABLE1.with_hmc(max_packet_bytes=512), False, HMC2),
+        ("hmc", TABLE1, True, HMC2_FINE),
+        ("hbm", TABLE1, False, HBM),
+        ("hbm", TABLE1, True, HBM),
+        ("ddr", TABLE1, False, HMC2),
+        ("ddr", TABLE1, True, HMC2_FINE),
+    ])
+    def test_protocol_follows_the_device(
+        self, device, config, fine_grain, protocol
+    ):
+        assert device_protocol(device, config, fine_grain) is protocol
+        sys_ = System(
+            config, CoalescerKind.PAC, device=device, fine_grain=fine_grain
+        )
+        assert sys_.protocol is protocol
+        assert sys_.coalescer.protocol is protocol
 
-        with pytest.raises(ValueError, match="accepts at most"):
-            System(TABLE1, CoalescerKind.PAC, protocol=HBM, device="hmc")
+    @pytest.mark.parametrize("max_bytes, fine_grain", [(64, False), (128, True)])
+    def test_an_hmc_device_no_protocol_fits_is_rejected(
+        self, max_bytes, fine_grain
+    ):
+        config = TABLE1.with_hmc(max_packet_bytes=max_bytes)
+        with pytest.raises(ValueError, match=f"max_packet_bytes={max_bytes}B"):
+            System(config, CoalescerKind.PAC, fine_grain=fine_grain)
 
-    def test_hmc1_protocol_on_hmc2_device_ok(self):
-        from repro.core.protocols import HMC1
-
-        System(TABLE1, CoalescerKind.PAC, protocol=HMC1, device="hmc")
+    def test_protocol_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="protocol"):
+            System(TABLE1, CoalescerKind.PAC, protocol=HMC1)
 
     def test_fine_grain_disables_prefetcher(self):
         sys_ = System(TABLE1, CoalescerKind.PAC, fine_grain=True)

@@ -8,7 +8,7 @@ into the real HMC, HBM or DDR device, on both engines, with the device
 wrapped in a :class:`~repro.mshr.dmc.RecordingDevice` that keeps every
 submitted packet. The grid covers the none/dmc/pac/sortdmc arms on gs,
 bfs, stream and ``atomichist`` (atomics and fences). Every cell must
-obey laws 1–5 and 7; law 6 runs the none/dmc/pac arms on gs and
+obey laws 1–5 and 7–9; law 6 runs the none/dmc/pac arms on gs and
 ``atomichist`` with telemetry and spans on, at half the accesses:
 
 1. **Conservation** — every raw request that is not a fence appears in
@@ -35,6 +35,19 @@ obey laws 1–5 and 7; law 6 runs the none/dmc/pac arms on gs and
 7. **Per-packet energy** — ``VAULT-CTRL`` is 12 pJ per submit on HMC
    and HBM and 0 on DDR; ``DRAM-TRANSFER`` is 1.2 pJ per payload byte
    (to 1e-9 relative: 1.2 is not exactly representable).
+8. **Energy by count** — ``DRAM-ACTIVATE`` is 90 pJ per bank activation
+   the result counts, and the two route categories charge every FLIT
+   of every submit once: ``LINK-LOCAL-ROUTE``/6 + ``LINK-REMOTE-ROUTE``
+   /16 is the submits' summed request + response FLITs
+   (:func:`~repro.hmc.packet.packet_flits`) on HMC and HBM, and 0 on
+   DDR, which has no links. Both hold exactly. With law 7 this accounts
+   for five of the seven categories; the two slot categories charge
+   queue residency, which no count outside the device gives.
+9. **Stream bound** — on the PAC arm the aggregator's
+   ``occupancy_at_insert`` and ``occupancy_samples`` histograms hold no
+   key above ``config.pac.n_streams``: no window occupies more streams
+   than the hardware has. bfs at four streams reaches the bound on every
+   device and engine, so the law is not vacuous.
 """
 
 from __future__ import annotations
@@ -47,9 +60,11 @@ import pytest
 
 from repro.artifacts import compute_trace_pass
 from repro.common.types import HMC_CONTROL_OVERHEAD_BYTES, MemOp, PAGE_BYTES
+from repro.config import TABLE1
 from repro.engine.driver import run_arm
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
+from repro.hmc.packet import packet_flits
 from repro.hmc.power import ENERGY_PJ
 from repro.mshr.dmc import RecordingDevice
 
@@ -110,19 +125,23 @@ def _prefix(spec: RunSpec, prefixes: dict):
 def _recorded_run(spec: RunSpec, prefixes: dict, tap=CompletionTap):
     """``spec``'s arm over its shared prefix, folding in a copy of what
     the prefix's probes observed as :func:`run_arm` does, with the
-    device wrapped in ``tap``: (raw stream, RunResult, tap)."""
+    device wrapped in ``tap``: (raw stream, RunResult, tap, system)."""
     tp = _prefix(spec, prefixes)
     telemetry, spans = copy.deepcopy(tp.probes) if tp.probes else (None, None)
     system = spec.system(telemetry=telemetry, spans=spans)
     tap = system.device = tap(system.device)
-    result = system.run_raw(
-        tp.raw,
-        benchmark=tp.benchmark,
-        n_accesses=tp.n_accesses,
-        trace_end_cycle=tp.trace_end_cycle,
-        cache_metrics=tp.cache_metrics,
+    result = system.run_raw(tp)
+    return tp.raw, result, tap, system
+
+
+def _max_occupancy(system) -> int:
+    """The largest occupied-stream count either aggregator histogram
+    holds."""
+    stats = system.coalescer.aggregator.stats
+    return max(
+        max(stats.histogram(name).bins, default=0)
+        for name in ("occupancy_at_insert", "occupancy_samples")
     )
-    return tp.raw, result, tap
 
 
 @pytest.mark.parametrize("bench", BENCHES)
@@ -133,7 +152,7 @@ def test_whole_system_laws(device, engine, arm, bench, prefixes):
     spec = RunSpec(
         (bench,), N, arm=arm, seed=SEED, device=device, engine=engine
     )
-    raw, result, tap = _recorded_run(spec, prefixes)
+    raw, result, tap, system = _recorded_run(spec, prefixes)
     packets = [packet for packet, _ in tap.submits]
     assert packets, "the run submitted nothing"
 
@@ -182,6 +201,21 @@ def test_whole_system_laws(device, engine, arm, bench, prefixes):
         ENERGY_PJ["DRAM-TRANSFER"] * result.payload_bytes, rel=1e-9
     )
 
+    # 8. Energy by count.
+    assert pj["DRAM-ACTIVATE"] == (
+        ENERGY_PJ["DRAM-ACTIVATE"] * result.bank_activations
+    )
+    flits = pj["LINK-LOCAL-ROUTE"] / ENERGY_PJ["LINK-LOCAL-ROUTE"] + (
+        pj["LINK-REMOTE-ROUTE"] / ENERGY_PJ["LINK-REMOTE-ROUTE"]
+    )
+    assert flits == (
+        0 if device == "ddr" else sum(packet_flits(p).total for p in packets)
+    )
+
+    # 9. Stream bound.
+    if arm is CoalescerKind.PAC:
+        assert _max_occupancy(system) <= spec.config.pac.n_streams
+
 
 @pytest.mark.parametrize("bench", ("gs", "atomichist"))
 @pytest.mark.parametrize("arm", ARMS[:3], ids=lambda kind: kind.value)
@@ -191,11 +225,11 @@ def test_sync_cadence_changes_nothing(device, engine, arm, bench, prefixes):
     """6. Sync cadence, with telemetry and spans on."""
     spec = RunSpec(
         (bench,), N_CADENCE, arm=arm, seed=SEED, device=device,
-        engine=engine, **RunSpec.probe_settings(True, True),
+        engine=engine, telemetry=True, spans=True,
     )
     plain = run_arm(spec, _prefix(spec, prefixes))
     for k in (1, 37):
-        _, result, tap = _recorded_run(
+        _, result, tap, _ = _recorded_run(
             spec, prefixes, functools.partial(SyncEvery, k=k)
         )
         assert len(tap.submits) > k
@@ -208,5 +242,18 @@ def test_recording_changes_nothing(device, prefixes):
     """The wrapper only listens: a recorded run's RunResult equals the
     same arm's plain :func:`run_arm` over the same prefix."""
     spec = RunSpec(("atomichist",), N, seed=SEED, device=device)
-    _, recorded, _ = _recorded_run(spec, prefixes)
+    _, recorded, _, _ = _recorded_run(spec, prefixes)
     assert recorded == run_arm(spec, _prefix(spec, prefixes))
+
+
+@pytest.mark.parametrize("engine", ("auto", "reference"))
+@pytest.mark.parametrize("device", ("hmc", "hbm", "ddr"))
+def test_stream_bound_is_reached(device, engine, prefixes):
+    """9. The stream bound, at four streams: bfs fills every one, and no
+    more."""
+    spec = RunSpec(
+        ("bfs",), N, seed=SEED, device=device, engine=engine,
+        config=TABLE1.with_pac(n_streams=4),
+    )
+    _, _, _, system = _recorded_run(spec, prefixes)
+    assert _max_occupancy(system) == 4

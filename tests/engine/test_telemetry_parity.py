@@ -31,7 +31,7 @@ def _pair(bench="gs", device="hmc", kind=CoalescerKind.PAC, window=None,
         run_benchmark(
             bench, coalescer=kind, n_accesses=n_accesses, seed=SEED,
             device=device, engine=engine,
-            telemetry=TelemetryRegistry(window_cycles=window) if window else True,
+            telemetry=window or True,
             **kw,
         )
         for engine in ("reference", "auto")

@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from repro.config import TABLE1
-from repro.core.protocols import HBM, HMC1
 from repro.engine.driver import run_spec
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
@@ -87,8 +86,8 @@ class TestSharedPrefix:
 
     @pytest.mark.parametrize("fields", [
         {"config": TABLE1.with_pac(timeout_cycles=4)},
-        {"config": TABLE1.with_hmc(max_packet_bytes=128), "protocol": HMC1},
-        {"protocol": HBM, "device": "hbm"},
+        {"config": TABLE1.with_hmc(max_packet_bytes=128)},
+        {"device": "hbm"},
         {"device": "ddr", "arm": CoalescerKind.NONE},
         {"arm": CoalescerKind.SORT},
         {"config": replace(TABLE1, n_cores=1), "arm": CoalescerKind.DMC},

@@ -16,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.artifacts import build_trace_pass
 from repro.config import PACConfig
 from repro.core.pac import PagedAdaptiveCoalescer
 from repro.core.protocols import HMC2
 from repro.engine.driver import run_benchmark
+from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind, System
 from repro.hmc.device import HMCDevice
 from repro.telemetry.probe import (
@@ -101,6 +103,7 @@ class TestDisabledPathIsAllocationFree:
         for twin in (pac, hierarchy, system.device):
             assert twin._probes_on is False
             assert not hasattr(twin, "_probe_buf")
-        system.run_trace(system.build_trace(["gs"], 1500, seed=SEED))
+        spec = RunSpec(("gs",), 1500, seed=SEED)
+        system.run_raw(build_trace_pass(spec, system))
         for twin in (pac, hierarchy, system.device):
             assert not hasattr(twin, "_probe_buf")

@@ -121,21 +121,18 @@ class TestEnabledVsDisabled:
         assert on.as_row() == off.as_row()
         assert on.energy == off.energy
 
-    def test_custom_registry_and_window(self):
-        """A registry handed in is a template: the run records into a
-        fresh one with its window, and the one handed in stays empty."""
-        registry = TelemetryRegistry(window_cycles=256)
+    def test_custom_window(self):
+        """An int ``telemetry`` is the window: the run records into a
+        fresh registry with it."""
         result = run_benchmark(
             "gs", coalescer=CoalescerKind.PAC, n_accesses=2000, seed=3,
-            telemetry=registry,
+            telemetry=256,
         )
-        assert result.telemetry is not registry
         assert result.telemetry.window_cycles == 256
         assert (
             result.telemetry.counters["device.packets"].total
             == result.n_issued
         )
-        assert registry.probe_names() == []
 
     def test_to_dict_includes_telemetry_only_when_enabled(self):
         on = run_benchmark(

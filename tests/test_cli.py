@@ -93,18 +93,19 @@ class TestRunCommands:
         assert first == b"{\n"
         assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
+    @pytest.mark.parametrize("command", ["compare", "spans"])
     @pytest.mark.parametrize("env, text", [
         ("REPRO_MAX_RETRIES", "three"),
         ("REPRO_JOB_TIMEOUT", "soon"),
     ])
     def test_bad_supervision_variable_is_a_usage_error(
-        self, monkeypatch, capsys, env, text
+        self, monkeypatch, capsys, env, text, command
     ):
         """Like ``--jobs 0``: exit 2 with a one-line message naming the
-        variable, not a traceback."""
+        variable, not a traceback, on every grid command."""
         monkeypatch.setenv(env, text)
         with pytest.raises(SystemExit) as exc:
-            main(["--accesses", "500", "compare", "gs"])
+            main(["--accesses", "500", command, "gs"])
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == f"repro: error: ${env} must be " + (
@@ -222,6 +223,13 @@ class TestTraceCommand:
             assert column in out
         assert "windows x 1024 cycles" in out
 
+    @pytest.mark.parametrize("window", ["0", "-4"])
+    def test_bad_window_is_a_usage_error(self, window, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "gs", "--accesses", "500", "--window", window])
+        assert exc.value.code == 2
+        assert "--window must be positive" in capsys.readouterr().err
+
     def test_timeline_mode_csv_and_json_export(self, tmp_path, capsys):
         csv_path = tmp_path / "probes.csv"
         json_path = tmp_path / "probes.json"
@@ -283,15 +291,22 @@ class TestSpansCommand:
         assert any(ln.startswith("# benchmark=stream") for ln in lines)
         assert "slowest tracked requests" in capsys.readouterr().out
 
-    def test_all_benchmarks_loop(self, capsys):
-        assert main(
-            ["spans", "all", "--accesses", "500", "--sample-rate", "32"]
-        ) == 0
-        out = capsys.readouterr().out
+    def test_all_benchmarks_run_as_one_grid(self, capsys):
+        from repro.telemetry import events as ev
         from repro.workloads import BENCHMARK_NAMES
 
+        log = ev.EventLog()
+        with ev.installed(log):
+            assert main(
+                ["--jobs", "1", "spans", "all", "--accesses", "500",
+                 "--sample-rate", "32"]
+            ) == 0
+        out = capsys.readouterr().out
         for name in BENCHMARK_NAMES:
             assert f"{name} / pac" in out
+        kinds = [d["kind"] for d in log.records]
+        assert kinds.count("suite.start") == 1
+        assert kinds.count("run.start") == len(BENCHMARK_NAMES)
 
     def test_exports_rejected_for_all(self, capsys):
         with pytest.raises(SystemExit):
