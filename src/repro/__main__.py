@@ -44,6 +44,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.config import TABLE1
 from repro.engine.driver import run_benchmark, run_comparison
@@ -60,23 +61,64 @@ def _print_result(result) -> None:
         print(f"  {key:28s} {value}")
 
 
+def _number(kind, need: str, ok):
+    """An argparse type: a ``kind`` value for which ``ok`` holds; any
+    other is a usage error naming the flag (exit 2)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_AT_LEAST_1 = _number(int, ">= 1", lambda v: v >= 1)
+_AT_LEAST_0 = _number(int, ">= 0", lambda v: v >= 0)
+
+
+@contextmanager
+def _event_log(path):
+    """``--events PATH``: log this command's events to ``path``, and
+    only its. Pool workers read ``$REPRO_EVENTS``, so it names ``path``
+    for as long as the command runs, then gets its old value back."""
+    if not path:
+        yield
+        return
+    from repro.telemetry import events as ev
+
+    previous = os.environ.get(ev.ENV_EVENTS)
+    os.environ[ev.ENV_EVENTS] = path
+    try:
+        with ev.EventLog(path) as log, ev.installed(log):
+            yield
+    finally:
+        if previous is None:
+            del os.environ[ev.ENV_EVENTS]
+        else:
+            os.environ[ev.ENV_EVENTS] = previous
+
+
 def _maybe_record(
-    results, *, kind: str, n_accesses: int, seed, device: str = "hmc",
-    wall_seconds: float = 0.0,
+    results, *, root, kind: str, n_accesses: int, seed,
+    device: str = "hmc", wall_seconds: float = 0.0,
 ) -> None:
-    """Append a run record when the ledger is enabled (silent no-op
-    otherwise — recording must never change a run's observable cost)."""
+    """Append a run record to the ledger at ``root`` (``--ledger``),
+    else at ``$REPRO_LEDGER_DIR``; a silent no-op when neither names
+    one — recording must never change a run's observable cost."""
     from repro import ledger
 
-    if not ledger.ledger_enabled():
+    root = root or ledger.ledger_dir()
+    if root is None:
         return
     record = ledger.build_record(
         results, kind=kind, config=TABLE1, n_accesses=n_accesses,
         seed=seed, device=device, wall_seconds=wall_seconds,
     )
-    path = ledger.record_run(record)
-    if path is not None:
-        print(f"ledger: recorded {record.run_id}")
+    ledger.record_run(record, root)
+    print(f"ledger: recorded {record.run_id}")
 
 
 def main(argv=None) -> int:
@@ -98,12 +140,12 @@ def _run(argv) -> int:
         prog="repro", description="PAC reproduction CLI"
     )
     parser.add_argument(
-        "--accesses", type=int, default=experiments.DEFAULT_N,
+        "--accesses", type=_AT_LEAST_1, default=experiments.DEFAULT_N,
         help=f"trace length per run (default {experiments.DEFAULT_N})",
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--jobs", type=int, default=None,
+        "--jobs", type=_AT_LEAST_1, default=None,
         help="worker processes for suite-scale commands "
              "(default: the CPUs this process may use; 1 forces serial)",
     )
@@ -115,12 +157,12 @@ def _run(argv) -> int:
     parser.add_argument(
         "--events", metavar="PATH", default=None, dest="events_path",
         help="append structured JSONL events to PATH for this invocation "
-             "(equivalent to $REPRO_EVENTS; pool workers inherit it)",
+             "(as $REPRO_EVENTS does; pool workers log there too)",
     )
     parser.add_argument(
-        "--ledger", metavar="DIR", default=None, dest="ledger_env",
+        "--ledger", metavar="DIR", default=None, dest="ledger_dir",
         help="record runs into the persistent ledger at DIR "
-             "(equivalent to $REPRO_LEDGER_DIR)",
+             "(default: $REPRO_LEDGER_DIR)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # Per-subcommand overrides of the global --accesses/--seed. SUPPRESS
@@ -128,7 +170,7 @@ def _run(argv) -> int:
     # (parsed before the subcommand) survives unless overridden.
     run_overrides = argparse.ArgumentParser(add_help=False)
     run_overrides.add_argument(
-        "--accesses", type=int, default=argparse.SUPPRESS,
+        "--accesses", type=_AT_LEAST_1, default=argparse.SUPPRESS,
         help="trace length (overrides the global --accesses)",
     )
     run_overrides.add_argument(
@@ -265,7 +307,7 @@ def _run(argv) -> int:
         default="pac", help="arm to trace",
     )
     p_spans.add_argument(
-        "--sample-rate", type=int, default=16, dest="sample_rate",
+        "--sample-rate", type=_AT_LEAST_1, default=16, dest="sample_rate",
         help="track 1 raw request in N (default 16; 1 = every request)",
     )
     p_spans.add_argument(
@@ -278,7 +320,7 @@ def _run(argv) -> int:
         help="write the long-form span CSV to PATH (single benchmark only)",
     )
     p_spans.add_argument(
-        "--top-k", type=int, default=0, dest="top_k", metavar="K",
+        "--top-k", type=_AT_LEAST_0, default=0, dest="top_k", metavar="K",
         help="also print the K slowest tracked requests",
     )
 
@@ -304,15 +346,15 @@ def _run(argv) -> int:
         help="override the benchmark set",
     )
     p_bench.add_argument(
-        "--repeats", type=int, default=None,
+        "--repeats", type=_AT_LEAST_1, default=None,
         help="timed repeats per measurement (min is reported)",
     )
     p_bench.add_argument(
-        "--warmup", type=int, default=None,
+        "--warmup", type=_AT_LEAST_0, default=None,
         help="untimed warmup iterations per measurement",
     )
     p_bench.add_argument(
-        "--accesses", type=int, default=None, dest="bench_accesses",
+        "--accesses", type=_AT_LEAST_1, default=None, dest="bench_accesses",
         help="trace length per run (default 20000; 8000 with --quick)",
     )
     p_bench.add_argument(
@@ -320,7 +362,9 @@ def _run(argv) -> int:
         help="BENCH_*.json to gate against (fail on regression)",
     )
     p_bench.add_argument(
-        "--max-regression", type=float, default=0.30, dest="max_regression",
+        "--max-regression", default=0.30,
+        type=_number(float, "in [0, 1)", lambda v: 0 <= v < 1),
+        dest="max_regression",
         help="allowed fractional throughput drop vs baseline (default 0.30)",
     )
 
@@ -348,12 +392,13 @@ def _run(argv) -> int:
              "(mutually exclusive with --faults)",
     )
     p_health.add_argument(
-        "--timeout", type=float, default=None, dest="job_timeout",
+        "--timeout", type=_number(float, "> 0", lambda v: v > 0),
+        default=None, dest="job_timeout",
         help="per-job wall-clock timeout in seconds "
              "(default: $REPRO_JOB_TIMEOUT or 300)",
     )
     p_health.add_argument(
-        "--max-retries", type=int, default=None, dest="max_retries",
+        "--max-retries", type=_AT_LEAST_0, default=None, dest="max_retries",
         help="retry budget per job (default: $REPRO_MAX_RETRIES or 3)",
     )
     p_health.add_argument(
@@ -371,9 +416,10 @@ def _run(argv) -> int:
         "ref", nargs="?", default=None,
         help="run id, unique id prefix, or record path (show mode)",
     )
+    # --dir overrides the global --ledger (SUPPRESS, as for --accesses).
     p_runs.add_argument(
-        "--dir", default=None, dest="ledger_root",
-        help="ledger directory (default: $REPRO_LEDGER_DIR)",
+        "--dir", default=argparse.SUPPRESS, dest="ledger_dir",
+        help="ledger directory (default: --ledger, else $REPRO_LEDGER_DIR)",
     )
     p_runs.add_argument(
         "--json", action="store_true", dest="runs_json",
@@ -388,8 +434,8 @@ def _run(argv) -> int:
     p_diff.add_argument("run_a", help="run id, id prefix, or record path")
     p_diff.add_argument("run_b", help="run id, id prefix, or record path")
     p_diff.add_argument(
-        "--dir", default=None, dest="ledger_root",
-        help="ledger directory (default: $REPRO_LEDGER_DIR)",
+        "--dir", default=argparse.SUPPRESS, dest="ledger_dir",
+        help="ledger directory (default: --ledger, else $REPRO_LEDGER_DIR)",
     )
     p_diff.add_argument(
         "--json", action="store_true", dest="diff_json",
@@ -401,7 +447,7 @@ def _run(argv) -> int:
              "deterministic metrics exceeds this fraction (CI gate)",
     )
     p_diff.add_argument(
-        "--top", type=int, default=10,
+        "--top", type=_AT_LEAST_0, default=10,
         help="rows shown per attribution/counter table (default 10)",
     )
 
@@ -423,34 +469,24 @@ def _run(argv) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     if args.command in ("compare", "suite", "spans", "health", "bench"):
-        # Grid commands run under the pool supervisor: a bad --timeout /
-        # --max-retries, or a $REPRO_* supervision variable that does
-        # not parse, is a usage error here, not a traceback later.
-        job_timeout = getattr(args, "job_timeout", None)
-        max_retries = getattr(args, "max_retries", None)
-        if job_timeout is not None and not job_timeout > 0:
-            parser.error(f"--timeout must be > 0, got {job_timeout}")
-        if max_retries is not None and max_retries < 0:
-            parser.error(f"--max-retries must be >= 0, got {max_retries}")
+        # Grid commands run under the pool supervisor: a $REPRO_*
+        # supervision variable that does not parse is a usage error
+        # here, not a traceback later.
         try:
-            resolve_supervision(job_timeout, max_retries)
+            resolve_supervision(
+                getattr(args, "job_timeout", None),
+                getattr(args, "max_retries", None),
+            )
         except ValueError as exc:
             parser.error(str(exc))
+    with _event_log(args.events_path):
+        return _command(parser, args)
 
-    if args.events_path:
-        # Environment, not a parameter: fork/spawn pool workers inherit
-        # it, so one flag covers every process of a suite run.
-        os.environ["REPRO_EVENTS"] = args.events_path
-    if args.ledger_env:
-        os.environ["REPRO_LEDGER_DIR"] = args.ledger_env
 
-    if args.no_artifact_cache:
-        # Environment (not a parameter): fork/spawn pool workers inherit
-        # it, so the switch reaches every process of a suite run.
-        os.environ["REPRO_ARTIFACT_CACHE"] = "0"
+def _command(parser: argparse.ArgumentParser, args) -> int:
+    """Run the parsed command; every flag reaches it as an argument."""
+    use_cache = not args.no_artifact_cache
 
     if args.command == "cache":
         from pathlib import Path
@@ -518,8 +554,8 @@ def _run(argv) -> int:
             _print_result(result)
         _maybe_record(
             {(args.benchmark, args.coalescer): result},
-            kind="run", n_accesses=args.accesses, seed=args.seed,
-            device=args.device, wall_seconds=wall,
+            root=args.ledger_dir, kind="run", n_accesses=args.accesses,
+            seed=args.seed, device=args.device, wall_seconds=wall,
         )
         return 0
 
@@ -527,6 +563,7 @@ def _run(argv) -> int:
         t0 = time.perf_counter()
         results = run_comparison(
             args.benchmark, n_accesses=args.accesses, seed=args.seed,
+            use_artifact_cache=use_cache,
             telemetry=args.cmp_telemetry, spans=args.cmp_spans,
         )
         wall = time.perf_counter() - t0
@@ -540,8 +577,8 @@ def _run(argv) -> int:
                     "bank_conflicts", "runtime_cycles", "energy_nj"]
             print(render_table(rows, title=args.benchmark, columns=keep))
         _maybe_record(
-            results, kind="compare", n_accesses=args.accesses,
-            seed=args.seed, wall_seconds=wall,
+            results, root=args.ledger_dir, kind="compare",
+            n_accesses=args.accesses, seed=args.seed, wall_seconds=wall,
         )
         return 0
 
@@ -556,6 +593,7 @@ def _run(argv) -> int:
             kinds=(kind,),
             n_accesses=args.accesses, seed=args.seed,
             max_workers=args.jobs,
+            use_artifact_cache=use_cache,
             telemetry=args.suite_telemetry,
             spans=args.suite_spans,
         )
@@ -578,13 +616,15 @@ def _run(argv) -> int:
             print(render_table(rows, title=f"suite / {args.coalescer}",
                                columns=keep))
         _maybe_record(
-            results, kind="suite", n_accesses=args.accesses,
-            seed=args.seed, wall_seconds=wall,
+            results, root=args.ledger_dir, kind="suite",
+            n_accesses=args.accesses, seed=args.seed, wall_seconds=wall,
         )
         return 0
 
     if args.command in ("figure", "ablation", "report", "validate"):
-        runs = experiments.Runs(args.accesses, args.seed)
+        runs = experiments.Runs(
+            args.accesses, args.seed, use_artifact_cache=use_cache
+        )
         if args.command == "report":
             sys.stdout.write(experiments.report(runs))
             return 0
@@ -690,8 +730,6 @@ def _run(argv) -> int:
         )
 
         n_accesses, seed = args.accesses, args.seed
-        if args.sample_rate <= 0:
-            parser.error("--sample-rate must be positive")
         names = (
             list(BENCHMARK_NAMES)
             if args.benchmark == "all"
@@ -760,6 +798,7 @@ def _run(argv) -> int:
             n_accesses=n_accesses,
             seed=seed,
             max_workers=args.jobs,
+            use_artifact_cache=use_cache,
             stats=stats,
             faults=plan if plan is not None else False,
             job_timeout=args.job_timeout,
@@ -797,7 +836,8 @@ def _run(argv) -> int:
                 json_mod.dump(report, fh, indent=2, sort_keys=True)
             print(f"wrote health report to {args.health_json}")
         _maybe_record(
-            results, kind="health", n_accesses=n_accesses, seed=seed,
+            results, root=args.ledger_dir, kind="health",
+            n_accesses=n_accesses, seed=seed,
             wall_seconds=health.wall_seconds,
         )
         if health.healthy:
@@ -863,7 +903,7 @@ def _run(argv) -> int:
     if args.command == "runs":
         from repro import ledger
 
-        root = args.ledger_root
+        root = args.ledger_dir
         if args.action == "show":
             if not args.ref:
                 parser.error("runs show needs a run id/prefix/path")
@@ -915,8 +955,8 @@ def _run(argv) -> int:
         from repro.ledger.diff import diff_runs
 
         try:
-            rec_a = ledger.load_run(args.run_a, root=args.ledger_root)
-            rec_b = ledger.load_run(args.run_b, root=args.ledger_root)
+            rec_a = ledger.load_run(args.run_a, root=args.ledger_dir)
+            rec_b = ledger.load_run(args.run_b, root=args.ledger_dir)
         except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
             print(f"error: {exc}")
             return 2

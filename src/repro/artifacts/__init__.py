@@ -11,6 +11,10 @@ out to pool workers through ``multiprocessing.shared_memory`` instead of
 pickle. The store keeps no in-process state: store traffic shows in the
 ``cache.*`` events and a grid's hit and miss counts.
 
+The store is an argument: an entry point resolves :func:`get_store`
+(or None) once and hands it to :func:`load_trace_pass` and
+:func:`compute_trace_pass`.
+
 See ARCHITECTURE.md ("Artifact cache") for the key spec, invalidation
 rules, and shared-memory layout.
 """
@@ -30,7 +34,6 @@ from repro.artifacts.store import (
     ARTIFACT_SCHEMA,
     ArtifactEntry,
     ArtifactStore,
-    cache_enabled,
     code_fingerprint,
     default_root,
     get_store,
@@ -39,10 +42,8 @@ from repro.artifacts.store import (
 from repro.artifacts.pipeline import (
     TracePass,
     build_trace_pass,
-    compute_and_store_trace_pass,
     compute_trace_pass,
-    load_or_compute_trace_pass,
-    try_load_trace_pass,
+    load_trace_pass,
 )
 
 __all__ = [
@@ -53,20 +54,17 @@ __all__ = [
     "TracePass",
     "attach",
     "build_trace_pass",
-    "cache_enabled",
     "check_requests",
     "code_fingerprint",
-    "compute_and_store_trace_pass",
     "compute_trace_pass",
     "decode_requests",
     "default_root",
     "detach",
     "encode_requests",
     "get_store",
-    "load_or_compute_trace_pass",
+    "load_trace_pass",
     "pass_key",
     "publish",
     "release",
     "segment_exists",
-    "try_load_trace_pass",
 ]

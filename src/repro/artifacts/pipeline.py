@@ -1,4 +1,4 @@
-"""Trace-pass pipeline: compute / cache / reload the per-benchmark prefix.
+"""Trace-pass pipeline: compute, store and reload the per-benchmark prefix.
 
 A suite run factors into a deterministic, coalescer-independent prefix
 (trace generation + cache-hierarchy pass — "phase 1") and a per-arm
@@ -7,6 +7,11 @@ hand-off value between them: everything phase 2 needs, with the raw
 stream as the :data:`repro.artifacts.shm.REQ_DTYPE` array the cache
 front-end emitted — it pickles as one buffer, maps straight into shared
 memory, and is what the coalescers read.
+
+Two functions move a pass through the store the caller hands them:
+:func:`load_trace_pass` reads it (the stored pass, or None) and
+:func:`compute_trace_pass` computes it (and writes it back when given a
+store). A caller without a store passes None and always computes.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.artifacts import shm as shm_codec
-from repro.artifacts.store import ArtifactStore, cache_enabled, get_store
+from repro.artifacts.store import ArtifactStore
 
 if TYPE_CHECKING:
     from repro.engine.spec import RunSpec
@@ -43,8 +48,6 @@ class TracePass:
     trace_end_cycle: int
     raw: np.ndarray
     cache_metrics: dict
-    key: str = ""
-    cached: bool = False
     probes: Optional[tuple] = None
 
     @property
@@ -74,15 +77,19 @@ def build_trace_pass(spec: "RunSpec", system: "System") -> TracePass:
     )
 
 
-def compute_trace_pass(spec: "RunSpec") -> TracePass:
+def compute_trace_pass(
+    spec: "RunSpec", store: Optional[ArtifactStore] = None
+) -> TracePass:
     """Run trace generation + the cache pass for ``spec`` on one
-    front-end :class:`~repro.engine.system.System` (no cache lookups).
+    front-end :class:`~repro.engine.system.System`, and given a
+    ``store``, write the pass back (it never reads the store: a caller
+    that wants a stored pass asks :func:`load_trace_pass` first).
 
     The front-end runs on the spec's ``engine``; the resulting pass is
     bit-identical either way (the batched front-end's contract), so the
     artifact keys deliberately ignore the knob. With the spec's probe
     settings on, the front-end's registry and recorder observe the pass
-    and become :attr:`TracePass.probes`.
+    and become :attr:`TracePass.probes`; a stored pass holds no probes.
     """
     from repro.engine.system import CoalescerKind
 
@@ -99,10 +106,29 @@ def compute_trace_pass(spec: "RunSpec") -> TracePass:
                 del probes[name]
     if registry is not None or system.spans is not None:
         tp.probes = (registry, system.spans)
+    if store is not None:
+        store.put(
+            "pass",
+            spec.pass_key(),
+            {
+                "benchmark": tp.benchmark,
+                "n_accesses": tp.n_accesses,
+                "seed": spec.seed,
+                "config_hash": spec.config.config_hash(),
+                "device": spec.device,
+                "scale": repr(spec.scale),
+                "extra_benchmarks": list(spec.benchmarks[1:]),
+                "fine_grain": spec.fine_grain,
+                "trace_end_cycle": tp.trace_end_cycle,
+                "n_raw": tp.n_raw,
+                "cache_metrics": tp.cache_metrics,
+            },
+            requests=tp.raw,
+        )
     return tp
 
 
-def _from_payload(payload: dict, key: str = "") -> TracePass:
+def _from_payload(payload: dict) -> TracePass:
     """The pass a stored payload holds. Raises ``KeyError``,
     ``TypeError`` or ``ValueError`` on one phase 2 could not run: missing
     meta, or a stream that fails
@@ -115,77 +141,21 @@ def _from_payload(payload: dict, key: str = "") -> TracePass:
         trace_end_cycle=int(meta["trace_end_cycle"]),
         raw=payload["requests"],
         cache_metrics=dict(meta["cache_metrics"]),
-        key=key,
-        cached=True,
     )
 
 
-def try_load_trace_pass(
-    spec: "RunSpec", store: Optional[ArtifactStore] = None
+def load_trace_pass(
+    spec: "RunSpec", store: Optional[ArtifactStore]
 ) -> Optional[TracePass]:
-    """Load ``spec``'s cached pass artifact, or None (never computes).
+    """``spec``'s stored pass, or None: on a miss, or with no store
+    (never computes).
 
-    An entry :func:`_from_payload` rejects counts as corrupt: the store
-    unlinks it and reports a miss, so the caller recomputes.
+    The entry is parsed and its stream checked once, inside the store's
+    read: an entry :func:`_from_payload` rejects counts as corrupt, so
+    the store unlinks it and the caller recomputes. A stored pass is
+    engine-invariant (bit-identity), so a hit ignores the spec's
+    ``engine``.
     """
-    if not cache_enabled():
+    if store is None:
         return None
-    store = store if store is not None else get_store()
-    pkey = spec.pass_key()
-    payload = store.get("pass", pkey, check=_from_payload)
-    return None if payload is None else _from_payload(payload, pkey)
-
-
-def load_or_compute_trace_pass(
-    spec: "RunSpec",
-    use_cache: bool = True,
-    store: Optional[ArtifactStore] = None,
-) -> TracePass:
-    """Cache-aware trace-pass front door.
-
-    Lookup order: pass artifact (whole prefix skipped), then
-    :func:`compute_and_store_trace_pass`. The spec's ``engine`` selects
-    the front-end path on compute; cached artifacts are engine-invariant
-    (bit-identity), so hits ignore it.
-    """
-    if not (use_cache and cache_enabled()):
-        return compute_trace_pass(spec)
-    store = store if store is not None else get_store()
-    hit = try_load_trace_pass(spec, store=store)
-    if hit is not None:
-        return hit
-    return compute_and_store_trace_pass(spec, store)
-
-
-def compute_and_store_trace_pass(
-    spec: "RunSpec", store: Optional[ArtifactStore] = None
-) -> TracePass:
-    """The miss half of :func:`load_or_compute_trace_pass`: compute the
-    pass and write its artifact back.
-
-    It never probes the pass artifact: a caller that already missed on
-    it (phase 1 of the suite) calls this directly, so each pass is
-    looked up once.
-    """
-    store = store if store is not None else get_store()
-    tp = compute_trace_pass(spec)
-    tp.key = spec.pass_key()
-    store.put(
-        "pass",
-        tp.key,
-        {
-            "benchmark": tp.benchmark,
-            "n_accesses": tp.n_accesses,
-            "seed": spec.seed,
-            "config_hash": spec.config.config_hash(),
-            "device": spec.device,
-            "scale": repr(spec.scale),
-            "extra_benchmarks": list(spec.benchmarks[1:]),
-            "fine_grain": spec.fine_grain,
-            "trace_end_cycle": tp.trace_end_cycle,
-            "n_raw": tp.n_raw,
-            "cache_metrics": tp.cache_metrics,
-        },
-        requests=tp.raw,
-    )
-    return tp
+    return store.get("pass", spec.pass_key(), load=_from_payload)

@@ -19,7 +19,7 @@ Writes go through a temp file + ``os.replace`` so concurrent writers
 (pool workers racing on a cold cache) each publish a complete file and
 the last one wins — both wrote identical bytes, so either is correct.
 Corrupt entries (truncated by a crash, garbage, or contents the reader's
-check rejects) are treated as misses, unlinked, and recomputed; an entry
+``load`` rejects) are treated as misses, unlinked, and recomputed; an entry
 that cannot be read at all (absent, unreadable, a root that is not a
 directory) is a plain miss and nothing is unlinked. A write that fails
 (read-only or full disk) is skipped and the run goes on uncached. Every
@@ -45,19 +45,10 @@ import numpy as np
 #: entries become unreachable (never misread).
 ARTIFACT_SCHEMA = 1
 
-#: Environment knobs. The directory variable doubles as the isolation
-#: mechanism for tests and bench runs (point it at a temp dir); the
-#: cache variable is how ``--no-artifact-cache`` reaches pool workers,
-#: since fork/spawn children inherit the environment.
+#: The store's directory; it doubles as the isolation mechanism for
+#: tests and bench runs (point it at a temp dir). Whether a run uses a
+#: store at all is an argument (``use_artifact_cache``), not a variable.
 ENV_DIR = "REPRO_ARTIFACT_DIR"
-ENV_ENABLED = "REPRO_ARTIFACT_CACHE"
-
-_FALSEY = {"0", "false", "no", "off", ""}
-
-
-def cache_enabled() -> bool:
-    """Whether the artifact cache is globally enabled (env switch)."""
-    return os.environ.get(ENV_ENABLED, "1").strip().lower() not in _FALSEY
 
 
 def default_root() -> Path:
@@ -173,12 +164,13 @@ class ArtifactStore:
 
     def get(
         self, kind: str, key: str,
-        check: Optional[Callable[[dict], object]] = None,
-    ) -> Optional[dict]:
-        """Load ``{"meta": dict, **arrays}`` for a key, or None on miss.
+        load: Optional[Callable[[dict], object]] = None,
+    ) -> Optional[object]:
+        """Load ``{"meta": dict, **arrays}`` for a key — or, given
+        ``load``, what ``load`` makes of it — or None on a miss.
 
         A file that exists but cannot be parsed (torn write, wrong
-        version), or whose payload ``check`` rejects by raising, is
+        version), or whose payload ``load`` rejects by raising, is
         corrupt (``cache.corrupt``): it is unlinked and the caller
         recomputes. One that cannot be read at all (absent, no
         permission, a root that is not a directory) is a plain
@@ -206,8 +198,8 @@ class ArtifactStore:
                 "meta": json.loads(bytes(arrays.pop("__meta__").tobytes())),
                 **arrays,
             }
-            if check is not None:
-                check(payload)
+            if load is not None:
+                payload = load(payload)
         except OSError:
             # Absent, or unreadable (a root that is a plain file, no
             # permission, an I/O error): nothing to drop, a plain miss.

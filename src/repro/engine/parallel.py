@@ -10,14 +10,15 @@ cache-hierarchy pass are deterministic in (seed, config) and identical
 across arms — so every grid runs in two phases:
 
 * **Phase 1** computes each benchmark's trace + cache pass exactly once
-  (per benchmark, not per arm). Without probes it consults the
-  content-addressed artifact cache (:mod:`repro.artifacts`) so repeated
+  (per benchmark, not per arm). Without probes it is handed the
+  content-addressed artifact store (:mod:`repro.artifacts`) so repeated
   suites skip the prefix entirely: each pass artifact is looked up
-  once, and a miss goes straight to
-  :func:`repro.artifacts.compute_and_store_trace_pass`. With telemetry
-  or spans on, the pass is computed on probed front-end systems and
-  carries what they observed (:attr:`repro.artifacts.TracePass.probes`);
-  such a pass never touches the store.
+  once (:func:`repro.artifacts.load_trace_pass`), and a miss is
+  computed and written back by
+  :func:`repro.artifacts.compute_trace_pass`. With telemetry or spans
+  on, or ``use_artifact_cache=False``, it gets no store; a probe pass
+  is computed on probed front-end systems and carries what they
+  observed (:attr:`repro.artifacts.TracePass.probes`).
 * **Phase 2** runs the (benchmark × arm) coalescer+device jobs over
   each benchmark's raw stream — the packed array phase 1 produced —
   through :func:`repro.engine.driver.run_arm`, which folds a copy of
@@ -29,7 +30,8 @@ across arms — so every grid runs in two phases:
 Every phase hands its jobs to one
 :meth:`repro.engine.supervisor.PoolSupervisor.run` call, at any worker
 count, in one cost-sorted order, so a ``*.job`` fault ordinal names the
-same job everywhere. The supervisor gives bounded deterministic-backoff
+same job everywhere; the supervisor scopes the grid's fault plan to
+each job by that ordinal. The supervisor gives bounded deterministic-backoff
 retries and, on a pool, per-job wall-clock timeouts and crashed-worker
 rebuilds. When the fast path faults, execution walks a degradation
 ladder —
@@ -43,7 +45,8 @@ arguments, so recovered runs are bit-identical to fault-free runs;
 everything supervision did is reported on the
 :class:`repro.engine.health.RunHealth` attached to each result and to
 ``stats["health"]``. Deterministic fault injection for all of the above
-lives in :mod:`repro.faults` (``$REPRO_FAULTS``, or ``faults=`` here).
+lives in :mod:`repro.faults`: the plan is ``faults=`` here, else
+``$REPRO_FAULTS``, read once at the grid's entry.
 
 Every run still derives its RNG from ``(seed, benchmark)``, so results
 — telemetry and spans included — are bit-identical across serial /
@@ -58,8 +61,16 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.artifacts import (
+    ArtifactStore,
+    compute_trace_pass,
+    get_store,
+    load_trace_pass,
+    shm as shm_codec,
+)
 from repro.engine.driver import DEFAULT_ACCESSES, run_arm
 from repro.engine.health import RunHealth
 from repro.engine.results import RunResult
@@ -70,13 +81,7 @@ from repro.engine.supervisor import (
 )
 from repro.engine.spec import RunSpec
 from repro.engine.system import CoalescerKind
-from repro.faults import (
-    FaultInjector,
-    NullInjector,
-    installed,
-    job_scope,
-    resolve_plan,
-)
+from repro.faults import FaultInjector, installed, resolve_plan
 from repro.telemetry import events as ev
 from repro.workloads import BENCHMARK_NAMES
 
@@ -117,38 +122,14 @@ def _cell(spec: RunSpec) -> Tuple[str, str]:
     return spec.benchmarks[0], spec.arm.value
 
 
-def _jobs(
-    specs: Sequence[RunSpec], label, args, spec_text: str
-) -> List[SupervisedJob]:
-    """One supervised job per spec, keyed by it, in ``specs`` order.
-
-    Job ``i`` carries fault ordinal ``i``; ``label(spec)`` names it, and
-    ``args(spec, ctx)`` builds its argument tuple for each attempt, with
-    ``ctx`` the job's fault context (None when no plan is active).
-    """
-
-    def job(ordinal: int, spec: RunSpec) -> SupervisedJob:
-        def build(attempt: int) -> tuple:
-            ctx = (spec_text, ordinal, attempt) if spec_text else None
-            return args(spec, ctx)
-
-        return SupervisedJob(key=spec, label=label(spec), build_args=build)
-
-    return [job(i, spec) for i, spec in enumerate(specs)]
-
-
 def _phase1_job(args: tuple):
-    """Compute one benchmark's missed trace pass.
-
-    ``compute`` is :func:`~repro.artifacts.compute_and_store_trace_pass`
-    (artifact writes happen in the job) or, with the cache off or
-    probes on, :func:`~repro.artifacts.compute_trace_pass`; from a pool
-    worker the packed stream returns to the parent as a single
-    contiguous buffer, with the pass's probe state pickled beside it.
+    """Compute one benchmark's missed trace pass: ``args`` is the spec
+    and the grid's store (None with the cache off or probes on), so the
+    artifact write happens in the job. From a pool worker the packed
+    stream returns to the parent as a single contiguous buffer, with the
+    pass's probe state pickled beside it.
     """
-    spec, compute, fault_ctx = args
-    with job_scope(fault_ctx, "phase1.job"):
-        return compute(spec)
+    return compute_trace_pass(*args)
 
 
 def _phase2_job(args: tuple) -> RunResult:
@@ -161,19 +142,16 @@ def _phase2_job(args: tuple) -> RunResult:
     degraded per-job transport used when shared memory is unavailable
     or faulting). Either way the arm reads the packed array itself.
     """
-    spec, tp, segment, fault_ctx = args
-    with job_scope(fault_ctx, "phase2.job"):
-        if segment:
-            from repro.artifacts import shm as shm_codec
-
-            # Copy the stream out of the mapping before detaching: the
-            # view is only valid while the segment stays open.
-            handle, view = shm_codec.attach(*segment)
-            try:
-                tp = replace(tp, raw=view.copy())
-            finally:
-                shm_codec.detach(handle)
-        return run_arm(spec, tp)
+    spec, tp, segment = args
+    if segment:
+        # Copy the stream out of the mapping before detaching: the view
+        # is only valid while the segment stays open.
+        handle, view = shm_codec.attach(*segment)
+        try:
+            tp = replace(tp, raw=view.copy())
+        finally:
+            shm_codec.detach(handle)
+    return run_arm(spec, tp)
 
 
 def run_suite_parallel(
@@ -211,8 +189,10 @@ def run_suite_parallel(
     runs or is logged (:class:`ValueError`, :class:`TypeError`), and so
     does a bad supervision setting (below).
 
-    Every grid runs the two phases of the module docstring.
-    ``use_artifact_cache=False`` skips all cache reads/writes.
+    Every grid runs the two phases of the module docstring. Phase 1
+    reads and writes the store :func:`~repro.artifacts.get_store`
+    names when the grid starts; ``use_artifact_cache=False`` gives it
+    none, so nothing is read or written.
     ``stats``, if given a dict, gets exactly ``workers``, ``jobs``, the
     artifact hit/miss counts (``artifact_misses`` counts the passes
     phase 1 computed) and a JSON-safe ``"health"`` snapshot, which
@@ -227,7 +207,9 @@ def run_suite_parallel(
     :class:`~repro.engine.health.RunHealth` report lands on every
     result's ``.health`` (excluded from ``==``). ``faults`` accepts a
     :class:`~repro.faults.FaultPlan`, a spec string, ``None`` (consult
-    ``$REPRO_FAULTS``), or ``False`` (force-disable injection).
+    ``$REPRO_FAULTS``, here and nowhere else), or ``False``
+    (force-disable injection). The plan is installed in this process
+    for the run and scoped to each job by the supervisor.
 
     With the ``telemetry`` or ``spans`` field on, every arm gets a fresh
     registry or recorder at the spec's window or sample rate, at any
@@ -277,22 +259,18 @@ def run_suite_parallel(
     workers = min(max_workers or usable_cpus(), n_jobs)
 
     plan = resolve_plan(faults)
-    spec_text = plan.to_spec() if plan is not None else ""
     health = RunHealth(jobs=n_jobs, faults_enabled=plan is not None)
-    # A *fresh* NullInjector (not the shared singleton) marks injection
-    # as explicitly resolved for this run: active() only auto-installs
-    # from $REPRO_FAULTS while the pristine singleton is in place, so a
-    # run with faults disabled stays disabled even when the variable is
-    # set — in this process and (via fork) in its pool workers.
-    parent_injector = (
-        FaultInjector(plan) if plan is not None else NullInjector()
-    )
     supervisor = PoolSupervisor(
         workers=workers,
         health=health,
         job_timeout=job_timeout,
         max_retries=max_retries,
+        plan=plan.to_spec() if plan is not None else "",
     )
+    # A stored pass holds no probe events: a probe grid computes every
+    # pass on probed front-ends and leaves the store alone.
+    probed = (specs[0].telemetry, specs[0].spans) != (None, None)
+    store = get_store() if use_artifact_cache and not probed else None
 
     if stats is not None:
         stats.update(
@@ -312,13 +290,11 @@ def run_suite_parallel(
             workers=workers,
         ))
     try:
-        with installed(parent_injector):
-            # A stored pass holds no probe events: a probe grid computes
-            # every pass on probed front-ends and leaves the store alone.
-            probed = (specs[0].telemetry, specs[0].spans) != (None, None)
+        # With no plan this installs a disabled injector, so nothing an
+        # enclosing block installed fires inside the grid.
+        with installed(FaultInjector(plan)):
             out = _run_two_phase(
-                specs, grid, use_artifact_cache and not probed,
-                stats, supervisor, spec_text, health,
+                specs, grid, store, stats, supervisor, health
             )
     finally:
         supervisor.shutdown()
@@ -355,22 +331,11 @@ def _grid(specs: Sequence[RunSpec], kinds: Sequence[CoalescerKind]):
 def _run_two_phase(
     specs: Sequence[RunSpec],
     grid: Sequence[RunSpec],
-    use_artifact_cache: bool,
+    store: Optional[ArtifactStore],
     stats: Optional[dict],
     supervisor: PoolSupervisor,
-    spec_text: str,
     health: RunHealth,
 ) -> Dict[Tuple[str, str], RunResult]:
-    from repro.artifacts import (
-        cache_enabled,
-        compute_and_store_trace_pass,
-        compute_trace_pass,
-        shm as shm_codec,
-        try_load_trace_pass,
-    )
-
-    use_cache = use_artifact_cache and cache_enabled()
-    compute = compute_and_store_trace_pass if use_cache else compute_trace_pass
     elog = ev.active()
 
     # ---- phase 1: one trace+cache pass per benchmark ------------------
@@ -380,7 +345,7 @@ def _run_two_phase(
     passes: Dict[str, object] = {}
     misses: List[RunSpec] = []
     for spec in specs:
-        tp = try_load_trace_pass(spec) if use_cache else None
+        tp = load_trace_pass(spec, store)
         if tp is not None:
             passes[spec.benchmarks[0]] = tp
         else:
@@ -391,11 +356,15 @@ def _run_two_phase(
     misses.sort(key=_bench_cost, reverse=True)
     computed = supervisor.run(
         _phase1_job,
-        _jobs(
-            misses, lambda spec: f"phase1:{spec.benchmarks[0]}",
-            lambda spec, ctx: (spec, compute, ctx), spec_text,
-        ),
-        fallback=lambda job: compute(job.key),
+        [
+            SupervisedJob(
+                key=spec, label=f"phase1:{spec.benchmarks[0]}",
+                build_args=partial(tuple, (spec, store)),
+            )
+            for spec in misses
+        ],
+        site="phase1.job",
+        fallback=lambda job: compute_trace_pass(job.key, store),
         fallback_label="phase1-serial",
     )
     for spec, tp in computed.items():
@@ -422,11 +391,11 @@ def _run_two_phase(
         if elog.enabled:
             elog.emit(ev.Demoted(rung="shm->per-job", label=bench))
 
-    def p2_args(spec: RunSpec, ctx) -> tuple:
+    def p2_args(spec: RunSpec) -> tuple:
         bench = spec.benchmarks[0]
         if bench in segments:
-            return spec, headers[bench], segments[bench], ctx
-        return spec, passes[bench], None, ctx
+            return spec, headers[bench], segments[bench]
+        return spec, passes[bench], None
 
     def on_failure(job: SupervisedJob, exc: BaseException) -> None:
         bench = job.key.benchmarks[0]
@@ -452,9 +421,14 @@ def _run_two_phase(
         # construction.
         results = supervisor.run(
             _phase2_job,
-            _jobs(
-                grid, lambda spec: "/".join(_cell(spec)), p2_args, spec_text
-            ),
+            [
+                SupervisedJob(
+                    key=spec, label="/".join(_cell(spec)),
+                    build_args=partial(p2_args, spec),
+                )
+                for spec in grid
+            ],
+            site="phase2.job",
             fallback=lambda job: run_arm(
                 job.key, passes[job.key.benchmarks[0]]
             ),

@@ -26,6 +26,10 @@ function of its arguments, a retried or degraded job produces a
 bit-identical result — supervision changes how a result is obtained,
 never what it is. Everything the supervisor does is recorded on a
 :class:`repro.engine.health.RunHealth`.
+
+Given a fault plan's text, the supervisor runs every call inside
+:func:`repro.faults.job_scope` with the job's ordinal (its index in
+the batch) and attempt, so jobs carry no fault state of their own.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.engine.health import RunHealth
+from repro.faults import job_scope
 from repro.telemetry import events as ev
 
 #: Defaults, overridable per call and via the environment.
@@ -130,16 +135,24 @@ class SuiteExecutionError(RuntimeError):
 class SupervisedJob:
     """One keyed unit of work.
 
-    ``build_args`` maps the attempt number to the pickled argument
-    tuple — rebuilt per attempt so fault contexts and degraded
-    transports reach the worker deterministically.
+    ``build_args`` returns the argument tuple, at each submission, so
+    a transport demoted since the last attempt reaches the next one.
+    ``ordinal`` (the job's index in its batch) and ``attempt`` are the
+    supervisor's.
     """
 
     key: object
     label: str
-    build_args: Callable[[int], tuple]
+    build_args: Callable[[], tuple]
     attempt: int = 0
+    ordinal: int = 0
     ready_at: float = field(default=0.0, compare=False)
+
+
+def _scoped_call(fn: Callable, args: tuple, ctx, site: Optional[str]):
+    """``fn(args)`` inside the job's fault scope, wherever it runs."""
+    with job_scope(ctx, site):
+        return fn(args)
 
 
 class PoolSupervisor:
@@ -152,10 +165,12 @@ class PoolSupervisor:
         health: RunHealth,
         job_timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
+        plan: str = "",
         tick: float = 0.05,
     ) -> None:
         self.workers = max(1, workers)
         self.health = health
+        self.plan = plan
         self.job_timeout, self.max_retries = resolve_supervision(
             job_timeout, max_retries
         )
@@ -206,6 +221,7 @@ class PoolSupervisor:
         self,
         fn: Callable,
         jobs: Sequence[SupervisedJob],
+        site: Optional[str] = None,
         fallback: Optional[Callable[[SupervisedJob], object]] = None,
         fallback_label: str = "serial",
         on_failure: Optional[Callable[[SupervisedJob, BaseException], None]] = None,
@@ -213,10 +229,12 @@ class PoolSupervisor:
         """Run every job; return ``{job.key: fn(args)}``.
 
         ``fn`` must be a picklable module-level callable taking the args
-        tuple. ``fallback`` runs a job in the parent when its attempts
-        are exhausted; ``on_failure`` observes every failure before the
-        retry decision (the grid runner uses it to demote a benchmark's
-        transport down the degradation ladder).
+        tuple. With a plan, each call runs in its job's fault scope and
+        evaluates ``site``, the batch's job-entry fault site, as the job
+        starts. ``fallback`` runs a job in the parent, outside any job
+        scope, when its attempts are exhausted; ``on_failure`` observes
+        every failure before the retry decision (the grid runner uses it
+        to demote a benchmark's transport down the degradation ladder).
 
         With one worker the jobs run in the parent, in order, under the
         same retries, backoff, fallback and ``job.*`` events, with no
@@ -226,6 +244,12 @@ class PoolSupervisor:
         results: Dict = {}
         pending = deque(jobs)
         elog = ev.active()
+        for ordinal, job in enumerate(jobs):
+            job.ordinal = ordinal
+
+        def call(job: SupervisedJob) -> tuple:
+            ctx = (self.plan, job.ordinal, job.attempt) if self.plan else None
+            return fn, job.build_args(), ctx, site
 
         def done_event(job: SupervisedJob) -> None:
             if elog.enabled:
@@ -274,7 +298,7 @@ class PoolSupervisor:
                 job = pending.popleft()
                 time.sleep(max(0.0, job.ready_at - time.monotonic()))
                 try:
-                    results[job.key] = fn(job.build_args(job.attempt))
+                    results[job.key] = _scoped_call(*call(job))
                 except RETRYABLE_EXCEPTIONS as exc:
                     fail(job, exc)
                 else:
@@ -302,7 +326,7 @@ class PoolSupervisor:
                         deferred.append(job)
                         continue
                     try:
-                        fut = pool.submit(fn, job.build_args(job.attempt))
+                        fut = pool.submit(_scoped_call, *call(job))
                     except RuntimeError:
                         # Pool broke between loop top and submit.
                         deferred.append(job)

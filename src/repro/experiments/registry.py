@@ -23,7 +23,8 @@ from repro.analysis.clustering import cluster_requests
 from repro.analysis.crosspage import cross_page_stats
 from repro.analysis.space import bitonic_costs, odd_even_costs, pac_costs
 from repro.artifacts import (
-    TracePass, decode_requests, load_or_compute_trace_pass,
+    TracePass, compute_trace_pass, decode_requests, get_store,
+    load_trace_pass,
 )
 from repro.common.types import MemoryRequest
 from repro.config import TABLE1
@@ -59,16 +60,21 @@ class Runs:
 
     ``runs[spec]`` runs the spec's arm through :func:`run_arm` over the
     trace + cache-pass prefix that :meth:`prefix` computes once per
-    :meth:`RunSpec.pass_key` — through the artifact store, so
-    ``--no-artifact-cache`` and ``$REPRO_ARTIFACT_DIR`` apply as they do
-    to ``repro compare``. Prefixes stay packed.
+    :meth:`RunSpec.pass_key` — through the artifact store unless
+    ``use_artifact_cache`` is False, as with ``run_comparison``, so the
+    CLI's ``--no-artifact-cache`` and ``$REPRO_ARTIFACT_DIR`` apply as
+    they do to ``repro compare``. Prefixes stay packed.
     """
 
     def __init__(
-        self, n_accesses: int = DEFAULT_N, seed: Optional[int] = None
+        self,
+        n_accesses: int = DEFAULT_N,
+        seed: Optional[int] = None,
+        use_artifact_cache: bool = True,
     ) -> None:
         self.n_accesses = n_accesses
         self.seed = seed
+        self.use_artifact_cache = use_artifact_cache
         self._results: Dict[RunSpec, RunResult] = {}
         self._prefixes: Dict[str, TracePass] = {}
 
@@ -79,7 +85,11 @@ class Runs:
     def prefix(self, spec: RunSpec) -> TracePass:
         key = spec.pass_key()
         if key not in self._prefixes:
-            self._prefixes[key] = load_or_compute_trace_pass(spec)
+            store = get_store() if self.use_artifact_cache else None
+            self._prefixes[key] = (
+                load_trace_pass(spec, store)
+                or compute_trace_pass(spec, store)
+            )
         return self._prefixes[key]
 
     def requests(self, spec: RunSpec) -> List[MemoryRequest]:

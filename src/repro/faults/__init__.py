@@ -1,14 +1,19 @@
 """Deterministic, seed-derived fault injection for the suite engine.
 
-Activate with ``$REPRO_FAULTS`` or the ``faults=`` parameter of
-:func:`repro.engine.parallel.run_suite_parallel`; its one-worker view
-:func:`repro.engine.driver.run_comparison` reads the variable. A
-:class:`FaultPlan` names *sites* (worker-job entry, shared-memory
-publish/attach, artifact-store get/put), fault *kinds* (crash, hang,
-transient/pickle errors, segment loss, corruption, ENOSPC), and
-deterministic triggers; the suite engine's supervision layer
-(:mod:`repro.engine.supervisor`) recovers from every finite plan with
-bit-identical results. See ARCHITECTURE.md, "Fault model & recovery".
+Activate with the ``faults=`` parameter of
+:func:`repro.engine.parallel.run_suite_parallel` or with
+``$REPRO_FAULTS``, which the grid reads once at its entry
+(:func:`resolve_plan`) — so its one-worker view
+:func:`repro.engine.driver.run_comparison` and every grid command of
+the CLI honour it. The grid installs the plan for its run and the pool
+supervisor scopes it to each job (:func:`job_scope`); outside a grid no
+injector is installed and nothing fires. A :class:`FaultPlan` names
+*sites* (worker-job entry, shared-memory publish/attach, artifact-store
+get/put), fault *kinds* (crash, hang, transient/pickle errors, segment
+loss, corruption, ENOSPC), and deterministic triggers; the suite
+engine's supervision layer (:mod:`repro.engine.supervisor`) recovers
+from every finite plan with bit-identical results. See ARCHITECTURE.md,
+"Fault model & recovery".
 """
 
 from repro.faults.plan import (

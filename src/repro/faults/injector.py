@@ -4,20 +4,23 @@ named sites and manifest the configured failures.
 Two evaluation scopes (see :mod:`repro.faults.plan` for semantics):
 
 * a **process-scoped** injector (``FaultInjector(plan)``) counts site
-  occurrences in this process — the parent installs one around a suite
-  run so transport/store hooks outside any job consult it;
+  occurrences in this process — the grid installs one around its run
+  so transport/store hooks outside any job consult it;
 * a **job-scoped** injector (``FaultInjector(plan, job_ordinal=i,
   attempt=a)``) fires specs whose ordinal names this job while
   ``attempt < count`` — :func:`job_scope` builds one per job from the
-  compact ``(spec, ordinal, attempt)`` context threaded through job
-  args, in a pool worker or (at one worker) in the parent, so
-  triggering is deterministic regardless of scheduling or worker
-  count, and every finite fault is outlasted by retries.
+  compact ``(spec, ordinal, attempt)`` context the pool supervisor
+  sends with each job, in a pool worker or (at one worker) in the
+  parent, so triggering is deterministic regardless of scheduling or
+  worker count, and every finite fault is outlasted by retries.
 
-The disabled path is a null object: hooks cost one no-op method call.
-Destructive kinds (``crash``, ``hang``) only manifest inside pool
-worker processes — in the parent they are inert, so a one-worker run
-with a hostile plan can never take down the caller.
+No plan comes from the environment here: ``$REPRO_FAULTS`` is read
+once, by :func:`repro.faults.plan.resolve_plan` at a grid's entry, and
+with no injector installed every hook is inert. The disabled path is a
+null object: hooks cost one no-op method call. Destructive kinds
+(``crash``, ``hang``) only manifest inside pool worker processes — in
+the parent they are inert, so a one-worker run with a hostile plan can
+never take down the caller.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from repro.faults.plan import ENV_FAULTS, FaultPlan
+from repro.faults.plan import FaultPlan
 
 #: Exit status used by injected worker crashes (recognizable in logs).
 CRASH_EXIT_CODE = 17
@@ -148,23 +151,15 @@ class FaultInjector:
 # process-global active injector (what the store/shm hooks consult)
 
 _active: object = NULL_INJECTOR
-_env_checked = False
 
 
 def active():
-    """The currently installed injector (never None).
+    """The currently installed injector, else :data:`NULL_INJECTOR`.
 
-    When nothing is installed, ``$REPRO_FAULTS`` is consulted once per
-    process — that is how fault injection reaches contexts that never
-    thread a ``faults=`` parameter (and how forked pool workers inherit
-    a plan set purely through the environment).
+    It reads no environment: a grid resolves its plan at its entry
+    (:func:`repro.faults.plan.resolve_plan`) and installs it for the
+    run, and the supervisor installs each job's scope (:func:`job_scope`).
     """
-    global _active, _env_checked
-    if _active is NULL_INJECTOR and not _env_checked:
-        _env_checked = True
-        text = os.environ.get(ENV_FAULTS, "").strip()
-        if text:
-            _active = FaultInjector(FaultPlan.parse(text))
     return _active
 
 
@@ -182,10 +177,9 @@ def installed(injector):
 
 
 def reset_active() -> None:
-    """Forget any installed/env-derived injector (test isolation)."""
-    global _active, _env_checked
+    """Forget any installed injector (test isolation)."""
+    global _active
     _active = NULL_INJECTOR
-    _env_checked = False
 
 
 @lru_cache(maxsize=8)
@@ -193,19 +187,21 @@ def _parse_cached(spec_text: str) -> FaultPlan:
     return FaultPlan.parse(spec_text)
 
 
-#: Compact per-job fault context threaded through pickled worker args:
+#: Compact per-job fault context the supervisor sends with each job:
 #: ``(spec_text, job_ordinal, attempt)`` — or None when faults are off.
 FaultContext = Optional[Tuple[str, int, int]]
 
 
 @contextmanager
-def job_scope(ctx: FaultContext, entry_site: str):
+def job_scope(ctx: FaultContext, entry_site: Optional[str]):
     """Scope for one supervised job (in a pool worker or the parent).
 
-    Builds the job-scoped injector from ``ctx``, installs it globally
-    (so store/shm hooks hit inside the job consult it), and evaluates
-    the job-entry site — which is where ``crash``/``hang``/``transient``
-    faults manifest. With ``ctx=None`` the null path costs one branch.
+    :class:`repro.engine.supervisor.PoolSupervisor` enters it around
+    every job call. It builds the job-scoped injector from ``ctx``,
+    installs it globally (so store/shm hooks hit inside the job consult
+    it), and evaluates the job-entry site — which is where
+    ``crash``/``hang``/``transient`` faults manifest. With ``ctx=None``
+    the null path costs one branch.
     """
     if not ctx:
         yield NULL_INJECTOR

@@ -35,8 +35,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
-#: Environment variable holding a fault spec string; consulted when no
-#: explicit ``faults=`` argument is given.
+#: Environment variable holding a fault spec string; :func:`resolve_plan`
+#: reads it, at a grid's entry, when no ``faults=`` argument is given.
+#: Nothing else reads it.
 ENV_FAULTS = "REPRO_FAULTS"
 
 #: Instrumented sites -> fault kinds each supports. Job-entry sites

@@ -2,9 +2,9 @@
 
 Probes and spans observe *inside* one simulation and the event log
 observes *around* one execution; the ledger observes *across* runs. When
-``$REPRO_LEDGER_DIR`` is set (default off — recording must be provably
-free when absent), every recorded run appends one ``run-<id>.json``
-under that directory carrying:
+the CLI's ``--ledger DIR`` or ``$REPRO_LEDGER_DIR`` names a directory
+(default off — recording must be provably free when absent), every
+recorded run appends one ``run-<id>.json`` under it carrying:
 
 * identity — the :meth:`repro.config.SimulationConfig.config_hash`,
   the artifact-store code fingerprint, and the git revision (with a
@@ -43,7 +43,6 @@ __all__ = [
     "build_record",
     "git_fingerprint",
     "ledger_dir",
-    "ledger_enabled",
     "list_runs",
     "load_run",
     "record_run",
@@ -75,13 +74,10 @@ METRIC_FIELDS = (
 
 
 def ledger_dir() -> Optional[Path]:
-    """The configured ledger directory, or None when recording is off."""
+    """The directory ``$REPRO_LEDGER_DIR`` names, or None (recording is
+    off unless a caller passes its own ``root``, as ``--ledger`` does)."""
     env = os.environ.get(ENV_LEDGER_DIR, "").strip()
     return Path(env) if env else None
-
-
-def ledger_enabled() -> bool:
-    return ledger_dir() is not None
 
 
 # --------------------------------------------------------------------- #

@@ -21,7 +21,6 @@ from repro.telemetry.probe import (
 )
 from repro.telemetry.export import (
     csv_rows,
-    timeline_csv,
     timeline_rows,
     to_csv,
     write_csv,
@@ -74,7 +73,6 @@ __all__ = [
     "end_to_end_percentiles",
     "spans_to_csv",
     "stage_breakdown",
-    "timeline_csv",
     "timeline_rows",
     "to_csv",
     "to_perfetto_json",

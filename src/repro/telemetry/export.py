@@ -186,16 +186,3 @@ def _bypass_rate(registry: TelemetryRegistry, window: int) -> float:
         return 0.0
     return (direct + cbit) / total
 
-
-def timeline_csv(registry: TelemetryRegistry) -> str:
-    """The timeline table as CSV text (for quick spreadsheeting)."""
-    rows = timeline_rows(registry)
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=list(rows[0].keys()), lineterminator="\n"
-    )
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()

@@ -1,5 +1,5 @@
 """ArtifactStore unit tests: round-trips, corruption recovery, atomic
-concurrent writes, and the env-knob surface.
+concurrent writes, and keys.
 
 The store keeps no counters: its traffic is the ``cache.*`` events it
 emits, which these tests read back from an in-memory event log."""
@@ -14,7 +14,6 @@ import pytest
 
 from repro.artifacts.store import (
     ArtifactStore,
-    cache_enabled,
     code_fingerprint,
     get_store,
     pass_key,
@@ -134,6 +133,24 @@ class TestCorruptionRecovery:
         assert seen == {"cache.miss": 1}
         assert path.exists()
 
+    def test_load_makes_the_hit_and_a_rejection_is_corrupt(self, store):
+        """``get(load=...)`` returns what ``load`` makes of the payload;
+        a payload ``load`` rejects by raising is a corrupt entry."""
+        store.put("pass", "k", {"x": 1}, **_arrays())
+        loaded, seen = _traffic(
+            lambda: store.get("pass", "k", load=lambda p: p["meta"]["x"])
+        )
+        assert loaded == 1
+        assert seen == {"cache.hit": 1}
+
+        def reject(payload):
+            raise ValueError("not a pass")
+
+        loaded, seen = _traffic(lambda: store.get("pass", "k", load=reject))
+        assert loaded is None
+        assert seen == {"cache.corrupt": 1}
+        assert not store._path("pass", "k").exists()
+
     def test_recovery_after_corruption(self, store):
         """The canonical crash story: corrupt entry → miss → recompute
         (re-put) → subsequent hits."""
@@ -245,27 +262,6 @@ class TestMemoAndRegistry:
 
 
 class TestKeysAndEnv:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            ("0", False),
-            ("false", False),
-            ("no", False),
-            ("off", False),
-            ("", False),
-            ("1", True),
-            ("true", True),
-            ("yes", True),
-        ],
-    )
-    def test_cache_enabled_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", value)
-        assert cache_enabled() is expected
-
-    def test_cache_enabled_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ARTIFACT_CACHE", raising=False)
-        assert cache_enabled() is True
-
     def test_keys_are_stable_and_parameter_sensitive(self):
         base = pass_key("gs", 1000, 42, TABLE1)
         assert base == pass_key("gs", 1000, 42, TABLE1)

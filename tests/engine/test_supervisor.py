@@ -57,7 +57,7 @@ def _flaky(args):
 
 def _job(key, fn_args, label=None):
     return SupervisedJob(
-        key=key, label=label or str(key), build_args=lambda attempt: fn_args
+        key=key, label=label or str(key), build_args=lambda: fn_args
     )
 
 
@@ -249,6 +249,19 @@ class TestSerialRetries:
         sup = _supervisor(health, workers=1, max_retries=1)
         with pytest.raises(SuiteExecutionError):
             sup.run(_flaky, [_job("f", (str(marker), 99))])
+
+    @pytest.mark.parametrize("site, fires", [
+        ("phase2.job", True), ("phase1.job", False), (None, False),
+    ])
+    def test_plan_fires_at_the_batch_site_by_ordinal(self, site, fires):
+        """The supervisor scopes its plan to each call: job ``i`` of a
+        batch carries ordinal ``i``, and only the batch's site fires."""
+        health = RunHealth(jobs=3)
+        sup = _supervisor(health, workers=1, plan="phase2.job:transient@1")
+        out = sup.run(_echo, [_job(i, (i,)) for i in range(3)], site=site)
+        assert out == {i: ("ok", i) for i in range(3)}
+        assert health.failures == (["1:OSError"] if fires else [])
+        assert health.retries == int(fires)
 
     def test_one_worker_builds_no_pool(self):
         health = RunHealth(jobs=3)

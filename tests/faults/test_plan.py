@@ -1,4 +1,5 @@
-"""FaultPlan grammar, validation, and seed-derivation determinism."""
+"""FaultPlan grammar, validation, seed-derivation determinism, and
+where a plan is read."""
 
 from __future__ import annotations
 
@@ -10,7 +11,9 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     KINDS,
+    NULL_INJECTOR,
     SITES,
+    active,
     resolve_plan,
 )
 
@@ -131,3 +134,19 @@ class TestResolvePlan:
     def test_bad_type_rejected(self):
         with pytest.raises(TypeError):
             resolve_plan(42)
+
+
+class TestActive:
+    def test_env_alone_installs_nothing(self, monkeypatch, tmp_path):
+        """Only a grid's ``resolve_plan`` reads ``$REPRO_FAULTS``: with
+        nothing installed the null injector answers, so a bare store
+        outside a grid reads back what it wrote."""
+        import numpy as np
+
+        from repro.artifacts import ArtifactStore
+
+        monkeypatch.setenv("REPRO_FAULTS", "artifact.get:corrupt@0")
+        assert active() is NULL_INJECTOR
+        store = ArtifactStore(tmp_path / "store")
+        store.put("pass", "k", {"x": 1}, a=np.arange(3))
+        assert store.get("pass", "k")["meta"] == {"x": 1}

@@ -29,7 +29,6 @@ def _record(comparison, wall=1.0):
 
 class TestLedgerGating:
     def test_disabled_without_env(self):
-        assert not ledger.ledger_enabled()
         assert ledger.ledger_dir() is None
 
     def test_record_run_is_a_noop_when_disabled(self, comparison):
@@ -38,7 +37,7 @@ class TestLedgerGating:
 
     def test_env_enables(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ledger.ENV_LEDGER_DIR, str(tmp_path / "ledger"))
-        assert ledger.ledger_enabled()
+        assert ledger.ledger_dir() == tmp_path / "ledger"
 
 
 class TestRunRecord:

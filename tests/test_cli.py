@@ -1,6 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from repro.__main__ import main
 from repro.experiments.registry import FIGURES, REGISTRY, Runs
 from repro.experiments.reporting import render_table
 from repro.mem.trace import AccessTrace
+from repro.telemetry import events as ev
 
 
 class TestConfigCommand:
@@ -69,20 +73,19 @@ class TestRunCommands:
         """``repro ... | head -1``: once the reader has gone, the rest of
         the output is dropped, with no traceback. The output (~0.8 MB)
         outgrows the pipe buffer, so the CLI writes after the close."""
-        import os
         import subprocess
         import sys
-        from pathlib import Path
 
         import repro
 
         env = dict(
-            os.environ, REPRO_ARTIFACT_CACHE="0",
+            os.environ,
             PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "--accesses", "2000", "compare",
-             "gs", "--json", "--telemetry", "--spans"],
+            [sys.executable, "-m", "repro", "--no-artifact-cache",
+             "--accesses", "2000", "compare", "gs", "--json", "--telemetry",
+             "--spans"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         first = proc.stdout.readline()
@@ -329,13 +332,40 @@ class TestSpansCommand:
         assert "sortdmc" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    BENCH = ["bench", "--benchmarks", "gs", "--accesses", "500"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--accesses", "0", "run", "gs"], "--accesses"),
+        (["--accesses", "many", "run", "gs"], "--accesses"),
+        (["trace", "gs", "--accesses", "-5"], "--accesses"),
+        (["health", "gs", "--accesses", "0"], "--accesses"),
+        (["bench", "--benchmarks", "gs", "--accesses", "0"], "--accesses"),
+        ([*BENCH, "--repeats", "0"], "--repeats"),
+        ([*BENCH, "--warmup", "-1"], "--warmup"),
+        ([*BENCH, "--max-regression", "1.5"], "--max-regression"),
+        ([*BENCH, "--max-regression", "1"], "--max-regression"),
+        ([*BENCH, "--max-regression", "-0.1"], "--max-regression"),
+        ([*BENCH, "--max-regression", "nan"], "--max-regression"),
+        (["spans", "gs", "--accesses", "500", "--top-k", "-2"], "--top-k"),
+        (["diff", "a", "b", "--top", "-1"], "--top"),
+    ])
+    def test_bad_number_is_a_usage_error(self, argv, flag, capsys):
+        """Exit 2 before anything runs, the last line naming the flag."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"argument {flag}:" in err.splitlines()[-1]
+
+
 class TestObservabilityCommands:
     """``--events`` / ``--ledger`` globals plus runs/diff/events."""
 
-    def _record_twice(self, tmp_path, monkeypatch, capsys):
+    def _record_twice(self, tmp_path, capsys):
         """Two identical ledgered compares; returns (ledger_dir, ids)."""
         ledger_dir = tmp_path / "ledger"
-        monkeypatch.setenv("REPRO_LEDGER_DIR", str(ledger_dir))
         for _ in range(2):
             assert main(
                 ["--accesses", "2000", "--ledger", str(ledger_dir),
@@ -392,7 +422,6 @@ class TestObservabilityCommands:
         monkeypatch.setenv(
             "REPRO_FAULTS", "phase1.job:transient@0;phase2.job:transient@0"
         )
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")  # restored after
         path = tmp_path / "health.json"
         assert main(
             ["--no-artifact-cache", "--jobs", "1", "health", "gs",
@@ -411,11 +440,8 @@ class TestObservabilityCommands:
         assert all("/" in label for label in doc)
         assert all(v["runtime_cycles"] > 0 for v in doc.values())
 
-    def test_events_flag_writes_validatable_log(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_events_flag_writes_validatable_log(self, tmp_path, capsys):
         path = tmp_path / "ev.jsonl"
-        monkeypatch.setenv("REPRO_EVENTS", str(path))
         assert main(
             ["--accesses", "2000", "--events", str(path), "run", "gs"]
         ) == 0
@@ -423,9 +449,8 @@ class TestObservabilityCommands:
         assert main(["events", str(path), "--validate"]) == 0
         assert "schema valid" in capsys.readouterr().out
 
-    def test_events_table_and_json(self, tmp_path, monkeypatch, capsys):
+    def test_events_table_and_json(self, tmp_path, capsys):
         path = tmp_path / "ev.jsonl"
-        monkeypatch.setenv("REPRO_EVENTS", str(path))
         assert main(
             ["--accesses", "2000", "--events", str(path), "run", "gs"]
         ) == 0
@@ -437,11 +462,69 @@ class TestObservabilityCommands:
         docs = json.loads(capsys.readouterr().out)
         assert all("kind" in d for d in docs)
 
+    def test_flags_do_not_outlive_the_command(self, tmp_path, capsys):
+        """``--events``/``--ledger`` belong to their command: after it
+        neither variable is set, no event log is active, and a later
+        library run adds nothing to the command's log."""
+        from repro.engine.driver import run_benchmark
+
+        path, ledger_dir = tmp_path / "ev.jsonl", tmp_path / "ledger"
+        assert main(
+            ["--events", str(path), "--ledger", str(ledger_dir),
+             "--accesses", "500", "run", "gs"]
+        ) == 0
+        assert len(list(ledger_dir.glob("run-*.json"))) == 1
+        assert "REPRO_EVENTS" not in os.environ
+        assert "REPRO_LEDGER_DIR" not in os.environ
+        assert ev.active() is ev.NULL_EVENTS
+        logged = path.read_text()
+        assert "run.start" in logged
+        run_benchmark("gs", n_accesses=500)
+        assert path.read_text() == logged
+
+    def test_no_artifact_cache_is_scoped_to_its_command(self, capsys):
+        """``--no-artifact-cache`` is an argument of the command, not a
+        switch left on: a later library comparison on an empty store
+        misses and writes its pass back."""
+        from repro.engine.driver import run_comparison
+
+        assert main(
+            ["--no-artifact-cache", "--accesses", "300", "run", "gs"]
+        ) == 0
+        log = ev.EventLog()
+        with ev.installed(log):
+            run_comparison("gs", n_accesses=300)
+        seen = Counter(
+            r["kind"] for r in log.records if r["kind"].startswith("cache.")
+        )
+        assert seen == {"cache.miss": 1, "cache.store": 1}
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("command", [
+        ["figure", "6a"], ["compare", "gs"], ["--jobs", "2", "suite"],
+    ])
+    def test_no_artifact_cache_reaches_every_grid(
+        self, tmp_path, capsys, command, cached
+    ):
+        """With the flag a grid command — the registry's ``Runs`` memo,
+        a comparison, a pooled suite — logs no ``cache.*`` event and
+        leaves the store empty; without it the same command uses it."""
+        path = tmp_path / "ev.jsonl"
+        flag = [] if cached else ["--no-artifact-cache"]
+        assert main(
+            [*flag, "--events", str(path), "--accesses", "300", *command]
+        ) == 0
+        kinds = [d["kind"] for d in ev.read_events(path)]
+        assert "run.start" in kinds
+        assert any(k.startswith("cache.") for k in kinds) == cached
+        store = Path(os.environ["REPRO_ARTIFACT_DIR"])
+        assert (store.is_dir() and any(store.iterdir())) == cached
+
     def test_events_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["events", str(tmp_path / "nope.jsonl")]) == 2
 
-    def test_runs_list_and_show(self, tmp_path, monkeypatch, capsys):
-        ledger_dir, ids = self._record_twice(tmp_path, monkeypatch, capsys)
+    def test_runs_list_and_show(self, tmp_path, capsys):
+        ledger_dir, ids = self._record_twice(tmp_path, capsys)
         assert main(["runs", "--dir", str(ledger_dir)]) == 0
         out = capsys.readouterr().out
         for run_id in ids:
@@ -451,8 +534,8 @@ class TestObservabilityCommands:
         assert doc["run_id"] == ids[0]
         assert doc["kind"] == "compare"
 
-    def test_runs_json(self, tmp_path, monkeypatch, capsys):
-        ledger_dir, ids = self._record_twice(tmp_path, monkeypatch, capsys)
+    def test_runs_json(self, tmp_path, capsys):
+        ledger_dir, ids = self._record_twice(tmp_path, capsys)
         assert main(["runs", "--dir", str(ledger_dir), "--json"]) == 0
         docs = json.loads(capsys.readouterr().out)
         assert [d["run_id"] for d in docs] == ids
@@ -463,8 +546,8 @@ class TestObservabilityCommands:
             ["runs", "show", "zzz", "--dir", str(tmp_path / "ledger")]
         ) == 1
 
-    def test_diff_self_is_gated_green(self, tmp_path, monkeypatch, capsys):
-        ledger_dir, ids = self._record_twice(tmp_path, monkeypatch, capsys)
+    def test_diff_self_is_gated_green(self, tmp_path, capsys):
+        ledger_dir, ids = self._record_twice(tmp_path, capsys)
         assert main(
             ["diff", "--dir", str(ledger_dir), ids[0], ids[1],
              "--threshold", "0.0"]
@@ -472,10 +555,8 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "max relative regression" in out
 
-    def test_diff_json_reports_zero_regression(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        ledger_dir, ids = self._record_twice(tmp_path, monkeypatch, capsys)
+    def test_diff_json_reports_zero_regression(self, tmp_path, capsys):
+        ledger_dir, ids = self._record_twice(tmp_path, capsys)
         assert main(
             ["diff", "--dir", str(ledger_dir), ids[0], ids[1], "--json"]
         ) == 0
@@ -483,10 +564,8 @@ class TestObservabilityCommands:
         assert doc["max_regression"] == 0.0
         assert doc["run_a"] == ids[0] and doc["run_b"] == ids[1]
 
-    def test_diff_threshold_gates_regressions(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        ledger_dir, ids = self._record_twice(tmp_path, monkeypatch, capsys)
+    def test_diff_threshold_gates_regressions(self, tmp_path, capsys):
+        ledger_dir, ids = self._record_twice(tmp_path, capsys)
         # hand-craft a regressed copy of the second record
         path_b = sorted(ledger_dir.glob("run-*.json"))[1]
         doc = json.loads(path_b.read_text())
